@@ -8,7 +8,6 @@ of every closed-form result.
 """
 
 from .demand_pricing import (
-    DemandKind,
     DemandModel,
     ExpansionStatus,
     KktResiduals,
@@ -16,7 +15,6 @@ from .demand_pricing import (
     Phase,
     demand,
     kkt_residuals,
-    maximize_revenue_generic,
     optimal_expansion,
     optimal_price,
     revenue,
@@ -46,6 +44,7 @@ from .grid_model import (
     CurveKind,
     GridCurve,
     GridModel,
+    PeriodState,
     cost_generator,
     cost_integrated,
     cost_operator,

@@ -46,6 +46,7 @@ from .errors import (
     ThresholdUnreachableError,
 )
 from .scenario import Scenario, load_scenario
+from .tolerances import CERTIFY_TOL
 from .units import convert_price_units
 
 logger = logging.getLogger("vrpplan")
@@ -77,9 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, capacity: bool = False):
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", help="output directory (default: print to stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="override scenario output format")
-        p.add_argument("--samples", type=int, default=200, help="sampling resolution")
-        p.add_argument("--seed", type=int, help="override scenario seed")
         if capacity:
             p.add_argument("capacity", type=float, help="capacity state Q in GW")
 
@@ -89,20 +87,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="myopic multi-period simulation")
     common(p)
+    p.add_argument("--samples", type=int, default=200, help="certificate sampling resolution")
+    p.add_argument("--format", choices=("csv", "json"), help="override scenario output format")
     p.add_argument("--horizon", type=int, help="override scenario horizon")
 
     p = sub.add_parser("verify", help="run every independent check on the scenario")
     common(p)
+    p.add_argument("--samples", type=int, default=200, help="sampling resolution")
+    p.add_argument("--seed", type=int, help="override scenario seed (policy subsampling)")
     p.add_argument("--horizon", type=int, default=3, help="enumeration horizon")
     p.add_argument("--q-grid", type=int, default=4, dest="q_grid", help="actions per period")
 
     p = sub.add_parser("calibrate", help="dispatch a fleet into grid-model JSON")
     common(p)
+    p.add_argument("--seed", type=int, help="override scenario seed (synthetic profiles)")
     p.add_argument("--fleet", help="fleet CSV (default: built-in synthetic fleet)")
     p.add_argument("--profiles", help="hourly profiles CSV (default: synthetic)")
     p.add_argument("--q-grid", type=int, default=20, dest="q_grid", help="capacity samples")
 
     return parser
+
+
+def _seed(args, scenario: Scenario) -> int:
+    return args.seed if args.seed is not None else scenario.seed
 
 
 def _emit(doc: dict, args, filename: str) -> None:
@@ -170,21 +177,20 @@ def _write_plot_files(out_dir: Path, trajectory: traj.Trajectory, scenario: Scen
 
 def _cmd_simulate(args, scenario: Scenario) -> int:
     cfg = scenario.simulation
-    if args.horizon:
+    if args.horizon is not None:
         from dataclasses import replace
 
         cfg = replace(cfg, horizon=args.horizon)
-    result = eqm.solve_long_run_limit(scenario.demand, scenario.grid)
     trajectory = traj.simulate_myopic(scenario.demand, scenario.grid, cfg)
     certificate = traj.certify_monotone_reachability(
         scenario.demand,
         scenario.grid,
         n_samples=args.samples,
         q_init=cfg.q_init,
-        equilibrium=result,
+        equilibrium=trajectory.equilibrium,
     )
     doc = trajectory.to_dict()
-    doc["equilibrium"] = result.to_dict()
+    doc["equilibrium"] = trajectory.equilibrium.to_dict()
     doc["reachability_certificate"] = certificate.to_dict()
 
     fmt = args.format or scenario.output
@@ -210,26 +216,26 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
 
 def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
     dm, model = scenario.demand, scenario.grid
+    k = model.invest_cost
     lo = scenario.simulation.q_init
     hi = result.capacity_limit
     states = np.linspace(lo, hi, n_states, endpoint=False)
     worst = 0.0
     checked = 0
     for q in states:
-        expansion, status = dp.optimal_expansion(dm, model, float(q))
-        if status is not dp.ExpansionStatus.EXPANDING:
+        s = model.state(float(q))
+        if dp.expansion_at(dm, s, k).status is not dp.ExpansionStatus.EXPANDING:
             continue
-        solution = traj.solve_period(dm, model, float(q))
-        res = dp.kkt_residuals(dm, model, float(q), solution, problem="integrated")
+        res = dp.kkt_at(dm, s, k, traj.period_at(dm, s, k), problem="integrated")
         worst = max(worst, res.max_abs_residual)
-        separated, _ = rs.solve_separated_period(dm, model, float(q))
-        res = dp.kkt_residuals(dm, model, float(q), separated, problem="revenue-sharing")
+        separated, _ = rs.separated_at(dm, s, k)
+        res = dp.kkt_at(dm, s, k, separated, problem="revenue-sharing")
         worst = max(worst, res.max_abs_residual)
         checked += 1
     return {
         "states_checked": checked,
         "max_abs_residual": worst,
-        "certified": worst <= dp.KKT_CERTIFICATION_TOL,
+        "certified": worst <= CERTIFY_TOL,
     }
 
 
@@ -244,13 +250,12 @@ def _cmd_verify(args, scenario: Scenario) -> int:
         q_init=scenario.simulation.q_init,
         equilibrium=result,
     )
-    seed = args.seed if args.seed is not None else scenario.seed
     dominance = oracles.enumerate_and_compare(
         dm,
         model,
         scenario.simulation,
         oracles.EnumerationConfig(
-            action_grid_size=args.q_grid, horizon=args.horizon, seed=seed
+            action_grid_size=args.q_grid, horizon=args.horizon, seed=_seed(args, scenario)
         ),
     )
     kkt = _kkt_summary(scenario, result)
@@ -291,7 +296,7 @@ def _cmd_calibrate(args, scenario: Scenario) -> int:
         profiles = dispatch.read_profiles_csv(args.profiles)
     else:
         profiles = dispatch.default_profiles(
-            wind_cf=scenario.wind_cf, seed=scenario.seed or 2024
+            wind_cf=scenario.wind_cf, seed=_seed(args, scenario)
         )
     lo, hi = scenario.grid.domain
     q_grid = list(np.linspace(lo, hi, args.q_grid))
@@ -335,16 +340,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         return _HANDLERS[args.command](args, scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except EnumerationConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _INFEASIBLE_ERRORS as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, CurveDomainError) as exc:
+    except (ScenarioError, EnumerationConfigError, ValueError, CurveDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -11,53 +11,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import grid_model as gm
 from .errors import NetZeroGridError, NoSellableCreditsError
-
-EQUILIBRIUM_REL_TOL = 1e-8  # |R* - C| below this (times max(1,|C|)) is "no expansion left"
-ZERO_TOL = 1e-9
-COARSE_BRACKETS = 256  # multi-start brackets for the generic revenue maximizer
-KKT_CERTIFICATION_TOL = 1e-6
-
-
-class DemandKind(str, Enum):
-    EXPONENTIAL = "exponential"
-    GENERIC = "generic"
+from .serialize import Serializable
+from .tolerances import BALANCE_TOL, CERTIFY_TOL, ZERO_TOL, scaled
 
 
 @dataclass(frozen=True)
-class DemandModel:
+class DemandModel(Serializable):
     """Voluntary-program demand.
 
     ``market_size`` is the demand at zero premium (GW); ``sensitivity`` is the
-    exponential decay rate in the effective price.  A ``generic`` model instead
-    carries an arbitrary revenue curve p -> R(p) with a declared feasible price
-    interval, used through :func:`maximize_revenue_generic`.
+    exponential decay rate in the effective price.  Both are positive and finite.
     """
 
     market_size: float
     sensitivity: float
-    kind: DemandKind = DemandKind.EXPONENTIAL
-    generic_revenue: Callable[[float], float] | None = None
-    price_interval: tuple[float, float] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", DemandKind(self.kind))
-        if self.market_size <= 0:
-            raise ValueError("market_size must be positive")
-        if self.sensitivity <= 0:
-            raise ValueError("sensitivity must be positive")
-        if self.kind is DemandKind.GENERIC and self.generic_revenue is None:
-            raise ValueError("generic demand model needs a generic_revenue callable")
-
-    def to_dict(self) -> dict:
-        if self.kind is not DemandKind.EXPONENTIAL:
-            raise ValueError("only exponential demand models serialize to JSON")
-        return {"market_size": self.market_size, "sensitivity": self.sensitivity}
+        if not 0.0 < self.market_size < math.inf:
+            raise ValueError("market_size must be positive and finite")
+        if not 0.0 < self.sensitivity < math.inf:
+            raise ValueError("sensitivity must be positive and finite")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DemandModel":
@@ -80,7 +59,7 @@ class ExpansionStatus(Enum):
 
 
 @dataclass(frozen=True)
-class PeriodSolution:
+class PeriodSolution(Serializable):
     """Optimal decisions and diagnostics for a single period at state Q."""
 
     price: float  # M$/GW-yr
@@ -100,22 +79,6 @@ class PeriodSolution:
             raise ValueError("share must lie in [0, 1)")
         if self.phase is Phase.EQUILIBRIUM and self.expansion > ZERO_TOL:
             raise ValueError("an equilibrium period cannot expand")
-
-    @classmethod
-    def infeasible(cls) -> "PeriodSolution":
-        nan = float("nan")
-        return cls(nan, nan, nan, nan, False, False, Phase.INFEASIBLE)
-
-    def to_dict(self) -> dict:
-        return {
-            "price": self.price,
-            "expansion": self.expansion,
-            "share": self.share,
-            "revenue": self.revenue,
-            "deliverability_binding": self.deliverability_binding,
-            "financial_binding": self.financial_binding,
-            "phase": self.phase.value,
-        }
 
 
 def demand(dm: DemandModel, price: float, e_q: float) -> float:
@@ -151,26 +114,27 @@ class PriceSolution(NamedTuple):
     deliverability_binding: bool
 
 
-def optimal_price(dm: DemandModel, model: gm.GridModel, q: float) -> PriceSolution:
+def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
     """Revenue-maximizing premium subject to sales <= delivered output.
 
     Two regimes: when unconstrained peak demand M/e fits under f(Q) the price
     is e(Q)/eps; otherwise the deliverability cap binds and the price rises to
     e(Q)/eps * ln(M/f(Q)).  The branches agree where M/e = f(Q).
     """
-    if dm.kind is not DemandKind.EXPONENTIAL:
-        raise ValueError("closed-form pricing applies to exponential demand only")
-    e_q = model.emissions_at(q)
-    f_q = model.delivered_at(q)
-    if e_q <= 0:
-        raise NetZeroGridError(f"e(Q)={e_q} at Q={q}: no emissions left to differentiate")
-    if f_q <= 0:
-        raise NoSellableCreditsError(f"f(Q)={f_q} at Q={q}: no credits to sell")
+    if s.e <= 0:
+        raise NetZeroGridError(f"e(Q)={s.e} at Q={s.q}: no emissions left to differentiate")
+    if s.f <= 0:
+        raise NoSellableCreditsError(f"f(Q)={s.f} at Q={s.q}: no credits to sell")
     peak_sales = dm.market_size * math.exp(-1.0)
-    base = e_q / dm.sensitivity
-    if peak_sales <= f_q:
+    base = s.e / dm.sensitivity
+    if peak_sales <= s.f:
         return PriceSolution(base, False)
-    return PriceSolution(base * math.log(dm.market_size / f_q), True)
+    return PriceSolution(base * math.log(dm.market_size / s.f), True)
+
+
+def optimal_price(dm: DemandModel, model: gm.GridModel, q: float) -> PriceSolution:
+    """:func:`price_at` the grid state at capacity ``q``."""
+    return price_at(dm, model.state(q))
 
 
 class ExpansionSolution(NamedTuple):
@@ -178,130 +142,27 @@ class ExpansionSolution(NamedTuple):
     status: ExpansionStatus
 
 
-def optimal_expansion(dm: DemandModel, model: gm.GridModel, q: float) -> ExpansionSolution:
+def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolution:
     """Expansion implied by the binding financial constraint, (R* - C)/k.
 
     Clamped at zero.  Status distinguishes an expanding period, the long-run
-    equilibrium (R* = C within tolerance), and an infeasible period where
-    revenue cannot cover cost even without any expansion.
+    equilibrium (|R* - C| within BALANCE_TOL scaled by R* and C), and an
+    infeasible period where revenue cannot cover cost even without expansion.
     """
-    price, _ = optimal_price(dm, model, q)
-    rev = revenue(dm, price, model.emissions_at(q))
-    cost = gm.cost_integrated(model, q)
-    tol = EQUILIBRIUM_REL_TOL * max(1.0, abs(cost))
+    price, _ = price_at(dm, s)
+    rev = revenue(dm, price, s.e)
+    cost = s.cost
+    tol = scaled(BALANCE_TOL, rev, cost)
     if rev < cost - tol:
         return ExpansionSolution(0.0, ExpansionStatus.INFEASIBLE)
     if abs(rev - cost) <= tol:
         return ExpansionSolution(0.0, ExpansionStatus.EQUILIBRIUM)
-    return ExpansionSolution((rev - cost) / model.invest_cost, ExpansionStatus.EXPANDING)
+    return ExpansionSolution((rev - cost) / k, ExpansionStatus.EXPANDING)
 
 
-# ---------------------------------------------------------------------------
-# Generic revenue maximization (continuity + vanishing tail only)
-# ---------------------------------------------------------------------------
-
-
-def golden_section_max(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float | None = None,
-    max_iter: int = 200,
-) -> float:
-    """Argmax of a unimodal function on [lo, hi] by golden-section search."""
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    if tol is None:
-        tol = 1e-10 * max(1.0, hi - lo)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-    return 0.5 * (a + b)
-
-
-def _finite_upper_bound(fn: Callable[[float], float], lo: float) -> float:
-    # Vanishing-revenue assumption: walk out geometrically until the curve is
-    # negligible relative to the best value seen.
-    span = max(1.0, abs(lo))
-    best = abs(fn(lo))
-    hi = lo
-    quiet = 0
-    for j in range(64):
-        hi = lo + span * (2.0**j)
-        val = abs(fn(hi))
-        best = max(best, val)
-        quiet = quiet + 1 if val <= 1e-12 * (best + 1e-300) else 0
-        if quiet >= 3:
-            break
-    return hi
-
-
-def maximize_revenue_generic(
-    dm: DemandModel,
-    feasible_prices: tuple[float, float] | Sequence[tuple[float, float]] | None = None,
-) -> tuple[float, float]:
-    """Global revenue maximizer for a generic revenue curve.
-
-    Coarse scan over 256 brackets per feasible interval, golden-section
-    refinement of every local-max bracket, ties broken toward the smallest
-    price.  Only continuity and a vanishing tail are assumed, so the scan
-    resolution bounds the accuracy for badly multimodal curves.
-    """
-    if dm.kind is not DemandKind.GENERIC or dm.generic_revenue is None:
-        raise ValueError("maximize_revenue_generic needs a generic demand model")
-    fn = dm.generic_revenue
-    if feasible_prices is None:
-        feasible_prices = dm.price_interval
-    if feasible_prices is None:
-        raise ValueError("no feasible price set declared")
-    if isinstance(feasible_prices, tuple) and len(feasible_prices) == 2 and not isinstance(
-        feasible_prices[0], tuple
-    ):
-        intervals = [feasible_prices]
-    else:
-        intervals = list(feasible_prices)
-    if not intervals:
-        raise ValueError("feasible price set is empty")
-
-    candidates: list[tuple[float, float]] = []
-    for lo, hi in intervals:
-        if hi < lo:
-            raise ValueError(f"invalid price interval ({lo}, {hi})")
-        if math.isinf(hi):
-            hi = _finite_upper_bound(fn, lo)
-        if hi == lo:
-            candidates.append((lo, fn(lo)))
-            continue
-        xs = np.linspace(lo, hi, COARSE_BRACKETS + 1)
-        vals = np.array([fn(x) for x in xs])
-        for i in range(len(xs)):
-            left = vals[i - 1] if i > 0 else -math.inf
-            right = vals[i + 1] if i < len(xs) - 1 else -math.inf
-            if vals[i] >= left and vals[i] >= right:
-                a = xs[max(i - 1, 0)]
-                b = xs[min(i + 1, len(xs) - 1)]
-                x = golden_section_max(fn, a, b)
-                candidates.append((x, fn(x)))
-        candidates.append((lo, vals[0]))
-        candidates.append((hi, vals[-1]))
-
-    best_val = max(v for _, v in candidates)
-    tie_tol = 1e-12 * max(1.0, abs(best_val))
-    best_p = min(p for p, v in candidates if v >= best_val - tie_tol)
-    return best_p, fn(best_p)
+def optimal_expansion(dm: DemandModel, model: gm.GridModel, q: float) -> ExpansionSolution:
+    """:func:`expansion_at` the grid state at capacity ``q``."""
+    return expansion_at(dm, model.state(q), model.invest_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +178,7 @@ class KktResiduals:
     (operator budget under sharing), generator budget, q >= 0, p >= 0, and the
     two bounds on the share.  ``comp_slackness`` lists multiplier*slack in the
     same order.  ``max_abs_residual`` also folds in dual-feasibility (negative
-    multiplier) and primal-feasibility violations; at or below 1e-6 it
+    multiplier) and primal-feasibility violations; at or below CERTIFY_TOL it
     certifies the solution.
     """
 
@@ -336,7 +197,7 @@ class KktResiduals:
 
     @property
     def certified(self) -> bool:
-        return self.max_abs_residual <= KKT_CERTIFICATION_TOL
+        return self.max_abs_residual <= CERTIFY_TOL
 
     def to_dict(self) -> dict:
         return {
@@ -374,6 +235,17 @@ def kkt_residuals(
     solution: PeriodSolution,
     problem: str = "integrated",
 ) -> KktResiduals:
+    """:func:`kkt_at` the grid state at capacity ``q``."""
+    return kkt_at(dm, model.state(q), model.invest_cost, solution, problem)
+
+
+def kkt_at(
+    dm: DemandModel,
+    s: gm.PeriodState,
+    k: float,
+    solution: PeriodSolution,
+    problem: str = "integrated",
+) -> KktResiduals:
     """Check a period solution against the stationarity/slackness system.
 
     When the solution expands (q* > 0) the multipliers have a closed
@@ -387,9 +259,8 @@ def kkt_residuals(
         raise ValueError("problem must be 'integrated' or 'revenue-sharing'")
     sharing = problem == "revenue-sharing"
 
-    e_q = model.emissions_at(q)
-    f_q = model.delivered_at(q)
-    k = model.invest_cost
+    e_q = s.e
+    f_q = s.f
     p = solution.price
     x = solution.expansion
     gamma = solution.share if sharing else 0.0
@@ -399,8 +270,8 @@ def kkt_residuals(
     rev_p = d * (1.0 - dm.sensitivity * p / e_q)
     d_p_coeff = (dm.sensitivity / e_q) * d  # -d(D)/dp
 
-    c_s = model.cost_system.cost(q)
-    c_gen = gm.cost_generator(model, q)
+    c_s = s.C_S
+    c_gen = s.cost_generator
     c_total = c_s + c_gen
 
     slack_deliver = d - f_q

@@ -22,9 +22,9 @@ from scipy.optimize import isotonic_regression
 
 from . import grid_model as gm
 from .errors import DispatchShortageError
+from .tolerances import ROUNDING_TOL, scaled
 
 HOURS_PER_YEAR = 8760
-PRICE_ZERO_RESIDUAL = 1e-12  # GW of residual below which wind is marginal
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def merit_order_dispatch(
     curtailment = available - wind_served
     residual = load - wind_served
 
-    over = residual > cumcap[-1] * (1.0 + 1e-12) + 1e-12
+    over = residual > cumcap[-1] + scaled(ROUNDING_TOL, cumcap[-1])
     if np.any(over):
         hour = int(np.argmax(over))
         raise DispatchShortageError(hour, float(residual[hour]), fleet.total_capacity)
@@ -139,7 +139,8 @@ def merit_order_dispatch(
 
     marginal = np.searchsorted(cumcap, residual, side="left")
     marginal = np.minimum(marginal, len(caps) - 1)
-    prices = np.where(residual <= PRICE_ZERO_RESIDUAL, 0.0, mcs[marginal])
+    # wind is marginal where the residual load is rounding-size
+    prices = np.where(residual <= ROUNDING_TOL, 0.0, mcs[marginal])
 
     emissions = ers @ unit_generation
 

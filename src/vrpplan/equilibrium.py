@@ -15,17 +15,15 @@ from dataclasses import dataclass
 from . import demand_pricing as dp
 from . import grid_model as gm
 from .errors import InfeasibleAtThresholdError, ThresholdUnreachableError
+from .serialize import Serializable
+from .tolerances import BALANCE_TOL, ROUNDING_TOL, scaled
 
-RESIDUAL_REL_TOL = 1e-8
-# Width exit is a safety net only; it sits far below the residual criterion so
-# the residual tolerance is what actually decides convergence.
-WIDTH_REL_TOL = 1e-12
 MAX_ITERATIONS = 200
 BRACKET_GROWTH = 2.0
 
 
 @dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(Serializable):
     """Solved long-run limit with the bracket and convergence diagnostics."""
 
     capacity_limit: float  # Q where expansion stops, GW
@@ -36,23 +34,13 @@ class EquilibriumResult:
     iterations: int
     domain_capped: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "capacity_limit": self.capacity_limit,
-            "deliverability_threshold": self.deliverability_threshold,
-            "emissions_at_limit": self.emissions_at_limit,
-            "residual": self.residual,
-            "bracket": list(self.bracket),
-            "iterations": self.iterations,
-            "domain_capped": self.domain_capped,
-        }
-
 
 def find_deliverability_threshold(dm: dp.DemandModel, model: gm.GridModel) -> float:
     """Smallest Q in the domain where delivered output covers peak sales M/e.
 
-    Bisection on the nondecreasing delivered curve; returns the domain minimum
-    when it is already satisfied there.
+    Bisection on the nondecreasing delivered curve down to a bracket width of
+    ROUNDING_TOL scaled by Q_max; returns the domain minimum when it is already
+    satisfied there.
     """
     target = dm.market_size * math.exp(-1.0)
     lo, hi = model.domain
@@ -63,7 +51,7 @@ def find_deliverability_threshold(dm: dp.DemandModel, model: gm.GridModel) -> fl
             f"f(Q_max)={model.delivered_at(hi):.6g} GW never reaches peak sales "
             f"{target:.6g} GW"
         )
-    width_tol = 1e-12 * max(1.0, abs(hi))
+    width_tol = scaled(ROUNDING_TOL, hi)
     for _ in range(MAX_ITERATIONS):
         if hi - lo <= width_tol:
             break
@@ -75,73 +63,71 @@ def find_deliverability_threshold(dm: dp.DemandModel, model: gm.GridModel) -> fl
     return hi
 
 
-def _gap(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
-    return dp.unconstrained_peak_revenue(dm, model.emissions_at(q)) - gm.cost_integrated(
-        model, q
-    )
+def _gap(dm: dp.DemandModel, s: gm.PeriodState) -> float:
+    return dp.unconstrained_peak_revenue(dm, s.e) - s.cost
 
 
 def solve_long_run_limit(dm: dp.DemandModel, model: gm.GridModel) -> EquilibriumResult:
     """Bisect the revenue/cost gap above the deliverability threshold.
 
-    Converges when the residual drops below 1e-8 * max(1, |C|) or the bracket
-    width below 1e-10 of its upper end.  If the gap never turns negative inside
-    the domain, the result is capped at the domain edge and flagged instead of
-    raising, since the limit then lies beyond the calibrated data.
+    Converges when the residual drops below BALANCE_TOL scaled by the cost C,
+    or the bracket width below ROUNDING_TOL scaled by its upper end; the width
+    exit is a safety net that sits far below the residual criterion.  If the
+    gap never turns negative inside the domain, the result is capped at the
+    domain edge and flagged instead of raising, since the limit then lies
+    beyond the calibrated data.
     """
     threshold = find_deliverability_threshold(dm, model)
     domain_hi = model.domain[1]
 
-    def residual_tol(q: float) -> float:
-        return RESIDUAL_REL_TOL * max(1.0, abs(gm.cost_integrated(model, q)))
-
-    gap_at_threshold = _gap(dm, model, threshold)
-    if gap_at_threshold < -residual_tol(threshold):
-        raise InfeasibleAtThresholdError(
-            f"cost already exceeds maximal revenue by {-gap_at_threshold:.6g} M$/yr "
-            f"at the deliverability threshold Q={threshold:.6g}"
-        )
-
-    def finish(q: float, bracket: tuple[float, float], iterations: int, capped: bool):
+    def finish(s: gm.PeriodState, bracket: tuple[float, float], iterations: int, capped: bool):
         return EquilibriumResult(
-            capacity_limit=q,
+            capacity_limit=s.q,
             deliverability_threshold=threshold,
-            emissions_at_limit=model.emissions_at(q),
-            residual=abs(_gap(dm, model, q)),
+            emissions_at_limit=s.e,
+            residual=abs(_gap(dm, s)),
             bracket=bracket,
             iterations=iterations,
             domain_capped=capped,
         )
 
-    if abs(gap_at_threshold) <= residual_tol(threshold):
-        return finish(threshold, (threshold, threshold), 0, False)
+    s = model.state(threshold)
+    gap = _gap(dm, s)
+    if gap < -scaled(BALANCE_TOL, s.cost):
+        raise InfeasibleAtThresholdError(
+            f"cost already exceeds maximal revenue by {-gap:.6g} M$/yr "
+            f"at the deliverability threshold Q={threshold:.6g}"
+        )
+    if abs(gap) <= scaled(BALANCE_TOL, s.cost):
+        return finish(s, (threshold, threshold), 0, False)
 
     hi = min(threshold * BRACKET_GROWTH + 1.0, domain_hi)
-    while _gap(dm, model, hi) > 0.0 and hi < domain_hi:
+    s = model.state(hi)
+    while _gap(dm, s) > 0.0 and hi < domain_hi:
         hi = min(hi * BRACKET_GROWTH, domain_hi)
-    if _gap(dm, model, hi) > 0.0:
+        s = model.state(hi)
+    if _gap(dm, s) > 0.0:
         # no sign change inside the domain
-        return finish(domain_hi, (threshold, domain_hi), 0, True)
+        return finish(s, (threshold, domain_hi), 0, True)
 
     lo = threshold
     bracket = (lo, hi)
     iterations = 0
-    mid = 0.5 * (lo + hi)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        mid = 0.5 * (lo + hi)
-        gap_mid = _gap(dm, model, mid)
-        if abs(gap_mid) <= residual_tol(mid) or hi - lo <= WIDTH_REL_TOL * abs(hi):
+        s = model.state(0.5 * (lo + hi))
+        gap = _gap(dm, s)
+        if abs(gap) <= scaled(BALANCE_TOL, s.cost) or hi - lo <= scaled(ROUNDING_TOL, hi):
             break
-        if gap_mid > 0.0:
-            lo = mid
+        if gap > 0.0:
+            lo = s.q
         else:
-            hi = mid
-    return finish(mid, bracket, iterations, False)
+            hi = s.q
+    return finish(s, bracket, iterations, False)
 
 
 def check_nonvanishing_emissions(result: EquilibriumResult) -> bool:
     """True iff the grid keeps strictly positive emissions at the limit."""
-    return result.emissions_at_limit > 1e-12
+    return result.emissions_at_limit > ROUNDING_TOL
 
 
 def check_k_independence(
@@ -161,4 +147,4 @@ def check_k_independence(
         for k in k_values
     ]
     spread = max(limits) - min(limits)
-    return spread / max(abs(max(limits)), 1e-300)
+    return spread / max(map(abs, limits)) if spread else 0.0

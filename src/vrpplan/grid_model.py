@@ -15,17 +15,17 @@ a pure function, so models can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import CurveDomainError
+from .serialize import Serializable
+from .tolerances import CERTIFY_TOL, DOMAIN_TOL, ZERO_TOL, scaled
 
-MONOTONE_TOL = 1e-9
-DELIVERED_ORIGIN_TOL = 1e-6  # |f(0)| tolerance, GW
 DERIVATIVE_STEP_FRACTION = 1e-4  # default h = fraction * domain width
 
 
@@ -48,6 +48,7 @@ class GridCurve:
 
     Tabulated curves are evaluated by monotone piecewise-linear interpolation:
     exact at the knots and monotone between them whenever the knot values are.
+    Coefficients and table entries must be finite.
     """
 
     kind: CurveKind
@@ -57,10 +58,14 @@ class GridCurve:
     def __post_init__(self):
         object.__setattr__(self, "kind", CurveKind(self.kind))
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError("curve coefficients must be finite")
         if self.kind is CurveKind.TABULATED:
             if self.table is None or len(self.table) < 2:
                 raise ValueError("tabulated curve needs at least 2 points")
             table = tuple((float(q), float(v)) for q, v in self.table)
+            if not all(math.isfinite(q) and math.isfinite(v) for q, v in table):
+                raise ValueError("tabulated curve entries must be finite")
             qs = [q for q, _ in table]
             if any(b <= a for a, b in zip(qs, qs[1:])):
                 raise ValueError("tabulated curve Q values must be strictly increasing")
@@ -74,9 +79,11 @@ class GridCurve:
                 raise ValueError("polynomial curve needs at least one coefficient")
 
     @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+    def _knots(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """Knot arrays plus the accepted range: the table's ends widened by DOMAIN_TOL."""
         qs, vs = zip(*self.table)
-        return np.asarray(qs, dtype=float), np.asarray(vs, dtype=float)
+        slack = scaled(DOMAIN_TOL, qs[0], qs[-1])
+        return np.asarray(qs), np.asarray(vs), qs[0] - slack, qs[-1] + slack
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -105,10 +112,14 @@ class GridCurve:
 
 
 def eval_curve(curve: GridCurve, q: float) -> float:
-    """Evaluate a curve at capacity ``q`` (GW)."""
+    """Evaluate a curve at capacity ``q`` (GW).
+
+    A tabulated curve evaluates a point within DOMAIN_TOL past an end of its
+    table, a rounding overshoot, at that end; farther out it raises.
+    """
     if curve.kind is CurveKind.TABULATED:
-        qs, vs = curve._knots
-        if q < qs[0] or q > qs[-1]:
+        qs, vs, lo, hi = curve._knots
+        if not lo <= q <= hi:
             raise CurveDomainError(
                 f"Q={q} outside tabulated domain [{qs[0]}, {qs[-1]}]"
             )
@@ -124,15 +135,15 @@ def eval_curve(curve: GridCurve, q: float) -> float:
 
 
 @dataclass(frozen=True)
-class CostSpec:
+class CostSpec(Serializable):
     """Quadratic per-period cost, cost(Q) = alpha*Q + beta*Q**2 in M$/yr."""
 
     alpha: float  # M$/GW-yr
     beta: float  # M$/GW^2-yr
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("cost coefficients must be nonnegative")
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError("cost coefficients must be nonnegative and finite")
 
     def cost(self, q: float) -> float:
         return self.alpha * q + self.beta * q * q
@@ -140,19 +151,40 @@ class CostSpec:
     def slope(self, q: float) -> float:
         return self.alpha + 2.0 * self.beta * q
 
-    def __call__(self, q: float) -> float:
-        return self.cost(q)
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "CostSpec":
         return cls(alpha=float(doc["alpha"]), beta=float(doc["beta"]))
 
 
+class PeriodState(NamedTuple):
+    """The grid at one capacity: every number a period's decisions read.
+
+    Built by :meth:`GridModel.state`.  Price, revenue, expansion, share,
+    feasibility and phase of the period are arithmetic on these six values.
+    Immutable; a tuple rather than a frozen dataclass because one is built
+    per period and per oracle sample, and a tuple builds in a third the time.
+    """
+
+    q: float  # capacity, GW, inside the model domain
+    e: float  # emissions intensity e(Q), ton-CO2/MWh
+    f: float  # delivered output f(Q), GW
+    pi: float  # energy value pi(Q), M$/GW-yr
+    C_S: float  # system cost C_S(Q), M$/yr
+    C_R: float  # renewable operating cost C_R(Q), M$/yr
+
+    @property
+    def cost(self) -> float:
+        """Non-investment cost C = C_S + C_R - f*pi, M$/yr."""
+        return self.C_S + self.C_R - self.f * self.pi
+
+    @property
+    def cost_generator(self) -> float:
+        """Generator-side net cost C_R - f*pi, M$/yr."""
+        return self.C_R - self.f * self.pi
+
+
 @dataclass(frozen=True)
-class GridModel:
+class GridModel(Serializable):
     """All grid primitives needed to price and expand a renewable program.
 
     Fields
@@ -177,46 +209,49 @@ class GridModel:
     def __post_init__(self):
         lo, hi = self.domain
         object.__setattr__(self, "domain", (float(lo), float(hi)))
-        if not lo < hi:
-            raise ValueError("domain must satisfy Q_min < Q_max")
-        if self.invest_cost <= 0:
-            raise ValueError("invest_cost must be positive")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError("domain must satisfy Q_min < Q_max, both finite")
+        if not 0.0 < self.invest_cost < math.inf:
+            raise ValueError("invest_cost must be positive and finite")
         for name in ("emissions", "delivered", "energy_value"):
             curve: GridCurve = getattr(self, name)
             clo, chi = curve.domain
             if clo > lo or chi < hi:
                 raise ValueError(f"{name} curve does not cover the model domain")
 
-    def _check_domain(self, q: float) -> None:
+    def _clamp(self, q: float) -> float:
+        """``q`` inside the domain; within DOMAIN_TOL past an end, that end."""
         lo, hi = self.domain
-        if q < lo or q > hi:
-            raise CurveDomainError(f"Q={q} outside model domain [{lo}, {hi}]")
+        if lo <= q <= hi:
+            return q
+        slack = scaled(DOMAIN_TOL, lo, hi)
+        if lo - slack <= q <= hi + slack:
+            return min(max(q, lo), hi)
+        raise CurveDomainError(f"Q={q} outside model domain [{lo}, {hi}]")
+
+    def state(self, q: float) -> PeriodState:
+        """The grid at capacity ``q``: one domain check, one evaluation of e, f and pi."""
+        q = self._clamp(q)
+        return PeriodState(
+            q,
+            eval_curve(self.emissions, q),
+            eval_curve(self.delivered, q),
+            eval_curve(self.energy_value, q),
+            self.cost_system.cost(q),
+            self.cost_renewable.cost(q),
+        )
 
     def emissions_at(self, q: float) -> float:
-        self._check_domain(q)
-        return eval_curve(self.emissions, q)
+        return eval_curve(self.emissions, self._clamp(q))
 
     def delivered_at(self, q: float) -> float:
-        self._check_domain(q)
-        return eval_curve(self.delivered, q)
+        return eval_curve(self.delivered, self._clamp(q))
 
     def energy_value_at(self, q: float) -> float:
-        self._check_domain(q)
-        return eval_curve(self.energy_value, q)
+        return eval_curve(self.energy_value, self._clamp(q))
 
     def with_invest_cost(self, invest_cost: float) -> "GridModel":
         return replace(self, invest_cost=invest_cost)
-
-    def to_dict(self) -> dict:
-        return {
-            "emissions": self.emissions.to_dict(),
-            "delivered": self.delivered.to_dict(),
-            "energy_value": self.energy_value.to_dict(),
-            "cost_renewable": self.cost_renewable.to_dict(),
-            "cost_system": self.cost_system.to_dict(),
-            "invest_cost": self.invest_cost,
-            "domain": list(self.domain),
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GridModel":
@@ -237,20 +272,14 @@ def cost_integrated(model: GridModel, q: float) -> float:
     May be negative when the generators' wholesale surplus exceeds system
     cost, which is the normal state at low penetration.
     """
-    model._check_domain(q)
-    return (
-        model.cost_system.cost(q)
-        + model.cost_renewable.cost(q)
-        - eval_curve(model.delivered, q) * eval_curve(model.energy_value, q)
-    )
+    return model.state(q).cost
 
 
 def cost_operator(model: GridModel, q: float, expansion: float) -> float:
     """Operator-side aggregate C_S(Q) + k*q for expansion q >= 0."""
     if expansion < 0:
         raise ValueError("expansion must be nonnegative")
-    model._check_domain(q)
-    return model.cost_system.cost(q) + model.invest_cost * expansion
+    return model.cost_system.cost(model._clamp(q)) + model.invest_cost * expansion
 
 
 def cost_generator(model: GridModel, q: float) -> float:
@@ -259,19 +288,13 @@ def cost_generator(model: GridModel, q: float) -> float:
     Negative values mean wholesale revenue alone keeps generators viable;
     the sign decides whether any program revenue must be shared with them.
     """
-    model._check_domain(q)
-    return model.cost_renewable.cost(q) - eval_curve(model.delivered, q) * eval_curve(
-        model.energy_value, q
-    )
+    return model.state(q).cost_generator
 
 
 @dataclass(frozen=True)
 class DerivativeEstimate:
     value: float
     one_sided: bool = False
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def numeric_derivative(
@@ -366,10 +389,11 @@ def _first_violation(
 def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> ConditionReport:
     """Sample every curve and report the structural-condition checks.
 
-    Checked on a uniform grid over the model domain, all with tolerance
-    1e-9 (monotonicity non-strict, since tabulated empirical curves are only
-    weakly monotone): e > 0 and nonincreasing; f(0) ~ 0, f nondecreasing and
-    discretely concave; pi nonincreasing.
+    Checked on a uniform grid over the model domain, monotonicity and
+    concavity within ZERO_TOL (non-strict, since tabulated empirical curves
+    are only weakly monotone) and |f(0)| within CERTIFY_TOL: e > 0 and
+    nonincreasing; f(0) ~ 0, f nondecreasing and discretely concave; pi
+    nonincreasing.
     """
     if n_samples < 3:
         raise ValueError("n_samples must be at least 3")
@@ -383,7 +407,7 @@ def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> Conditio
     # e(Q) > 0 on the interior of the sampled grid
     ok, at = _first_violation(qs[1:-1], e[1:-1] <= 0.0)
     checks.append(ConditionCheck("emissions_positive", ok, at))
-    ok, at = _first_violation(qs[1:], np.diff(e) > MONOTONE_TOL)
+    ok, at = _first_violation(qs[1:], np.diff(e) > ZERO_TOL)
     checks.append(ConditionCheck("emissions_nonincreasing", ok, at))
 
     if lo <= 0.0 <= hi:
@@ -391,20 +415,20 @@ def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> Conditio
         checks.append(
             ConditionCheck(
                 "delivered_zero_at_origin",
-                abs(f0) <= DELIVERED_ORIGIN_TOL,
-                None if abs(f0) <= DELIVERED_ORIGIN_TOL else 0.0,
+                abs(f0) <= CERTIFY_TOL,
+                None if abs(f0) <= CERTIFY_TOL else 0.0,
             )
         )
     else:
         # 0 not in the declared domain: nothing to check
         checks.append(ConditionCheck("delivered_zero_at_origin", True, None))
-    ok, at = _first_violation(qs[1:], np.diff(f) < -MONOTONE_TOL)
+    ok, at = _first_violation(qs[1:], np.diff(f) < -ZERO_TOL)
     checks.append(ConditionCheck("delivered_nondecreasing", ok, at))
-    concavity_tol = MONOTONE_TOL * max(1.0, float(np.max(np.abs(f))))
+    concavity_tol = scaled(ZERO_TOL, float(np.max(np.abs(f))))
     ok, at = _first_violation(qs[1:-1], np.diff(f, 2) > concavity_tol)
     checks.append(ConditionCheck("delivered_concave", ok, at))
 
-    ok, at = _first_violation(qs[1:], np.diff(pi) > MONOTONE_TOL)
+    ok, at = _first_violation(qs[1:], np.diff(pi) > ZERO_TOL)
     checks.append(ConditionCheck("energy_value_nonincreasing", ok, at))
 
     return ConditionReport(checks=tuple(checks), n_samples=n_samples)

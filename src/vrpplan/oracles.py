@@ -19,8 +19,8 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import trajectory as traj
 from .errors import EnumerationConfigError
-
-DOMINANCE_TOL = 1e-9
+from .serialize import Serializable
+from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class EnumerationConfig:
 
 
 @dataclass(frozen=True)
-class DominanceReport:
+class DominanceReport(Serializable):
     n_policies_total: int
     n_policies_evaluated: int
     sampled: bool
@@ -70,19 +70,7 @@ class DominanceReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_policies_total": self.n_policies_total,
-            "n_policies_evaluated": self.n_policies_evaluated,
-            "sampled": self.sampled,
-            "seed": self.seed,
-            "statewise_violations": self.statewise_violations,
-            "hitting_time_violations": self.hitting_time_violations,
-            "emissions_violations": self.emissions_violations,
-            "worst_hitting_gap": self.worst_hitting_gap,
-            "worst_emissions_gap": self.worst_emissions_gap,
-            "certificate_holds": self.certificate_holds,
-            "passed": self.passed,
-        }
+        return {**super().to_dict(), "passed": self.passed}
 
 
 def _rollout(
@@ -105,7 +93,7 @@ def _rollout(
 
 
 def _hitting_time(path: list[float], limit: float, horizon: int) -> int:
-    tol = traj.REACH_TOL * max(1.0, abs(limit))
+    tol = scaled(ZERO_TOL, limit)
     for t, q in enumerate(path):
         if q >= limit - tol:
             return t
@@ -162,7 +150,7 @@ def enumerate_and_compare(
     emissions = 0
     worst_hit_gap = 0
     worst_emis_gap = -math.inf
-    state_tol = DOMINANCE_TOL * max(1.0, abs(limit))
+    state_tol = scaled(ZERO_TOL, limit)
 
     for row in index_rows:
         path = _rollout(dm, model, cfg.q_init, fractions_of[row], limit)
@@ -177,7 +165,7 @@ def enumerate_and_compare(
         )
         gap = myo_emissions - pol_emissions
         worst_emis_gap = max(worst_emis_gap, gap)
-        if gap > DOMINANCE_TOL * max(1.0, abs(myo_emissions)):
+        if gap > scaled(ZERO_TOL, myo_emissions):
             emissions += 1
 
     return DominanceReport(
@@ -212,24 +200,16 @@ def dense_scan_price(
         p_cap = max(p_cap, 2.0 * base * math.log(dm.market_size / f_q))
     prices = np.linspace(0.0, p_cap, n_points)
     sales = dm.market_size * np.exp(-dm.sensitivity * prices / e_q)
-    rev = np.where(sales <= f_q * (1.0 + 1e-12), prices * sales, -np.inf)
+    rev = np.where(sales <= f_q + scaled(ROUNDING_TOL, f_q), prices * sales, -np.inf)
     return float(prices[int(np.argmax(rev))])
 
 
 @dataclass(frozen=True)
-class EquilibriumScan:
+class EquilibriumScan(Serializable):
     found: bool
     bracket: tuple[float, float] | None  # first sign-change interval
     sign_changes: tuple[tuple[float, float], ...]
     n_points: int
-
-    def to_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "bracket": list(self.bracket) if self.bracket else None,
-            "sign_changes": [list(b) for b in self.sign_changes],
-            "n_points": self.n_points,
-        }
 
 
 def dense_scan_equilibrium(
@@ -244,7 +224,7 @@ def dense_scan_equilibrium(
         raise ValueError("n_points too small to be meaningful")
     threshold = eqm.find_deliverability_threshold(dm, model)
     qs = np.linspace(threshold, model.domain[1], n_points)
-    gaps = np.array([eqm._gap(dm, model, q) for q in qs])
+    gaps = np.array([eqm._gap(dm, model.state(q)) for q in qs])
 
     brackets: list[tuple[float, float]] = []
     for i in range(len(qs) - 1):

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from . import demand_pricing as dp
 from . import grid_model as gm
 from .errors import InfeasibleSharingError, NoRevenueError
-
-PHASE_TOL = 1e-9
+from .serialize import Serializable
+from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 
 @dataclass(frozen=True)
-class SharingSolution:
+class SharingSolution(Serializable):
     """Optimal share and budget slacks for one period under separated accounts."""
 
     share: float
@@ -26,31 +26,34 @@ class SharingSolution:
     generator_budget_residual: float  # gamma R - C_2, M$/yr
     equivalent_to_integrated: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "share": self.share,
-            "operator_budget_residual": self.operator_budget_residual,
-            "generator_budget_residual": self.generator_budget_residual,
-            "equivalent_to_integrated": self.equivalent_to_integrated,
-        }
+
+def required_share(s: gm.PeriodState, rev: float) -> float:
+    """Share of revenue ``rev`` that keeps generators viable: max{0, C_2/rev}.
+
+    Zero when there is no revenue to share.  A share of 1 or more would leave
+    the operator nothing for its own strictly positive cost, so that case is
+    an error rather than a clamp.
+    """
+    share = max(0.0, s.cost_generator / rev) if rev > 0 else 0.0
+    if share >= 1.0:
+        raise InfeasibleSharingError(
+            f"required share {share:.6f} at Q={s.q} leaves the operator nothing"
+        )
+    return share
+
+
+def _peak_revenue(dm: dp.DemandModel, s: gm.PeriodState) -> float:
+    price, _ = dp.price_at(dm, s)
+    rev = dp.revenue(dm, price, s.e)
+    if rev <= 0:
+        raise NoRevenueError(f"maximal revenue {rev} at Q={s.q} is nonpositive")
+    return rev
 
 
 def optimal_share(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
-    """Smallest revenue share that keeps generators viable: max{0, C_2/R*}.
-
-    A share of 1 or more would leave the operator nothing for its own strictly
-    positive cost, so that case is an error rather than a clamp.
-    """
-    price, _ = dp.optimal_price(dm, model, q)
-    rev = dp.revenue(dm, price, model.emissions_at(q))
-    if rev <= 0:
-        raise NoRevenueError(f"maximal revenue {rev} at Q={q} is nonpositive")
-    share = max(0.0, gm.cost_generator(model, q) / rev)
-    if share >= 1.0:
-        raise InfeasibleSharingError(
-            f"required share {share:.6f} at Q={q} leaves the operator nothing"
-        )
-    return share
+    """Smallest revenue share that keeps generators viable: max{0, C_2/R*}."""
+    s = model.state(q)
+    return required_share(s, _peak_revenue(dm, s))
 
 
 def expansion_given_share(
@@ -62,28 +65,33 @@ def expansion_given_share(
     """
     if not 0.0 <= share < 1.0:
         raise ValueError("share must lie in [0, 1)")
-    price, _ = dp.optimal_price(dm, model, q)
-    rev = dp.revenue(dm, price, model.emissions_at(q))
-    return max(
-        0.0,
-        ((1.0 - share) * rev - model.cost_system.cost(q)) / model.invest_cost,
-    )
+    s = model.state(q)
+    price, _ = dp.price_at(dm, s)
+    rev = dp.revenue(dm, price, s.e)
+    return max(0.0, ((1.0 - share) * rev - s.C_S) / model.invest_cost)
 
 
 def classify_phase(share: float, expansion: float, feasible: bool) -> dp.Phase:
     """Exactly one transition label per (share, expansion, feasibility) input.
 
-    Zero comparisons use an absolute tolerance of 1e-9.
+    Zero comparisons use the absolute tolerance ZERO_TOL.
     """
     if not feasible:
         return dp.Phase.INFEASIBLE
-    if expansion > PHASE_TOL:
-        return dp.Phase.SPONTANEOUS if share <= PHASE_TOL else dp.Phase.SUPPORTED
+    if expansion > ZERO_TOL:
+        return dp.Phase.SPONTANEOUS if share <= ZERO_TOL else dp.Phase.SUPPORTED
     return dp.Phase.EQUILIBRIUM
 
 
 def solve_separated_period(
     dm: dp.DemandModel, model: gm.GridModel, q: float
+) -> tuple[dp.PeriodSolution, SharingSolution]:
+    """:func:`separated_at` the grid state at capacity ``q``."""
+    return separated_at(dm, model.state(q), model.invest_cost)
+
+
+def separated_at(
+    dm: dp.DemandModel, s: gm.PeriodState, k: float
 ) -> tuple[dp.PeriodSolution, SharingSolution]:
     """Solve one period under separated accounts and compare with integrated.
 
@@ -94,27 +102,28 @@ def solve_separated_period(
     and the separated expansion falls short of the integrated benchmark by
     exactly |C_2|/k.
     """
-    price, deliverability_binding = dp.optimal_price(dm, model, q)
-    rev = dp.revenue(dm, price, model.emissions_at(q))
-    share = optimal_share(dm, model, q)
-    expansion = expansion_given_share(dm, model, q, share)
-    if expansion <= PHASE_TOL:  # equilibrium periods carry an exact zero
+    price, deliverability_binding = dp.price_at(dm, s)
+    rev = _peak_revenue(dm, s)
+    share = required_share(s, rev)
+    expansion = max(0.0, ((1.0 - share) * rev - s.C_S) / k)
+    if expansion <= ZERO_TOL:  # equilibrium periods carry an exact zero
         expansion = 0.0
-    integrated = dp.optimal_expansion(dm, model, q)
+    integrated = dp.expansion_at(dm, s, k)
 
-    c_gen = gm.cost_generator(model, q)
-    operator_residual = (1.0 - share) * rev - gm.cost_operator(model, q, expansion)
+    c_gen = s.cost_generator
+    operator_cost = s.C_S + k * expansion
+    operator_residual = (1.0 - share) * rev - operator_cost
     generator_residual = share * rev - c_gen
 
-    tol = dp.EQUILIBRIUM_REL_TOL * max(1.0, abs(rev))
+    tol = scaled(BALANCE_TOL, rev, s.cost)
     feasible = operator_residual >= -tol and generator_residual >= -tol
     financial_binding = abs(operator_residual) <= tol
 
-    equivalent = abs(expansion - integrated.expansion) <= max(
-        PHASE_TOL, PHASE_TOL * abs(integrated.expansion)
+    equivalent = abs(expansion - integrated.expansion) <= scaled(
+        ZERO_TOL, integrated.expansion
     )
-    if 0.0 < share and expansion > PHASE_TOL:
-        aggregation_gap = gm.cost_operator(model, q, expansion) + c_gen - rev
+    if 0.0 < share and expansion > ZERO_TOL:
+        aggregation_gap = operator_cost + c_gen - rev
         equivalent = equivalent and abs(aggregation_gap) <= tol
 
     solution = dp.PeriodSolution(

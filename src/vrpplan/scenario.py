@@ -17,7 +17,8 @@ Schema (version 1):
 
 ``derivative_bounds`` pins the slope caps used for the conservative
 reachability bound reported by ``verify``; without it the sampled maxima from
-the certificate are used.
+the certificate are used.  Every number must be finite: NaN, the infinities
+and literals that overflow (``1e999``) are rejected with their field path.
 """
 
 from __future__ import annotations
@@ -32,21 +33,23 @@ import numpy as np
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
 from .grid_model import CostSpec, CurveKind, GridCurve, GridModel
+from .serialize import Serializable
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class DerivativeBounds:
+class DerivativeBounds(Serializable):
     max_abs_emissions_slope: float
     max_abs_cost_slope: float
 
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_emissions_slope": self.max_abs_emissions_slope,
-            "max_abs_cost_slope": self.max_abs_cost_slope,
-        }
+    def __post_init__(self):
+        if not (
+            0.0 <= self.max_abs_emissions_slope < math.inf
+            and 0.0 <= self.max_abs_cost_slope < math.inf
+        ):
+            raise ValueError("derivative bounds must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,23 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _require_finite(value, where: str, path: str) -> None:
+    """Reject NaN and infinities anywhere in a parsed document, naming the field."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{where}: {path} must be a finite number, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, where, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, where, f"{path}[{i}]")
+
+
 def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None = None) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"{where}: unsupported schema_version {version!r}")
+    _require_finite(doc, where, "")
     try:
         grid_doc = _require(doc, "grid", where)
         if isinstance(grid_doc, str):
@@ -100,6 +116,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None
                 raise ScenarioError(f"{where}: cannot read grid file {grid_path}: {exc}")
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"{grid_path}: invalid JSON: {exc}")
+            _require_finite(grid_doc, str(grid_path), "grid")
         grid = GridModel.from_dict(grid_doc)
         demand = DemandModel.from_dict(_require(doc, "demand", where))
         simulation = SimulationConfig.from_dict(_require(doc, "simulation", where))

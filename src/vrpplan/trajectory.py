@@ -21,15 +21,15 @@ from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
-from .errors import InfeasiblePeriodError, InfeasibleSharingError
-
-REACH_TOL = 1e-9  # relative closeness to the limit that counts as "reached"
+from .errors import InfeasiblePeriodError
+from .serialize import Serializable
+from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 TRAJECTORY_CSV_COLUMNS = ("t", "Q", "p", "q", "gamma", "R", "phase", "e")
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Serializable):
     """Initial state and horizon for a run; periods are abstract (default years)."""
 
     q_init: float
@@ -38,18 +38,10 @@ class SimulationConfig:
     period_label: str = "year"
 
     def __post_init__(self):
-        if self.q_init < 0:
-            raise ValueError("q_init must be nonnegative")
+        if not 0.0 <= self.q_init < math.inf:
+            raise ValueError("q_init must be nonnegative and finite")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "q_init": self.q_init,
-            "horizon": self.horizon,
-            "stop_at_limit": self.stop_at_limit,
-            "period_label": self.period_label,
-        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimulationConfig":
@@ -80,10 +72,11 @@ class Trajectory:
     termination: Termination
     cumulative_expansion: float
     cumulative_emission_index: float  # sum of e(Q_t) over recorded periods
-    capacity_limit: float
+    equilibrium: eqm.EquilibriumResult  # the long-run limit the run was capped at
 
-    def capacities(self) -> list[float]:
-        return [r.capacity for r in self.records]
+    @property
+    def capacity_limit(self) -> float:
+        return self.equilibrium.capacity_limit
 
     def to_dict(self) -> dict:
         return {
@@ -98,21 +91,26 @@ class Trajectory:
         }
 
 
+def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
+    expansion, status = dp.expansion_at(dm, s, k)
+    if status is dp.ExpansionStatus.INFEASIBLE:
+        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q}")
+    return expansion
+
+
 def max_feasible_expansion(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
     """Maximal one-step expansion at state Q under optimal pricing.
 
     Equals the optimal-expansion value (R* - C)/k clamped at zero; raises when
     the period is infeasible outright (revenue below cost at q = 0).
     """
-    expansion, status = dp.optimal_expansion(dm, model, q)
-    if status is dp.ExpansionStatus.INFEASIBLE:
-        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={q}")
-    return expansion
+    return _max_feasible(dm, model.state(q), model.invest_cost)
 
 
 def reach_map(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
     """One-step reachability S(Q) = Q + max feasible expansion."""
-    return q + max_feasible_expansion(dm, model, q)
+    s = model.state(q)
+    return s.q + _max_feasible(dm, s, model.invest_cost)
 
 
 def reachability_lower_bound(
@@ -132,7 +130,7 @@ def reachability_lower_bound(
 
 
 @dataclass(frozen=True)
-class ReachabilityCertificate:
+class ReachabilityCertificate(Serializable):
     holds: bool
     min_margin: float  # worst sampled slope-like margin (primitive or discrete)
     worst_capacity: float
@@ -140,17 +138,6 @@ class ReachabilityCertificate:
     max_abs_emissions_slope: float
     max_abs_cost_slope: float
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "min_margin": self.min_margin,
-            "worst_capacity": self.worst_capacity,
-            "bound_formula_value": self.bound_formula_value,
-            "max_abs_emissions_slope": self.max_abs_emissions_slope,
-            "max_abs_cost_slope": self.max_abs_cost_slope,
-            "n_samples": self.n_samples,
-        }
 
 
 def certify_monotone_reachability(
@@ -164,7 +151,7 @@ def certify_monotone_reachability(
 
     Two routes, both sampled: the derivative-based margin
     1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k, and discrete slopes of S itself.
-    The certificate holds iff both stay above -1e-9.  The derivative route
+    The certificate holds iff both stay above -ZERO_TOL.  The derivative route
     uses the unconstrained revenue form throughout, so the direct S samples
     are the decisive check where the deliverability cap still binds.
     """
@@ -188,15 +175,11 @@ def certify_monotone_reachability(
     revenue_scale = dm.market_size / (math.e * dm.sensitivity)
     k = model.invest_cost
 
-    def cost_fn(q: float) -> float:
-        return gm.cost_integrated(model, q)
+    def slopes(fn) -> np.ndarray:
+        return np.array([gm.numeric_derivative(fn, q, bounds=model.domain).value for q in qs])
 
-    e_slopes = np.array(
-        [gm.numeric_derivative(model.emissions, q, bounds=model.domain).value for q in qs]
-    )
-    c_slopes = np.array(
-        [gm.numeric_derivative(cost_fn, q, bounds=model.domain).value for q in qs]
-    )
+    e_slopes = slopes(model.emissions)
+    c_slopes = slopes(lambda q: gm.cost_integrated(model, q))
     margins = 1.0 + (revenue_scale * e_slopes - c_slopes) / k
 
     reach = np.array([reach_map(dm, model, q) for q in qs])
@@ -210,7 +193,7 @@ def certify_monotone_reachability(
     max_e = float(np.max(np.abs(e_slopes)))
     max_c = float(np.max(np.abs(c_slopes)))
     return ReachabilityCertificate(
-        holds=min_margin >= -1e-9,
+        holds=min_margin >= -ZERO_TOL,
         min_margin=min_margin,
         worst_capacity=float(candidate_qs[worst]),
         bound_formula_value=reachability_lower_bound(
@@ -227,65 +210,56 @@ def certify_monotone_reachability(
 # ---------------------------------------------------------------------------
 
 
-def build_period_solution(
-    dm: dp.DemandModel, model: gm.GridModel, q_state: float, price: float, expansion: float
+def _period_solution(
+    dm: dp.DemandModel, s: gm.PeriodState, k: float, price: float, expansion: float
 ) -> dp.PeriodSolution:
-    """Full per-period telemetry for a (price, expansion) decision at Q."""
-    e_q = model.emissions_at(q_state)
-    f_q = model.delivered_at(q_state)
-    sales = dp.demand(dm, price, e_q)
+    """Full per-period telemetry for a (price, expansion) decision at a state."""
+    sales = dp.demand(dm, price, s.e)
     rev = price * sales
-    cost = gm.cost_integrated(model, q_state)
-    tol = dp.EQUILIBRIUM_REL_TOL * max(1.0, abs(rev), abs(cost))
-    share = max(0.0, gm.cost_generator(model, q_state) / rev) if rev > 0 else 0.0
-    if share >= 1.0:
-        raise InfeasibleSharingError(
-            f"required share {share:.6f} at Q={q_state} leaves the operator nothing"
-        )
+    cost = s.cost
+    share = rs.required_share(s, rev)
     return dp.PeriodSolution(
         price=price,
         expansion=expansion,
         share=share,
         revenue=rev,
-        deliverability_binding=sales >= f_q - 1e-9 * max(1.0, f_q),
-        financial_binding=abs(cost + model.invest_cost * expansion - rev) <= tol,
+        deliverability_binding=sales >= s.f - scaled(ZERO_TOL, s.f),
+        financial_binding=abs(cost + k * expansion - rev) <= scaled(BALANCE_TOL, rev, cost),
         phase=rs.classify_phase(share, expansion, True),
     )
 
 
+def period_at(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.PeriodSolution:
+    """Integrated single-period optimum at a state with full telemetry."""
+    expansion = _max_feasible(dm, s, k)
+    price, _ = dp.price_at(dm, s)
+    return _period_solution(dm, s, k, price, expansion)
+
+
 def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.PeriodSolution:
-    """Integrated single-period optimum at state Q with full telemetry."""
-    expansion, status = dp.optimal_expansion(dm, model, q_state)
-    if status is dp.ExpansionStatus.INFEASIBLE:
-        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={q_state}")
-    price, _ = dp.optimal_price(dm, model, q_state)
-    return build_period_solution(dm, model, q_state, price, expansion)
+    """:func:`period_at` the grid state at capacity ``q_state``."""
+    return period_at(dm, model.state(q_state), model.invest_cost)
 
 
-def _decision_feasible(
-    dm: dp.DemandModel,
-    model: gm.GridModel,
-    q_state: float,
-    price: float,
-    expansion: float,
-    limit: float,
+def _feasible(
+    dm: dp.DemandModel, s: gm.PeriodState, k: float, price: float, expansion: float, limit: float
 ) -> bool:
+    # deliverability, the financial constraint and the no-overbuild cap
     if price < 0 or expansion < 0:
         return False
-    e_q = model.emissions_at(q_state)
-    f_q = model.delivered_at(q_state)
-    sales = dp.demand(dm, price, e_q)
-    if sales > f_q * (1.0 + 1e-9) + 1e-12:
-        return False
+    sales = dp.demand(dm, price, s.e)
     rev = price * sales
-    cost = gm.cost_integrated(model, q_state)
-    if cost + model.invest_cost * expansion > rev + dp.EQUILIBRIUM_REL_TOL * max(
-        1.0, abs(rev), abs(cost)
-    ):
-        return False
-    if expansion > limit - q_state + REACH_TOL * max(1.0, abs(limit)):
-        return False
-    return True
+    cost = s.cost
+    return (
+        sales <= s.f + scaled(ZERO_TOL, s.f)
+        and cost + k * expansion <= rev + scaled(BALANCE_TOL, rev, cost)
+        and expansion <= limit - s.q + scaled(ZERO_TOL, limit)
+    )
+
+
+def _myopic(dm: dp.DemandModel, s: gm.PeriodState, k: float, limit: float) -> tuple[float, float]:
+    price, _ = dp.price_at(dm, s)
+    return price, min(_max_feasible(dm, s, k), max(0.0, limit - s.q))
 
 
 def myopic_rule(
@@ -294,61 +268,62 @@ def myopic_rule(
     """Per-period rule: optimal price, maximal expansion capped at the limit."""
 
     def decide(t: int, q_state: float) -> tuple[float, float]:
-        price, _ = dp.optimal_price(dm, model, q_state)
-        expansion = min(max_feasible_expansion(dm, model, q_state), max(0.0, limit - q_state))
-        return price, expansion
+        return _myopic(dm, model.state(q_state), model.invest_cost, limit)
 
     return decide
 
 
-def _at_limit(dm: dp.DemandModel, model: gm.GridModel, q_state: float, limit: float) -> bool:
+def _at_limit(dm: dp.DemandModel, s: gm.PeriodState, k: float, limit: float) -> bool:
     # State-based test: both the capacity gap and the revenue/cost gap carry
     # their own tolerance, and near the limit the financial one is the wider.
-    if q_state >= limit - REACH_TOL * max(1.0, abs(limit)):
+    if s.q >= limit - scaled(ZERO_TOL, limit):
         return True
-    return dp.optimal_expansion(dm, model, q_state).status is dp.ExpansionStatus.EQUILIBRIUM
+    return dp.expansion_at(dm, s, k).status is dp.ExpansionStatus.EQUILIBRIUM
 
 
 def _simulate(
     dm: dp.DemandModel,
     model: gm.GridModel,
     cfg: SimulationConfig,
-    decide: Callable[[int, float], tuple[float, float]],
-    limit: float,
+    decide: Callable[[int, gm.PeriodState], tuple[float, float]],
+    equilibrium: eqm.EquilibriumResult,
 ) -> Trajectory:
-    model._check_domain(cfg.q_init)
+    # one grid state per period serves the limit test, the decision, the
+    # feasibility check and the record
+    limit = equilibrium.capacity_limit
+    k = model.invest_cost
     records: list[PeriodRecord] = []
+    emissions: list[float] = []
     termination = Termination.HORIZON_END
     q_state = cfg.q_init
 
     for t in range(cfg.horizon):
-        if cfg.stop_at_limit and _at_limit(dm, model, q_state, limit):
-            price, _ = dp.optimal_price(dm, model, q_state)
-            records.append(
-                PeriodRecord(t, q_state, build_period_solution(dm, model, q_state, price, 0.0))
-            )
+        s = model.state(q_state)
+        if cfg.stop_at_limit and _at_limit(dm, s, k, limit):
+            price, _ = dp.price_at(dm, s)
+            records.append(PeriodRecord(t, s.q, _period_solution(dm, s, k, price, 0.0)))
+            emissions.append(s.e)
             termination = Termination.REACHED_LIMIT
             break
         try:
-            price, expansion = decide(t, q_state)
+            price, expansion = decide(t, s)
         except InfeasiblePeriodError:
             termination = Termination.INFEASIBLE
             break
-        if not _decision_feasible(dm, model, q_state, price, expansion, limit):
+        if not _feasible(dm, s, k, price, expansion, limit):
             termination = Termination.INFEASIBLE
             break
-        solution = build_period_solution(dm, model, q_state, price, expansion)
-        records.append(PeriodRecord(t, q_state, solution))
-        q_state = q_state + solution.expansion  # the exact recorded transition
+        solution = _period_solution(dm, s, k, price, expansion)
+        records.append(PeriodRecord(t, s.q, solution))
+        emissions.append(s.e)
+        q_state = s.q + solution.expansion  # the exact recorded transition
 
     return Trajectory(
         records=tuple(records),
         termination=termination,
         cumulative_expansion=sum(r.solution.expansion for r in records),
-        cumulative_emission_index=sum(
-            model.emissions_at(r.capacity) for r in records
-        ),
-        capacity_limit=limit,
+        cumulative_emission_index=sum(emissions),
+        equilibrium=equilibrium,
     )
 
 
@@ -356,8 +331,9 @@ def simulate_myopic(
     dm: dp.DemandModel, model: gm.GridModel, cfg: SimulationConfig
 ) -> Trajectory:
     """Run the maximal-feasible-expansion policy from the configured state."""
-    limit = eqm.solve_long_run_limit(dm, model).capacity_limit
-    return _simulate(dm, model, cfg, myopic_rule(dm, model, limit), limit)
+    result = eqm.solve_long_run_limit(dm, model)
+    k, limit = model.invest_cost, result.capacity_limit
+    return _simulate(dm, model, cfg, lambda t, s: _myopic(dm, s, k, limit), result)
 
 
 def simulate_policy(
@@ -372,8 +348,8 @@ def simulate_policy(
     constraint, and the no-overbuild cap; the first violation truncates the
     trajectory with an infeasible status.
     """
-    limit = eqm.solve_long_run_limit(dm, model).capacity_limit
-    return _simulate(dm, model, cfg, policy, limit)
+    result = eqm.solve_long_run_limit(dm, model)
+    return _simulate(dm, model, cfg, lambda t, s: policy(t, s.q), result)
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +378,13 @@ def trajectory_csv_rows(trajectory: Trajectory, model: gm.GridModel) -> list[dic
 def write_trajectory_csv(trajectory: Trajectory, model: gm.GridModel, path) -> None:
     """Fixed column order: t, Q, p, q, gamma, R, phase, e.
 
-    Floats are written with repr so a read back recovers identical values.
+    Values are written with repr so a read back recovers identical floats.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRAJECTORY_CSV_COLUMNS)
         for row in trajectory_csv_rows(trajectory, model):
-            writer.writerow(
-                [
-                    row["t"],
-                    repr(row["Q"]),
-                    repr(row["p"]),
-                    repr(row["q"]),
-                    repr(row["gamma"]),
-                    repr(row["R"]),
-                    row["phase"],
-                    repr(row["e"]),
-                ]
-            )
+            writer.writerow([repr(v) for v in row.values()])
 
 
 def read_trajectory_csv(path) -> list[dict]:
@@ -430,15 +395,6 @@ def read_trajectory_csv(path) -> list[dict]:
             raise ValueError(f"unexpected trajectory CSV header in {path}")
         for raw in reader:
             rows.append(
-                {
-                    "t": int(raw["t"]),
-                    "Q": float(raw["Q"]),
-                    "p": float(raw["p"]),
-                    "q": float(raw["q"]),
-                    "gamma": float(raw["gamma"]),
-                    "R": float(raw["R"]),
-                    "phase": int(raw["phase"]),
-                    "e": float(raw["e"]),
-                }
+                {c: (int if c in ("t", "phase") else float)(raw[c]) for c in TRAJECTORY_CSV_COLUMNS}
             )
     return rows

@@ -1,21 +1,26 @@
 """Unit conversion, scenario files, and the command-line surface."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vrpplan import equilibrium
 from vrpplan.cli import main
+from vrpplan.demand_pricing import DemandModel
 from vrpplan.errors import ScenarioError
-from vrpplan.grid_model import GridModel
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.scenario import (
+    DerivativeBounds,
     baseline_scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,
 )
-from vrpplan.trajectory import read_trajectory_csv
+from vrpplan.trajectory import SimulationConfig, read_trajectory_csv
 from vrpplan.units import convert_price_units, invert_price_units
 
 BASELINE_PATH = "scenarios/baseline.json"
@@ -199,3 +204,114 @@ class TestCliCommands:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["limit", "--scenario", str(path)]) == 2
+
+
+def _parametric_model(**changes) -> GridModel:
+    # unbounded curves, so the model's own domain check is the only one
+    model = GridModel(
+        emissions=GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.4, 0.06)),
+        delivered=GridCurve(CurveKind.POLYNOMIAL, (1.0,)),
+        energy_value=GridCurve(CurveKind.EXPONENTIAL_DECAY, (120.0, 0.08)),
+        cost_renewable=CostSpec(21.0, 5.0),
+        cost_system=CostSpec(9.6, 1.0),
+        invest_cost=1000.0,
+        domain=(0.0, 12.0),
+    )
+    return replace(model, **changes)
+
+
+CONSTRUCTORS = {
+    "DemandModel.market_size": lambda x: DemandModel(market_size=x, sensitivity=0.0045),
+    "DemandModel.sensitivity": lambda x: DemandModel(market_size=10.0, sensitivity=x),
+    "CostSpec.alpha": lambda x: CostSpec(x, 1.0),
+    "CostSpec.beta": lambda x: CostSpec(1.0, x),
+    "GridCurve.coefficients": lambda x: GridCurve(CurveKind.POLYNOMIAL, (1.0, x)),
+    "GridCurve.table.q": lambda x: GridCurve(CurveKind.TABULATED, table=((0.0, 1.0), (x, 2.0))),
+    "GridCurve.table.value": lambda x: GridCurve(CurveKind.TABULATED, table=((0.0, 1.0), (1.0, x))),
+    "GridModel.invest_cost": lambda x: _parametric_model(invest_cost=x),
+    "GridModel.domain.lo": lambda x: _parametric_model(domain=(x, 12.0)),
+    "GridModel.domain.hi": lambda x: _parametric_model(domain=(0.0, x)),
+    "SimulationConfig.q_init": lambda x: SimulationConfig(q_init=x, horizon=10),
+    "Scenario.wind_cf": lambda x: replace(baseline_scenario(), wind_cf=x),
+    "DerivativeBounds.emissions": lambda x: DerivativeBounds(x, 150.0),
+    "DerivativeBounds.cost": lambda x: DerivativeBounds(0.1, x),
+}
+
+
+class TestNonFiniteInput:
+    @given(
+        field=st.sampled_from(sorted(CONSTRUCTORS)),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_constructors_reject_nan_and_infinities(self, field, value):
+        with pytest.raises((ValueError, ScenarioError)):
+            CONSTRUCTORS[field](value)
+
+    @pytest.mark.parametrize(
+        "section, key, literal",
+        [
+            ("demand", "market_size", "NaN"),
+            ("grid", "invest_cost", "1e999"),
+            ("grid.cost_system", "alpha", "-Infinity"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["limit"], ["price", "3.0"], ["simulate"]])
+    def test_cli_names_the_field_and_exits_2(self, tmp_path, capsys, section, key, literal, command):
+        doc = baseline_scenario().to_dict()
+        target = doc
+        for part in section.split("."):
+            target = target[part]
+        target[key] = "__VALUE__"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc).replace('"__VALUE__"', literal))
+        assert main([command[0], "--scenario", str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert f"{section}.{key}" in captured.err
+        assert captured.out == ""
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["price", "3.0", "--samples", "10"],
+            ["share", "3.0", "--format", "json"],
+            ["limit", "--seed", "1"],
+            ["calibrate", "--samples", "10"],
+            ["calibrate", "--format", "json"],
+            ["simulate", "--seed", "1"],
+        ],
+    )
+    def test_unused_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scenario", BASELINE_PATH, *argv[1:]])
+        assert exc.value.code == 2
+
+    def test_simulate_rejects_zero_horizon(self, capsys):
+        assert main(["simulate", "--scenario", BASELINE_PATH, "--horizon", "0"]) == 2
+        assert "horizon" in capsys.readouterr().err
+
+    def test_calibrate_seed_is_honoured(self, capsys):
+        outputs = {}
+        for seed in ("1", "7", "0", None):
+            argv = ["calibrate", "--scenario", BASELINE_PATH, "--q-grid", "4"]
+            assert main(argv + (["--seed", seed] if seed else [])) == 0
+            outputs[seed] = capsys.readouterr().out
+        assert outputs["1"] != outputs["7"]
+        # without --seed the scenario's seed (0 on the baseline) is used
+        assert outputs[None] == outputs["0"]
+
+    def test_simulate_solves_the_limit_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = equilibrium.solve_long_run_limit
+
+        def counted(dm, model):
+            calls.append(model)
+            return solve(dm, model)
+
+        monkeypatch.setattr(equilibrium, "solve_long_run_limit", counted)
+        assert main(["simulate", "--scenario", BASELINE_PATH, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        doc = json.loads((tmp_path / "trajectory.json").read_text())
+        assert doc["capacity_limit"] == doc["equilibrium"]["capacity_limit"]

@@ -1,4 +1,4 @@
-"""Demand, revenue, closed-form pricing, generic maximizer, KKT residuals."""
+"""Demand, revenue, closed-form pricing, KKT residuals."""
 
 import math
 from dataclasses import replace
@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import flat_model, pick_expanding_state, random_accepted_model
 from vrpplan.demand_pricing import (
-    DemandKind,
     DemandModel,
     ExpansionStatus,
     demand,
     kkt_residuals,
-    maximize_revenue_generic,
     optimal_expansion,
     optimal_price,
     revenue,
@@ -59,8 +57,6 @@ class TestDemand:
             DemandModel(market_size=0.0, sensitivity=0.0045)
         with pytest.raises(ValueError):
             DemandModel(market_size=10.0, sensitivity=-1.0)
-        with pytest.raises(ValueError):
-            DemandModel(market_size=10.0, sensitivity=0.0045, kind=DemandKind.GENERIC)
 
 
 class TestRevenue:
@@ -111,17 +107,6 @@ class TestOptimalPrice:
         model = flat_model(0.3, 0.0, 0.0)
         with pytest.raises(NoSellableCreditsError):
             optimal_price(DM, model, 1.0)
-
-    def test_generic_kind_rejected(self):
-        dm = DemandModel(
-            market_size=10.0,
-            sensitivity=0.0045,
-            kind=DemandKind.GENERIC,
-            generic_revenue=lambda p: p,
-            price_interval=(0.0, 1.0),
-        )
-        with pytest.raises(ValueError):
-            optimal_price(dm, flat_model(0.3, 5.0, 0.0), 1.0)
 
     def test_proportional_to_emissions_interior_regime(self, baseline_demand, baseline_model):
         q1, q2 = 5.5, 6.8  # both beyond the deliverability threshold
@@ -221,76 +206,6 @@ class TestClosedFormAgainstScan:
             sales = dm.market_size * np.exp(-dm.sensitivity * prices / e_q)
             rev = np.where(sales <= f_q * (1.0 + 1e-12), prices * sales, -np.inf)
             assert best_closed >= float(np.max(rev)) - 1e-6 * abs(best_closed)
-
-
-class TestGenericMaximizer:
-    def test_matches_closed_form_for_exponential_revenue(self):
-        e_q = 0.45
-        dm = DemandModel(
-            market_size=10.0,
-            sensitivity=0.0045,
-            kind=DemandKind.GENERIC,
-            generic_revenue=lambda p: p
-            * 10.0
-            * math.exp(-0.0045 * p / e_q),
-            price_interval=(0.0, math.inf),
-        )
-        p_star, r_star = maximize_revenue_generic(dm)
-        assert p_star == pytest.approx(e_q / 0.0045, rel=1e-4)
-        assert r_star == pytest.approx(unconstrained_peak_revenue(DM, e_q), rel=1e-6)
-
-    def test_decreasing_region_pins_boundary(self):
-        e_q = 0.45
-        lo = 2.0 * e_q / 0.0045
-        dm = DemandModel(
-            market_size=10.0,
-            sensitivity=0.0045,
-            kind=DemandKind.GENERIC,
-            generic_revenue=lambda p: p * 10.0 * math.exp(-0.0045 * p / e_q),
-            price_interval=(lo, math.inf),
-        )
-        p_star, _ = maximize_revenue_generic(dm)
-        assert p_star == pytest.approx(lo, abs=1e-9)
-
-    def test_bimodal_curve_against_dense_scan(self):
-        def curve(p):
-            return p * math.exp(-p) * (1.0 + 0.5 * math.sin(p))
-
-        dm = DemandModel(
-            market_size=1.0,
-            sensitivity=1.0,
-            kind=DemandKind.GENERIC,
-            generic_revenue=curve,
-            price_interval=(0.0, 20.0),
-        )
-        p_star, r_star = maximize_revenue_generic(dm)
-
-        prices = np.linspace(0.0, 20.0, 10**7)
-        values = prices * np.exp(-prices) * (1.0 + 0.5 * np.sin(prices))
-        oracle_p = float(prices[np.argmax(values)])
-        assert abs(p_star - oracle_p) <= 1e-5
-        assert r_star >= float(np.max(values)) - 1e-10
-
-    def test_empty_feasible_set_rejected(self):
-        dm = DemandModel(
-            market_size=10.0,
-            sensitivity=0.0045,
-            kind=DemandKind.GENERIC,
-            generic_revenue=lambda p: p,
-        )
-        with pytest.raises(ValueError):
-            maximize_revenue_generic(dm, [])
-
-    def test_ties_break_toward_smallest_price(self):
-        dm = DemandModel(
-            market_size=10.0,
-            sensitivity=0.0045,
-            kind=DemandKind.GENERIC,
-            generic_revenue=lambda p: 1.0,
-            price_interval=(2.0, 6.0),
-        )
-        p_star, _ = maximize_revenue_generic(dm)
-        assert p_star == pytest.approx(2.0, abs=1e-12)
 
 
 class TestKktResiduals:

@@ -53,6 +53,18 @@ class TestEvalCurve:
         with pytest.raises(CurveDomainError):
             eval_curve(curve, -0.1)
 
+    def test_rounding_overshoot_evaluates_at_the_end(self):
+        # lo + 1.0*(hi - lo) rounds one ulp above hi for these ends
+        lo, hi = -30.82558960047005, 21.714803926843032
+        curve = GridCurve(CurveKind.TABULATED, table=((lo, 0.0), (hi, 1.0)))
+        q = lo + 1.0 * (hi - lo)
+        assert q == 21.714803926843036 > hi
+        assert eval_curve(curve, q) == 1.0
+        with pytest.raises(CurveDomainError):
+            eval_curve(curve, hi + 1e-9)
+        with pytest.raises(CurveDomainError):
+            eval_curve(curve, math.nan)
+
     @given(
         knots=st.lists(
             st.tuples(
@@ -90,6 +102,30 @@ class TestCostSpec:
         spec = CostSpec(21.0, 5.0)
         assert spec.cost(0.5) == pytest.approx(11.75)
         assert spec.slope(3.0) == pytest.approx(51.0)
+
+
+class TestPeriodState:
+    def test_state_matches_single_evaluations(self, baseline_model):
+        m = baseline_model
+        s = m.state(3.0)
+        assert (s.q, s.e, s.f, s.pi) == (
+            3.0,
+            m.emissions_at(3.0),
+            m.delivered_at(3.0),
+            m.energy_value_at(3.0),
+        )
+        assert (s.C_S, s.C_R) == (m.cost_system.cost(3.0), m.cost_renewable.cost(3.0))
+        assert s.cost == cost_integrated(m, 3.0)
+        assert s.cost_generator == cost_generator(m, 3.0)
+
+    def test_state_clamps_rounding_overshoot_only(self):
+        lo, hi = -30.82558960047005, 21.714803926843032
+        model = flat_model(0.4, 2.0, 5.0, domain=(lo, hi))
+        assert model.state(lo + 1.0 * (hi - lo)).q == hi
+        assert model.state(math.nextafter(lo, -math.inf)).q == lo
+        for q in (hi + 1e-9, lo - 1e-9, math.nan):
+            with pytest.raises(CurveDomainError):
+                model.state(q)
 
 
 class TestCostAggregates:

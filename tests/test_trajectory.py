@@ -14,9 +14,11 @@ from vrpplan.demand_pricing import (
     optimal_price,
     unconstrained_peak_revenue,
 )
+from vrpplan import grid_model
 from vrpplan.equilibrium import solve_long_run_limit
 from vrpplan.errors import InfeasiblePeriodError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
+from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.trajectory import (
     SimulationConfig,
     Termination,
@@ -317,3 +319,33 @@ class TestSerialization:
             SimulationConfig(q_init=-1.0, horizon=10)
         with pytest.raises(ValueError):
             SimulationConfig(q_init=1.0, horizon=0)
+
+
+class TestEvaluationCounts:
+    """One grid state per period: e, f and pi are each evaluated once."""
+
+    @pytest.fixture()
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate = grid_model.eval_curve
+
+        def counted(curve, q):
+            calls.append(q)
+            return evaluate(curve, q)
+
+        monkeypatch.setattr(grid_model, "eval_curve", counted)
+        return calls
+
+    def test_myopic_run_three_per_period(self, baseline_demand, baseline_model, baseline_cfg, evaluations):
+        solve_long_run_limit(baseline_demand, baseline_model)
+        limit_evaluations = len(evaluations)
+        evaluations.clear()
+        trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
+        assert len(trajectory.records) == 157
+        assert len(evaluations) - limit_evaluations <= 3 * len(trajectory.records)
+
+    def test_separated_period_three_per_call(self, baseline_demand, baseline_model, evaluations):
+        for q in (1.0, 3.0, 6.5):
+            evaluations.clear()
+            solve_separated_period(baseline_demand, baseline_model, q)
+            assert len(evaluations) <= 3
