@@ -45,7 +45,7 @@ from .errors import (
     ScenarioError,
     ThresholdUnreachableError,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, require_finite
 from .tolerances import CERTIFY_TOL
 from .units import convert_price_units
 
@@ -113,6 +113,7 @@ def _seed(args, scenario: Scenario) -> int:
 
 
 def _emit(doc: dict, args, filename: str) -> None:
+    require_finite(doc, f"{args.command} result", "")
     text = json.dumps(doc, indent=2)
     if args.out:
         out_dir = Path(args.out)
@@ -155,15 +156,11 @@ def _cmd_limit(args, scenario: Scenario) -> int:
 
 
 def _write_plot_files(out_dir: Path, trajectory: traj.Trajectory, scenario: Scenario) -> None:
-    model = scenario.grid
     market = scenario.demand.market_size
     panels = {
         "plot_capacity.csv": ("Q", lambda r: r.capacity),
-        "plot_renewable_share.csv": (
-            "renewable_pct",
-            lambda r: 100.0 * model.delivered_at(r.capacity) / market,
-        ),
-        "plot_emissions_intensity.csv": ("e", lambda r: model.emissions_at(r.capacity)),
+        "plot_renewable_share.csv": ("renewable_pct", lambda r: 100.0 * r.state.f / market),
+        "plot_emissions_intensity.csv": ("e", lambda r: r.state.e),
         "plot_price.csv": ("p", lambda r: r.solution.price),
         "plot_expansion.csv": ("q", lambda r: r.solution.expansion),
         "plot_revenue_share.csv": ("gamma", lambda r: r.solution.share),
@@ -192,19 +189,20 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     doc = trajectory.to_dict()
     doc["equilibrium"] = trajectory.equilibrium.to_dict()
     doc["reachability_certificate"] = certificate.to_dict()
+    require_finite(doc, "simulate result", "")
 
     fmt = args.format or scenario.output
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        traj.write_trajectory_csv(trajectory, scenario.grid, out_dir / "trajectory.csv")
+        traj.write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
         (out_dir / "trajectory.json").write_text(json.dumps(doc, indent=2) + "\n")
         _write_plot_files(out_dir, trajectory, scenario)
         logger.info("wrote trajectory and plot data to %s", out_dir)
     elif fmt == "json":
         print(json.dumps(doc, indent=2))
     else:
-        rows = traj.trajectory_csv_rows(trajectory, scenario.grid)
+        rows = traj.trajectory_csv_rows(trajectory)
         print(",".join(traj.TRAJECTORY_CSV_COLUMNS))
         for row in rows:
             print(",".join(str(row[c]) for c in traj.TRAJECTORY_CSV_COLUMNS))
@@ -257,6 +255,8 @@ def _cmd_verify(args, scenario: Scenario) -> int:
         oracles.EnumerationConfig(
             action_grid_size=args.q_grid, horizon=args.horizon, seed=_seed(args, scenario)
         ),
+        equilibrium=result,
+        certificate=certificate,
     )
     kkt = _kkt_summary(scenario, result)
 

@@ -220,6 +220,9 @@ class KktResiduals:
 
 
 def _kkt_lstsq(rows: list[list[float]], rhs: list[float]) -> np.ndarray:
+    # This call is the only reason scipy is a dependency.  Importing it here
+    # keeps scipy off every command's import path: only a KKT check of a state
+    # that does not expand gets this far, and `verify` checks expanding ones.
     from scipy.optimize import nnls
 
     a = np.asarray(rows, dtype=float)

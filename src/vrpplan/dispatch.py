@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from . import grid_model as gm
 from .errors import DispatchShortageError
@@ -116,9 +115,16 @@ class HourlyDispatch:
 
 
 def merit_order_dispatch(
-    fleet: FleetSpec, profiles: HourlyProfiles, wind_capacity: float
+    fleet: FleetSpec,
+    profiles: HourlyProfiles,
+    wind_capacity: float,
+    out: np.ndarray | None = None,
 ) -> HourlyDispatch:
-    """Dispatch every hour: wind first, thermal in merit order for the rest."""
+    """Dispatch every hour: wind first, thermal in merit order for the rest.
+
+    ``out``, a units x hours array, receives the unit generation in place of
+    a new array; a capacity sweep passes one buffer to every call.
+    """
     if wind_capacity < 0:
         raise ValueError("wind capacity must be nonnegative")
     load, cf = profiles._arrays
@@ -135,7 +141,8 @@ def merit_order_dispatch(
         raise DispatchShortageError(hour, float(residual[hour]), fleet.total_capacity)
 
     below = np.concatenate([[0.0], cumcap[:-1]])
-    unit_generation = np.clip(residual[None, :] - below[:, None], 0.0, caps[:, None])
+    unit_generation = np.subtract(residual[None, :], below[:, None], out=out)
+    np.clip(unit_generation, 0.0, caps[:, None], out=unit_generation)
 
     marginal = np.searchsorted(cumcap, residual, side="left")
     marginal = np.minimum(marginal, len(caps) - 1)
@@ -167,6 +174,43 @@ class CalibrationOutput:
     energy_value_adjusted: bool  # isotonic correction applied to pi
 
 
+def _decreasing_isotonic(values: np.ndarray) -> np.ndarray:
+    """Least-squares nonincreasing fit by pool adjacent violators.
+
+    Best & Chakravarti (1990), in the order of Busing (2022) that
+    ``scipy.optimize.isotonic_regression`` follows, so that the two agree bit
+    for bit: an increasing fit of the reversed sequence, where each pool keeps
+    one mean and one size, merges with the pool behind it, absorbs the values
+    ahead that violate its mean, then merges back while the order is violated.
+    A sequence with no violation is returned as it is, so tied runs do not
+    drift by rounding.
+    """
+    if not np.any(np.diff(values) > 0):
+        return values
+    y = values[::-1].tolist()
+    means: list[float] = []
+    sizes: list[int] = []
+    i = 0
+    while i < len(y):
+        mean, size = y[i], 1
+        if means and means[-1] >= mean:
+            total = sizes[-1] * means.pop() + mean
+            size += sizes.pop()
+            mean = total / size
+            while i + 1 < len(y) and mean >= y[i + 1]:
+                i += 1
+                total, size = total + y[i], size + 1
+                mean = total / size
+            while means and means[-1] >= mean:
+                total += sizes[-1] * means.pop()
+                size += sizes.pop()
+                mean = total / size
+        means.append(mean)
+        sizes.append(size)
+        i += 1
+    return np.repeat(means[::-1], sizes[::-1])
+
+
 def calibrate_grid(
     fleet: FleetSpec,
     profiles: HourlyProfiles,
@@ -196,9 +240,12 @@ def calibrate_grid(
     total_load = float(np.sum(load))
     hours = profiles.hours
 
+    # one units x hours buffer for the sweep: a fresh 2 MB array per capacity
+    # costs page faults, and their number depends on the allocator's state
+    generation = np.empty((len(fleet.units), hours))
     e_vals, f_vals, pi_vals = [], [], []
     for q in qs:
-        result = merit_order_dispatch(fleet, profiles, q)
+        result = merit_order_dispatch(fleet, profiles, q, out=generation)
         e_vals.append(float(np.sum(result.emissions)) / total_load)
         f_vals.append(float(np.sum(result.wind_served)) / (hours * wind_cf))
         weights = result.wind_served if np.sum(result.wind_served) > 0 else profile_cf
@@ -207,8 +254,8 @@ def calibrate_grid(
 
     e_arr = np.asarray(e_vals)
     pi_arr = np.asarray(pi_vals)
-    e_iso = isotonic_regression(e_arr, increasing=False).x
-    pi_iso = isotonic_regression(pi_arr, increasing=False).x
+    e_iso = _decreasing_isotonic(e_arr)
+    pi_iso = _decreasing_isotonic(pi_arr)
     e_adjusted = bool(np.any(e_iso != e_arr))
     pi_adjusted = bool(np.any(pi_iso != pi_arr))
 

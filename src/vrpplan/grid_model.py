@@ -115,7 +115,8 @@ def eval_curve(curve: GridCurve, q: float) -> float:
     """Evaluate a curve at capacity ``q`` (GW).
 
     A tabulated curve evaluates a point within DOMAIN_TOL past an end of its
-    table, a rounding overshoot, at that end; farther out it raises.
+    table, a rounding overshoot, at that end; farther out it raises.  So does
+    an exponential curve whose value overflows.
     """
     if curve.kind is CurveKind.TABULATED:
         qs, vs, lo, hi = curve._knots
@@ -126,7 +127,10 @@ def eval_curve(curve: GridCurve, q: float) -> float:
         return float(np.interp(q, qs, vs))
     if curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients
-        return amplitude * math.exp(-rate * q)
+        try:
+            return amplitude * math.exp(-rate * q)
+        except OverflowError:
+            raise CurveDomainError(f"exponential curve overflows at Q={q}") from None
     # zero-intercept polynomial: coefficients from the linear term upward
     acc = 0.0
     for c in reversed(curve.coefficients):

@@ -105,19 +105,23 @@ def enumerate_and_compare(
     model: gm.GridModel,
     cfg: traj.SimulationConfig,
     ecfg: EnumerationConfig,
+    equilibrium: eqm.EquilibriumResult | None = None,
+    certificate: traj.ReachabilityCertificate | None = None,
 ) -> DominanceReport:
     """Exhaustively test myopic dominance against discretized feasible policies.
 
     Reports how many policies beat the myopic path statewise, reach the limit
     earlier, or accumulate less emissions intensity up to the myopic hitting
     time; on certified monotone-reachability models all three counts are
-    expected to be zero.
+    expected to be zero.  A caller that has already solved the long-run limit
+    or built the reachability certificate passes them in.
     """
-    result = eqm.solve_long_run_limit(dm, model)
+    result = equilibrium or eqm.solve_long_run_limit(dm, model)
     limit = result.capacity_limit
-    certificate = traj.certify_monotone_reachability(
-        dm, model, q_init=cfg.q_init, equilibrium=result
-    )
+    if certificate is None:
+        certificate = traj.certify_monotone_reachability(
+            dm, model, q_init=cfg.q_init, equilibrium=result
+        )
 
     g = ecfg.action_grid_size
     horizon = ecfg.horizon

@@ -18,13 +18,15 @@ Schema (version 1):
 ``derivative_bounds`` pins the slope caps used for the conservative
 reachability bound reported by ``verify``; without it the sampled maxima from
 the certificate are used.  Every number must be finite: NaN, the infinities
-and literals that overflow (``1e999``) are rejected with their field path.
+and literals that overflow a float (``1e999``, a 400-digit integer) are
+rejected with their field path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,23 +91,25 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _require_finite(value, where: str, path: str) -> None:
-    """Reject NaN and infinities anywhere in a parsed document, naming the field."""
-    if isinstance(value, float) and not math.isfinite(value):
+def require_finite(value, where: str, path: str) -> None:
+    """Reject NaN, infinities and integers past the float range anywhere in a
+    JSON-shaped document, naming the field."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and not abs(value) <= sys.float_info.max:
         raise ScenarioError(f"{where}: {path} must be a finite number, got {value!r}")
     if isinstance(value, dict):
         for key, item in value.items():
-            _require_finite(item, where, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, list):
+            require_finite(item, where, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _require_finite(item, where, f"{path}[{i}]")
+            require_finite(item, where, f"{path}[{i}]")
 
 
 def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None = None) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"{where}: unsupported schema_version {version!r}")
-    _require_finite(doc, where, "")
+    require_finite(doc, where, "")
     try:
         grid_doc = _require(doc, "grid", where)
         if isinstance(grid_doc, str):
@@ -116,7 +120,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None
                 raise ScenarioError(f"{where}: cannot read grid file {grid_path}: {exc}")
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"{grid_path}: invalid JSON: {exc}")
-            _require_finite(grid_doc, str(grid_path), "grid")
+            require_finite(grid_doc, str(grid_path), "grid")
         grid = GridModel.from_dict(grid_doc)
         demand = DemandModel.from_dict(_require(doc, "demand", where))
         simulation = SimulationConfig.from_dict(_require(doc, "simulation", where))
@@ -140,7 +144,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None
         )
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 

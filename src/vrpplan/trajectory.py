@@ -45,10 +45,19 @@ class SimulationConfig(Serializable):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimulationConfig":
+        # JSON types, not coercions: int(3.7) would run 3 periods, bool("no") is true
+        horizon = doc["horizon"]
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise ValueError(f"simulation.horizon must be an integer, got {horizon!r}")
+        stop_at_limit = doc.get("stop_at_limit", True)
+        if not isinstance(stop_at_limit, bool):
+            raise ValueError(
+                f"simulation.stop_at_limit must be true or false, got {stop_at_limit!r}"
+            )
         return cls(
             q_init=float(doc["q_init"]),
-            horizon=int(doc["horizon"]),
-            stop_at_limit=bool(doc.get("stop_at_limit", True)),
+            horizon=horizon,
+            stop_at_limit=stop_at_limit,
             period_label=str(doc.get("period_label", "year")),
         )
 
@@ -62,8 +71,12 @@ class Termination(Enum):
 @dataclass(frozen=True)
 class PeriodRecord:
     t: int
-    capacity: float
+    state: gm.PeriodState  # the grid at this period's capacity
     solution: dp.PeriodSolution
+
+    @property
+    def capacity(self) -> float:
+        return self.state.q
 
 
 @dataclass(frozen=True)
@@ -293,7 +306,6 @@ def _simulate(
     limit = equilibrium.capacity_limit
     k = model.invest_cost
     records: list[PeriodRecord] = []
-    emissions: list[float] = []
     termination = Termination.HORIZON_END
     q_state = cfg.q_init
 
@@ -301,8 +313,7 @@ def _simulate(
         s = model.state(q_state)
         if cfg.stop_at_limit and _at_limit(dm, s, k, limit):
             price, _ = dp.price_at(dm, s)
-            records.append(PeriodRecord(t, s.q, _period_solution(dm, s, k, price, 0.0)))
-            emissions.append(s.e)
+            records.append(PeriodRecord(t, s, _period_solution(dm, s, k, price, 0.0)))
             termination = Termination.REACHED_LIMIT
             break
         try:
@@ -314,15 +325,14 @@ def _simulate(
             termination = Termination.INFEASIBLE
             break
         solution = _period_solution(dm, s, k, price, expansion)
-        records.append(PeriodRecord(t, s.q, solution))
-        emissions.append(s.e)
+        records.append(PeriodRecord(t, s, solution))
         q_state = s.q + solution.expansion  # the exact recorded transition
 
     return Trajectory(
         records=tuple(records),
         termination=termination,
         cumulative_expansion=sum(r.solution.expansion for r in records),
-        cumulative_emission_index=sum(emissions),
+        cumulative_emission_index=sum(r.state.e for r in records),
         equilibrium=equilibrium,
     )
 
@@ -357,7 +367,7 @@ def simulate_policy(
 # ---------------------------------------------------------------------------
 
 
-def trajectory_csv_rows(trajectory: Trajectory, model: gm.GridModel) -> list[dict]:
+def trajectory_csv_rows(trajectory: Trajectory) -> list[dict]:
     rows = []
     for r in trajectory.records:
         rows.append(
@@ -369,13 +379,13 @@ def trajectory_csv_rows(trajectory: Trajectory, model: gm.GridModel) -> list[dic
                 "gamma": r.solution.share,
                 "R": r.solution.revenue,
                 "phase": r.solution.phase.value,
-                "e": model.emissions_at(r.capacity),
+                "e": r.state.e,
             }
         )
     return rows
 
 
-def write_trajectory_csv(trajectory: Trajectory, model: gm.GridModel, path) -> None:
+def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Fixed column order: t, Q, p, q, gamma, R, phase, e.
 
     Values are written with repr so a read back recovers identical floats.
@@ -383,7 +393,7 @@ def write_trajectory_csv(trajectory: Trajectory, model: gm.GridModel, path) -> N
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRAJECTORY_CSV_COLUMNS)
-        for row in trajectory_csv_rows(trajectory, model):
+        for row in trajectory_csv_rows(trajectory):
             writer.writerow([repr(v) for v in row.values()])
 
 

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrpplan import equilibrium
+import vrpplan
+from vrpplan import equilibrium, trajectory
 from vrpplan.cli import main
 from vrpplan.demand_pricing import DemandModel
 from vrpplan.errors import ScenarioError
@@ -315,3 +320,93 @@ class TestCliFlags:
         assert len(calls) == 1
         doc = json.loads((tmp_path / "trajectory.json").read_text())
         assert doc["capacity_limit"] == doc["equilibrium"]["capacity_limit"]
+
+    def test_verify_solves_the_limit_and_certifies_once(self, monkeypatch, capsys):
+        calls = []
+        solve = equilibrium.solve_long_run_limit
+        certify = trajectory.certify_monotone_reachability
+
+        def counted_solve(dm, model):
+            calls.append("limit")
+            return solve(dm, model)
+
+        def counted_certify(*args, **kwargs):
+            calls.append("certificate")
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "solve_long_run_limit", counted_solve)
+        monkeypatch.setattr(trajectory, "certify_monotone_reachability", counted_certify)
+        assert main(["verify", "--scenario", BASELINE_PATH]) == 0
+        assert sorted(calls) == ["certificate", "limit"]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("horizon", 3.7), ("horizon", True), ("horizon", "3"), ("stop_at_limit", "no"), ("stop_at_limit", 1)],
+    )
+    def test_simulation_fields_keep_their_json_type(self, tmp_path, capsys, key, value):
+        doc = baseline_scenario().to_dict()
+        doc["simulation"][key] = value
+        with pytest.raises(ScenarioError, match=f"simulation.{key}"):
+            scenario_from_dict(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"simulation.{key}" in captured.err
+        assert captured.out == ""
+
+    def test_simulation_integer_and_booleans_parse(self):
+        doc = baseline_scenario().to_dict()
+        doc["simulation"].update(horizon=3, stop_at_limit=False)
+        cfg = scenario_from_dict(doc).simulation
+        assert (cfg.horizon, cfg.stop_at_limit) == (3, False)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("demand", "market_size"), 10**400, "demand.market_size"),
+            (("grid", "domain", 1), None, "index out of range"),
+            (("wind_cf",), 1e-320, "price_energy_usd_per_mwh"),
+            (("grid", "emissions", "coefficients"), [1e308, -700.0], "overflows"),
+        ],
+        ids=["huge-integer", "dropped-domain-end", "subnormal-wind-cf", "exponential-overflow"],
+    )
+    def test_out_of_range_input_exits_2(self, tmp_path, capsys, path, value, message):
+        # each once ended in a traceback or in exit 0 printing inf
+        doc = baseline_scenario().to_dict()
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["price", "--scenario", str(scenario), "3.0"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # a fresh interpreter: this one has loaded scipy already
+    script = f"""
+import contextlib, io, sys
+from vrpplan import cli
+S = {BASELINE_PATH!r}
+for argv in (["price", "3.0"], ["share", "3.0"], ["limit"], ["simulate", "--out", {str(tmp_path)!r}],
+             ["verify"], ["calibrate"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([argv[0], "--scenario", S, *argv[1:]]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

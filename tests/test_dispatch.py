@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression, linprog
 
 from vrpplan.dispatch import (
     FleetSpec,
     FleetUnit,
     HourlyProfiles,
+    _decreasing_isotonic,
     build_grid_model,
     calibrate_grid,
     default_fleet,
@@ -48,6 +51,16 @@ class TestMeritOrderDispatch:
         with pytest.raises(DispatchShortageError) as excinfo:
             merit_order_dispatch(fleet, profiles, 0.0)
         assert excinfo.value.hour == 1
+
+    def test_out_buffer_receives_generation(self):
+        fleet = default_fleet()
+        profiles = default_profiles(hours=48)
+        fresh = merit_order_dispatch(fleet, profiles, 3.0)
+        buffer = np.empty((len(fleet.units), profiles.hours))
+        reused = merit_order_dispatch(fleet, profiles, 3.0, out=buffer)
+        assert reused.unit_generation is buffer
+        np.testing.assert_array_equal(buffer, fresh.unit_generation)
+        np.testing.assert_array_equal(reused.emissions, fresh.emissions)
 
     def test_units_sorted_by_marginal_cost(self):
         fleet = FleetSpec(
@@ -181,6 +194,53 @@ class TestCalibration:
             calibrate_grid(fleet, profiles, [0.0, 0.0], 0.35)
         with pytest.raises(ValueError):
             calibrate_grid(fleet, profiles, [0.0, 1.0], 0.0)
+
+
+finite = st.floats(min_value=-1e9, max_value=1e9)
+sequences = st.one_of(
+    st.lists(finite, min_size=2, max_size=300),
+    st.lists(finite, min_size=2, max_size=300).map(lambda xs: sorted(xs, reverse=True)),
+    # ties: every value drawn from a pool of at most four
+    st.lists(finite, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=300)
+    ),
+)
+
+
+class TestDecreasingIsotonic:
+    @given(sequences)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy(self, xs):
+        values = np.array(xs)
+        fit = _decreasing_isotonic(values)
+        assert fit.shape == values.shape
+        assert np.all(np.diff(fit) <= 0)
+        if np.any(np.diff(values) > 0):
+            expected = isotonic_regression(values, increasing=False).x
+            np.testing.assert_allclose(fit, expected, rtol=1e-15, atol=0)
+        else:
+            # nothing to correct comes back as it is; scipy's running sums can
+            # move a long tied run by a few ulps instead
+            assert np.array_equal(fit, values)
+
+    def test_pools_violating_neighbours(self):
+        fit = _decreasing_isotonic(np.array([3.0, 1.0, 2.0, 0.0, 0.5]))
+        np.testing.assert_array_equal(fit, [3.0, 1.5, 1.5, 0.25, 0.25])
+
+    def test_correction_fires_on_rising_energy_value(self):
+        # curtailment in the windy hour moves the output weights toward the
+        # calm, priced hour, so the weighted energy value rises from Q=1 to 2
+        fleet = FleetSpec(units=(FleetUnit(2.0, 30.0, 0.5),))
+        profiles = HourlyProfiles(load=(1.0, 1.0), wind_cf=(1.0, 0.1))
+        calibration = calibrate_grid(fleet, profiles, [0.0, 1.0, 2.0], 0.35)
+        assert calibration.energy_value_adjusted
+        assert not calibration.emissions_adjusted
+        pi = [s[3] for s in calibration.samples]
+        assert all(a >= b for a, b in zip(pi, pi[1:]))
+        scale = 8.76 * 0.35
+        raw = [30.0 * scale, 30.0 * 0.1 / 1.1 * scale, 30.0 * 0.2 / 1.2 * scale]
+        assert pi == pytest.approx([raw[0], (raw[1] + raw[2]) / 2, (raw[1] + raw[2]) / 2])
+        assert [v for _, v in calibration.energy_value_curve.table] == pi
 
 
 class TestCsvRoundTrips:

@@ -14,11 +14,12 @@ from vrpplan.demand_pricing import (
     optimal_price,
     unconstrained_peak_revenue,
 )
-from vrpplan import grid_model
+from vrpplan import cli, grid_model
 from vrpplan.equilibrium import solve_long_run_limit
 from vrpplan.errors import InfeasiblePeriodError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
 from vrpplan.revenue_sharing import solve_separated_period
+from vrpplan.scenario import baseline_scenario
 from vrpplan.trajectory import (
     SimulationConfig,
     Termination,
@@ -300,9 +301,9 @@ class TestSerialization:
         cfg = SimulationConfig(q_init=0.5, horizon=25, stop_at_limit=False)
         trajectory = simulate_myopic(baseline_demand, baseline_model, cfg)
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(trajectory, baseline_model, path)
+        write_trajectory_csv(trajectory, path)
         rows = read_trajectory_csv(path)
-        assert rows == trajectory_csv_rows(trajectory, baseline_model)
+        assert rows == trajectory_csv_rows(trajectory)
 
     def test_json_document_shape(self, baseline_demand, baseline_model):
         cfg = SimulationConfig(q_init=0.5, horizon=3, stop_at_limit=False)
@@ -349,3 +350,13 @@ class TestEvaluationCounts:
             evaluations.clear()
             solve_separated_period(baseline_demand, baseline_model, q)
             assert len(evaluations) <= 3
+
+    def test_output_writers_evaluate_nothing(self, baseline_demand, baseline_model, baseline_cfg, evaluations, tmp_path):
+        # e and f of each period travel on its record
+        trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
+        scenario = baseline_scenario()
+        evaluations.clear()
+        write_trajectory_csv(trajectory, tmp_path / "trajectory.csv")
+        cli._write_plot_files(tmp_path, trajectory, scenario)
+        assert evaluations == []
+        assert trajectory.cumulative_emission_index == sum(r.state.e for r in trajectory.records)
