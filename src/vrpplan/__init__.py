@@ -49,7 +49,6 @@ from .grid_model import (
     cost_integrated,
     cost_operator,
     eval_curve,
-    numeric_derivative,
     validate_grid_conditions,
 )
 from .oracles import (

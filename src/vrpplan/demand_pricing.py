@@ -17,7 +17,7 @@ import numpy as np
 
 from . import grid_model as gm
 from .errors import NetZeroGridError, NoSellableCreditsError
-from .serialize import Serializable
+from .serialize import Serializable, read_numbers
 from .tolerances import BALANCE_TOL, CERTIFY_TOL, ZERO_TOL, scaled
 
 
@@ -26,7 +26,8 @@ class DemandModel(Serializable):
     """Voluntary-program demand.
 
     ``market_size`` is the demand at zero premium (GW); ``sensitivity`` is the
-    exponential decay rate in the effective price.  Both are positive and finite.
+    exponential decay rate in the effective price.  Both are positive and
+    finite, and so is 1/sensitivity, which scales every price and revenue.
     """
 
     market_size: float
@@ -34,13 +35,13 @@ class DemandModel(Serializable):
 
     def __post_init__(self):
         if not 0.0 < self.market_size < math.inf:
-            raise ValueError("market_size must be positive and finite")
-        if not 0.0 < self.sensitivity < math.inf:
-            raise ValueError("sensitivity must be positive and finite")
+            raise ValueError("demand.market_size must be positive and finite")
+        if not (0.0 < self.sensitivity < math.inf and 1.0 / self.sensitivity < math.inf):
+            raise ValueError("demand.sensitivity and its reciprocal must be positive and finite")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DemandModel":
-        return cls(market_size=float(doc["market_size"]), sensitivity=float(doc["sensitivity"]))
+        return read_numbers(cls, doc, "demand")
 
 
 class Phase(Enum):

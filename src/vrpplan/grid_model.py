@@ -9,24 +9,25 @@ Canonical units throughout the package:
 * energy value      M$/GW-yr captured by renewables when producing
 
 A :class:`GridModel` is an immutable value object; every evaluation helper is
-a pure function, so models can be shared freely across threads.
+a pure function, so models can be shared freely across threads.  Every
+evaluation takes a float or an ndarray of capacities, and every slope is
+analytic (``slope`` of a curve or a cost, :meth:`GridModel.cost_slope`).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CurveDomainError
-from .serialize import Serializable
+from .serialize import Serializable, json_number, json_numbers, plain, read_numbers
 from .tolerances import CERTIFY_TOL, DOMAIN_TOL, ZERO_TOL, scaled
-
-DERIVATIVE_STEP_FRACTION = 1e-4  # default h = fraction * domain width
 
 
 class CurveKind(str, Enum):
@@ -95,6 +96,26 @@ class GridCurve:
     def __call__(self, q: float) -> float:
         return eval_curve(self, q)
 
+    def slope(self, q):
+        """dv/dQ at ``q``, a float or an ndarray, in closed form.
+
+        Exponential: -rate * amplitude * exp(-rate*Q); polynomial: the Horner
+        derivative; tabulated: the slope of the segment [Q_i, Q_i+1) holding Q,
+        so a knot takes its right-hand segment and the top end the last one.
+        """
+        if self.kind is CurveKind.EXPONENTIAL_DECAY:
+            return -self.coefficients[1] * eval_curve(self, q)
+        if self.kind is CurveKind.POLYNOMIAL:
+            acc = 0.0
+            for power, c in reversed(tuple(enumerate(self.coefficients, 1))):
+                acc = acc * q + power * c
+            return acc
+        qs, vs, lo, hi = self._knots
+        at = _within(np.asarray(q, dtype=float), lo, hi, "tabulated", qs)
+        i = np.clip(np.searchsorted(qs, at, side="right") - 1, 0, len(qs) - 2)
+        slopes = (vs[i + 1] - vs[i]) / (qs[i + 1] - qs[i])
+        return slopes if isinstance(q, np.ndarray) else float(slopes)
+
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}
         if self.kind is CurveKind.TABULATED:
@@ -104,22 +125,37 @@ class GridCurve:
         return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GridCurve":
+    def from_dict(cls, doc: dict, path: str = "curve") -> "GridCurve":
         kind = CurveKind(doc["kind"])
         if kind is CurveKind.TABULATED:
-            return cls(kind=kind, table=tuple((q, v) for q, v in doc["table"]))
-        return cls(kind=kind, coefficients=tuple(doc["coefficients"]))
+            rows = enumerate(doc["table"])
+            table = tuple(json_numbers(row, f"{path}.table[{i}]") for i, row in rows)
+            return cls(kind=kind, table=table)
+        coefficients = json_numbers(doc["coefficients"], f"{path}.coefficients")
+        return cls(kind=kind, coefficients=coefficients)
 
 
-def eval_curve(curve: GridCurve, q: float) -> float:
-    """Evaluate a curve at capacity ``q`` (GW).
+def _within(q: np.ndarray, lo: float, hi: float, name: str, ends) -> np.ndarray:
+    """``q`` itself if every entry, never NaN, lies in [lo, hi]; ``ends`` name the domain."""
+    outside = ~((q >= lo) & (q <= hi))
+    if outside.any():
+        raise CurveDomainError(f"Q={q[outside][0]} outside {name} domain [{ends[0]}, {ends[-1]}]")
+    return q
+
+
+def eval_curve(curve: GridCurve, q):
+    """Evaluate a curve at capacity ``q`` (GW), a float or an ndarray.
 
     A tabulated curve evaluates a point within DOMAIN_TOL past an end of its
-    table, a rounding overshoot, at that end; farther out it raises.  So does
-    an exponential curve whose value overflows.
+    table, a rounding overshoot, at that end; farther out, or at NaN, it
+    raises.  So does an exponential curve whose value overflows.  An array
+    gives the scalar floats, but for an ulp of ``np.exp`` against ``math.exp``.
     """
+    array = isinstance(q, np.ndarray)
     if curve.kind is CurveKind.TABULATED:
         qs, vs, lo, hi = curve._knots
+        if array:
+            return np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
         if not lo <= q <= hi:
             raise CurveDomainError(
                 f"Q={q} outside tabulated domain [{qs[0]}, {qs[-1]}]"
@@ -128,8 +164,11 @@ def eval_curve(curve: GridCurve, q: float) -> float:
     if curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients
         try:
+            if array:
+                with np.errstate(over="raise", invalid="raise"):
+                    return amplitude * np.exp(-rate * q)
             return amplitude * math.exp(-rate * q)
-        except OverflowError:
+        except (OverflowError, FloatingPointError):
             raise CurveDomainError(f"exponential curve overflows at Q={q}") from None
     # zero-intercept polynomial: coefficients from the linear term upward
     acc = 0.0
@@ -149,15 +188,15 @@ class CostSpec(Serializable):
         if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
             raise ValueError("cost coefficients must be nonnegative and finite")
 
-    def cost(self, q: float) -> float:
+    def cost(self, q):
         return self.alpha * q + self.beta * q * q
 
-    def slope(self, q: float) -> float:
+    def slope(self, q):
         return self.alpha + 2.0 * self.beta * q
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "CostSpec":
-        return cls(alpha=float(doc["alpha"]), beta=float(doc["beta"]))
+    def from_dict(cls, doc: dict, path: str = "cost") -> "CostSpec":
+        return read_numbers(cls, doc, path)
 
 
 class PeriodState(NamedTuple):
@@ -166,7 +205,8 @@ class PeriodState(NamedTuple):
     Built by :meth:`GridModel.state`.  Price, revenue, expansion, share,
     feasibility and phase of the period are arithmetic on these six values.
     Immutable; a tuple rather than a frozen dataclass because one is built
-    per period and per oracle sample, and a tuple builds in a third the time.
+    per period, and a tuple builds in a third the time.  Built from an array
+    of capacities, every field is an array: the oracles' grid in one state.
     """
 
     q: float  # capacity, GW, inside the model domain
@@ -223,9 +263,13 @@ class GridModel(Serializable):
             if clo > lo or chi < hi:
                 raise ValueError(f"{name} curve does not cover the model domain")
 
-    def _clamp(self, q: float) -> float:
-        """``q`` inside the domain; within DOMAIN_TOL past an end, that end."""
+    def _clamp(self, q):
+        """``q``, a float or an ndarray, inside the domain; within DOMAIN_TOL
+        past an end, that end; farther out, or NaN, an error."""
         lo, hi = self.domain
+        if isinstance(q, np.ndarray):
+            slack = scaled(DOMAIN_TOL, lo, hi)
+            return np.clip(_within(q, lo - slack, hi + slack, "model", self.domain), lo, hi)
         if lo <= q <= hi:
             return q
         slack = scaled(DOMAIN_TOL, lo, hi)
@@ -233,8 +277,9 @@ class GridModel(Serializable):
             return min(max(q, lo), hi)
         raise CurveDomainError(f"Q={q} outside model domain [{lo}, {hi}]")
 
-    def state(self, q: float) -> PeriodState:
-        """The grid at capacity ``q``: one domain check, one evaluation of e, f and pi."""
+    def state(self, q) -> PeriodState:
+        """The grid at capacity ``q``, a float or an ndarray: one domain check,
+        one evaluation of e, f and pi."""
         q = self._clamp(q)
         return PeriodState(
             q,
@@ -254,19 +299,29 @@ class GridModel(Serializable):
     def energy_value_at(self, q: float) -> float:
         return eval_curve(self.energy_value, self._clamp(q))
 
+    def cost_slope(self, q):
+        """C'(Q) = C_S' + C_R' - f'*pi - f*pi', M$/GW-yr, at ``q`` clamped as by :meth:`state`."""
+        q = self._clamp(q)
+        return (
+            self.cost_system.slope(q)
+            + self.cost_renewable.slope(q)
+            - self.delivered.slope(q) * eval_curve(self.energy_value, q)
+            - eval_curve(self.delivered, q) * self.energy_value.slope(q)
+        )
+
     def with_invest_cost(self, invest_cost: float) -> "GridModel":
         return replace(self, invest_cost=invest_cost)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "GridModel":
+    def from_dict(cls, doc: dict, path: str = "grid") -> "GridModel":
         return cls(
-            emissions=GridCurve.from_dict(doc["emissions"]),
-            delivered=GridCurve.from_dict(doc["delivered"]),
-            energy_value=GridCurve.from_dict(doc["energy_value"]),
-            cost_renewable=CostSpec.from_dict(doc["cost_renewable"]),
-            cost_system=CostSpec.from_dict(doc["cost_system"]),
-            invest_cost=float(doc["invest_cost"]),
-            domain=(float(doc["domain"][0]), float(doc["domain"][1])),
+            emissions=GridCurve.from_dict(doc["emissions"], f"{path}.emissions"),
+            delivered=GridCurve.from_dict(doc["delivered"], f"{path}.delivered"),
+            energy_value=GridCurve.from_dict(doc["energy_value"], f"{path}.energy_value"),
+            cost_renewable=CostSpec.from_dict(doc["cost_renewable"], f"{path}.cost_renewable"),
+            cost_system=CostSpec.from_dict(doc["cost_system"], f"{path}.cost_system"),
+            invest_cost=json_number(doc["invest_cost"], f"{path}.invest_cost"),
+            domain=tuple(json_number(doc["domain"][i], f"{path}.domain[{i}]") for i in (0, 1)),
         )
 
 
@@ -295,55 +350,19 @@ def cost_generator(model: GridModel, q: float) -> float:
     return model.state(q).cost_generator
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    value: float
-    one_sided: bool = False
-
-
-def numeric_derivative(
-    target: GridCurve | CostSpec | Callable[[float], float],
-    q: float,
-    h: float | None = None,
-    bounds: tuple[float, float] | None = None,
-) -> DerivativeEstimate:
-    """Finite-difference slope of a curve, cost spec, or plain callable.
-
-    Central difference (v(Q+h) - v(Q-h)) / (2h) when both sides fit inside
-    ``bounds``; falls back to a one-sided difference near a boundary and flags
-    it.  ``h`` defaults to 1e-4 of the bounds width.
-    """
-    if isinstance(target, GridCurve):
-        fn = target.__call__
-        if bounds is None and target.kind is CurveKind.TABULATED:
-            bounds = target.domain
-    elif isinstance(target, CostSpec):
-        fn = target.cost
-    else:
-        fn = target
-
-    lo, hi = bounds if bounds is not None else (-math.inf, math.inf)
-    if not lo <= q <= hi:
-        raise CurveDomainError(f"Q={q} outside bounds [{lo}, {hi}]")
-    if h is None:
-        width = hi - lo
-        h = DERIVATIVE_STEP_FRACTION * (width if math.isfinite(width) else max(1.0, abs(q)))
-    if h <= 0:
-        raise ValueError("step h must be positive")
-
-    left_ok = q - h >= lo
-    right_ok = q + h <= hi
-    if left_ok and right_ok:
-        return DerivativeEstimate((fn(q + h) - fn(q - h)) / (2.0 * h))
-    if right_ok:
-        return DerivativeEstimate((fn(q + h) - fn(q)) / h, one_sided=True)
-    if left_ok:
-        return DerivativeEstimate((fn(q) - fn(q - h)) / h, one_sided=True)
-    raise CurveDomainError("step h exceeds the available bounds on both sides")
+@contextmanager
+def array_arithmetic(what: str):
+    """Array arithmetic that overflows or makes NaN raises CurveDomainError
+    naming ``what``, where scalar arithmetic carries inf to the output check."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise CurveDomainError(f"{what}: {exc}") from None
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Serializable):
     name: str
     passed: bool
     first_violation_q: float | None = None
@@ -361,35 +380,13 @@ class ConditionReport:
         return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_samples": self.n_samples,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "first_violation_q": c.first_violation_q,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "n_samples": self.n_samples, "checks": plain(self.checks)}
 
 
-def _first_violation(
-    qs: np.ndarray, bad: np.ndarray
-) -> tuple[bool, float | None]:
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
-        return True, None
-    return False, float(qs[idx[0]])
-
-
+@array_arithmetic("grid conditions")
 def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> ConditionReport:
     """Sample every curve and report the structural-condition checks.
 
@@ -403,36 +400,21 @@ def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> Conditio
         raise ValueError("n_samples must be at least 3")
     lo, hi = model.domain
     qs = np.linspace(lo, hi, n_samples)
-    e = np.array([eval_curve(model.emissions, q) for q in qs])
-    f = np.array([eval_curve(model.delivered, q) for q in qs])
-    pi = np.array([eval_curve(model.energy_value, q) for q in qs])
-
+    s = model.state(qs)
     checks = []
+
+    def check(name: str, at: np.ndarray, bad: np.ndarray) -> None:
+        first = at[bad][:1].tolist()  # the first violating Q, if any
+        checks.append(ConditionCheck(name, not first, first[0] if first else None))
+
     # e(Q) > 0 on the interior of the sampled grid
-    ok, at = _first_violation(qs[1:-1], e[1:-1] <= 0.0)
-    checks.append(ConditionCheck("emissions_positive", ok, at))
-    ok, at = _first_violation(qs[1:], np.diff(e) > ZERO_TOL)
-    checks.append(ConditionCheck("emissions_nonincreasing", ok, at))
-
-    if lo <= 0.0 <= hi:
-        f0 = eval_curve(model.delivered, 0.0)
-        checks.append(
-            ConditionCheck(
-                "delivered_zero_at_origin",
-                abs(f0) <= CERTIFY_TOL,
-                None if abs(f0) <= CERTIFY_TOL else 0.0,
-            )
-        )
-    else:
-        # 0 not in the declared domain: nothing to check
-        checks.append(ConditionCheck("delivered_zero_at_origin", True, None))
-    ok, at = _first_violation(qs[1:], np.diff(f) < -ZERO_TOL)
-    checks.append(ConditionCheck("delivered_nondecreasing", ok, at))
-    concavity_tol = scaled(ZERO_TOL, float(np.max(np.abs(f))))
-    ok, at = _first_violation(qs[1:-1], np.diff(f, 2) > concavity_tol)
-    checks.append(ConditionCheck("delivered_concave", ok, at))
-
-    ok, at = _first_violation(qs[1:], np.diff(pi) > ZERO_TOL)
-    checks.append(ConditionCheck("energy_value_nonincreasing", ok, at))
-
+    check("emissions_positive", qs[1:-1], s.e[1:-1] <= 0.0)
+    check("emissions_nonincreasing", qs[1:], np.diff(s.e) > ZERO_TOL)
+    origin = np.zeros(1 if lo <= 0.0 <= hi else 0)  # no point when 0 is outside the domain
+    f0 = np.abs(eval_curve(model.delivered, origin))
+    check("delivered_zero_at_origin", origin, f0 > CERTIFY_TOL)
+    check("delivered_nondecreasing", qs[1:], np.diff(s.f) < -ZERO_TOL)
+    concavity_tol = scaled(ZERO_TOL, float(np.max(np.abs(s.f))))
+    check("delivered_concave", qs[1:-1], np.diff(s.f, 2) > concavity_tol)
+    check("energy_value_nonincreasing", qs[1:], np.diff(s.pi) > ZERO_TOL)
     return ConditionReport(checks=tuple(checks), n_samples=n_samples)

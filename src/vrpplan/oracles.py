@@ -18,7 +18,7 @@ from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import trajectory as traj
-from .errors import EnumerationConfigError
+from .errors import EnumerationConfigError, NetZeroGridError
 from .serialize import Serializable
 from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
@@ -216,32 +216,35 @@ class EquilibriumScan(Serializable):
     n_points: int
 
 
+@gm.array_arithmetic("equilibrium scan")
 def dense_scan_equilibrium(
     dm: dp.DemandModel, model: gm.GridModel, n_points: int = 10**5
 ) -> EquilibriumScan:
     """Scan the revenue/cost gap above the deliverability threshold.
 
     Returns every sign-change bracket on the sampled grid (a well-posed model
-    has exactly one); the oracle for the bisection solver.
+    has exactly one), in grid order; the oracle for the bisection solver.  A
+    sample with a gap of exactly zero is a bracket of width zero.
     """
     if n_points < 10:
         raise ValueError("n_points too small to be meaningful")
     threshold = eqm.find_deliverability_threshold(dm, model)
     qs = np.linspace(threshold, model.domain[1], n_points)
-    gaps = np.array([eqm._gap(dm, model.state(q)) for q in qs])
+    s = model.state(qs)
+    if not np.all(s.e > 0):
+        raise NetZeroGridError("peak revenue undefined on a net-zero grid")
+    # the operation order of unconstrained_peak_revenue, so each gap is the scalar one
+    gaps = s.e * dm.market_size / (math.e * dm.sensitivity) - s.cost
 
-    brackets: list[tuple[float, float]] = []
-    for i in range(len(qs) - 1):
-        if gaps[i] == 0.0:
-            brackets.append((float(qs[i]), float(qs[i])))
-        elif gaps[i] * gaps[i + 1] < 0.0:
-            brackets.append((float(qs[i]), float(qs[i + 1])))
-    if gaps[-1] == 0.0:
-        brackets.append((float(qs[-1]), float(qs[-1])))
+    sign = np.sign(gaps)
+    zero = sign == 0.0
+    start = np.flatnonzero(zero | np.append(sign[:-1] * sign[1:] < 0.0, False))
+    end = np.where(zero[start], start, start + 1)
+    brackets = tuple(zip(qs[start].tolist(), qs[end].tolist()))
 
     return EquilibriumScan(
         found=bool(brackets),
         bracket=brackets[0] if brackets else None,
-        sign_changes=tuple(brackets),
+        sign_changes=brackets,
         n_points=n_points,
     )

@@ -35,7 +35,7 @@ import numpy as np
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
 from .grid_model import CostSpec, CurveKind, GridCurve, GridModel
-from .serialize import Serializable
+from .serialize import Serializable, json_number, read_numbers
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -124,20 +124,14 @@ def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None
         grid = GridModel.from_dict(grid_doc)
         demand = DemandModel.from_dict(_require(doc, "demand", where))
         simulation = SimulationConfig.from_dict(_require(doc, "simulation", where))
-        bounds_doc = doc.get("derivative_bounds")
-        bounds = (
-            DerivativeBounds(
-                max_abs_emissions_slope=float(bounds_doc["max_abs_emissions_slope"]),
-                max_abs_cost_slope=float(bounds_doc["max_abs_cost_slope"]),
-            )
-            if bounds_doc
-            else None
-        )
+        bounds = None
+        if doc.get("derivative_bounds"):
+            bounds = read_numbers(DerivativeBounds, doc["derivative_bounds"], "derivative_bounds")
         return Scenario(
             grid=grid,
             demand=demand,
             simulation=simulation,
-            wind_cf=float(_require(doc, "wind_cf", where)),
+            wind_cf=json_number(_require(doc, "wind_cf", where), "wind_cf"),
             output=str(doc.get("output", "csv")),
             seed=int(doc.get("seed", 0)),
             derivative_bounds=bounds,

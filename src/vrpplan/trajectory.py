@@ -22,7 +22,7 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
 from .errors import InfeasiblePeriodError
-from .serialize import Serializable
+from .serialize import Serializable, json_number
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 TRAJECTORY_CSV_COLUMNS = ("t", "Q", "p", "q", "gamma", "R", "phase", "e")
@@ -55,7 +55,7 @@ class SimulationConfig(Serializable):
                 f"simulation.stop_at_limit must be true or false, got {stop_at_limit!r}"
             )
         return cls(
-            q_init=float(doc["q_init"]),
+            q_init=json_number(doc["q_init"], "simulation.q_init"),
             horizon=horizon,
             stop_at_limit=stop_at_limit,
             period_label=str(doc.get("period_label", "year")),
@@ -153,6 +153,7 @@ class ReachabilityCertificate(Serializable):
     n_samples: int
 
 
+@gm.array_arithmetic("reachability certificate")
 def certify_monotone_reachability(
     dm: dp.DemandModel,
     model: gm.GridModel,
@@ -163,7 +164,9 @@ def certify_monotone_reachability(
     """Check that the reach map is nondecreasing between the start and the limit.
 
     Two routes, both sampled: the derivative-based margin
-    1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k, and discrete slopes of S itself.
+    1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k with the analytic slopes
+    :meth:`GridCurve.slope` and :meth:`GridModel.cost_slope`, evaluated on
+    the whole sample array at once, and discrete slopes of S itself.
     The certificate holds iff both stay above -ZERO_TOL.  The derivative route
     uses the unconstrained revenue form throughout, so the direct S samples
     are the decisive check where the deliverability cap still binds.
@@ -187,12 +190,8 @@ def certify_monotone_reachability(
     qs = np.linspace(lo, hi, n_samples, endpoint=False)
     revenue_scale = dm.market_size / (math.e * dm.sensitivity)
     k = model.invest_cost
-
-    def slopes(fn) -> np.ndarray:
-        return np.array([gm.numeric_derivative(fn, q, bounds=model.domain).value for q in qs])
-
-    e_slopes = slopes(model.emissions)
-    c_slopes = slopes(lambda q: gm.cost_integrated(model, q))
+    c_slopes = model.cost_slope(qs)  # first: it checks qs against the domain
+    e_slopes = model.emissions.slope(qs)
     margins = 1.0 + (revenue_scale * e_slopes - c_slopes) / k
 
     reach = np.array([reach_map(dm, model, q) for q in qs])

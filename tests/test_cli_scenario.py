@@ -370,8 +370,25 @@ class TestMalformedInput:
             (("grid", "domain", 1), None, "index out of range"),
             (("wind_cf",), 1e-320, "price_energy_usd_per_mwh"),
             (("grid", "emissions", "coefficients"), [1e308, -700.0], "overflows"),
+            (("demand", "sensitivity"), 1e-320, "demand.sensitivity"),
+            (("wind_cf",), "0.35", "wind_cf"),
+            (("demand", "market_size"), "10", "demand.market_size"),
+            (("simulation", "q_init"), True, "simulation.q_init"),
+            (("grid", "cost_system", "alpha"), False, "grid.cost_system.alpha"),
+            (("derivative_bounds", "max_abs_cost_slope"), "150", "derivative_bounds.max_abs_cost_slope"),
         ],
-        ids=["huge-integer", "dropped-domain-end", "subnormal-wind-cf", "exponential-overflow"],
+        ids=[
+            "huge-integer",
+            "dropped-domain-end",
+            "subnormal-wind-cf",
+            "exponential-overflow",
+            "sensitivity-reciprocal-overflows",
+            "string-wind-cf",
+            "string-market-size",
+            "boolean-q-init",
+            "boolean-cost",
+            "string-derivative-bound",
+        ],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, path, value, message):
         # each once ended in a traceback or in exit 0 printing inf

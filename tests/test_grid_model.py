@@ -1,4 +1,4 @@
-"""Grid primitives: curve evaluation, costs, derivatives, condition checks."""
+"""Grid primitives: curve evaluation, costs, slopes, condition checks."""
 
 import math
 
@@ -18,9 +18,12 @@ from vrpplan.grid_model import (
     cost_integrated,
     cost_operator,
     eval_curve,
-    numeric_derivative,
     validate_grid_conditions,
 )
+
+
+def central_difference(fn, q: float, h: float = 1e-6) -> float:
+    return (fn(q + h) - fn(q - h)) / (2.0 * h)
 
 
 class TestEvalCurve:
@@ -65,6 +68,30 @@ class TestEvalCurve:
         with pytest.raises(CurveDomainError):
             eval_curve(curve, math.nan)
 
+    @pytest.mark.parametrize(
+        "curve, rtol",
+        [
+            (GridCurve(CurveKind.TABULATED, table=((0.0, 0.4), (3.0, 0.31), (12.0, 0.2))), 0.0),
+            (GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0, -0.3)), 0.0),
+            (GridCurve(CurveKind.EXPONENTIAL_DECAY, (120.0, 0.08)), 1e-15),
+        ],
+        ids=["tabulated", "polynomial", "exponential"],
+    )
+    def test_array_matches_scalar(self, curve, rtol):
+        qs = np.linspace(0.0, 12.0, 1001)
+        values = eval_curve(curve, qs)
+        scalar = np.array([eval_curve(curve, float(q)) for q in qs])
+        if rtol:
+            np.testing.assert_allclose(values, scalar, rtol=rtol, atol=0.0)
+        else:
+            assert np.array_equal(values, scalar)
+
+    def test_exponential_overflow_raises_for_a_point_or_an_array(self):
+        curve = GridCurve(CurveKind.EXPONENTIAL_DECAY, (1e308, -700.0))
+        for q in (3.0, np.array([0.0, 3.0])):
+            with pytest.raises(CurveDomainError, match="overflows"):
+                eval_curve(curve, q)
+
     @given(
         knots=st.lists(
             st.tuples(
@@ -89,6 +116,10 @@ class TestEvalCurve:
         q1 = lo + fraction * (hi - lo) * 0.5
         q2 = lo + (0.5 + fraction * 0.5) * (hi - lo)
         assert eval_curve(curve, q1) <= eval_curve(curve, q2) + 1e-9
+        # one array of the same points: the same floats as one at a time
+        points = [q for q, _ in table] + [q1, q2]
+        values = eval_curve(curve, np.array(points))
+        assert values.tolist() == [eval_curve(curve, q) for q in points]
 
 
 class TestCostSpec:
@@ -117,15 +148,27 @@ class TestPeriodState:
         assert (s.C_S, s.C_R) == (m.cost_system.cost(3.0), m.cost_renewable.cost(3.0))
         assert s.cost == cost_integrated(m, 3.0)
         assert s.cost_generator == cost_generator(m, 3.0)
+        # an array state: e and pi are exponential curves, where np.exp and
+        # math.exp may differ in the last ulp; f and the costs are the same floats
+        qs = np.linspace(*m.domain, 257)
+        states = [m.state(float(q)) for q in qs]
+        for name, value in m.state(qs)._asdict().items():
+            rtol = 1e-15 if name in ("e", "pi") else 0.0
+            expected = [getattr(x, name) for x in states]
+            np.testing.assert_allclose(value, expected, rtol=rtol, atol=0.0)
 
     def test_state_clamps_rounding_overshoot_only(self):
         lo, hi = -30.82558960047005, 21.714803926843032
         model = flat_model(0.4, 2.0, 5.0, domain=(lo, hi))
-        assert model.state(lo + 1.0 * (hi - lo)).q == hi
-        assert model.state(math.nextafter(lo, -math.inf)).q == lo
+        overshoots = [lo + 1.0 * (hi - lo), math.nextafter(lo, -math.inf)]
+        assert model.state(overshoots[0]).q == hi
+        assert model.state(overshoots[1]).q == lo
+        assert model.state(np.array(overshoots + [0.0])).q.tolist() == [hi, lo, 0.0]
         for q in (hi + 1e-9, lo - 1e-9, math.nan):
             with pytest.raises(CurveDomainError):
                 model.state(q)
+            with pytest.raises(CurveDomainError):
+                model.state(np.array([0.0, q]))
 
 
 class TestCostAggregates:
@@ -186,39 +229,59 @@ class TestCostAggregates:
             assert total == pytest.approx(split, rel=1e-9, abs=1e-9)
 
 
-class TestNumericDerivative:
-    def test_quadratic_exact(self):
-        spec = CostSpec(21.0, 5.0)
-        est = numeric_derivative(spec, 3.0, h=1e-4)
-        assert est.value == pytest.approx(51.0, abs=1e-6)
-        assert not est.one_sided
+class TestSlopes:
+    def test_quadratic_cost_slope(self):
+        curve = GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0))
+        assert curve.slope(3.0) == 51.0
+        assert curve.slope(3.0) == pytest.approx(central_difference(curve, 3.0), abs=1e-6)
 
-    def test_constant_curve(self):
-        est = numeric_derivative(flat_curve(3.3), 5.0, h=1e-3)
-        assert est.value == 0.0
+    def test_flat_curve(self):
+        curve = flat_curve(3.3)
+        assert curve.slope(5.0) == 0.0 == central_difference(curve, 5.0, h=1e-3)
 
-    def test_one_sided_at_boundary(self):
-        curve = GridCurve(CurveKind.TABULATED, table=((0.0, 0.0), (10.0, 10.0)))
-        est = numeric_derivative(curve, 0.0, h=1e-3)
-        assert est.one_sided
-        assert est.value == pytest.approx(1.0, abs=1e-9)
+    def test_tabulated_segments(self):
+        curve = GridCurve(CurveKind.TABULATED, table=((0.0, 0.0), (10.0, 10.0), (12.0, 11.0)))
+        # the lower end, a knot (right-hand segment) and the top end (last segment)
+        assert curve.slope(0.0) == 1.0 == pytest.approx(
+            (curve(1e-3) - curve(0.0)) / 1e-3, abs=1e-9
+        )
+        assert curve.slope(10.0) == 0.5
+        assert curve.slope(12.0) == 0.5
+        assert curve.slope(np.array([0.0, 5.0, 10.0, 12.0])).tolist() == [1.0, 1.0, 0.5, 0.5]
+        with pytest.raises(CurveDomainError):
+            curve.slope(np.array([5.0, math.nan]))
 
-    def test_default_step_from_bounds(self):
-        spec = CostSpec(2.0, 1.0)
-        est = numeric_derivative(spec, 1.0, bounds=(0.0, 10.0))
-        assert est.value == pytest.approx(4.0, abs=1e-6)
+    def test_array_slopes_match_central_differences(self):
+        qs = np.linspace(0.5, 11.5, 23)
+        for curve in (
+            GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0, -0.3)),
+            GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.4, 0.06)),
+        ):
+            expected = [central_difference(curve, q) for q in qs]
+            np.testing.assert_allclose(curve.slope(qs), expected, rtol=1e-7)
 
     def test_baseline_emissions_slope_small(self, baseline_model):
-        lo, hi = baseline_model.domain
-        slopes = [
-            abs(
-                numeric_derivative(
-                    baseline_model.emissions, q, bounds=baseline_model.domain
-                ).value
-            )
-            for q in np.linspace(lo, hi, 100)
-        ]
-        assert max(slopes) < 0.1
+        qs = np.linspace(*baseline_model.domain, 100)
+        slopes = baseline_model.emissions.slope(qs)
+        assert np.max(np.abs(slopes)) < 0.1
+        np.testing.assert_allclose(
+            slopes, [central_difference(baseline_model.emissions, q) for q in qs], rtol=1e-7
+        )
+
+    def test_cost_slope_by_hand(self):
+        # C = (2Q + 0.5Q^2) + (10Q + Q^2) - 2*5, so C' = 12 + 3Q
+        model = flat_model(0.4, 2.0, 5.0, alpha_r=10.0, beta_r=1.0, alpha_s=2.0, beta_s=0.5)
+        assert model.cost_slope(3.0) == 21.0
+        assert model.cost_slope(np.array([0.0, 3.0])).tolist() == [12.0, 21.0]
+
+    def test_baseline_cost_slope_matches_central_differences(self, baseline_model):
+        # midpoints of the 0.025 GW knot spacing of the delivered table, away from its kinks
+        qs = 0.0125 + 0.025 * np.arange(3, 470, 13)
+        expected = [central_difference(lambda q: cost_integrated(baseline_model, q), q) for q in qs]
+        np.testing.assert_allclose(baseline_model.cost_slope(qs), expected, rtol=1e-6)
+        assert baseline_model.cost_slope(float(qs[0])) == pytest.approx(
+            baseline_model.cost_slope(qs)[0], rel=1e-14
+        )
 
 
 class TestValidateGridConditions:

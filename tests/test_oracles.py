@@ -7,7 +7,7 @@ import pytest
 
 from conftest import adversarial_dip_model, flat_model
 from vrpplan.demand_pricing import DemandModel, optimal_price, unconstrained_peak_revenue
-from vrpplan.equilibrium import solve_long_run_limit
+from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import EnumerationConfigError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import (
@@ -117,6 +117,44 @@ class TestDenseScanPrice:
             dense_scan_price(DM, model, 1.0, 5)
 
 
+def oscillating_model() -> GridModel:
+    # increasing emissions table (structurally rejected) with an
+    # oscillating cost built to flip the gap sign at every knot
+    knots = [0.0, 2.5, 5.0, 7.5, 10.0]
+    e_values = [0.10, 0.20, 0.21, 0.35, 0.36]
+    signs = [+1.0, -1.0, +1.0, -1.0, +1.0]
+    scale = DM.market_size / (math.e * DM.sensitivity)
+    pi_values = [-(scale * e - s * 50.0) / 4.0 for e, s in zip(e_values, signs)]
+    return GridModel(
+        emissions=GridCurve(CurveKind.TABULATED, table=tuple(zip(knots, e_values))),
+        delivered=GridCurve(CurveKind.TABULATED, table=((0.0, 4.0), (10.0, 4.0))),
+        energy_value=GridCurve(CurveKind.TABULATED, table=tuple(zip(knots, pi_values))),
+        cost_renewable=CostSpec(0.0, 0.0),
+        cost_system=CostSpec(0.0, 0.0),
+        invest_cost=1000.0,
+        domain=(0.0, 10.0),
+    )
+
+
+def zero_gap_model() -> GridModel:
+    return flat_model(0.45, 4.0, -unconstrained_peak_revenue(DM, 0.45) / 4.0)
+
+
+def scalar_sign_changes(dm, model, n_points):
+    # one model.state per grid point, in a plain loop
+    qs = np.linspace(find_deliverability_threshold(dm, model), model.domain[1], n_points)
+    gaps = [_gap(dm, model.state(float(q))) for q in qs]
+    brackets = []
+    for i in range(n_points - 1):
+        if gaps[i] == 0.0:
+            brackets.append((float(qs[i]), float(qs[i])))
+        elif gaps[i] * gaps[i + 1] < 0.0:
+            brackets.append((float(qs[i]), float(qs[i + 1])))
+    if gaps[-1] == 0.0:
+        brackets.append((float(qs[-1]), float(qs[-1])))
+    return tuple(brackets)
+
+
 class TestDenseScanEquilibrium:
     def test_baseline_bracket(self, baseline_demand, baseline_model):
         result = solve_long_run_limit(baseline_demand, baseline_model)
@@ -126,8 +164,7 @@ class TestDenseScanEquilibrium:
         assert lo <= result.capacity_limit <= hi
 
     def test_identically_zero_gap_degenerates(self):
-        peak = unconstrained_peak_revenue(DM, 0.45)
-        model = flat_model(0.45, 4.0, -peak / 4.0)
+        model = zero_gap_model()
         scan = dense_scan_equilibrium(DM, model, 1000)
         assert scan.found
         assert scan.bracket == (model.domain[0], model.domain[0])
@@ -140,28 +177,17 @@ class TestDenseScanEquilibrium:
         assert scan.sign_changes == ()
 
     def test_multiple_sign_changes_on_rejected_model(self):
-        # increasing emissions table (structurally rejected) with an
-        # oscillating cost built to flip the gap sign at every knot
-        knots = [0.0, 2.5, 5.0, 7.5, 10.0]
-        e_values = [0.10, 0.20, 0.21, 0.35, 0.36]
-        signs = [+1.0, -1.0, +1.0, -1.0, +1.0]
-        scale = DM.market_size / (math.e * DM.sensitivity)
-        pi_values = [
-            -(scale * e - s * 50.0) / 4.0 for e, s in zip(e_values, signs)
-        ]
-        model = GridModel(
-            emissions=GridCurve(
-                CurveKind.TABULATED, table=tuple(zip(knots, e_values))
-            ),
-            delivered=GridCurve(CurveKind.TABULATED, table=((0.0, 4.0), (10.0, 4.0))),
-            energy_value=GridCurve(
-                CurveKind.TABULATED, table=tuple(zip(knots, pi_values))
-            ),
-            cost_renewable=CostSpec(0.0, 0.0),
-            cost_system=CostSpec(0.0, 0.0),
-            invest_cost=1000.0,
-            domain=(0.0, 10.0),
-        )
-        scan = dense_scan_equilibrium(DM, model, 2000)
+        scan = dense_scan_equilibrium(DM, oscillating_model(), 2000)
         assert scan.found
         assert len(scan.sign_changes) >= 3
+
+    def test_matches_a_scalar_loop(self, baseline_demand, baseline_model):
+        cases = [
+            (baseline_demand, baseline_model, 10**4),
+            (DM, zero_gap_model(), 1000),
+            (DM, flat_model(0.45, 4.0, 0.0), 1000),
+            (DM, oscillating_model(), 2000),
+        ]
+        for dm, model, n in cases:
+            scan = dense_scan_equilibrium(dm, model, n)
+            assert scan.sign_changes == scalar_sign_changes(dm, model, n)
