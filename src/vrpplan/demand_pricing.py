@@ -8,6 +8,7 @@ intensity units work as long as the scenario declares them consistently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -221,15 +222,17 @@ class KktResiduals:
 
 
 def _kkt_lstsq(rows: list[list[float]], rhs: list[float]) -> np.ndarray:
-    # This call is the only reason scipy is a dependency.  Importing it here
-    # keeps scipy off every command's import path: only a KKT check of a state
-    # that does not expand gets this far, and `verify` checks expanding ones.
-    from scipy.optimize import nnls
-
-    a = np.asarray(rows, dtype=float)
-    b = np.asarray(rhs, dtype=float)
-    x, _ = nnls(a, b)
-    return x
+    """argmin |A x - b| over x >= 0: least squares on each support of x (at most
+    2**7 for these systems), keeping the best solution that is nonnegative."""
+    a, b = np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float)
+    best, best_norm = np.zeros(a.shape[1]), np.linalg.norm(b)
+    for support in map(list, itertools.product((False, True), repeat=a.shape[1])):
+        x = np.zeros(a.shape[1])
+        x[support] = np.linalg.lstsq(a[:, support], b, rcond=None)[0]
+        norm = np.linalg.norm(a @ x - b)
+        if (x >= 0.0).all() and norm < best_norm:
+            best, best_norm = x, norm
+    return best
 
 
 def kkt_residuals(

@@ -413,12 +413,14 @@ def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter: this one has loaded scipy already
     script = f"""
 import contextlib, io, sys
-from vrpplan import cli
+from vrpplan import cli, demand_pricing
 S = {BASELINE_PATH!r}
 for argv in (["price", "3.0"], ["share", "3.0"], ["limit"], ["simulate", "--out", {str(tmp_path)!r}],
              ["verify"], ["calibrate"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([argv[0], "--scenario", S, *argv[1:]]) == 0, argv
+# the least-squares route of a KKT check, taken by a state that does not expand
+assert list(demand_pricing._kkt_lstsq([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0])) == [1.0, 0.0]
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))

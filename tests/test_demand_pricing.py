@@ -12,6 +12,7 @@ from conftest import flat_model, pick_expanding_state, random_accepted_model
 from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
+    _kkt_lstsq,
     demand,
     kkt_residuals,
     optimal_expansion,
@@ -269,6 +270,19 @@ class TestKktResiduals:
         assert res.mult_share_lower == pytest.approx(
             solution.revenue / baseline_model.invest_cost, rel=1e-12
         )
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), extra=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_least_squares_matches_scipy_nnls(self, seed, n, extra):
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n + extra, n)) * 10.0 ** rng.uniform(-2, 2, size=n)
+        b = rng.normal(size=n + extra)
+        expected, _ = nnls(a, b)
+        x = _kkt_lstsq(a.tolist(), b.tolist())
+        assert (x >= 0.0).all()
+        np.testing.assert_allclose(x, expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max())
 
     def test_unknown_problem_rejected(self, baseline_demand, baseline_model):
         solution = solve_period(baseline_demand, baseline_model, 2.0)
