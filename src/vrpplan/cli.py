@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,8 +176,6 @@ def _write_plot_files(out_dir: Path, trajectory: traj.Trajectory, scenario: Scen
 def _cmd_simulate(args, scenario: Scenario) -> int:
     cfg = scenario.simulation
     if args.horizon is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, horizon=args.horizon)
     trajectory = traj.simulate_myopic(scenario.demand, scenario.grid, cfg)
     certificate = traj.certify_monotone_reachability(
@@ -215,9 +214,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
 def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
     dm, model = scenario.demand, scenario.grid
     k = model.invest_cost
-    lo = scenario.simulation.q_init
-    hi = result.capacity_limit
-    states = np.linspace(lo, hi, n_states, endpoint=False)
+    states = np.linspace(scenario.simulation.q_init, result.capacity_limit, n_states, endpoint=False)
     worst = 0.0
     checked = 0
     for q in states:

@@ -121,8 +121,16 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
 
     Two regimes: when unconstrained peak demand M/e fits under f(Q) the price
     is e(Q)/eps; otherwise the deliverability cap binds and the price rises to
-    e(Q)/eps * ln(M/f(Q)).  The branches agree where M/e = f(Q).
+    e(Q)/eps * ln(M/f(Q)).  The branches agree where M/e = f(Q).  An array
+    state gives arrays, and raises the scalar error of its first failing entry.
     """
+    if isinstance(s.q, np.ndarray):
+        bad = (s.e <= 0) | (s.f <= 0)
+        if bad.any():  # the scalar path raises for the first failing entry
+            price_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)))
+        base = s.e / dm.sensitivity
+        binding = dm.market_size * math.exp(-1.0) > s.f
+        return PriceSolution(np.where(binding, base * np.log(dm.market_size / s.f), base), binding)
     if s.e <= 0:
         raise NetZeroGridError(f"e(Q)={s.e} at Q={s.q}: no emissions left to differentiate")
     if s.f <= 0:
@@ -150,8 +158,17 @@ def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolut
     Clamped at zero.  Status distinguishes an expanding period, the long-run
     equilibrium (|R* - C| within BALANCE_TOL scaled by R* and C), and an
     infeasible period where revenue cannot cover cost even without expansion.
+    An array state gives an array of expansions and one of statuses.
     """
     price, _ = price_at(dm, s)
+    if isinstance(s.q, np.ndarray):
+        rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
+        cost = s.cost
+        tol = BALANCE_TOL * np.maximum(1.0, np.maximum(np.abs(rev), np.abs(cost)))
+        infeasible, equilibrium = rev < cost - tol, np.abs(rev - cost) <= tol
+        status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
+        status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
+        return ExpansionSolution(np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)
     rev = revenue(dm, price, s.e)
     cost = s.cost
     tol = scaled(BALANCE_TOL, rev, cost)

@@ -2,9 +2,9 @@
 
 Nothing here is used by the solvers themselves: these are falsifiers for
 tests and the ``verify`` command.  Policy enumeration checks that the myopic
-trajectory statewise-dominates every discretized feasible policy; the dense
-scans re-derive the optimal price and the equilibrium root by exhaustive
-search.
+trajectory statewise-dominates every discretized feasible policy, expanding
+each policy prefix once, level by level; the dense scans re-derive the
+optimal price and the equilibrium root by exhaustive search.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from . import trajectory as traj
 from .errors import EnumerationConfigError, NetZeroGridError
 from .serialize import Serializable
 from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
+
+
+SCAN_BLOCK = 2**14  # prices per block of the dense price scan
 
 
 @dataclass(frozen=True)
@@ -73,33 +76,7 @@ class DominanceReport(Serializable):
         return {**super().to_dict(), "passed": self.passed}
 
 
-def _rollout(
-    dm: dp.DemandModel,
-    model: gm.GridModel,
-    q_init: float,
-    fractions: np.ndarray,
-    limit: float,
-) -> list[float]:
-    # capacity path Q_0..Q_h under per-period fractions of the maximal step
-    path = [q_init]
-    q_state = q_init
-    for frac in fractions:
-        step = min(
-            traj.max_feasible_expansion(dm, model, q_state), max(0.0, limit - q_state)
-        )
-        q_state = q_state + frac * step
-        path.append(q_state)
-    return path
-
-
-def _hitting_time(path: list[float], limit: float, horizon: int) -> int:
-    tol = scaled(ZERO_TOL, limit)
-    for t, q in enumerate(path):
-        if q >= limit - tol:
-            return t
-    return horizon + 1  # never reached within the horizon
-
-
+@gm.array_arithmetic("policy enumeration")
 def enumerate_and_compare(
     dm: dp.DemandModel,
     model: gm.GridModel,
@@ -115,6 +92,11 @@ def enumerate_and_compare(
     time; on certified monotone-reachability models all three counts are
     expected to be zero.  A caller that has already solved the long-run limit
     or built the reachability certificate passes them in.
+
+    The policies are expanded level by level: the distinct prefixes of length
+    t are one array of capacities, and one array call of the reach map steps
+    them all, so each prefix is expanded once.  The myopic policy is the
+    all-ones prefix of the same arrays.
     """
     result = equilibrium or eqm.solve_long_run_limit(dm, model)
     limit = result.capacity_limit
@@ -123,65 +105,51 @@ def enumerate_and_compare(
             dm, model, q_init=cfg.q_init, equilibrium=result
         )
 
-    g = ecfg.action_grid_size
-    horizon = ecfg.horizon
+    g, horizon = ecfg.action_grid_size, ecfg.horizon
     total = g**horizon
-    if total > ecfg.max_policies:
+    sampled = total > ecfg.max_policies
+    if sampled:
         if ecfg.seed is None:
             raise EnumerationConfigError(
-                f"{total} policies exceed the cap {ecfg.max_policies}; "
-                "set a seed to subsample"
+                f"{total} policies exceed the cap {ecfg.max_policies}; set a seed to subsample"
             )
-        rng = np.random.default_rng(ecfg.seed)
-        index_rows = rng.integers(0, g, size=(ecfg.max_policies, horizon))
-        sampled = True
+        index_rows = np.random.default_rng(ecfg.seed).integers(0, g, (ecfg.max_policies, horizon))
     else:
-        index_rows = np.array(
-            [np.unravel_index(i, (g,) * horizon) for i in range(total)]
-        ).reshape(total, horizon)
-        sampled = False
+        index_rows = np.indices((g,) * horizon).reshape(horizon, total).T
+    # the myopic policy rides along as the last row
+    rows = np.vstack([index_rows, np.full(horizon, g - 1)])
     fractions_of = np.linspace(0.0, 1.0, g)
 
-    myo_path = _rollout(dm, model, cfg.q_init, np.ones(horizon), limit)
-    myo_hit = _hitting_time(myo_path, limit, horizon)
-    emissions_horizon = min(myo_hit, horizon)
-    myo_emissions = sum(
-        model.emissions_at(q) for q in myo_path[: emissions_horizon + 1]
-    )
+    # level t: the capacities of the distinct t-step prefixes, and each row's prefix
+    levels, nodes = [np.array([cfg.q_init])], [np.zeros(len(rows), dtype=np.intp)]
+    for t in range(horizon):
+        q = levels[-1]
+        step = np.minimum(traj.max_feasible_expansion(dm, model, q), np.maximum(0.0, limit - q))
+        keys, node = np.unique(nodes[-1] * g + rows[:, t], return_inverse=True)
+        parent = keys // g
+        levels.append(q[parent] + fractions_of[keys % g] * step[parent])
+        nodes.append(node)
+    paths = np.stack([q[node] for q, node in zip(levels, nodes)], axis=1)
+    emissions_of = np.stack([model.emissions_at(q)[node] for q, node in zip(levels, nodes)], axis=1)
 
-    statewise = 0
-    hitting = 0
-    emissions = 0
-    worst_hit_gap = 0
-    worst_emis_gap = -math.inf
     state_tol = scaled(ZERO_TOL, limit)
-
-    for row in index_rows:
-        path = _rollout(dm, model, cfg.q_init, fractions_of[row], limit)
-        if any(p > m + state_tol for m, p in zip(myo_path, path)):
-            statewise += 1
-        pol_hit = _hitting_time(path, limit, horizon)
-        worst_hit_gap = max(worst_hit_gap, myo_hit - pol_hit)
-        if pol_hit < myo_hit:
-            hitting += 1
-        pol_emissions = sum(
-            model.emissions_at(q) for q in path[: emissions_horizon + 1]
-        )
-        gap = myo_emissions - pol_emissions
-        worst_emis_gap = max(worst_emis_gap, gap)
-        if gap > scaled(ZERO_TOL, myo_emissions):
-            emissions += 1
+    reached = paths >= limit - state_tol
+    hits = np.where(reached.any(axis=1), reached.argmax(axis=1), horizon + 1)
+    myo_hit = int(hits[-1])
+    # sum over t <= the myopic hitting time, in the order of a running sum
+    sums = np.add.accumulate(emissions_of[:, : min(myo_hit, horizon) + 1], axis=1)[:, -1]
+    gaps = sums[-1] - sums[:-1]
 
     return DominanceReport(
         n_policies_total=total,
         n_policies_evaluated=len(index_rows),
         sampled=sampled,
         seed=ecfg.seed,
-        statewise_violations=statewise,
-        hitting_time_violations=hitting,
-        emissions_violations=emissions,
-        worst_hitting_gap=worst_hit_gap,
-        worst_emissions_gap=worst_emis_gap,
+        statewise_violations=int((paths[:-1] > paths[-1] + state_tol).any(axis=1).sum()),
+        hitting_time_violations=int((hits[:-1] < myo_hit).sum()),
+        emissions_violations=int((gaps > scaled(ZERO_TOL, float(sums[-1]))).sum()),
+        worst_hitting_gap=max(0, myo_hit - int(hits[:-1].min())),
+        worst_emissions_gap=float(gaps.max()),
         certificate_holds=certificate.holds,
     )
 
@@ -202,10 +170,19 @@ def dense_scan_price(
     p_cap = 10.0 * base
     if 0 < f_q < dm.market_size:
         p_cap = max(p_cap, 2.0 * base * math.log(dm.market_size / f_q))
-    prices = np.linspace(0.0, p_cap, n_points)
-    sales = dm.market_size * np.exp(-dm.sensitivity * prices / e_q)
-    rev = np.where(sales <= f_q + scaled(ROUNDING_TOL, f_q), prices * sales, -np.inf)
-    return float(prices[int(np.argmax(rev))])
+    # np.linspace's points a block at a time; the first maximum wins, as in one argmax
+    step = p_cap / (n_points - 1)
+    best, best_rev = 0.0, -np.inf
+    for i0 in range(0, n_points, SCAN_BLOCK):
+        prices = np.arange(i0, min(i0 + SCAN_BLOCK, n_points)) * step + 0.0
+        if i0 + SCAN_BLOCK >= n_points:
+            prices[-1] = p_cap
+        sales = dm.market_size * np.exp(-dm.sensitivity * prices / e_q)
+        rev = np.where(sales <= f_q + scaled(ROUNDING_TOL, f_q), prices * sales, -np.inf)
+        i = int(np.argmax(rev))
+        if rev[i] > best_rev:
+            best, best_rev = float(prices[i]), rev[i]
+    return best
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import numpy as np
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
 from .grid_model import CostSpec, CurveKind, GridCurve, GridModel
-from .serialize import Serializable, json_number, read_numbers
+from .serialize import Serializable, json_integer, json_number, read_numbers
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -133,7 +133,7 @@ def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None
             simulation=simulation,
             wind_cf=json_number(_require(doc, "wind_cf", where), "wind_cf"),
             output=str(doc.get("output", "csv")),
-            seed=int(doc.get("seed", 0)),
+            seed=json_integer(doc.get("seed", 0), "seed"),
             derivative_bounds=bounds,
         )
     except ScenarioError:

@@ -1,5 +1,5 @@
 """One JSON form for records that list their fields in declaration order, and
-one reader of JSON numbers that takes no string or boolean for a number."""
+readers of JSON numbers that take no string or boolean for a number."""
 
 from __future__ import annotations
 
@@ -30,6 +30,13 @@ def json_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path} must be a number, got {value!r}")
     return float(value)
+
+
+def json_integer(value, path: str) -> int:
+    """A JSON integer; a fraction, a string or a boolean is an error naming ``path``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{path} must be an integer, got {value!r}")
+    return value
 
 
 def json_numbers(values, path: str) -> tuple[float, ...]:

@@ -22,7 +22,7 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
 from .errors import InfeasiblePeriodError
-from .serialize import Serializable, json_number
+from .serialize import Serializable, json_integer, json_number
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 TRAJECTORY_CSV_COLUMNS = ("t", "Q", "p", "q", "gamma", "R", "phase", "e")
@@ -46,9 +46,7 @@ class SimulationConfig(Serializable):
     @classmethod
     def from_dict(cls, doc: dict) -> "SimulationConfig":
         # JSON types, not coercions: int(3.7) would run 3 periods, bool("no") is true
-        horizon = doc["horizon"]
-        if not isinstance(horizon, int) or isinstance(horizon, bool):
-            raise ValueError(f"simulation.horizon must be an integer, got {horizon!r}")
+        horizon = json_integer(doc["horizon"], "simulation.horizon")
         stop_at_limit = doc.get("stop_at_limit", True)
         if not isinstance(stop_at_limit, bool):
             raise ValueError(
@@ -106,7 +104,11 @@ class Trajectory:
 
 def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
     expansion, status = dp.expansion_at(dm, s, k)
-    if status is dp.ExpansionStatus.INFEASIBLE:
+    if isinstance(s.q, np.ndarray):
+        infeasible = status == dp.ExpansionStatus.INFEASIBLE
+        if infeasible.any():
+            raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
+    elif status is dp.ExpansionStatus.INFEASIBLE:
         raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q}")
     return expansion
 
@@ -115,13 +117,14 @@ def max_feasible_expansion(dm: dp.DemandModel, model: gm.GridModel, q: float) ->
     """Maximal one-step expansion at state Q under optimal pricing.
 
     Equals the optimal-expansion value (R* - C)/k clamped at zero; raises when
-    the period is infeasible outright (revenue below cost at q = 0).
+    the period is infeasible outright (revenue below cost at q = 0).  ``q``
+    may be an array: every entry at once, raising if any entry is infeasible.
     """
     return _max_feasible(dm, model.state(q), model.invest_cost)
 
 
 def reach_map(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
-    """One-step reachability S(Q) = Q + max feasible expansion."""
+    """One-step reachability S(Q) = Q + max feasible expansion, at a float or an ndarray."""
     s = model.state(q)
     return s.q + _max_feasible(dm, s, model.invest_cost)
 
@@ -194,8 +197,7 @@ def certify_monotone_reachability(
     e_slopes = model.emissions.slope(qs)
     margins = 1.0 + (revenue_scale * e_slopes - c_slopes) / k
 
-    reach = np.array([reach_map(dm, model, q) for q in qs])
-    discrete = np.diff(reach) / np.diff(qs)
+    discrete = np.diff(reach_map(dm, model, qs)) / np.diff(qs)
 
     candidates = np.concatenate([margins, discrete])
     candidate_qs = np.concatenate([qs, qs[:-1]])

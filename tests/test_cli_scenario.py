@@ -162,6 +162,13 @@ class TestCliCommands:
         assert doc["dominance"]["passed"]
         assert doc["kkt"]["certified"]
 
+    def test_verify_at_horizon_8_samples_the_policies(self, capsys):
+        # 4**8 policies exceed the 20,000 cap: the scenario seed draws a sample
+        assert main(["verify", "--scenario", BASELINE_PATH, "--horizon", "8"]) == 0
+        dominance = json.loads(capsys.readouterr().out)["dominance"]
+        assert (dominance["n_policies_evaluated"], dominance["n_policies_total"]) == (20000, 65536)
+        assert dominance["sampled"] and dominance["passed"]
+
     def test_verify_fails_on_rejected_grid(self, tmp_path, capsys):
         doc = baseline_scenario().to_dict()
         # energy value rising with penetration violates the structure checks
@@ -363,6 +370,13 @@ class TestMalformedInput:
         cfg = scenario_from_dict(doc).simulation
         assert (cfg.horizon, cfg.stop_at_limit) == (3, False)
 
+    def test_seed_is_a_json_integer_or_absent(self):
+        doc = baseline_scenario().to_dict()
+        doc["seed"] = 7
+        assert scenario_from_dict(doc).seed == 7
+        del doc["seed"]
+        assert scenario_from_dict(doc).seed == 0
+
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -376,6 +390,9 @@ class TestMalformedInput:
             (("simulation", "q_init"), True, "simulation.q_init"),
             (("grid", "cost_system", "alpha"), False, "grid.cost_system.alpha"),
             (("derivative_bounds", "max_abs_cost_slope"), "150", "derivative_bounds.max_abs_cost_slope"),
+            (("seed",), True, "seed must be an integer"),
+            (("seed",), "7", "seed must be an integer"),
+            (("seed",), 3.9, "seed must be an integer"),
         ],
         ids=[
             "huge-integer",
@@ -388,6 +405,9 @@ class TestMalformedInput:
             "boolean-q-init",
             "boolean-cost",
             "string-derivative-bound",
+            "boolean-seed",
+            "string-seed",
+            "fractional-seed",
         ],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, path, value, message):

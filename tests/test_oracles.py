@@ -1,6 +1,7 @@
 """Brute-force verifiers: policy enumeration and dense scans."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,80 @@ from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_
 from vrpplan.errors import EnumerationConfigError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import (
+    DominanceReport,
     EnumerationConfig,
     dense_scan_equilibrium,
     dense_scan_price,
     enumerate_and_compare,
 )
-from vrpplan.trajectory import SimulationConfig
+from vrpplan.scenario import baseline_demand_model, baseline_grid_model
+from vrpplan.tolerances import ZERO_TOL, scaled
+from vrpplan.trajectory import (
+    SimulationConfig,
+    certify_monotone_reachability,
+    max_feasible_expansion,
+)
 
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
+
+
+def reference_report(dm, model, cfg, ecfg, result, certificate) -> DominanceReport:
+    """Every policy rolled out from Q0 on its own, one scalar decision at a time."""
+    limit = result.capacity_limit
+    tol = scaled(ZERO_TOL, limit)
+    g, horizon = ecfg.action_grid_size, ecfg.horizon
+    total = g**horizon
+    if total > ecfg.max_policies:
+        rows = np.random.default_rng(ecfg.seed).integers(0, g, size=(ecfg.max_policies, horizon))
+    else:
+        rows = np.array([np.unravel_index(i, (g,) * horizon) for i in range(total)])
+    fractions = np.linspace(0.0, 1.0, g)
+
+    def rollout(row):
+        path = [cfg.q_init]
+        for frac in row:
+            q = path[-1]
+            step = min(max_feasible_expansion(dm, model, q), max(0.0, limit - q))
+            path.append(q + frac * step)
+        return path
+
+    def hitting_time(path):
+        return next((t for t, q in enumerate(path) if q >= limit - tol), horizon + 1)
+
+    myo_path = rollout(np.ones(horizon))
+    myo_hit = hitting_time(myo_path)
+    span = min(myo_hit, horizon) + 1
+    myo_emissions = sum(model.emissions_at(q) for q in myo_path[:span])
+    statewise = hitting = emissions = worst_hit_gap = 0
+    worst_emissions_gap = -math.inf
+    for row in rows:
+        path = rollout(fractions[row])
+        statewise += any(p > m + tol for m, p in zip(myo_path, path))
+        hit = hitting_time(path)
+        hitting += hit < myo_hit
+        worst_hit_gap = max(worst_hit_gap, myo_hit - hit)
+        gap = myo_emissions - sum(model.emissions_at(q) for q in path[:span])
+        emissions += gap > scaled(ZERO_TOL, myo_emissions)
+        worst_emissions_gap = max(worst_emissions_gap, gap)
+    return DominanceReport(
+        n_policies_total=total,
+        n_policies_evaluated=len(rows),
+        sampled=total > ecfg.max_policies,
+        seed=ecfg.seed,
+        statewise_violations=statewise,
+        hitting_time_violations=hitting,
+        emissions_violations=emissions,
+        worst_hitting_gap=worst_hit_gap,
+        worst_emissions_gap=worst_emissions_gap,
+        certificate_holds=certificate.holds,
+    )
+
+
+ENUMERATION_CASES = [
+    pytest.param(baseline_demand_model(), baseline_grid_model(), 0.5, id="baseline"),
+    pytest.param(*adversarial_dip_model(), 1.0, id="dip"),
+    pytest.param(DM, flat_model(0.3, 5.0, 0.0, alpha_s=20.0, beta_s=4.0), 0.5, id="flat"),
+]
 
 
 class TestEnumerationConfig:
@@ -74,6 +141,23 @@ class TestEnumerateAndCompare:
         first = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
         second = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
         assert first == second
+
+    @pytest.mark.parametrize("dm, model, q_init", ENUMERATION_CASES)
+    def test_counts_match_scalar_rollouts(self, dm, model, q_init):
+        # the level-wise expansion against every policy rolled out on its own
+        result = solve_long_run_limit(dm, model)
+        certificate = certify_monotone_reachability(dm, model, q_init=q_init, equilibrium=result)
+        cfg = SimulationConfig(q_init=q_init, horizon=10)
+        configs = [EnumerationConfig(g, h) for g in (2, 3, 4, 5) for h in range(1, 6)]
+        configs.append(EnumerationConfig(5, 6, max_policies=300, seed=11))
+        for ecfg in configs:
+            report = enumerate_and_compare(dm, model, cfg, ecfg, result, certificate)
+            expected = reference_report(dm, model, cfg, ecfg, result, certificate)
+            # the one float: np.exp against math.exp moves it by ulps at most
+            assert report.worst_emissions_gap == pytest.approx(
+                expected.worst_emissions_gap, rel=1e-12, abs=1e-15
+            )
+            assert replace(report, worst_emissions_gap=0.0) == replace(expected, worst_emissions_gap=0.0)
 
     def test_adversarial_model_shows_violations(self):
         # non-monotone reach map: some under-building policies overtake the

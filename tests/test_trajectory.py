@@ -1,26 +1,35 @@
 """Simulation engine, myopic policy, reachability certificate, serialization."""
 
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import adversarial_dip_model, flat_model
 from vrpplan.demand_pricing import (
     DemandModel,
+    ExpansionStatus,
     Phase,
+    demand,
+    expansion_at,
     optimal_expansion,
     optimal_price,
+    price_at,
     unconstrained_peak_revenue,
 )
 from vrpplan import cli, grid_model
 from vrpplan.equilibrium import solve_long_run_limit
-from vrpplan.errors import InfeasiblePeriodError
+from vrpplan.errors import InfeasiblePeriodError, VrpError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
+from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.scenario import baseline_scenario
 from vrpplan.trajectory import (
+    ReachabilityCertificate,
     SimulationConfig,
     Termination,
     certify_monotone_reachability,
@@ -63,6 +72,116 @@ def bumped_cost_model(bump: float, invest_cost: float, q_lo: float = 0.5):
         invest_cost=invest_cost,
         domain=domain,
     )
+
+
+def drawn_model(kind: CurveKind, rng: np.random.Generator) -> tuple[DemandModel, GridModel]:
+    """Every curve of one kind: decaying e and pi, rising f, random costs and k.
+
+    The polynomial f turns negative past 4/rate, so some draws hold states
+    that cannot be priced.
+    """
+    hi = rng.uniform(8.0, 16.0)
+    e0, e_rate, f_max, f_rate, pi0, pi_rate = rng.uniform(
+        (0.2, 0.02, 3.0, 0.08, 60.0, 0.02), (0.6, 0.12, 12.0, 0.3, 150.0, 0.1)
+    )
+    knots = np.linspace(0.0, hi, 97)
+
+    def curve(shape, exponential, polynomial):
+        if kind is CurveKind.TABULATED:
+            return GridCurve(kind, table=tuple((float(q), shape(q)) for q in knots))
+        return GridCurve(kind, exponential if kind is CurveKind.EXPONENTIAL_DECAY else polynomial)
+
+    model = GridModel(
+        emissions=curve(
+            lambda q: e0 * math.exp(-e_rate * q), (e0, e_rate), (e0, -e0 / (2.0 * hi))
+        ),
+        delivered=curve(
+            lambda q: f_max * (1.0 - math.exp(-f_rate * q)),
+            (f_max, -f_rate / 10.0),
+            (f_max * f_rate, -f_max * f_rate**2 / 4.0),
+        ),
+        energy_value=curve(
+            lambda q: pi0 * math.exp(-pi_rate * q), (pi0, pi_rate), (pi0, -pi0 / (2.0 * hi))
+        ),
+        cost_renewable=CostSpec(*rng.uniform((5.0, 0.5), (30.0, 6.0))),
+        cost_system=CostSpec(*rng.uniform((3.0, 0.3), (15.0, 2.0))),
+        invest_cost=rng.uniform(30.0, 3000.0),
+        domain=(0.0, hi),
+    )
+    return DemandModel(*rng.uniform((6.0, 0.003), (16.0, 0.007))), model
+
+
+class TestArrayDecisions:
+    """An array state gives the scalar decisions, but for ulps of np.exp and
+    np.log against math.exp and math.log, and fails as the scalar path does."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(CurveKind))
+    @settings(max_examples=60, deadline=None)
+    def test_array_matches_scalar(self, seed, kind):
+        dm, model = drawn_model(kind, np.random.default_rng(seed))
+        k = model.invest_cost
+        qs = np.linspace(0.05, 1.0, 64) * model.domain[1]
+        s = model.state(qs)
+        states = [model.state(float(q)) for q in qs]
+        try:
+            scalar = [(price_at(dm, t), expansion_at(dm, t, k)) for t in states]
+        except VrpError as exc:
+            for decide in (lambda: price_at(dm, s), lambda: expansion_at(dm, s, k)):
+                with pytest.raises(type(exc)):
+                    decide()
+            return
+        price, binding = price_at(dm, s)
+        expansion, status = expansion_at(dm, s, k)
+        assert binding.tolist() == [p.deliverability_binding for p, _ in scalar]
+        assert status.tolist() == [x.status for _, x in scalar]
+        np.testing.assert_allclose(price, [p.price for p, _ in scalar], rtol=2e-15, atol=0.0)
+        # (R* - C)/k, to a few ulps of the largest term in R* - C
+        scale = [
+            max(1.0, p.price * demand(dm, p.price, t.e), t.C_S + t.C_R, abs(t.f * t.pi)) / k
+            for (p, _), t in zip(scalar, states)
+        ]
+        errors = np.abs(expansion - [x.expansion for _, x in scalar])
+        assert np.all(errors <= 4e-15 * np.array(scale))
+        if ExpansionStatus.INFEASIBLE in status:
+            with pytest.raises(InfeasiblePeriodError):
+                reach_map(dm, model, qs)
+        else:
+            reach = [reach_map(dm, model, float(q)) for q in qs]
+            np.testing.assert_allclose(reach_map(dm, model, qs), reach, rtol=2e-15, atol=0.0)
+            assert max_feasible_expansion(dm, model, qs).tolist() == expansion.tolist()
+
+
+class TestInfeasibleWindow:
+    """Revenue falls short of cost on a window inside [q_init, Q*)."""
+
+    @pytest.fixture()
+    def window(self):
+        model = bumped_cost_model(100.0, 30.0)
+        result = solve_long_run_limit(DM, model)
+        qs = np.linspace(0.5, result.capacity_limit, 400, endpoint=False)
+        _, status = expansion_at(DM, model.state(qs), model.invest_cost)
+        assert ExpansionStatus.INFEASIBLE in status
+        return model, result
+
+    def test_certificate_and_enumeration_raise(self, window):
+        model, result = window
+        with pytest.raises(InfeasiblePeriodError):
+            certify_monotone_reachability(DM, model, q_init=0.5, equilibrium=result)
+        # a certificate passed in, so the error comes from the enumerated states
+        holding = ReachabilityCertificate(True, 0.0, 0.5, 1.0, 0.0, 0.0, 0)
+        with pytest.raises(InfeasiblePeriodError):
+            enumerate_and_compare(
+                DM, model, SimulationConfig(0.5, 10), EnumerationConfig(4, 3), result, holding
+            )
+
+    def test_verify_exits_3(self, window, tmp_path, capsys):
+        doc = baseline_scenario().to_dict()
+        doc.update(grid=window[0].to_dict(), demand=DM.to_dict())
+        doc["simulation"]["q_init"] = 0.5
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--scenario", str(path)]) == 3
+        assert "revenue cannot cover cost" in capsys.readouterr().err
 
 
 class TestMaxFeasibleExpansion:
