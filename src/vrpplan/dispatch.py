@@ -9,13 +9,19 @@ No transmission, storage, reserves, or ramping: wind serves load first
 (curtailing any excess), thermal units fill the residual in marginal-cost
 order, and the clearing price is the cost of the last unit running (zero in
 hours wind covers everything).
+
+:func:`merit_order_dispatch` is the hourly reference.  :func:`calibrate_grid`
+sums emissions and prices by each hour's marginal unit instead, walked down as
+the sweep's wind lowers the residual load, with no units x hours array.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -33,10 +39,10 @@ class FleetUnit:
     emission_rate: float  # ton-CO2/MWh
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError("unit capacity must be positive")
-        if self.marginal_cost < 0 or self.emission_rate < 0:
-            raise ValueError("marginal cost and emission rate must be nonnegative")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError("unit capacity must be positive and finite")
+        if not (0 <= self.marginal_cost < math.inf and 0 <= self.emission_rate < math.inf):
+            raise ValueError("marginal cost and emission rate must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -71,15 +77,16 @@ class HourlyProfiles:
     wind_cf: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "load", tuple(float(x) for x in self.load))
-        object.__setattr__(self, "wind_cf", tuple(float(x) for x in self.wind_cf))
+        object.__setattr__(self, "load", tuple(map(float, self.load)))
+        object.__setattr__(self, "wind_cf", tuple(map(float, self.wind_cf)))
         if len(self.load) != len(self.wind_cf):
             raise ValueError("load and wind_cf profiles must have equal length")
         if not self.load:
             raise ValueError("profiles must not be empty")
-        if min(self.load) <= 0:
-            raise ValueError("load must be strictly positive")
-        if min(self.wind_cf) < 0 or max(self.wind_cf) > 1:
+        load, cf = self._arrays
+        if not (np.isfinite(load).all() and load.min() > 0):
+            raise ValueError("load must be finite and strictly positive")
+        if not (cf.min() >= 0 and cf.max() <= 1):  # false for NaN
             raise ValueError("wind capacity factors must lie in [0, 1]")
 
     @cached_property
@@ -114,50 +121,41 @@ class HourlyDispatch:
     unit_generation: np.ndarray  # units x hours, GW
 
 
-def merit_order_dispatch(
-    fleet: FleetSpec,
-    profiles: HourlyProfiles,
-    wind_capacity: float,
-    out: np.ndarray | None = None,
-) -> HourlyDispatch:
-    """Dispatch every hour: wind first, thermal in merit order for the rest.
-
-    ``out``, a units x hours array, receives the unit generation in place of
-    a new array; a capacity sweep passes one buffer to every call.
-    """
+def _serve_wind(fleet: FleetSpec, profiles: HourlyProfiles, wind_capacity: float):
+    """Hourly available wind, served wind and residual load; raise on a shortage."""
     if wind_capacity < 0:
         raise ValueError("wind capacity must be nonnegative")
     load, cf = profiles._arrays
-    caps, mcs, ers, cumcap = fleet._arrays
-
     available = wind_capacity * cf
     wind_served = np.minimum(available, load)
-    curtailment = available - wind_served
     residual = load - wind_served
-
-    over = residual > cumcap[-1] + scaled(ROUNDING_TOL, cumcap[-1])
+    top = fleet.total_capacity
+    over = residual > top + scaled(ROUNDING_TOL, top)
     if np.any(over):
         hour = int(np.argmax(over))
-        raise DispatchShortageError(hour, float(residual[hour]), fleet.total_capacity)
+        raise DispatchShortageError(hour, float(residual[hour]), top)
+    return available, wind_served, residual
 
+
+def merit_order_dispatch(
+    fleet: FleetSpec, profiles: HourlyProfiles, wind_capacity: float
+) -> HourlyDispatch:
+    """Dispatch every hour: wind first, thermal in merit order for the rest."""
+    available, wind_served, residual = _serve_wind(fleet, profiles, wind_capacity)
+    caps, mcs, ers, cumcap = fleet._arrays
     below = np.concatenate([[0.0], cumcap[:-1]])
-    unit_generation = np.subtract(residual[None, :], below[:, None], out=out)
+    unit_generation = residual[None, :] - below[:, None]
     np.clip(unit_generation, 0.0, caps[:, None], out=unit_generation)
-
-    marginal = np.searchsorted(cumcap, residual, side="left")
-    marginal = np.minimum(marginal, len(caps) - 1)
-    # wind is marginal where the residual load is rounding-size
-    prices = np.where(residual <= ROUNDING_TOL, 0.0, mcs[marginal])
-
-    emissions = ers @ unit_generation
-
+    # the unit serving each hour's last MW; the last unit past the fleet's edge
+    marginal = np.minimum(np.searchsorted(cumcap, residual, side="left"), len(caps) - 1)
     return HourlyDispatch(
         wind_capacity=wind_capacity,
         wind_served=wind_served,
-        curtailment=curtailment,
+        curtailment=available - wind_served,
         thermal=residual,
-        prices=prices,
-        emissions=emissions,
+        # wind is marginal where the residual load is rounding-size
+        prices=np.where(residual <= ROUNDING_TOL, 0.0, mcs[marginal]),
+        emissions=ers @ unit_generation,
         unit_generation=unit_generation,
     )
 
@@ -225,6 +223,10 @@ def calibrate_grid(
     8.76 * wind_cf capacity/energy factor.  With no wind on line the weights
     fall back to the wind profile itself (the value of the first marginal MW).
 
+    Each hour's marginal unit is located at the first capacity and walked down
+    as its residual load falls.  f and pi equal the sums over
+    :func:`merit_order_dispatch` exactly, e within rounding.
+
     Tiny monotonicity violations in e and pi (sampling noise in the weighted
     price) are smoothed by decreasing isotonic regression and flagged.
     """
@@ -237,45 +239,47 @@ def calibrate_grid(
         raise ValueError("wind_cf must lie in (0, 1]")
 
     load, profile_cf = profiles._arrays
+    caps, mcs, ers, cumcap = fleet._arrays
     total_load = float(np.sum(load))
-    hours = profiles.hours
-
-    # one units x hours buffer for the sweep: a fresh 2 MB array per capacity
-    # costs page faults, and their number depends on the allocator's state
-    generation = np.empty((len(fleet.units), hours))
+    below = np.concatenate([[0.0], cumcap[:-1]])
+    floor = np.concatenate([[-np.inf], cumcap[:-1]])  # no unit below unit 0
+    full_below = np.concatenate([[0.0], np.cumsum(ers * caps)[:-1]])  # emissions under each unit
+    # residuals only fall as Q grows: check the fleet at the first capacity and
+    # locate each hour's marginal unit there, then walk it down the sweep
+    residual = _serve_wind(fleet, profiles, qs[0])[2]
+    marginal = np.minimum(np.searchsorted(cumcap, residual, side="left"), len(caps) - 1)
     e_vals, f_vals, pi_vals = [], [], []
     for q in qs:
-        result = merit_order_dispatch(fleet, profiles, q, out=generation)
-        e_vals.append(float(np.sum(result.emissions)) / total_load)
-        f_vals.append(float(np.sum(result.wind_served)) / (hours * wind_cf))
-        weights = result.wind_served if np.sum(result.wind_served) > 0 else profile_cf
-        price_energy = float(np.sum(result.prices * weights) / np.sum(weights))
+        wind_served = np.minimum(q * profile_cf, load)
+        residual = load - wind_served
+        while True:
+            down = residual <= floor[marginal]
+            if not down.any():
+                break
+            marginal -= down
+        marginal_output = np.minimum(residual, cumcap[-1]) - below[marginal]
+        emissions = full_below[marginal] + ers[marginal] * marginal_output
+        prices = np.where(residual <= ROUNDING_TOL, 0.0, mcs[marginal])
+        served = np.sum(wind_served)
+        e_vals.append(float(np.sum(emissions)) / total_load)
+        f_vals.append(float(served) / (profiles.hours * wind_cf))
+        weights = wind_served if served > 0 else profile_cf
+        price_energy = float(np.sum(prices * weights) / np.sum(weights))
         pi_vals.append(price_energy * 8.76 * wind_cf)
 
-    e_arr = np.asarray(e_vals)
-    pi_arr = np.asarray(pi_vals)
-    e_iso = _decreasing_isotonic(e_arr)
-    pi_iso = _decreasing_isotonic(pi_arr)
-    e_adjusted = bool(np.any(e_iso != e_arr))
-    pi_adjusted = bool(np.any(pi_iso != pi_arr))
+    e_iso = _decreasing_isotonic(np.asarray(e_vals)).tolist()
+    pi_iso = _decreasing_isotonic(np.asarray(pi_vals)).tolist()
 
-    samples = tuple(
-        (q, float(e), float(f), float(p))
-        for q, e, f, p in zip(qs, e_iso, f_vals, pi_iso)
-    )
+    def curve(values: list[float]) -> gm.GridCurve:
+        return gm.GridCurve(gm.CurveKind.TABULATED, table=tuple(zip(qs, values)))
+
     return CalibrationOutput(
-        samples=samples,
-        emissions_curve=gm.GridCurve(
-            gm.CurveKind.TABULATED, table=tuple((q, float(e)) for q, e in zip(qs, e_iso))
-        ),
-        delivered_curve=gm.GridCurve(
-            gm.CurveKind.TABULATED, table=tuple((q, f) for q, f in zip(qs, f_vals))
-        ),
-        energy_value_curve=gm.GridCurve(
-            gm.CurveKind.TABULATED, table=tuple((q, float(p)) for q, p in zip(qs, pi_iso))
-        ),
-        emissions_adjusted=e_adjusted,
-        energy_value_adjusted=pi_adjusted,
+        samples=tuple(zip(qs, e_iso, f_vals, pi_iso)),
+        emissions_curve=curve(e_iso),
+        delivered_curve=curve(f_vals),
+        energy_value_curve=curve(pi_iso),
+        emissions_adjusted=e_iso != e_vals,
+        energy_value_adjusted=pi_iso != pi_vals,
     )
 
 
@@ -356,39 +360,63 @@ FLEET_CSV_COLUMNS = ("capacity_gw", "mc_usd_per_mwh", "er_ton_per_mwh")
 PROFILE_CSV_COLUMNS = ("hour", "load_gw", "wind_cf")
 
 
+def _read_csv(path, columns: tuple[str, ...], kind: str) -> tuple[list[int], np.ndarray]:
+    """Line numbers of a CSV file's nonblank rows, and its named columns as finite floats."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = set(columns) - set(header)
+        if missing:
+            raise ValueError(f"{path}: missing {kind} columns {sorted(missing)}")
+        index = [header.index(c) for c in columns]
+        cells = itemgetter(*index)
+        lines, values = [], []
+        for row in reader:
+            if not row:
+                continue
+            lines.append(reader.line_num)
+            try:
+                values.extend(map(float, cells(row)))
+            except (IndexError, ValueError):
+                for column, i in zip(columns, index):
+                    text = row[i] if i < len(row) else ""
+                    try:
+                        float(text)
+                    except ValueError:
+                        message = f"line {lines[-1]}: column {column}: not a number: {text!r}"
+                        raise ValueError(f"{path}: {message}") from None
+    table = np.array(values).reshape(-1, len(columns))
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, at = bad[0]
+        raise ValueError(f"{path}: line {lines[row]}: column {columns[at]}: not finite: {table[row, at]}")
+    return lines, table.T
+
+
 def read_fleet_csv(path) -> FleetSpec:
     """Fleet CSV with header capacity_gw, mc_usd_per_mwh, er_ton_per_mwh."""
-    units = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(FLEET_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing fleet columns {sorted(missing)}")
-        for row in reader:
-            units.append(
-                FleetUnit(
-                    capacity=float(row["capacity_gw"]),
-                    marginal_cost=float(row["mc_usd_per_mwh"]),
-                    emission_rate=float(row["er_ton_per_mwh"]),
-                )
-            )
-    return FleetSpec(units=tuple(units))
+    _, columns = _read_csv(path, FLEET_CSV_COLUMNS, "fleet")
+    try:
+        return FleetSpec(units=tuple(FleetUnit(*row) for row in columns.T.tolist()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_profiles_csv(path) -> HourlyProfiles:
-    """Profile CSV with header hour, load_gw, wind_cf; rows sorted by hour."""
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(PROFILE_CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing profile columns {sorted(missing)}")
-        for row in reader:
-            rows.append((int(row["hour"]), float(row["load_gw"]), float(row["wind_cf"])))
-    rows.sort(key=lambda r: r[0])
-    return HourlyProfiles(
-        load=tuple(r[1] for r in rows), wind_cf=tuple(r[2] for r in rows)
-    )
+    """Profile CSV with header hour, load_gw, wind_cf; hours 0..n-1, each once."""
+    lines, (hours, load, cf) = _read_csv(path, PROFILE_CSV_COLUMNS, "profile")
+    order = np.argsort(hours, kind="stable")
+    wrong = hours[order] != np.arange(len(hours))
+    if wrong.any():
+        k = int(np.argmax(wrong))  # sorted, the hours must run 0, 1, ..., n - 1
+        raise ValueError(f"{path}: line {lines[order[k]]}: column hour: hour {hours[order[k]]:g} stands where "
+                         f"{k} belongs in 0..{len(hours) - 1}, each once")
+    if len(cf) and not cf.any():
+        raise ValueError(f"{path}: column wind_cf: zero in every hour, so wind has no energy value")
+    try:
+        return HourlyProfiles(load=tuple(load[order].tolist()), wind_cf=tuple(cf[order].tolist()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_fleet_csv(fleet: FleetSpec, path) -> None:

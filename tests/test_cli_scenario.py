@@ -16,6 +16,7 @@ import vrpplan
 from vrpplan import equilibrium, trajectory
 from vrpplan.cli import main
 from vrpplan.demand_pricing import DemandModel
+from vrpplan.dispatch import default_fleet, default_profiles, write_fleet_csv, write_profiles_csv
 from vrpplan.errors import ScenarioError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.scenario import (
@@ -426,6 +427,47 @@ class TestMalformedInput:
         assert main(["price", "--scenario", str(scenario), "3.0"]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+
+class TestCalibrationCsvInput:
+    @pytest.mark.parametrize(
+        "filename, line, column, value",
+        [
+            ("profiles.csv", 4, "wind_cf", None),
+            ("fleet.csv", 3, "er_ton_per_mwh", None),
+            ("profiles.csv", 4, "load_gw", "inf"),
+            ("profiles.csv", 4, "load_gw", "nan"),
+            ("profiles.csv", 4, "wind_cf", "nan"),
+            ("fleet.csv", 3, "mc_usd_per_mwh", "nan"),
+            ("profiles.csv", 6, "hour", "3"),
+            ("profiles.csv", None, "wind_cf", "0.0"),
+        ],
+        ids=["short-profile-row", "short-fleet-row", "inf-load", "nan-load", "nan-wind-cf",
+             "nan-marginal-cost", "duplicate-hour", "zero-wind"],
+    )
+    def test_calibrate_names_the_file_and_column(self, tmp_path, capsys, filename, line, column, value):
+        # each once ended in a traceback, in exit 3, in exit 0 or in a message naming an output curve
+        fleet, profiles = tmp_path / "fleet.csv", tmp_path / "profiles.csv"
+        write_fleet_csv(default_fleet(), fleet)
+        write_profiles_csv(default_profiles(hours=48), profiles)
+        path = tmp_path / filename
+        rows = [text.split(",") for text in path.read_text().splitlines()]
+        at = rows[0].index(column)
+        for number, row in enumerate(rows[1:], start=2):
+            if line in (None, number):
+                if value is None:
+                    del row[at:]
+                else:
+                    row[at] = value
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        argv = ["calibrate", "--scenario", BASELINE_PATH, "--fleet", str(fleet), "--profiles", str(profiles)]
+        assert main(argv + ["--q-grid", "4"]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err
+        assert f"column {column}" in captured.err
+        if line is not None:
+            assert f"line {line}" in captured.err
         assert captured.out == ""
 
 

@@ -1,8 +1,11 @@
 """Merit-order dispatch and grid-curve calibration."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression, linprog
 
@@ -51,16 +54,6 @@ class TestMeritOrderDispatch:
         with pytest.raises(DispatchShortageError) as excinfo:
             merit_order_dispatch(fleet, profiles, 0.0)
         assert excinfo.value.hour == 1
-
-    def test_out_buffer_receives_generation(self):
-        fleet = default_fleet()
-        profiles = default_profiles(hours=48)
-        fresh = merit_order_dispatch(fleet, profiles, 3.0)
-        buffer = np.empty((len(fleet.units), profiles.hours))
-        reused = merit_order_dispatch(fleet, profiles, 3.0, out=buffer)
-        assert reused.unit_generation is buffer
-        np.testing.assert_array_equal(buffer, fresh.unit_generation)
-        np.testing.assert_array_equal(reused.emissions, fresh.emissions)
 
     def test_units_sorted_by_marginal_cost(self):
         fleet = FleetSpec(
@@ -194,6 +187,77 @@ class TestCalibration:
             calibrate_grid(fleet, profiles, [0.0, 0.0], 0.35)
         with pytest.raises(ValueError):
             calibrate_grid(fleet, profiles, [0.0, 1.0], 0.0)
+
+
+@st.composite
+def sweeps(draw):
+    """A fleet, profiles and an increasing capacity grid, with ties and exact edges."""
+    # on a lattice of quarters and eighths the arithmetic is exact, so residuals
+    # fall exactly onto cumulative capacities as the wind grows
+    lattice = draw(st.booleans())
+
+    def number(lo, hi, step):
+        if lattice:
+            return st.integers(math.ceil(lo / step), math.floor(hi / step)).map(lambda k: k * step)
+        return st.floats(lo, hi)
+
+    capacity = number(0.25, 5.0, 0.25)
+    pool = draw(st.lists(capacity, min_size=1, max_size=3))
+    units = tuple(
+        FleetUnit(draw(st.one_of(st.sampled_from(pool), capacity)), draw(number(0.0, 200.0, 1.0)),
+                  draw(number(0.0, 1.2, 0.125)))
+        for _ in range(draw(st.integers(1, 12)))
+    )
+    fleet = FleetSpec(units=units)
+    cumcap = np.cumsum([u.capacity for u in fleet.units]).tolist()
+    hours = draw(st.integers(1, 48))
+    # a load on a cumulative capacity, or a rounding step past the whole fleet
+    edges = st.sampled_from([*cumcap, cumcap[-1] * (1 + 5e-13)])
+    load = draw(st.lists(st.one_of(number(0.25, cumcap[-1], 0.25), edges), min_size=hours, max_size=hours))
+    cf = draw(st.lists(st.one_of(st.just(0.0), number(0.0, 1.0, 0.125)), min_size=hours, max_size=hours))
+    assume(any(cf))
+    steps = draw(st.lists(st.one_of(number(1e-3, 3.0, 0.5), number(1e-6, 1e-2, 2.0**-10)), min_size=1, max_size=40))
+    q_grid = np.cumsum([draw(number(0.0, 5.0, 0.5)), *steps]).tolist()
+    assume(all(b > a for a, b in zip(q_grid, q_grid[1:])))
+    return fleet, HourlyProfiles(load=tuple(load), wind_cf=tuple(cf)), q_grid
+
+
+class TestSweepMatchesHourlyDispatch:
+    @given(sweeps())
+    @settings(max_examples=120, deadline=None)
+    def test_sums_over_the_reference_dispatch(self, sweep):
+        fleet, profiles, q_grid = sweep
+        load, cf = np.asarray(profiles.load), np.asarray(profiles.wind_cf)
+        e, f, pi = [], [], []
+        for q in q_grid:
+            hourly = merit_order_dispatch(fleet, profiles, q)
+            e.append(float(np.sum(hourly.emissions)) / float(np.sum(load)))
+            f.append(float(np.sum(hourly.wind_served)) / (profiles.hours * 0.35))
+            weights = hourly.wind_served if np.sum(hourly.wind_served) > 0 else cf
+            pi.append(float(np.sum(hourly.prices * weights) / np.sum(weights)) * 8.76 * 0.35)
+        e_iso, pi_iso = _decreasing_isotonic(np.array(e)), _decreasing_isotonic(np.array(pi))
+
+        calibration = calibrate_grid(fleet, profiles, q_grid, 0.35)
+        assert calibration.emissions_adjusted == bool(np.any(e_iso != np.array(e)))
+        assert calibration.energy_value_adjusted == bool(np.any(pi_iso != np.array(pi)))
+        assert [s[2] for s in calibration.samples] == f
+        assert [s[3] for s in calibration.samples] == pi_iso.tolist()
+        np.testing.assert_allclose([s[1] for s in calibration.samples], e_iso, rtol=1e-13, atol=0)
+
+    def test_sweep_allocates_no_units_by_hours_array(self):
+        rng = np.random.default_rng(3)
+        fleet = FleetSpec(units=tuple(FleetUnit(0.5, float(mc), 0.5) for mc in rng.uniform(5.0, 150.0, 30)))
+        profiles = default_profiles()
+        q_grid = list(np.linspace(0.0, 12.0, 41))
+        calibrate_grid(fleet, profiles, q_grid, 0.35)  # fills the cached input arrays
+        tracemalloc.start()
+        try:
+            calibrate_grid(fleet, profiles, q_grid, 0.35)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one units x hours float array would take 30 * 8760 * 8 B = 2.1 MB
+        assert peak < 1_000_000
 
 
 finite = st.floats(min_value=-1e9, max_value=1e9)
