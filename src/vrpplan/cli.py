@@ -46,7 +46,8 @@ from .errors import (
     ScenarioError,
     ThresholdUnreachableError,
 )
-from .scenario import Scenario, load_scenario, require_finite
+from .scenario import Scenario, load_scenario
+from .serialize import json_number
 from .tolerances import CERTIFY_TOL
 from .units import convert_price_units
 
@@ -113,8 +114,21 @@ def _seed(args, scenario: Scenario) -> int:
     return args.seed if args.seed is not None else scenario.seed
 
 
+def require_finite(value, where: str, path: str = "") -> None:
+    """Name the first NaN, infinity or integer past the float range in a result
+    document, by ``json_number``: no command prints a non-finite number."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            require_finite(item, where, f"{path}.{key}" if path else str(key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            require_finite(item, where, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        json_number(value, f"{where}: {path}")
+
+
 def _emit(doc: dict, args, filename: str) -> None:
-    require_finite(doc, f"{args.command} result", "")
+    require_finite(doc, f"{args.command} result")
     text = json.dumps(doc, indent=2)
     if args.out:
         out_dir = Path(args.out)
@@ -188,7 +202,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     doc = trajectory.to_dict()
     doc["equilibrium"] = trajectory.equilibrium.to_dict()
     doc["reachability_certificate"] = certificate.to_dict()
-    require_finite(doc, "simulate result", "")
+    require_finite(doc, "simulate result")
 
     fmt = args.format or scenario.output
     if args.out:

@@ -20,7 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -61,30 +61,27 @@ class GridCurve:
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if not all(map(math.isfinite, self.coefficients)):
             raise ValueError("curve coefficients must be finite")
-        if self.kind is CurveKind.TABULATED:
-            if self.table is None or len(self.table) < 2:
-                raise ValueError("tabulated curve needs at least 2 points")
-            table = tuple((float(q), float(v)) for q, v in self.table)
-            if not all(math.isfinite(q) and math.isfinite(v) for q, v in table):
-                raise ValueError("tabulated curve entries must be finite")
-            qs = [q for q, _ in table]
-            if any(b <= a for a, b in zip(qs, qs[1:])):
-                raise ValueError("tabulated curve Q values must be strictly increasing")
-            object.__setattr__(self, "table", table)
-        else:
+        if self.kind is not CurveKind.TABULATED:
             if self.table is not None:
                 raise ValueError("parametric curves must not carry a table")
             if self.kind is CurveKind.EXPONENTIAL_DECAY and len(self.coefficients) != 2:
                 raise ValueError("exponential-decay curve takes (amplitude, rate)")
             if self.kind is CurveKind.POLYNOMIAL and not self.coefficients:
                 raise ValueError("polynomial curve needs at least one coefficient")
-
-    @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray, float, float]:
-        """Knot arrays plus the accepted range: the table's ends widened by DOMAIN_TOL."""
-        qs, vs = zip(*self.table)
-        slack = scaled(DOMAIN_TOL, qs[0], qs[-1])
-        return np.asarray(qs), np.asarray(vs), qs[0] - slack, qs[-1] + slack
+            return
+        knots = np.array(self.table, dtype=float)
+        if knots.shape[1:] != (2,) or len(knots) < 2:
+            raise ValueError("tabulated curve needs at least 2 (Q, value) rows")
+        if not np.isfinite(knots).all():
+            raise ValueError("tabulated curve entries must be finite")
+        qs, vs = knots.T.copy()  # contiguous, so np.interp copies neither
+        if not (np.diff(qs) > 0.0).all():
+            raise ValueError("tabulated curve Q values must be strictly increasing")
+        lo, hi = qs[[0, -1]].tolist()
+        slack = scaled(DOMAIN_TOL, lo, hi)
+        object.__setattr__(self, "table", tuple(map(tuple, knots.tolist())))
+        # the knot arrays plus the accepted range: the table's ends widened by DOMAIN_TOL
+        object.__setattr__(self, "_knots", (qs, vs, lo - slack, hi + slack))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -127,12 +124,18 @@ class GridCurve:
     @classmethod
     def from_dict(cls, doc: dict, path: str = "curve") -> "GridCurve":
         kind = CurveKind(doc["kind"])
-        if kind is CurveKind.TABULATED:
-            rows = enumerate(doc["table"])
-            table = tuple(json_numbers(row, f"{path}.table[{i}]") for i, row in rows)
+        if kind is not CurveKind.TABULATED:
+            return cls(kind=kind, coefficients=json_numbers(doc["coefficients"], f"{path}.coefficients"))
+        table = doc["table"]
+        try:
+            # one type check of the entries; the constructor's one array does the rest
+            if not set(map(type, chain.from_iterable(table))) <= {int, float}:
+                raise TypeError("table entries must be numbers")
             return cls(kind=kind, table=table)
-        coefficients = json_numbers(doc["coefficients"], f"{path}.coefficients")
-        return cls(kind=kind, coefficients=coefficients)
+        except (TypeError, ValueError, OverflowError) as exc:
+            for i, row in enumerate(table):  # name the first bad entry, if one is
+                json_numbers(row, f"{path}.table[{i}]")
+            raise ValueError(f"{path}.table: {exc}") from None
 
 
 def _within(q: np.ndarray, lo: float, hi: float, name: str, ends) -> np.ndarray:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,75 +84,52 @@ class Scenario:
         return doc
 
 
-def _require(doc: dict, key: str, where: str):
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        # json errors already carry line/column anchors
+        raise ScenarioError(f"{path}: invalid JSON: {exc}")
+
+
+def _require(doc: dict, key: str):
     if key not in doc:
-        raise ScenarioError(f"{where}: missing required field '{key}'")
+        raise ValueError(f"missing required field '{key}'")
     return doc[key]
-
-
-def require_finite(value, where: str, path: str) -> None:
-    """Reject NaN, infinities and integers past the float range anywhere in a
-    JSON-shaped document, naming the field."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and not abs(value) <= sys.float_info.max:
-        raise ScenarioError(f"{where}: {path} must be a finite number, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            require_finite(item, where, f"{path}.{key}" if path else str(key))
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            require_finite(item, where, f"{path}[{i}]")
 
 
 def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None = None) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"{where}: unsupported schema_version {version!r}")
-    require_finite(doc, where, "")
+    at = where  # the document an error is in: a grid file given by path names itself
     try:
-        grid_doc = _require(doc, "grid", where)
+        grid_doc = _require(doc, "grid")
         if isinstance(grid_doc, str):
-            grid_path = (base_dir or Path(".")) / grid_doc
-            try:
-                grid_doc = json.loads(grid_path.read_text())
-            except OSError as exc:
-                raise ScenarioError(f"{where}: cannot read grid file {grid_path}: {exc}")
-            except json.JSONDecodeError as exc:
-                raise ScenarioError(f"{grid_path}: invalid JSON: {exc}")
-            require_finite(grid_doc, str(grid_path), "grid")
-        grid = GridModel.from_dict(grid_doc)
-        demand = DemandModel.from_dict(_require(doc, "demand", where))
-        simulation = SimulationConfig.from_dict(_require(doc, "simulation", where))
+            at = (base_dir or Path(".")) / grid_doc
+            grid_doc = _read_json(at)
+        grid, at = GridModel.from_dict(grid_doc), where
         bounds = None
         if doc.get("derivative_bounds"):
             bounds = read_numbers(DerivativeBounds, doc["derivative_bounds"], "derivative_bounds")
         return Scenario(
             grid=grid,
-            demand=demand,
-            simulation=simulation,
-            wind_cf=json_number(_require(doc, "wind_cf", where), "wind_cf"),
+            demand=DemandModel.from_dict(_require(doc, "demand")),
+            simulation=SimulationConfig.from_dict(_require(doc, "simulation")),
+            wind_cf=json_number(_require(doc, "wind_cf"), "wind_cf"),
             output=str(doc.get("output", "csv")),
             seed=json_integer(doc.get("seed", 0), "seed"),
             derivative_bounds=bounds,
         )
-    except ScenarioError:
-        raise
     except (LookupError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ScenarioError(f"{at}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read {path}: {exc}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        # json errors already carry line/column anchors
-        raise ScenarioError(f"{path}: invalid JSON: {exc}")
-    return scenario_from_dict(doc, where=str(path), base_dir=path.parent)
+    return scenario_from_dict(_read_json(path), where=str(path), base_dir=path.parent)
 
 
 def save_scenario(scenario: Scenario, path) -> None:

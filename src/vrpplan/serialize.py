@@ -1,8 +1,10 @@
 """One JSON form for records that list their fields in declaration order, and
-readers of JSON numbers that take no string or boolean for a number."""
+readers of JSON numbers that take no string, boolean or non-finite value for a
+number."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import fields
 from enum import Enum
 
@@ -26,9 +28,12 @@ class Serializable:
 
 
 def json_number(value, path: str) -> float:
-    """A JSON number as a float; a string or a boolean is an error naming ``path``."""
+    """A finite JSON number as a float.  A string, a boolean, NaN, an infinity
+    or an integer past the float range is an error naming ``path``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{path} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # false for NaN; exact for any integer
+        raise ValueError(f"{path} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -429,6 +429,44 @@ class TestMalformedInput:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "path, field",
+        [
+            (("grid", "delivered", "table", 7, 1), "grid.delivered.table[7][1]"),
+            (("grid", "emissions", "coefficients", 1), "grid.emissions.coefficients[1]"),
+        ],
+        ids=["table-entry", "coefficient"],
+    )
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "1e999", "1" + "0" * 400, '"0.3"', "true"],
+        ids=["nan", "1e999", "400-digit-integer", "string", "boolean"],
+    )
+    def test_array_entry_names_its_path(self, tmp_path, capsys, path, field, literal):
+        # a table is read as one array; a bad entry must still be named, not lost or a traceback
+        doc = baseline_scenario().to_dict()
+        *parents, key = path
+        target = doc
+        for part in parents:
+            target = target[part]
+        target[key] = "__VALUE__"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc).replace('"__VALUE__"', literal))
+        assert main(["price", "--scenario", str(scenario), "3.0"]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_error_in_grid_file_names_that_file(self, tmp_path, capsys):
+        doc = baseline_scenario().to_dict()
+        doc["grid"]["delivered"]["table"][7][1] = "__VALUE__"
+        (tmp_path / "grid.json").write_text(json.dumps(doc["grid"]).replace('"__VALUE__"', "NaN"))
+        doc["grid"] = "grid.json"
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        assert main(["limit", "--scenario", str(tmp_path / "scenario.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'grid.json'}: grid.delivered.table[7][1] must be a finite number" in err
+
 
 class TestCalibrationCsvInput:
     @pytest.mark.parametrize(
