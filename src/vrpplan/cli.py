@@ -348,6 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=os.environ.get("VRP_LOG_LEVEL", "WARNING"))
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed
+        parser.error(f"argument --seed: must be nonnegative, got {args.seed}")
     try:
         scenario = load_scenario(args.scenario)
         return _HANDLERS[args.command](args, scenario)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CurveDomainError
-from .serialize import Serializable, json_number, json_numbers, plain, read_numbers
+from .serialize import Serializable, json_number, json_numbers, json_typed, plain, read_numbers
 from .tolerances import CERTIFY_TOL, DOMAIN_TOL, ZERO_TOL, scaled
 
 
@@ -49,7 +49,9 @@ class GridCurve:
 
     Tabulated curves are evaluated by monotone piecewise-linear interpolation:
     exact at the knots and monotone between them whenever the knot values are.
-    Coefficients and table entries must be finite.
+    The table is read once, into one float array: its shape, finiteness and
+    strictly increasing Q are checked on that array, which also gives the knot
+    arrays that evaluation uses.  Coefficients and table entries must be finite.
     """
 
     kind: CurveKind
@@ -123,10 +125,10 @@ class GridCurve:
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "curve") -> "GridCurve":
-        kind = CurveKind(doc["kind"])
+        kind = CurveKind(json_typed(doc, dict, path).get("kind"))
         if kind is not CurveKind.TABULATED:
-            return cls(kind=kind, coefficients=json_numbers(doc["coefficients"], f"{path}.coefficients"))
-        table = doc["table"]
+            return cls(kind=kind, coefficients=json_numbers(doc.get("coefficients"), f"{path}.coefficients"))
+        table = json_typed(doc.get("table"), list, f"{path}.table")
         try:
             # one type check of the entries; the constructor's one array does the rest
             if not set(map(type, chain.from_iterable(table))) <= {int, float}:
@@ -134,7 +136,7 @@ class GridCurve:
             return cls(kind=kind, table=table)
         except (TypeError, ValueError, OverflowError) as exc:
             for i, row in enumerate(table):  # name the first bad entry, if one is
-                json_numbers(row, f"{path}.table[{i}]")
+                json_numbers(row, f"{path}.table[{i}]", 2)
             raise ValueError(f"{path}.table: {exc}") from None
 
 
@@ -317,14 +319,15 @@ class GridModel(Serializable):
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "grid") -> "GridModel":
+        json_typed(doc, dict, path)
         return cls(
-            emissions=GridCurve.from_dict(doc["emissions"], f"{path}.emissions"),
-            delivered=GridCurve.from_dict(doc["delivered"], f"{path}.delivered"),
-            energy_value=GridCurve.from_dict(doc["energy_value"], f"{path}.energy_value"),
-            cost_renewable=CostSpec.from_dict(doc["cost_renewable"], f"{path}.cost_renewable"),
-            cost_system=CostSpec.from_dict(doc["cost_system"], f"{path}.cost_system"),
-            invest_cost=json_number(doc["invest_cost"], f"{path}.invest_cost"),
-            domain=tuple(json_number(doc["domain"][i], f"{path}.domain[{i}]") for i in (0, 1)),
+            emissions=GridCurve.from_dict(doc.get("emissions"), f"{path}.emissions"),
+            delivered=GridCurve.from_dict(doc.get("delivered"), f"{path}.delivered"),
+            energy_value=GridCurve.from_dict(doc.get("energy_value"), f"{path}.energy_value"),
+            cost_renewable=CostSpec.from_dict(doc.get("cost_renewable"), f"{path}.cost_renewable"),
+            cost_system=CostSpec.from_dict(doc.get("cost_system"), f"{path}.cost_system"),
+            invest_cost=json_number(doc.get("invest_cost"), f"{path}.invest_cost"),
+            domain=json_numbers(doc.get("domain"), f"{path}.domain", 2),
         )
 
 

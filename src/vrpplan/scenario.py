@@ -16,10 +16,20 @@ Schema (version 1):
     }
 
 ``derivative_bounds`` pins the slope caps used for the conservative
-reachability bound reported by ``verify``; without it the sampled maxima from
-the certificate are used.  Every number must be finite: NaN, the infinities
-and literals that overflow a float (``1e999``, a 400-digit integer) are
-rejected with their field path.
+reachability bound reported by ``verify``; without it (absent or null) the
+sampled maxima from the certificate are used.
+
+Each value is checked once, by the reader of :mod:`vrpplan.serialize` that
+reads it, and an error names its path (``grid.delivered.table[7][1]``) and the
+file it is in, a grid file given by path included.  ``json_number`` reads a
+scalar and rejects NaN, the infinities, literals that overflow a float
+(``1e999``, a 400-digit integer), strings and booleans; ``json_integer`` reads
+``seed`` and ``horizon`` in the same range; ``json_numbers`` reads coefficients,
+the domain and a table row; ``json_typed`` reads a boolean, a string, an object
+or an array.  A table is read as one float array (:class:`GridCurve`), and row
+by row only to name a bad entry.  Keys that no reader reads, such as the
+``calibration`` block ``calibrate`` writes, are ignored: nothing in them
+reaches a solver.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import numpy as np
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
 from .grid_model import CostSpec, CurveKind, GridCurve, GridModel
-from .serialize import Serializable, json_integer, json_number, read_numbers
+from .serialize import Serializable, json_integer, json_number, json_typed, read_numbers
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -64,10 +74,13 @@ class Scenario:
     derivative_bounds: DerivativeBounds | None = None
 
     def __post_init__(self):
+        # ValueError, as from every constructor: scenario_from_dict adds the file
         if not 0.0 < self.wind_cf <= 1.0:
-            raise ScenarioError("wind_cf must lie in (0, 1]")
+            raise ValueError("wind_cf must lie in (0, 1]")
         if self.output not in ("csv", "json"):
-            raise ScenarioError("output must be 'csv' or 'json'")
+            raise ValueError(f"output must be 'csv' or 'json', got {self.output!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def to_dict(self) -> dict:
         doc = {
@@ -89,39 +102,32 @@ def _read_json(path: Path):
         return json.loads(path.read_text())
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        # json errors already carry line/column anchors
+    except ValueError as exc:
+        # syntax errors carry line/column anchors; an integer literal past
+        # Python's 4,300-digit limit is a plain ValueError and carries none
         raise ScenarioError(f"{path}: invalid JSON: {exc}")
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise ValueError(f"missing required field '{key}'")
-    return doc[key]
-
-
 def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None = None) -> Scenario:
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(f"{where}: unsupported schema_version {version!r}")
     at = where  # the document an error is in: a grid file given by path names itself
     try:
-        grid_doc = _require(doc, "grid")
+        version = json_typed(doc, dict, "scenario").get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {version!r}")
+        grid_doc = doc.get("grid")
         if isinstance(grid_doc, str):
             at = (base_dir or Path(".")) / grid_doc
             grid_doc = _read_json(at)
         grid, at = GridModel.from_dict(grid_doc), where
-        bounds = None
-        if doc.get("derivative_bounds"):
-            bounds = read_numbers(DerivativeBounds, doc["derivative_bounds"], "derivative_bounds")
+        bounds = doc.get("derivative_bounds")  # absent or null: no pinned bounds
         return Scenario(
             grid=grid,
-            demand=DemandModel.from_dict(_require(doc, "demand")),
-            simulation=SimulationConfig.from_dict(_require(doc, "simulation")),
-            wind_cf=json_number(_require(doc, "wind_cf"), "wind_cf"),
-            output=str(doc.get("output", "csv")),
+            demand=DemandModel.from_dict(doc.get("demand")),
+            simulation=SimulationConfig.from_dict(doc.get("simulation")),
+            wind_cf=json_number(doc.get("wind_cf"), "wind_cf"),
+            output=doc.get("output", "csv"),
             seed=json_integer(doc.get("seed", 0), "seed"),
-            derivative_bounds=bounds,
+            derivative_bounds=None if bounds is None else read_numbers(DerivativeBounds, bounds, "derivative_bounds"),
         )
     except (LookupError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{at}: {exc}") from exc

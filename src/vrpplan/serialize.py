@@ -1,6 +1,6 @@
 """One JSON form for records that list their fields in declaration order, and
-readers of JSON numbers that take no string, boolean or non-finite value for a
-number."""
+the readers of parsed JSON: each checks one value's JSON type once and names
+the value's path when it is wrong."""
 
 from __future__ import annotations
 
@@ -27,6 +27,17 @@ class Serializable:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "true or false", int: "an integer"}
+
+
+def json_typed(value, kind: type, path: str):
+    """``value`` if its JSON type is ``kind``, one of ``_JSON_TYPES``; a boolean
+    is no integer.  A missing field reads as ``None`` and fails here too."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{path} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def json_number(value, path: str) -> float:
     """A finite JSON number as a float.  A string, a boolean, NaN, an infinity
     or an integer past the float range is an error naming ``path``."""
@@ -38,17 +49,20 @@ def json_number(value, path: str) -> float:
 
 
 def json_integer(value, path: str) -> int:
-    """A JSON integer; a fraction, a string or a boolean is an error naming ``path``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{path} must be an integer, got {value!r}")
+    """A JSON integer, within the float range like every number read."""
+    json_number(json_typed(value, int, path), path)
     return value
 
 
-def json_numbers(values, path: str) -> tuple[float, ...]:
-    """A JSON array of numbers as a tuple of floats."""
+def json_numbers(values, path: str, length: int | None = None) -> tuple[float, ...]:
+    """A JSON array of numbers, of ``length`` entries when given, as a tuple of floats."""
+    json_typed(values, list, path)
+    if length is not None and len(values) != length:
+        raise ValueError(f"{path} must hold {length} numbers, got {values!r}")
     return tuple(json_number(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
 def read_numbers(cls, doc: dict, path: str):
     """A dataclass whose fields are all numbers, from its ``to_dict`` form at ``path``."""
-    return cls(**{f.name: json_number(doc[f.name], f"{path}.{f.name}") for f in fields(cls)})
+    json_typed(doc, dict, path)
+    return cls(**{f.name: json_number(doc.get(f.name), f"{path}.{f.name}") for f in fields(cls)})

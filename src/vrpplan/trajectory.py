@@ -22,7 +22,7 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
 from .errors import InfeasiblePeriodError
-from .serialize import Serializable, json_integer, json_number
+from .serialize import Serializable, json_integer, json_number, json_typed
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 TRAJECTORY_CSV_COLUMNS = ("t", "Q", "p", "q", "gamma", "R", "phase", "e")
@@ -46,17 +46,12 @@ class SimulationConfig(Serializable):
     @classmethod
     def from_dict(cls, doc: dict) -> "SimulationConfig":
         # JSON types, not coercions: int(3.7) would run 3 periods, bool("no") is true
-        horizon = json_integer(doc["horizon"], "simulation.horizon")
-        stop_at_limit = doc.get("stop_at_limit", True)
-        if not isinstance(stop_at_limit, bool):
-            raise ValueError(
-                f"simulation.stop_at_limit must be true or false, got {stop_at_limit!r}"
-            )
+        json_typed(doc, dict, "simulation")
         return cls(
-            q_init=json_number(doc["q_init"], "simulation.q_init"),
-            horizon=horizon,
-            stop_at_limit=stop_at_limit,
-            period_label=str(doc.get("period_label", "year")),
+            q_init=json_number(doc.get("q_init"), "simulation.q_init"),
+            horizon=json_integer(doc.get("horizon"), "simulation.horizon"),
+            stop_at_limit=json_typed(doc.get("stop_at_limit", True), bool, "simulation.stop_at_limit"),
+            period_label=json_typed(doc.get("period_label", "year"), str, "simulation.period_label"),
         )
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,6 +31,7 @@ from vrpplan.trajectory import SimulationConfig, read_trajectory_csv
 from vrpplan.units import convert_price_units, invert_price_units
 
 BASELINE_PATH = "scenarios/baseline.json"
+DROP = object()  # a parametrized value: delete the key instead
 
 
 class TestPriceConversion:
@@ -84,6 +86,13 @@ class TestScenarioFiles:
         path = tmp_path / "broken.json"
         path.write_text('{"schema_version": 1,\n  "grid": }')
         with pytest.raises(ScenarioError, match="line"):
+            load_scenario(path)
+
+    def test_overlong_integer_names_the_file(self, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for this literal
+        path = tmp_path / "long.json"
+        path.write_text('{"schema_version": 1, "seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ScenarioError, match=f"{re.escape(str(path))}: invalid JSON"):
             load_scenario(path)
 
     def test_missing_field(self):
@@ -382,7 +391,7 @@ class TestMalformedInput:
         "path, value, message",
         [
             (("demand", "market_size"), 10**400, "demand.market_size"),
-            (("grid", "domain", 1), None, "index out of range"),
+            (("grid", "domain", 1), DROP, "grid.domain must hold 2 numbers"),
             (("wind_cf",), 1e-320, "price_energy_usd_per_mwh"),
             (("grid", "emissions", "coefficients"), [1e308, -700.0], "overflows"),
             (("demand", "sensitivity"), 1e-320, "demand.sensitivity"),
@@ -394,6 +403,20 @@ class TestMalformedInput:
             (("seed",), True, "seed must be an integer"),
             (("seed",), "7", "seed must be an integer"),
             (("seed",), 3.9, "seed must be an integer"),
+            (("simulation", "period_label"), None, "simulation.period_label must be a string"),
+            (("simulation", "period_label"), 7, "simulation.period_label must be a string"),
+            (("output",), 7, "output must be 'csv' or 'json'"),
+            (("schema_version",), True, "unsupported schema_version True"),
+            (("derivative_bounds",), {}, "derivative_bounds.max_abs_emissions_slope must be a number"),
+            (("derivative_bounds",), False, "derivative_bounds must be an object"),
+            (("grid", "domain"), [0, 12, 99], "grid.domain must hold 2 numbers"),
+            (("grid", "delivered", "table", 7), [0.1], "grid.delivered.table[7] must hold 2 numbers"),
+            (("grid", "delivered", "table", 7), [0.1, 0.2, 0.3], "grid.delivered.table[7] must hold 2 numbers"),
+            (("grid", "delivered", "table"), 5, "grid.delivered.table must be an array"),
+            (("grid", "delivered", "table", 7, 0), 100.0, "grid.delivered.table: tabulated curve Q values"),
+            (("seed",), -1, "seed must be nonnegative"),
+            (("seed",), 10**400, "seed must be a finite number"),
+            (("simulation", "horizon"), 10**400, "simulation.horizon must be a finite number"),
         ],
         ids=[
             "huge-integer",
@@ -409,16 +432,30 @@ class TestMalformedInput:
             "boolean-seed",
             "string-seed",
             "fractional-seed",
+            "null-period-label",
+            "integer-period-label",
+            "integer-output",
+            "boolean-schema-version",
+            "empty-derivative-bounds",
+            "false-derivative-bounds",
+            "three-domain-ends",
+            "short-table-row",
+            "long-table-row",
+            "scalar-table",
+            "unsorted-table",
+            "negative-seed",
+            "huge-seed",
+            "huge-horizon",
         ],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, path, value, message):
-        # each once ended in a traceback or in exit 0 printing inf
+        # each once ended in a traceback, in exit 0 (some printing inf) or in a message naming no field
         doc = baseline_scenario().to_dict()
         *parents, key = path
         target = doc
         for part in parents:
             target = target[part]
-        if value is None:
+        if value is DROP:
             del target[key]
         else:
             target[key] = value
@@ -466,6 +503,31 @@ class TestMalformedInput:
         assert main(["limit", "--scenario", str(tmp_path / "scenario.json")]) == 2
         err = capsys.readouterr().err
         assert f"{tmp_path / 'grid.json'}: grid.delivered.table[7][1] must be a finite number" in err
+
+    @pytest.mark.parametrize("key, value", [("wind_cf", 1.7), ("output", 7), ("seed", -1)])
+    def test_scenario_field_error_names_the_file(self, tmp_path, key, value):
+        doc = baseline_scenario().to_dict()
+        doc[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}: {key} must"):
+            load_scenario(path)
+
+    def test_null_bounds_and_unread_keys_load(self):
+        doc = baseline_scenario().to_dict()
+        doc["derivative_bounds"] = None
+        # calibrate writes this block; no reader reads it, so it reaches no solver
+        doc["grid"]["calibration"] = {"samples": [[math.nan]]}
+        scenario = scenario_from_dict(doc)
+        assert scenario.derivative_bounds is None
+        assert scenario.grid == baseline_scenario().grid
+
+    @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "3"], ["verify", "--horizon", "2"]])
+    def test_negative_seed_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scenario", BASELINE_PATH, *argv[1:], "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed: must be nonnegative" in capsys.readouterr().err
 
 
 class TestCalibrationCsvInput:
