@@ -152,31 +152,55 @@ class ExpansionSolution(NamedTuple):
     status: ExpansionStatus
 
 
-def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolution:
-    """Expansion implied by the binding financial constraint, (R* - C)/k.
+class Decision(NamedTuple):
+    """Every scalar a period's integrated decision at one state reads or makes."""
 
-    Clamped at zero.  Status distinguishes an expanding period, the long-run
+    price: float  # revenue-maximizing premium, M$/GW-yr
+    deliverability_binding: bool  # the price regime: sales capped at f(Q)
+    sales: float  # demand at that price, GW
+    revenue: float  # price * sales, M$/yr
+    cost: float  # non-investment cost C(Q), M$/yr
+    expansion: float  # (R* - C)/k, or 0 unless EXPANDING, GW
+    status: ExpansionStatus
+
+
+def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
+    """The integrated decision at a scalar state: one :func:`price_at`, one
+    :func:`demand` and one revenue/cost tolerance.
+
+    The expansion is the binding financial constraint's (R* - C)/k, clamped
+    at zero.  Status distinguishes an expanding period, the long-run
     equilibrium (|R* - C| within BALANCE_TOL scaled by R* and C), and an
     infeasible period where revenue cannot cover cost even without expansion.
-    An array state gives an array of expansions and one of statuses.
     """
-    price, _ = price_at(dm, s)
-    if isinstance(s.q, np.ndarray):
-        rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
-        cost = s.cost
-        tol = BALANCE_TOL * np.maximum(1.0, np.maximum(np.abs(rev), np.abs(cost)))
-        infeasible, equilibrium = rev < cost - tol, np.abs(rev - cost) <= tol
-        status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
-        status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
-        return ExpansionSolution(np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)
-    rev = revenue(dm, price, s.e)
+    price, binding = price_at(dm, s)
+    sales = demand(dm, price, s.e)
+    rev = price * sales
     cost = s.cost
     tol = scaled(BALANCE_TOL, rev, cost)
     if rev < cost - tol:
-        return ExpansionSolution(0.0, ExpansionStatus.INFEASIBLE)
-    if abs(rev - cost) <= tol:
-        return ExpansionSolution(0.0, ExpansionStatus.EQUILIBRIUM)
-    return ExpansionSolution((rev - cost) / k, ExpansionStatus.EXPANDING)
+        expansion, status = 0.0, ExpansionStatus.INFEASIBLE
+    elif abs(rev - cost) <= tol:
+        expansion, status = 0.0, ExpansionStatus.EQUILIBRIUM
+    else:
+        expansion, status = (rev - cost) / k, ExpansionStatus.EXPANDING
+    return Decision(price, binding, sales, rev, cost, expansion, status)
+
+
+def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolution:
+    """Expansion and status of :func:`decide_at`; an array state gives an
+    array of expansions and one of statuses."""
+    if not isinstance(s.q, np.ndarray):
+        d = decide_at(dm, s, k)
+        return ExpansionSolution(d.expansion, d.status)
+    price, _ = price_at(dm, s)
+    rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
+    cost = s.cost
+    tol = BALANCE_TOL * np.maximum(1.0, np.maximum(np.abs(rev), np.abs(cost)))
+    infeasible, equilibrium = rev < cost - tol, np.abs(rev - cost) <= tol
+    status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
+    status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
+    return ExpansionSolution(np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)
 
 
 def optimal_expansion(dm: DemandModel, model: gm.GridModel, q: float) -> ExpansionSolution:

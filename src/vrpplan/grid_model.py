@@ -17,6 +17,7 @@ analytic (``slope`` of a curve or a cost, :meth:`GridModel.cost_slope`).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -34,6 +35,9 @@ class CurveKind(str, Enum):
     POLYNOMIAL = "parametric-polynomial"
     EXPONENTIAL_DECAY = "parametric-exponential-decay"
     TABULATED = "tabulated"
+
+
+_CURVE_KINDS = tuple(k.value for k in CurveKind)
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,13 @@ class GridCurve:
         qs, vs = knots.T.copy()  # contiguous, so np.interp copies neither
         if not (np.diff(qs) > 0.0).all():
             raise ValueError("tabulated curve Q values must be strictly increasing")
-        lo, hi = qs[[0, -1]].tolist()
-        slack = scaled(DOMAIN_TOL, lo, hi)
-        object.__setattr__(self, "table", tuple(map(tuple, knots.tolist())))
-        # the knot arrays plus the accepted range: the table's ends widened by DOMAIN_TOL
-        object.__setattr__(self, "_knots", (qs, vs, lo - slack, hi + slack))
+        rows = knots.tolist()
+        xs, ys = map(list, zip(*rows))  # the same floats as lists, for a scalar query
+        slack = scaled(DOMAIN_TOL, xs[0], xs[-1])
+        object.__setattr__(self, "table", tuple(map(tuple, rows)))
+        # the knots as arrays and as lists, plus the accepted range: the
+        # table's ends widened by DOMAIN_TOL
+        object.__setattr__(self, "_knots", (qs, vs, xs, ys, xs[0] - slack, xs[-1] + slack))
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -109,7 +115,7 @@ class GridCurve:
             for power, c in reversed(tuple(enumerate(self.coefficients, 1))):
                 acc = acc * q + power * c
             return acc
-        qs, vs, lo, hi = self._knots
+        qs, vs, _, _, lo, hi = self._knots
         at = _within(np.asarray(q, dtype=float), lo, hi, "tabulated", qs)
         i = np.clip(np.searchsorted(qs, at, side="right") - 1, 0, len(qs) - 2)
         slopes = (vs[i + 1] - vs[i]) / (qs[i + 1] - qs[i])
@@ -125,9 +131,16 @@ class GridCurve:
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "curve") -> "GridCurve":
-        kind = CurveKind(json_typed(doc, dict, path).get("kind"))
+        kind = json_typed(doc, dict, path).get("kind")
+        if kind not in _CURVE_KINDS:
+            raise ValueError(f"{path}.kind must be one of {', '.join(map(repr, _CURVE_KINDS))}, got {kind!r}")
+        kind = CurveKind(kind)
         if kind is not CurveKind.TABULATED:
-            return cls(kind=kind, coefficients=json_numbers(doc.get("coefficients"), f"{path}.coefficients"))
+            coefficients = json_numbers(doc.get("coefficients"), f"{path}.coefficients")
+            try:
+                return cls(kind=kind, coefficients=coefficients)
+            except ValueError as exc:  # a wrong number of coefficients
+                raise ValueError(f"{path}.coefficients: {exc}") from None
         table = json_typed(doc.get("table"), list, f"{path}.table")
         try:
             # one type check of the entries; the constructor's one array does the rest
@@ -155,17 +168,23 @@ def eval_curve(curve: GridCurve, q):
     table, a rounding overshoot, at that end; farther out, or at NaN, it
     raises.  So does an exponential curve whose value overflows.  An array
     gives the scalar floats, but for an ulp of ``np.exp`` against ``math.exp``.
+    A table queried at an array goes through ``np.interp``; at a scalar, it
+    bisects the knot lists and applies ``np.interp``'s own formula, so the
+    two give the same bits: the knot's value at a knot and at either end.
     """
     array = isinstance(q, np.ndarray)
     if curve.kind is CurveKind.TABULATED:
-        qs, vs, lo, hi = curve._knots
+        qs, vs, xs, ys, lo, hi = curve._knots
         if array:
             return np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
         if not lo <= q <= hi:
-            raise CurveDomainError(
-                f"Q={q} outside tabulated domain [{qs[0]}, {qs[-1]}]"
-            )
-        return float(np.interp(q, qs, vs))
+            raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
+        j = bisect_right(xs, q) - 1  # xs[j] <= q < xs[j + 1]
+        if j < 0:
+            return ys[0]
+        if j == len(xs) - 1 or xs[j] == q:
+            return ys[j]
+        return float((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (q - xs[j]) + ys[j])
     if curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients
         try:
@@ -208,7 +227,10 @@ class PeriodState(NamedTuple):
     """The grid at one capacity: every number a period's decisions read.
 
     Built by :meth:`GridModel.state`.  Price, revenue, expansion, share,
-    feasibility and phase of the period are arithmetic on these six values.
+    feasibility and phase of the period are arithmetic on these six values:
+    a simulated period builds one state and one
+    :class:`~vrpplan.demand_pricing.Decision` from it, which serve the limit
+    test, the decision, the feasibility check and the record.
     Immutable; a tuple rather than a frozen dataclass because one is built
     per period, and a tuple builds in a third the time.  Built from an array
     of capacities, every field is an array: the oracles' grid in one state.
@@ -256,6 +278,7 @@ class GridModel(Serializable):
     domain: tuple[float, float]
 
     def __post_init__(self):
+        # each message begins with its field's name, which from_dict prefixes with the path
         lo, hi = self.domain
         object.__setattr__(self, "domain", (float(lo), float(hi)))
         if not -math.inf < lo < hi < math.inf:
@@ -320,7 +343,7 @@ class GridModel(Serializable):
     @classmethod
     def from_dict(cls, doc: dict, path: str = "grid") -> "GridModel":
         json_typed(doc, dict, path)
-        return cls(
+        fields = dict(
             emissions=GridCurve.from_dict(doc.get("emissions"), f"{path}.emissions"),
             delivered=GridCurve.from_dict(doc.get("delivered"), f"{path}.delivered"),
             energy_value=GridCurve.from_dict(doc.get("energy_value"), f"{path}.energy_value"),
@@ -329,6 +352,10 @@ class GridModel(Serializable):
             invest_cost=json_number(doc.get("invest_cost"), f"{path}.invest_cost"),
             domain=json_numbers(doc.get("domain"), f"{path}.domain", 2),
         )
+        try:
+            return cls(**fields)
+        except ValueError as exc:  # its message begins with the field's name
+            raise ValueError(f"{path}.{exc}") from None
 
 
 def cost_integrated(model: GridModel, q: float) -> float:

@@ -42,18 +42,17 @@ def required_share(s: gm.PeriodState, rev: float) -> float:
     return share
 
 
-def _peak_revenue(dm: dp.DemandModel, s: gm.PeriodState) -> float:
-    price, _ = dp.price_at(dm, s)
-    rev = dp.revenue(dm, price, s.e)
-    if rev <= 0:
-        raise NoRevenueError(f"maximal revenue {rev} at Q={s.q} is nonpositive")
-    return rev
+def _peak_decision(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.Decision:
+    d = dp.decide_at(dm, s, k)
+    if d.revenue <= 0:
+        raise NoRevenueError(f"maximal revenue {d.revenue} at Q={s.q} is nonpositive")
+    return d
 
 
 def optimal_share(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
     """Smallest revenue share that keeps generators viable: max{0, C_2/R*}."""
     s = model.state(q)
-    return required_share(s, _peak_revenue(dm, s))
+    return required_share(s, _peak_decision(dm, s, model.invest_cost).revenue)
 
 
 def expansion_given_share(
@@ -66,8 +65,7 @@ def expansion_given_share(
     if not 0.0 <= share < 1.0:
         raise ValueError("share must lie in [0, 1)")
     s = model.state(q)
-    price, _ = dp.price_at(dm, s)
-    rev = dp.revenue(dm, price, s.e)
+    rev = dp.decide_at(dm, s, model.invest_cost).revenue
     return max(0.0, ((1.0 - share) * rev - s.C_S) / model.invest_cost)
 
 
@@ -102,36 +100,33 @@ def separated_at(
     and the separated expansion falls short of the integrated benchmark by
     exactly |C_2|/k.
     """
-    price, deliverability_binding = dp.price_at(dm, s)
-    rev = _peak_revenue(dm, s)
+    d = _peak_decision(dm, s, k)  # also the integrated benchmark's expansion
+    rev = d.revenue
     share = required_share(s, rev)
     expansion = max(0.0, ((1.0 - share) * rev - s.C_S) / k)
     if expansion <= ZERO_TOL:  # equilibrium periods carry an exact zero
         expansion = 0.0
-    integrated = dp.expansion_at(dm, s, k)
 
     c_gen = s.cost_generator
     operator_cost = s.C_S + k * expansion
     operator_residual = (1.0 - share) * rev - operator_cost
     generator_residual = share * rev - c_gen
 
-    tol = scaled(BALANCE_TOL, rev, s.cost)
+    tol = scaled(BALANCE_TOL, rev, d.cost)
     feasible = operator_residual >= -tol and generator_residual >= -tol
     financial_binding = abs(operator_residual) <= tol
 
-    equivalent = abs(expansion - integrated.expansion) <= scaled(
-        ZERO_TOL, integrated.expansion
-    )
+    equivalent = abs(expansion - d.expansion) <= scaled(ZERO_TOL, d.expansion)
     if 0.0 < share and expansion > ZERO_TOL:
         aggregation_gap = operator_cost + c_gen - rev
         equivalent = equivalent and abs(aggregation_gap) <= tol
 
     solution = dp.PeriodSolution(
-        price=price,
+        price=d.price,
         expansion=expansion,
         share=share,
         revenue=rev,
-        deliverability_binding=deliverability_binding,
+        deliverability_binding=d.deliverability_binding,
         financial_binding=financial_binding,
         phase=classify_phase(share, expansion, feasible),
     )

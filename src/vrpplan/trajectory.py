@@ -97,14 +97,20 @@ class Trajectory:
         }
 
 
+def _checked(d: dp.Decision, q: float) -> dp.Decision:
+    """``d`` itself, unless revenue cannot cover cost at ``q`` even without expansion."""
+    if d.status is dp.ExpansionStatus.INFEASIBLE:
+        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={q}")
+    return d
+
+
 def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
+    if not isinstance(s.q, np.ndarray):
+        return _checked(dp.decide_at(dm, s, k), s.q).expansion
     expansion, status = dp.expansion_at(dm, s, k)
-    if isinstance(s.q, np.ndarray):
-        infeasible = status == dp.ExpansionStatus.INFEASIBLE
-        if infeasible.any():
-            raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
-    elif status is dp.ExpansionStatus.INFEASIBLE:
-        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q}")
+    infeasible = status == dp.ExpansionStatus.INFEASIBLE
+    if infeasible.any():
+        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
     return expansion
 
 
@@ -220,12 +226,11 @@ def certify_monotone_reachability(
 
 
 def _period_solution(
-    dm: dp.DemandModel, s: gm.PeriodState, k: float, price: float, expansion: float
+    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, cost: float
 ) -> dp.PeriodSolution:
-    """Full per-period telemetry for a (price, expansion) decision at a state."""
-    sales = dp.demand(dm, price, s.e)
+    """Full per-period telemetry for a (price, expansion) decision at a state,
+    given the sales at that price and the state's cost."""
     rev = price * sales
-    cost = s.cost
     share = rs.required_share(s, rev)
     return dp.PeriodSolution(
         price=price,
@@ -240,9 +245,8 @@ def _period_solution(
 
 def period_at(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.PeriodSolution:
     """Integrated single-period optimum at a state with full telemetry."""
-    expansion = _max_feasible(dm, s, k)
-    price, _ = dp.price_at(dm, s)
-    return _period_solution(dm, s, k, price, expansion)
+    d = _checked(dp.decide_at(dm, s, k), s.q)
+    return _period_solution(s, k, d.price, d.expansion, d.sales, d.cost)
 
 
 def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.PeriodSolution:
@@ -251,24 +255,16 @@ def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.
 
 
 def _feasible(
-    dm: dp.DemandModel, s: gm.PeriodState, k: float, price: float, expansion: float, limit: float
+    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, cost: float, limit: float
 ) -> bool:
-    # deliverability, the financial constraint and the no-overbuild cap
-    if price < 0 or expansion < 0:
-        return False
-    sales = dp.demand(dm, price, s.e)
+    # deliverability, the financial constraint and the no-overbuild cap, for a
+    # nonnegative price and expansion
     rev = price * sales
-    cost = s.cost
     return (
         sales <= s.f + scaled(ZERO_TOL, s.f)
         and cost + k * expansion <= rev + scaled(BALANCE_TOL, rev, cost)
         and expansion <= limit - s.q + scaled(ZERO_TOL, limit)
     )
-
-
-def _myopic(dm: dp.DemandModel, s: gm.PeriodState, k: float, limit: float) -> tuple[float, float]:
-    price, _ = dp.price_at(dm, s)
-    return price, min(_max_feasible(dm, s, k), max(0.0, limit - s.q))
 
 
 def myopic_rule(
@@ -277,50 +273,59 @@ def myopic_rule(
     """Per-period rule: optimal price, maximal expansion capped at the limit."""
 
     def decide(t: int, q_state: float) -> tuple[float, float]:
-        return _myopic(dm, model.state(q_state), model.invest_cost, limit)
+        s = model.state(q_state)
+        price, _ = dp.price_at(dm, s)
+        return price, min(_max_feasible(dm, s, model.invest_cost), max(0.0, limit - s.q))
 
     return decide
-
-
-def _at_limit(dm: dp.DemandModel, s: gm.PeriodState, k: float, limit: float) -> bool:
-    # State-based test: both the capacity gap and the revenue/cost gap carry
-    # their own tolerance, and near the limit the financial one is the wider.
-    if s.q >= limit - scaled(ZERO_TOL, limit):
-        return True
-    return dp.expansion_at(dm, s, k).status is dp.ExpansionStatus.EQUILIBRIUM
 
 
 def _simulate(
     dm: dp.DemandModel,
     model: gm.GridModel,
     cfg: SimulationConfig,
-    decide: Callable[[int, gm.PeriodState], tuple[float, float]],
+    policy: Callable[[int, float], tuple[float, float]] | None,
     equilibrium: eqm.EquilibriumResult,
 ) -> Trajectory:
-    # one grid state per period serves the limit test, the decision, the
-    # feasibility check and the record
+    # One grid state and one decision per period serve the limit test, the
+    # myopic step (``policy`` None), the feasibility check and the record.
+    # Another policy's price adds one demand evaluation, unless it is the
+    # decision's; without the limit test such a policy needs no decision.
     limit = equilibrium.capacity_limit
     k = model.invest_cost
+    # both the capacity gap and the revenue/cost gap carry their own tolerance,
+    # and near the limit the financial one is the wider
+    near_limit = limit - scaled(ZERO_TOL, limit)
     records: list[PeriodRecord] = []
     termination = Termination.HORIZON_END
     q_state = cfg.q_init
 
     for t in range(cfg.horizon):
         s = model.state(q_state)
-        if cfg.stop_at_limit and _at_limit(dm, s, k, limit):
-            price, _ = dp.price_at(dm, s)
-            records.append(PeriodRecord(t, s, _period_solution(dm, s, k, price, 0.0)))
+        d = dp.decide_at(dm, s, k) if cfg.stop_at_limit or policy is None else None
+        if cfg.stop_at_limit and (s.q >= near_limit or d.status is dp.ExpansionStatus.EQUILIBRIUM):
+            records.append(PeriodRecord(t, s, _period_solution(s, k, d.price, 0.0, d.sales, d.cost)))
             termination = Termination.REACHED_LIMIT
             break
         try:
-            price, expansion = decide(t, s)
+            if policy is None:
+                price, expansion = d.price, min(_checked(d, s.q).expansion, max(0.0, limit - s.q))
+            else:
+                price, expansion = policy(t, s.q)
         except InfeasiblePeriodError:
             termination = Termination.INFEASIBLE
             break
-        if not _feasible(dm, s, k, price, expansion, limit):
+        if price < 0 or expansion < 0:  # checked first: demand rejects a negative price
             termination = Termination.INFEASIBLE
             break
-        solution = _period_solution(dm, s, k, price, expansion)
+        if d is None or price != d.price:
+            sales, cost = dp.demand(dm, price, s.e), s.cost
+        else:
+            sales, cost = d.sales, d.cost
+        if not _feasible(s, k, price, expansion, sales, cost, limit):
+            termination = Termination.INFEASIBLE
+            break
+        solution = _period_solution(s, k, price, expansion, sales, cost)
         records.append(PeriodRecord(t, s, solution))
         q_state = s.q + solution.expansion  # the exact recorded transition
 
@@ -337,9 +342,7 @@ def simulate_myopic(
     dm: dp.DemandModel, model: gm.GridModel, cfg: SimulationConfig
 ) -> Trajectory:
     """Run the maximal-feasible-expansion policy from the configured state."""
-    result = eqm.solve_long_run_limit(dm, model)
-    k, limit = model.invest_cost, result.capacity_limit
-    return _simulate(dm, model, cfg, lambda t, s: _myopic(dm, s, k, limit), result)
+    return _simulate(dm, model, cfg, None, eqm.solve_long_run_limit(dm, model))
 
 
 def simulate_policy(
@@ -354,8 +357,7 @@ def simulate_policy(
     constraint, and the no-overbuild cap; the first violation truncates the
     trajectory with an infeasible status.
     """
-    result = eqm.solve_long_run_limit(dm, model)
-    return _simulate(dm, model, cfg, lambda t, s: policy(t, s.q), result)
+    return _simulate(dm, model, cfg, policy, eqm.solve_long_run_limit(dm, model))
 
 
 # ---------------------------------------------------------------------------

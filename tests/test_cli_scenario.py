@@ -494,6 +494,31 @@ class TestMalformedInput:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "curve, change, message",
+        [
+            ("emissions", {"kind": "x"}, "grid.emissions.kind must be one of"),
+            ("delivered", {"kind": None}, "grid.delivered.kind must be one of"),
+            ("emissions", {"coefficients": [0.5, 0.1, 0.2]}, "grid.emissions.coefficients: exponential-decay"),
+            ("emissions", {"kind": "parametric-polynomial", "coefficients": []}, "grid.emissions.coefficients: polynomial"),
+            (None, {"domain": [0, 1000]}, "grid.delivered curve does not cover the model domain"),
+            (None, {"domain": [12, 0]}, "grid.domain must satisfy Q_min < Q_max"),
+            (None, {"invest_cost": 0}, "grid.invest_cost must be positive"),
+        ],
+        ids=["unknown-kind", "missing-kind", "three-exponential-coefficients", "no-polynomial-coefficients",
+             "domain-past-table", "reversed-domain", "zero-invest-cost"],
+    )
+    def test_constructor_error_names_its_path(self, tmp_path, capsys, curve, change, message):
+        # a curve's kind and count checks and the model's own checks run in constructors
+        doc = baseline_scenario().to_dict()
+        (doc["grid"] if curve is None else doc["grid"][curve]).update(change)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["limit", "--scenario", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert f"{scenario}: {message}" in captured.err
+        assert captured.out == ""
+
     def test_error_in_grid_file_names_that_file(self, tmp_path, capsys):
         doc = baseline_scenario().to_dict()
         doc["grid"]["delivered"]["table"][7][1] = "__VALUE__"

@@ -20,6 +20,7 @@ from vrpplan.grid_model import (
     eval_curve,
     validate_grid_conditions,
 )
+from vrpplan.tolerances import DOMAIN_TOL, scaled
 
 
 def central_difference(fn, q: float, h: float = 1e-6) -> float:
@@ -91,6 +92,32 @@ class TestEvalCurve:
         for q in (3.0, np.array([0.0, 3.0])):
             with pytest.raises(CurveDomainError, match="overflows"):
                 eval_curve(curve, q)
+
+    @pytest.mark.parametrize("n_knots", [2, 3, 9])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_table_query_has_np_interps_bits(self, n_knots, data):
+        # a scalar query bisects Python lists; np.interp on the knot arrays is the oracle
+        finite = st.floats(min_value=-1e6, max_value=1e6)
+        xs = sorted(data.draw(st.lists(finite, min_size=n_knots, max_size=n_knots, unique=True)))
+        vs = [data.draw(finite)]
+        for _ in xs[1:]:  # repeated values make flat segments
+            vs.append(vs[-1] if data.draw(st.booleans()) else data.draw(finite))
+        curve = GridCurve(CurveKind.TABULATED, table=tuple(zip(xs, vs)))
+        lo, hi = xs[0], xs[-1]
+        slack = scaled(DOMAIN_TOL, lo, hi)
+        points = [lo - slack, hi + slack]
+        points += [lo - slack * data.draw(st.floats(0.0, 1.0)), hi + slack * data.draw(st.floats(0.0, 1.0))]
+        for x in xs:  # every knot and one ulp either side
+            points += [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+        points += data.draw(st.lists(st.floats(lo, hi), min_size=4, max_size=4))
+        knots_q, knots_v = np.array(xs), np.array(vs)
+        for q in points:
+            if not lo - slack <= q <= hi + slack:
+                continue  # a rare ulp past the accepted range: the error tests cover those
+            value = eval_curve(curve, q)
+            assert type(value) is float
+            assert value.hex() == float(np.interp(q, knots_q, knots_v)).hex(), q
 
     @given(
         knots=st.lists(

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from vrpplan.demand_pricing import (
     unconstrained_peak_revenue,
 )
 from vrpplan import cli, grid_model
+from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import solve_long_run_limit
 from vrpplan.errors import InfeasiblePeriodError, VrpError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
@@ -469,6 +471,38 @@ class TestEvaluationCounts:
             evaluations.clear()
             solve_separated_period(baseline_demand, baseline_model, q)
             assert len(evaluations) <= 3
+
+    @pytest.fixture()
+    def decisions(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(dp, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return counted
+
+        for name in ("price_at", "demand"):
+            monkeypatch.setattr(dp, name, counting(name))
+        return calls
+
+    def test_myopic_run_one_decision_per_period(self, baseline_demand, baseline_model, baseline_cfg, decisions):
+        solve_long_run_limit(baseline_demand, baseline_model)
+        limit_calls = Counter(decisions)
+        decisions.clear()
+        trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
+        assert len(trajectory.records) == 157
+        decisions.subtract(limit_calls)
+        assert decisions == {"price_at": 157, "demand": 157}
+
+    def test_separated_period_one_decision_per_call(self, baseline_demand, baseline_model, decisions):
+        for q in (1.0, 3.0, 6.5):
+            decisions.clear()
+            solve_separated_period(baseline_demand, baseline_model, q)
+            assert decisions == {"price_at": 1, "demand": 1}
 
     def test_output_writers_evaluate_nothing(self, baseline_demand, baseline_model, baseline_cfg, evaluations, tmp_path):
         # e and f of each period travel on its record
