@@ -37,9 +37,6 @@ class CurveKind(str, Enum):
     TABULATED = "tabulated"
 
 
-_CURVE_KINDS = tuple(k.value for k in CurveKind)
-
-
 @dataclass(frozen=True)
 class GridCurve:
     """One grid property as an evaluable curve.
@@ -131,9 +128,9 @@ class GridCurve:
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "curve") -> "GridCurve":
-        kind = json_typed(doc, dict, path).get("kind")
-        if kind not in _CURVE_KINDS:
-            raise ValueError(f"{path}.kind must be one of {', '.join(map(repr, _CURVE_KINDS))}, got {kind!r}")
+        kind, kinds = json_typed(doc, dict, path).get("kind"), [k.value for k in CurveKind]
+        if kind not in kinds:
+            raise ValueError(f"{path}.kind must be one of {kinds}, got {kind!r}")
         kind = CurveKind(kind)
         if kind is not CurveKind.TABULATED:
             coefficients = json_numbers(doc.get("coefficients"), f"{path}.coefficients")
