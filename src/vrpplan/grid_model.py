@@ -52,7 +52,8 @@ class GridCurve:
     exact at the knots and monotone between them whenever the knot values are.
     The table is read once, into one float array: its shape, finiteness and
     strictly increasing Q are checked on that array, which also gives the knot
-    arrays that evaluation uses.  Coefficients and table entries must be finite.
+    arrays and lists that evaluation uses.  Coefficients and table entries must
+    be finite.
     """
 
     kind: CurveKind
@@ -181,6 +182,7 @@ def eval_curve(curve: GridCurve, q):
             return ys[0]
         if j == len(xs) - 1 or xs[j] == q:
             return ys[j]
+        # float() keeps a NumPy scalar q from making the result one
         return float((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (q - xs[j]) + ys[j])
     if curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients

@@ -113,8 +113,6 @@ class TestEvalCurve:
         points += data.draw(st.lists(st.floats(lo, hi), min_size=4, max_size=4))
         knots_q, knots_v = np.array(xs), np.array(vs)
         for q in points:
-            if not lo - slack <= q <= hi + slack:
-                continue  # a rare ulp past the accepted range: the error tests cover those
             value = eval_curve(curve, q)
             assert type(value) is float
             assert value.hex() == float(np.interp(q, knots_q, knots_v)).hex(), q
