@@ -159,7 +159,6 @@ class Decision(NamedTuple):
     deliverability_binding: bool  # the price regime: sales capped at f(Q)
     sales: float  # demand at that price, GW
     revenue: float  # price * sales, M$/yr
-    cost: float  # non-investment cost C(Q), M$/yr
     expansion: float  # (R* - C)/k, or 0 unless EXPANDING, GW
     status: ExpansionStatus
 
@@ -184,7 +183,7 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
         expansion, status = 0.0, ExpansionStatus.EQUILIBRIUM
     else:
         expansion, status = (rev - cost) / k, ExpansionStatus.EXPANDING
-    return Decision(price, binding, sales, rev, cost, expansion, status)
+    return Decision(price, binding, sales, rev, expansion, status)
 
 
 def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolution:

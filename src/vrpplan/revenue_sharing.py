@@ -112,7 +112,7 @@ def separated_at(
     operator_residual = (1.0 - share) * rev - operator_cost
     generator_residual = share * rev - c_gen
 
-    tol = scaled(BALANCE_TOL, rev, d.cost)
+    tol = scaled(BALANCE_TOL, rev, s.cost)
     feasible = operator_residual >= -tol and generator_residual >= -tol
     financial_binding = abs(operator_residual) <= tol
 

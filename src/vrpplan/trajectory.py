@@ -105,12 +105,13 @@ def _checked(d: dp.Decision, q: float) -> dp.Decision:
 
 
 def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
-    if not isinstance(s.q, np.ndarray):
-        return _checked(dp.decide_at(dm, s, k), s.q).expansion
     expansion, status = dp.expansion_at(dm, s, k)
-    infeasible = status == dp.ExpansionStatus.INFEASIBLE
-    if infeasible.any():
-        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
+    if isinstance(s.q, np.ndarray):
+        infeasible = status == dp.ExpansionStatus.INFEASIBLE
+        if infeasible.any():
+            raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
+    elif status is dp.ExpansionStatus.INFEASIBLE:
+        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q}")
     return expansion
 
 
@@ -226,11 +227,12 @@ def certify_monotone_reachability(
 
 
 def _period_solution(
-    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, cost: float
+    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float
 ) -> dp.PeriodSolution:
     """Full per-period telemetry for a (price, expansion) decision at a state,
-    given the sales at that price and the state's cost."""
+    given the sales at that price."""
     rev = price * sales
+    cost = s.cost
     share = rs.required_share(s, rev)
     return dp.PeriodSolution(
         price=price,
@@ -246,7 +248,7 @@ def _period_solution(
 def period_at(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.PeriodSolution:
     """Integrated single-period optimum at a state with full telemetry."""
     d = _checked(dp.decide_at(dm, s, k), s.q)
-    return _period_solution(s, k, d.price, d.expansion, d.sales, d.cost)
+    return _period_solution(s, k, d.price, d.expansion, d.sales)
 
 
 def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.PeriodSolution:
@@ -255,11 +257,12 @@ def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.
 
 
 def _feasible(
-    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, cost: float, limit: float
+    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, limit: float
 ) -> bool:
     # deliverability, the financial constraint and the no-overbuild cap, for a
     # nonnegative price and expansion
     rev = price * sales
+    cost = s.cost
     return (
         sales <= s.f + scaled(ZERO_TOL, s.f)
         and cost + k * expansion <= rev + scaled(BALANCE_TOL, rev, cost)
@@ -289,8 +292,8 @@ def _simulate(
 ) -> Trajectory:
     # One grid state and one decision per period serve the limit test, the
     # myopic step (``policy`` None), the feasibility check and the record.
-    # Another policy's price adds one demand evaluation, unless it is the
-    # decision's; without the limit test such a policy needs no decision.
+    # Another policy's price adds one demand evaluation; without the limit
+    # test such a policy needs no decision.
     limit = equilibrium.capacity_limit
     k = model.invest_cost
     # both the capacity gap and the revenue/cost gap carry their own tolerance,
@@ -304,7 +307,7 @@ def _simulate(
         s = model.state(q_state)
         d = dp.decide_at(dm, s, k) if cfg.stop_at_limit or policy is None else None
         if cfg.stop_at_limit and (s.q >= near_limit or d.status is dp.ExpansionStatus.EQUILIBRIUM):
-            records.append(PeriodRecord(t, s, _period_solution(s, k, d.price, 0.0, d.sales, d.cost)))
+            records.append(PeriodRecord(t, s, _period_solution(s, k, d.price, 0.0, d.sales)))
             termination = Termination.REACHED_LIMIT
             break
         try:
@@ -318,14 +321,11 @@ def _simulate(
         if price < 0 or expansion < 0:  # checked first: demand rejects a negative price
             termination = Termination.INFEASIBLE
             break
-        if d is None or price != d.price:
-            sales, cost = dp.demand(dm, price, s.e), s.cost
-        else:
-            sales, cost = d.sales, d.cost
-        if not _feasible(s, k, price, expansion, sales, cost, limit):
+        sales = d.sales if policy is None else dp.demand(dm, price, s.e)
+        if not _feasible(s, k, price, expansion, sales, limit):
             termination = Termination.INFEASIBLE
             break
-        solution = _period_solution(s, k, price, expansion, sales, cost)
+        solution = _period_solution(s, k, price, expansion, sales)
         records.append(PeriodRecord(t, s, solution))
         q_state = s.q + solution.expansion  # the exact recorded transition
 

@@ -504,6 +504,17 @@ class TestEvaluationCounts:
             solve_separated_period(baseline_demand, baseline_model, q)
             assert decisions == {"price_at": 1, "demand": 1}
 
+    @pytest.mark.parametrize("stop_at_limit, expected", [(False, {"demand": 5}), (True, {"price_at": 5, "demand": 10})])
+    def test_policy_run_one_demand_at_its_price(self, baseline_demand, baseline_model, decisions, stop_at_limit, expected):
+        # a policy's own price is evaluated even when it equals the decision's;
+        # the limit test adds one decision per period
+        price = optimal_price(baseline_demand, baseline_model, 0.5).price
+        cfg = SimulationConfig(q_init=0.5, horizon=5, stop_at_limit=stop_at_limit)
+        decisions.clear()
+        trajectory = simulate_policy(baseline_demand, baseline_model, cfg, lambda t, q: (price, 0.0))
+        assert len(trajectory.records) == 5
+        assert decisions == expected
+
     def test_output_writers_evaluate_nothing(self, baseline_demand, baseline_model, baseline_cfg, evaluations, tmp_path):
         # e and f of each period travel on its record
         trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
