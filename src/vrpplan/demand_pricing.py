@@ -153,7 +153,7 @@ class ExpansionSolution(NamedTuple):
 
 
 class Decision(NamedTuple):
-    """Every scalar a period's integrated decision at one state reads or makes."""
+    """The scalars of a period's integrated decision at one state."""
 
     price: float  # revenue-maximizing premium, M$/GW-yr
     deliverability_binding: bool  # the price regime: sales capped at f(Q)
