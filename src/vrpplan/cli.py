@@ -227,18 +227,16 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
 
 def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
     dm, model = scenario.demand, scenario.grid
-    k = model.invest_cost
     states = np.linspace(scenario.simulation.q_init, result.capacity_limit, n_states, endpoint=False)
     worst = 0.0
     checked = 0
-    for q in states:
-        s = model.state(float(q))
-        if dp.expansion_at(dm, s, k).status is not dp.ExpansionStatus.EXPANDING:
+    for q in map(float, states):
+        if dp.optimal_expansion(dm, model, q).status is not dp.ExpansionStatus.EXPANDING:
             continue
-        res = dp.kkt_at(dm, s, k, traj.period_at(dm, s, k), problem="integrated")
+        res = dp.kkt_residuals(dm, model, q, traj.solve_period(dm, model, q), problem="integrated")
         worst = max(worst, res.max_abs_residual)
-        separated, _ = rs.separated_at(dm, s, k)
-        res = dp.kkt_at(dm, s, k, separated, problem="revenue-sharing")
+        separated, _ = rs.solve_separated_period(dm, model, q)
+        res = dp.kkt_residuals(dm, model, q, separated, problem="revenue-sharing")
         worst = max(worst, res.max_abs_residual)
         checked += 1
     return {

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import grid_model as gm
 from .errors import NetZeroGridError, NoSellableCreditsError
-from .serialize import Serializable, read_numbers
+from .serialize import Serializable, read_numbers, record_dict
 from .tolerances import BALANCE_TOL, CERTIFY_TOL, ZERO_TOL, scaled
 
 
@@ -60,8 +60,7 @@ class ExpansionStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class PeriodSolution(Serializable):
+class PeriodSolution(NamedTuple):
     """Optimal decisions and diagnostics for a single period at state Q."""
 
     price: float  # M$/GW-yr
@@ -72,15 +71,7 @@ class PeriodSolution(Serializable):
     financial_binding: bool
     phase: Phase
 
-    def __post_init__(self):
-        if self.phase is Phase.INFEASIBLE:
-            return
-        if self.price < 0 or self.expansion < 0:
-            raise ValueError("price and expansion must be nonnegative")
-        if not 0.0 <= self.share < 1.0:
-            raise ValueError("share must lie in [0, 1)")
-        if self.phase is Phase.EQUILIBRIUM and self.expansion > ZERO_TOL:
-            raise ValueError("an equilibrium period cannot expand")
+    to_dict = record_dict
 
 
 def demand(dm: DemandModel, price: float, e_q: float) -> float:
@@ -282,30 +273,22 @@ def kkt_residuals(
     solution: PeriodSolution,
     problem: str = "integrated",
 ) -> KktResiduals:
-    """:func:`kkt_at` the grid state at capacity ``q``."""
-    return kkt_at(dm, model.state(q), model.invest_cost, solution, problem)
-
-
-def kkt_at(
-    dm: DemandModel,
-    s: gm.PeriodState,
-    k: float,
-    solution: PeriodSolution,
-    problem: str = "integrated",
-) -> KktResiduals:
-    """Check a period solution against the stationarity/slackness system.
+    """Check a period solution at capacity ``q`` against the stationarity/slackness system.
 
     When the solution expands (q* > 0) the multipliers have a closed
     reconstruction: the financial multiplier is 1/k, the sign multipliers
     vanish, and the deliverability multiplier is (p - e/eps)/k when that cap
     binds (zero otherwise).  Under revenue sharing with an interior share the
     generator-budget multiplier equals the financial one.  Without expansion
-    the multipliers are recovered in a nonnegative least-squares sense.
+    the multipliers are recovered in a nonnegative least-squares sense.  A
+    hand-built solution is judged like a solved one; :func:`demand` rejects a
+    negative price.
     """
     if problem not in ("integrated", "revenue-sharing"):
         raise ValueError("problem must be 'integrated' or 'revenue-sharing'")
     sharing = problem == "revenue-sharing"
 
+    s, k = model.state(q), model.invest_cost
     e_q = s.e
     f_q = s.f
     p = solution.price

@@ -231,8 +231,10 @@ class PeriodState(NamedTuple):
     :class:`~vrpplan.demand_pricing.Decision` from it, which serve the limit
     test, the decision, the feasibility check and the record.
     Immutable; a tuple rather than a frozen dataclass because one is built
-    per period, and a tuple builds in a third the time.  Built from an array
-    of capacities, every field is an array: the oracles' grid in one state.
+    per period, and a tuple builds in a third the time.  The same holds for
+    every per-period result (``Decision``, ``PeriodSolution``,
+    ``SharingSolution``, ``PeriodRecord``).  Built from an array of
+    capacities, every field is an array: the oracles' grid in one state.
     """
 
     q: float  # capacity, GW, inside the model domain

@@ -8,23 +8,24 @@ net cost) never subsidizes the operator's budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import demand_pricing as dp
 from . import grid_model as gm
 from .errors import InfeasibleSharingError, NoRevenueError
-from .serialize import Serializable
+from .serialize import record_dict
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 
-@dataclass(frozen=True)
-class SharingSolution(Serializable):
+class SharingSolution(NamedTuple):
     """Optimal share and budget slacks for one period under separated accounts."""
 
     share: float
     operator_budget_residual: float  # (1-gamma)R - (C_S + k q), M$/yr
     generator_budget_residual: float  # gamma R - C_2, M$/yr
     equivalent_to_integrated: bool
+
+    to_dict = record_dict
 
 
 def required_share(s: gm.PeriodState, rev: float) -> float:
@@ -84,14 +85,8 @@ def classify_phase(share: float, expansion: float, feasible: bool) -> dp.Phase:
 def solve_separated_period(
     dm: dp.DemandModel, model: gm.GridModel, q: float
 ) -> tuple[dp.PeriodSolution, SharingSolution]:
-    """:func:`separated_at` the grid state at capacity ``q``."""
-    return separated_at(dm, model.state(q), model.invest_cost)
-
-
-def separated_at(
-    dm: dp.DemandModel, s: gm.PeriodState, k: float
-) -> tuple[dp.PeriodSolution, SharingSolution]:
-    """Solve one period under separated accounts and compare with integrated.
+    """Solve the period at capacity ``q`` under separated accounts and compare
+    with the integrated problem.
 
     Pricing is unchanged (it is a pure revenue problem).  With an interior
     share both budgets bind and their sum recovers the integrated financial
@@ -100,6 +95,7 @@ def separated_at(
     and the separated expansion falls short of the integrated benchmark by
     exactly |C_2|/k.
     """
+    s, k = model.state(q), model.invest_cost
     d = _peak_decision(dm, s, k)  # also the integrated benchmark's expansion
     rev = d.revenue
     share = required_share(s, rev)
@@ -122,18 +118,7 @@ def separated_at(
         equivalent = equivalent and abs(aggregation_gap) <= tol
 
     solution = dp.PeriodSolution(
-        price=d.price,
-        expansion=expansion,
-        share=share,
-        revenue=rev,
-        deliverability_binding=d.deliverability_binding,
-        financial_binding=financial_binding,
-        phase=classify_phase(share, expansion, feasible),
+        d.price, expansion, share, rev, d.deliverability_binding, financial_binding,
+        classify_phase(share, expansion, feasible),
     )
-    sharing = SharingSolution(
-        share=share,
-        operator_budget_residual=operator_residual,
-        generator_budget_residual=generator_residual,
-        equivalent_to_integrated=equivalent,
-    )
-    return solution, sharing
+    return solution, SharingSolution(share, operator_residual, generator_residual, equivalent)

@@ -20,11 +20,17 @@ def plain(value):
     return value
 
 
-class Serializable:
-    """Dataclass mixin: ``to_dict`` maps each field name to its plain value."""
+def record_dict(record) -> dict:
+    """Each field name of a dataclass or a ``NamedTuple`` mapped to its plain value,
+    in declaration order; a ``NamedTuple`` record takes it as ``to_dict``."""
+    names = record._fields if isinstance(record, tuple) else [f.name for f in fields(record)]
+    return {name: plain(getattr(record, name)) for name in names}
 
-    def to_dict(self) -> dict:
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+class Serializable:
+    """Dataclass mixin: ``to_dict`` is :func:`record_dict`."""
+
+    to_dict = record_dict
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "true or false", int: "an integer"}

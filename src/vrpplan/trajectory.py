@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class Termination(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
+class PeriodRecord(NamedTuple):
     t: int
     state: gm.PeriodState  # the grid at this period's capacity
     solution: dp.PeriodSolution
@@ -227,33 +226,25 @@ def certify_monotone_reachability(
 
 
 def _period_solution(
-    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float
+    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, binding: bool
 ) -> dp.PeriodSolution:
     """Full per-period telemetry for a (price, expansion) decision at a state,
-    given the sales at that price."""
+    given the sales and the deliverability regime at that price."""
     rev = price * sales
     cost = s.cost
     share = rs.required_share(s, rev)
+    financial_binding = abs(cost + k * expansion - rev) <= scaled(BALANCE_TOL, rev, cost)
     return dp.PeriodSolution(
-        price=price,
-        expansion=expansion,
-        share=share,
-        revenue=rev,
-        deliverability_binding=sales >= s.f - scaled(ZERO_TOL, s.f),
-        financial_binding=abs(cost + k * expansion - rev) <= scaled(BALANCE_TOL, rev, cost),
-        phase=rs.classify_phase(share, expansion, True),
+        price, expansion, share, rev, binding, financial_binding,
+        rs.classify_phase(share, expansion, True),
     )
 
 
-def period_at(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.PeriodSolution:
-    """Integrated single-period optimum at a state with full telemetry."""
-    d = _checked(dp.decide_at(dm, s, k), s.q)
-    return _period_solution(s, k, d.price, d.expansion, d.sales)
-
-
 def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.PeriodSolution:
-    """:func:`period_at` the grid state at capacity ``q_state``."""
-    return period_at(dm, model.state(q_state), model.invest_cost)
+    """Integrated single-period optimum at capacity ``q_state`` with full telemetry."""
+    s, k = model.state(q_state), model.invest_cost
+    d = _checked(dp.decide_at(dm, s, k), s.q)
+    return _period_solution(s, k, d.price, d.expansion, d.sales, d.deliverability_binding)
 
 
 def _feasible(
@@ -307,7 +298,8 @@ def _simulate(
         s = model.state(q_state)
         d = dp.decide_at(dm, s, k) if cfg.stop_at_limit or policy is None else None
         if cfg.stop_at_limit and (s.q >= near_limit or d.status is dp.ExpansionStatus.EQUILIBRIUM):
-            records.append(PeriodRecord(t, s, _period_solution(s, k, d.price, 0.0, d.sales)))
+            solution = _period_solution(s, k, d.price, 0.0, d.sales, d.deliverability_binding)
+            records.append(PeriodRecord(t, s, solution))
             termination = Termination.REACHED_LIMIT
             break
         try:
@@ -321,11 +313,15 @@ def _simulate(
         if price < 0 or expansion < 0:  # checked first: demand rejects a negative price
             termination = Termination.INFEASIBLE
             break
-        sales = d.sales if policy is None else dp.demand(dm, price, s.e)
+        if policy is None:
+            sales, binding = d.sales, d.deliverability_binding
+        else:  # a policy's own price: the cap binds when sales reach it
+            sales = dp.demand(dm, price, s.e)
+            binding = sales >= s.f - scaled(ZERO_TOL, s.f)
         if not _feasible(s, k, price, expansion, sales, limit):
             termination = Termination.INFEASIBLE
             break
-        solution = _period_solution(s, k, price, expansion, sales)
+        solution = _period_solution(s, k, price, expansion, sales, binding)
         records.append(PeriodRecord(t, s, solution))
         q_state = s.q + solution.expansion  # the exact recorded transition
 

@@ -1,7 +1,6 @@
 """Demand, revenue, closed-form pricing, KKT residuals."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,10 +234,32 @@ class TestKktResiduals:
         dm = DemandModel(market_size=10.0, sensitivity=0.0045)
         model = flat_model(0.45, 5.0, -2.0, invest_cost=10.0)
         solution = solve_period(dm, model, 1.0)
-        wrong = replace(solution, price=solution.price * 1.01)
+        wrong = solution._replace(price=solution.price * 1.01)
         res = kkt_residuals(dm, model, 1.0, wrong, problem="integrated")
         assert abs(res.stationarity_price) > 1e-3
         assert not res.certified
+
+    @staticmethod
+    def _solved(dm, model, q, problem):
+        if problem == "integrated":
+            return solve_period(dm, model, q)
+        return solve_separated_period(dm, model, q)[0]
+
+    @pytest.mark.parametrize("q", [3.0, 6.5])
+    @pytest.mark.parametrize("problem", ["integrated", "revenue-sharing"])
+    def test_hand_built_invalid_solution_judged(self, baseline_demand, baseline_model, q, problem):
+        # a PeriodSolution is a plain tuple: nothing checks it on construction,
+        # so the residuals must reject what the solvers never return
+        solution = self._solved(baseline_demand, baseline_model, q, problem)
+        assert kkt_residuals(baseline_demand, baseline_model, q, solution, problem).certified
+        with pytest.raises(ValueError):
+            kkt_residuals(baseline_demand, baseline_model, q, solution._replace(price=-1.0), problem)
+        wrong = solution._replace(expansion=-0.1)
+        assert not kkt_residuals(baseline_demand, baseline_model, q, wrong, problem).certified
+        if problem == "revenue-sharing":
+            for share in (-0.1, 1.0, 1.5):
+                wrong = solution._replace(share=share)
+                assert not kkt_residuals(baseline_demand, baseline_model, q, wrong, problem).certified
 
     def test_equilibrium_solution_least_squares_route(self):
         dm, model = _exact_revenue_model(200.0)

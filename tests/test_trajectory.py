@@ -24,7 +24,7 @@ from vrpplan.demand_pricing import (
 )
 from vrpplan import cli, grid_model
 from vrpplan import demand_pricing as dp
-from vrpplan.equilibrium import solve_long_run_limit
+from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import InfeasiblePeriodError, VrpError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
@@ -288,6 +288,19 @@ class TestSolvePeriod:
         with pytest.raises(InfeasiblePeriodError):
             solve_period(DM, model, 0.3)
 
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-9, 0.0, 1e-9, 5e-9, 1e-8])
+    def test_binding_is_the_price_regime_at_the_threshold(self, baseline_demand, baseline_model, offset):
+        # within a few 1e-9 above the threshold the optimal sales sit within
+        # ZERO_TOL of f(Q) although the cap is slack: every solver reports the regime
+        q = find_deliverability_threshold(baseline_demand, baseline_model) + offset
+        expected = optimal_price(baseline_demand, baseline_model, q).deliverability_binding
+        assert expected is (offset < 0.0)
+        assert solve_period(baseline_demand, baseline_model, q).deliverability_binding is expected
+        separated, _ = solve_separated_period(baseline_demand, baseline_model, q)
+        assert separated.deliverability_binding is expected
+        run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=q, horizon=1))
+        assert run.records[0].solution.deliverability_binding is expected
+
 
 class TestSimulateMyopic:
     def test_start_at_limit_single_record(self, baseline_demand, baseline_model):
@@ -435,6 +448,36 @@ class TestSerialization:
         assert {"t", "capacity", "price", "expansion", "share", "revenue"} <= set(
             doc["records"][0]
         )
+
+    SOLUTION_FORM = [
+        ("price", float),
+        ("expansion", float),
+        ("share", float),
+        ("revenue", float),
+        ("deliverability_binding", bool),
+        ("financial_binding", bool),
+        ("phase", int),
+    ]
+
+    @staticmethod
+    def _json_form(doc: dict) -> list:
+        return [(key, type(value)) for key, value in json.loads(json.dumps(doc)).items()]
+
+    @pytest.mark.parametrize("q", [3.0, 6.5])
+    def test_period_solution_json_form(self, baseline_demand, baseline_model, q):
+        assert self._json_form(solve_period(baseline_demand, baseline_model, q).to_dict()) == self.SOLUTION_FORM
+        solution, sharing = solve_separated_period(baseline_demand, baseline_model, q)
+        assert self._json_form(solution.to_dict()) == self.SOLUTION_FORM
+        assert self._json_form(sharing.to_dict()) == [
+            ("share", float),
+            ("operator_budget_residual", float),
+            ("generator_budget_residual", float),
+            ("equivalent_to_integrated", bool),
+        ]
+
+    def test_trajectory_record_json_form(self, baseline_demand, baseline_model, baseline_cfg):
+        record = simulate_myopic(baseline_demand, baseline_model, baseline_cfg).to_dict()["records"][0]
+        assert self._json_form(record) == [("t", int), ("capacity", float)] + self.SOLUTION_FORM
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
