@@ -5,80 +5,66 @@ expansion under strict revenue neutrality, allocates revenue between the
 program operator and generators, solves the long-run capacity limit, and
 simulates multi-period deployment with independent brute-force verification
 of every closed-form result.
+
+The names below are imported on first use, from the module listed with them.
+Pricing, sharing and the long-run limit are scalar closed forms and never
+load numpy: the ``price``, ``share`` and ``limit`` commands run without it.
+Numpy is loaded by the first array query: the reachability certificate
+(``simulate``, ``verify``), the oracles (``verify``), dispatch and
+calibration (``calibrate``), and ``baseline_grid_model``.
 """
 
-from .demand_pricing import (
-    DemandModel,
-    ExpansionStatus,
-    KktResiduals,
-    PeriodSolution,
-    Phase,
-    demand,
-    kkt_residuals,
-    optimal_expansion,
-    optimal_price,
-    revenue,
-    unconstrained_peak_revenue,
-)
-from .dispatch import (
-    CalibrationOutput,
-    FleetSpec,
-    FleetUnit,
-    HourlyProfiles,
-    build_grid_model,
-    calibrate_grid,
-    default_fleet,
-    default_profiles,
-    merit_order_dispatch,
-)
-from .equilibrium import (
-    EquilibriumResult,
-    check_k_independence,
-    check_nonvanishing_emissions,
-    find_deliverability_threshold,
-    solve_long_run_limit,
-)
-from .grid_model import (
-    ConditionReport,
-    CostSpec,
-    CurveKind,
-    GridCurve,
-    GridModel,
-    PeriodState,
-    cost_generator,
-    cost_integrated,
-    cost_operator,
-    eval_curve,
-    validate_grid_conditions,
-)
-from .oracles import (
-    DominanceReport,
-    EnumerationConfig,
-    dense_scan_equilibrium,
-    dense_scan_price,
-    enumerate_and_compare,
-)
-from .revenue_sharing import (
-    SharingSolution,
-    classify_phase,
-    expansion_given_share,
-    optimal_share,
-    solve_separated_period,
-)
-from .scenario import Scenario, baseline_demand_model, baseline_grid_model, baseline_scenario, load_scenario
-from .trajectory import (
-    ReachabilityCertificate,
-    SimulationConfig,
-    Termination,
-    Trajectory,
-    certify_monotone_reachability,
-    max_feasible_expansion,
-    reach_map,
-    reachability_lower_bound,
-    simulate_myopic,
-    simulate_policy,
-    solve_period,
-)
-from .units import convert_price_units, invert_price_units
+from importlib import import_module
 
+_EXPORTS = {
+    "demand_pricing": (
+        "DemandModel", "ExpansionStatus", "KktResiduals", "PeriodSolution", "Phase", "demand",
+        "kkt_residuals", "optimal_expansion", "optimal_price", "revenue", "unconstrained_peak_revenue",
+    ),
+    "dispatch": (
+        "CalibrationOutput", "FleetSpec", "FleetUnit", "HourlyProfiles", "build_grid_model",
+        "calibrate_grid", "default_fleet", "default_profiles", "merit_order_dispatch",
+    ),
+    "equilibrium": (
+        "EquilibriumResult", "check_k_independence", "check_nonvanishing_emissions",
+        "find_deliverability_threshold", "solve_long_run_limit",
+    ),
+    "grid_model": (
+        "ConditionReport", "CostSpec", "CurveKind", "GridCurve", "GridModel", "PeriodState",
+        "cost_generator", "cost_integrated", "cost_operator", "eval_curve", "validate_grid_conditions",
+    ),
+    "oracles": (
+        "DominanceReport", "EnumerationConfig", "dense_scan_equilibrium", "dense_scan_price",
+        "enumerate_and_compare",
+    ),
+    "revenue_sharing": (
+        "SharingSolution", "classify_phase", "expansion_given_share", "optimal_share",
+        "solve_separated_period",
+    ),
+    "scenario": ("Scenario", "baseline_demand_model", "baseline_grid_model", "baseline_scenario", "load_scenario"),
+    "trajectory": (
+        "ReachabilityCertificate", "SimulationConfig", "Termination", "Trajectory",
+        "certify_monotone_reachability", "max_feasible_expansion", "reach_map",
+        "reachability_lower_bound", "simulate_myopic", "simulate_policy", "solve_period",
+    ),
+    "units": ("convert_price_units", "invert_price_units"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli", "errors", "serialize", "tolerances"}
+
+__all__ = [*_SOURCE, "__version__"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import an exported name's module, or a submodule, on first use (PEP 562)."""
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -12,6 +12,10 @@ Commands (all take --scenario PATH):
 
 Exit codes: 0 success, 2 validation error, 3 infeasible scenario,
 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics.
+
+``price``, ``share`` and ``limit`` never load numpy.  ``simulate`` loads it for
+the reachability certificate, ``verify`` with the oracles and ``calibrate``
+with dispatch, which their handlers import.
 """
 
 from __future__ import annotations
@@ -24,13 +28,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import demand_pricing as dp
-from . import dispatch
 from . import equilibrium as eqm
 from . import grid_model as gm
-from . import oracles
 from . import revenue_sharing as rs
 from . import trajectory as traj
 from .errors import (
@@ -226,6 +226,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
 
 
 def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
+    import numpy as np
     dm, model = scenario.demand, scenario.grid
     states = np.linspace(scenario.simulation.q_init, result.capacity_limit, n_states, endpoint=False)
     worst = 0.0
@@ -247,6 +248,7 @@ def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: in
 
 
 def _cmd_verify(args, scenario: Scenario) -> int:
+    from . import oracles
     dm, model = scenario.demand, scenario.grid
     conditions = gm.validate_grid_conditions(model, n_samples=args.samples)
     result = eqm.solve_long_run_limit(dm, model)
@@ -300,6 +302,8 @@ def _cmd_verify(args, scenario: Scenario) -> int:
 
 
 def _cmd_calibrate(args, scenario: Scenario) -> int:
+    import numpy as np
+    from . import dispatch
     fleet = dispatch.read_fleet_csv(args.fleet) if args.fleet else dispatch.default_fleet()
     if args.profiles:
         profiles = dispatch.read_profiles_csv(args.profiles)

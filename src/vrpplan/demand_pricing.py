@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from . import grid_model as gm
 from .errors import NetZeroGridError, NoSellableCreditsError
 from .serialize import Serializable, read_numbers, record_dict
@@ -115,7 +113,8 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
     e(Q)/eps * ln(M/f(Q)).  The branches agree where M/e = f(Q).  An array
     state gives arrays, and raises the scalar error of its first failing entry.
     """
-    if isinstance(s.q, np.ndarray):
+    if gm.is_array(s.q):
+        import numpy as np
         bad = (s.e <= 0) | (s.f <= 0)
         if bad.any():  # the scalar path raises for the first failing entry
             price_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)))
@@ -131,6 +130,18 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
     if peak_sales <= s.f:
         return PriceSolution(base, False)
     return PriceSolution(base * math.log(dm.market_size / s.f), True)
+
+
+def deliverability_binds(dm: DemandModel, s: gm.PeriodState, price: float) -> bool:
+    """Whether sales at ``price`` reach f(Q): the price is at most the cap price
+    e(Q)/eps * ln(M/f(Q)).  From the unconstrained price e(Q)/eps up, the cap
+    binds only in :func:`price_at`'s capped regime, so at that function's own
+    price this is its flag, whoever chose the price.  With f(Q) <= 0 it binds
+    at every price."""
+    base = s.e / dm.sensitivity
+    if price >= base and dm.market_size * math.exp(-1.0) <= s.f:  # price_at's regime test
+        return False
+    return s.f <= 0 or price <= base * math.log(dm.market_size / s.f)
 
 
 def optimal_price(dm: DemandModel, model: gm.GridModel, q: float) -> PriceSolution:
@@ -180,9 +191,10 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
 def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolution:
     """Expansion and status of :func:`decide_at`; an array state gives an
     array of expansions and one of statuses."""
-    if not isinstance(s.q, np.ndarray):
+    if not gm.is_array(s.q):
         d = decide_at(dm, s, k)
         return ExpansionSolution(d.expansion, d.status)
+    import numpy as np
     price, _ = price_at(dm, s)
     rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
     cost = s.cost
@@ -252,9 +264,10 @@ class KktResiduals:
         }
 
 
-def _kkt_lstsq(rows: list[list[float]], rhs: list[float]) -> np.ndarray:
+def _kkt_lstsq(rows: list[list[float]], rhs: list[float]):
     """argmin |A x - b| over x >= 0: least squares on each support of x (at most
     2**7 for these systems), keeping the best solution that is nonnegative."""
+    import numpy as np
     a, b = np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float)
     best, best_norm = np.zeros(a.shape[1]), np.linalg.norm(b)
     for support in map(list, itertools.product((False, True), repeat=a.shape[1])):

@@ -17,14 +17,14 @@ analytic (``slope`` of a curve or a cost, :meth:`GridModel.cost_slope`).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import CurveDomainError
 from .serialize import Serializable, json_number, json_numbers, json_typed, plain, read_numbers
@@ -50,10 +50,11 @@ class GridCurve:
 
     Tabulated curves are evaluated by monotone piecewise-linear interpolation:
     exact at the knots and monotone between them whenever the knot values are.
-    The table is read once, into one float array: its shape, finiteness and
-    strictly increasing Q are checked on that array, which also gives the knot
-    arrays and lists that evaluation uses.  Coefficients and table entries must
-    be finite.
+    The table is read once, into two lists of floats, and checked in plain
+    Python: its shape, finiteness and strictly increasing Q.  A scalar query
+    bisects those lists; the knot arrays of an array query are built from them
+    on the first one, so a scalar-only run never loads numpy.  Coefficients and
+    table entries must be finite.
     """
 
     kind: CurveKind
@@ -73,21 +74,25 @@ class GridCurve:
             if self.kind is CurveKind.POLYNOMIAL and not self.coefficients:
                 raise ValueError("polynomial curve needs at least one coefficient")
             return
-        knots = np.array(self.table, dtype=float)
-        if knots.shape[1:] != (2,) or len(knots) < 2:
+        if len(self.table) < 2 or not all(len(row) == 2 for row in self.table):
             raise ValueError("tabulated curve needs at least 2 (Q, value) rows")
-        if not np.isfinite(knots).all():
+        rows = tuple([(float(q), float(v)) for q, v in self.table])
+        xs, ys = map(list, zip(*rows))
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
             raise ValueError("tabulated curve entries must be finite")
-        qs, vs = knots.T.copy()  # contiguous, so np.interp copies neither
-        if not (np.diff(qs) > 0.0).all():
+        if not all(map(float.__lt__, xs, xs[1:])):
             raise ValueError("tabulated curve Q values must be strictly increasing")
-        rows = knots.tolist()
-        xs, ys = map(list, zip(*rows))  # the same floats as lists, for a scalar query
         slack = scaled(DOMAIN_TOL, xs[0], xs[-1])
-        object.__setattr__(self, "table", tuple(map(tuple, rows)))
-        # the knots as arrays and as lists, plus the accepted range: the
-        # table's ends widened by DOMAIN_TOL
-        object.__setattr__(self, "_knots", (qs, vs, xs, ys, xs[0] - slack, xs[-1] + slack))
+        object.__setattr__(self, "table", rows)
+        # the knots as lists, plus the accepted range: the table's ends widened by DOMAIN_TOL
+        object.__setattr__(self, "_knots", (xs, ys, xs[0] - slack, xs[-1] + slack))
+
+    @cached_property
+    def _arrays(self):
+        """The knots as two contiguous float arrays, which ``np.interp`` copies neither of."""
+        import numpy as np
+        xs, ys, _, _ = self._knots
+        return np.array(xs), np.array(ys)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -113,11 +118,13 @@ class GridCurve:
             for power, c in reversed(tuple(enumerate(self.coefficients, 1))):
                 acc = acc * q + power * c
             return acc
-        qs, vs, _, _, lo, hi = self._knots
+        import numpy as np
+        qs, vs = self._arrays
+        _, _, lo, hi = self._knots
         at = _within(np.asarray(q, dtype=float), lo, hi, "tabulated", qs)
         i = np.clip(np.searchsorted(qs, at, side="right") - 1, 0, len(qs) - 2)
         slopes = (vs[i + 1] - vs[i]) / (qs[i + 1] - qs[i])
-        return slopes if isinstance(q, np.ndarray) else float(slopes)
+        return slopes if is_array(q) else float(slopes)
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}
@@ -141,7 +148,7 @@ class GridCurve:
                 raise ValueError(f"{path}.coefficients: {exc}") from None
         table = json_typed(doc.get("table"), list, f"{path}.table")
         try:
-            # one type check of the entries; the constructor's one array does the rest
+            # one type check of the entries; the constructor's one pass does the rest
             if not set(map(type, chain.from_iterable(table))) <= {int, float}:
                 raise TypeError("table entries must be numbers")
             return cls(kind=kind, table=table)
@@ -151,7 +158,12 @@ class GridCurve:
             raise ValueError(f"{path}.table: {exc}") from None
 
 
-def _within(q: np.ndarray, lo: float, hi: float, name: str, ends) -> np.ndarray:
+def is_array(q) -> bool:
+    """Whether ``q`` is an ndarray; numpy need not be loaded, as none exists before it is."""
+    return type(q) is not float and (np := sys.modules.get("numpy")) is not None and isinstance(q, np.ndarray)
+
+
+def _within(q, lo: float, hi: float, name: str, ends):
     """``q`` itself if every entry, never NaN, lies in [lo, hi]; ``ends`` name the domain."""
     outside = ~((q >= lo) & (q <= hi))
     if outside.any():
@@ -170,10 +182,12 @@ def eval_curve(curve: GridCurve, q):
     bisects the knot lists and applies ``np.interp``'s own formula, so the
     two give the same bits: the knot's value at a knot and at either end.
     """
-    array = isinstance(q, np.ndarray)
+    array = is_array(q)
     if curve.kind is CurveKind.TABULATED:
-        qs, vs, xs, ys, lo, hi = curve._knots
+        xs, ys, lo, hi = curve._knots
         if array:
+            import numpy as np
+            qs, vs = curve._arrays
             return np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
         if not lo <= q <= hi:
             raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
@@ -188,6 +202,7 @@ def eval_curve(curve: GridCurve, q):
         amplitude, rate = curve.coefficients
         try:
             if array:
+                import numpy as np
                 with np.errstate(over="raise", invalid="raise"):
                     return amplitude * np.exp(-rate * q)
             return amplitude * math.exp(-rate * q)
@@ -296,7 +311,8 @@ class GridModel(Serializable):
         """``q``, a float or an ndarray, inside the domain; within DOMAIN_TOL
         past an end, that end; farther out, or NaN, an error."""
         lo, hi = self.domain
-        if isinstance(q, np.ndarray):
+        if is_array(q):
+            import numpy as np
             slack = scaled(DOMAIN_TOL, lo, hi)
             return np.clip(_within(q, lo - slack, hi + slack, "model", self.domain), lo, hi)
         if lo <= q <= hi:
@@ -388,6 +404,7 @@ def cost_generator(model: GridModel, q: float) -> float:
 def array_arithmetic(what: str):
     """Array arithmetic that overflows or makes NaN raises CurveDomainError
     naming ``what``, where scalar arithmetic carries inf to the output check."""
+    import numpy as np
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
@@ -430,6 +447,7 @@ def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> Conditio
     nonincreasing; f(0) ~ 0, f nondecreasing and discretely concave; pi
     nonincreasing.
     """
+    import numpy as np
     if n_samples < 3:
         raise ValueError("n_samples must be at least 3")
     lo, hi = model.domain
@@ -437,7 +455,7 @@ def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> Conditio
     s = model.state(qs)
     checks = []
 
-    def check(name: str, at: np.ndarray, bad: np.ndarray) -> None:
+    def check(name: str, at, bad) -> None:
         first = at[bad][:1].tolist()  # the first violating Q, if any
         checks.append(ConditionCheck(name, not first, first[0] if first else None))
 

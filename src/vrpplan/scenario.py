@@ -26,8 +26,8 @@ scalar and rejects NaN, the infinities, literals that overflow a float
 (``1e999``, a 400-digit integer), strings and booleans; ``json_integer`` reads
 ``seed`` and ``horizon`` in the same range; ``json_numbers`` reads coefficients,
 the domain and a table row; ``json_typed`` reads a boolean, a string, an object
-or an array.  A table is read as one float array (:class:`GridCurve`), and row
-by row only to name a bad entry.  Keys that no reader reads, such as the
+or an array.  A table is read in one pass (:class:`GridCurve`), and row by row
+only to name a bad entry.  Keys that no reader reads, such as the
 ``calibration`` block ``calibrate`` writes, are ignored: nothing in them
 reaches a solver.
 """
@@ -38,8 +38,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
@@ -162,6 +160,7 @@ def baseline_grid_model() -> GridModel:
     polynomial nor a plain decay); the captured energy value erodes from
     120 M$/GW-yr with penetration.
     """
+    import numpy as np
     knots = np.linspace(BASELINE_DOMAIN[0], BASELINE_DOMAIN[1], 481)
     delivered = tuple(
         (float(q), float(8.0 * (1.0 - math.exp(-0.12 * q)))) for q in knots

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
@@ -105,7 +103,7 @@ def _checked(d: dp.Decision, q: float) -> dp.Decision:
 
 def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
     expansion, status = dp.expansion_at(dm, s, k)
-    if isinstance(s.q, np.ndarray):
+    if gm.is_array(s.q):
         infeasible = status == dp.ExpansionStatus.INFEASIBLE
         if infeasible.any():
             raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
@@ -162,10 +160,12 @@ def certify_monotone_reachability(
     dm: dp.DemandModel,
     model: gm.GridModel,
     n_samples: int = 200,
-    q_init: float | None = None,
+    *,
+    q_init: float,
     equilibrium: eqm.EquilibriumResult | None = None,
 ) -> ReachabilityCertificate:
-    """Check that the reach map is nondecreasing between the start and the limit.
+    """Check that the reach map is nondecreasing between the start ``q_init``
+    and the limit.
 
     Two routes, both sampled: the derivative-based margin
     1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k with the analytic slopes
@@ -175,11 +175,11 @@ def certify_monotone_reachability(
     uses the unconstrained revenue form throughout, so the direct S samples
     are the decisive check where the deliverability cap still binds.
     """
+    import numpy as np
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     result = equilibrium or eqm.solve_long_run_limit(dm, model)
-    lo = model.domain[0] if q_init is None else q_init
-    hi = result.capacity_limit
+    lo, hi = q_init, result.capacity_limit
     if hi <= lo:
         return ReachabilityCertificate(
             holds=True,
@@ -315,9 +315,8 @@ def _simulate(
             break
         if policy is None:
             sales, binding = d.sales, d.deliverability_binding
-        else:  # a policy's own price: the cap binds when sales reach it
-            sales = dp.demand(dm, price, s.e)
-            binding = sales >= s.f - scaled(ZERO_TOL, s.f)
+        else:  # a policy's own price, under the rule price_at's flag follows
+            sales, binding = dp.demand(dm, price, s.e), dp.deliverability_binds(dm, s, price)
         if not _feasible(s, k, price, expansion, sales, limit):
             termination = Termination.INFEASIBLE
             break

@@ -616,3 +616,42 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def tabulated_baseline(path: Path) -> Path:
+    """The shipped baseline with its emissions and energy-value decays read from 481-knot tables."""
+    scenario = baseline_scenario()
+    grid = scenario.grid
+    qs = [q for q, _ in grid.delivered.table]
+
+    def table(curve: GridCurve) -> GridCurve:
+        return GridCurve(CurveKind.TABULATED, table=tuple((q, curve(q)) for q in qs))
+
+    grid = replace(grid, emissions=table(grid.emissions), energy_value=table(grid.energy_value))
+    save_scenario(replace(scenario, grid=grid), path)
+    return path
+
+
+def test_quick_commands_never_load_numpy(tmp_path):
+    # a fresh interpreter: this one has loaded numpy already
+    tabulated = tabulated_baseline(tmp_path / "tabulated.json")
+    script = f"""
+import contextlib, io, sys
+from vrpplan import cli
+quick = (["price", "3.0"], ["share", "6.5"], ["limit"])
+for path in ({BASELINE_PATH!r}, {str(tabulated)!r}):
+    for argv in quick:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([argv[0], "--scenario", path, *argv[1:]]) == 0, (path, argv)
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+for argv in (["simulate", "--out", {str(tmp_path / "simulate")!r}], ["verify"], ["calibrate"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([argv[0], "--scenario", {BASELINE_PATH!r}, *argv[1:]]) == 0, argv
+assert "numpy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+

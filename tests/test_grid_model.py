@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_curve, flat_model
+from vrpplan.demand_pricing import DemandModel, price_at
 from vrpplan.errors import CurveDomainError
 from vrpplan.grid_model import (
     CostSpec,
@@ -18,6 +19,7 @@ from vrpplan.grid_model import (
     cost_integrated,
     cost_operator,
     eval_curve,
+    is_array,
     validate_grid_conditions,
 )
 from vrpplan.tolerances import DOMAIN_TOL, scaled
@@ -387,3 +389,96 @@ class TestSerialization:
             GridCurve(CurveKind.TABULATED, table=((0.0, 1.0), (2.0, 0.5))),
         ):
             assert GridCurve.from_dict(curve.to_dict()) == curve
+
+
+class TestScalarRouting:
+    """Only an ndarray takes the array path; the test for one needs no numpy."""
+
+    CURVES = (
+        GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0)),
+        GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.4, 0.06)),
+        GridCurve(CurveKind.TABULATED, table=((0.0, 0.0), (2.5, 1.7), (3.0, 2.1), (12.0, 6.0))),
+    )
+
+    @staticmethod
+    def same_float(value, expected: float) -> bool:
+        # np.float64 is a float: a NumPy scalar keeps today's type, never an array
+        return isinstance(value, float) and not is_array(value) and float(value).hex() == expected.hex()
+
+    @pytest.mark.parametrize("q", [3, 3.0, np.float64(3.0), np.int64(3), 2.75, np.float64(2.75)])
+    def test_scalar_capacities_give_the_float_bits(self, baseline_model, q):
+        for curve in self.CURVES:
+            assert self.same_float(eval_curve(curve, q), eval_curve(curve, float(q)))
+        s, expected = baseline_model.state(q), baseline_model.state(float(q))
+        assert s.q == q
+        for name in ("e", "f", "pi", "C_S", "C_R"):
+            assert self.same_float(getattr(s, name), getattr(expected, name)), name
+        dm = DemandModel(market_size=10.0, sensitivity=0.0045)
+        (price, binding), (p0, b0) = price_at(dm, s), price_at(dm, expected)
+        assert self.same_float(price, p0) and binding is b0
+
+    def test_only_ndarrays_route_to_the_array_path(self):
+        assert is_array(np.array([1.0])) and is_array(np.array(1.0))
+        assert not any(map(is_array, (1.0, 1, np.float64(1.0), np.int64(1), [1.0], (1.0,))))
+
+    def test_array_query_bits_do_not_depend_on_a_scalar_query_first(self):
+        table = tuple((0.25 * i, math.sqrt(0.25 * i) + 0.1 * math.sin(i)) for i in range(49))
+        qs = np.linspace(0.0, 12.0, 1001)
+        fresh = GridCurve(CurveKind.TABULATED, table=table)
+        warmed = GridCurve(CurveKind.TABULATED, table=table)
+        scalar = [eval_curve(warmed, float(q)) for q in qs]
+        array = eval_curve(fresh, qs)
+        assert array.tobytes() == eval_curve(warmed, qs).tobytes()
+        assert array.tobytes() == np.interp(qs, *map(np.array, zip(*table))).tobytes()
+        assert array.tolist() == scalar
+        assert fresh.slope(qs).tobytes() == warmed.slope(qs).tobytes()
+
+
+class TestTableCheck:
+    """The table is checked in plain Python, with the wording it always had."""
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (((0.0, 1.0), (1.0,)), r"needs at least 2 \(Q, value\) rows"),
+            (((0.0, 1.0), (1.0, 2.0, 3.0)), r"needs at least 2 \(Q, value\) rows"),
+            (((0.0, 0.3),), r"needs at least 2 \(Q, value\) rows"),
+            ((), r"needs at least 2 \(Q, value\) rows"),
+            (((0.0, 1.0), (1.0, math.nan)), "entries must be finite"),
+            (((math.nan, 1.0), (1.0, 2.0)), "entries must be finite"),
+            (((0.0, 1.0), (1.0, math.inf)), "entries must be finite"),
+            (((-math.inf, 1.0), (1.0, 2.0)), "entries must be finite"),
+            (((0.0, 1.0), (0.0, 2.0)), "Q values must be strictly increasing"),
+            (((0.0, 1.0), (2.0, 2.0), (1.0, 3.0)), "Q values must be strictly increasing"),
+        ],
+    )
+    def test_constructor_message(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            GridCurve(CurveKind.TABULATED, table=table)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0.0, 1.0], [1.0]], r"^grid\.delivered\.table\[1\] must hold 2 numbers, got \[1\.0\]$"),
+            ([[0.0, 1.0], [1.0, 2.0], [2.0, "3"]], r"^grid\.delivered\.table\[2\]\[1\] must be a number"),
+            ([[0.0, 1.0], [1.0, 2.0], [2.0, math.nan]], r"^grid\.delivered\.table\[2\]\[1\] must be a finite"),
+            ([[0.0, 1.0], [10**400, 2.0]], r"^grid\.delivered\.table\[1\]\[0\] must be a finite"),
+            ([[0.0, 1.0], 2.0], r"^grid\.delivered\.table\[1\] must be an array"),
+            (
+                [[0.0, 1.0], [0.0, 2.0]],
+                r"^grid\.delivered\.table: tabulated curve Q values must be strictly increasing$",
+            ),
+            ([[0.0, 1.0]], r"^grid\.delivered\.table: tabulated curve needs at least 2 \(Q, value\) rows$"),
+        ],
+    )
+    def test_from_dict_names_the_first_bad_entry(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            GridCurve.from_dict({"kind": "tabulated", "table": table}, "grid.delivered")
+
+    def test_long_table_round_trips_unchanged(self):
+        rng = np.random.default_rng(7)
+        qs = np.cumsum(rng.uniform(1e-3, 1e-2, 2401)).tolist()
+        doc = {"kind": "tabulated", "table": [[q, v] for q, v in zip(qs, rng.normal(size=2401).tolist())]}
+        curve = GridCurve.from_dict(doc)
+        assert curve.to_dict() == doc
+        assert all(type(v) is float for row in curve.table for v in row)

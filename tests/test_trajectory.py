@@ -275,6 +275,13 @@ class TestReachabilityCertificate:
         assert cert.min_margin < -1e-9
         assert cert.bound_formula_value < 0.0
 
+    def test_start_is_a_required_keyword(self, baseline_demand, baseline_model):
+        # the domain's lower end, the old default start, sells no credits on the baseline
+        with pytest.raises(TypeError, match="q_init"):
+            certify_monotone_reachability(baseline_demand, baseline_model)
+        with pytest.raises(TypeError):
+            certify_monotone_reachability(baseline_demand, baseline_model, 200, 0.5)
+
 
 class TestSolvePeriod:
     def test_baseline_phase_one_state(self, baseline_demand, baseline_model):
@@ -300,6 +307,32 @@ class TestSolvePeriod:
         assert separated.deliverability_binding is expected
         run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=q, horizon=1))
         assert run.records[0].solution.deliverability_binding is expected
+
+    @pytest.mark.parametrize("offset", [-1e-8, -1e-9, 0.0, 1e-9, 5e-9, 1e-8])
+    def test_a_policy_at_the_optimal_price_records_the_regime(self, baseline_demand, baseline_model, offset):
+        # within ZERO_TOL of f(Q), sales at the unconstrained price no longer
+        # decide the flag: the myopic rule run as a policy records the same period
+        q = find_deliverability_threshold(baseline_demand, baseline_model) + offset
+        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
+        cfg = SimulationConfig(q_init=q, horizon=1)
+        direct = simulate_myopic(baseline_demand, baseline_model, cfg)
+        via_policy = simulate_policy(
+            baseline_demand, baseline_model, cfg, myopic_rule(baseline_demand, baseline_model, limit)
+        )
+        assert via_policy.records == direct.records
+        assert via_policy.records[0].solution.deliverability_binding is (offset < 0.0)
+
+    def test_binding_rule_is_the_price_regime_at_the_optimal_price(self, baseline_demand, baseline_model):
+        threshold = find_deliverability_threshold(baseline_demand, baseline_model)
+        qs = [*np.linspace(0.5, 11.5, 221).tolist(), *(threshold + d for d in (-1e-9, 0.0, 1e-9))]
+        for q in qs:
+            s = baseline_model.state(q)
+            price, binding = price_at(baseline_demand, s)
+            assert dp.deliverability_binds(baseline_demand, s, price) is binding, q
+            cap = s.e / baseline_demand.sensitivity * math.log(baseline_demand.market_size / s.f)
+            # at the cap price sales reach f(Q); above it they fall short
+            assert dp.deliverability_binds(baseline_demand, s, cap)
+            assert not dp.deliverability_binds(baseline_demand, s, cap * (1.0 + 1e-12) + 1e-12)
 
 
 class TestSimulateMyopic:
