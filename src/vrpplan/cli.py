@@ -10,8 +10,10 @@ Commands (all take --scenario PATH):
                  enumeration, and KKT residual summary
     calibrate    merit-order dispatch -> grid-model JSON
 
-Exit codes: 0 success, 2 validation error, 3 infeasible scenario,
-4 verification failure.  Set VRP_LOG_LEVEL for diagnostics.
+Exit codes: 0 success; 2 malformed input (a ``VrpError`` that is not an
+``InfeasibleError``, a ``ValueError``, or an OS error naming its path);
+3 infeasible (an ``InfeasibleError``, or ``share`` or ``simulate`` printing an
+infeasible result); 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics.
 
 ``price``, ``share`` and ``limit`` never load numpy.  ``simulate`` loads it for
 the reachability certificate, ``verify`` with the oracles and ``calibrate``
@@ -33,19 +35,7 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
 from . import trajectory as traj
-from .errors import (
-    CurveDomainError,
-    DispatchShortageError,
-    EnumerationConfigError,
-    InfeasibleAtThresholdError,
-    InfeasiblePeriodError,
-    InfeasibleSharingError,
-    NetZeroGridError,
-    NoRevenueError,
-    NoSellableCreditsError,
-    ScenarioError,
-    ThresholdUnreachableError,
-)
+from .errors import InfeasibleError, VrpError
 from .scenario import Scenario, load_scenario
 from .serialize import json_number
 from .tolerances import CERTIFY_TOL
@@ -57,17 +47,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
-
-_INFEASIBLE_ERRORS = (
-    InfeasiblePeriodError,
-    InfeasibleAtThresholdError,
-    ThresholdUnreachableError,
-    NoSellableCreditsError,
-    NetZeroGridError,
-    InfeasibleSharingError,
-    NoRevenueError,
-    DispatchShortageError,
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,7 +140,7 @@ def _cmd_share(args, scenario: Scenario) -> int:
         "sharing": sharing.to_dict(),
     }
     _emit(doc, args, "sharing_solution.json")
-    return EXIT_OK
+    return EXIT_INFEASIBLE if solution.phase is dp.Phase.INFEASIBLE else EXIT_OK
 
 
 def _cmd_limit(args, scenario: Scenario) -> int:
@@ -355,10 +334,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
         return _HANDLERS[args.command](args, scenario)
-    except _INFEASIBLE_ERRORS as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ScenarioError, EnumerationConfigError, ValueError, CurveDomainError) as exc:
+    except (VrpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -244,25 +244,6 @@ class KktResiduals:
     def certified(self) -> bool:
         return self.max_abs_residual <= CERTIFY_TOL
 
-    def to_dict(self) -> dict:
-        return {
-            "multipliers": {
-                "deliverability": self.mult_deliverability,
-                "financial": self.mult_financial,
-                "generator_budget": self.mult_generator_budget,
-                "expansion_nonneg": self.mult_expansion_nonneg,
-                "price_nonneg": self.mult_price_nonneg,
-                "share_lower": self.mult_share_lower,
-                "share_upper": self.mult_share_upper,
-            },
-            "stationarity_price": self.stationarity_price,
-            "stationarity_expansion": self.stationarity_expansion,
-            "stationarity_share": self.stationarity_share,
-            "comp_slackness": list(self.comp_slackness),
-            "max_abs_residual": self.max_abs_residual,
-            "certified": self.certified,
-        }
-
 
 def _kkt_lstsq(rows: list[list[float]], rhs: list[float]):
     """argmin |A x - b| over x >= 0: least squares on each support of x (at most

@@ -1,43 +1,51 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The class sets the command-line exit code: an :class:`InfeasibleError` exits 3,
+any other :class:`VrpError` exits 2, as do ``ValueError`` and OS errors.
+"""
 
 
 class VrpError(Exception):
     """Base class for all package errors."""
 
 
+class InfeasibleError(VrpError):
+    """No feasible decision exists for the scenario at the requested state."""
+
+
 class CurveDomainError(VrpError):
     """Evaluation requested outside a curve's or model's declared domain."""
 
 
-class NetZeroGridError(VrpError):
+class NetZeroGridError(InfeasibleError):
     """Emissions intensity is zero or negative: program demand is undefined."""
 
 
-class NoSellableCreditsError(VrpError):
+class NoSellableCreditsError(InfeasibleError):
     """Delivered renewable output is zero or negative: nothing to sell."""
 
 
-class NoRevenueError(VrpError):
+class NoRevenueError(InfeasibleError):
     """Maximal program revenue is nonpositive; a revenue share is undefined."""
 
 
-class InfeasibleSharingError(VrpError):
+class InfeasibleSharingError(InfeasibleError):
     """The required generator share would be >= 1, leaving the operator nothing."""
 
 
-class InfeasiblePeriodError(VrpError):
+class InfeasiblePeriodError(InfeasibleError):
     """Revenue cannot cover the non-investment cost even with zero expansion."""
 
 
-class ThresholdUnreachableError(VrpError):
+class ThresholdUnreachableError(InfeasibleError):
     """Delivered output never reaches the unconstrained-demand level in the domain."""
 
 
-class InfeasibleAtThresholdError(VrpError):
+class InfeasibleAtThresholdError(InfeasibleError):
     """Cost already exceeds maximal revenue where the deliverability cap stops binding."""
 
 
-class DispatchShortageError(VrpError):
+class DispatchShortageError(InfeasibleError):
     """Residual load exceeds total thermal capacity in at least one hour."""
 
     def __init__(self, hour: int, residual_gw: float, fleet_capacity_gw: float):

@@ -6,8 +6,7 @@ Schema (version 1):
       "schema_version": 1,
       "grid": { ...GridModel document... } | "relative/path/to/grid.json",
       "demand": {"market_size": 10.0, "sensitivity": 0.0045},
-      "simulation": {"q_init": 0.5, "horizon": 200,
-                     "stop_at_limit": true, "period_label": "year"},
+      "simulation": {"q_init": 0.5, "horizon": 200, "stop_at_limit": true},
       "wind_cf": 0.35,
       "output": "csv" | "json",
       "seed": 0,

@@ -33,7 +33,6 @@ class SimulationConfig(Serializable):
     q_init: float
     horizon: int
     stop_at_limit: bool = True
-    period_label: str = "year"
 
     def __post_init__(self):
         if not 0.0 <= self.q_init < math.inf:
@@ -49,7 +48,6 @@ class SimulationConfig(Serializable):
             q_init=json_number(doc.get("q_init"), "simulation.q_init"),
             horizon=json_integer(doc.get("horizon"), "simulation.horizon"),
             stop_at_limit=json_typed(doc.get("stop_at_limit", True), bool, "simulation.stop_at_limit"),
-            period_label=json_typed(doc.get("period_label", "year"), str, "simulation.period_label"),
         )
 
 
@@ -102,13 +100,12 @@ def _checked(d: dp.Decision, q: float) -> dp.Decision:
 
 
 def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
+    if not gm.is_array(s.q):
+        return _checked(dp.decide_at(dm, s, k), s.q).expansion
     expansion, status = dp.expansion_at(dm, s, k)
-    if gm.is_array(s.q):
-        infeasible = status == dp.ExpansionStatus.INFEASIBLE
-        if infeasible.any():
-            raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
-    elif status is dp.ExpansionStatus.INFEASIBLE:
-        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q}")
+    infeasible = status == dp.ExpansionStatus.INFEASIBLE
+    if infeasible.any():
+        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
     return expansion
 
 

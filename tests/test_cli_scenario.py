@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vrpplan
-from vrpplan import equilibrium, trajectory
+from vrpplan import cli, equilibrium, trajectory
 from vrpplan.cli import main
 from vrpplan.demand_pricing import DemandModel
 from vrpplan.dispatch import default_fleet, default_profiles, write_fleet_csv, write_profiles_csv
-from vrpplan.errors import ScenarioError
+from vrpplan.errors import DispatchShortageError, InfeasibleError, ScenarioError, VrpError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.scenario import (
     DerivativeBounds,
@@ -32,6 +32,10 @@ from vrpplan.units import convert_price_units, invert_price_units
 
 BASELINE_PATH = "scenarios/baseline.json"
 DROP = object()  # a parametrized value: delete the key instead
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [sub for direct in cls.__subclasses__() for sub in (direct, *_subclasses(direct))]
 
 
 class TestPriceConversion:
@@ -219,6 +223,49 @@ class TestCliCommands:
         # no sellable credits at Q = 0 (delivered output is zero there)
         assert main(["price", "--scenario", BASELINE_PATH, "0.0"]) == 3
 
+    def test_share_past_the_limit_prints_phase_0_and_exits_3(self, capsys):
+        # Q* is 7.146: at 7.5 the operator budget is short, as price reports with exit 3
+        assert main(["share", "--scenario", BASELINE_PATH, "7.5"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["period_solution"]["phase"] == 0
+        assert doc["sharing"]["operator_budget_residual"] < 0
+
+    @pytest.mark.parametrize("error", [*_subclasses(VrpError), ValueError, OSError], ids=lambda c: c.__name__)
+    def test_exit_code_follows_the_exception_class(self, monkeypatch, capsys, error):
+        exc = error(7, 2.0, 1.0) if error is DispatchShortageError else error("boom")
+
+        def handler(args, scenario):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "limit", handler)
+        infeasible = issubclass(error, InfeasibleError)
+        assert main(["limit", "--scenario", BASELINE_PATH]) == (3 if infeasible else 2)
+        assert capsys.readouterr().err == f"{'infeasible' if infeasible else 'error'}: {exc}\n"
+
+    def test_infeasible_family(self):
+        assert {c.__name__ for c in _subclasses(InfeasibleError)} == {
+            "NetZeroGridError", "NoSellableCreditsError", "NoRevenueError", "InfeasibleSharingError",
+            "InfeasiblePeriodError", "ThresholdUnreachableError", "InfeasibleAtThresholdError",
+            "DispatchShortageError",
+        }
+
+    @pytest.mark.parametrize("flag", ["--fleet", "--profiles"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_calibration_input_exits_2(self, tmp_path, capsys, flag, kind):
+        path = tmp_path / "input.csv"
+        if kind == "directory":
+            path.mkdir()
+        assert main(["calibrate", "--scenario", BASELINE_PATH, flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err
+        assert captured.out == ""
+
+    def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["limit", "--scenario", BASELINE_PATH, "--out", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_missing_scenario_exit_code(self, capsys):
         assert main(["limit", "--scenario", "does/not/exist.json"]) == 2
 
@@ -403,8 +450,6 @@ class TestMalformedInput:
             (("seed",), True, "seed must be an integer"),
             (("seed",), "7", "seed must be an integer"),
             (("seed",), 3.9, "seed must be an integer"),
-            (("simulation", "period_label"), None, "simulation.period_label must be a string"),
-            (("simulation", "period_label"), 7, "simulation.period_label must be a string"),
             (("output",), 7, "output must be 'csv' or 'json'"),
             (("schema_version",), True, "unsupported schema_version True"),
             (("derivative_bounds",), {}, "derivative_bounds.max_abs_emissions_slope must be a number"),
@@ -432,8 +477,6 @@ class TestMalformedInput:
             "boolean-seed",
             "string-seed",
             "fractional-seed",
-            "null-period-label",
-            "integer-period-label",
             "integer-output",
             "boolean-schema-version",
             "empty-derivative-bounds",
@@ -546,6 +589,12 @@ class TestMalformedInput:
         scenario = scenario_from_dict(doc)
         assert scenario.derivative_bounds is None
         assert scenario.grid == baseline_scenario().grid
+
+    def test_unread_period_label_loads(self):
+        # no output used the label, so no reader reads it: it is one more ignored key
+        doc = baseline_scenario().to_dict()
+        doc["simulation"]["period_label"] = 7
+        assert scenario_from_dict(doc) == baseline_scenario()
 
     @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "3"], ["verify", "--horizon", "2"]])
     def test_negative_seed_flag_exits_2(self, capsys, argv):
