@@ -17,14 +17,14 @@ infeasible result); 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics.
 
 ``price``, ``share`` and ``limit`` never load numpy.  ``simulate`` loads it for
 the reachability certificate, ``verify`` with the oracles and ``calibrate``
-with dispatch, which their handlers import.
+with dispatch, which their handlers import.  ``logging`` loads with
+VRP_LOG_LEVEL set, or for a warning; ``csv`` for a trajectory file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from dataclasses import replace
@@ -41,7 +41,18 @@ from .serialize import json_number
 from .tolerances import CERTIFY_TOL
 from .units import convert_price_units
 
-logger = logging.getLogger("vrpplan")
+
+def _logger():
+    """The package logger, with logging configured as VRP_LOG_LEVEL says, WARNING
+    when unset.  ``logging`` is imported by the first line that will print."""
+    import logging
+    logging.basicConfig(level=os.environ.get("VRP_LOG_LEVEL", "WARNING"))
+    return logging.getLogger("vrpplan")
+
+
+def _info(msg: str, *args) -> None:
+    if "VRP_LOG_LEVEL" in os.environ:  # unset, the level is WARNING: the line never prints
+        _logger().info(msg, *args)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -113,7 +124,7 @@ def _emit(doc: dict, args, filename: str) -> None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / filename).write_text(text + "\n")
-        logger.info("wrote %s", out_dir / filename)
+        _info("wrote %s", out_dir / filename)
     else:
         print(text)
 
@@ -190,7 +201,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
         traj.write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
         (out_dir / "trajectory.json").write_text(json.dumps(doc, indent=2) + "\n")
         _write_plot_files(out_dir, trajectory, scenario)
-        logger.info("wrote trajectory and plot data to %s", out_dir)
+        _info("wrote trajectory and plot data to %s", out_dir)
     elif fmt == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -199,7 +210,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
         for row in rows:
             print(",".join(str(row[c]) for c in traj.TRAJECTORY_CSV_COLUMNS))
     if trajectory.termination is traj.Termination.INFEASIBLE:
-        logger.warning("trajectory truncated: infeasible period")
+        _logger().warning("trajectory truncated: infeasible period")
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -294,7 +305,7 @@ def _cmd_calibrate(args, scenario: Scenario) -> int:
     q_grid = list(np.linspace(lo, hi, args.q_grid))
     calibration = dispatch.calibrate_grid(fleet, profiles, q_grid, scenario.wind_cf)
     if calibration.emissions_adjusted or calibration.energy_value_adjusted:
-        logger.warning(
+        _logger().warning(
             "isotonic correction applied: emissions=%s energy_value=%s",
             calibration.emissions_adjusted,
             calibration.energy_value_adjusted,
@@ -326,7 +337,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("VRP_LOG_LEVEL", "WARNING"))
+    if "VRP_LOG_LEVEL" in os.environ:  # an invalid level fails here, before any work
+        _logger()
     parser = _build_parser()
     args = parser.parse_args(argv)
     if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed

@@ -4,7 +4,10 @@ Nothing here is used by the solvers themselves: these are falsifiers for
 tests and the ``verify`` command.  Policy enumeration checks that the myopic
 trajectory statewise-dominates every discretized feasible policy, expanding
 each policy prefix once, level by level; the dense scans re-derive the
-optimal price and the equilibrium root by exhaustive search.
+optimal price and the equilibrium root by exhaustive search.  A dense scan
+takes ``np.linspace``'s grid points SCAN_BLOCK at a time, from the points
+through the reduction, in a few buffers allocated once per call and filled
+in place by every block, so its temporaries stay cache-sized.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import trajectory as traj
-from .errors import EnumerationConfigError, NetZeroGridError
+from .errors import EnumerationConfigError, NetZeroGridError, NoSellableCreditsError
 from .serialize import Serializable
 from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
 
-SCAN_BLOCK = 2**14  # prices per block of the dense price scan
+SCAN_BLOCK = 2**14  # grid points per block of the dense scans
 
 
 @dataclass(frozen=True)
@@ -160,25 +163,47 @@ def dense_scan_price(
     """Best feasible price on a uniform grid; the oracle for the closed form.
 
     The grid spans [0, p_cap] with p_cap = max(10 e/eps, 2 (e/eps) ln(M/f)),
-    wide enough to cover both pricing regimes with margin.
+    wide enough to cover both pricing regimes with margin.  Its points are
+    ``np.linspace``'s, evaluated SCAN_BLOCK at a time in buffers reused across
+    blocks; a point whose sales exceed f(Q) is infeasible, and the first
+    maximum wins, as in one argmax over the whole grid.  Where e(Q) <= 0 or
+    f(Q) <= 0 there is no price to find, and the scan raises the closed
+    form's error.
     """
     if n_points < 10:
         raise ValueError("n_points too small to be meaningful")
     e_q = model.emissions_at(q)
     f_q = model.delivered_at(q)
+    if e_q <= 0:
+        raise NetZeroGridError(f"e(Q)={e_q} at Q={q}: no price scan on a net-zero grid")
+    if f_q <= 0:
+        raise NoSellableCreditsError(f"f(Q)={f_q} at Q={q}: no credits to sell")
     base = e_q / dm.sensitivity
     p_cap = 10.0 * base
-    if 0 < f_q < dm.market_size:
+    if f_q < dm.market_size:
         p_cap = max(p_cap, 2.0 * base * math.log(dm.market_size / f_q))
-    # np.linspace's points a block at a time; the first maximum wins, as in one argmax
+    # point i is i*step, with the last at p_cap: np.linspace's bits, as a step >= 0
+    # makes its + 0.0 change none; offsets below 2**53 are exact as floats
     step = p_cap / (n_points - 1)
+    sales_cap = f_q + scaled(ROUNDING_TOL, f_q)
+    size = min(SCAN_BLOCK, n_points)
+    offsets = np.arange(size, dtype=float)
+    price_buf, sales_buf, rev_buf = np.empty(size), np.empty(size), np.empty(size)
+    infeasible_buf = np.empty(size, dtype=bool)
     best, best_rev = 0.0, -np.inf
-    for i0 in range(0, n_points, SCAN_BLOCK):
-        prices = np.arange(i0, min(i0 + SCAN_BLOCK, n_points)) * step + 0.0
-        if i0 + SCAN_BLOCK >= n_points:
+    for i0 in range(0, n_points, size):
+        m = min(size, n_points - i0)
+        prices, sales, rev, infeasible = price_buf[:m], sales_buf[:m], rev_buf[:m], infeasible_buf[:m]
+        np.multiply(np.add(offsets[:m], i0, out=prices), step, out=prices)
+        if i0 + m == n_points:
             prices[-1] = p_cap
-        sales = dm.market_size * np.exp(-dm.sensitivity * prices / e_q)
-        rev = np.where(sales <= f_q + scaled(ROUNDING_TOL, f_q), prices * sales, -np.inf)
+        # M * exp((-eps * p) / e), in that order
+        np.divide(np.multiply(-dm.sensitivity, prices, out=sales), e_q, out=sales)
+        np.multiply(dm.market_size, np.exp(sales, out=sales), out=sales)
+        # not (sales <= cap), so NaN sales are infeasible too
+        np.logical_not(np.less_equal(sales, sales_cap, out=infeasible), out=infeasible)
+        np.multiply(prices, sales, out=rev)
+        np.copyto(rev, -np.inf, where=infeasible)
         i = int(np.argmax(rev))
         if rev[i] > best_rev:
             best, best_rev = float(prices[i]), rev[i]
@@ -201,23 +226,44 @@ def dense_scan_equilibrium(
 
     Returns every sign-change bracket on the sampled grid (a well-posed model
     has exactly one), in grid order; the oracle for the bisection solver.  A
-    sample with a gap of exactly zero is a bracket of width zero.
+    sample with a gap of exactly zero is a bracket of width zero.  The grid is
+    ``np.linspace``'s, and the states and gaps are evaluated SCAN_BLOCK points
+    at a time, in buffers reused across blocks; the last sign of a block is
+    carried to the next, so a sign change across a block boundary is found.
     """
     if n_points < 10:
         raise ValueError("n_points too small to be meaningful")
     threshold = eqm.find_deliverability_threshold(dm, model)
     qs = np.linspace(threshold, model.domain[1], n_points)
-    s = model.state(qs)
-    if not np.all(s.e > 0):
-        raise NetZeroGridError("peak revenue undefined on a net-zero grid")
-    # the operation order of unconstrained_peak_revenue, so each gap is the scalar one
-    gaps = s.e * dm.market_size / (math.e * dm.sensitivity) - s.cost
+    peak_scale = math.e * dm.sensitivity
+    size = min(SCAN_BLOCK, n_points)
+    gap_buf, cost_buf, sign_buf = np.empty(size), np.empty(size), np.empty(size)
+    zero_buf, start_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    starts, ends = [], []
+    carry = 0.0  # the sign of the last point of the previous block
+    for i0 in range(0, n_points, size):
+        m = min(size, n_points - i0)
+        gap, cost, sign, zero, start = gap_buf[:m], cost_buf[:m], sign_buf[:m], zero_buf[:m], start_buf[:m]
+        s = model.state(qs[i0 : i0 + m])
+        if not np.all(s.e > 0):
+            raise NetZeroGridError("peak revenue undefined on a net-zero grid")
+        # the operation order of unconstrained_peak_revenue and PeriodState.cost,
+        # so each gap is the scalar one: e*M/(e*eps) - ((C_S + C_R) - f*pi)
+        np.subtract(np.add(s.C_S, s.C_R, out=cost), np.multiply(s.f, s.pi, out=gap), out=cost)
+        np.subtract(np.divide(np.multiply(s.e, dm.market_size, out=gap), peak_scale, out=gap), cost, out=gap)
 
-    sign = np.sign(gaps)
-    zero = sign == 0.0
-    start = np.flatnonzero(zero | np.append(sign[:-1] * sign[1:] < 0.0, False))
-    end = np.where(zero[start], start, start + 1)
-    brackets = tuple(zip(qs[start].tolist(), qs[end].tolist()))
+        np.sign(gap, out=sign)
+        if carry * sign[0] < 0.0:  # the change between this block and the last
+            starts.append(i0 - 1)
+            ends.append(i0)
+        np.equal(sign, 0.0, out=zero)
+        np.less(np.multiply(sign[:-1], sign[1:], out=cost[:-1]), 0.0, out=start[:-1])
+        start[-1] = False
+        at = np.flatnonzero(np.logical_or(start, zero, out=start))
+        starts.extend((at + i0).tolist())
+        ends.extend((at + i0 + ~zero[at]).tolist())  # a zero ends where it starts
+        carry = sign[-1]
+    brackets = tuple(zip(qs[starts].tolist(), qs[ends].tolist()))
 
     return EquilibriumScan(
         found=bool(brackets),

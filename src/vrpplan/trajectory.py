@@ -9,7 +9,6 @@ banking of cash or credits across periods.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -380,6 +379,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 
     Values are written with repr so a read back recovers identical floats.
     """
+    import csv
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(TRAJECTORY_CSV_COLUMNS)
@@ -388,6 +388,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> list[dict]:
+    import csv
     rows = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)

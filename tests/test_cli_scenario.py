@@ -693,14 +693,41 @@ for path in ({BASELINE_PATH!r}, {str(tabulated)!r}):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([argv[0], "--scenario", path, *argv[1:]]) == 0, (path, argv)
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+assert "logging" not in sys.modules and "csv" not in sys.modules
 for argv in (["simulate", "--out", {str(tmp_path / "simulate")!r}], ["verify"], ["calibrate"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([argv[0], "--scenario", {BASELINE_PATH!r}, *argv[1:]]) == 0, argv
 assert "numpy" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
+    env.pop("VRP_LOG_LEVEL", None)  # set, it configures logging before any command
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
 
+
+
+def test_log_lines_with_and_without_the_level(tmp_path):
+    # logging loads only for a line that prints; the lines read as they always have
+    doc = json.loads(Path(BASELINE_PATH).read_text())
+    doc["simulation"].update(q_init=7.5, stop_at_limit=False)  # past the limit: truncated at once
+    path = tmp_path / "past_limit.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    warning = "WARNING:vrpplan:trajectory truncated: infeasible period\n"
+    info = f"INFO:vrpplan:wrote trajectory and plot data to {out}\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
+    env.pop("VRP_LOG_LEVEL", None)
+    for level, stderr in ((None, warning), ("WARNING", warning), ("INFO", info + warning), ("ERROR", "")):
+        run_env = env if level is None else dict(env, VRP_LOG_LEVEL=level)
+        result = subprocess.run(
+            [sys.executable, "-m", "vrpplan.cli", "simulate", "--scenario", str(path), "--out", str(out)],
+            capture_output=True, text=True, env=run_env, timeout=120,
+        )
+        assert (result.returncode, result.stderr) == (3, stderr), level
+    result = subprocess.run(
+        [sys.executable, "-m", "vrpplan.cli", "limit", "--scenario", BASELINE_PATH],
+        capture_output=True, text=True, env=dict(env, VRP_LOG_LEVEL="NOISY"), timeout=120,
+    )
+    assert result.returncode == 1 and result.stderr.endswith("ValueError: Unknown level: 'NOISY'\n")

@@ -9,9 +9,10 @@ import pytest
 from conftest import adversarial_dip_model, flat_model
 from vrpplan.demand_pricing import DemandModel, optimal_price, unconstrained_peak_revenue
 from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
-from vrpplan.errors import EnumerationConfigError
+from vrpplan.errors import EnumerationConfigError, NetZeroGridError, NoSellableCreditsError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import (
+    SCAN_BLOCK,
     DominanceReport,
     EnumerationConfig,
     dense_scan_equilibrium,
@@ -19,7 +20,7 @@ from vrpplan.oracles import (
     enumerate_and_compare,
 )
 from vrpplan.scenario import baseline_demand_model, baseline_grid_model
-from vrpplan.tolerances import ZERO_TOL, scaled
+from vrpplan.tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     SimulationConfig,
     certify_monotone_reachability,
@@ -170,7 +171,66 @@ class TestEnumerateAndCompare:
         assert not report.passed
 
 
+def reference_price_scan(dm, model, q, n_points):
+    """The price scan with fresh arrays in every block, as it was before its buffers."""
+    e_q = model.emissions_at(q)
+    f_q = model.delivered_at(q)
+    base = e_q / dm.sensitivity
+    p_cap = 10.0 * base
+    if 0 < f_q < dm.market_size:
+        p_cap = max(p_cap, 2.0 * base * math.log(dm.market_size / f_q))
+    step = p_cap / (n_points - 1)
+    best, best_rev = 0.0, -np.inf
+    for i0 in range(0, n_points, SCAN_BLOCK):
+        prices = np.arange(i0, min(i0 + SCAN_BLOCK, n_points)) * step + 0.0
+        if i0 + SCAN_BLOCK >= n_points:
+            prices[-1] = p_cap
+        sales = dm.market_size * np.exp(-dm.sensitivity * prices / e_q)
+        rev = np.where(sales <= f_q + scaled(ROUNDING_TOL, f_q), prices * sales, -np.inf)
+        i = int(np.argmax(rev))
+        if rev[i] > best_rev:
+            best, best_rev = float(prices[i]), rev[i]
+    return best
+
+
+# both pricing regimes on each model: binding below its threshold, interior above
+PRICE_SCAN_CASES = [
+    pytest.param(baseline_demand_model(), baseline_grid_model(), 3.0, True, id="baseline-binding"),
+    pytest.param(baseline_demand_model(), baseline_grid_model(), 6.5, False, id="baseline-interior"),
+    pytest.param(*adversarial_dip_model(), 2.0, True, id="dip-binding"),
+    pytest.param(*adversarial_dip_model(), 9.0, False, id="dip-interior"),
+    pytest.param(DM, flat_model(0.3, 2.0, 0.0), 1.0, True, id="flat-binding"),
+    pytest.param(DM, flat_model(0.3, 5.0, 0.0), 1.0, False, id="flat-interior"),
+]
+
+
 class TestDenseScanPrice:
+    @pytest.mark.parametrize("dm, model, q, binding", PRICE_SCAN_CASES)
+    def test_blocks_match_the_reference(self, dm, model, q, binding):
+        # every block boundary case: below, at and past one block, two blocks and a tail
+        assert optimal_price(dm, model, q).deliverability_binding is binding
+        sizes = (10, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1, 100_003, 10**6)
+        for n in sizes:
+            assert dense_scan_price(dm, model, q, n) == reference_price_scan(dm, model, q, n), n
+
+    def test_no_credits_raises_like_the_closed_form(self, baseline_demand, baseline_model):
+        # f(0) = 0 on the baseline: no price, not a best price of 0.0
+        with pytest.raises(NoSellableCreditsError):
+            optimal_price(baseline_demand, baseline_model, 0.0)
+        with pytest.raises(NoSellableCreditsError):
+            dense_scan_price(baseline_demand, baseline_model, 0.0)
+
+    def test_net_zero_grid_raises_like_the_closed_form(self):
+        model = replace(
+            flat_model(0.3, 5.0, 0.0),
+            emissions=GridCurve(CurveKind.TABULATED, table=((0.0, 0.3), (10.0, 0.0))),
+        )
+        with pytest.raises(NetZeroGridError):
+            optimal_price(DM, model, 10.0)
+        with np.errstate(all="raise"):  # no 0/0 on the way to the error
+            with pytest.raises(NetZeroGridError):
+                dense_scan_price(DM, model, 10.0)
+
     def test_interior_model(self):
         model = flat_model(0.3, 5.0, 0.0)
         closed = optimal_price(DM, model, 1.0).price
@@ -266,12 +326,22 @@ class TestDenseScanEquilibrium:
         assert len(scan.sign_changes) >= 3
 
     def test_matches_a_scalar_loop(self, baseline_demand, baseline_model):
+        # the last crossing, at Q = 8.75, lies between the last point of the first
+        # block and the first of the second, halfway
+        straddling = round((SCAN_BLOCK - 0.5) * 10.0 / 8.75) + 1
         cases = [
             (baseline_demand, baseline_model, 10**4),
             (DM, zero_gap_model(), 1000),
             (DM, flat_model(0.45, 4.0, 0.0), 1000),
             (DM, oscillating_model(), 2000),
+            (DM, oscillating_model(), straddling),
+            (DM, zero_gap_model(), SCAN_BLOCK + 1),  # every point a zero-width bracket
         ]
         for dm, model, n in cases:
             scan = dense_scan_equilibrium(dm, model, n)
             assert scan.sign_changes == scalar_sign_changes(dm, model, n)
+        qs = np.linspace(0.0, 10.0, straddling)  # the oscillating model's threshold is Q = 0
+        across = (float(qs[SCAN_BLOCK - 1]), float(qs[SCAN_BLOCK]))
+        assert across in dense_scan_equilibrium(DM, oscillating_model(), straddling).sign_changes
+        zeros = dense_scan_equilibrium(DM, zero_gap_model(), SCAN_BLOCK + 1).sign_changes
+        assert len(zeros) == SCAN_BLOCK + 1
