@@ -45,7 +45,7 @@ _EXPORTS = {
     "trajectory": (
         "ReachabilityCertificate", "SimulationConfig", "Termination", "Trajectory",
         "certify_monotone_reachability", "max_feasible_expansion", "reach_map",
-        "reachability_lower_bound", "simulate_myopic", "simulate_policy", "solve_period",
+        "reachability_lower_bound", "simulate_myopic", "solve_period",
     ),
     "units": ("convert_price_units", "invert_price_units"),
 }

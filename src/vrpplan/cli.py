@@ -13,7 +13,8 @@ Commands (all take --scenario PATH):
 Exit codes: 0 success; 2 malformed input (a ``VrpError`` that is not an
 ``InfeasibleError``, a ``ValueError``, or an OS error naming its path);
 3 infeasible (an ``InfeasibleError``, or ``share`` or ``simulate`` printing an
-infeasible result); 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics.
+infeasible result); 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics;
+an unknown level exits 2 before any work.
 
 ``price``, ``share`` and ``limit`` never load numpy.  ``simulate`` loads it for
 the reachability certificate, ``verify`` with the oracles and ``calibrate``
@@ -338,7 +339,11 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     if "VRP_LOG_LEVEL" in os.environ:  # an invalid level fails here, before any work
-        _logger()
+        try:
+            _logger()
+        except ValueError as exc:
+            print(f"error: VRP_LOG_LEVEL: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     parser = _build_parser()
     args = parser.parse_args(argv)
     if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed

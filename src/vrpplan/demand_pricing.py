@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import grid_model as gm
 from .errors import NetZeroGridError, NoSellableCreditsError
 from .serialize import Serializable, read_numbers, record_dict
-from .tolerances import BALANCE_TOL, CERTIFY_TOL, ZERO_TOL, scaled
+from .tolerances import BALANCE_TOL, CERTIFY_TOL, ZERO_TOL
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,6 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
     return PriceSolution(base * math.log(dm.market_size / s.f), True)
 
 
-def deliverability_binds(dm: DemandModel, s: gm.PeriodState, price: float) -> bool:
-    """Whether sales at ``price`` reach f(Q): the price is at most the cap price
-    e(Q)/eps * ln(M/f(Q)).  From the unconstrained price e(Q)/eps up, the cap
-    binds only in :func:`price_at`'s capped regime, so at that function's own
-    price this is its flag, whoever chose the price.  With f(Q) <= 0 it binds
-    at every price."""
-    base = s.e / dm.sensitivity
-    if price >= base and dm.market_size * math.exp(-1.0) <= s.f:  # price_at's regime test
-        return False
-    return s.f <= 0 or price <= base * math.log(dm.market_size / s.f)
-
-
 def optimal_price(dm: DemandModel, model: gm.GridModel, q: float) -> PriceSolution:
     """:func:`price_at` the grid state at capacity ``q``."""
     return price_at(dm, model.state(q))
@@ -159,7 +147,6 @@ class Decision(NamedTuple):
 
     price: float  # revenue-maximizing premium, M$/GW-yr
     deliverability_binding: bool  # the price regime: sales capped at f(Q)
-    sales: float  # demand at that price, GW
     revenue: float  # price * sales, M$/yr
     expansion: float  # (R* - C)/k, or 0 unless EXPANDING, GW
     status: ExpansionStatus
@@ -171,21 +158,21 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
 
     The expansion is the binding financial constraint's (R* - C)/k, clamped
     at zero.  Status distinguishes an expanding period, the long-run
-    equilibrium (|R* - C| within BALANCE_TOL scaled by R* and C), and an
-    infeasible period where revenue cannot cover cost even without expansion.
+    equilibrium (|R* - C| within BALANCE_TOL times the larger of |R*| and |C|,
+    with no absolute floor), and an infeasible period where revenue cannot
+    cover cost even without expansion.
     """
     price, binding = price_at(dm, s)
-    sales = demand(dm, price, s.e)
-    rev = price * sales
+    rev = price * demand(dm, price, s.e)
     cost = s.cost
-    tol = scaled(BALANCE_TOL, rev, cost)
-    if rev < cost - tol:
+    tol = BALANCE_TOL * max(abs(rev), abs(cost))  # no floor: near Q = 0 both are tiny
+    if not rev >= cost - tol:  # also a NaN revenue: inf * 0 once M/f(Q) overflows
         expansion, status = 0.0, ExpansionStatus.INFEASIBLE
     elif abs(rev - cost) <= tol:
         expansion, status = 0.0, ExpansionStatus.EQUILIBRIUM
     else:
         expansion, status = (rev - cost) / k, ExpansionStatus.EXPANDING
-    return Decision(price, binding, sales, rev, expansion, status)
+    return Decision(price, binding, rev, expansion, status)
 
 
 def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolution:
@@ -198,8 +185,8 @@ def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolut
     price, _ = price_at(dm, s)
     rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
     cost = s.cost
-    tol = BALANCE_TOL * np.maximum(1.0, np.maximum(np.abs(rev), np.abs(cost)))
-    infeasible, equilibrium = rev < cost - tol, np.abs(rev - cost) <= tol
+    tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
+    infeasible, equilibrium = ~(rev >= cost - tol), np.abs(rev - cost) <= tol
     status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
     status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
     return ExpansionSolution(np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)

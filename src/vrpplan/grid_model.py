@@ -241,10 +241,10 @@ class PeriodState(NamedTuple):
     """The grid at one capacity: every number a period's decisions read.
 
     Built by :meth:`GridModel.state`.  Price, revenue, expansion, share,
-    feasibility and phase of the period are arithmetic on these six values:
+    status and phase of the period are arithmetic on these six values:
     a simulated period builds one state and one
     :class:`~vrpplan.demand_pricing.Decision` from it, which serve the limit
-    test, the decision, the feasibility check and the record.
+    test, the step and the record.
     Immutable; a tuple rather than a frozen dataclass because one is built
     per period, and a tuple builds in a third the time.  The same holds for
     every per-period result (``Decision``, ``PeriodSolution``,

@@ -3,7 +3,9 @@
 A comparison between quantities of magnitude ``s1, s2, ...`` allows
 ``scaled(rel, s1, s2, ...) = rel * max(1, |s1|, |s2|, ...)``: relative to the
 magnitudes compared, and never tighter than ``rel`` itself near zero.  With
-no scale the tolerance is the constant itself.
+no scale the tolerance is the constant itself.  One comparison has no floor:
+the expansion status tests R* against C within ``BALANCE_TOL * max(|R*|, |C|)``,
+since near Q = 0 both fall below any absolute floor.
 """
 
 from __future__ import annotations

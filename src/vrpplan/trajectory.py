@@ -1,10 +1,13 @@
 """Multi-period simulation: state transition, myopic policy, reachability.
 
 The state is cumulative capacity Q_t, advanced by Q_{t+1} = Q_t + q_t with
-integer-period bookkeeping (the recorded transition is exact, no drift).  The
-myopic policy expands to the maximal feasible level each period, capped by the
-long-run limit (no overbuild); per-period feasibility is enforced with no
-banking of cash or credits across periods.
+integer-period bookkeeping (the recorded transition is exact, no drift).  One
+loop, :func:`simulate_myopic`, runs the myopic policy, optimal wherever the
+reach map is nondecreasing (:func:`certify_monotone_reachability` checks it):
+each period charges the closed-form price and expands to the maximal feasible
+level, capped by the long-run limit (no overbuild).  Sales never exceed
+delivered output and expansion never exceeds what revenue leaves after cost,
+with no banking of cash or credits across periods.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import demand_pricing as dp
 from . import equilibrium as eqm
@@ -221,17 +224,13 @@ def certify_monotone_reachability(
 # ---------------------------------------------------------------------------
 
 
-def _period_solution(
-    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, binding: bool
-) -> dp.PeriodSolution:
-    """Full per-period telemetry for a (price, expansion) decision at a state,
-    given the sales and the deliverability regime at that price."""
-    rev = price * sales
-    cost = s.cost
+def _period_solution(s: gm.PeriodState, k: float, d: dp.Decision, expansion: float) -> dp.PeriodSolution:
+    """Full per-period telemetry for the decision ``d`` at a state, expanding by ``expansion``."""
+    rev, cost = d.revenue, s.cost
     share = rs.required_share(s, rev)
     financial_binding = abs(cost + k * expansion - rev) <= scaled(BALANCE_TOL, rev, cost)
     return dp.PeriodSolution(
-        price, expansion, share, rev, binding, financial_binding,
+        d.price, expansion, share, rev, d.deliverability_binding, financial_binding,
         rs.classify_phase(share, expansion, True),
     )
 
@@ -240,47 +239,22 @@ def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.
     """Integrated single-period optimum at capacity ``q_state`` with full telemetry."""
     s, k = model.state(q_state), model.invest_cost
     d = _checked(dp.decide_at(dm, s, k), s.q)
-    return _period_solution(s, k, d.price, d.expansion, d.sales, d.deliverability_binding)
+    return _period_solution(s, k, d, d.expansion)
 
 
-def _feasible(
-    s: gm.PeriodState, k: float, price: float, expansion: float, sales: float, limit: float
-) -> bool:
-    # deliverability, the financial constraint and the no-overbuild cap, for a
-    # nonnegative price and expansion
-    rev = price * sales
-    cost = s.cost
-    return (
-        sales <= s.f + scaled(ZERO_TOL, s.f)
-        and cost + k * expansion <= rev + scaled(BALANCE_TOL, rev, cost)
-        and expansion <= limit - s.q + scaled(ZERO_TOL, limit)
-    )
-
-
-def myopic_rule(
-    dm: dp.DemandModel, model: gm.GridModel, limit: float
-) -> Callable[[int, float], tuple[float, float]]:
-    """Per-period rule: optimal price, maximal expansion capped at the limit."""
-
-    def decide(t: int, q_state: float) -> tuple[float, float]:
-        s = model.state(q_state)
-        price, _ = dp.price_at(dm, s)
-        return price, min(_max_feasible(dm, s, model.invest_cost), max(0.0, limit - s.q))
-
-    return decide
-
-
-def _simulate(
-    dm: dp.DemandModel,
-    model: gm.GridModel,
-    cfg: SimulationConfig,
-    policy: Callable[[int, float], tuple[float, float]] | None,
-    equilibrium: eqm.EquilibriumResult,
+def simulate_myopic(
+    dm: dp.DemandModel, model: gm.GridModel, cfg: SimulationConfig
 ) -> Trajectory:
-    # One grid state and one decision per period serve the limit test, the
-    # myopic step (``policy`` None), the feasibility check and the record.
-    # Another policy's price adds one demand evaluation; without the limit
-    # test such a policy needs no decision.
+    """Run the myopic policy from the configured state.
+
+    Each period builds one grid state and makes one decision on it
+    (:func:`~vrpplan.demand_pricing.decide_at`).  With ``stop_at_limit`` a
+    state at the long-run limit (by capacity, or by its equilibrium status)
+    is recorded without expansion and ends the run.  An infeasible state ends
+    it unrecorded.  Otherwise the period charges the closed-form price and
+    expands by (R* - C)/k, capped at Q* - Q.
+    """
+    equilibrium = eqm.solve_long_run_limit(dm, model)
     limit = equilibrium.capacity_limit
     k = model.invest_cost
     # both the capacity gap and the revenue/cost gap carry their own tolerance,
@@ -292,31 +266,15 @@ def _simulate(
 
     for t in range(cfg.horizon):
         s = model.state(q_state)
-        d = dp.decide_at(dm, s, k) if cfg.stop_at_limit or policy is None else None
+        d = dp.decide_at(dm, s, k)
         if cfg.stop_at_limit and (s.q >= near_limit or d.status is dp.ExpansionStatus.EQUILIBRIUM):
-            solution = _period_solution(s, k, d.price, 0.0, d.sales, d.deliverability_binding)
-            records.append(PeriodRecord(t, s, solution))
+            records.append(PeriodRecord(t, s, _period_solution(s, k, d, 0.0)))
             termination = Termination.REACHED_LIMIT
             break
-        try:
-            if policy is None:
-                price, expansion = d.price, min(_checked(d, s.q).expansion, max(0.0, limit - s.q))
-            else:
-                price, expansion = policy(t, s.q)
-        except InfeasiblePeriodError:
+        if d.status is dp.ExpansionStatus.INFEASIBLE:
             termination = Termination.INFEASIBLE
             break
-        if price < 0 or expansion < 0:  # checked first: demand rejects a negative price
-            termination = Termination.INFEASIBLE
-            break
-        if policy is None:
-            sales, binding = d.sales, d.deliverability_binding
-        else:  # a policy's own price, under the rule price_at's flag follows
-            sales, binding = dp.demand(dm, price, s.e), dp.deliverability_binds(dm, s, price)
-        if not _feasible(s, k, price, expansion, sales, limit):
-            termination = Termination.INFEASIBLE
-            break
-        solution = _period_solution(s, k, price, expansion, sales, binding)
+        solution = _period_solution(s, k, d, min(d.expansion, max(0.0, limit - s.q)))
         records.append(PeriodRecord(t, s, solution))
         q_state = s.q + solution.expansion  # the exact recorded transition
 
@@ -327,28 +285,6 @@ def _simulate(
         cumulative_emission_index=sum(r.state.e for r in records),
         equilibrium=equilibrium,
     )
-
-
-def simulate_myopic(
-    dm: dp.DemandModel, model: gm.GridModel, cfg: SimulationConfig
-) -> Trajectory:
-    """Run the maximal-feasible-expansion policy from the configured state."""
-    return _simulate(dm, model, cfg, None, eqm.solve_long_run_limit(dm, model))
-
-
-def simulate_policy(
-    dm: dp.DemandModel,
-    model: gm.GridModel,
-    cfg: SimulationConfig,
-    policy: Callable[[int, float], tuple[float, float]],
-) -> Trajectory:
-    """Run an arbitrary per-period rule (t, Q_t) -> (price, expansion).
-
-    Every decision is validated against deliverability, the financial
-    constraint, and the no-overbuild cap; the first violation truncates the
-    trajectory with an infeasible status.
-    """
-    return _simulate(dm, model, cfg, policy, eqm.solve_long_run_limit(dm, model))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,17 @@ class TestCliCommands:
         assert doc["reachability_certificate"]["holds"]
         assert doc["termination"] == "reached_limit"
 
+    def test_simulate_stdout_holds_the_trajectory_files(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", BASELINE_PATH, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--scenario", BASELINE_PATH, "--format", "json"]) == 0
+        assert capsys.readouterr().out == (out / "trajectory.json").read_text()
+        assert main(["simulate", "--scenario", BASELINE_PATH, "--format", "csv"]) == 0
+        # the file ends its lines as csv.writer does, stdout as print does
+        csv_text = (out / "trajectory.csv").read_bytes().decode()
+        assert capsys.readouterr().out.split("\n") == csv_text.split("\r\n")
+
     def test_verify_baseline_passes(self, capsys):
         assert main(["verify", "--scenario", BASELINE_PATH, "--samples", "100"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -730,4 +741,4 @@ def test_log_lines_with_and_without_the_level(tmp_path):
         [sys.executable, "-m", "vrpplan.cli", "limit", "--scenario", BASELINE_PATH],
         capture_output=True, text=True, env=dict(env, VRP_LOG_LEVEL="NOISY"), timeout=120,
     )
-    assert result.returncode == 1 and result.stderr.endswith("ValueError: Unknown level: 'NOISY'\n")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: VRP_LOG_LEVEL: Unknown level: 'NOISY'\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adversarial_dip_model, flat_model
+from conftest import adversarial_dip_model, flat_model, random_accepted_model
 from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
@@ -30,18 +30,17 @@ from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_i
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.scenario import baseline_scenario
+from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     ReachabilityCertificate,
     SimulationConfig,
     Termination,
     certify_monotone_reachability,
     max_feasible_expansion,
-    myopic_rule,
     reach_map,
     reachability_lower_bound,
     read_trajectory_csv,
     simulate_myopic,
-    simulate_policy,
     solve_period,
     trajectory_csv_rows,
     write_trajectory_csv,
@@ -308,33 +307,6 @@ class TestSolvePeriod:
         run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=q, horizon=1))
         assert run.records[0].solution.deliverability_binding is expected
 
-    @pytest.mark.parametrize("offset", [-1e-8, -1e-9, 0.0, 1e-9, 5e-9, 1e-8])
-    def test_a_policy_at_the_optimal_price_records_the_regime(self, baseline_demand, baseline_model, offset):
-        # within ZERO_TOL of f(Q), sales at the unconstrained price no longer
-        # decide the flag: the myopic rule run as a policy records the same period
-        q = find_deliverability_threshold(baseline_demand, baseline_model) + offset
-        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
-        cfg = SimulationConfig(q_init=q, horizon=1)
-        direct = simulate_myopic(baseline_demand, baseline_model, cfg)
-        via_policy = simulate_policy(
-            baseline_demand, baseline_model, cfg, myopic_rule(baseline_demand, baseline_model, limit)
-        )
-        assert via_policy.records == direct.records
-        assert via_policy.records[0].solution.deliverability_binding is (offset < 0.0)
-
-    def test_binding_rule_is_the_price_regime_at_the_optimal_price(self, baseline_demand, baseline_model):
-        threshold = find_deliverability_threshold(baseline_demand, baseline_model)
-        qs = [*np.linspace(0.5, 11.5, 221).tolist(), *(threshold + d for d in (-1e-9, 0.0, 1e-9))]
-        for q in qs:
-            s = baseline_model.state(q)
-            price, binding = price_at(baseline_demand, s)
-            assert dp.deliverability_binds(baseline_demand, s, price) is binding, q
-            cap = s.e / baseline_demand.sensitivity * math.log(baseline_demand.market_size / s.f)
-            # at the cap price sales reach f(Q); above it they fall short
-            assert dp.deliverability_binds(baseline_demand, s, cap)
-            assert not dp.deliverability_binds(baseline_demand, s, cap * (1.0 + 1e-12) + 1e-12)
-
-
 class TestSimulateMyopic:
     def test_start_at_limit_single_record(self, baseline_demand, baseline_model):
         limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
@@ -412,55 +384,72 @@ class TestSimulateMyopic:
         assert trajectory.cumulative_emission_index == pytest.approx(expected, rel=1e-12)
 
 
-class TestSimulatePolicy:
-    def test_myopic_rule_reproduces_engine(self, baseline_demand, baseline_model, baseline_cfg):
-        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
-        rule = myopic_rule(baseline_demand, baseline_model, limit)
-        via_policy = simulate_policy(baseline_demand, baseline_model, baseline_cfg, rule)
-        direct = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
-        assert via_policy == direct
-
-    def test_zero_expansion_policy_stays_flat(self, baseline_demand, baseline_model):
-        def policy(t, q_state):
-            return optimal_price(baseline_demand, baseline_model, q_state).price, 0.0
-
-        cfg = SimulationConfig(q_init=0.5, horizon=6)
-        trajectory = simulate_policy(baseline_demand, baseline_model, cfg, policy)
-        assert trajectory.termination is Termination.HORIZON_END
-        assert all(r.capacity == 0.5 for r in trajectory.records)
-
     def test_half_myopic_dominated_statewise(self, baseline_demand, baseline_model):
-        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
-        rule = myopic_rule(baseline_demand, baseline_model, limit)
-
-        def half(t, q_state):
-            price, step = rule(t, q_state)
-            return price, 0.5 * step
-
+        # a policy that takes half the myopic step, rolled out one scalar step at a time
         cfg = SimulationConfig(q_init=0.5, horizon=30, stop_at_limit=False)
         full_run = simulate_myopic(baseline_demand, baseline_model, cfg)
-        half_run = simulate_policy(baseline_demand, baseline_model, cfg, half)
-        for a, b in zip(full_run.records, half_run.records):
-            assert a.capacity >= b.capacity
-        assert full_run.records[5].capacity > half_run.records[5].capacity
+        limit = full_run.capacity_limit
+        half_path = [cfg.q_init]
+        for _ in range(cfg.horizon - 1):
+            q = half_path[-1]
+            step = min(max_feasible_expansion(baseline_demand, baseline_model, q), max(0.0, limit - q))
+            half_path.append(q + 0.5 * step)
+        assert len(full_run.records) == len(half_path)
+        for a, b in zip(full_run.records, half_path):
+            assert a.capacity >= b
+        assert full_run.records[5].capacity > half_path[5]
 
-    def test_overbuild_rejected(self, baseline_demand, baseline_model):
-        def policy(t, q_state):
-            price = optimal_price(baseline_demand, baseline_model, q_state).price
-            return price, 5.0  # far beyond both budget and the limit cap
 
-        cfg = SimulationConfig(q_init=6.9, horizon=5)
-        trajectory = simulate_policy(baseline_demand, baseline_model, cfg, policy)
-        assert trajectory.termination is Termination.INFEASIBLE
-        assert trajectory.records == ()
+class TestMyopicFeasibility:
+    """Every recorded period meets deliverability, the financial constraint
+    and the no-overbuild cap, by construction of the myopic step.  On the dip
+    model's small k the cap at Q* - Q binds."""
 
-    def test_negative_price_rejected(self, baseline_demand, baseline_model):
-        cfg = SimulationConfig(q_init=0.5, horizon=5)
-        trajectory = simulate_policy(
-            baseline_demand, baseline_model, cfg, lambda t, q: (-1.0, 0.0)
-        )
-        assert trajectory.termination is Termination.INFEASIBLE
-        assert trajectory.records == ()
+    @given(
+        source=st.sampled_from(["baseline", "dip"]) | st.integers(0, 2**32 - 1),
+        start=st.floats(0.0, 1.0, exclude_min=True),
+        stop_at_limit=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_record_is_feasible(self, baseline_demand, baseline_model, source, start, stop_at_limit):
+        if source == "baseline":
+            dm, model = baseline_demand, baseline_model
+        elif source == "dip":
+            dm, model = adversarial_dip_model()
+        else:
+            dm, model = random_accepted_model(np.random.default_rng(source), require_root=True)
+        limit = solve_long_run_limit(dm, model).capacity_limit
+        lo = model.domain[0]
+        cfg = SimulationConfig(q_init=lo + start * (limit - lo), horizon=250, stop_at_limit=stop_at_limit)
+        k = model.invest_cost
+        for r in simulate_myopic(dm, model, cfg).records:
+            s, price, expansion = r.state, r.solution.price, r.solution.expansion
+            sales = demand(dm, price, s.e)
+            rev = price * sales
+            assert sales <= s.f + scaled(ZERO_TOL, s.f)
+            assert s.cost + k * expansion <= rev + scaled(BALANCE_TOL, rev, s.cost)
+            assert s.q + expansion <= limit + scaled(ZERO_TOL, limit)
+
+
+class TestNearZeroCapacity:
+    """Near Q = 0 revenue and cost both fall far below 1 M$/yr: the balance
+    test is relative to them, so a state that expands is not the limit."""
+
+    def test_a_state_at_1e_12_expands(self, baseline_demand, baseline_model):
+        expansion, status = optimal_expansion(baseline_demand, baseline_model, 1e-12)
+        assert status is ExpansionStatus.EXPANDING and expansion > 0.0
+        assert solve_period(baseline_demand, baseline_model, 1e-12).expansion == expansion
+        qs = np.array([1e-12, 1e-10, 1e-8])
+        array_expansion, array_status = optimal_expansion(baseline_demand, baseline_model, qs)
+        assert array_status.tolist() == [ExpansionStatus.EXPANDING] * 3
+        scalar = [optimal_expansion(baseline_demand, baseline_model, float(q)).expansion for q in qs]
+        np.testing.assert_allclose(array_expansion, scalar, rtol=1e-14, atol=0.0)
+
+    def test_a_run_from_1e_12_reaches_the_limit(self, baseline_demand, baseline_model):
+        run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=1e-12, horizon=400))
+        assert run.termination is Termination.REACHED_LIMIT
+        assert len(run.records) > 100
+        assert run.records[-1].capacity == pytest.approx(run.capacity_limit, abs=1e-6)
 
 
 class TestSerialization:
@@ -579,17 +568,6 @@ class TestEvaluationCounts:
             decisions.clear()
             solve_separated_period(baseline_demand, baseline_model, q)
             assert decisions == {"price_at": 1, "demand": 1}
-
-    @pytest.mark.parametrize("stop_at_limit, expected", [(False, {"demand": 5}), (True, {"price_at": 5, "demand": 10})])
-    def test_policy_run_one_demand_at_its_price(self, baseline_demand, baseline_model, decisions, stop_at_limit, expected):
-        # a policy's own price is evaluated even when it equals the decision's;
-        # the limit test adds one decision per period
-        price = optimal_price(baseline_demand, baseline_model, 0.5).price
-        cfg = SimulationConfig(q_init=0.5, horizon=5, stop_at_limit=stop_at_limit)
-        decisions.clear()
-        trajectory = simulate_policy(baseline_demand, baseline_model, cfg, lambda t, q: (price, 0.0))
-        assert len(trajectory.records) == 5
-        assert decisions == expected
 
     def test_output_writers_evaluate_nothing(self, baseline_demand, baseline_model, baseline_cfg, evaluations, tmp_path):
         # e and f of each period travel on its record
