@@ -110,12 +110,15 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
 
     Two regimes: when unconstrained peak demand M/e fits under f(Q) the price
     is e(Q)/eps; otherwise the deliverability cap binds and the price rises to
-    e(Q)/eps * ln(M/f(Q)).  The branches agree where M/e = f(Q).  An array
-    state gives arrays, and raises the scalar error of its first failing entry.
+    e(Q)/eps * ln(M/f(Q)).  The branches agree where M/e = f(Q).  Where f(Q)
+    is so small that M/f(Q) overflows, no finite price sells it, and the
+    capped branch raises as at f(Q) = 0.  An array state gives arrays, and
+    raises the scalar error of its first failing entry.
     """
     if gm.is_array(s.q):
         import numpy as np
-        bad = (s.e <= 0) | (s.f <= 0)
+        with np.errstate(divide="ignore", over="ignore"):  # M/f(Q) is inf only where the scalar path raises
+            bad = (s.e <= 0) | (s.f <= 0) | np.isinf(dm.market_size / s.f)
         if bad.any():  # the scalar path raises for the first failing entry
             price_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)))
         base = s.e / dm.sensitivity
@@ -129,7 +132,10 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
     base = s.e / dm.sensitivity
     if peak_sales <= s.f:
         return PriceSolution(base, False)
-    return PriceSolution(base * math.log(dm.market_size / s.f), True)
+    ratio = dm.market_size / s.f
+    if ratio == math.inf:
+        raise NoSellableCreditsError(f"f(Q)={s.f} at Q={s.q}: too few credits to price, M/f(Q) overflows")
+    return PriceSolution(base * math.log(ratio), True)
 
 
 def optimal_price(dm: DemandModel, model: gm.GridModel, q: float) -> PriceSolution:
@@ -166,7 +172,7 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     rev = price * demand(dm, price, s.e)
     cost = s.cost
     tol = BALANCE_TOL * max(abs(rev), abs(cost))  # no floor: near Q = 0 both are tiny
-    if not rev >= cost - tol:  # also a NaN revenue: inf * 0 once M/f(Q) overflows
+    if not rev >= cost - tol:  # also a NaN revenue
         expansion, status = 0.0, ExpansionStatus.INFEASIBLE
     elif abs(rev - cost) <= tol:
         expansion, status = 0.0, ExpansionStatus.EQUILIBRIUM

@@ -11,14 +11,19 @@ order, and the clearing price is the cost of the last unit running (zero in
 hours wind covers everything).
 
 :func:`merit_order_dispatch` is the hourly reference.  :func:`calibrate_grid`
-sums emissions and prices by each hour's marginal unit instead, walked down as
-the sweep's wind lowers the residual load, with no units x hours array.
+sums emissions and prices by each hour's marginal unit instead, with no
+units x hours array: it keeps that unit's terms in per-hour arrays and, as
+the sweep's wind lowers the residual load, rewrites them only at the hours
+whose unit changes.  The CSV readers parse the body with numpy's C reader and
+read a file row by row only to name a fault, or to take what ``float`` takes
+and that reader does not.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -223,9 +228,15 @@ def calibrate_grid(
     8.76 * wind_cf capacity/energy factor.  With no wind on line the weights
     fall back to the wind profile itself (the value of the first marginal MW).
 
-    Each hour's marginal unit is located at the first capacity and walked down
-    as its residual load falls.  f and pi equal the sums over
-    :func:`merit_order_dispatch` exactly, e within rounding.
+    Each hour's marginal unit is located at the first capacity, and its five
+    terms (the capacity under it, twice: as the floor of its residual range
+    and as the base of its output; the emissions under it; its emission rate;
+    its marginal cost) are gathered into per-hour arrays once.  At each
+    capacity the unit steps down, and the terms are rewritten, only at the
+    hours whose residual load fell to their unit's floor, until none does.
+    Emissions and prices are then computed in buffers allocated once per
+    call.  f and pi equal the sums over :func:`merit_order_dispatch` exactly,
+    e within rounding.
 
     Tiny monotonicity violations in e and pi (sampling noise in the weighted
     price) are smoothed by decreasing isotonic regression and flagged.
@@ -241,30 +252,48 @@ def calibrate_grid(
     load, profile_cf = profiles._arrays
     caps, mcs, ers, cumcap = fleet._arrays
     total_load = float(np.sum(load))
-    below = np.concatenate([[0.0], cumcap[:-1]])
-    floor = np.concatenate([[-np.inf], cumcap[:-1]])  # no unit below unit 0
-    full_below = np.concatenate([[0.0], np.cumsum(ers * caps)[:-1]])  # emissions under each unit
+    top = cumcap[-1]
+    # per unit: the capacity under it (-inf under unit 0, so no hour steps past
+    # it), that capacity again, the emissions under it at full output, its
+    # emission rate and its marginal cost
+    unit_terms = np.array([
+        np.concatenate([[-np.inf], cumcap[:-1]]),
+        np.concatenate([[0.0], cumcap[:-1]]),
+        np.concatenate([[0.0], np.cumsum(ers * caps)[:-1]]),
+        ers,
+        mcs,
+    ])
     # residuals only fall as Q grows: check the fleet at the first capacity and
-    # locate each hour's marginal unit there, then walk it down the sweep
-    residual = _serve_wind(fleet, profiles, qs[0])[2]
+    # locate each hour's marginal unit there; its buffers serve the whole sweep
+    wind_served, residual = _serve_wind(fleet, profiles, qs[0])[1:]
     marginal = np.minimum(np.searchsorted(cumcap, residual, side="left"), len(caps) - 1)
+    hourly = unit_terms[:, marginal]  # each hour's marginal-unit terms, rows as above
+    floor, below, full_below, marginal_er, marginal_mc = hourly
+    work = np.empty_like(residual)
+    mask = np.empty(residual.shape, dtype=bool)
+    cf_total = np.sum(profile_cf)
     e_vals, f_vals, pi_vals = [], [], []
     for q in qs:
-        wind_served = np.minimum(q * profile_cf, load)
-        residual = load - wind_served
-        while True:
-            down = residual <= floor[marginal]
-            if not down.any():
-                break
-            marginal -= down
-        marginal_output = np.minimum(residual, cumcap[-1]) - below[marginal]
-        emissions = full_below[marginal] + ers[marginal] * marginal_output
-        prices = np.where(residual <= ROUNDING_TOL, 0.0, mcs[marginal])
+        np.minimum(np.multiply(q, profile_cf, out=wind_served), load, out=wind_served)
+        np.subtract(load, wind_served, out=residual)
+        # step down only the hours whose residual fell to their unit's floor
+        steps = np.flatnonzero(np.less_equal(residual, floor, out=mask))
+        while steps.size:
+            marginal[steps] -= 1
+            hourly[:, steps] = unit_terms[:, marginal[steps]]
+            steps = steps[residual[steps] <= floor[steps]]
+        # the units under the marginal one at full output, plus its own share
+        np.subtract(np.minimum(residual, top, out=work), below, out=work)
+        np.add(full_below, np.multiply(marginal_er, work, out=work), out=work)
+        e_vals.append(float(np.sum(work)) / total_load)
         served = np.sum(wind_served)
-        e_vals.append(float(np.sum(emissions)) / total_load)
         f_vals.append(float(served) / (profiles.hours * wind_cf))
-        weights = wind_served if served > 0 else profile_cf
-        price_energy = float(np.sum(prices * weights) / np.sum(weights))
+        # the marginal unit's cost, zero where wind is marginal (the residual
+        # load is rounding-size), times the weights
+        np.copyto(work, marginal_mc)
+        np.copyto(work, 0.0, where=np.less_equal(residual, ROUNDING_TOL, out=mask))
+        weights, total = (wind_served, served) if served > 0 else (profile_cf, cf_total)
+        price_energy = float(np.sum(np.multiply(work, weights, out=work)) / total)
         pi_vals.append(price_energy * 8.76 * wind_cf)
 
     e_iso = _decreasing_isotonic(np.asarray(e_vals)).tolist()
@@ -360,14 +389,38 @@ FLEET_CSV_COLUMNS = ("capacity_gw", "mc_usd_per_mwh", "er_ton_per_mwh")
 PROFILE_CSV_COLUMNS = ("hour", "load_gw", "wind_cf")
 
 
-def _read_csv(path, columns: tuple[str, ...], kind: str) -> tuple[list[int], np.ndarray]:
-    """Line numbers of a CSV file's nonblank rows, and its named columns as finite floats."""
+def _read_csv(path, columns: tuple[str, ...], kind: str) -> np.ndarray:
+    """A CSV file's named columns as finite floats, one array row per column.
+
+    The header is read with :mod:`csv` and the body with numpy's C reader.
+    Where that read fails or gives a non-finite entry, :func:`_walk_csv` reads
+    the file again row by row, so every message names the file, line and
+    column at fault, and whatever ``float`` accepts that numpy's reader does
+    not (``1_0``, non-ASCII digits) is read as before.
+    """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
+        header = next(csv.reader(handle), [])
         missing = set(columns) - set(header)
         if missing:
             raise ValueError(f"{path}: missing {kind} columns {sorted(missing)}")
+        index = [header.index(c) for c in columns]
+        try:
+            with warnings.catch_warnings():  # a header-only file is an empty table
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, delimiter=",", usecols=index, comments=None, quotechar='"', ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or not np.isfinite(table).all():
+        return _walk_csv(path, columns)[1]
+    return table.T
+
+
+def _walk_csv(path, columns: tuple[str, ...]) -> tuple[list[int], np.ndarray]:
+    """Line numbers of a CSV file's nonblank rows, and its named columns as
+    finite floats, read row by row; the header must name every column."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
         index = [header.index(c) for c in columns]
         cells = itemgetter(*index)
         lines, values = [], []
@@ -395,7 +448,7 @@ def _read_csv(path, columns: tuple[str, ...], kind: str) -> tuple[list[int], np.
 
 def read_fleet_csv(path) -> FleetSpec:
     """Fleet CSV with header capacity_gw, mc_usd_per_mwh, er_ton_per_mwh."""
-    _, columns = _read_csv(path, FLEET_CSV_COLUMNS, "fleet")
+    columns = _read_csv(path, FLEET_CSV_COLUMNS, "fleet")
     try:
         return FleetSpec(units=tuple(FleetUnit(*row) for row in columns.T.tolist()))
     except ValueError as exc:
@@ -404,11 +457,12 @@ def read_fleet_csv(path) -> FleetSpec:
 
 def read_profiles_csv(path) -> HourlyProfiles:
     """Profile CSV with header hour, load_gw, wind_cf; hours 0..n-1, each once."""
-    lines, (hours, load, cf) = _read_csv(path, PROFILE_CSV_COLUMNS, "profile")
+    hours, load, cf = _read_csv(path, PROFILE_CSV_COLUMNS, "profile")
     order = np.argsort(hours, kind="stable")
     wrong = hours[order] != np.arange(len(hours))
     if wrong.any():
         k = int(np.argmax(wrong))  # sorted, the hours must run 0, 1, ..., n - 1
+        lines = _walk_csv(path, PROFILE_CSV_COLUMNS)[0]
         raise ValueError(f"{path}: line {lines[order[k]]}: column hour: hour {hours[order[k]]:g} stands where "
                          f"{k} belongs in 0..{len(hours) - 1}, each once")
     if len(cf) and not cf.any():

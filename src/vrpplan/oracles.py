@@ -166,9 +166,9 @@ def dense_scan_price(
     wide enough to cover both pricing regimes with margin.  Its points are
     ``np.linspace``'s, evaluated SCAN_BLOCK at a time in buffers reused across
     blocks; a point whose sales exceed f(Q) is infeasible, and the first
-    maximum wins, as in one argmax over the whole grid.  Where e(Q) <= 0 or
-    f(Q) <= 0 there is no price to find, and the scan raises the closed
-    form's error.
+    maximum wins, as in one argmax over the whole grid.  Where e(Q) <= 0, or
+    f(Q) <= 0 or so small that M/f(Q) overflows, there is no price to find,
+    and the scan raises the closed form's error.
     """
     if n_points < 10:
         raise ValueError("n_points too small to be meaningful")
@@ -181,7 +181,10 @@ def dense_scan_price(
     base = e_q / dm.sensitivity
     p_cap = 10.0 * base
     if f_q < dm.market_size:
-        p_cap = max(p_cap, 2.0 * base * math.log(dm.market_size / f_q))
+        ratio = dm.market_size / f_q
+        if ratio == math.inf:
+            raise NoSellableCreditsError(f"f(Q)={f_q} at Q={q}: too few credits to price, M/f(Q) overflows")
+        p_cap = max(p_cap, 2.0 * base * math.log(ratio))
     # point i is i*step, with the last at p_cap: np.linspace's bits, as a step >= 0
     # makes its + 0.0 change none; offsets below 2**53 are exact as floats
     step = p_cap / (n_points - 1)

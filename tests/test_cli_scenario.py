@@ -241,6 +241,24 @@ class TestCliCommands:
         assert doc["period_solution"]["phase"] == 0
         assert doc["sharing"]["operator_budget_residual"] < 0
 
+    @pytest.mark.parametrize("command", ["price", "share", "simulate"])
+    def test_a_capacity_where_m_over_f_overflows_has_no_credits_to_sell(self, tmp_path, capsys, command):
+        # on the baseline f(2.2e-309) = 2.1e-309, so M/f(Q) and with it the capped price overflow
+        q = 2.2e-309
+        if command == "simulate":
+            doc = json.loads(Path(BASELINE_PATH).read_text())
+            doc["simulation"]["q_init"] = q
+            scenario = tmp_path / "tiny.json"
+            scenario.write_text(json.dumps(doc))
+            argv = ["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]
+        else:
+            argv = [command, "--scenario", BASELINE_PATH, repr(q)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"infeasible: f\(Q\)=\S+ at Q=2\.2e-309: too few credits to price, "
+                            r"M/f\(Q\) overflows\n", captured.err)
+        assert captured.out == ""
+
     @pytest.mark.parametrize("error", [*_subclasses(VrpError), ValueError, OSError], ids=lambda c: c.__name__)
     def test_exit_code_follows_the_exception_class(self, monkeypatch, capsys, error):
         exc = error(7, 2.0, 1.0) if error is DispatchShortageError else error("boom")

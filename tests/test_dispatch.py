@@ -1,19 +1,25 @@
 """Merit-order dispatch and grid-curve calibration."""
 
+import csv
 import math
 import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression, linprog
 
 from vrpplan.dispatch import (
+    FLEET_CSV_COLUMNS,
+    PROFILE_CSV_COLUMNS,
     FleetSpec,
     FleetUnit,
     HourlyProfiles,
     _decreasing_isotonic,
+    _read_csv,
+    _serve_wind,
     build_grid_model,
     calibrate_grid,
     default_fleet,
@@ -26,6 +32,7 @@ from vrpplan.dispatch import (
 )
 from vrpplan.errors import DispatchShortageError
 from vrpplan.grid_model import CostSpec, validate_grid_conditions
+from vrpplan.tolerances import ROUNDING_TOL
 
 
 class TestMeritOrderDispatch:
@@ -222,6 +229,49 @@ def sweeps(draw):
     return fleet, HourlyProfiles(load=tuple(load), wind_cf=tuple(cf)), q_grid
 
 
+def reference_calibrate(fleet, profiles, q_grid, wind_cf):
+    """The sweep gathering every hour's marginal-unit terms afresh at each
+    capacity: (samples, emissions_adjusted, energy_value_adjusted)."""
+    qs = [float(q) for q in q_grid]
+    load, profile_cf = profiles._arrays
+    caps, mcs, ers, cumcap = fleet._arrays
+    total_load = float(np.sum(load))
+    below = np.concatenate([[0.0], cumcap[:-1]])
+    floor = np.concatenate([[-np.inf], cumcap[:-1]])
+    full_below = np.concatenate([[0.0], np.cumsum(ers * caps)[:-1]])
+    residual = _serve_wind(fleet, profiles, qs[0])[2]
+    marginal = np.minimum(np.searchsorted(cumcap, residual, side="left"), len(caps) - 1)
+    e_vals, f_vals, pi_vals = [], [], []
+    for q in qs:
+        wind_served = np.minimum(q * profile_cf, load)
+        residual = load - wind_served
+        while True:
+            down = residual <= floor[marginal]
+            if not down.any():
+                break
+            marginal -= down
+        marginal_output = np.minimum(residual, cumcap[-1]) - below[marginal]
+        emissions = full_below[marginal] + ers[marginal] * marginal_output
+        prices = np.where(residual <= ROUNDING_TOL, 0.0, mcs[marginal])
+        served = np.sum(wind_served)
+        e_vals.append(float(np.sum(emissions)) / total_load)
+        f_vals.append(float(served) / (profiles.hours * wind_cf))
+        weights = wind_served if served > 0 else profile_cf
+        price_energy = float(np.sum(prices * weights) / np.sum(weights))
+        pi_vals.append(price_energy * 8.76 * wind_cf)
+    e_iso = _decreasing_isotonic(np.asarray(e_vals)).tolist()
+    pi_iso = _decreasing_isotonic(np.asarray(pi_vals)).tolist()
+    return tuple(zip(qs, e_iso, f_vals, pi_iso)), e_iso != e_vals, pi_iso != pi_vals
+
+
+def assert_same_bits(calibration, reference):
+    samples, emissions_adjusted, energy_value_adjusted = reference
+    # repr tells -0.0 from 0.0 and compares NaN, where == would not
+    assert repr(calibration.samples) == repr(samples)
+    assert calibration.emissions_adjusted == emissions_adjusted
+    assert calibration.energy_value_adjusted == energy_value_adjusted
+
+
 class TestSweepMatchesHourlyDispatch:
     @given(sweeps())
     @settings(max_examples=120, deadline=None)
@@ -243,6 +293,24 @@ class TestSweepMatchesHourlyDispatch:
         assert [s[2] for s in calibration.samples] == f
         assert [s[3] for s in calibration.samples] == pi_iso.tolist()
         np.testing.assert_allclose([s[1] for s in calibration.samples], e_iso, rtol=1e-13, atol=0)
+
+    @given(sweeps())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_reference_sweep_bit_for_bit(self, sweep):
+        fleet, profiles, q_grid = sweep
+        assert_same_bits(calibrate_grid(fleet, profiles, q_grid, 0.35),
+                         reference_calibrate(fleet, profiles, q_grid, 0.35))
+
+    def test_a_30_unit_fleet_over_a_year_matches_the_reference(self):
+        rng = np.random.default_rng(11)
+        caps = rng.uniform(0.2, 1.0, 30)
+        caps *= 13.0 / caps.sum()  # the default profiles peak near 10 GW
+        units = zip(caps, rng.uniform(5.0, 150.0, 30), rng.uniform(0.0, 1.0, 30))
+        fleet = FleetSpec(units=tuple(FleetUnit(float(c), float(m), float(r)) for c, m, r in units))
+        profiles = default_profiles()
+        q_grid = list(np.linspace(0.0, 12.0, 241))
+        assert_same_bits(calibrate_grid(fleet, profiles, q_grid, 0.35),
+                         reference_calibrate(fleet, profiles, q_grid, 0.35))
 
     def test_sweep_allocates_no_units_by_hours_array(self):
         rng = np.random.default_rng(3)
@@ -305,6 +373,113 @@ class TestDecreasingIsotonic:
         raw = [30.0 * scale, 30.0 * 0.1 / 1.1 * scale, 30.0 * 0.2 / 1.2 * scale]
         assert pi == pytest.approx([raw[0], (raw[1] + raw[2]) / 2, (raw[1] + raw[2]) / 2])
         assert [v for _, v in calibration.energy_value_curve.table] == pi
+
+
+def reference_read_csv(path, columns, kind):
+    """The row-by-row CSV read: (line numbers of the nonblank rows, the named
+    columns as finite floats, one array row per column)."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = set(columns) - set(header)
+        if missing:
+            raise ValueError(f"{path}: missing {kind} columns {sorted(missing)}")
+        index = [header.index(c) for c in columns]
+        cells = itemgetter(*index)
+        lines, values = [], []
+        for row in reader:
+            if not row:
+                continue
+            lines.append(reader.line_num)
+            try:
+                values.extend(map(float, cells(row)))
+            except (IndexError, ValueError):
+                for column, i in zip(columns, index):
+                    text = row[i] if i < len(row) else ""
+                    try:
+                        float(text)
+                    except ValueError:
+                        message = f"line {lines[-1]}: column {column}: not a number: {text!r}"
+                        raise ValueError(f"{path}: {message}") from None
+    table = np.array(values).reshape(-1, len(columns))
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, at = bad[0]
+        raise ValueError(f"{path}: line {lines[row]}: column {columns[at]}: not finite: {table[row, at]}")
+    return lines, table.T
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(0.0, 20.0).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0.0", "1e5", "+.5", "5.", "1E-3", "  2.5 ", "\t3\t", "1\xa0"]),
+)
+ODD_CELLS = st.sampled_from([
+    "1_0", "\u0661\u0662", "\u0663.\u0665", "\uff17",  # float() takes these, numpy's reader does not
+    "inf", "-inf", "nan", "Infinity", "1e999", "",
+    "x", "1.5e", "0x10", '1"2', " ", "1,5",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """A calibration CSV text: the named columns among extra ones, in any
+    order, and rows that are blank, short, quoted or not numbers at all."""
+    columns = draw(st.sampled_from([FLEET_CSV_COLUMNS, PROFILE_CSV_COLUMNS]))
+    extra = draw(st.lists(st.sampled_from(["note", "unit", ""]), max_size=2))
+    header = draw(st.permutations([*columns, *extra]))
+    clean = draw(st.booleans())  # numbers only: numpy's reader takes most such files whole
+
+    def cell():
+        text = draw(NUMBERS if clean or draw(st.integers(0, 5)) else ODD_CELLS)
+        quoting = draw(st.sampled_from(["", "", "", "quoted", "newline"]))
+        if quoting == "quoted" or "," in text or '"' in text:
+            return '"' + text.replace('"', '""') + '"'
+        return f'"{text}\n"' if quoting == "newline" else text
+
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "space", "short", "long", "unclosed"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            width = len(header) + {"short": -1, "long": 2}.get(kind, 0)
+            row = [cell() for _ in range(max(width, 1))]
+            if kind == "unclosed":  # a quote left open runs on into the next lines
+                row[-1] = '"' + draw(NUMBERS)
+            lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    last = draw(st.sampled_from([end, ""]))
+    return columns, end.join(lines) + last
+
+
+def read_outcome(read, path, columns):
+    """The table bit for bit, or the error's class and message."""
+    try:
+        table = read(path, columns, "test")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return table.dtype, table.shape, table.tobytes()
+
+
+class TestCsvReaderMatchesTheRowWalk:
+    @given(csv_texts())
+    @example((PROFILE_CSV_COLUMNS, "hour,load_gw,wind_cf\n"))  # header only
+    @example((PROFILE_CSV_COLUMNS, "hour,load_gw,wind_cf"))
+    @example((FLEET_CSV_COLUMNS, "note,er_ton_per_mwh,capacity_gw,mc_usd_per_mwh\r\nx,0.5,1_0,\u0661\r\n"))
+    @example((FLEET_CSV_COLUMNS, 'capacity_gw,mc_usd_per_mwh,er_ton_per_mwh\n\n"2.0\n",5,0\r\n \n'))
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.filterwarnings("error")
+    def test_same_table_or_same_message(self, tmp_path, case):
+        columns, text = case
+        path = tmp_path / "input.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+        expected = read_outcome(lambda *args: reference_read_csv(*args)[1], path, columns)
+        assert read_outcome(_read_csv, path, columns) == expected
 
 
 class TestCsvRoundTrips:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import adversarial_dip_model, flat_model
-from vrpplan.demand_pricing import DemandModel, optimal_price, unconstrained_peak_revenue
+from vrpplan.demand_pricing import DemandModel, optimal_price, price_at, unconstrained_peak_revenue
 from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import EnumerationConfigError, NetZeroGridError, NoSellableCreditsError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
@@ -219,6 +219,20 @@ class TestDenseScanPrice:
             optimal_price(baseline_demand, baseline_model, 0.0)
         with pytest.raises(NoSellableCreditsError):
             dense_scan_price(baseline_demand, baseline_model, 0.0)
+
+    def test_overflowing_m_over_f_raises_like_the_closed_form(self, baseline_demand, baseline_model):
+        # f(2.2e-309) = 2.1e-309 on the baseline: M/f(Q) overflows, so the price and p_cap would be inf
+        q = 2.2e-309
+        with pytest.raises(NoSellableCreditsError, match="M/f"):
+            optimal_price(baseline_demand, baseline_model, q)
+        states = baseline_model.state(np.array([3.0, 1e-300, q]))
+        with np.errstate(all="raise"):  # no overflow on the way to the error
+            with pytest.raises(NoSellableCreditsError, match="M/f"):
+                price_at(baseline_demand, states)
+            with pytest.raises(NoSellableCreditsError, match="M/f"):
+                dense_scan_price(baseline_demand, baseline_model, q)
+        # 1e-300 is the smallest of these capacities whose price is finite
+        assert math.isfinite(optimal_price(baseline_demand, baseline_model, 1e-300).price)
 
     def test_net_zero_grid_raises_like_the_closed_form(self):
         model = replace(

@@ -25,7 +25,7 @@ from vrpplan.demand_pricing import (
 from vrpplan import cli, grid_model
 from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
-from vrpplan.errors import InfeasiblePeriodError, VrpError
+from vrpplan.errors import InfeasiblePeriodError, NoSellableCreditsError, VrpError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
@@ -421,6 +421,11 @@ class TestMyopicFeasibility:
         limit = solve_long_run_limit(dm, model).capacity_limit
         lo = model.domain[0]
         cfg = SimulationConfig(q_init=lo + start * (limit - lo), horizon=250, stop_at_limit=stop_at_limit)
+        if math.isinf(dm.market_size / model.delivered_at(cfg.q_init)):
+            # f(Q) so small that M/f(Q) overflows has no credits to sell, as f = 0 at lo has none
+            with pytest.raises(NoSellableCreditsError):
+                simulate_myopic(dm, model, cfg)
+            return
         k = model.invest_cost
         for r in simulate_myopic(dm, model, cfg).records:
             s, price, expansion = r.state, r.solution.price, r.solution.expansion
