@@ -6,6 +6,11 @@ program operator and generators, solves the long-run capacity limit, and
 simulates multi-period deployment with independent brute-force verification
 of every closed-form result.
 
+Decisions (``price_at``, ``decide_at``) take a ``PeriodState``, the grid at
+one capacity or an array of them; solvers (``solve_period``,
+``solve_separated_period``, ``kkt_residuals``, ``max_feasible_expansion``,
+``reach_map``, ``solve_long_run_limit``) take a capacity.
+
 The names below are imported on first use, from the module listed with them.
 Pricing, sharing and the long-run limit are scalar closed forms and never
 load numpy: the ``price``, ``share`` and ``limit`` commands run without it.
@@ -19,27 +24,25 @@ from importlib import import_module
 _EXPORTS = {
     "demand_pricing": (
         "DemandModel", "ExpansionStatus", "KktResiduals", "PeriodSolution", "Phase", "demand",
-        "kkt_residuals", "optimal_expansion", "optimal_price", "revenue", "unconstrained_peak_revenue",
+        "kkt_residuals", "revenue", "unconstrained_peak_revenue",
     ),
     "dispatch": (
         "CalibrationOutput", "FleetSpec", "FleetUnit", "HourlyProfiles", "build_grid_model",
         "calibrate_grid", "default_fleet", "default_profiles", "merit_order_dispatch",
     ),
     "equilibrium": (
-        "EquilibriumResult", "check_k_independence", "check_nonvanishing_emissions",
-        "find_deliverability_threshold", "solve_long_run_limit",
+        "EquilibriumResult", "find_deliverability_threshold", "solve_long_run_limit",
     ),
     "grid_model": (
         "ConditionReport", "CostSpec", "CurveKind", "GridCurve", "GridModel", "PeriodState",
-        "cost_generator", "cost_integrated", "cost_operator", "eval_curve", "validate_grid_conditions",
+        "eval_curve", "validate_grid_conditions",
     ),
     "oracles": (
         "DominanceReport", "EnumerationConfig", "dense_scan_equilibrium", "dense_scan_price",
         "enumerate_and_compare",
     ),
     "revenue_sharing": (
-        "SharingSolution", "classify_phase", "expansion_given_share", "optimal_share",
-        "solve_separated_period",
+        "SharingSolution", "classify_phase", "solve_separated_period",
     ),
     "scenario": ("Scenario", "baseline_demand_model", "baseline_grid_model", "baseline_scenario", "load_scenario"),
     "trajectory": (

@@ -223,7 +223,7 @@ def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: in
     worst = 0.0
     checked = 0
     for q in map(float, states):
-        if dp.optimal_expansion(dm, model, q).status is not dp.ExpansionStatus.EXPANDING:
+        if dp.decide_at(dm, model.state(q), model.invest_cost).status is not dp.ExpansionStatus.EXPANDING:
             continue
         res = dp.kkt_residuals(dm, model, q, traj.solve_period(dm, model, q), problem="integrated")
         worst = max(worst, res.max_abs_residual)

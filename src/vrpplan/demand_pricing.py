@@ -138,18 +138,9 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
     return PriceSolution(base * math.log(ratio), True)
 
 
-def optimal_price(dm: DemandModel, model: gm.GridModel, q: float) -> PriceSolution:
-    """:func:`price_at` the grid state at capacity ``q``."""
-    return price_at(dm, model.state(q))
-
-
-class ExpansionSolution(NamedTuple):
-    expansion: float
-    status: ExpansionStatus
-
-
 class Decision(NamedTuple):
-    """The scalars of a period's integrated decision at one state."""
+    """A period's integrated decision at a :class:`~vrpplan.grid_model.PeriodState`:
+    scalars at a scalar state, arrays (``status`` of objects) at an array state."""
 
     price: float  # revenue-maximizing premium, M$/GW-yr
     deliverability_binding: bool  # the price regime: sales capped at f(Q)
@@ -159,18 +150,28 @@ class Decision(NamedTuple):
 
 
 def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
-    """The integrated decision at a scalar state: one :func:`price_at`, one
-    :func:`demand` and one revenue/cost tolerance.
+    """The integrated decision at a state: one :func:`price_at`, one demand
+    evaluation and one revenue/cost tolerance.
 
     The expansion is the binding financial constraint's (R* - C)/k, clamped
     at zero.  Status distinguishes an expanding period, the long-run
     equilibrium (|R* - C| within BALANCE_TOL times the larger of |R*| and |C|,
     with no absolute floor), and an infeasible period where revenue cannot
-    cover cost even without expansion.
+    cover cost even without expansion.  An array state decides every entry
+    at once, with the scalar rules, but for ulps of ``np.exp`` and ``np.log``.
+    Decisions take a state; the solvers built on them take a capacity.
     """
     price, binding = price_at(dm, s)
-    rev = price * demand(dm, price, s.e)
     cost = s.cost
+    if gm.is_array(s.q):
+        import numpy as np
+        rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
+        tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
+        infeasible, equilibrium = ~(rev >= cost - tol), np.abs(rev - cost) <= tol
+        status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
+        status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
+        return Decision(price, binding, rev, np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)
+    rev = price * demand(dm, price, s.e)
     tol = BALANCE_TOL * max(abs(rev), abs(cost))  # no floor: near Q = 0 both are tiny
     if not rev >= cost - tol:  # also a NaN revenue
         expansion, status = 0.0, ExpansionStatus.INFEASIBLE
@@ -179,28 +180,6 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     else:
         expansion, status = (rev - cost) / k, ExpansionStatus.EXPANDING
     return Decision(price, binding, rev, expansion, status)
-
-
-def expansion_at(dm: DemandModel, s: gm.PeriodState, k: float) -> ExpansionSolution:
-    """Expansion and status of :func:`decide_at`; an array state gives an
-    array of expansions and one of statuses."""
-    if not gm.is_array(s.q):
-        d = decide_at(dm, s, k)
-        return ExpansionSolution(d.expansion, d.status)
-    import numpy as np
-    price, _ = price_at(dm, s)
-    rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
-    cost = s.cost
-    tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
-    infeasible, equilibrium = ~(rev >= cost - tol), np.abs(rev - cost) <= tol
-    status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
-    status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
-    return ExpansionSolution(np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)
-
-
-def optimal_expansion(dm: DemandModel, model: gm.GridModel, q: float) -> ExpansionSolution:
-    """:func:`expansion_at` the grid state at capacity ``q``."""
-    return expansion_at(dm, model.state(q), model.invest_cost)
 
 
 # ---------------------------------------------------------------------------

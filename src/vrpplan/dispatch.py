@@ -33,6 +33,7 @@ import numpy as np
 from . import grid_model as gm
 from .errors import DispatchShortageError
 from .tolerances import ROUNDING_TOL, scaled
+from .units import invert_price_units
 
 HOURS_PER_YEAR = 8760
 
@@ -74,37 +75,32 @@ class FleetSpec:
         return float(self._arrays[3][-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HourlyProfiles:
-    """Hourly demand (GW) and per-unit wind output, equal lengths."""
+    """Hourly demand (GW) and per-unit wind output, equal lengths, from any
+    sequences of numbers: each held as a read-only float64 array of its own."""
 
-    load: tuple[float, ...]
-    wind_cf: tuple[float, ...]
+    load: np.ndarray
+    wind_cf: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "load", tuple(map(float, self.load)))
-        object.__setattr__(self, "wind_cf", tuple(map(float, self.wind_cf)))
-        if len(self.load) != len(self.wind_cf):
+        for name in ("load", "wind_cf"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        load, cf = self.load, self.wind_cf
+        if load.ndim != 1 or load.shape != cf.shape:
             raise ValueError("load and wind_cf profiles must have equal length")
-        if not self.load:
+        if not len(load):
             raise ValueError("profiles must not be empty")
-        load, cf = self._arrays
         if not (np.isfinite(load).all() and load.min() > 0):
             raise ValueError("load must be finite and strictly positive")
         if not (cf.min() >= 0 and cf.max() <= 1):  # false for NaN
             raise ValueError("wind capacity factors must lie in [0, 1]")
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.load), np.asarray(self.wind_cf)
-
     @property
     def hours(self) -> int:
         return len(self.load)
-
-    @property
-    def mean_wind_cf(self) -> float:
-        return float(np.mean(self._arrays[1]))
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ def _serve_wind(fleet: FleetSpec, profiles: HourlyProfiles, wind_capacity: float
     """Hourly available wind, served wind and residual load; raise on a shortage."""
     if wind_capacity < 0:
         raise ValueError("wind capacity must be nonnegative")
-    load, cf = profiles._arrays
+    load, cf = profiles.load, profiles.wind_cf
     available = wind_capacity * cf
     wind_served = np.minimum(available, load)
     residual = load - wind_served
@@ -224,8 +220,8 @@ def calibrate_grid(
 
     e(Q): total emissions / total load (grid average, ton/MWh).
     f(Q): non-curtailed wind energy / (hours * wind_cf), GW capacity-equivalent.
-    pi(Q): wind-output-weighted clearing price, converted to M$/GW-yr via the
-    8.76 * wind_cf capacity/energy factor.  With no wind on line the weights
+    pi(Q): wind-output-weighted clearing price, converted to M$/GW-yr by
+    :func:`~vrpplan.units.invert_price_units`.  With no wind on line the weights
     fall back to the wind profile itself (the value of the first marginal MW).
 
     Each hour's marginal unit is located at the first capacity, and its five
@@ -249,7 +245,7 @@ def calibrate_grid(
     if not 0.0 < wind_cf <= 1.0:
         raise ValueError("wind_cf must lie in (0, 1]")
 
-    load, profile_cf = profiles._arrays
+    load, profile_cf = profiles.load, profiles.wind_cf
     caps, mcs, ers, cumcap = fleet._arrays
     total_load = float(np.sum(load))
     top = cumcap[-1]
@@ -294,7 +290,7 @@ def calibrate_grid(
         np.copyto(work, 0.0, where=np.less_equal(residual, ROUNDING_TOL, out=mask))
         weights, total = (wind_served, served) if served > 0 else (profile_cf, cf_total)
         price_energy = float(np.sum(np.multiply(work, weights, out=work)) / total)
-        pi_vals.append(price_energy * 8.76 * wind_cf)
+        pi_vals.append(invert_price_units(price_energy, wind_cf))
 
     e_iso = _decreasing_isotonic(np.asarray(e_vals)).tolist()
     pi_iso = _decreasing_isotonic(np.asarray(pi_vals)).tolist()
@@ -382,7 +378,7 @@ def default_profiles(
     if np.max(cf) > 1.0:  # cannot happen for sensible wind_cf, but stay safe
         cf = np.clip(cf, 0.0, 1.0)
         cf = cf * (wind_cf / np.mean(cf))
-    return HourlyProfiles(load=tuple(load), wind_cf=tuple(cf))
+    return HourlyProfiles(load=load, wind_cf=cf)
 
 
 FLEET_CSV_COLUMNS = ("capacity_gw", "mc_usd_per_mwh", "er_ton_per_mwh")
@@ -399,7 +395,7 @@ def _read_csv(path, columns: tuple[str, ...], kind: str) -> np.ndarray:
     not (``1_0``, non-ASCII digits) is read as before.
     """
     with open(path, newline="") as handle:
-        header = next(csv.reader(handle), [])
+        header = next(_rows(csv.reader(handle), path), [])
         missing = set(columns) - set(header)
         if missing:
             raise ValueError(f"{path}: missing {kind} columns {sorted(missing)}")
@@ -415,16 +411,25 @@ def _read_csv(path, columns: tuple[str, ...], kind: str) -> np.ndarray:
     return table.T
 
 
+def _rows(reader, path):
+    """A csv reader's rows; its csv.Error (a field past the size limit) as a ValueError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _walk_csv(path, columns: tuple[str, ...]) -> tuple[list[int], np.ndarray]:
     """Line numbers of a CSV file's nonblank rows, and its named columns as
     finite floats, read row by row; the header must name every column."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
+        rows = _rows(reader, path)
+        header = next(rows, [])
         index = [header.index(c) for c in columns]
         cells = itemgetter(*index)
         lines, values = [], []
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             lines.append(reader.line_num)
@@ -468,7 +473,7 @@ def read_profiles_csv(path) -> HourlyProfiles:
     if len(cf) and not cf.any():
         raise ValueError(f"{path}: column wind_cf: zero in every hour, so wind has no energy value")
     try:
-        return HourlyProfiles(load=tuple(load[order].tolist()), wind_cf=tuple(cf[order].tolist()))
+        return HourlyProfiles(load=load[order], wind_cf=cf[order])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -485,5 +490,6 @@ def write_profiles_csv(profiles: HourlyProfiles, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PROFILE_CSV_COLUMNS)
-        for hour, (load, cf) in enumerate(zip(profiles.load, profiles.wind_cf)):
+        # tolist: repr of Python floats, not of numpy scalars
+        for hour, (load, cf) in enumerate(zip(profiles.load.tolist(), profiles.wind_cf.tolist())):
             writer.writerow([hour, repr(load), repr(cf)])

@@ -4,7 +4,8 @@ Beyond the deliverability threshold the maximal revenue is proportional to
 the emissions intensity, so the limit solves C(Q) = M/(exp(1)*eps) * e(Q).
 The gap F(Q) = revenue - cost is strictly decreasing there for accepted
 models (e nonincreasing, C increasing), which makes plain bisection both
-sufficient and robust.
+sufficient and robust.  A solver: it takes the model and builds each state.
+The limit is the same for every investment cost k, and e stays positive there.
 """
 
 from __future__ import annotations
@@ -123,28 +124,3 @@ def solve_long_run_limit(dm: dp.DemandModel, model: gm.GridModel) -> Equilibrium
         else:
             hi = s.q
     return finish(s, bracket, iterations, False)
-
-
-def check_nonvanishing_emissions(result: EquilibriumResult) -> bool:
-    """True iff the grid keeps strictly positive emissions at the limit."""
-    return result.emissions_at_limit > ROUNDING_TOL
-
-
-def check_k_independence(
-    dm: dp.DemandModel, model: gm.GridModel, k_values: list[float]
-) -> float:
-    """Max relative spread of the capacity limit across investment costs.
-
-    The revenue/cost gap does not involve k, so the spread is expected to be
-    zero up to solver tolerance.
-    """
-    if not k_values:
-        raise ValueError("need at least one investment cost")
-    if any(k <= 0 for k in k_values):
-        raise ValueError("investment costs must be positive")
-    limits = [
-        solve_long_run_limit(dm, model.with_invest_cost(k)).capacity_limit
-        for k in k_values
-    ]
-    spread = max(limits) - min(limits)
-    return spread / max(map(abs, limits)) if spread else 0.0

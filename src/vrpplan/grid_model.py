@@ -12,6 +12,10 @@ A :class:`GridModel` is an immutable value object; every evaluation helper is
 a pure function, so models can be shared freely across threads.  Every
 evaluation takes a float or an ndarray of capacities, and every slope is
 analytic (``slope`` of a curve or a cost, :meth:`GridModel.cost_slope`).
+
+:meth:`GridModel.state` turns a capacity into the :class:`PeriodState`, costs
+included, that decisions (``price_at``, ``decide_at``) take; solvers take the
+capacity and build the state.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -261,12 +265,14 @@ class PeriodState(NamedTuple):
 
     @property
     def cost(self) -> float:
-        """Non-investment cost C = C_S + C_R - f*pi, M$/yr."""
+        """Non-investment cost C = C_S + C_R - f*pi, M$/yr; negative while the
+        generators' wholesale surplus exceeds system cost, as at low penetration."""
         return self.C_S + self.C_R - self.f * self.pi
 
     @property
     def cost_generator(self) -> float:
-        """Generator-side net cost C_R - f*pi, M$/yr."""
+        """Generator-side net cost C_2 = C_R - f*pi, M$/yr; its sign decides
+        whether generators need a share of program revenue."""
         return self.C_R - self.f * self.pi
 
 
@@ -341,9 +347,6 @@ class GridModel(Serializable):
     def delivered_at(self, q: float) -> float:
         return eval_curve(self.delivered, self._clamp(q))
 
-    def energy_value_at(self, q: float) -> float:
-        return eval_curve(self.energy_value, self._clamp(q))
-
     def cost_slope(self, q):
         """C'(Q) = C_S' + C_R' - f'*pi - f*pi', M$/GW-yr, at ``q`` clamped as by :meth:`state`."""
         q = self._clamp(q)
@@ -353,9 +356,6 @@ class GridModel(Serializable):
             - self.delivered.slope(q) * eval_curve(self.energy_value, q)
             - eval_curve(self.delivered, q) * self.energy_value.slope(q)
         )
-
-    def with_invest_cost(self, invest_cost: float) -> "GridModel":
-        return replace(self, invest_cost=invest_cost)
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "grid") -> "GridModel":
@@ -373,31 +373,6 @@ class GridModel(Serializable):
             return cls(**fields)
         except ValueError as exc:  # its message begins with the field's name
             raise ValueError(f"{path}.{exc}") from None
-
-
-def cost_integrated(model: GridModel, q: float) -> float:
-    """Non-investment cost C(Q) = C_S(Q) + C_R(Q) - f(Q)*pi(Q), M$/yr.
-
-    May be negative when the generators' wholesale surplus exceeds system
-    cost, which is the normal state at low penetration.
-    """
-    return model.state(q).cost
-
-
-def cost_operator(model: GridModel, q: float, expansion: float) -> float:
-    """Operator-side aggregate C_S(Q) + k*q for expansion q >= 0."""
-    if expansion < 0:
-        raise ValueError("expansion must be nonnegative")
-    return model.cost_system.cost(model._clamp(q)) + model.invest_cost * expansion
-
-
-def cost_generator(model: GridModel, q: float) -> float:
-    """Generator-side net cost C_R(Q) - f(Q)*pi(Q).
-
-    Negative values mean wholesale revenue alone keeps generators viable;
-    the sign decides whether any program revenue must be shared with them.
-    """
-    return model.state(q).cost_generator
 
 
 @contextmanager

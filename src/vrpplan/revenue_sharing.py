@@ -3,7 +3,8 @@
 A policy-controlled fraction ``gamma`` of program revenue is transferred to
 generators; the operator keeps the rest and funds system cost plus expansion.
 The accounts are strictly separated: a generator surplus (negative generator
-net cost) never subsidizes the operator's budget.
+net cost) never subsidizes the operator's budget.  The decision
+:func:`required_share` takes a state; the solver takes a capacity.
 """
 
 from __future__ import annotations
@@ -43,33 +44,6 @@ def required_share(s: gm.PeriodState, rev: float) -> float:
     return share
 
 
-def _peak_decision(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.Decision:
-    d = dp.decide_at(dm, s, k)
-    if d.revenue <= 0:
-        raise NoRevenueError(f"maximal revenue {d.revenue} at Q={s.q} is nonpositive")
-    return d
-
-
-def optimal_share(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
-    """Smallest revenue share that keeps generators viable: max{0, C_2/R*}."""
-    s = model.state(q)
-    return required_share(s, _peak_decision(dm, s, model.invest_cost).revenue)
-
-
-def expansion_given_share(
-    dm: dp.DemandModel, model: gm.GridModel, q: float, share: float
-) -> float:
-    """Operator-funded expansion ((1-gamma) R* - C_S)/k, clamped at zero.
-
-    Affine and strictly decreasing in the share before clamping.
-    """
-    if not 0.0 <= share < 1.0:
-        raise ValueError("share must lie in [0, 1)")
-    s = model.state(q)
-    rev = dp.decide_at(dm, s, model.invest_cost).revenue
-    return max(0.0, ((1.0 - share) * rev - s.C_S) / model.invest_cost)
-
-
 def classify_phase(share: float, expansion: float, feasible: bool) -> dp.Phase:
     """Exactly one transition label per (share, expansion, feasibility) input.
 
@@ -96,8 +70,10 @@ def solve_separated_period(
     exactly |C_2|/k.
     """
     s, k = model.state(q), model.invest_cost
-    d = _peak_decision(dm, s, k)  # also the integrated benchmark's expansion
+    d = dp.decide_at(dm, s, k)  # also the integrated benchmark's expansion
     rev = d.revenue
+    if rev <= 0:
+        raise NoRevenueError(f"maximal revenue {rev} at Q={s.q} is nonpositive")
     share = required_share(s, rev)
     expansion = max(0.0, ((1.0 - share) * rev - s.C_S) / k)
     if expansion <= ZERO_TOL:  # equilibrium periods carry an exact zero

@@ -135,10 +135,6 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_read_json(path), where=str(path), base_dir=path.parent)
 
 
-def save_scenario(scenario: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario.to_dict(), indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Shipped baseline: 10 GW-peak utility, quadratic costs, synthetic curves
 # ---------------------------------------------------------------------------

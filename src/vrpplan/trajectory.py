@@ -102,13 +102,13 @@ def _checked(d: dp.Decision, q: float) -> dp.Decision:
 
 
 def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
+    d = dp.decide_at(dm, s, k)
     if not gm.is_array(s.q):
-        return _checked(dp.decide_at(dm, s, k), s.q).expansion
-    expansion, status = dp.expansion_at(dm, s, k)
-    infeasible = status == dp.ExpansionStatus.INFEASIBLE
+        return _checked(d, s.q).expansion
+    infeasible = d.status == dp.ExpansionStatus.INFEASIBLE
     if infeasible.any():
         raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
-    return expansion
+    return d.expansion
 
 
 def max_feasible_expansion(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
@@ -321,17 +321,3 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         writer.writerow(TRAJECTORY_CSV_COLUMNS)
         for row in trajectory_csv_rows(trajectory):
             writer.writerow([repr(v) for v in row.values()])
-
-
-def read_trajectory_csv(path) -> list[dict]:
-    import csv
-    rows = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if tuple(reader.fieldnames or ()) != TRAJECTORY_CSV_COLUMNS:
-            raise ValueError(f"unexpected trajectory CSV header in {path}")
-        for raw in reader:
-            rows.append(
-                {c: (int if c in ("t", "phase") else float)(raw[c]) for c in TRAJECTORY_CSV_COLUMNS}
-            )
-    return rows

@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from vrpplan.demand_pricing import DemandModel, ExpansionStatus, optimal_expansion
+from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at
 from vrpplan.equilibrium import find_deliverability_threshold
 from vrpplan.errors import ThresholdUnreachableError
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.demand_pricing import unconstrained_peak_revenue
 from vrpplan.scenario import baseline_demand_model, baseline_grid_model
 from vrpplan.trajectory import SimulationConfig
@@ -107,9 +107,8 @@ def random_accepted_model(
         except ThresholdUnreachableError:
             continue
         gaps = [
-            unconstrained_peak_revenue(dm, model.emissions_at(q))
-            - cost_integrated(model, q)
-            for q in np.linspace(threshold, domain[1], 64)
+            unconstrained_peak_revenue(dm, s.e) - s.cost
+            for s in map(model.state, np.linspace(threshold, domain[1], 64))
         ]
         # the long-run-limit theorem needs the gap to fall strictly past the
         # threshold (cost increasing there); reject draws outside that family
@@ -160,6 +159,6 @@ def pick_expanding_state(
     lo, hi = model.domain
     for _ in range(max_tries):
         q = rng.uniform(lo + 0.02 * (hi - lo), lo + 0.8 * (hi - lo))
-        if optimal_expansion(dm, model, q).status is ExpansionStatus.EXPANDING:
+        if decide_at(dm, model.state(q), model.invest_cost).status is ExpansionStatus.EXPANDING:
             return q
     raise RuntimeError("no expanding state found")

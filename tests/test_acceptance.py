@@ -9,6 +9,7 @@ to see the per-criterion report.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,14 +17,13 @@ import pytest
 from conftest import pick_expanding_state, random_accepted_model
 from vrpplan.demand_pricing import (
     ExpansionStatus,
+    decide_at,
     kkt_residuals,
-    optimal_expansion,
-    optimal_price,
+    price_at,
     revenue,
 )
 from vrpplan.dispatch import calibrate_grid, default_fleet, default_profiles, merit_order_dispatch
 from vrpplan.equilibrium import solve_long_run_limit
-from vrpplan.grid_model import cost_generator, cost_integrated, cost_operator
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.scenario import baseline_demand_model, baseline_grid_model
@@ -71,7 +71,7 @@ def test_criterion_3_closed_form_price_vs_scan():
         q = rng.uniform(lo + 0.05 * (hi - lo), hi)
         e_q = model.emissions_at(q)
         f_q = model.delivered_at(q)
-        closed, _ = optimal_price(dm, model, q)
+        closed, _ = price_at(dm, model.state(q))
 
         base = e_q / dm.sensitivity
         p_cap = 10.0 * base
@@ -127,12 +127,12 @@ def test_criterion_5_equilibrium_properties():
         dm, model = random_accepted_model(rng, require_root=True)
         result = solve_long_run_limit(dm, model)
         assert not result.domain_capped
-        cost = cost_integrated(model, result.capacity_limit)
+        cost = model.state(result.capacity_limit).cost
         assert result.residual <= 1e-8 * max(1.0, abs(cost))
         assert result.emissions_at_limit > 0.0
 
         limits = [
-            solve_long_run_limit(dm, model.with_invest_cost(k)).capacity_limit
+            solve_long_run_limit(dm, replace(model, invest_cost=k)).capacity_limit
             for k in (250.0, 1000.0, 4000.0)
         ]
         spread = (max(limits) - min(limits)) / max(abs(max(limits)), 1e-300)
@@ -188,22 +188,20 @@ def test_criterion_7_sharing_equivalence():
         models += 1
         lo, hi = model.domain
         for q in np.linspace(lo + 0.1 * (hi - lo), hi * 0.95, 12):
-            if cost_generator(model, q) <= 0:
+            s = model.state(q)
+            if s.cost_generator <= 0:
                 continue
-            integrated, status = optimal_expansion(dm, model, q)
-            if status is not ExpansionStatus.EXPANDING:
+            integrated = decide_at(dm, s, model.invest_cost)
+            if integrated.status is not ExpansionStatus.EXPANDING:
                 continue
             separated, sharing = solve_separated_period(dm, model, q)
             if not 0.0 < separated.share < 1.0:
                 continue
-            price, _ = optimal_price(dm, model, q)
-            assert separated.price == price
-            assert abs(separated.expansion - integrated) <= 1e-8 * max(
-                1.0, abs(integrated)
+            assert separated.price == price_at(dm, s).price
+            assert abs(separated.expansion - integrated.expansion) <= 1e-8 * max(
+                1.0, abs(integrated.expansion)
             )
-            total = cost_operator(model, q, separated.expansion) + cost_generator(
-                model, q
-            )
+            total = s.C_S + model.invest_cost * separated.expansion + s.cost_generator
             assert abs(total - separated.revenue) <= 1e-8 * max(
                 1.0, abs(separated.revenue)
             )

@@ -1,5 +1,6 @@
 """Unit conversion, scenario files, and the command-line surface."""
 
+import csv
 import json
 import math
 import os
@@ -24,10 +25,9 @@ from vrpplan.scenario import (
     DerivativeBounds,
     baseline_scenario,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
 )
-from vrpplan.trajectory import SimulationConfig, read_trajectory_csv
+from vrpplan.trajectory import SimulationConfig
 from vrpplan.units import convert_price_units, invert_price_units
 
 BASELINE_PATH = "scenarios/baseline.json"
@@ -69,12 +69,13 @@ class TestScenarioFiles:
         shipped = load_scenario(BASELINE_PATH)
         built = baseline_scenario()
         assert shipped == built
-        assert json.load(open(BASELINE_PATH)) == built.to_dict()
+        with open(BASELINE_PATH) as handle:
+            assert json.load(handle) == built.to_dict()
 
     def test_save_load_round_trip(self, tmp_path):
         scenario = baseline_scenario()
         path = tmp_path / "scenario.json"
-        save_scenario(scenario, path)
+        path.write_text(json.dumps(scenario.to_dict(), indent=2) + "\n")
         assert load_scenario(path) == scenario
 
     def test_grid_by_reference(self, tmp_path):
@@ -159,8 +160,8 @@ class TestCliCommands:
             "trajectory.csv",
             "trajectory.json",
         ]
-        rows = read_trajectory_csv(out / "trajectory.csv")
-        phases = [r["phase"] for r in rows]
+        with open(out / "trajectory.csv", newline="") as handle:
+            phases = [int(r["phase"]) for r in csv.DictReader(handle)]
         assert sorted(set(phases)) == [1, 2, 3]
         assert all(b >= a for a, b in zip(phases, phases[1:]))
         doc = json.loads((out / "trajectory.json").read_text())
@@ -673,6 +674,19 @@ class TestCalibrationCsvInput:
             assert f"line {line}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("line", [1, 2], ids=["header", "body"])
+    def test_field_past_the_csv_size_limit_exits_2(self, tmp_path, capsys, line):
+        # a field over the csv module's 131,072 characters, in the header, or in a
+        # body row that numpy's reader rejects for its 1_0, so the row walk reads it
+        rows = ["capacity_gw,mc_usd_per_mwh,er_ton_per_mwh", "13.5,1_0,0.5"]
+        rows[line - 1] = " " * 200_000 + rows[line - 1]
+        fleet = tmp_path / "fleet.csv"
+        fleet.write_text("\n".join(rows) + "\n")
+        assert main(["calibrate", "--scenario", BASELINE_PATH, "--fleet", str(fleet), "--q-grid", "4"]) == 2
+        captured = capsys.readouterr()
+        assert f"{fleet}: line {line}: field larger than field limit" in captured.err
+        assert captured.out == ""
+
 
 def test_no_command_imports_scipy(tmp_path):
     # a fresh interpreter: this one has loaded scipy already
@@ -706,7 +720,7 @@ def tabulated_baseline(path: Path) -> Path:
         return GridCurve(CurveKind.TABULATED, table=tuple((q, curve(q)) for q in qs))
 
     grid = replace(grid, emissions=table(grid.emissions), energy_value=table(grid.energy_value))
-    save_scenario(replace(scenario, grid=grid), path)
+    path.write_text(json.dumps(replace(scenario, grid=grid).to_dict()))
     return path
 
 
@@ -735,6 +749,13 @@ assert "numpy" in sys.modules
     )
     assert result.returncode == 0, result.stderr
 
+
+def test_every_export_and_submodule_resolves():
+    # names are imported on first use: a stale _EXPORTS entry fails only here
+    for name in vrpplan.__all__:
+        getattr(vrpplan, name)
+    for name in vrpplan._SUBMODULES:
+        assert getattr(vrpplan, name).__name__ == f"vrpplan.{name}"
 
 
 def test_log_lines_with_and_without_the_level(tmp_path):

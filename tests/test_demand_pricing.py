@@ -12,15 +12,14 @@ from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
     _kkt_lstsq,
+    decide_at,
     demand,
     kkt_residuals,
-    optimal_expansion,
-    optimal_price,
+    price_at,
     revenue,
     unconstrained_peak_revenue,
 )
 from vrpplan.errors import NetZeroGridError, NoSellableCreditsError
-from vrpplan.grid_model import cost_integrated
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.trajectory import solve_period
 
@@ -83,20 +82,20 @@ class TestRevenue:
 class TestOptimalPrice:
     def test_interior_regime(self):
         model = flat_model(0.3, 5.0, 0.0)
-        price, binding = optimal_price(DM, model, 1.0)
+        price, binding = price_at(DM, model.state(1.0))
         assert price == pytest.approx(0.3 / 0.0045)
         assert not binding
 
     def test_binding_regime(self):
         model = flat_model(0.3, 2.0, 0.0)
-        price, binding = optimal_price(DM, model, 1.0)
+        price, binding = price_at(DM, model.state(1.0))
         assert price == pytest.approx((0.3 / 0.0045) * math.log(5.0))
         assert binding
 
     def test_regime_continuity_at_boundary(self):
         f_boundary = DM.market_size * math.exp(-1.0)
         model = flat_model(0.3, f_boundary, 0.0)
-        price, _ = optimal_price(DM, model, 1.0)
+        price, _ = price_at(DM, model.state(1.0))
         base = 0.3 / 0.0045
         assert price == pytest.approx(base, rel=1e-9)
         assert base * math.log(DM.market_size / f_boundary) == pytest.approx(
@@ -106,12 +105,12 @@ class TestOptimalPrice:
     def test_no_credits_error(self):
         model = flat_model(0.3, 0.0, 0.0)
         with pytest.raises(NoSellableCreditsError):
-            optimal_price(DM, model, 1.0)
+            price_at(DM, model.state(1.0))
 
     def test_proportional_to_emissions_interior_regime(self, baseline_demand, baseline_model):
         q1, q2 = 5.5, 6.8  # both beyond the deliverability threshold
-        p1, b1 = optimal_price(baseline_demand, baseline_model, q1)
-        p2, b2 = optimal_price(baseline_demand, baseline_model, q2)
+        p1, b1 = price_at(baseline_demand, baseline_model.state(q1))
+        p2, b2 = price_at(baseline_demand, baseline_model.state(q2))
         assert not b1 and not b2
         ratio = baseline_model.emissions_at(q1) / baseline_model.emissions_at(q2)
         assert p1 / p2 == pytest.approx(ratio, rel=1e-9)
@@ -129,15 +128,15 @@ class TestOptimalPrice:
             invest_cost=1000.0,
             domain=(0.0, 10.0),
         )
-        p1, b1 = optimal_price(dm, model, 1.0)
-        p2, b2 = optimal_price(dm, model, 4.0)
+        p1, b1 = price_at(dm, model.state(1.0))
+        p2, b2 = price_at(dm, model.state(4.0))
         assert b1 and b2
         ratio = model.emissions_at(1.0) / model.emissions_at(4.0)
         assert p1 / p2 == pytest.approx(ratio, rel=1e-9)
 
     def test_monotone_along_capacity(self, baseline_demand, baseline_model):
         qs = np.linspace(0.5, 7.0, 50)
-        prices = [optimal_price(baseline_demand, baseline_model, q).price for q in qs]
+        prices = [price_at(baseline_demand, baseline_model.state(q)).price for q in qs]
         assert all(a >= b for a, b in zip(prices, prices[1:]))
 
 
@@ -152,21 +151,21 @@ def _exact_revenue_model(cost_level: float):
 class TestOptimalExpansion:
     def test_direct_substitution(self):
         dm, model = _exact_revenue_model(100.0)
-        expansion, status = optimal_expansion(dm, model, 1.0)
-        assert status is ExpansionStatus.EXPANDING
-        assert expansion == pytest.approx(0.1, rel=1e-12)
+        d = decide_at(dm, model.state(1.0), model.invest_cost)
+        assert d.status is ExpansionStatus.EXPANDING
+        assert d.expansion == pytest.approx(0.1, rel=1e-12)
 
     def test_equilibrium_when_revenue_equals_cost(self):
         dm, model = _exact_revenue_model(200.0)
-        expansion, status = optimal_expansion(dm, model, 1.0)
-        assert status is ExpansionStatus.EQUILIBRIUM
-        assert expansion == 0.0
+        d = decide_at(dm, model.state(1.0), model.invest_cost)
+        assert d.status is ExpansionStatus.EQUILIBRIUM
+        assert d.expansion == 0.0
 
     def test_infeasible_shortfall(self):
         dm, model = _exact_revenue_model(400.0)
-        expansion, status = optimal_expansion(dm, model, 1.0)
-        assert status is ExpansionStatus.INFEASIBLE
-        assert expansion == 0.0
+        d = decide_at(dm, model.state(1.0), model.invest_cost)
+        assert d.status is ExpansionStatus.INFEASIBLE
+        assert d.expansion == 0.0
 
     def test_financial_constraint_binds(self):
         rng = np.random.default_rng(11)
@@ -176,12 +175,11 @@ class TestOptimalExpansion:
                 q = pick_expanding_state(dm, model, rng)
             except RuntimeError:
                 continue
-            expansion, status = optimal_expansion(dm, model, q)
-            assert status is ExpansionStatus.EXPANDING
-            price, _ = optimal_price(dm, model, q)
-            rev = revenue(dm, price, model.emissions_at(q))
-            cost = cost_integrated(model, q)
-            assert cost + model.invest_cost * expansion == pytest.approx(rev, rel=1e-9)
+            s = model.state(q)
+            d = decide_at(dm, s, model.invest_cost)
+            assert d.status is ExpansionStatus.EXPANDING
+            rev = revenue(dm, price_at(dm, s).price, s.e)
+            assert s.cost + model.invest_cost * d.expansion == pytest.approx(rev, rel=1e-9)
 
 
 class TestClosedFormAgainstScan:
@@ -195,7 +193,7 @@ class TestClosedFormAgainstScan:
             q = rng.uniform(lo + 0.05 * (hi - lo), hi)
             e_q = model.emissions_at(q)
             f_q = model.delivered_at(q)
-            price, _ = optimal_price(dm, model, q)
+            price, _ = price_at(dm, model.state(q))
             best_closed = revenue(dm, price, e_q)
 
             base = e_q / dm.sensitivity

@@ -121,13 +121,22 @@ class TestProfiles:
     def test_default_mean_matches_target(self):
         profiles = default_profiles(wind_cf=0.35)
         assert profiles.hours == 8760
-        assert profiles.mean_wind_cf == pytest.approx(0.35, abs=1e-3)
+        assert np.mean(profiles.wind_cf) == pytest.approx(0.35, abs=1e-3)
         assert max(profiles.wind_cf) <= 1.0
         assert min(profiles.load) > 0.0
 
     def test_default_deterministic(self):
-        assert default_profiles(hours=100, seed=7) == default_profiles(hours=100, seed=7)
-        assert default_profiles(hours=100, seed=7) != default_profiles(hours=100, seed=8)
+        a, b, c = (default_profiles(hours=100, seed=seed) for seed in (7, 7, 8))
+        assert np.array_equal(a.load, b.load) and np.array_equal(a.wind_cf, b.wind_cf)
+        assert not np.array_equal(a.load, c.load)
+
+    def test_holds_read_only_arrays_of_its_own(self):
+        load = np.array([1.0, 2.0])
+        profiles = HourlyProfiles(load, (0.5, 1))
+        load[0] = 9.0
+        assert profiles.load.tolist() == [1.0, 2.0] and profiles.wind_cf.tolist() == [0.5, 1.0]
+        for values in (profiles.load, profiles.wind_cf):
+            assert values.dtype == np.float64 and not values.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -233,7 +242,7 @@ def reference_calibrate(fleet, profiles, q_grid, wind_cf):
     """The sweep gathering every hour's marginal-unit terms afresh at each
     capacity: (samples, emissions_adjusted, energy_value_adjusted)."""
     qs = [float(q) for q in q_grid]
-    load, profile_cf = profiles._arrays
+    load, profile_cf = profiles.load, profiles.wind_cf
     caps, mcs, ers, cumcap = fleet._arrays
     total_load = float(np.sum(load))
     below = np.concatenate([[0.0], cumcap[:-1]])
@@ -493,7 +502,9 @@ class TestCsvRoundTrips:
         profiles = default_profiles(hours=48)
         path = tmp_path / "profiles.csv"
         write_profiles_csv(profiles, path)
-        assert read_profiles_csv(path) == profiles
+        read = read_profiles_csv(path)
+        assert np.array_equal(read.load, profiles.load)
+        assert np.array_equal(read.wind_cf, profiles.wind_cf)
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 """Long-run capacity limit: threshold location, bisection, structural checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,18 +11,14 @@ from conftest import flat_model, random_accepted_model
 from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
-    optimal_expansion,
+    decide_at,
     unconstrained_peak_revenue,
 )
-from vrpplan.equilibrium import (
-    check_k_independence,
-    check_nonvanishing_emissions,
-    find_deliverability_threshold,
-    solve_long_run_limit,
-)
+from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import InfeasibleAtThresholdError, ThresholdUnreachableError
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import dense_scan_equilibrium
+from vrpplan.tolerances import ROUNDING_TOL
 
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
 
@@ -96,7 +93,7 @@ class TestSolveLongRunLimit:
         result = solve_long_run_limit(DM, model)
         assert result.capacity_limit == pytest.approx(oracle_root, abs=1e-6)
         assert result.residual <= 1e-8 * max(
-            1.0, abs(cost_integrated(model, result.capacity_limit))
+            1.0, abs(model.state(result.capacity_limit).cost)
         )
         assert result.deliverability_threshold == pytest.approx(
             10.0 * math.exp(-1.0), abs=1e-6
@@ -140,17 +137,17 @@ class TestSolveLongRunLimit:
         result = solve_long_run_limit(baseline_demand, baseline_model)
         assert not result.domain_capped
         assert result.deliverability_threshold <= result.capacity_limit
-        assert check_nonvanishing_emissions(result)
+        assert result.emissions_at_limit > ROUNDING_TOL  # no net zero
         again = solve_long_run_limit(baseline_demand, baseline_model)
         assert again == result  # determinism
 
     def test_expansion_vanishes_at_limit(self, baseline_demand, baseline_model):
         result = solve_long_run_limit(baseline_demand, baseline_model)
-        expansion, status = optimal_expansion(
-            baseline_demand, baseline_model, result.capacity_limit
+        d = decide_at(
+            baseline_demand, baseline_model.state(result.capacity_limit), baseline_model.invest_cost
         )
-        assert status is ExpansionStatus.EQUILIBRIUM
-        assert expansion == 0.0
+        assert d.status is ExpansionStatus.EQUILIBRIUM
+        assert d.expansion == 0.0
 
     def test_gap_strictly_decreasing_beyond_threshold(self):
         rng = np.random.default_rng(101)
@@ -158,29 +155,21 @@ class TestSolveLongRunLimit:
             dm, model = random_accepted_model(rng, require_root=True)
             threshold = find_deliverability_threshold(dm, model)
             qs = np.linspace(threshold, model.domain[1], 200)
-            gaps = [
-                unconstrained_peak_revenue(dm, model.emissions_at(q))
-                - cost_integrated(model, q)
-                for q in qs
-            ]
+            gaps = [unconstrained_peak_revenue(dm, s.e) - s.cost for s in map(model.state, qs)]
             assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def limits_across_costs(dm, model, k_values) -> list[float]:
+    return [solve_long_run_limit(dm, replace(model, invest_cost=k)).capacity_limit for k in k_values]
+
+
 class TestKIndependence:
+    """The revenue/cost gap does not involve k, so neither does the limit."""
+
     def test_spread_across_costs(self, baseline_demand, baseline_model):
-        spread = check_k_independence(
-            baseline_demand, baseline_model, [500.0, 1000.0, 2000.0]
-        )
-        assert spread <= 1e-8
+        limits = limits_across_costs(baseline_demand, baseline_model, [500.0, 1000.0, 2000.0])
+        assert (max(limits) - min(limits)) / max(limits) <= 1e-8
 
     def test_single_and_repeated_values(self, baseline_demand, baseline_model):
-        assert check_k_independence(baseline_demand, baseline_model, [1000.0]) == 0.0
-        assert (
-            check_k_independence(baseline_demand, baseline_model, [1000.0] * 10) == 0.0
-        )
-
-    def test_validation(self, baseline_demand, baseline_model):
-        with pytest.raises(ValueError):
-            check_k_independence(baseline_demand, baseline_model, [])
-        with pytest.raises(ValueError):
-            check_k_independence(baseline_demand, baseline_model, [0.0])
+        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
+        assert limits_across_costs(baseline_demand, baseline_model, [1000.0] * 10) == [limit] * 10

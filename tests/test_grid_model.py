@@ -15,9 +15,6 @@ from vrpplan.grid_model import (
     CurveKind,
     GridCurve,
     GridModel,
-    cost_generator,
-    cost_integrated,
-    cost_operator,
     eval_curve,
     is_array,
     validate_grid_conditions,
@@ -170,11 +167,11 @@ class TestPeriodState:
             3.0,
             m.emissions_at(3.0),
             m.delivered_at(3.0),
-            m.energy_value_at(3.0),
+            m.energy_value(3.0),
         )
         assert (s.C_S, s.C_R) == (m.cost_system.cost(3.0), m.cost_renewable.cost(3.0))
-        assert s.cost == cost_integrated(m, 3.0)
-        assert s.cost_generator == cost_generator(m, 3.0)
+        assert s.cost == s.C_S + s.C_R - s.f * s.pi
+        assert s.cost_generator == s.C_R - s.f * s.pi
         # an array state: e and pi are exponential curves, where np.exp and
         # math.exp may differ in the last ulp; f and the costs are the same floats
         qs = np.linspace(*m.domain, 257)
@@ -202,7 +199,7 @@ class TestCostAggregates:
     def test_integrated_direct_sum(self):
         # C_S(2) = 10, C_R(2) = 20, f = 2, pi = 5 -> 10 + 20 - 10 = 20
         model = flat_model(0.4, 2.0, 5.0, alpha_r=10.0, alpha_s=5.0)
-        assert cost_integrated(model, 2.0) == pytest.approx(20.0)
+        assert model.state(2.0).cost == pytest.approx(20.0)
 
     def test_integrated_at_zero_is_fixed_costs(self):
         model = GridModel(
@@ -215,7 +212,7 @@ class TestCostAggregates:
             domain=(0.0, 10.0),
         )
         # quadratic costs vanish at Q=0 and f(0)=0 kills the market term
-        assert cost_integrated(model, 0.0) == pytest.approx(0.0)
+        assert model.state(0.0).cost == pytest.approx(0.0)
 
     def test_baseline_term_by_term(self, baseline_model):
         q = 0.5
@@ -226,34 +223,29 @@ class TestCostAggregates:
         expected = (
             c_s
             + c_r
-            - baseline_model.delivered_at(q) * baseline_model.energy_value_at(q)
+            - baseline_model.delivered_at(q) * baseline_model.energy_value(q)
         )
-        assert cost_integrated(baseline_model, q) == pytest.approx(expected, rel=1e-12)
+        assert baseline_model.state(q).cost == pytest.approx(expected, rel=1e-12)
 
     def test_operator_cost(self):
-        model = flat_model(0.4, 2.0, 5.0, alpha_s=2.525, beta_s=1.01)
-        # C_S(2) = 5.05 + 4.04 ... use Q where C_S is simple instead
+        # the operator's budget: C_S(0.5) = 5.05, plus k*q for an expansion q
         model = flat_model(0.4, 2.0, 5.0, alpha_s=10.1)
-        assert cost_operator(model, 0.5, 0.01) == pytest.approx(5.05 + 10.0)
-        assert cost_operator(model, 0.5, 0.0) == pytest.approx(5.05)
-        with pytest.raises(ValueError):
-            cost_operator(model, 0.5, -0.1)
+        c_s = model.state(0.5).C_S
+        assert c_s + model.invest_cost * 0.01 == pytest.approx(5.05 + 10.0)
+        assert c_s == pytest.approx(5.05)
 
     def test_generator_cost_sign(self):
         surplus = flat_model(0.4, 2.0, 15.0, alpha_r=10.0)
         shortfall = flat_model(0.4, 2.0, 5.0, alpha_r=10.0)
-        assert cost_generator(surplus, 2.0) == pytest.approx(-10.0)
-        assert cost_generator(shortfall, 2.0) == pytest.approx(10.0)
+        assert surplus.state(2.0).cost_generator == pytest.approx(-10.0)
+        assert shortfall.state(2.0).cost_generator == pytest.approx(10.0)
 
     def test_split_identity(self, baseline_model):
         rng = np.random.default_rng(7)
         lo, hi = baseline_model.domain
         for q in rng.uniform(lo, hi, size=100):
-            total = cost_integrated(baseline_model, q)
-            split = cost_operator(baseline_model, q, 0.0) + cost_generator(
-                baseline_model, q
-            )
-            assert total == pytest.approx(split, rel=1e-9, abs=1e-9)
+            s = baseline_model.state(q)
+            assert s.cost == pytest.approx(s.C_S + s.cost_generator, rel=1e-9, abs=1e-9)
 
 
 class TestSlopes:
@@ -304,7 +296,7 @@ class TestSlopes:
     def test_baseline_cost_slope_matches_central_differences(self, baseline_model):
         # midpoints of the 0.025 GW knot spacing of the delivered table, away from its kinks
         qs = 0.0125 + 0.025 * np.arange(3, 470, 13)
-        expected = [central_difference(lambda q: cost_integrated(baseline_model, q), q) for q in qs]
+        expected = [central_difference(lambda q: baseline_model.state(q).cost, q) for q in qs]
         np.testing.assert_allclose(baseline_model.cost_slope(qs), expected, rtol=1e-6)
         assert baseline_model.cost_slope(float(qs[0])) == pytest.approx(
             baseline_model.cost_slope(qs)[0], rel=1e-14

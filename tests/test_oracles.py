@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import adversarial_dip_model, flat_model
-from vrpplan.demand_pricing import DemandModel, optimal_price, price_at, unconstrained_peak_revenue
+from vrpplan.demand_pricing import DemandModel, price_at, unconstrained_peak_revenue
 from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import EnumerationConfigError, NetZeroGridError, NoSellableCreditsError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
@@ -208,7 +208,7 @@ class TestDenseScanPrice:
     @pytest.mark.parametrize("dm, model, q, binding", PRICE_SCAN_CASES)
     def test_blocks_match_the_reference(self, dm, model, q, binding):
         # every block boundary case: below, at and past one block, two blocks and a tail
-        assert optimal_price(dm, model, q).deliverability_binding is binding
+        assert price_at(dm, model.state(q)).deliverability_binding is binding
         sizes = (10, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1, 100_003, 10**6)
         for n in sizes:
             assert dense_scan_price(dm, model, q, n) == reference_price_scan(dm, model, q, n), n
@@ -216,7 +216,7 @@ class TestDenseScanPrice:
     def test_no_credits_raises_like_the_closed_form(self, baseline_demand, baseline_model):
         # f(0) = 0 on the baseline: no price, not a best price of 0.0
         with pytest.raises(NoSellableCreditsError):
-            optimal_price(baseline_demand, baseline_model, 0.0)
+            price_at(baseline_demand, baseline_model.state(0.0))
         with pytest.raises(NoSellableCreditsError):
             dense_scan_price(baseline_demand, baseline_model, 0.0)
 
@@ -224,7 +224,7 @@ class TestDenseScanPrice:
         # f(2.2e-309) = 2.1e-309 on the baseline: M/f(Q) overflows, so the price and p_cap would be inf
         q = 2.2e-309
         with pytest.raises(NoSellableCreditsError, match="M/f"):
-            optimal_price(baseline_demand, baseline_model, q)
+            price_at(baseline_demand, baseline_model.state(q))
         states = baseline_model.state(np.array([3.0, 1e-300, q]))
         with np.errstate(all="raise"):  # no overflow on the way to the error
             with pytest.raises(NoSellableCreditsError, match="M/f"):
@@ -232,7 +232,7 @@ class TestDenseScanPrice:
             with pytest.raises(NoSellableCreditsError, match="M/f"):
                 dense_scan_price(baseline_demand, baseline_model, q)
         # 1e-300 is the smallest of these capacities whose price is finite
-        assert math.isfinite(optimal_price(baseline_demand, baseline_model, 1e-300).price)
+        assert math.isfinite(price_at(baseline_demand, baseline_model.state(1e-300)).price)
 
     def test_net_zero_grid_raises_like_the_closed_form(self):
         model = replace(
@@ -240,14 +240,14 @@ class TestDenseScanPrice:
             emissions=GridCurve(CurveKind.TABULATED, table=((0.0, 0.3), (10.0, 0.0))),
         )
         with pytest.raises(NetZeroGridError):
-            optimal_price(DM, model, 10.0)
+            price_at(DM, model.state(10.0))
         with np.errstate(all="raise"):  # no 0/0 on the way to the error
             with pytest.raises(NetZeroGridError):
                 dense_scan_price(DM, model, 10.0)
 
     def test_interior_model(self):
         model = flat_model(0.3, 5.0, 0.0)
-        closed = optimal_price(DM, model, 1.0).price
+        closed = price_at(DM, model.state(1.0)).price
         n = 10**5
         scan = dense_scan_price(DM, model, 1.0, n)
         step = 10.0 * (0.3 / DM.sensitivity) / (n - 1)
@@ -255,7 +255,7 @@ class TestDenseScanPrice:
 
     def test_binding_model(self):
         model = flat_model(0.3, 2.0, 0.0)
-        closed = optimal_price(DM, model, 1.0).price
+        closed = price_at(DM, model.state(1.0)).price
         n = 10**5
         scan = dense_scan_price(DM, model, 1.0, n)
         base = 0.3 / DM.sensitivity
@@ -264,7 +264,7 @@ class TestDenseScanPrice:
 
     def test_coarse_grid_resolution_bound(self):
         model = flat_model(0.3, 5.0, 0.0)
-        closed = optimal_price(DM, model, 1.0).price
+        closed = price_at(DM, model.state(1.0)).price
         scan = dense_scan_price(DM, model, 1.0, 10)
         p_cap = 10.0 * (0.3 / DM.sensitivity)
         assert abs(scan - closed) <= p_cap / 9 + 1e-9

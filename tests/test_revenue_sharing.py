@@ -8,15 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_model, random_accepted_model
-from vrpplan.demand_pricing import DemandModel, Phase, optimal_expansion, optimal_price, revenue
+from vrpplan.demand_pricing import DemandModel, Phase, decide_at, price_at, revenue
 from vrpplan.errors import InfeasibleSharingError
-from vrpplan.grid_model import cost_generator, cost_operator
-from vrpplan.revenue_sharing import (
-    classify_phase,
-    expansion_given_share,
-    optimal_share,
-    solve_separated_period,
-)
+from vrpplan.revenue_sharing import classify_phase, solve_separated_period
 
 # market size 2e and e/eps = 100 make the regime-1 peak revenue exactly 200
 DM200 = DemandModel(market_size=2.0 * math.e, sensitivity=0.0045)
@@ -30,45 +24,34 @@ def model_with_generator_cost(c_gen_at_2: float, alpha_s: float = 10.0):
 class TestOptimalShare:
     def test_generator_surplus_needs_no_share(self):
         model = flat_model(0.45, 3.0, 30.0, alpha_r=5.0)  # C_2(2) = 10 - 90 < 0
-        assert optimal_share(DM200, model, 2.0) == 0.0
+        assert solve_separated_period(DM200, model, 2.0)[0].share == 0.0
 
     def test_direct_substitution(self):
         model = model_with_generator_cost(50.0)
-        assert optimal_share(DM200, model, 2.0) == pytest.approx(0.25, rel=1e-12)
+        assert solve_separated_period(DM200, model, 2.0)[0].share == pytest.approx(0.25, rel=1e-12)
 
     def test_share_of_one_or_more_rejected(self):
         model = model_with_generator_cost(250.0)
         with pytest.raises(InfeasibleSharingError):
-            optimal_share(DM200, model, 2.0)
+            solve_separated_period(DM200, model, 2.0)
 
 
 class TestExpansionGivenShare:
+    """The operator funds ((1 - gamma) R* - C_S)/k at the required share gamma."""
+
     def test_zero_share(self):
-        model = model_with_generator_cost(50.0)
-        price, _ = optimal_price(DM200, model, 2.0)
+        model = model_with_generator_cost(0.0)  # C_2 = 0: no share
+        price, _ = price_at(DM200, model.state(2.0))
         rev = revenue(DM200, price, 0.45)
         expected = (rev - model.cost_system.cost(2.0)) / model.invest_cost
-        assert expansion_given_share(DM200, model, 2.0, 0.0) == pytest.approx(expected)
+        solution, _ = solve_separated_period(DM200, model, 2.0)
+        assert solution.share == 0.0
+        assert solution.expansion == pytest.approx(expected)
 
     def test_direct_substitution(self):
         model = model_with_generator_cost(50.0)  # R* = 200, C_S(2) = 20, k = 1000
-        value = expansion_given_share(DM200, model, 2.0, 0.25)
+        value = solve_separated_period(DM200, model, 2.0)[0].expansion
         assert value == pytest.approx(0.13, rel=1e-9)
-
-    def test_share_out_of_range_rejected(self):
-        model = model_with_generator_cost(50.0)
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError):
-                expansion_given_share(DM200, model, 2.0, bad)
-
-    def test_monotone_decreasing_in_share(self):
-        model = model_with_generator_cost(50.0)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            g1, g2 = sorted(rng.uniform(0.0, 0.999, size=2))
-            assert expansion_given_share(DM200, model, 2.0, g1) >= expansion_given_share(
-                DM200, model, 2.0, g2
-            )
 
 
 class TestClassifyPhase:
@@ -100,7 +83,7 @@ class TestSolveSeparatedPeriod:
     def test_interior_matches_integrated(self):
         model = model_with_generator_cost(50.0)
         solution, sharing = solve_separated_period(DM200, model, 2.0)
-        integrated, _ = optimal_expansion(DM200, model, 2.0)
+        integrated = decide_at(DM200, model.state(2.0), model.invest_cost).expansion
         assert solution.share == pytest.approx(0.25, rel=1e-12)
         assert solution.expansion == pytest.approx(integrated, abs=1e-9)
         assert sharing.equivalent_to_integrated
@@ -113,20 +96,21 @@ class TestSolveSeparatedPeriod:
             dm, model = random_accepted_model(rng)
             lo, hi = model.domain
             for q in np.linspace(lo + 0.1 * (hi - lo), hi * 0.9, 15):
-                if cost_generator(model, q) <= 0:
+                s = model.state(q)
+                if s.cost_generator <= 0:
                     continue
-                if optimal_expansion(dm, model, q).expansion <= 1e-9:
+                if decide_at(dm, s, model.invest_cost).expansion <= 1e-9:
                     continue
                 solution, sharing = solve_separated_period(dm, model, q)
                 if not 0.0 < solution.share < 1.0:
                     continue
                 rev = solution.revenue
                 tol = 1e-8 * max(1.0, abs(rev))
-                operator_total = cost_operator(model, q, solution.expansion)
+                operator_total = s.C_S + model.invest_cost * solution.expansion
                 assert abs(operator_total - (1.0 - solution.share) * rev) <= tol
-                assert abs(cost_generator(model, q) - solution.share * rev) <= tol
+                assert abs(s.cost_generator - solution.share * rev) <= tol
                 # summing the binding budgets recovers the integrated constraint
-                assert abs(operator_total + cost_generator(model, q) - rev) <= tol
+                assert abs(operator_total + s.cost_generator - rev) <= tol
                 assert sharing.equivalent_to_integrated
                 seen += 1
                 break
@@ -140,10 +124,11 @@ class TestSolveSeparatedPeriod:
             dm, model = random_accepted_model(rng)
             lo, hi = model.domain
             for q in np.linspace(lo + 0.05 * (hi - lo), hi * 0.7, 15):
-                c_gen = cost_generator(model, q)
+                s = model.state(q)
+                c_gen = s.cost_generator
                 if c_gen >= -1e-6:
                     continue
-                integrated, status = optimal_expansion(dm, model, q)
+                integrated = decide_at(dm, s, model.invest_cost).expansion
                 solution, sharing = solve_separated_period(dm, model, q)
                 if solution.expansion <= 1e-9 or integrated <= 1e-9:
                     continue

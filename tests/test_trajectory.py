@@ -1,9 +1,9 @@
 """Simulation engine, myopic policy, reachability certificate, serialization."""
 
+import csv
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +15,8 @@ from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
     Phase,
+    decide_at,
     demand,
-    expansion_at,
-    optimal_expansion,
-    optimal_price,
     price_at,
     unconstrained_peak_revenue,
 )
@@ -26,12 +24,13 @@ from vrpplan import cli, grid_model
 from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import InfeasiblePeriodError, NoSellableCreditsError, VrpError
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, cost_integrated
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.scenario import baseline_scenario
 from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
+    TRAJECTORY_CSV_COLUMNS,
     ReachabilityCertificate,
     SimulationConfig,
     Termination,
@@ -39,7 +38,6 @@ from vrpplan.trajectory import (
     max_feasible_expansion,
     reach_map,
     reachability_lower_bound,
-    read_trajectory_csv,
     simulate_myopic,
     solve_period,
     trajectory_csv_rows,
@@ -125,31 +123,29 @@ class TestArrayDecisions:
         s = model.state(qs)
         states = [model.state(float(q)) for q in qs]
         try:
-            scalar = [(price_at(dm, t), expansion_at(dm, t, k)) for t in states]
+            scalar = [decide_at(dm, t, k) for t in states]
         except VrpError as exc:
-            for decide in (lambda: price_at(dm, s), lambda: expansion_at(dm, s, k)):
+            for decide in (lambda: price_at(dm, s), lambda: decide_at(dm, s, k)):
                 with pytest.raises(type(exc)):
                     decide()
             return
-        price, binding = price_at(dm, s)
-        expansion, status = expansion_at(dm, s, k)
-        assert binding.tolist() == [p.deliverability_binding for p, _ in scalar]
-        assert status.tolist() == [x.status for _, x in scalar]
-        np.testing.assert_allclose(price, [p.price for p, _ in scalar], rtol=2e-15, atol=0.0)
-        # (R* - C)/k, to a few ulps of the largest term in R* - C
-        scale = [
-            max(1.0, p.price * demand(dm, p.price, t.e), t.C_S + t.C_R, abs(t.f * t.pi)) / k
-            for (p, _), t in zip(scalar, states)
-        ]
-        errors = np.abs(expansion - [x.expansion for _, x in scalar])
-        assert np.all(errors <= 4e-15 * np.array(scale))
-        if ExpansionStatus.INFEASIBLE in status:
+        d = decide_at(dm, s, k)
+        assert d.deliverability_binding.tolist() == [x.deliverability_binding for x in scalar]
+        assert d.status.tolist() == [x.status for x in scalar]
+        np.testing.assert_allclose(d.price, [x.price for x in scalar], rtol=2e-15, atol=0.0)
+        # R* and (R* - C)/k, to a few ulps of the largest term in R* - C
+        scale = np.array([
+            max(1.0, x.revenue, t.C_S + t.C_R, abs(t.f * t.pi)) for x, t in zip(scalar, states)
+        ])
+        assert np.all(np.abs(d.revenue - [x.revenue for x in scalar]) <= 4e-15 * scale)
+        assert np.all(np.abs(d.expansion - [x.expansion for x in scalar]) <= 4e-15 * (scale / k))
+        if ExpansionStatus.INFEASIBLE in d.status:
             with pytest.raises(InfeasiblePeriodError):
                 reach_map(dm, model, qs)
         else:
             reach = [reach_map(dm, model, float(q)) for q in qs]
             np.testing.assert_allclose(reach_map(dm, model, qs), reach, rtol=2e-15, atol=0.0)
-            assert max_feasible_expansion(dm, model, qs).tolist() == expansion.tolist()
+            assert max_feasible_expansion(dm, model, qs).tolist() == d.expansion.tolist()
 
 
 class TestInfeasibleWindow:
@@ -160,7 +156,7 @@ class TestInfeasibleWindow:
         model = bumped_cost_model(100.0, 30.0)
         result = solve_long_run_limit(DM, model)
         qs = np.linspace(0.5, result.capacity_limit, 400, endpoint=False)
-        _, status = expansion_at(DM, model.state(qs), model.invest_cost)
+        status = decide_at(DM, model.state(qs), model.invest_cost).status
         assert ExpansionStatus.INFEASIBLE in status
         return model, result
 
@@ -188,7 +184,7 @@ class TestInfeasibleWindow:
 class TestMaxFeasibleExpansion:
     def test_matches_optimal_expansion(self, baseline_demand, baseline_model):
         for q in (0.5, 2.0, 4.0, 6.0):
-            expected, _ = optimal_expansion(baseline_demand, baseline_model, q)
+            expected = decide_at(baseline_demand, baseline_model.state(q), baseline_model.invest_cost).expansion
             assert max_feasible_expansion(baseline_demand, baseline_model, q) == expected
 
     def test_zero_at_equilibrium(self, baseline_demand, baseline_model):
@@ -205,7 +201,7 @@ class TestMaxFeasibleExpansion:
         q_state = 2.0
         e_q = baseline_model.emissions_at(q_state)
         f_q = baseline_model.delivered_at(q_state)
-        cost = cost_integrated(baseline_model, q_state)
+        cost = baseline_model.state(q_state).cost
         k = baseline_model.invest_cost
         best = max_feasible_expansion(baseline_demand, baseline_model, q_state)
 
@@ -299,7 +295,7 @@ class TestSolvePeriod:
         # within a few 1e-9 above the threshold the optimal sales sit within
         # ZERO_TOL of f(Q) although the cap is slack: every solver reports the regime
         q = find_deliverability_threshold(baseline_demand, baseline_model) + offset
-        expected = optimal_price(baseline_demand, baseline_model, q).deliverability_binding
+        expected = price_at(baseline_demand, baseline_model.state(q)).deliverability_binding
         assert expected is (offset < 0.0)
         assert solve_period(baseline_demand, baseline_model, q).deliverability_binding is expected
         separated, _ = solve_separated_period(baseline_demand, baseline_model, q)
@@ -441,14 +437,15 @@ class TestNearZeroCapacity:
     test is relative to them, so a state that expands is not the limit."""
 
     def test_a_state_at_1e_12_expands(self, baseline_demand, baseline_model):
-        expansion, status = optimal_expansion(baseline_demand, baseline_model, 1e-12)
-        assert status is ExpansionStatus.EXPANDING and expansion > 0.0
-        assert solve_period(baseline_demand, baseline_model, 1e-12).expansion == expansion
+        k = baseline_model.invest_cost
+        d = decide_at(baseline_demand, baseline_model.state(1e-12), k)
+        assert d.status is ExpansionStatus.EXPANDING and d.expansion > 0.0
+        assert solve_period(baseline_demand, baseline_model, 1e-12).expansion == d.expansion
         qs = np.array([1e-12, 1e-10, 1e-8])
-        array_expansion, array_status = optimal_expansion(baseline_demand, baseline_model, qs)
-        assert array_status.tolist() == [ExpansionStatus.EXPANDING] * 3
-        scalar = [optimal_expansion(baseline_demand, baseline_model, float(q)).expansion for q in qs]
-        np.testing.assert_allclose(array_expansion, scalar, rtol=1e-14, atol=0.0)
+        array = decide_at(baseline_demand, baseline_model.state(qs), k)
+        assert array.status.tolist() == [ExpansionStatus.EXPANDING] * 3
+        scalar = [decide_at(baseline_demand, baseline_model.state(float(q)), k).expansion for q in qs]
+        np.testing.assert_allclose(array.expansion, scalar, rtol=1e-14, atol=0.0)
 
     def test_a_run_from_1e_12_reaches_the_limit(self, baseline_demand, baseline_model):
         run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=1e-12, horizon=400))
@@ -463,7 +460,10 @@ class TestSerialization:
         trajectory = simulate_myopic(baseline_demand, baseline_model, cfg)
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(trajectory, path)
-        rows = read_trajectory_csv(path)
+        with open(path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = [{c: (int if c in ("t", "phase") else float)(v) for c, v in row.items()} for row in reader]
+        assert tuple(reader.fieldnames) == TRAJECTORY_CSV_COLUMNS
         assert rows == trajectory_csv_rows(trajectory)
 
     def test_json_document_shape(self, baseline_demand, baseline_model):
