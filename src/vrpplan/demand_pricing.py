@@ -8,7 +8,6 @@ intensity units work as long as the scenario declares them consistently.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -193,10 +192,12 @@ class KktResiduals:
 
     Multipliers follow the constraint order: deliverability cap, financial
     (operator budget under sharing), generator budget, q >= 0, p >= 0, and the
-    two bounds on the share.  ``comp_slackness`` lists multiplier*slack in the
-    same order.  ``max_abs_residual`` also folds in dual-feasibility (negative
-    multiplier) and primal-feasibility violations; at or below CERTIFY_TOL it
-    certifies the solution.
+    two bounds on the share.  Each has one closed form, the same in every
+    phase: see :func:`kkt_residuals`.  ``comp_slackness`` lists
+    multiplier*slack in the same order.  ``max_abs_residual`` also folds in
+    dual-feasibility (negative multiplier) and primal-feasibility violations;
+    at or below CERTIFY_TOL it certifies the solution.  From a solver's
+    solution every number is a builtin float, so ``certified`` is a bool.
     """
 
     mult_deliverability: float
@@ -217,21 +218,6 @@ class KktResiduals:
         return self.max_abs_residual <= CERTIFY_TOL
 
 
-def _kkt_lstsq(rows: list[list[float]], rhs: list[float]):
-    """argmin |A x - b| over x >= 0: least squares on each support of x (at most
-    2**7 for these systems), keeping the best solution that is nonnegative."""
-    import numpy as np
-    a, b = np.asarray(rows, dtype=float), np.asarray(rhs, dtype=float)
-    best, best_norm = np.zeros(a.shape[1]), np.linalg.norm(b)
-    for support in map(list, itertools.product((False, True), repeat=a.shape[1])):
-        x = np.zeros(a.shape[1])
-        x[support] = np.linalg.lstsq(a[:, support], b, rcond=None)[0]
-        norm = np.linalg.norm(a @ x - b)
-        if (x >= 0.0).all() and norm < best_norm:
-            best, best_norm = x, norm
-    return best
-
-
 def kkt_residuals(
     dm: DemandModel,
     model: gm.GridModel,
@@ -241,110 +227,48 @@ def kkt_residuals(
 ) -> KktResiduals:
     """Check a period solution at capacity ``q`` against the stationarity/slackness system.
 
-    When the solution expands (q* > 0) the multipliers have a closed
-    reconstruction: the financial multiplier is 1/k, the sign multipliers
-    vanish, and the deliverability multiplier is (p - e/eps)/k when that cap
-    binds (zero otherwise).  Under revenue sharing with an interior share the
-    generator-budget multiplier equals the financial one.  Without expansion
-    the multipliers are recovered in a nonnegative least-squares sense.  A
-    hand-built solution is judged like a solved one; :func:`demand` rejects a
-    negative price.
+    One system serves both problems: the integrated problem is the sharing
+    problem whose operator carries the whole cost C_S + C_2, whose generators
+    carry none, and whose share is 0.  Its multipliers have one closed
+    reconstruction, whether or not the period expands: the financial
+    multiplier is 1/k and the sign multipliers of q and p vanish (at q = 0,
+    1/k still solves stationarity in q); the deliverability multiplier is
+    (p - e/eps)/k when that cap binds, zero otherwise.  An interior share
+    sets the generator-budget multiplier to the financial one; a zero share
+    sets it to 0 and the share's lower-bound multiplier to R/k.  A hand-built
+    solution is judged like a solved one; :func:`demand` rejects a negative
+    price.
     """
     if problem not in ("integrated", "revenue-sharing"):
         raise ValueError("problem must be 'integrated' or 'revenue-sharing'")
-    sharing = problem == "revenue-sharing"
-
     s, k = model.state(q), model.invest_cost
-    e_q = s.e
-    f_q = s.f
-    p = solution.price
-    x = solution.expansion
-    gamma = solution.share if sharing else 0.0
+    if problem == "revenue-sharing":
+        c_op, c_gen, gamma = s.C_S, s.cost_generator, solution.share
+    else:
+        c_op, c_gen, gamma = s.C_S + s.cost_generator, 0.0, 0.0
+    p, x = solution.price, solution.expansion
 
-    d = demand(dm, p, e_q)
+    d = demand(dm, p, s.e)
     rev = p * d
-    rev_p = d * (1.0 - dm.sensitivity * p / e_q)
-    d_p_coeff = (dm.sensitivity / e_q) * d  # -d(D)/dp
+    rev_p = d * (1.0 - dm.sensitivity * p / s.e)
+    d_p_coeff = (dm.sensitivity / s.e) * d  # -d(D)/dp
 
-    c_s = s.C_S
-    c_gen = s.cost_generator
-    c_total = c_s + c_gen
+    slack_deliver = d - s.f
+    slack_financial = (c_op + k * x) - (1.0 - gamma) * rev
+    slack_generator = c_gen - gamma * rev
 
-    slack_deliver = d - f_q
-    if sharing:
-        slack_financial = (c_s + k * x) - (1.0 - gamma) * rev
-        slack_generator = c_gen - gamma * rev
-    else:
-        slack_financial = (c_total + k * x) - rev
-        slack_generator = 0.0
-
-    if x > ZERO_TOL:
-        mu = 1.0 / k
-        nu = 0.0
-        eta = 0.0
-        lam = (p - e_q / dm.sensitivity) / k if solution.deliverability_binding else 0.0
-        if sharing:
-            if gamma > ZERO_TOL:
-                theta, alpha, beta = mu, 0.0, 0.0
-            else:
-                theta, beta = 0.0, 0.0
-                alpha = (mu - theta) * rev
-        else:
-            theta = alpha = beta = 0.0
-    else:
-        if sharing:
-            rows = [
-                [0.0, -k, 0.0, 1.0, 0.0, 0.0, 0.0],
-                [d_p_coeff, (1.0 - gamma) * rev_p, gamma * rev_p, 0.0, 1.0, 0.0, 0.0],
-                [0.0, -rev, rev, 0.0, 0.0, 1.0, -1.0],
-                [slack_deliver, 0, 0, 0, 0, 0, 0],
-                [0, slack_financial, 0, 0, 0, 0, 0],
-                [0, 0, slack_generator, 0, 0, 0, 0],
-                [0, 0, 0, -x, 0, 0, 0],
-                [0, 0, 0, 0, -p, 0, 0],
-                [0, 0, 0, 0, 0, -gamma, 0],
-                [0, 0, 0, 0, 0, 0, gamma - 1.0],
-            ]
-            rhs = [-1.0] + [0.0] * 9
-            lam, mu, theta, nu, eta, alpha, beta = _kkt_lstsq(rows, rhs)
-        else:
-            rows = [
-                [0.0, -k, 1.0, 0.0],
-                [d_p_coeff, rev_p, 0.0, 1.0],
-                [slack_deliver, 0, 0, 0],
-                [0, slack_financial, 0, 0],
-                [0, 0, -x, 0],
-                [0, 0, 0, -p],
-            ]
-            rhs = [-1.0] + [0.0] * 5
-            lam, mu, nu, eta = _kkt_lstsq(rows, rhs)
-            theta = alpha = beta = 0.0
+    mu, nu, eta = 1.0 / k, 0.0, 0.0
+    lam = (p - s.e / dm.sensitivity) / k if solution.deliverability_binding else 0.0
+    theta, alpha, beta = (mu, 0.0, 0.0) if gamma > ZERO_TOL else (0.0, mu * rev, 0.0)
 
     stat_q = 1.0 - mu * k + nu
-    if sharing:
-        stat_p = lam * d_p_coeff + (mu * (1.0 - gamma) + theta * gamma) * rev_p + eta
-        stat_g = -mu * rev + theta * rev + alpha - beta
-    else:
-        stat_p = lam * d_p_coeff + mu * rev_p + eta
-        stat_g = 0.0
+    stat_p = lam * d_p_coeff + (mu * (1.0 - gamma) + theta * gamma) * rev_p + eta
+    stat_g = -mu * rev + theta * rev + alpha - beta
 
-    comp = (
-        lam * slack_deliver,
-        mu * slack_financial,
-        theta * slack_generator,
-        nu * x,
-        eta * p,
-        alpha * gamma,
-        beta * (gamma - 1.0),
-    )
-    primal = (
-        max(0.0, slack_deliver),
-        max(0.0, slack_financial),
-        max(0.0, slack_generator),
-        max(0.0, -x),
-        max(0.0, -p),
-        max(0.0, -gamma),
-        max(0.0, gamma - 1.0),
+    comp = (lam * slack_deliver, mu * slack_financial, theta * slack_generator, nu * x, eta * p,
+            alpha * gamma, beta * (gamma - 1.0))
+    primal = tuple(
+        max(0.0, v) for v in (slack_deliver, slack_financial, slack_generator, -x, -p, -gamma, gamma - 1.0)
     )
     dual = tuple(max(0.0, -m) for m in (lam, mu, theta, nu, eta, alpha, beta))
     residuals = (abs(stat_p), abs(stat_q), abs(stat_g)) + tuple(abs(c) for c in comp)

@@ -27,7 +27,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import CurveDomainError
@@ -153,7 +152,7 @@ class GridCurve:
         table = json_typed(doc.get("table"), list, f"{path}.table")
         try:
             # one type check of the entries; the constructor's one pass does the rest
-            if not set(map(type, chain.from_iterable(table))) <= {int, float}:
+            if not {type(v) for row in table for v in row} <= {int, float}:
                 raise TypeError("table entries must be numbers")
             return cls(kind=kind, table=table)
         except (TypeError, ValueError, OverflowError) as exc:

@@ -11,7 +11,6 @@ from conftest import flat_model, pick_expanding_state, random_accepted_model
 from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
-    _kkt_lstsq,
     decide_at,
     demand,
     kkt_residuals,
@@ -259,12 +258,15 @@ class TestKktResiduals:
                 wrong = solution._replace(share=share)
                 assert not kkt_residuals(baseline_demand, baseline_model, q, wrong, problem).certified
 
-    def test_equilibrium_solution_least_squares_route(self):
+    def test_equilibrium_solution_closed_form(self):
+        # no expansion: the multipliers are those of an expanding period
         dm, model = _exact_revenue_model(200.0)
         solution = solve_period(dm, model, 1.0)
         assert solution.expansion == 0.0
         res = kkt_residuals(dm, model, 1.0, solution, problem="integrated")
         assert res.certified
+        assert res.mult_financial == 1.0 / model.invest_cost
+        assert res.mult_expansion_nonneg == 0.0
 
     def test_sharing_interior_certified(self, baseline_demand, baseline_model):
         q = 6.5  # supported-expansion region: generators need a share
@@ -289,19 +291,6 @@ class TestKktResiduals:
         assert res.mult_share_lower == pytest.approx(
             solution.revenue / baseline_model.invest_cost, rel=1e-12
         )
-
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), extra=st.integers(0, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_least_squares_matches_scipy_nnls(self, seed, n, extra):
-        from scipy.optimize import nnls
-
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(n + extra, n)) * 10.0 ** rng.uniform(-2, 2, size=n)
-        b = rng.normal(size=n + extra)
-        expected, _ = nnls(a, b)
-        x = _kkt_lstsq(a.tolist(), b.tolist())
-        assert (x >= 0.0).all()
-        np.testing.assert_allclose(x, expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max())
 
     def test_unknown_problem_rejected(self, baseline_demand, baseline_model):
         solution = solve_period(baseline_demand, baseline_model, 2.0)
