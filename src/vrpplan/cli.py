@@ -16,10 +16,11 @@ Exit codes: 0 success; 2 malformed input (a ``VrpError`` that is not an
 infeasible result); 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics;
 an unknown level exits 2 before any work.
 
-``price``, ``share`` and ``limit`` never load numpy.  ``simulate`` loads it for
-the reachability certificate, ``verify`` with the oracles and ``calibrate``
-with dispatch, which their handlers import.  ``logging`` loads with
-VRP_LOG_LEVEL set, or for a warning; ``csv`` for a trajectory file.
+``price``, ``share``, ``limit`` and ``simulate`` never load numpy: the
+reachability certificate of ``simulate`` samples through the scalar path.
+``verify`` loads it with the oracles and ``calibrate`` with dispatch, which
+their handlers import.  ``logging`` loads with VRP_LOG_LEVEL set, or for a
+warning; ``csv`` for a trajectory file.
 """
 
 from __future__ import annotations
@@ -118,9 +119,30 @@ def require_finite(value, where: str, path: str = "") -> None:
         json_number(value, f"{where}: {path}")
 
 
+# an integer past the float range has at least as many digits as the float maximum
+_FLOAT_MAX_DIGITS = len(str(int(sys.float_info.max)))
+
+
+def _json_text(doc: dict, where: str) -> str:
+    """``doc`` as indented JSON, checked as :func:`require_finite` checks it.
+
+    The encoder rejects NaN and the infinities.  It writes each number on a
+    line of its own, so an integer past the float range makes a line at least
+    as long as its digits.  Only a document that fails the encoder or holds
+    so long a line takes the walk, which names the field.
+    """
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        require_finite(doc, where)
+        raise
+    if max(map(len, text.splitlines())) >= _FLOAT_MAX_DIGITS:
+        require_finite(doc, where)
+    return text
+
+
 def _emit(doc: dict, args, filename: str) -> None:
-    require_finite(doc, f"{args.command} result")
-    text = json.dumps(doc, indent=2)
+    text = _json_text(doc, f"{args.command} result")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -193,18 +215,21 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     doc = trajectory.to_dict()
     doc["equilibrium"] = trajectory.equilibrium.to_dict()
     doc["reachability_certificate"] = certificate.to_dict()
-    require_finite(doc, "simulate result")
 
     fmt = args.format or scenario.output
+    if args.out or fmt == "json":
+        text = _json_text(doc, "simulate result")
+    else:
+        require_finite(doc, "simulate result")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         traj.write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
-        (out_dir / "trajectory.json").write_text(json.dumps(doc, indent=2) + "\n")
+        (out_dir / "trajectory.json").write_text(text + "\n")
         _write_plot_files(out_dir, trajectory, scenario)
         _info("wrote trajectory and plot data to %s", out_dir)
     elif fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(text)
     else:
         rows = traj.trajectory_csv_rows(trajectory)
         print(",".join(traj.TRAJECTORY_CSV_COLUMNS))

@@ -113,6 +113,8 @@ class GridCurve:
         Exponential: -rate * amplitude * exp(-rate*Q); polynomial: the Horner
         derivative; tabulated: the slope of the segment [Q_i, Q_i+1) holding Q,
         so a knot takes its right-hand segment and the top end the last one.
+        A table queried at a scalar bisects the knot lists, as
+        :func:`eval_curve` does, for the array query's segment and bits.
         """
         if self.kind is CurveKind.EXPONENTIAL_DECAY:
             return -self.coefficients[1] * eval_curve(self, q)
@@ -121,13 +123,17 @@ class GridCurve:
             for power, c in reversed(tuple(enumerate(self.coefficients, 1))):
                 acc = acc * q + power * c
             return acc
-        import numpy as np
-        qs, vs = self._arrays
-        _, _, lo, hi = self._knots
-        at = _within(np.asarray(q, dtype=float), lo, hi, "tabulated", qs)
-        i = np.clip(np.searchsorted(qs, at, side="right") - 1, 0, len(qs) - 2)
-        slopes = (vs[i + 1] - vs[i]) / (qs[i + 1] - qs[i])
-        return slopes if is_array(q) else float(slopes)
+        xs, ys, lo, hi = self._knots
+        if is_array(q):
+            import numpy as np
+            qs, vs = self._arrays
+            at = _within(np.asarray(q, dtype=float), lo, hi, "tabulated", qs)
+            i = np.clip(np.searchsorted(qs, at, side="right") - 1, 0, len(qs) - 2)
+            return (vs[i + 1] - vs[i]) / (qs[i + 1] - qs[i])
+        if not lo <= q <= hi:
+            raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
+        i = min(max(bisect_right(xs, q) - 1, 0), len(xs) - 2)
+        return (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}

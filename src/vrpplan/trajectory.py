@@ -13,6 +13,7 @@ with no banking of cash or credits across periods.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
-from .errors import InfeasiblePeriodError
+from .errors import CurveDomainError, InfeasiblePeriodError
 from .serialize import Serializable, json_integer, json_number, json_typed
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
@@ -154,7 +155,6 @@ class ReachabilityCertificate(Serializable):
     n_samples: int
 
 
-@gm.array_arithmetic("reachability certificate")
 def certify_monotone_reachability(
     dm: dp.DemandModel,
     model: gm.GridModel,
@@ -166,15 +166,22 @@ def certify_monotone_reachability(
     """Check that the reach map is nondecreasing between the start ``q_init``
     and the limit.
 
-    Two routes, both sampled: the derivative-based margin
+    Two checks, both sampled at ``n_samples`` points spaced evenly from the
+    start up to the limit: the derivative-based margin
     1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k with the analytic slopes
-    :meth:`GridCurve.slope` and :meth:`GridModel.cost_slope`, evaluated on
-    the whole sample array at once, and discrete slopes of S itself.
-    The certificate holds iff both stay above -ZERO_TOL.  The derivative route
-    uses the unconstrained revenue form throughout, so the direct S samples
-    are the decisive check where the deliverability cap still binds.
+    :meth:`GridCurve.slope` and :meth:`GridModel.cost_slope`, and discrete
+    slopes of S itself.  The certificate holds iff both stay above -ZERO_TOL.
+    The derivative check uses the unconstrained revenue form throughout, so
+    the direct S samples are the decisive check where the deliverability cap
+    still binds.
+
+    One formula, on one of two routes chosen by whether numpy is loaded.
+    Loaded, the samples are an array and each term is one array call, as in
+    ``verify`` and every in-process batch.  Not loaded, as in ``simulate``, a
+    float loop over the same points gives the same results, but for ulps of
+    ``math.exp`` and ``math.log`` against numpy's (which a discrete slope
+    divides by the step), and loads no numpy.
     """
-    import numpy as np
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     result = equilibrium or eqm.solve_long_run_limit(dm, model)
@@ -190,33 +197,94 @@ def certify_monotone_reachability(
             n_samples=0,
         )
 
-    qs = np.linspace(lo, hi, n_samples, endpoint=False)
-    revenue_scale = dm.market_size / (math.e * dm.sensitivity)
-    k = model.invest_cost
-    c_slopes = model.cost_slope(qs)  # first: it checks qs against the domain
-    e_slopes = model.emissions.slope(qs)
-    margins = 1.0 + (revenue_scale * e_slopes - c_slopes) / k
-
-    discrete = np.diff(reach_map(dm, model, qs)) / np.diff(qs)
-
-    candidates = np.concatenate([margins, discrete])
-    candidate_qs = np.concatenate([qs, qs[:-1]])
-    worst = int(np.argmin(candidates))
-    min_margin = float(candidates[worst])
-
-    max_e = float(np.max(np.abs(e_slopes)))
-    max_c = float(np.max(np.abs(c_slopes)))
+    if "numpy" in sys.modules:
+        import numpy as np
+        qs = np.linspace(lo, hi, n_samples, endpoint=False)
+    else:
+        step = (hi - lo) / n_samples
+        qs = [lo + i * step for i in range(n_samples)]  # np.linspace's points, bit for bit
+    min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, qs)
     return ReachabilityCertificate(
         holds=min_margin >= -ZERO_TOL,
         min_margin=min_margin,
-        worst_capacity=float(candidate_qs[worst]),
+        worst_capacity=worst_capacity,
         bound_formula_value=reachability_lower_bound(
-            dm.market_size, dm.sensitivity, k, max_e, max_c
+            dm.market_size, dm.sensitivity, model.invest_cost, max_e, max_c
         ),
         max_abs_emissions_slope=max_e,
         max_abs_cost_slope=max_c,
         n_samples=n_samples,
     )
+
+
+_CERTIFICATE = "reachability certificate"
+
+
+def _sampled_margins(
+    dm: dp.DemandModel, model: gm.GridModel, qs
+) -> tuple[float, float, float, float]:
+    """The least margin at the samples ``qs`` and the capacity where it lies,
+    then the largest |e'| and |C'| there.
+
+    The margins are the derivative margin at each sample and the discrete
+    slope of S from each sample to the next, which lies at the left one.  An
+    ndarray ``qs`` takes one array call per term, whose overflow or NaN
+    :func:`~vrpplan.grid_model.array_arithmetic` turns into a CurveDomainError.
+    A list of floats takes a float loop through the same functions, stage by
+    stage in the array calls' order, so the first failure is the array
+    route's: where float arithmetic leaves a stage non-finite, that stage
+    raises the same CurveDomainError.
+    """
+    revenue_scale = dm.market_size / (math.e * dm.sensitivity)
+    k = model.invest_cost
+
+    def margin(q):  # at a float or an ndarray
+        c = model.cost_slope(q)  # first: it checks q against the domain
+        e = model.emissions.slope(q)
+        return 1.0 + (revenue_scale * e - c) / k, e, c
+
+    if gm.is_array(qs):
+        import numpy as np
+        with gm.array_arithmetic(_CERTIFICATE):
+            margins, e_slopes, c_slopes = margin(qs)
+            discrete = np.diff(reach_map(dm, model, qs)) / np.diff(qs)
+        candidates = np.concatenate([margins, discrete])
+        worst = int(np.argmin(candidates))
+        return (
+            float(candidates[worst]),
+            float(qs[worst % len(qs)]),
+            float(np.max(np.abs(e_slopes))),
+            float(np.max(np.abs(c_slopes))),
+        )
+
+    terms = _finite([margin(q) for q in qs], qs, "slopes")
+    # reach_map's stages: every state, every decision (prices first), then each feasibility
+    states = _finite([model.state(q) for q in qs], qs, "state")
+    decisions = [dp.decide_at(dm, s, k) for s in states]
+    _finite([(d.price, d.revenue, s.cost) for s, d in zip(states, decisions)], qs, "decision")
+    reach = [s.q + _checked(d, s.q).expansion for s, d in zip(states, decisions)]
+    discrete = _finite(
+        [
+            (b - a) / (y - x) if y != x else math.nan  # 0/0 where two samples coincide
+            for a, b, x, y in zip(reach, reach[1:], qs, qs[1:])
+        ],
+        qs,
+        "discrete slope",
+    )
+    margins, e_slopes, c_slopes = zip(*terms)
+    candidates = margins + tuple(discrete)
+    worst = min(range(len(candidates)), key=candidates.__getitem__)  # the first least, as np.argmin
+    return candidates[worst], qs[worst % len(qs)], max(map(abs, e_slopes)), max(map(abs, c_slopes))
+
+
+def _finite(values: list, qs, what: str) -> list:
+    """``values``, one float or tuple of floats per sample of ``qs``, if all are
+    finite; else a CurveDomainError at the first sample, where the array route's
+    arithmetic raises one."""
+    for value, q in zip(values, qs):
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise CurveDomainError(f"{_CERTIFICATE}: {what} not finite at Q={q}: {value}")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -305,6 +305,40 @@ class TestCliCommands:
         assert str(path) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [
+            ("residual", math.nan, "nan"),
+            ("residual", -math.inf, "-inf"),
+            ("iterations", 10**400, "1" + "0" * 400),
+        ],
+        ids=["nan", "infinity", "huge-integer"],
+    )
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["limit"], "limit result: "),
+            (["limit", "--out", "OUT"], "limit result: "),
+            (["simulate"], "simulate result: equilibrium."),
+            (["simulate", "--format", "json"], "simulate result: equilibrium."),
+            (["simulate", "--out", "OUT"], "simulate result: equilibrium."),
+        ],
+        ids=["limit", "limit-out", "simulate-csv", "simulate-json", "simulate-out"],
+    )
+    def test_a_non_finite_result_names_its_field(
+        self, monkeypatch, tmp_path, capsys, field, value, shown, argv, where
+    ):
+        # the encoder finds NaN and infinities, a long line an integer past the float range
+        solve = equilibrium.solve_long_run_limit
+        monkeypatch.setattr(
+            equilibrium, "solve_long_run_limit", lambda dm, model: replace(solve(dm, model), **{field: value})
+        )
+        out = tmp_path / "out"
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        assert main([argv[0], "--scenario", BASELINE_PATH, *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: {where}{field} must be a finite number, got {shown}\n")
+        assert not out.exists()
+
     def test_out_path_that_is_a_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "taken"
         path.write_text("")
@@ -740,20 +774,42 @@ def tabulated_baseline(path: Path) -> Path:
 def test_quick_commands_never_load_numpy(tmp_path):
     # a fresh interpreter: this one has loaded numpy already
     tabulated = tabulated_baseline(tmp_path / "tabulated.json")
+    overflowing = tmp_path / "overflowing.json"  # C_S' overflows: the certificate raises
+    doc = baseline_scenario().to_dict()
+    doc["grid"]["cost_system"]["beta"] = 1e308
+    overflowing.write_text(json.dumps(doc))
     script = f"""
 import contextlib, io, sys
 from vrpplan import cli
-quick = (["price", "3.0"], ["share", "6.5"], ["limit"])
-for path in ({BASELINE_PATH!r}, {str(tabulated)!r}):
-    for argv in quick:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main([argv[0], "--scenario", path, *argv[1:]]) == 0, (path, argv)
-assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+from vrpplan.scenario import load_scenario
+
+def run(path, *argv, status=0):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([argv[0], "--scenario", path, *argv[1:]]) == status, (path, argv)
+    return out.getvalue()
+
+paths = ({BASELINE_PATH!r}, {str(tabulated)!r})
+for path in paths:
+    for argv in (["price", "3.0"], ["share", "6.5"], ["limit"]):
+        run(path, *argv)
 assert "logging" not in sys.modules and "csv" not in sys.modules
-for argv in (["simulate", "--out", {str(tmp_path / "simulate")!r}], ["verify"], ["calibrate"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main([argv[0], "--scenario", {BASELINE_PATH!r}, *argv[1:]]) == 0, argv
+# the certificate's float loop, in all three output forms
+documents = [run(path, "simulate", "--format", "json") for path in paths]
+for i, path in enumerate(paths):
+    run(path, "simulate")
+    run(path, "simulate", "--out", {str(tmp_path)!r} + f"/simulate-{{i}}")
+run({str(overflowing)!r}, "simulate", status=2)
+curve = load_scenario({BASELINE_PATH!r}).grid.delivered  # a table, queried at a float
+for q in (0.0, 3.3, 12.0):
+    curve.slope(q)
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+for argv in (["verify"], ["calibrate"]):
+    run({BASELINE_PATH!r}, *argv)
 assert "numpy" in sys.modules
+# with numpy loaded the certificate takes its array route, to the same document
+assert [run(path, "simulate", "--format", "json") for path in paths] == documents
+run({str(overflowing)!r}, "simulate", status=2)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
     env.pop("VRP_LOG_LEVEL", None)  # set, it configures logging before any command

@@ -270,6 +270,32 @@ class TestSlopes:
         with pytest.raises(CurveDomainError):
             curve.slope(np.array([5.0, math.nan]))
 
+    @pytest.mark.parametrize(
+        "curve",
+        [GridCurve(CurveKind.TABULATED, table=((0.0, 0.4), (3.0, 0.31), (12.0, 0.2))), "baseline"],
+        ids=["three-knots", "baseline-delivered"],
+    )
+    def test_scalar_table_slope_has_the_array_bits(self, baseline_model, curve):
+        # a scalar query bisects the knot lists; the array query's searchsorted is the oracle
+        if curve == "baseline":
+            curve = baseline_model.delivered
+        knots = [q for q, _ in curve.table]
+        lo, hi = curve.domain
+        slack = scaled(DOMAIN_TOL, lo, hi)
+        inside = [
+            *knots,
+            *(a + f * (b - a) for a, b in zip(knots, knots[1:]) for f in (0.25, 0.5, 0.75)),
+            math.nextafter(lo, -math.inf), lo - slack, math.nextafter(hi, math.inf), hi + slack,
+        ]
+        for q in inside:
+            assert curve.slope(q).hex() == float(curve.slope(np.array([q]))[0]).hex(), q
+        for q in (lo - 2.0 * slack, hi + 2.0 * slack, math.nan, -math.inf, math.inf):
+            with pytest.raises(CurveDomainError) as array:
+                curve.slope(np.array([q]))
+            with pytest.raises(CurveDomainError) as scalar:
+                curve.slope(q)
+            assert str(scalar.value) == str(array.value)
+
     def test_array_slopes_match_central_differences(self):
         qs = np.linspace(0.5, 11.5, 23)
         for curve in (

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from vrpplan.demand_pricing import (
 from vrpplan import cli, grid_model
 from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
-from vrpplan.errors import InfeasiblePeriodError, NoSellableCreditsError, VrpError
+from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCreditsError, VrpError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
@@ -34,6 +35,7 @@ from vrpplan.trajectory import (
     ReachabilityCertificate,
     SimulationConfig,
     Termination,
+    _sampled_margins,
     certify_monotone_reachability,
     max_feasible_expansion,
     reach_map,
@@ -146,6 +148,51 @@ class TestArrayDecisions:
             reach = [reach_map(dm, model, float(q)) for q in qs]
             np.testing.assert_allclose(reach_map(dm, model, qs), reach, rtol=2e-15, atol=0.0)
             assert max_feasible_expansion(dm, model, qs).tolist() == d.expansion.tolist()
+
+
+class TestCertificateRoutes:
+    """The certificate's sampling step on a list of floats, the float loop that
+    ``simulate`` takes without numpy, against the same samples as an array."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(CurveKind),
+        n_samples=st.sampled_from((2, 200, 1000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_loop_matches_array_route(self, seed, kind, n_samples):
+        dm, model = drawn_model(kind, np.random.default_rng(seed))
+        lo = 0.05 * model.domain[1]
+        try:
+            hi = solve_long_run_limit(dm, model).capacity_limit  # the certificate's range
+        except VrpError:
+            hi = model.domain[1]  # no limit: the rest of the domain, where S may not exist
+        qs = np.linspace(lo, hi if hi > lo else model.domain[1], n_samples, endpoint=False)
+        try:
+            array = _sampled_margins(dm, model, qs)
+        except VrpError as exc:
+            with pytest.raises(type(exc)):
+                _sampled_margins(dm, model, qs.tolist())
+            return
+        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, qs.tolist())
+        assert worst_capacity == array[1]
+        assert (min_margin >= -ZERO_TOL) == (array[0] >= -ZERO_TOL)  # holds
+        # TestArrayDecisions' rtol on S, carried through a discrete slope: two S errors over a step
+        reach = float(np.max(np.abs(reach_map(dm, model, qs))))
+        tol = 2e-15 * (abs(array[0]) + 2.0 * reach / (qs[1] - qs[0]))
+        assert abs(min_margin - array[0]) <= tol
+        np.testing.assert_allclose([max_e, max_c], array[2:], rtol=2e-15, atol=0.0)
+
+    def test_an_overflowing_margin_raises_on_both_routes(self, baseline_demand, baseline_model):
+        # 2 beta overflows, so every margin is -inf: the float loop raises there, the
+        # array route where beta Q^2 overflows in S
+        model = replace(baseline_model, cost_system=CostSpec(0.0, 1e308))
+        qs = np.linspace(0.5, 6.0, 200, endpoint=False)
+        for samples in (qs, qs.tolist()):
+            with pytest.raises(CurveDomainError, match="^reachability certificate: "):
+                _sampled_margins(baseline_demand, model, samples)
+        with pytest.raises(CurveDomainError, match="^reachability certificate: "):
+            certify_monotone_reachability(baseline_demand, model, q_init=0.5)
 
 
 class TestInfeasibleWindow:
