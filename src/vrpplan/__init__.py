@@ -12,11 +12,13 @@ one capacity or an array of them; solvers (``solve_period``,
 ``reach_map``, ``solve_long_run_limit``) take a capacity.
 
 The names below are imported on first use, from the module listed with them.
-Pricing, sharing and the long-run limit are scalar closed forms and never
-load numpy: the ``price``, ``share`` and ``limit`` commands run without it.
-Numpy is loaded by the first array query: the reachability certificate
-(``simulate``, ``verify``), the oracles (``verify``), dispatch and
-calibration (``calibrate``), and ``baseline_grid_model``.
+Pricing, sharing and the long-run limit are scalar closed forms, and the
+checks of ``simulate`` and ``verify`` (grid conditions, reachability
+certificate, full policy enumeration) take float loops while numpy is not
+loaded, so only ``calibrate`` and subsampled enumeration load numpy among the
+commands.  In process, numpy is loaded by the first array query: dispatch and
+calibration, the dense scans, subsampled enumeration, and
+``baseline_grid_model``; once it is, the checks take their array routes.
 """
 
 from importlib import import_module

@@ -16,11 +16,13 @@ Exit codes: 0 success; 2 malformed input (a ``VrpError`` that is not an
 infeasible result); 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics;
 an unknown level exits 2 before any work.
 
-``price``, ``share``, ``limit`` and ``simulate`` never load numpy: the
-reachability certificate of ``simulate`` samples through the scalar path.
-``verify`` loads it with the oracles and ``calibrate`` with dispatch, which
-their handlers import.  ``logging`` loads with VRP_LOG_LEVEL set, or for a
-warning; ``csv`` for a trajectory file.
+Only ``calibrate``, with dispatch, and subsampled policy enumeration load
+numpy: ``verify`` draws a subsample with numpy's seeded generator where
+g**horizon exceeds the cap.  Otherwise ``simulate`` and ``verify`` sample
+through the scalar path while numpy is not loaded: the grid conditions, the
+reachability certificate, full enumeration and the KKT summary take float
+loops.  ``logging`` loads with VRP_LOG_LEVEL set, or for a warning; ``csv``
+for a trajectory file.
 """
 
 from __future__ import annotations
@@ -242,12 +244,12 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
 
 
 def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
-    import numpy as np
     dm, model = scenario.demand, scenario.grid
-    states = np.linspace(scenario.simulation.q_init, result.capacity_limit, n_states, endpoint=False)
+    lo = scenario.simulation.q_init
+    step = (result.capacity_limit - lo) / n_states
     worst = 0.0
     checked = 0
-    for q in map(float, states):
+    for q in [lo + i * step for i in range(n_states)]:  # np.linspace(endpoint=False)'s points, bit for bit
         if dp.decide_at(dm, model.state(q), model.invest_cost).status is not dp.ExpansionStatus.EXPANDING:
             continue
         res = dp.kkt_residuals(dm, model, q, traj.solve_period(dm, model, q), problem="integrated")

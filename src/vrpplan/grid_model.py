@@ -392,6 +392,17 @@ def array_arithmetic(what: str):
         raise CurveDomainError(f"{what}: {exc}") from None
 
 
+def finite_samples(what: str, stage: str, values, qs):
+    """``values``, one float or tuple of floats per sample of ``qs``, if all are
+    finite; else a CurveDomainError naming ``what`` and ``stage`` at the first
+    sample.  The float loops' counterpart of :func:`array_arithmetic`: where
+    the array route raises, so does a float loop that checks each stage."""
+    for value, q in zip(values, qs):
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            raise CurveDomainError(f"{what}: {stage} not finite at Q={q}: {value}")
+    return values
+
+
 @dataclass(frozen=True)
 class ConditionCheck(Serializable):
     name: str
@@ -417,7 +428,9 @@ class ConditionReport:
         return {"passed": self.passed, "n_samples": self.n_samples, "checks": plain(self.checks)}
 
 
-@array_arithmetic("grid conditions")
+_CONDITIONS = "grid conditions"
+
+
 def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> ConditionReport:
     """Sample every curve and report the structural-condition checks.
 
@@ -426,27 +439,71 @@ def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> Conditio
     are only weakly monotone) and |f(0)| within CERTIFY_TOL: e > 0 and
     nonincreasing; f(0) ~ 0, f nondecreasing and discretely concave; pi
     nonincreasing.
+
+    One formula, on one of two routes chosen by whether numpy is loaded, as
+    for the reachability certificate.  Loaded, as in calibration and every
+    in-process batch, the grid is ``np.linspace``'s and each term one array
+    call.  Not loaded, as in ``verify``, a float loop over the same points
+    gives the same checks, but for ulps of ``math.exp`` against ``np.exp``,
+    and loads no numpy.
     """
-    import numpy as np
     if n_samples < 3:
         raise ValueError("n_samples must be at least 3")
     lo, hi = model.domain
-    qs = np.linspace(lo, hi, n_samples)
-    s = model.state(qs)
+    if "numpy" in sys.modules:
+        import numpy as np
+        qs = np.linspace(lo, hi, n_samples)
+    else:
+        step = (hi - lo) / (n_samples - 1)
+        qs = [lo + i * step for i in range(n_samples - 1)] + [hi]  # np.linspace's points, bit for bit
+    return ConditionReport(checks=_sampled_checks(model, qs), n_samples=n_samples)
+
+
+def _sampled_checks(model: GridModel, qs) -> tuple[ConditionCheck, ...]:
+    """The condition checks on the grid ``qs``, an ndarray or a list of floats.
+
+    An ndarray takes one array call per term, whose overflow or NaN
+    :func:`array_arithmetic` turns into a CurveDomainError.  A list takes a
+    float loop through the same functions, stage by stage (every state, then
+    the differences); where float arithmetic leaves a stage non-finite, that
+    stage raises a CurveDomainError too.
+    """
+    lo, hi = model.domain
+    at_origin = lo <= 0.0 <= hi  # no point when 0 is outside the domain
+    array = is_array(qs)
+    if array:
+        import numpy as np
+        with array_arithmetic(_CONDITIONS):
+            s = model.state(qs)
+            e, f, pi = s.e, s.f, s.pi
+            de, df, d2f, dpi = np.diff(e), np.diff(f), np.diff(f, 2), np.diff(pi)
+            origin = np.zeros(1 if at_origin else 0)
+            f0 = np.abs(eval_curve(model.delivered, origin))
+            f_max = float(np.max(np.abs(f)))
+    else:
+        _, e, f, pi, _, _ = zip(*finite_samples(_CONDITIONS, "state", [model.state(q) for q in qs], qs))
+        de, df, dpi = ([b - a for a, b in zip(v, v[1:])] for v in (e, f, pi))  # np.diff's b - a
+        d2f = [b - a for a, b in zip(df, df[1:])]
+        finite_samples(_CONDITIONS, "difference", list(zip(de, df, dpi)), qs[1:])
+        finite_samples(_CONDITIONS, "second difference", d2f, qs[1:-1])
+        origin = [0.0] if at_origin else []
+        f0 = [abs(eval_curve(model.delivered, q)) for q in origin]
+        f_max = max(map(abs, f))
     checks = []
 
-    def check(name: str, at, bad) -> None:
-        first = at[bad][:1].tolist()  # the first violating Q, if any
-        checks.append(ConditionCheck(name, not first, first[0] if first else None))
+    def check(name: str, at, values, bad) -> None:
+        if array:
+            first = (at[bad(values)][:1].tolist() or [None])[0]
+        else:
+            first = next((q for q, v in zip(at, values) if bad(v)), None)
+        checks.append(ConditionCheck(name, first is None, first))  # the first violating Q, if any
 
     # e(Q) > 0 on the interior of the sampled grid
-    check("emissions_positive", qs[1:-1], s.e[1:-1] <= 0.0)
-    check("emissions_nonincreasing", qs[1:], np.diff(s.e) > ZERO_TOL)
-    origin = np.zeros(1 if lo <= 0.0 <= hi else 0)  # no point when 0 is outside the domain
-    f0 = np.abs(eval_curve(model.delivered, origin))
-    check("delivered_zero_at_origin", origin, f0 > CERTIFY_TOL)
-    check("delivered_nondecreasing", qs[1:], np.diff(s.f) < -ZERO_TOL)
-    concavity_tol = scaled(ZERO_TOL, float(np.max(np.abs(s.f))))
-    check("delivered_concave", qs[1:-1], np.diff(s.f, 2) > concavity_tol)
-    check("energy_value_nonincreasing", qs[1:], np.diff(s.pi) > ZERO_TOL)
-    return ConditionReport(checks=tuple(checks), n_samples=n_samples)
+    check("emissions_positive", qs[1:-1], e[1:-1], lambda v: v <= 0.0)
+    check("emissions_nonincreasing", qs[1:], de, lambda v: v > ZERO_TOL)
+    check("delivered_zero_at_origin", origin, f0, lambda v: v > CERTIFY_TOL)
+    check("delivered_nondecreasing", qs[1:], df, lambda v: v < -ZERO_TOL)
+    concavity_tol = scaled(ZERO_TOL, f_max)
+    check("delivered_concave", qs[1:-1], d2f, lambda v: v > concavity_tol)
+    check("energy_value_nonincreasing", qs[1:], dpi, lambda v: v > ZERO_TOL)
+    return tuple(checks)

@@ -8,14 +8,18 @@ optimal price and the equilibrium root by exhaustive search.  A dense scan
 takes ``np.linspace``'s grid points SCAN_BLOCK at a time, from the points
 through the reduction, in a few buffers allocated once per call and filled
 in place by every block, so its temporaries stay cache-sized.
+
+Numpy is imported by the dense scans and by subsampled enumeration, whose
+policies numpy's seeded generator draws.  Full enumeration takes array calls
+when numpy is already loaded and a float walk when it is not, so ``verify``
+at its defaults runs without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import demand_pricing as dp
 from . import equilibrium as eqm
@@ -79,7 +83,9 @@ class DominanceReport(Serializable):
         return {**super().to_dict(), "passed": self.passed}
 
 
-@gm.array_arithmetic("policy enumeration")
+_ENUMERATION = "policy enumeration"
+
+
 def enumerate_and_compare(
     dm: dp.DemandModel,
     model: gm.GridModel,
@@ -96,10 +102,13 @@ def enumerate_and_compare(
     expected to be zero.  A caller that has already solved the long-run limit
     or built the reachability certificate passes them in.
 
-    The policies are expanded level by level: the distinct prefixes of length
-    t are one array of capacities, and one array call of the reach map steps
-    them all, so each prefix is expanded once.  The myopic policy is the
-    all-ones prefix of the same arrays.
+    Each distinct policy prefix is expanded once, level by level, and the
+    myopic policy is the all-ones prefix.  One formula, on one of two routes:
+    with numpy loaded, or for a subsample, which numpy's seeded generator
+    draws, :func:`_expand_rows` steps a level's prefixes in one array call;
+    otherwise :func:`_walk_prefix_tree` steps them in a float loop, to the
+    same counts, but for ulps of ``math.exp`` against ``np.exp`` in the
+    emissions gap, and loads no numpy.
     """
     result = equilibrium or eqm.solve_long_run_limit(dm, model)
     limit = result.capacity_limit
@@ -111,49 +120,140 @@ def enumerate_and_compare(
     g, horizon = ecfg.action_grid_size, ecfg.horizon
     total = g**horizon
     sampled = total > ecfg.max_policies
-    if sampled:
-        if ecfg.seed is None:
-            raise EnumerationConfigError(
-                f"{total} policies exceed the cap {ecfg.max_policies}; set a seed to subsample"
-            )
-        index_rows = np.random.default_rng(ecfg.seed).integers(0, g, (ecfg.max_policies, horizon))
+    if sampled and ecfg.seed is None:
+        raise EnumerationConfigError(
+            f"{total} policies exceed the cap {ecfg.max_policies}; set a seed to subsample"
+        )
+    if sampled or "numpy" in sys.modules:
+        import numpy as np
+        if sampled:
+            rows = np.random.default_rng(ecfg.seed).integers(0, g, (ecfg.max_policies, horizon))
+        else:
+            rows = np.indices((g,) * horizon).reshape(horizon, total).T
+        comparison = _expand_rows(dm, model, cfg.q_init, limit, g, rows)
     else:
-        index_rows = np.indices((g,) * horizon).reshape(horizon, total).T
+        comparison = _walk_prefix_tree(dm, model, cfg.q_init, limit, g, horizon)
+
+    return DominanceReport(
+        n_policies_total=total,
+        n_policies_evaluated=ecfg.max_policies if sampled else total,
+        sampled=sampled,
+        seed=ecfg.seed,
+        **comparison,
+        certificate_holds=certificate.holds,
+    )
+
+
+def _expand_rows(
+    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, g: int, index_rows
+) -> dict:
+    """The myopic path against the policies ``index_rows``, an array of one
+    row of action indices per policy, as :class:`DominanceReport` fields.
+
+    The distinct prefixes of length t are one array of capacities, and one
+    array call of the reach map steps them all; overflow or NaN raises a
+    CurveDomainError through :func:`~vrpplan.grid_model.array_arithmetic`.
+    """
+    import numpy as np
+    horizon = index_rows.shape[1]
     # the myopic policy rides along as the last row
     rows = np.vstack([index_rows, np.full(horizon, g - 1)])
     fractions_of = np.linspace(0.0, 1.0, g)
 
-    # level t: the capacities of the distinct t-step prefixes, and each row's prefix
-    levels, nodes = [np.array([cfg.q_init])], [np.zeros(len(rows), dtype=np.intp)]
-    for t in range(horizon):
-        q = levels[-1]
-        step = np.minimum(traj.max_feasible_expansion(dm, model, q), np.maximum(0.0, limit - q))
-        keys, node = np.unique(nodes[-1] * g + rows[:, t], return_inverse=True)
-        parent = keys // g
-        levels.append(q[parent] + fractions_of[keys % g] * step[parent])
-        nodes.append(node)
-    paths = np.stack([q[node] for q, node in zip(levels, nodes)], axis=1)
-    emissions_of = np.stack([model.emissions_at(q)[node] for q, node in zip(levels, nodes)], axis=1)
+    with gm.array_arithmetic(_ENUMERATION):
+        # level t: the capacities of the distinct t-step prefixes, and each row's prefix
+        levels, nodes = [np.array([q_init])], [np.zeros(len(rows), dtype=np.intp)]
+        for t in range(horizon):
+            q = levels[-1]
+            step = np.minimum(traj.max_feasible_expansion(dm, model, q), np.maximum(0.0, limit - q))
+            keys, node = np.unique(nodes[-1] * g + rows[:, t], return_inverse=True)
+            parent = keys // g
+            levels.append(q[parent] + fractions_of[keys % g] * step[parent])
+            nodes.append(node)
+        paths = np.stack([q[node] for q, node in zip(levels, nodes)], axis=1)
+        emissions_of = np.stack([model.emissions_at(q)[node] for q, node in zip(levels, nodes)], axis=1)
 
-    state_tol = scaled(ZERO_TOL, limit)
-    reached = paths >= limit - state_tol
-    hits = np.where(reached.any(axis=1), reached.argmax(axis=1), horizon + 1)
-    myo_hit = int(hits[-1])
-    # sum over t <= the myopic hitting time, in the order of a running sum
-    sums = np.add.accumulate(emissions_of[:, : min(myo_hit, horizon) + 1], axis=1)[:, -1]
-    gaps = sums[-1] - sums[:-1]
+        state_tol = scaled(ZERO_TOL, limit)
+        reached = paths >= limit - state_tol
+        hits = np.where(reached.any(axis=1), reached.argmax(axis=1), horizon + 1)
+        myo_hit = int(hits[-1])
+        # sum over t <= the myopic hitting time, in the order of a running sum
+        sums = np.add.accumulate(emissions_of[:, : min(myo_hit, horizon) + 1], axis=1)[:, -1]
+        gaps = sums[-1] - sums[:-1]
 
-    return DominanceReport(
-        n_policies_total=total,
-        n_policies_evaluated=len(index_rows),
-        sampled=sampled,
-        seed=ecfg.seed,
+    return dict(
         statewise_violations=int((paths[:-1] > paths[-1] + state_tol).any(axis=1).sum()),
         hitting_time_violations=int((hits[:-1] < myo_hit).sum()),
         emissions_violations=int((gaps > scaled(ZERO_TOL, float(sums[-1]))).sum()),
         worst_hitting_gap=max(0, myo_hit - int(hits[:-1].min())),
         worst_emissions_gap=float(gaps.max()),
-        certificate_holds=certificate.holds,
+    )
+
+
+def _walk_prefix_tree(
+    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, g: int, horizon: int
+) -> dict:
+    """The myopic path against all g**horizon policies, as
+    :class:`DominanceReport` fields, by a float walk of the prefix tree.
+
+    Level t lists the t-step prefixes in :func:`_expand_rows`'s order, each
+    one's actions after its parent's, so the myopic prefix is the last and
+    prefix i's parent is i // g.  A child inherits from its parent whether its
+    path has exceeded the myopic one, when it first reached the limit, and its
+    running emissions sum, in ``np.add.accumulate``'s order, so no path is
+    walked twice.  Each level's new capacities are evaluated in the stages of
+    the array call (:func:`~vrpplan.trajectory.staged_expansions`); a capacity
+    met before, as after every zero action, is not evaluated again.
+    """
+    state_tol = scaled(ZERO_TOL, limit)
+    reached = limit - state_tol
+    spacing = 1.0 / (g - 1)
+    fractions = [i * spacing for i in range(g - 1)] + [1.0]  # np.linspace(0.0, 1.0, g)'s points
+
+    qs, beaten, hits = [q_init], [False], [0 if q_init >= reached else horizon + 1]
+    levels, sums = [qs], []  # each level's capacities and running emissions sums
+    e_at, expansion_at = {}, {}  # e and the maximal feasible expansion at each capacity met
+
+    def unmet(qs: list) -> list:
+        return [q for q in dict.fromkeys(qs) if q not in e_at]
+
+    def accumulate(qs: list) -> None:
+        emissions = [e_at[q] for q in qs]
+        sums.append([sums[-1][i // g] + e for i, e in enumerate(emissions)] if sums else emissions)
+
+    for t in range(horizon):
+        fresh = unmet(qs)
+        states, expansions = traj.staged_expansions(dm, model, fresh, _ENUMERATION)
+        e_at.update(zip(fresh, (s.e for s in states)))
+        expansion_at.update(zip(fresh, expansions))
+        accumulate(qs)
+        qs = [
+            q + fraction * step
+            for q in qs
+            for step in (min(expansion_at[q], max(0.0, limit - q)),)
+            for fraction in fractions
+        ]
+        myopic = qs[-1] + state_tol
+        beaten = [beaten[i // g] or q > myopic for i, q in enumerate(qs)]
+        hits = [min(hits[i // g], t + 1 if q >= reached else horizon + 1) for i, q in enumerate(qs)]
+        levels.append(qs)
+    fresh = unmet(qs)
+    emissions = [model.emissions_at(q) for q in fresh]
+    e_at.update(zip(fresh, gm.finite_samples(_ENUMERATION, "emissions", emissions, fresh)))
+    accumulate(qs)
+
+    myo_hit = hits[-1]
+    last = min(myo_hit, horizon)  # sum over t <= the myopic hitting time
+    totals = sums[last]
+    gaps = gm.finite_samples(_ENUMERATION, "emissions sum", [totals[-1] - s for s in totals], levels[last])
+    leaves_per_prefix = g ** (horizon - last)
+    emissions_tol = scaled(ZERO_TOL, totals[-1])
+    return dict(
+        statewise_violations=sum(beaten),
+        hitting_time_violations=sum(h < myo_hit for h in hits),
+        emissions_violations=leaves_per_prefix * sum(gap > emissions_tol for gap in gaps),
+        worst_hitting_gap=max(0, myo_hit - min(hits)),
+        worst_emissions_gap=max(gaps),
     )
 
 
@@ -170,6 +270,7 @@ def dense_scan_price(
     f(Q) <= 0 or so small that M/f(Q) overflows, there is no price to find,
     and the scan raises the closed form's error.
     """
+    import numpy as np
     if n_points < 10:
         raise ValueError("n_points too small to be meaningful")
     e_q = model.emissions_at(q)
@@ -234,6 +335,7 @@ def dense_scan_equilibrium(
     at a time, in buffers reused across blocks; the last sign of a block is
     carried to the next, so a sign change across a block boundary is found.
     """
+    import numpy as np
     if n_points < 10:
         raise ValueError("n_points too small to be meaningful")
     threshold = eqm.find_deliverability_threshold(dm, model)

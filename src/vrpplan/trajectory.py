@@ -22,7 +22,7 @@ from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
-from .errors import CurveDomainError, InfeasiblePeriodError
+from .errors import InfeasiblePeriodError
 from .serialize import Serializable, json_integer, json_number, json_typed
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
@@ -171,6 +171,8 @@ def certify_monotone_reachability(
     1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k with the analytic slopes
     :meth:`GridCurve.slope` and :meth:`GridModel.cost_slope`, and discrete
     slopes of S itself.  The certificate holds iff both stay above -ZERO_TOL.
+    Where the points do not increase strictly, as when the start is at or
+    past the limit or a few ulps below it, it holds trivially, with no samples.
     The derivative check uses the unconstrained revenue form throughout, so
     the direct S samples are the decisive check where the deliverability cap
     still binds.
@@ -186,7 +188,15 @@ def certify_monotone_reachability(
         raise ValueError("n_samples must be at least 2")
     result = equilibrium or eqm.solve_long_run_limit(dm, model)
     lo, hi = q_init, result.capacity_limit
-    if hi <= lo:
+    if "numpy" in sys.modules:
+        import numpy as np
+        qs = np.linspace(lo, hi, n_samples, endpoint=False)
+        increasing = bool(np.all(qs[:-1] < qs[1:]))
+    else:
+        step = (hi - lo) / n_samples
+        qs = [lo + i * step for i in range(n_samples)]  # np.linspace's points, bit for bit
+        increasing = all(map(float.__lt__, qs, qs[1:]))
+    if not increasing:  # the start is at or past the limit, or so close below that points coincide
         return ReachabilityCertificate(
             holds=True,
             min_margin=0.0,
@@ -196,13 +206,6 @@ def certify_monotone_reachability(
             max_abs_cost_slope=0.0,
             n_samples=0,
         )
-
-    if "numpy" in sys.modules:
-        import numpy as np
-        qs = np.linspace(lo, hi, n_samples, endpoint=False)
-    else:
-        step = (hi - lo) / n_samples
-        qs = [lo + i * step for i in range(n_samples)]  # np.linspace's points, bit for bit
     min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, qs)
     return ReachabilityCertificate(
         holds=min_margin >= -ZERO_TOL,
@@ -257,19 +260,17 @@ def _sampled_margins(
             float(np.max(np.abs(c_slopes))),
         )
 
-    terms = _finite([margin(q) for q in qs], qs, "slopes")
-    # reach_map's stages: every state, every decision (prices first), then each feasibility
-    states = _finite([model.state(q) for q in qs], qs, "state")
-    decisions = [dp.decide_at(dm, s, k) for s in states]
-    _finite([(d.price, d.revenue, s.cost) for s, d in zip(states, decisions)], qs, "decision")
-    reach = [s.q + _checked(d, s.q).expansion for s, d in zip(states, decisions)]
-    discrete = _finite(
+    terms = gm.finite_samples(_CERTIFICATE, "slopes", [margin(q) for q in qs], qs)
+    states, expansions = staged_expansions(dm, model, qs, _CERTIFICATE)
+    reach = [s.q + x for s, x in zip(states, expansions)]
+    discrete = gm.finite_samples(
+        _CERTIFICATE,
+        "discrete slope",
         [
             (b - a) / (y - x) if y != x else math.nan  # 0/0 where two samples coincide
             for a, b, x, y in zip(reach, reach[1:], qs, qs[1:])
         ],
         qs,
-        "discrete slope",
     )
     margins, e_slopes, c_slopes = zip(*terms)
     candidates = margins + tuple(discrete)
@@ -277,14 +278,22 @@ def _sampled_margins(
     return candidates[worst], qs[worst % len(qs)], max(map(abs, e_slopes)), max(map(abs, c_slopes))
 
 
-def _finite(values: list, qs, what: str) -> list:
-    """``values``, one float or tuple of floats per sample of ``qs``, if all are
-    finite; else a CurveDomainError at the first sample, where the array route's
-    arithmetic raises one."""
-    for value, q in zip(values, qs):
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-            raise CurveDomainError(f"{_CERTIFICATE}: {what} not finite at Q={q}: {value}")
-    return values
+def staged_expansions(
+    dm: dp.DemandModel, model: gm.GridModel, qs: list, what: str
+) -> tuple[list[gm.PeriodState], list[float]]:
+    """The states at the floats ``qs`` and the maximal feasible expansion at
+    each, in the stages of an array call of :func:`max_feasible_expansion`:
+    every state, every decision (prices first), then each feasibility.  A
+    stage left non-finite raises a CurveDomainError naming ``what``, where the
+    array call's arithmetic raises one; an infeasible state raises as there.
+    """
+    k = model.invest_cost
+    states = gm.finite_samples(what, "state", [model.state(q) for q in qs], qs)
+    decisions = [dp.decide_at(dm, s, k) for s in states]
+    gm.finite_samples(
+        what, "decision", [(d.price, d.revenue, s.cost, d.expansion) for s, d in zip(states, decisions)], qs
+    )
+    return states, [_checked(d, s.q).expansion for s, d in zip(states, decisions)]
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,43 @@ def saturating_table(limit: float, rate: float, domain, knots: int = 241):
     return tuple((float(q), float(limit * (1.0 - math.exp(-rate * q)))) for q in qs)
 
 
+def drawn_model(kind: CurveKind, rng: np.random.Generator) -> tuple[DemandModel, GridModel]:
+    """Every curve of one kind: decaying e and pi, rising f, random costs and k.
+
+    The polynomial f turns negative past 4/rate, so some draws hold states
+    that cannot be priced.
+    """
+    hi = float(rng.uniform(8.0, 16.0))  # builtin floats throughout, as a loaded scenario holds
+    e0, e_rate, f_max, f_rate, pi0, pi_rate = rng.uniform(
+        (0.2, 0.02, 3.0, 0.08, 60.0, 0.02), (0.6, 0.12, 12.0, 0.3, 150.0, 0.1)
+    ).tolist()
+    knots = np.linspace(0.0, hi, 97)
+
+    def curve(shape, exponential, polynomial):
+        if kind is CurveKind.TABULATED:
+            return GridCurve(kind, table=tuple((float(q), shape(q)) for q in knots))
+        return GridCurve(kind, exponential if kind is CurveKind.EXPONENTIAL_DECAY else polynomial)
+
+    model = GridModel(
+        emissions=curve(
+            lambda q: e0 * math.exp(-e_rate * q), (e0, e_rate), (e0, -e0 / (2.0 * hi))
+        ),
+        delivered=curve(
+            lambda q: f_max * (1.0 - math.exp(-f_rate * q)),
+            (f_max, -f_rate / 10.0),
+            (f_max * f_rate, -f_max * f_rate**2 / 4.0),
+        ),
+        energy_value=curve(
+            lambda q: pi0 * math.exp(-pi_rate * q), (pi0, pi_rate), (pi0, -pi0 / (2.0 * hi))
+        ),
+        cost_renewable=CostSpec(*rng.uniform((5.0, 0.5), (30.0, 6.0)).tolist()),
+        cost_system=CostSpec(*rng.uniform((3.0, 0.3), (15.0, 2.0)).tolist()),
+        invest_cost=float(rng.uniform(30.0, 3000.0)),
+        domain=(0.0, hi),
+    )
+    return DemandModel(*rng.uniform((6.0, 0.003), (16.0, 0.007)).tolist()), model
+
+
 def random_accepted_model(
     rng: np.random.Generator, require_root: bool = False, max_tries: int = 500
 ) -> tuple[DemandModel, GridModel]:

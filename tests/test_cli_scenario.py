@@ -203,6 +203,18 @@ class TestCliCommands:
         kkt = cli._kkt_summary(scenario, equilibrium.solve_long_run_limit(scenario.demand, scenario.grid))
         assert type(kkt["certified"]) is bool and type(kkt["max_abs_residual"]) is float
 
+    @pytest.mark.parametrize("ulps, n_samples", [(1, 0), (5, 0), (300, 200)])
+    def test_a_start_a_few_ulps_below_the_limit(self, tmp_path, capsys, ulps, n_samples):
+        # 1 and 5 ulps below Q*, the certificate's 200 points would coincide and
+        # their slopes be 0/0: it holds trivially; 300 ulps below, they are distinct
+        path = near_limit_scenario(tmp_path / "near-limit.json", ulps)
+        assert main(["simulate", "--scenario", str(path), "--format", "json"]) == 0
+        simulated = json.loads(capsys.readouterr().out)["reachability_certificate"]
+        assert main(["verify", "--scenario", str(path)]) == 0
+        verified = json.loads(capsys.readouterr().out)
+        assert verified["passed"] and verified["reachability_certificate"] == simulated
+        assert (simulated["holds"], simulated["n_samples"]) == (True, n_samples)
+
     def test_verify_at_horizon_8_samples_the_policies(self, capsys):
         # 4**8 policies exceed the 20,000 cap: the scenario seed draws a sample
         assert main(["verify", "--scenario", BASELINE_PATH, "--horizon", "8"]) == 0
@@ -771,15 +783,29 @@ def tabulated_baseline(path: Path) -> Path:
     return path
 
 
+def near_limit_scenario(path: Path, ulps: int) -> Path:
+    """The shipped baseline started ``ulps`` floats below its long-run limit."""
+    scenario = baseline_scenario()
+    q_init = equilibrium.solve_long_run_limit(scenario.demand, scenario.grid).capacity_limit
+    for _ in range(ulps):
+        q_init = math.nextafter(q_init, 0.0)
+    doc = scenario.to_dict()
+    doc["simulation"]["q_init"] = q_init
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_quick_commands_never_load_numpy(tmp_path):
     # a fresh interpreter: this one has loaded numpy already
     tabulated = tabulated_baseline(tmp_path / "tabulated.json")
-    overflowing = tmp_path / "overflowing.json"  # C_S' overflows: the certificate raises
+    near_limit = [str(near_limit_scenario(tmp_path / f"near-{n}.json", n)) for n in (1, 5)]
+    overflowing = tmp_path / "overflowing.json"  # C_S' overflows: the checks raise
     doc = baseline_scenario().to_dict()
     doc["grid"]["cost_system"]["beta"] = 1e308
     overflowing.write_text(json.dumps(doc))
     script = f"""
 import contextlib, io, sys
+from pathlib import Path
 from vrpplan import cli
 from vrpplan.scenario import load_scenario
 
@@ -789,30 +815,74 @@ def run(path, *argv, status=0):
         assert cli.main([argv[0], "--scenario", path, *argv[1:]]) == status, (path, argv)
     return out.getvalue()
 
+def verifications():  # full enumeration at g = 4 and 7, the certificate at 200 and 1,000 samples
+    documents = []
+    for i, path in enumerate(paths):
+        for j, argv in enumerate(([], ["--horizon", "6", "--q-grid", "4", "--samples", "1000"],
+                                  ["--horizon", "2", "--q-grid", "7"])):
+            out = Path({str(tmp_path)!r}, f"verify-{{i}}-{{j}}")
+            run(path, "verify", *argv, "--out", str(out))
+            documents.append((out / "verification.json").read_text())
+    return documents
+
 paths = ({BASELINE_PATH!r}, {str(tabulated)!r})
 for path in paths:
     for argv in (["price", "3.0"], ["share", "6.5"], ["limit"]):
         run(path, *argv)
 assert "logging" not in sys.modules and "csv" not in sys.modules
-# the certificate's float loop, in all three output forms
-documents = [run(path, "simulate", "--format", "json") for path in paths]
+# the certificate's float loop, in all three output forms; a few ulps below Q*, its trivial form
+documents = [run(path, "simulate", "--format", "json") for path in (*paths, *{near_limit!r})]
 for i, path in enumerate(paths):
     run(path, "simulate")
     run(path, "simulate", "--out", {str(tmp_path)!r} + f"/simulate-{{i}}")
-run({str(overflowing)!r}, "simulate", status=2)
+# the float loops of the grid conditions, the enumeration and the KKT summary
+verified = verifications() + [run(path, "verify") for path in {near_limit!r}]
+for argv in (["simulate"], ["verify"]):
+    run({str(overflowing)!r}, *argv, status=2)
 curve = load_scenario({BASELINE_PATH!r}).grid.delivered  # a table, queried at a float
 for q in (0.0, 3.3, 12.0):
     curve.slope(q)
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
-for argv in (["verify"], ["calibrate"]):
-    run({BASELINE_PATH!r}, *argv)
+run({BASELINE_PATH!r}, "calibrate")
 assert "numpy" in sys.modules
-# with numpy loaded the certificate takes its array route, to the same document
-assert [run(path, "simulate", "--format", "json") for path in paths] == documents
-run({str(overflowing)!r}, "simulate", status=2)
+# with numpy loaded every check takes its array route, to the same documents
+assert [run(path, "simulate", "--format", "json") for path in (*paths, *{near_limit!r})] == documents
+assert verifications() + [run(path, "verify") for path in {near_limit!r}] == verified
+for argv in (["simulate"], ["verify"]):
+    run({str(overflowing)!r}, *argv, status=2)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
     env.pop("VRP_LOG_LEVEL", None)  # set, it configures logging before any command
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_only_subsampled_enumeration_loads_numpy_in_verify():
+    # a fresh interpreter: a subsample without a seed is refused before numpy loads,
+    # and a seeded subsample draws its policies with numpy's generator
+    script = f"""
+import contextlib, io, sys
+from vrpplan import cli
+from vrpplan.errors import EnumerationConfigError
+from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
+from vrpplan.scenario import load_scenario
+
+scenario = load_scenario({BASELINE_PATH!r})
+try:
+    enumerate_and_compare(scenario.demand, scenario.grid, scenario.simulation, EnumerationConfig(4, 9))
+except EnumerationConfigError:
+    pass
+else:
+    raise AssertionError("4**9 policies over the cap, without a seed, were enumerated")
+assert "numpy" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--scenario", {BASELINE_PATH!r}, "--horizon", "9", "--seed", "3"]) == 0
+assert "numpy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
+    env.pop("VRP_LOG_LEVEL", None)
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )

@@ -1,13 +1,14 @@
 """Grid primitives: curve evaluation, costs, slopes, condition checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat_curve, flat_model
+from conftest import drawn_model, flat_curve, flat_model
 from vrpplan.demand_pricing import DemandModel, price_at
 from vrpplan.errors import CurveDomainError
 from vrpplan.grid_model import (
@@ -15,6 +16,7 @@ from vrpplan.grid_model import (
     CurveKind,
     GridCurve,
     GridModel,
+    _sampled_checks,
     eval_curve,
     is_array,
     validate_grid_conditions,
@@ -392,6 +394,36 @@ class TestValidateGridConditions:
     def test_too_few_samples_rejected(self, baseline_model):
         with pytest.raises(ValueError):
             validate_grid_conditions(baseline_model, 2)
+
+
+class TestConditionRoutes:
+    """The condition checks on a list of floats, the float loop that ``verify``
+    takes without numpy, against the same grid as an array."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(CurveKind),
+        start=st.sampled_from((0.0, 0.25)),  # 0.25: the origin lies outside the domain
+        n_samples=st.sampled_from((3, 200, 1000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_loop_matches_array_route(self, seed, kind, start, n_samples):
+        _, model = drawn_model(kind, np.random.default_rng(seed))
+        model = replace(model, domain=(start * model.domain[1], model.domain[1]))
+        qs = np.linspace(*model.domain, n_samples)
+        assert qs.tolist() == [
+            model.domain[0] + i * ((model.domain[1] - model.domain[0]) / (n_samples - 1))
+            for i in range(n_samples - 1)
+        ] + [model.domain[1]]  # validate_grid_conditions' float points
+        # every name, verdict and first violating Q, bit for bit
+        assert _sampled_checks(model, qs.tolist()) == _sampled_checks(model, qs)
+
+    def test_an_overflowing_state_raises_on_both_routes(self, baseline_model):
+        model = replace(baseline_model, cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
+        qs = np.linspace(*model.domain, 200)
+        for samples in (qs, qs.tolist()):
+            with pytest.raises(CurveDomainError, match="^grid conditions: "):
+                _sampled_checks(model, samples)
 
 
 class TestSerialization:

@@ -1,20 +1,31 @@
 """Brute-force verifiers: policy enumeration and dense scans."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import adversarial_dip_model, flat_model
+from conftest import adversarial_dip_model, drawn_model, flat_model
 from vrpplan.demand_pricing import DemandModel, price_at, unconstrained_peak_revenue
 from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
-from vrpplan.errors import EnumerationConfigError, NetZeroGridError, NoSellableCreditsError
+from vrpplan.errors import (
+    CurveDomainError,
+    EnumerationConfigError,
+    NetZeroGridError,
+    NoSellableCreditsError,
+    VrpError,
+)
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import (
     SCAN_BLOCK,
     DominanceReport,
     EnumerationConfig,
+    _expand_rows,
+    _walk_prefix_tree,
     dense_scan_equilibrium,
     dense_scan_price,
     enumerate_and_compare,
@@ -159,6 +170,12 @@ class TestEnumerateAndCompare:
                 expected.worst_emissions_gap, rel=1e-12, abs=1e-15
             )
             assert replace(report, worst_emissions_gap=0.0) == replace(expected, worst_emissions_gap=0.0)
+            if not report.sampled:  # the float walk that verify takes without numpy
+                walk = _walk_prefix_tree(dm, model, q_init, result.capacity_limit, ecfg.action_grid_size, ecfg.horizon)
+                assert walk.pop("worst_emissions_gap") == pytest.approx(
+                    expected.worst_emissions_gap, rel=1e-12, abs=1e-15
+                )
+                assert replace(report, worst_emissions_gap=0.0) == replace(report, **walk, worst_emissions_gap=0.0)
 
     def test_adversarial_model_shows_violations(self):
         # non-monotone reach map: some under-building policies overtake the
@@ -169,6 +186,50 @@ class TestEnumerateAndCompare:
         assert not report.certificate_holds
         assert report.statewise_violations > 0
         assert not report.passed
+
+
+class TestEnumerationRoutes:
+    """The float walk of the prefix tree, which ``verify`` takes without numpy,
+    against the array route over the same policies."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(CurveKind),
+        g=st.integers(2, 7),
+        horizon=st.integers(1, 5),
+        start=st.floats(0.0, 1.0),  # q_init as a fraction of the limit: near 1, the myopic path hits early
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_walk_matches_array_route(self, seed, kind, g, horizon, start):
+        dm, model = drawn_model(kind, np.random.default_rng(seed))
+        try:
+            limit = solve_long_run_limit(dm, model).capacity_limit
+        except VrpError:
+            return  # no limit to enumerate towards
+        q_init = start * limit
+        rows = np.indices((g,) * horizon).reshape(horizon, g**horizon).T
+        try:
+            array = _expand_rows(dm, model, q_init, limit, g, rows)
+        except VrpError as exc:
+            with pytest.raises(type(exc)):
+                _walk_prefix_tree(dm, model, q_init, limit, g, horizon)
+            return
+        walk = _walk_prefix_tree(dm, model, q_init, limit, g, horizon)
+        walk_gap, array_gap = walk.pop("worst_emissions_gap"), array.pop("worst_emissions_gap")
+        assert walk == array  # every count and the hitting gap
+        # each sum adds horizon + 1 values of e, each within ulps of np.exp's, at capacities
+        # stepped by decisions that carry the same ulps
+        e_scale = float(np.max(np.abs(model.emissions_at(np.linspace(q_init, limit, 64)))))
+        assert abs(walk_gap - array_gap) <= 16 * (horizon + 1) * sys.float_info.epsilon * e_scale
+
+    def test_an_overflowing_state_raises_on_both_routes(self, baseline_demand, baseline_model):
+        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
+        model = replace(baseline_model, cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
+        rows = np.indices((4,) * 3).reshape(3, 64).T
+        with pytest.raises(CurveDomainError, match="^policy enumeration: "):
+            _expand_rows(baseline_demand, model, 2.0, limit, 4, rows)
+        with pytest.raises(CurveDomainError, match="^policy enumeration: "):
+            _walk_prefix_tree(baseline_demand, model, 2.0, limit, 4, 3)
 
 
 def reference_price_scan(dm, model, q, n_points):
