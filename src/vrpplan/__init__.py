@@ -17,8 +17,8 @@ checks of ``simulate`` and ``verify`` (grid conditions, reachability
 certificate, full policy enumeration) take float loops while numpy is not
 loaded, so only ``calibrate`` and subsampled enumeration load numpy among the
 commands.  In process, numpy is loaded by the first array query: dispatch and
-calibration, the dense scans, subsampled enumeration, and
-``baseline_grid_model``; once it is, the checks take their array routes.
+calibration, the dense scans and subsampled enumeration; once it is, the
+checks take their array routes.
 """
 
 from importlib import import_module
@@ -46,7 +46,7 @@ _EXPORTS = {
     "revenue_sharing": (
         "SharingSolution", "classify_phase", "solve_separated_period",
     ),
-    "scenario": ("Scenario", "baseline_demand_model", "baseline_grid_model", "baseline_scenario", "load_scenario"),
+    "scenario": ("Scenario", "load_scenario"),
     "trajectory": (
         "ReachabilityCertificate", "SimulationConfig", "Termination", "Trajectory",
         "certify_monotone_reachability", "max_feasible_expansion", "reach_map",

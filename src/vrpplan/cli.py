@@ -21,8 +21,7 @@ numpy: ``verify`` draws a subsample with numpy's seeded generator where
 g**horizon exceeds the cap.  Otherwise ``simulate`` and ``verify`` sample
 through the scalar path while numpy is not loaded: the grid conditions, the
 reachability certificate, full enumeration and the KKT summary take float
-loops.  ``logging`` loads with VRP_LOG_LEVEL set, or for a warning; ``csv``
-for a trajectory file.
+loops.  ``logging`` loads with VRP_LOG_LEVEL set, or for a warning.
 """
 
 from __future__ import annotations
@@ -196,10 +195,7 @@ def _write_plot_files(out_dir: Path, trajectory: traj.Trajectory, scenario: Scen
         "plot_revenue_share.csv": ("gamma", lambda r: r.solution.share),
     }
     for name, (column, extract) in panels.items():
-        lines = [f"t,{column}"] + [
-            f"{r.t},{extract(r)!r}" for r in trajectory.records
-        ]
-        (out_dir / name).write_text("\n".join(lines) + "\n")
+        (out_dir / name).write_text(traj.csv_text(("t", column), ((r.t, extract(r)) for r in trajectory.records)))
 
 
 def _cmd_simulate(args, scenario: Scenario) -> int:
@@ -233,10 +229,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     elif fmt == "json":
         print(text)
     else:
-        rows = traj.trajectory_csv_rows(trajectory)
-        print(",".join(traj.TRAJECTORY_CSV_COLUMNS))
-        for row in rows:
-            print(",".join(str(row[c]) for c in traj.TRAJECTORY_CSV_COLUMNS))
+        print(traj.csv_text(traj.TRAJECTORY_CSV_COLUMNS, traj.trajectory_csv_rows(trajectory)), end="")
     if trajectory.termination is traj.Termination.INFEASIBLE:
         _logger().warning("trajectory truncated: infeasible period")
         return EXIT_INFEASIBLE

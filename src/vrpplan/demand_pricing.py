@@ -32,6 +32,9 @@ class DemandModel(Serializable):
     sensitivity: float
 
     def __post_init__(self):
+        # builtin floats, as GridCurve holds: a numpy scalar would make the float routes numpy arithmetic
+        object.__setattr__(self, "market_size", float(self.market_size))
+        object.__setattr__(self, "sensitivity", float(self.sensitivity))
         if not 0.0 < self.market_size < math.inf:
             raise ValueError("demand.market_size must be positive and finite")
         if not (0.0 < self.sensitivity < math.inf and 1.0 / self.sensitivity < math.inf):

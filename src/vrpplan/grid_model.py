@@ -104,9 +104,6 @@ class GridCurve:
             return self.table[0][0], self.table[-1][0]
         return -math.inf, math.inf
 
-    def __call__(self, q: float) -> float:
-        return eval_curve(self, q)
-
     def slope(self, q):
         """dv/dQ at ``q``, a float or an ndarray, in closed form.
 
@@ -232,6 +229,8 @@ class CostSpec(Serializable):
     beta: float  # M$/GW^2-yr
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
         if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
             raise ValueError("cost coefficients must be nonnegative and finite")
 
@@ -308,6 +307,7 @@ class GridModel(Serializable):
         # each message begins with its field's name, which from_dict prefixes with the path
         lo, hi = self.domain
         object.__setattr__(self, "domain", (float(lo), float(hi)))
+        object.__setattr__(self, "invest_cost", float(self.invest_cost))
         if not -math.inf < lo < hi < math.inf:
             raise ValueError("domain must satisfy Q_min < Q_max, both finite")
         if not 0.0 < self.invest_cost < math.inf:

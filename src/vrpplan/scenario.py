@@ -29,6 +29,10 @@ or an array.  A table is read in one pass (:class:`GridCurve`), and row by row
 only to name a bad entry.  Keys that no reader reads, such as the
 ``calibration`` block ``calibrate`` writes, are ignored: nothing in them
 reaches a solver.
+
+The baseline utility is ``scenarios/baseline.json``, its only definition:
+e = 0.40*exp(-0.06*Q), pi = 120*exp(-0.08*Q), and f tabulated at 481 evenly
+spaced knots of 8*(1 - exp(-0.12*Q)) over [0, 12].
 """
 
 from __future__ import annotations
@@ -40,15 +44,15 @@ from pathlib import Path
 
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
-from .grid_model import CostSpec, CurveKind, GridCurve, GridModel
-from .serialize import Serializable, json_integer, json_number, json_typed, read_numbers
+from .grid_model import GridModel
+from .serialize import json_integer, json_number, json_typed, read_numbers
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class DerivativeBounds(Serializable):
+class DerivativeBounds:
     max_abs_emissions_slope: float
     max_abs_cost_slope: float
 
@@ -78,20 +82,6 @@ class Scenario:
             raise ValueError(f"output must be 'csv' or 'json', got {self.output!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "grid": self.grid.to_dict(),
-            "demand": self.demand.to_dict(),
-            "simulation": self.simulation.to_dict(),
-            "wind_cf": self.wind_cf,
-            "output": self.output,
-            "seed": self.seed,
-        }
-        if self.derivative_bounds is not None:
-            doc["derivative_bounds"] = self.derivative_bounds.to_dict()
-        return doc
 
 
 def _read_json(path: Path):
@@ -133,59 +123,3 @@ def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None
 def load_scenario(path) -> Scenario:
     path = Path(path)
     return scenario_from_dict(_read_json(path), where=str(path), base_dir=path.parent)
-
-
-# ---------------------------------------------------------------------------
-# Shipped baseline: 10 GW-peak utility, quadratic costs, synthetic curves
-# ---------------------------------------------------------------------------
-
-BASELINE_MARKET_SIZE = 10.0  # GW
-BASELINE_SENSITIVITY = 0.0045
-BASELINE_INVEST_COST = 1000.0  # M$/GW
-BASELINE_WIND_CF = 0.35
-BASELINE_Q_INIT = 0.5  # GW
-BASELINE_DOMAIN = (0.0, 12.0)
-
-
-def baseline_grid_model() -> GridModel:
-    """Synthetic-concave grid curves with the baseline quadratic costs.
-
-    Emissions decay from 0.40 ton/MWh; usable wind saturates toward 8 GW
-    capacity-equivalent (tabulated, since the saturating shape is neither
-    polynomial nor a plain decay); the captured energy value erodes from
-    120 M$/GW-yr with penetration.
-    """
-    import numpy as np
-    knots = np.linspace(BASELINE_DOMAIN[0], BASELINE_DOMAIN[1], 481)
-    delivered = tuple(
-        (float(q), float(8.0 * (1.0 - math.exp(-0.12 * q)))) for q in knots
-    )
-    return GridModel(
-        emissions=GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.40, 0.06)),
-        delivered=GridCurve(CurveKind.TABULATED, table=delivered),
-        energy_value=GridCurve(CurveKind.EXPONENTIAL_DECAY, (120.0, 0.08)),
-        cost_renewable=CostSpec(alpha=21.0, beta=5.0),
-        cost_system=CostSpec(alpha=9.6, beta=1.0),
-        invest_cost=BASELINE_INVEST_COST,
-        domain=BASELINE_DOMAIN,
-    )
-
-
-def baseline_demand_model() -> DemandModel:
-    return DemandModel(
-        market_size=BASELINE_MARKET_SIZE, sensitivity=BASELINE_SENSITIVITY
-    )
-
-
-def baseline_scenario() -> Scenario:
-    return Scenario(
-        grid=baseline_grid_model(),
-        demand=baseline_demand_model(),
-        simulation=SimulationConfig(q_init=BASELINE_Q_INIT, horizon=200),
-        wind_cf=BASELINE_WIND_CF,
-        output="csv",
-        seed=0,
-        derivative_bounds=DerivativeBounds(
-            max_abs_emissions_slope=0.1, max_abs_cost_slope=150.0
-        ),
-    )

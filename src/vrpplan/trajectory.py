@@ -369,32 +369,21 @@ def simulate_myopic(
 # ---------------------------------------------------------------------------
 
 
-def trajectory_csv_rows(trajectory: Trajectory) -> list[dict]:
-    rows = []
-    for r in trajectory.records:
-        rows.append(
-            {
-                "t": r.t,
-                "Q": r.capacity,
-                "p": r.solution.price,
-                "q": r.solution.expansion,
-                "gamma": r.solution.share,
-                "R": r.solution.revenue,
-                "phase": r.solution.phase.value,
-                "e": r.state.e,
-            }
-        )
-    return rows
+def trajectory_csv_rows(trajectory: Trajectory) -> list[tuple]:
+    """One row per period, in the order of ``TRAJECTORY_CSV_COLUMNS``."""
+    return [
+        (r.t, r.capacity, r.solution.price, r.solution.expansion, r.solution.share,
+         r.solution.revenue, r.solution.phase.value, r.state.e)
+        for r in trajectory.records
+    ]
+
+
+def csv_text(columns, rows, newline: str = "\n") -> str:
+    """A header of ``columns``, then each row's values by ``repr``, whose read back is exact."""
+    return newline.join([",".join(columns), *(",".join(map(repr, row)) for row in rows)]) + newline
 
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Fixed column order: t, Q, p, q, gamma, R, phase, e.
-
-    Values are written with repr so a read back recovers identical floats.
-    """
-    import csv
+    """Fixed column order: t, Q, p, q, gamma, R, phase, e; lines end in CRLF."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRAJECTORY_CSV_COLUMNS)
-        for row in trajectory_csv_rows(trajectory):
-            writer.writerow([repr(v) for v in row.values()])
+        handle.write(csv_text(TRAJECTORY_CSV_COLUMNS, trajectory_csv_rows(trajectory), "\r\n"))

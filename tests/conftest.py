@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,18 +14,28 @@ from vrpplan.equilibrium import find_deliverability_threshold
 from vrpplan.errors import ThresholdUnreachableError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.demand_pricing import unconstrained_peak_revenue
-from vrpplan.scenario import baseline_demand_model, baseline_grid_model
+from vrpplan.scenario import load_scenario
 from vrpplan.trajectory import SimulationConfig
+
+# the shipped baseline, the one definition of it, found from this file wherever the tests start
+BASELINE_PATH = str(Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json")
+BASELINE = load_scenario(BASELINE_PATH)  # loaded once per session; module-level for import-time params
+
+
+def baseline_doc() -> dict:
+    """A fresh copy of the shipped baseline document, for a test to edit."""
+    with open(BASELINE_PATH) as handle:
+        return json.load(handle)
 
 
 @pytest.fixture(scope="session")
 def baseline_model() -> GridModel:
-    return baseline_grid_model()
+    return BASELINE.grid
 
 
 @pytest.fixture(scope="session")
 def baseline_demand() -> DemandModel:
-    return baseline_demand_model()
+    return BASELINE.demand
 
 
 @pytest.fixture()

@@ -14,7 +14,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from conftest import pick_expanding_state, random_accepted_model
+from conftest import BASELINE, pick_expanding_state, random_accepted_model
 from vrpplan.demand_pricing import (
     ExpansionStatus,
     decide_at,
@@ -26,7 +26,6 @@ from vrpplan.dispatch import calibrate_grid, default_fleet, default_profiles, me
 from vrpplan.equilibrium import solve_long_run_limit
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
-from vrpplan.scenario import baseline_demand_model, baseline_grid_model
 from vrpplan.tolerances import CERTIFY_TOL
 from vrpplan.trajectory import (
     SimulationConfig,
@@ -218,8 +217,8 @@ def test_criterion_7_sharing_equivalence():
 
 def test_criterion_8_baseline_qualitative():
     start = time.perf_counter()
-    dm = baseline_demand_model()
-    model = baseline_grid_model()
+    dm = BASELINE.demand
+    model = BASELINE.grid
     cfg = SimulationConfig(q_init=0.5, horizon=200)
     run = simulate_myopic(dm, model, cfg)
     again = simulate_myopic(dm, model, cfg)

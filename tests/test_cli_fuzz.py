@@ -16,11 +16,10 @@ import re
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import baseline_doc
 from vrpplan.cli import main
 
-BASELINE_PATH = "scenarios/baseline.json"
-with open(BASELINE_PATH) as _handle:
-    BASELINE = json.load(_handle)
+BASELINE = baseline_doc()
 
 NON_FINITE = re.compile(r"(?<![A-Za-z])(nan|NaN|inf|Infinity)(?![A-Za-z])")
 # a 400-digit integer is valid JSON and overflows a float

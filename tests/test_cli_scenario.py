@@ -14,23 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BASELINE, BASELINE_PATH, baseline_doc
 import vrpplan
 from vrpplan import cli, equilibrium, trajectory
 from vrpplan.cli import main
 from vrpplan.demand_pricing import DemandModel
 from vrpplan.dispatch import default_fleet, default_profiles, write_fleet_csv, write_profiles_csv
 from vrpplan.errors import DispatchShortageError, InfeasibleError, ScenarioError, VrpError
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
-from vrpplan.scenario import (
-    DerivativeBounds,
-    baseline_scenario,
-    load_scenario,
-    scenario_from_dict,
-)
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_curve
+from vrpplan.scenario import DerivativeBounds, load_scenario, scenario_from_dict
 from vrpplan.trajectory import SimulationConfig
 from vrpplan.units import convert_price_units, invert_price_units
 
-BASELINE_PATH = "scenarios/baseline.json"
 DROP = object()  # a parametrized value: delete the key instead
 
 
@@ -65,27 +60,22 @@ class TestPriceConversion:
 
 
 class TestScenarioFiles:
-    def test_shipped_baseline_matches_builder(self):
-        shipped = load_scenario(BASELINE_PATH)
-        built = baseline_scenario()
-        assert shipped == built
-        with open(BASELINE_PATH) as handle:
-            assert json.load(handle) == built.to_dict()
-
-    def test_save_load_round_trip(self, tmp_path):
-        scenario = baseline_scenario()
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario.to_dict(), indent=2) + "\n")
-        assert load_scenario(path) == scenario
+    def test_shipped_baseline_holds_the_documented_curves(self):
+        # the shapes scenario.py's docstring gives, to the bit: the file is their only definition
+        grid = BASELINE.grid
+        assert grid.emissions == GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.40, 0.06))
+        assert grid.energy_value == GridCurve(CurveKind.EXPONENTIAL_DECAY, (120.0, 0.08))
+        qs = [i * 0.025 for i in range(480)] + [12.0]  # np.linspace(0, 12, 481)
+        assert grid.delivered.table == tuple((q, 8.0 * (1.0 - math.exp(-0.12 * q))) for q in qs)
+        assert grid.domain == (0.0, 12.0)
 
     def test_grid_by_reference(self, tmp_path):
-        scenario = baseline_scenario()
-        doc = scenario.to_dict()
+        doc = baseline_doc()
         (tmp_path / "grid.json").write_text(json.dumps(doc["grid"]))
         doc["grid"] = "grid.json"
         (tmp_path / "scenario.json").write_text(json.dumps(doc))
         loaded = load_scenario(tmp_path / "scenario.json")
-        assert loaded.grid == scenario.grid
+        assert loaded.grid == BASELINE.grid
 
     def test_invalid_json_carries_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -101,19 +91,19 @@ class TestScenarioFiles:
             load_scenario(path)
 
     def test_missing_field(self):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         del doc["demand"]
         with pytest.raises(ScenarioError, match="demand"):
             scenario_from_dict(doc)
 
     def test_bad_schema_version(self):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["schema_version"] = 99
         with pytest.raises(ScenarioError, match="schema_version"):
             scenario_from_dict(doc)
 
     def test_bad_wind_cf(self):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["wind_cf"] = 1.7
         with pytest.raises(ScenarioError, match="wind_cf"):
             scenario_from_dict(doc)
@@ -192,7 +182,7 @@ class TestCliCommands:
     def test_verify_from_near_zero_capacity(self, tmp_path, capsys, q_init):
         # the first KKT state sits within 1e-9 of Q = 0, where the expansion is
         # below ZERO_TOL: the check stays on builtins, so the report serializes
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["simulation"]["q_init"] = q_init
         path = tmp_path / "near-zero.json"
         path.write_text(json.dumps(doc))
@@ -223,7 +213,7 @@ class TestCliCommands:
         assert dominance["sampled"] and dominance["passed"]
 
     def test_verify_fails_on_rejected_grid(self, tmp_path, capsys):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         # energy value rising with penetration violates the structure checks
         doc["grid"]["energy_value"] = {
             "kind": "tabulated",
@@ -274,7 +264,7 @@ class TestCliCommands:
         # on the baseline f(2.2e-309) = 2.1e-309, so M/f(Q) and with it the capped price overflow
         q = 2.2e-309
         if command == "simulate":
-            doc = json.loads(Path(BASELINE_PATH).read_text())
+            doc = baseline_doc()
             doc["simulation"]["q_init"] = q
             scenario = tmp_path / "tiny.json"
             scenario.write_text(json.dumps(doc))
@@ -392,7 +382,7 @@ CONSTRUCTORS = {
     "GridModel.domain.lo": lambda x: _parametric_model(domain=(x, 12.0)),
     "GridModel.domain.hi": lambda x: _parametric_model(domain=(0.0, x)),
     "SimulationConfig.q_init": lambda x: SimulationConfig(q_init=x, horizon=10),
-    "Scenario.wind_cf": lambda x: replace(baseline_scenario(), wind_cf=x),
+    "Scenario.wind_cf": lambda x: replace(BASELINE, wind_cf=x),
     "DerivativeBounds.emissions": lambda x: DerivativeBounds(x, 150.0),
     "DerivativeBounds.cost": lambda x: DerivativeBounds(0.1, x),
 }
@@ -418,7 +408,7 @@ class TestNonFiniteInput:
     )
     @pytest.mark.parametrize("command", [["limit"], ["price", "3.0"], ["simulate"]])
     def test_cli_names_the_field_and_exits_2(self, tmp_path, capsys, section, key, literal, command):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         target = doc
         for part in section.split("."):
             target = target[part]
@@ -501,7 +491,7 @@ class TestMalformedInput:
         [("horizon", 3.7), ("horizon", True), ("horizon", "3"), ("stop_at_limit", "no"), ("stop_at_limit", 1)],
     )
     def test_simulation_fields_keep_their_json_type(self, tmp_path, capsys, key, value):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["simulation"][key] = value
         with pytest.raises(ScenarioError, match=f"simulation.{key}"):
             scenario_from_dict(doc)
@@ -513,13 +503,13 @@ class TestMalformedInput:
         assert captured.out == ""
 
     def test_simulation_integer_and_booleans_parse(self):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["simulation"].update(horizon=3, stop_at_limit=False)
         cfg = scenario_from_dict(doc).simulation
         assert (cfg.horizon, cfg.stop_at_limit) == (3, False)
 
     def test_seed_is_a_json_integer_or_absent(self):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["seed"] = 7
         assert scenario_from_dict(doc).seed == 7
         del doc["seed"]
@@ -584,7 +574,7 @@ class TestMalformedInput:
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, path, value, message):
         # each once ended in a traceback, in exit 0 (some printing inf) or in a message naming no field
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         *parents, key = path
         target = doc
         for part in parents:
@@ -614,7 +604,7 @@ class TestMalformedInput:
     )
     def test_array_entry_names_its_path(self, tmp_path, capsys, path, field, literal):
         # a table is read as one array; a bad entry must still be named, not lost or a traceback
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         *parents, key = path
         target = doc
         for part in parents:
@@ -644,7 +634,7 @@ class TestMalformedInput:
     )
     def test_constructor_error_names_its_path(self, tmp_path, capsys, curve, change, message):
         # a curve's kind and count checks and the model's own checks run in constructors
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         (doc["grid"] if curve is None else doc["grid"][curve]).update(change)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(doc))
@@ -654,7 +644,7 @@ class TestMalformedInput:
         assert captured.out == ""
 
     def test_error_in_grid_file_names_that_file(self, tmp_path, capsys):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["grid"]["delivered"]["table"][7][1] = "__VALUE__"
         (tmp_path / "grid.json").write_text(json.dumps(doc["grid"]).replace('"__VALUE__"', "NaN"))
         doc["grid"] = "grid.json"
@@ -665,7 +655,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("key, value", [("wind_cf", 1.7), ("output", 7), ("seed", -1)])
     def test_scenario_field_error_names_the_file(self, tmp_path, key, value):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc[key] = value
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -673,19 +663,19 @@ class TestMalformedInput:
             load_scenario(path)
 
     def test_null_bounds_and_unread_keys_load(self):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["derivative_bounds"] = None
         # calibrate writes this block; no reader reads it, so it reaches no solver
         doc["grid"]["calibration"] = {"samples": [[math.nan]]}
         scenario = scenario_from_dict(doc)
         assert scenario.derivative_bounds is None
-        assert scenario.grid == baseline_scenario().grid
+        assert scenario.grid == BASELINE.grid
 
     def test_unread_period_label_loads(self):
         # no output used the label, so no reader reads it: it is one more ignored key
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc["simulation"]["period_label"] = 7
-        assert scenario_from_dict(doc) == baseline_scenario()
+        assert scenario_from_dict(doc) == BASELINE
 
     @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "3"], ["verify", "--horizon", "2"]])
     def test_negative_seed_flag_exits_2(self, capsys, argv):
@@ -771,25 +761,24 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 def tabulated_baseline(path: Path) -> Path:
     """The shipped baseline with its emissions and energy-value decays read from 481-knot tables."""
-    scenario = baseline_scenario()
-    grid = scenario.grid
+    grid = BASELINE.grid
     qs = [q for q, _ in grid.delivered.table]
 
     def table(curve: GridCurve) -> GridCurve:
-        return GridCurve(CurveKind.TABULATED, table=tuple((q, curve(q)) for q in qs))
+        return GridCurve(CurveKind.TABULATED, table=tuple((q, eval_curve(curve, q)) for q in qs))
 
-    grid = replace(grid, emissions=table(grid.emissions), energy_value=table(grid.energy_value))
-    path.write_text(json.dumps(replace(scenario, grid=grid).to_dict()))
+    doc = baseline_doc()
+    doc["grid"] = replace(grid, emissions=table(grid.emissions), energy_value=table(grid.energy_value)).to_dict()
+    path.write_text(json.dumps(doc))
     return path
 
 
 def near_limit_scenario(path: Path, ulps: int) -> Path:
     """The shipped baseline started ``ulps`` floats below its long-run limit."""
-    scenario = baseline_scenario()
-    q_init = equilibrium.solve_long_run_limit(scenario.demand, scenario.grid).capacity_limit
+    q_init = equilibrium.solve_long_run_limit(BASELINE.demand, BASELINE.grid).capacity_limit
     for _ in range(ulps):
         q_init = math.nextafter(q_init, 0.0)
-    doc = scenario.to_dict()
+    doc = baseline_doc()
     doc["simulation"]["q_init"] = q_init
     path.write_text(json.dumps(doc))
     return path
@@ -800,7 +789,7 @@ def test_quick_commands_never_load_numpy(tmp_path):
     tabulated = tabulated_baseline(tmp_path / "tabulated.json")
     near_limit = [str(near_limit_scenario(tmp_path / f"near-{n}.json", n)) for n in (1, 5)]
     overflowing = tmp_path / "overflowing.json"  # C_S' overflows: the checks raise
-    doc = baseline_scenario().to_dict()
+    doc = baseline_doc()
     doc["grid"]["cost_system"]["beta"] = 1e308
     overflowing.write_text(json.dumps(doc))
     script = f"""
@@ -899,7 +888,7 @@ def test_every_export_and_submodule_resolves():
 
 def test_log_lines_with_and_without_the_level(tmp_path):
     # logging loads only for a line that prints; the lines read as they always have
-    doc = json.loads(Path(BASELINE_PATH).read_text())
+    doc = baseline_doc()
     doc["simulation"].update(q_init=7.5, stop_at_limit=False)  # past the limit: truncated at once
     path = tmp_path / "past_limit.json"
     path.write_text(json.dumps(doc))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adversarial_dip_model, drawn_model, flat_model
+from conftest import BASELINE, adversarial_dip_model, drawn_model, flat_model
 from vrpplan.demand_pricing import DemandModel, price_at, unconstrained_peak_revenue
 from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import (
@@ -30,7 +30,6 @@ from vrpplan.oracles import (
     dense_scan_price,
     enumerate_and_compare,
 )
-from vrpplan.scenario import baseline_demand_model, baseline_grid_model
 from vrpplan.tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     SimulationConfig,
@@ -94,7 +93,7 @@ def reference_report(dm, model, cfg, ecfg, result, certificate) -> DominanceRepo
 
 
 ENUMERATION_CASES = [
-    pytest.param(baseline_demand_model(), baseline_grid_model(), 0.5, id="baseline"),
+    pytest.param(BASELINE.demand, BASELINE.grid, 0.5, id="baseline"),
     pytest.param(*adversarial_dip_model(), 1.0, id="dip"),
     pytest.param(DM, flat_model(0.3, 5.0, 0.0, alpha_s=20.0, beta_s=4.0), 0.5, id="flat"),
 ]
@@ -256,8 +255,8 @@ def reference_price_scan(dm, model, q, n_points):
 
 # both pricing regimes on each model: binding below its threshold, interior above
 PRICE_SCAN_CASES = [
-    pytest.param(baseline_demand_model(), baseline_grid_model(), 3.0, True, id="baseline-binding"),
-    pytest.param(baseline_demand_model(), baseline_grid_model(), 6.5, False, id="baseline-interior"),
+    pytest.param(BASELINE.demand, BASELINE.grid, 3.0, True, id="baseline-binding"),
+    pytest.param(BASELINE.demand, BASELINE.grid, 6.5, False, id="baseline-interior"),
     pytest.param(*adversarial_dip_model(), 2.0, True, id="dip-binding"),
     pytest.param(*adversarial_dip_model(), 9.0, False, id="dip-interior"),
     pytest.param(DM, flat_model(0.3, 2.0, 0.0), 1.0, True, id="flat-binding"),

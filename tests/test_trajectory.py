@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adversarial_dip_model, drawn_model, flat_model, random_accepted_model
+from conftest import BASELINE, adversarial_dip_model, baseline_doc, drawn_model, flat_model, random_accepted_model
 from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
@@ -28,7 +28,6 @@ from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCr
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
 from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
-from vrpplan.scenario import baseline_scenario
 from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     TRAJECTORY_CSV_COLUMNS,
@@ -157,6 +156,19 @@ class TestCertificateRoutes:
         with pytest.raises(CurveDomainError, match="^reachability certificate: "):
             certify_monotone_reachability(baseline_demand, model, q_init=0.5)
 
+    def test_numpy_scalar_fields_fail_alike_on_both_routes(self, baseline_model):
+        # each field holds a builtin float, so the float loop's M/f(Q) at a denormal
+        # start raises as the array route does, not as numpy scalar arithmetic
+        dm = DemandModel(np.float64(10.0), np.float64(0.0045))
+        model = replace(baseline_model, cost_system=CostSpec(np.float64(9.6), np.float64(1.0)),
+                        invest_cost=np.float64(1000.0))
+        fields = (dm.market_size, dm.sensitivity, model.cost_system.alpha, model.cost_system.beta, model.invest_cost)
+        assert [type(v) for v in fields] == [float] * 5
+        qs = np.linspace(5e-324, solve_long_run_limit(dm, model).capacity_limit, 200, endpoint=False)
+        for samples in (qs, qs.tolist()):
+            with pytest.raises(NoSellableCreditsError, match=r"M/f\(Q\) overflows"):
+                _sampled_margins(dm, model, samples)
+
 
 class TestInfeasibleWindow:
     """Revenue falls short of cost on a window inside [q_init, Q*)."""
@@ -182,7 +194,7 @@ class TestInfeasibleWindow:
             )
 
     def test_verify_exits_3(self, window, tmp_path, capsys):
-        doc = baseline_scenario().to_dict()
+        doc = baseline_doc()
         doc.update(grid=window[0].to_dict(), demand=DM.to_dict())
         doc["simulation"]["q_init"] = 0.5
         path = tmp_path / "window.json"
@@ -471,9 +483,11 @@ class TestSerialization:
         path = tmp_path / "trajectory.csv"
         write_trajectory_csv(trajectory, path)
         with open(path, newline="") as handle:
-            reader = csv.DictReader(handle)
-            rows = [{c: (int if c in ("t", "phase") else float)(v) for c, v in row.items()} for row in reader]
-        assert tuple(reader.fieldnames) == TRAJECTORY_CSV_COLUMNS
+            header, *body = csv.reader(handle)
+        assert tuple(header) == TRAJECTORY_CSV_COLUMNS
+        assert path.read_bytes().count(b"\r\n") == 1 + len(body) == 26
+        # exact equality: repr writes every float so that it reads back to the same bits
+        rows = [tuple((int if c in ("t", "phase") else float)(v) for c, v in zip(header, row)) for row in body]
         assert rows == trajectory_csv_rows(trajectory)
 
     def test_json_document_shape(self, baseline_demand, baseline_model):
@@ -587,9 +601,8 @@ class TestEvaluationCounts:
     def test_output_writers_evaluate_nothing(self, baseline_demand, baseline_model, baseline_cfg, evaluations, tmp_path):
         # e and f of each period travel on its record
         trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
-        scenario = baseline_scenario()
         evaluations.clear()
         write_trajectory_csv(trajectory, tmp_path / "trajectory.csv")
-        cli._write_plot_files(tmp_path, trajectory, scenario)
+        cli._write_plot_files(tmp_path, trajectory, BASELINE)
         assert evaluations == []
         assert trajectory.cumulative_emission_index == sum(r.state.e for r in trajectory.records)
