@@ -22,6 +22,9 @@ g**horizon exceeds the cap.  Otherwise ``simulate`` and ``verify`` sample
 through the scalar path while numpy is not loaded: the grid conditions, the
 reachability certificate, full enumeration and the KKT summary take float
 loops.  ``logging`` loads with VRP_LOG_LEVEL set, or for a warning.
+``dataclasses`` loads only with dispatch, for ``calibrate``, and ``inspect``
+only with numpy: every other record is a :func:`~vrpplan.serialize.record`,
+which generates no code.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import demand_pricing as dp
@@ -201,7 +203,7 @@ def _write_plot_files(out_dir: Path, trajectory: traj.Trajectory, scenario: Scen
 def _cmd_simulate(args, scenario: Scenario) -> int:
     cfg = scenario.simulation
     if args.horizon is not None:
-        cfg = replace(cfg, horizon=args.horizon)
+        cfg = cfg._replace(horizon=args.horizon)
     trajectory = traj.simulate_myopic(scenario.demand, scenario.grid, cfg)
     certificate = traj.certify_monotone_reachability(
         scenario.demand,
@@ -368,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed
         parser.error(f"argument --seed: must be nonnegative, got {args.seed}")
+    if getattr(args, "q_grid", 2) < 2:  # two actions per period, or two capacity samples, at the least
+        parser.error(f"argument --q-grid: must be at least 2, got {args.q_grid}")
     try:
         scenario = load_scenario(args.scenario)
         return _HANDLERS[args.command](args, scenario)

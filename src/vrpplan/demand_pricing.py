@@ -9,17 +9,16 @@ intensity units work as long as the scenario declares them consistently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from . import grid_model as gm
 from .errors import NetZeroGridError, NoSellableCreditsError
-from .serialize import Serializable, read_numbers, record_dict
+from .serialize import Serializable, read_numbers, record, record_dict
 from .tolerances import BALANCE_TOL, CERTIFY_TOL, ZERO_TOL
 
 
-@dataclass(frozen=True)
+@record
 class DemandModel(Serializable):
     """Voluntary-program demand.
 
@@ -189,7 +188,7 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class KktResiduals:
     """Reconstructed multipliers and residuals of the first-order system.
 

@@ -11,19 +11,18 @@ The limit is the same for every investment cost k, and e stays positive there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import demand_pricing as dp
 from . import grid_model as gm
 from .errors import InfeasibleAtThresholdError, ThresholdUnreachableError
-from .serialize import Serializable
+from .serialize import Serializable, record
 from .tolerances import BALANCE_TOL, ROUNDING_TOL, scaled
 
 MAX_ITERATIONS = 200
 BRACKET_GROWTH = 2.0
 
 
-@dataclass(frozen=True)
+@record
 class EquilibriumResult(Serializable):
     """Solved long-run limit with the bracket and convergence diagnostics."""
 

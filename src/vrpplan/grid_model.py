@@ -24,13 +24,12 @@ import math
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CurveDomainError
-from .serialize import Serializable, json_number, json_numbers, json_typed, plain, read_numbers
+from .serialize import Serializable, json_number, json_numbers, json_typed, plain, read_numbers, record
 from .tolerances import CERTIFY_TOL, DOMAIN_TOL, ZERO_TOL, scaled
 
 
@@ -40,7 +39,7 @@ class CurveKind(str, Enum):
     TABULATED = "tabulated"
 
 
-@dataclass(frozen=True)
+@record
 class GridCurve:
     """One grid property as an evaluable curve.
 
@@ -221,7 +220,7 @@ def eval_curve(curve: GridCurve, q):
     return acc
 
 
-@dataclass(frozen=True)
+@record
 class CostSpec(Serializable):
     """Quadratic per-period cost, cost(Q) = alpha*Q + beta*Q**2 in M$/yr."""
 
@@ -253,11 +252,12 @@ class PeriodState(NamedTuple):
     a simulated period builds one state and one
     :class:`~vrpplan.demand_pricing.Decision` from it, which serve the limit
     test, the step and the record.
-    Immutable; a tuple rather than a frozen dataclass because one is built
-    per period, and a tuple builds in a third the time.  The same holds for
-    every per-period result (``Decision``, ``PeriodSolution``,
-    ``SharingSolution``, ``PeriodRecord``).  Built from an array of
-    capacities, every field is an array: the oracles' grid in one state.
+    Immutable; a tuple rather than a :func:`~vrpplan.serialize.record`
+    because one is built per period, and a tuple builds in a third the time.
+    The same holds for every per-period result (``Decision``,
+    ``PeriodSolution``, ``SharingSolution``, ``PeriodRecord``).  Built from an
+    array of capacities, every field is an array: the oracles' grid in one
+    state.
     """
 
     q: float  # capacity, GW, inside the model domain
@@ -280,7 +280,7 @@ class PeriodState(NamedTuple):
         return self.C_R - self.f * self.pi
 
 
-@dataclass(frozen=True)
+@record
 class GridModel(Serializable):
     """All grid primitives needed to price and expand a renewable program.
 
@@ -403,14 +403,14 @@ def finite_samples(what: str, stage: str, values, qs):
     return values
 
 
-@dataclass(frozen=True)
+@record
 class ConditionCheck(Serializable):
     name: str
     passed: bool
     first_violation_q: float | None = None
 
 
-@dataclass(frozen=True)
+@record
 class ConditionReport:
     """Pass/fail record of the structural conditions the theory needs."""
 

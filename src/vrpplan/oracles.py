@@ -19,21 +19,20 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import trajectory as traj
 from .errors import EnumerationConfigError, NetZeroGridError, NoSellableCreditsError
-from .serialize import Serializable
+from .serialize import Serializable, record
 from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
 
 SCAN_BLOCK = 2**14  # grid points per block of the dense scans
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationConfig:
     """Discretization of per-period actions for exhaustive policy search.
 
@@ -58,7 +57,7 @@ class EnumerationConfig:
             raise ValueError("max_policies must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class DominanceReport(Serializable):
     n_policies_total: int
     n_policies_evaluated: int
@@ -314,7 +313,7 @@ def dense_scan_price(
     return best
 
 
-@dataclass(frozen=True)
+@record
 class EquilibriumScan(Serializable):
     found: bool
     bracket: tuple[float, float] | None  # first sign-change interval

@@ -39,19 +39,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
 from .grid_model import GridModel
-from .serialize import json_integer, json_number, json_typed, read_numbers
+from .serialize import json_integer, json_number, json_typed, read_numbers, record
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@record
 class DerivativeBounds:
     max_abs_emissions_slope: float
     max_abs_cost_slope: float
@@ -64,7 +63,7 @@ class DerivativeBounds:
             raise ValueError("derivative bounds must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     grid: GridModel
     demand: DemandModel

@@ -1,12 +1,76 @@
-"""One JSON form for records that list their fields in declaration order, and
-the readers of parsed JSON: each checks one value's JSON type once and names
-the value's path when it is wrong."""
+"""Immutable records, one JSON form for records that list their fields in
+declaration order, and the readers of parsed JSON: each checks one value's
+JSON type once and names the value's path when it is wrong."""
 
 from __future__ import annotations
 
 import sys
-from dataclasses import fields
 from enum import Enum
+
+
+def record(cls):
+    """Class decorator: an immutable record of the fields ``cls`` annotates.
+
+    Fields are in declaration order; a class attribute of a field's name is
+    its default.  ``__init__`` takes them by position or keyword and then runs
+    ``__post_init__``, which may set a field with ``object.__setattr__``.
+    Equality holds between records of one class with equal fields, the hash
+    is the field tuple's, and the repr is ``Name(field=value, ...)``, all as a
+    frozen dataclass has them; ``_fields`` and ``_replace`` are named as a
+    ``NamedTuple``'s.  No code is generated, so decorating costs microseconds.
+    Instances keep a ``__dict__``, which a ``cached_property`` needs.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    where = f"{cls.__qualname__}.__init__()"
+    post_init = getattr(cls, "__post_init__", None)
+    set_field = object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        # one field at a time in declaration order, as a dataclass sets them: every
+        # instance then shares one key layout, which attribute and method lookups rely on
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names)} arguments but {len(args)} were given")
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                set_field(self, name, kwargs.pop(name))
+            elif name in defaults:
+                set_field(self, name, defaults[name])
+            else:
+                raise TypeError(f"{where} missing argument {name!r}")
+        for name in kwargs:  # a keyword left over names a field given by position, or none
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{where} got {problem} argument {name!r}")
+        if post_init is not None:
+            post_init(self)
+
+    def astuple(self):
+        return tuple([getattr(self, name) for name in names])
+
+    def __eq__(self, other):
+        return astuple(self) == astuple(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(astuple(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        return type(self)(**{**{name: getattr(self, name) for name in names}, **changes})
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__, _replace):
+        setattr(cls, method.__name__, method)
+    cls._fields = names
+    return cls
 
 
 def plain(value):
@@ -21,14 +85,13 @@ def plain(value):
 
 
 def record_dict(record) -> dict:
-    """Each field name of a dataclass or a ``NamedTuple`` mapped to its plain value,
-    in declaration order; a ``NamedTuple`` record takes it as ``to_dict``."""
-    names = record._fields if isinstance(record, tuple) else [f.name for f in fields(record)]
-    return {name: plain(getattr(record, name)) for name in names}
+    """Each name in ``_fields`` of a :func:`record` or a ``NamedTuple`` mapped to its
+    plain value, in declaration order; a ``NamedTuple`` record takes it as ``to_dict``."""
+    return {name: plain(getattr(record, name)) for name in record._fields}
 
 
 class Serializable:
-    """Dataclass mixin: ``to_dict`` is :func:`record_dict`."""
+    """Mixin of a :func:`record`: ``to_dict`` is :func:`record_dict`."""
 
     to_dict = record_dict
 
@@ -69,6 +132,6 @@ def json_numbers(values, path: str, length: int | None = None) -> tuple[float, .
 
 
 def read_numbers(cls, doc: dict, path: str):
-    """A dataclass whose fields are all numbers, from its ``to_dict`` form at ``path``."""
+    """A :func:`record` whose fields are all numbers, from its ``to_dict`` form at ``path``."""
     json_typed(doc, dict, path)
-    return cls(**{f.name: json_number(doc.get(f.name), f"{path}.{f.name}") for f in fields(cls)})
+    return cls(**{name: json_number(doc.get(name), f"{path}.{name}") for name in cls._fields})

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -23,13 +22,13 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
 from .errors import InfeasiblePeriodError
-from .serialize import Serializable, json_integer, json_number, json_typed
+from .serialize import Serializable, json_integer, json_number, json_typed, record
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 TRAJECTORY_CSV_COLUMNS = ("t", "Q", "p", "q", "gamma", "R", "phase", "e")
 
 
-@dataclass(frozen=True)
+@record
 class SimulationConfig(Serializable):
     """Initial state and horizon for a run; periods are abstract (default years)."""
 
@@ -70,7 +69,7 @@ class PeriodRecord(NamedTuple):
         return self.state.q
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     records: tuple[PeriodRecord, ...]
     termination: Termination
@@ -144,7 +143,7 @@ def reachability_lower_bound(
     return 1.0 - (revenue_scale * max_abs_emissions_slope + max_abs_cost_slope) / invest_cost
 
 
-@dataclass(frozen=True)
+@record
 class ReachabilityCertificate(Serializable):
     holds: bool
     min_margin: float  # worst sampled slope-like margin (primitive or discrete)

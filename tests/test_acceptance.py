@@ -9,7 +9,6 @@ to see the per-criterion report.
 
 import math
 import time
-from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -109,7 +108,8 @@ def test_criterion_4_kkt_certification():
             separated, sharing = solve_separated_period(dm, model, q)
             for problem, solution in (("integrated", solve_period(dm, model, q)), ("revenue-sharing", separated)):
                 res = kkt_residuals(dm, model, q, solution, problem=problem)
-                numbers = [v for v in astuple(res) if type(v) is not tuple] + list(res.comp_slackness)
+                values = [getattr(res, name) for name in res._fields]
+                numbers = [v for v in values if type(v) is not tuple] + list(res.comp_slackness)
                 assert all(type(v) is float for v in numbers) and type(res.certified) is bool
                 if problem == "revenue-sharing":
                     violation = max(0.0, -sharing.operator_budget_residual, -sharing.generator_budget_residual)
@@ -134,7 +134,7 @@ def test_criterion_5_equilibrium_properties():
         assert result.emissions_at_limit > 0.0
 
         limits = [
-            solve_long_run_limit(dm, replace(model, invest_cost=k)).capacity_limit
+            solve_long_run_limit(dm, model._replace(invest_cost=k)).capacity_limit
             for k in (250.0, 1000.0, 4000.0)
         ]
         spread = (max(limits) - min(limits)) / max(abs(max(limits)), 1e-300)

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,8 +20,10 @@ from vrpplan.cli import main
 from vrpplan.demand_pricing import DemandModel
 from vrpplan.dispatch import default_fleet, default_profiles, write_fleet_csv, write_profiles_csv
 from vrpplan.errors import DispatchShortageError, InfeasibleError, ScenarioError, VrpError
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_curve
+from vrpplan.grid_model import ConditionCheck, CostSpec, CurveKind, GridCurve, GridModel, eval_curve
+from vrpplan.oracles import EnumerationConfig
 from vrpplan.scenario import DerivativeBounds, load_scenario, scenario_from_dict
+from vrpplan.serialize import record_dict
 from vrpplan.trajectory import SimulationConfig
 from vrpplan.units import convert_price_units, invert_price_units
 
@@ -107,6 +108,52 @@ class TestScenarioFiles:
         doc["wind_cf"] = 1.7
         with pytest.raises(ScenarioError, match="wind_cf"):
             scenario_from_dict(doc)
+
+
+RECORDS = [  # a record, one of another class with the same field values, the dataclass repr, a change it refuses
+    (CostSpec(1.0, 2.0), DerivativeBounds(1.0, 2.0), "CostSpec(alpha=1.0, beta=2.0)",
+     {"beta": -1.0}, "cost coefficients must be nonnegative and finite"),
+    (DerivativeBounds(1.0, 2.0), CostSpec(1.0, 2.0),
+     "DerivativeBounds(max_abs_emissions_slope=1.0, max_abs_cost_slope=2.0)",
+     {"max_abs_cost_slope": math.inf}, "derivative bounds must be nonnegative and finite"),
+    (SimulationConfig(0.5, 10), ConditionCheck(0.5, 10, True),
+     "SimulationConfig(q_init=0.5, horizon=10, stop_at_limit=True)", {"horizon": 0}, "horizon must be at least 1"),
+    (EnumerationConfig(4, 3), None, "EnumerationConfig(action_grid_size=4, horizon=3, max_policies=20000, seed=None)",
+     {"action_grid_size": 1}, "action_grid_size must be at least 2"),
+    (GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0)), None,
+     "GridCurve(kind=<CurveKind.POLYNOMIAL: 'parametric-polynomial'>, coefficients=(21.0, 5.0), table=None)",
+     {"coefficients": ()}, "polynomial curve needs at least one coefficient"),
+]
+
+
+@pytest.mark.parametrize("rec, twin, text, change, message", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_records_behave_as_frozen_dataclasses(rec, twin, text, change, message):
+    cls, values = type(rec), tuple(getattr(rec, name) for name in rec._fields)
+    # equal within one class only, and hashed as the field tuple
+    assert rec == cls(*values) == cls(**dict(zip(rec._fields, values)))
+    assert hash(rec) == hash(cls(*values)) == hash(values)
+    assert rec != values and values != rec
+    if twin is not None:
+        assert tuple(getattr(twin, name) for name in twin._fields) == values
+        assert rec != twin and twin != rec
+    for name in (rec._fields[0], "unlisted"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert getattr(rec, rec._fields[0]) is values[0]
+    # _replace runs the checks of __init__
+    assert rec._replace() == rec and rec._replace() is not rec
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rec._replace(**change)
+    # a missing, unknown, repeated or surplus argument
+    for args, kwargs in [((), {}), (values, {"unlisted": 1}), (values, {rec._fields[0]: values[0]}),
+                         ((*values, None), {})]:
+        with pytest.raises(TypeError, match=f"^{cls.__name__}.__init__"):
+            cls(*args, **kwargs)
+    # the repr and the dict keys name the fields in declaration order
+    assert repr(rec) == text
+    assert list(record_dict(rec)) == list(rec._fields) == re.findall(r"(\w+)=", text)
 
 
 class TestCliCommands:
@@ -333,7 +380,7 @@ class TestCliCommands:
         # the encoder finds NaN and infinities, a long line an integer past the float range
         solve = equilibrium.solve_long_run_limit
         monkeypatch.setattr(
-            equilibrium, "solve_long_run_limit", lambda dm, model: replace(solve(dm, model), **{field: value})
+            equilibrium, "solve_long_run_limit", lambda dm, model: solve(dm, model)._replace(**{field: value})
         )
         out = tmp_path / "out"
         argv = [str(out) if a == "OUT" else a for a in argv]
@@ -367,7 +414,7 @@ def _parametric_model(**changes) -> GridModel:
         invest_cost=1000.0,
         domain=(0.0, 12.0),
     )
-    return replace(model, **changes)
+    return model._replace(**changes)
 
 
 CONSTRUCTORS = {
@@ -382,7 +429,7 @@ CONSTRUCTORS = {
     "GridModel.domain.lo": lambda x: _parametric_model(domain=(x, 12.0)),
     "GridModel.domain.hi": lambda x: _parametric_model(domain=(0.0, x)),
     "SimulationConfig.q_init": lambda x: SimulationConfig(q_init=x, horizon=10),
-    "Scenario.wind_cf": lambda x: replace(BASELINE, wind_cf=x),
+    "Scenario.wind_cf": lambda x: BASELINE._replace(wind_cf=x),
     "DerivativeBounds.emissions": lambda x: DerivativeBounds(x, 150.0),
     "DerivativeBounds.cost": lambda x: DerivativeBounds(0.1, x),
 }
@@ -684,6 +731,14 @@ class TestMalformedInput:
         assert exc.value.code == 2
         assert "--seed: must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "-3"], ["calibrate", "--q-grid", "1"],
+                                      ["verify", "--q-grid", "1"], ["verify", "--q-grid", "0"]])
+    def test_q_grid_below_two_exits_2_naming_the_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scenario", BASELINE_PATH, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"argument --q-grid: must be at least 2, got {argv[-1]}" in capsys.readouterr().err
+
 
 class TestCalibrationCsvInput:
     @pytest.mark.parametrize(
@@ -768,7 +823,7 @@ def tabulated_baseline(path: Path) -> Path:
         return GridCurve(CurveKind.TABULATED, table=tuple((q, eval_curve(curve, q)) for q in qs))
 
     doc = baseline_doc()
-    doc["grid"] = replace(grid, emissions=table(grid.emissions), energy_value=table(grid.energy_value)).to_dict()
+    doc["grid"] = grid._replace(emissions=table(grid.emissions), energy_value=table(grid.energy_value)).to_dict()
     path.write_text(json.dumps(doc))
     return path
 
@@ -832,6 +887,7 @@ curve = load_scenario({BASELINE_PATH!r}).grid.delivered  # a table, queried at a
 for q in (0.0, 3.3, 12.0):
     curve.slope(q)
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 run({BASELINE_PATH!r}, "calibrate")
 assert "numpy" in sys.modules
 # with numpy loaded every check takes its array route, to the same documents

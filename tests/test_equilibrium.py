@@ -1,7 +1,6 @@
 """Long-run capacity limit: threshold location, bisection, structural checks."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,7 +159,7 @@ class TestSolveLongRunLimit:
 
 
 def limits_across_costs(dm, model, k_values) -> list[float]:
-    return [solve_long_run_limit(dm, replace(model, invest_cost=k)).capacity_limit for k in k_values]
+    return [solve_long_run_limit(dm, model._replace(invest_cost=k)).capacity_limit for k in k_values]
 
 
 class TestKIndependence:

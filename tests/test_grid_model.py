@@ -1,7 +1,6 @@
 """Grid primitives: curve evaluation, costs, slopes, condition checks."""
 
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -410,7 +409,7 @@ class TestConditionRoutes:
     @settings(max_examples=60, deadline=None)
     def test_float_loop_matches_array_route(self, seed, kind, start, n_samples):
         _, model = drawn_model(kind, np.random.default_rng(seed))
-        model = replace(model, domain=(start * model.domain[1], model.domain[1]))
+        model = model._replace(domain=(start * model.domain[1], model.domain[1]))
         qs = np.linspace(*model.domain, n_samples)
         assert qs.tolist() == [
             model.domain[0] + i * ((model.domain[1] - model.domain[0]) / (n_samples - 1))
@@ -420,7 +419,7 @@ class TestConditionRoutes:
         assert _sampled_checks(model, qs.tolist()) == _sampled_checks(model, qs)
 
     def test_an_overflowing_state_raises_on_both_routes(self, baseline_model):
-        model = replace(baseline_model, cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
+        model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
         qs = np.linspace(*model.domain, 200)
         for samples in (qs, qs.tolist()):
             with pytest.raises(CurveDomainError, match="^grid conditions: "):

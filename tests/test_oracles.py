@@ -2,7 +2,6 @@
 
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,13 +167,13 @@ class TestEnumerateAndCompare:
             assert report.worst_emissions_gap == pytest.approx(
                 expected.worst_emissions_gap, rel=1e-12, abs=1e-15
             )
-            assert replace(report, worst_emissions_gap=0.0) == replace(expected, worst_emissions_gap=0.0)
+            assert report._replace(worst_emissions_gap=0.0) == expected._replace(worst_emissions_gap=0.0)
             if not report.sampled:  # the float walk that verify takes without numpy
                 walk = _walk_prefix_tree(dm, model, q_init, result.capacity_limit, ecfg.action_grid_size, ecfg.horizon)
                 assert walk.pop("worst_emissions_gap") == pytest.approx(
                     expected.worst_emissions_gap, rel=1e-12, abs=1e-15
                 )
-                assert replace(report, worst_emissions_gap=0.0) == replace(report, **walk, worst_emissions_gap=0.0)
+                assert report._replace(worst_emissions_gap=0.0) == report._replace(**walk, worst_emissions_gap=0.0)
 
     def test_adversarial_model_shows_violations(self):
         # non-monotone reach map: some under-building policies overtake the
@@ -223,7 +222,7 @@ class TestEnumerationRoutes:
 
     def test_an_overflowing_state_raises_on_both_routes(self, baseline_demand, baseline_model):
         limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
-        model = replace(baseline_model, cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
+        model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
         rows = np.indices((4,) * 3).reshape(3, 64).T
         with pytest.raises(CurveDomainError, match="^policy enumeration: "):
             _expand_rows(baseline_demand, model, 2.0, limit, 4, rows)
@@ -295,8 +294,7 @@ class TestDenseScanPrice:
         assert math.isfinite(price_at(baseline_demand, baseline_model.state(1e-300)).price)
 
     def test_net_zero_grid_raises_like_the_closed_form(self):
-        model = replace(
-            flat_model(0.3, 5.0, 0.0),
+        model = flat_model(0.3, 5.0, 0.0)._replace(
             emissions=GridCurve(CurveKind.TABULATED, table=((0.0, 0.3), (10.0, 0.0))),
         )
         with pytest.raises(NetZeroGridError):

@@ -4,7 +4,6 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,7 +147,7 @@ class TestCertificateRoutes:
     def test_an_overflowing_margin_raises_on_both_routes(self, baseline_demand, baseline_model):
         # 2 beta overflows, so every margin is -inf: the float loop raises there, the
         # array route where beta Q^2 overflows in S
-        model = replace(baseline_model, cost_system=CostSpec(0.0, 1e308))
+        model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))
         qs = np.linspace(0.5, 6.0, 200, endpoint=False)
         for samples in (qs, qs.tolist()):
             with pytest.raises(CurveDomainError, match="^reachability certificate: "):
@@ -160,8 +159,8 @@ class TestCertificateRoutes:
         # each field holds a builtin float, so the float loop's M/f(Q) at a denormal
         # start raises as the array route does, not as numpy scalar arithmetic
         dm = DemandModel(np.float64(10.0), np.float64(0.0045))
-        model = replace(baseline_model, cost_system=CostSpec(np.float64(9.6), np.float64(1.0)),
-                        invest_cost=np.float64(1000.0))
+        model = baseline_model._replace(cost_system=CostSpec(np.float64(9.6), np.float64(1.0)),
+                                        invest_cost=np.float64(1000.0))
         fields = (dm.market_size, dm.sensitivity, model.cost_system.alpha, model.cost_system.beta, model.invest_cost)
         assert [type(v) for v in fields] == [float] * 5
         qs = np.linspace(5e-324, solve_long_run_limit(dm, model).capacity_limit, 200, endpoint=False)
