@@ -18,10 +18,10 @@ an unknown level exits 2 before any work.
 
 Only ``calibrate``, with dispatch, and subsampled policy enumeration load
 numpy: ``verify`` draws a subsample with numpy's seeded generator where
-g**horizon exceeds the cap.  Otherwise ``simulate`` and ``verify`` sample
-through the scalar path while numpy is not loaded: the grid conditions, the
-reachability certificate, full enumeration and the KKT summary take float
-loops.  ``logging`` loads with VRP_LOG_LEVEL set, or for a warning.
+g**horizon exceeds the cap.  The sampled checks of ``simulate`` and
+``verify`` follow the route rule of :func:`~vrpplan.grid_model.sample_grid`,
+and the KKT summary takes floats.  ``logging`` loads with VRP_LOG_LEVEL set,
+or for a warning.
 ``dataclasses`` loads only with dispatch, for ``calibrate``, and ``inspect``
 only with numpy: every other record is a :func:`~vrpplan.serialize.record`,
 which generates no code.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -65,6 +66,16 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
 
 
+def _at_least(floor: int):
+    """An argparse type: an integer of at least ``floor``, else a message naming both."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse words a ValueError as "invalid integer value"
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vrpplan",
@@ -78,29 +89,32 @@ def _build_parser() -> argparse.ArgumentParser:
         if capacity:
             p.add_argument("capacity", type=float, help="capacity state Q in GW")
 
+    def count(p: argparse.ArgumentParser, flag: str, floor: int, help: str, **kwargs):
+        p.add_argument(flag, type=_at_least(floor), help=f"{help} (at least {floor})", **kwargs)
+
     common(sub.add_parser("price", help="single-period optimal price and expansion"), True)
     common(sub.add_parser("share", help="revenue-sharing solution at a state"), True)
     common(sub.add_parser("limit", help="long-run capacity limit"))
 
     p = sub.add_parser("simulate", help="myopic multi-period simulation")
     common(p)
-    p.add_argument("--samples", type=int, default=200, help="certificate sampling resolution")
+    count(p, "--samples", 2, "certificate sampling resolution", default=200)
     p.add_argument("--format", choices=("csv", "json"), help="override scenario output format")
-    p.add_argument("--horizon", type=int, help="override scenario horizon")
+    count(p, "--horizon", 1, "override scenario horizon")
 
     p = sub.add_parser("verify", help="run every independent check on the scenario")
     common(p)
-    p.add_argument("--samples", type=int, default=200, help="sampling resolution")
-    p.add_argument("--seed", type=int, help="override scenario seed (policy subsampling)")
-    p.add_argument("--horizon", type=int, default=3, help="enumeration horizon")
-    p.add_argument("--q-grid", type=int, default=4, dest="q_grid", help="actions per period")
+    count(p, "--samples", 3, "sampling resolution", default=200)
+    count(p, "--seed", 0, "override scenario seed for policy subsampling")
+    count(p, "--horizon", 1, "enumeration horizon", default=3)
+    count(p, "--q-grid", 2, "actions per period", default=4, dest="q_grid")
 
     p = sub.add_parser("calibrate", help="dispatch a fleet into grid-model JSON")
     common(p)
-    p.add_argument("--seed", type=int, help="override scenario seed (synthetic profiles)")
+    count(p, "--seed", 0, "override scenario seed for synthetic profiles")
     p.add_argument("--fleet", help="fleet CSV (default: built-in synthetic fleet)")
     p.add_argument("--profiles", help="hourly profiles CSV (default: synthetic)")
-    p.add_argument("--q-grid", type=int, default=20, dest="q_grid", help="capacity samples")
+    count(p, "--q-grid", 2, "capacity samples", default=20, dest="q_grid")
 
     return parser
 
@@ -240,11 +254,9 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
 
 def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
     dm, model = scenario.demand, scenario.grid
-    lo = scenario.simulation.q_init
-    step = (result.capacity_limit - lo) / n_states
     worst = 0.0
     checked = 0
-    for q in [lo + i * step for i in range(n_states)]:  # np.linspace(endpoint=False)'s points, bit for bit
+    for q in gm.linspace(scenario.simulation.q_init, result.capacity_limit, n_states, endpoint=False):
         if dp.decide_at(dm, model.state(q), model.invest_cost).status is not dp.ExpansionStatus.EXPANDING:
             continue
         res = dp.kkt_residuals(dm, model, q, traj.solve_period(dm, model, q), problem="integrated")
@@ -262,6 +274,10 @@ def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: in
 
 def _cmd_verify(args, scenario: Scenario) -> int:
     from . import oracles
+    try:  # the report prints the policy count as a JSON number
+        math.pow(args.q_grid, args.horizon)
+    except OverflowError:
+        raise ValueError(f"--q-grid {args.q_grid} ** --horizon {args.horizon} policies: past the float range") from None
     dm, model = scenario.demand, scenario.grid
     conditions = gm.validate_grid_conditions(model, n_samples=args.samples)
     result = eqm.solve_long_run_limit(dm, model)
@@ -315,7 +331,6 @@ def _cmd_verify(args, scenario: Scenario) -> int:
 
 
 def _cmd_calibrate(args, scenario: Scenario) -> int:
-    import numpy as np
     from . import dispatch
     fleet = dispatch.read_fleet_csv(args.fleet) if args.fleet else dispatch.default_fleet()
     if args.profiles:
@@ -325,8 +340,7 @@ def _cmd_calibrate(args, scenario: Scenario) -> int:
             wind_cf=scenario.wind_cf, seed=_seed(args, scenario)
         )
     lo, hi = scenario.grid.domain
-    q_grid = list(np.linspace(lo, hi, args.q_grid))
-    calibration = dispatch.calibrate_grid(fleet, profiles, q_grid, scenario.wind_cf)
+    calibration = dispatch.calibrate_grid(fleet, profiles, gm.linspace(lo, hi, args.q_grid), scenario.wind_cf)
     if calibration.emissions_adjusted or calibration.energy_value_adjusted:
         _logger().warning(
             "isotonic correction applied: emissions=%s energy_value=%s",
@@ -366,12 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: VRP_LOG_LEVEL: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if (getattr(args, "seed", None) or 0) < 0:  # numpy's generators take no negative seed
-        parser.error(f"argument --seed: must be nonnegative, got {args.seed}")
-    if getattr(args, "q_grid", 2) < 2:  # two actions per period, or two capacity samples, at the least
-        parser.error(f"argument --q-grid: must be at least 2, got {args.q_grid}")
+    args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
         return _HANDLERS[args.command](args, scenario)

@@ -352,7 +352,9 @@ def default_profiles(
     """Synthetic load and wind profiles with a fixed seed.
 
     Load is a daily plus seasonal sinusoid with noise; the wind pattern is a
-    diurnal/seasonal shape rescaled so its mean equals ``wind_cf`` exactly.
+    diurnal/seasonal shape rescaled so its mean equals ``wind_cf``; where that
+    lifts the windiest hour past 1 (``wind_cf`` from about 0.55), flattened
+    instead to the same mean with that hour at 1, so all are 1 at ``wind_cf`` 1.
     """
     rng = np.random.default_rng(seed)
     t = np.arange(hours)
@@ -375,9 +377,10 @@ def default_profiles(
     )
     raw = np.clip(raw, 0.05, 1.1)
     cf = raw * (wind_cf / np.mean(raw))
-    if np.max(cf) > 1.0:  # cannot happen for sensible wind_cf, but stay safe
-        cf = np.clip(cf, 0.0, 1.0)
-        cf = cf * (wind_cf / np.mean(cf))
+    if np.max(cf) > 1.0:
+        shape = raw / np.mean(raw)  # mean 1, so a * shape + (wind_cf - a) has mean wind_cf
+        a = (1.0 - wind_cf) / (np.max(shape) - 1.0)  # below wind_cf here, so every hour stays above 0
+        cf = np.minimum(a * shape + (wind_cf - a), 1.0)  # the windiest hour may round an ulp past 1
     return HourlyProfiles(load=load, wind_cf=cf)
 
 

@@ -168,6 +168,40 @@ def is_array(q) -> bool:
     return type(q) is not float and (np := sys.modules.get("numpy")) is not None and isinstance(q, np.ndarray)
 
 
+def linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]:
+    """``np.linspace(lo, hi, n, endpoint=endpoint)``'s points as floats, bit
+    for bit, for ``n`` of at least 2: i*step + lo, or, where the step
+    underflows to zero, numpy's i/div*span + lo."""
+    div = n - 1 if endpoint else n
+    delta = hi - lo
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    if endpoint:
+        points[-1] = hi
+    return points
+
+
+def sample_grid(lo: float, hi: float, n: int, endpoint: bool = True):
+    """``np.linspace(lo, hi, n, endpoint=endpoint)`` on the route rule of
+    every sampled check: the grid conditions, the reachability certificate
+    and full policy enumeration.
+
+    With numpy loaded, as in calibration, the dense scans, subsampled
+    enumeration and any in-process batch, the ndarray, and each term is one
+    array call.  Without, as in ``simulate`` and ``verify`` at its defaults,
+    :func:`linspace`'s floats, and a float loop takes them through the same
+    functions, stage by stage, to the same results but for ulps of
+    ``math.exp`` and ``math.log`` against numpy's.
+    """
+    if "numpy" in sys.modules:
+        import numpy as np
+        return np.linspace(lo, hi, n, endpoint=endpoint)
+    return linspace(lo, hi, n, endpoint)
+
+
 def _within(q, lo: float, hi: float, name: str, ends):
     """``q`` itself if every entry, never NaN, lies in [lo, hi]; ``ends`` name the domain."""
     outside = ~((q >= lo) & (q <= hi))
@@ -438,36 +472,18 @@ def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> Conditio
     concavity within ZERO_TOL (non-strict, since tabulated empirical curves
     are only weakly monotone) and |f(0)| within CERTIFY_TOL: e > 0 and
     nonincreasing; f(0) ~ 0, f nondecreasing and discretely concave; pi
-    nonincreasing.
-
-    One formula, on one of two routes chosen by whether numpy is loaded, as
-    for the reachability certificate.  Loaded, as in calibration and every
-    in-process batch, the grid is ``np.linspace``'s and each term one array
-    call.  Not loaded, as in ``verify``, a float loop over the same points
-    gives the same checks, but for ulps of ``math.exp`` against ``np.exp``,
-    and loads no numpy.
+    nonincreasing.  The grid and its route are :func:`sample_grid`'s.
     """
     if n_samples < 3:
         raise ValueError("n_samples must be at least 3")
-    lo, hi = model.domain
-    if "numpy" in sys.modules:
-        import numpy as np
-        qs = np.linspace(lo, hi, n_samples)
-    else:
-        step = (hi - lo) / (n_samples - 1)
-        qs = [lo + i * step for i in range(n_samples - 1)] + [hi]  # np.linspace's points, bit for bit
+    qs = sample_grid(*model.domain, n_samples)
     return ConditionReport(checks=_sampled_checks(model, qs), n_samples=n_samples)
 
 
 def _sampled_checks(model: GridModel, qs) -> tuple[ConditionCheck, ...]:
-    """The condition checks on the grid ``qs``, an ndarray or a list of floats.
-
-    An ndarray takes one array call per term, whose overflow or NaN
-    :func:`array_arithmetic` turns into a CurveDomainError.  A list takes a
-    float loop through the same functions, stage by stage (every state, then
-    the differences); where float arithmetic leaves a stage non-finite, that
-    stage raises a CurveDomainError too.
-    """
+    """The condition checks on the grid ``qs`` of :func:`sample_grid`.  The
+    stages are every state, then the differences; overflow or NaN in one
+    raises a CurveDomainError on either route."""
     lo, hi = model.domain
     at_origin = lo <= 0.0 <= hi  # no point when 0 is outside the domain
     array = is_array(qs)

@@ -10,15 +10,14 @@ through the reduction, in a few buffers allocated once per call and filled
 in place by every block, so its temporaries stay cache-sized.
 
 Numpy is imported by the dense scans and by subsampled enumeration, whose
-policies numpy's seeded generator draws.  Full enumeration takes array calls
-when numpy is already loaded and a float walk when it is not, so ``verify``
-at its defaults runs without it.
+policies numpy's seeded generator draws.  Full enumeration takes the route
+of :func:`~vrpplan.grid_model.sample_grid`, so ``verify`` at its defaults
+runs without numpy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from . import demand_pricing as dp
 from . import equilibrium as eqm
@@ -102,12 +101,11 @@ def enumerate_and_compare(
     or built the reachability certificate passes them in.
 
     Each distinct policy prefix is expanded once, level by level, and the
-    myopic policy is the all-ones prefix.  One formula, on one of two routes:
-    with numpy loaded, or for a subsample, which numpy's seeded generator
-    draws, :func:`_expand_rows` steps a level's prefixes in one array call;
-    otherwise :func:`_walk_prefix_tree` steps them in a float loop, to the
-    same counts, but for ulps of ``math.exp`` against ``np.exp`` in the
-    emissions gap, and loads no numpy.
+    myopic policy is the all-ones prefix.  The action fractions are
+    :func:`~vrpplan.grid_model.sample_grid`'s, and so is the route: on the
+    array route, or for a subsample, which numpy's seeded generator draws,
+    :func:`_expand_rows` steps a level's prefixes in one array call;
+    otherwise :func:`_walk_prefix_tree` steps them in a float loop.
     """
     result = equilibrium or eqm.solve_long_run_limit(dm, model)
     limit = result.capacity_limit
@@ -123,15 +121,16 @@ def enumerate_and_compare(
         raise EnumerationConfigError(
             f"{total} policies exceed the cap {ecfg.max_policies}; set a seed to subsample"
         )
-    if sampled or "numpy" in sys.modules:
+    fractions = gm.sample_grid(0.0, 1.0, g)
+    if sampled or gm.is_array(fractions):
         import numpy as np
         if sampled:
             rows = np.random.default_rng(ecfg.seed).integers(0, g, (ecfg.max_policies, horizon))
         else:
             rows = np.indices((g,) * horizon).reshape(horizon, total).T
-        comparison = _expand_rows(dm, model, cfg.q_init, limit, g, rows)
+        comparison = _expand_rows(dm, model, cfg.q_init, limit, np.asarray(fractions), rows)
     else:
-        comparison = _walk_prefix_tree(dm, model, cfg.q_init, limit, g, horizon)
+        comparison = _walk_prefix_tree(dm, model, cfg.q_init, limit, fractions, horizon)
 
     return DominanceReport(
         n_policies_total=total,
@@ -144,20 +143,20 @@ def enumerate_and_compare(
 
 
 def _expand_rows(
-    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, g: int, index_rows
+    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, fractions_of, index_rows
 ) -> dict:
     """The myopic path against the policies ``index_rows``, an array of one
-    row of action indices per policy, as :class:`DominanceReport` fields.
+    row of indices into the action fractions ``fractions_of`` per policy, as
+    :class:`DominanceReport` fields.
 
     The distinct prefixes of length t are one array of capacities, and one
     array call of the reach map steps them all; overflow or NaN raises a
     CurveDomainError through :func:`~vrpplan.grid_model.array_arithmetic`.
     """
     import numpy as np
-    horizon = index_rows.shape[1]
+    horizon, g = index_rows.shape[1], len(fractions_of)
     # the myopic policy rides along as the last row
     rows = np.vstack([index_rows, np.full(horizon, g - 1)])
-    fractions_of = np.linspace(0.0, 1.0, g)
 
     with gm.array_arithmetic(_ENUMERATION):
         # level t: the capacities of the distinct t-step prefixes, and each row's prefix
@@ -190,10 +189,11 @@ def _expand_rows(
 
 
 def _walk_prefix_tree(
-    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, g: int, horizon: int
+    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, fractions: list, horizon: int
 ) -> dict:
-    """The myopic path against all g**horizon policies, as
-    :class:`DominanceReport` fields, by a float walk of the prefix tree.
+    """The myopic path against all g**horizon policies, g the number of
+    action ``fractions``, as :class:`DominanceReport` fields, by a float walk
+    of the prefix tree.
 
     Level t lists the t-step prefixes in :func:`_expand_rows`'s order, each
     one's actions after its parent's, so the myopic prefix is the last and
@@ -204,10 +204,8 @@ def _walk_prefix_tree(
     the array call (:func:`~vrpplan.trajectory.staged_expansions`); a capacity
     met before, as after every zero action, is not evaluated again.
     """
-    state_tol = scaled(ZERO_TOL, limit)
+    g, state_tol = len(fractions), scaled(ZERO_TOL, limit)
     reached = limit - state_tol
-    spacing = 1.0 / (g - 1)
-    fractions = [i * spacing for i in range(g - 1)] + [1.0]  # np.linspace(0.0, 1.0, g)'s points
 
     qs, beaten, hits = [q_init], [False], [0 if q_init >= reached else horizon + 1]
     levels, sums = [qs], []  # each level's capacities and running emissions sums

@@ -13,7 +13,6 @@ with no banking of cash or credits across periods.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from typing import NamedTuple
 
@@ -174,32 +173,23 @@ def certify_monotone_reachability(
     past the limit or a few ulps below it, it holds trivially, with no samples.
     The derivative check uses the unconstrained revenue form throughout, so
     the direct S samples are the decisive check where the deliverability cap
-    still binds.
-
-    One formula, on one of two routes chosen by whether numpy is loaded.
-    Loaded, the samples are an array and each term is one array call, as in
-    ``verify`` and every in-process batch.  Not loaded, as in ``simulate``, a
-    float loop over the same points gives the same results, but for ulps of
-    ``math.exp`` and ``math.log`` against numpy's (which a discrete slope
-    divides by the step), and loads no numpy.
+    still binds.  The samples and their route are
+    :func:`~vrpplan.grid_model.sample_grid`'s; a float route's ulps of
+    ``math.log`` are divided by the step in a discrete slope.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     result = equilibrium or eqm.solve_long_run_limit(dm, model)
-    lo, hi = q_init, result.capacity_limit
-    if "numpy" in sys.modules:
-        import numpy as np
-        qs = np.linspace(lo, hi, n_samples, endpoint=False)
-        increasing = bool(np.all(qs[:-1] < qs[1:]))
+    qs = gm.sample_grid(q_init, result.capacity_limit, n_samples, endpoint=False)
+    if gm.is_array(qs):
+        increasing = bool((qs[:-1] < qs[1:]).all())
     else:
-        step = (hi - lo) / n_samples
-        qs = [lo + i * step for i in range(n_samples)]  # np.linspace's points, bit for bit
         increasing = all(map(float.__lt__, qs, qs[1:]))
     if not increasing:  # the start is at or past the limit, or so close below that points coincide
         return ReachabilityCertificate(
             holds=True,
             min_margin=0.0,
-            worst_capacity=lo,
+            worst_capacity=q_init,
             bound_formula_value=1.0,
             max_abs_emissions_slope=0.0,
             max_abs_cost_slope=0.0,
@@ -229,13 +219,9 @@ def _sampled_margins(
     then the largest |e'| and |C'| there.
 
     The margins are the derivative margin at each sample and the discrete
-    slope of S from each sample to the next, which lies at the left one.  An
-    ndarray ``qs`` takes one array call per term, whose overflow or NaN
-    :func:`~vrpplan.grid_model.array_arithmetic` turns into a CurveDomainError.
-    A list of floats takes a float loop through the same functions, stage by
-    stage in the array calls' order, so the first failure is the array
-    route's: where float arithmetic leaves a stage non-finite, that stage
-    raises the same CurveDomainError.
+    slope of S from each sample to the next, which lies at the left one.  The
+    float loop takes the stages in the array calls' order, so overflow or NaN
+    raises the same CurveDomainError on either route.
     """
     revenue_scale = dm.market_size / (math.e * dm.sensitivity)
     k = model.invest_cost

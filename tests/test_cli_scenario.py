@@ -295,6 +295,16 @@ class TestCliCommands:
         assert model.domain == (0.0, 12.0)
         assert len(samples) == 6
 
+    def test_calibrate_at_a_windy_site(self, tmp_path, capsys):
+        # at wind_cf 0.6 the synthetic profiles once left [0, 1], and calibrate exited 2
+        doc = baseline_doc()
+        doc["wind_cf"] = 0.6
+        path = tmp_path / "windy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["calibrate", "--scenario", str(path), "--q-grid", "4"]) == 0
+        calibrated = json.loads(capsys.readouterr().out)
+        assert len(calibrated["calibration"]["samples"]) == 4
+
     def test_infeasible_state_exit_code(self, capsys):
         # no sellable credits at Q = 0 (delivered output is zero there)
         assert main(["price", "--scenario", BASELINE_PATH, "0.0"]) == 3
@@ -486,8 +496,10 @@ class TestCliFlags:
         assert exc.value.code == 2
 
     def test_simulate_rejects_zero_horizon(self, capsys):
-        assert main(["simulate", "--scenario", BASELINE_PATH, "--horizon", "0"]) == 2
-        assert "horizon" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", BASELINE_PATH, "--horizon", "0"])
+        assert exc.value.code == 2
+        assert "argument --horizon: must be at least 1, got 0" in capsys.readouterr().err
 
     def test_calibrate_seed_is_honoured(self, capsys):
         outputs = {}
@@ -729,7 +741,7 @@ class TestMalformedInput:
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--scenario", BASELINE_PATH, *argv[1:], "--seed", "-1"])
         assert exc.value.code == 2
-        assert "--seed: must be nonnegative" in capsys.readouterr().err
+        assert "argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "-3"], ["calibrate", "--q-grid", "1"],
                                       ["verify", "--q-grid", "1"], ["verify", "--q-grid", "0"]])
@@ -738,6 +750,50 @@ class TestMalformedInput:
             main([argv[0], "--scenario", BASELINE_PATH, *argv[1:]])
         assert exc.value.code == 2
         assert f"argument --q-grid: must be at least 2, got {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--samples", "2"], "argument --samples: must be at least 3, got 2"),
+            (["simulate", "--samples", "1"], "argument --samples: must be at least 2, got 1"),
+            (["simulate", "--samples", "0"], "argument --samples: must be at least 2, got 0"),
+            (["verify", "--horizon", "0"], "argument --horizon: must be at least 1, got 0"),
+            (["verify", "--samples", "1.5"], "argument --samples: invalid integer value: '1.5'"),
+        ],
+    )
+    def test_a_flag_below_its_floor_exits_2_naming_both(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--scenario", BASELINE_PATH, *argv[1:]])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_the_floors_are_in_the_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "(at least 2)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("q_grid, horizon", [("10", "400"), ("2", "1024")])
+    def test_a_policy_count_past_the_float_range_exits_2_before_any_work(self, capsys, q_grid, horizon):
+        # the count once took seconds of enumeration, then failed the output check
+        argv = ["verify", "--scenario", BASELINE_PATH, "--q-grid", q_grid, "--horizon", horizon, "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --q-grid {q_grid} ** --horizon {horizon} policies: past the float range\n"
+        assert captured.out == ""
+
+
+def calibrate_edited_csvs(tmp_path, filename: str, edit) -> tuple[int, Path]:
+    """``calibrate``'s exit code on the built-in fleet and 48 hours of profiles
+    as CSVs, with ``edit`` applied to the rows of ``filename``, and that path."""
+    fleet, profiles = tmp_path / "fleet.csv", tmp_path / "profiles.csv"
+    write_fleet_csv(default_fleet(), fleet)
+    write_profiles_csv(default_profiles(hours=48), profiles)
+    path = tmp_path / filename
+    rows = [text.split(",") for text in path.read_text().splitlines()]
+    edit(rows)
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    argv = ["calibrate", "--scenario", BASELINE_PATH, "--fleet", str(fleet), "--profiles", str(profiles)]
+    return main(argv + ["--q-grid", "4"]), path
 
 
 class TestCalibrationCsvInput:
@@ -758,26 +814,47 @@ class TestCalibrationCsvInput:
     )
     def test_calibrate_names_the_file_and_column(self, tmp_path, capsys, filename, line, column, value):
         # each once ended in a traceback, in exit 3, in exit 0 or in a message naming an output curve
-        fleet, profiles = tmp_path / "fleet.csv", tmp_path / "profiles.csv"
-        write_fleet_csv(default_fleet(), fleet)
-        write_profiles_csv(default_profiles(hours=48), profiles)
-        path = tmp_path / filename
-        rows = [text.split(",") for text in path.read_text().splitlines()]
-        at = rows[0].index(column)
-        for number, row in enumerate(rows[1:], start=2):
-            if line in (None, number):
-                if value is None:
-                    del row[at:]
-                else:
-                    row[at] = value
-        path.write_text("".join(",".join(row) + "\n" for row in rows))
-        argv = ["calibrate", "--scenario", BASELINE_PATH, "--fleet", str(fleet), "--profiles", str(profiles)]
-        assert main(argv + ["--q-grid", "4"]) == 2
+        def edit(rows):
+            at = rows[0].index(column)
+            for number, row in enumerate(rows[1:], start=2):
+                if line in (None, number):
+                    if value is None:
+                        del row[at:]
+                    else:
+                        row[at] = value
+
+        code, path = calibrate_edited_csvs(tmp_path, filename, edit)
+        assert code == 2
         captured = capsys.readouterr()
         assert str(path) in captured.err
         assert f"column {column}" in captured.err
         if line is not None:
             assert f"line {line}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "filename, column, value, message",
+        [
+            ("fleet.csv", "capacity_gw", "-1", "unit capacity must be positive and finite"),
+            ("fleet.csv", "mc_usd_per_mwh", "-5", "marginal cost and emission rate must be nonnegative and finite"),
+            ("profiles.csv", "wind_cf", "1.5", "wind capacity factors must lie in [0, 1]"),
+            ("profiles.csv", "load_gw", "0", "load must be finite and strictly positive"),
+            ("profiles.csv", None, None, "profiles must not be empty"),
+        ],
+        ids=["negative-capacity", "negative-cost", "wind-cf-above-1", "zero-load", "header-only"],
+    )
+    def test_calibrate_names_the_file_of_a_value_out_of_range(self, tmp_path, capsys, filename, column, value, message):
+        # a value that reads as a number but that the fleet or profiles reject, or no rows at all
+        def edit(rows):
+            if column is None:
+                del rows[1:]
+            else:
+                rows[1][rows[0].index(column)] = value
+
+        code, path = calibrate_edited_csvs(tmp_path, filename, edit)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("line", [1, 2], ids=["header", "body"])
@@ -932,14 +1009,6 @@ assert "numpy" in sys.modules
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
-
-
-def test_every_export_and_submodule_resolves():
-    # names are imported on first use: a stale _EXPORTS entry fails only here
-    for name in vrpplan.__all__:
-        getattr(vrpplan, name)
-    for name in vrpplan._SUBMODULES:
-        assert getattr(vrpplan, name).__name__ == f"vrpplan.{name}"
 
 
 def test_log_lines_with_and_without_the_level(tmp_path):

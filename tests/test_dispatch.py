@@ -125,6 +125,15 @@ class TestProfiles:
         assert max(profiles.wind_cf) <= 1.0
         assert min(profiles.load) > 0.0
 
+    @pytest.mark.parametrize("wind_cf", (0.35, 0.5, 0.55, 0.6, 0.8, 0.95, 1.0))
+    def test_default_profiles_for_any_mean(self, wind_cf):
+        # from about 0.55 a plain rescale lifts the windiest hour past 1
+        cf = default_profiles(wind_cf=wind_cf).wind_cf
+        assert 0.0 < cf.min() and cf.max() <= 1.0
+        assert np.mean(cf) == pytest.approx(wind_cf, rel=1e-12)
+        if wind_cf == 1.0:
+            assert (cf == 1.0).all()
+
     def test_default_deterministic(self):
         a, b, c = (default_profiles(hours=100, seed=seed) for seed in (7, 7, 8))
         assert np.array_equal(a.load, b.load) and np.array_equal(a.wind_cf, b.wind_cf)
@@ -145,6 +154,29 @@ class TestProfiles:
             HourlyProfiles(load=(0.0,), wind_cf=(0.5,))
         with pytest.raises(ValueError):
             HourlyProfiles(load=(1.0,), wind_cf=(1.5,))
+        with pytest.raises(ValueError, match="profiles must not be empty"):
+            HourlyProfiles(load=(), wind_cf=())
+
+    @pytest.mark.parametrize(
+        "unit, message",
+        [
+            ((0.0, 10.0, 0.5), "unit capacity must be positive and finite"),
+            ((math.inf, 10.0, 0.5), "unit capacity must be positive and finite"),
+            ((1.0, -1.0, 0.5), "marginal cost and emission rate must be nonnegative and finite"),
+            ((1.0, 10.0, math.nan), "marginal cost and emission rate must be nonnegative and finite"),
+        ],
+    )
+    def test_fleet_unit_validation(self, unit, message):
+        with pytest.raises(ValueError, match=message):
+            FleetUnit(*unit)
+
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ValueError, match="fleet must contain at least one unit"):
+            FleetSpec(units=())
+
+    def test_negative_wind_capacity_rejected(self):
+        with pytest.raises(ValueError, match="wind capacity must be nonnegative"):
+            _serve_wind(default_fleet(), default_profiles(hours=24), -1.0)
 
 
 class TestCalibration:

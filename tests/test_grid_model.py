@@ -19,6 +19,7 @@ from vrpplan.grid_model import (
     _sampled_checks,
     eval_curve,
     is_array,
+    linspace,
     validate_grid_conditions,
 )
 from vrpplan.tolerances import DOMAIN_TOL, scaled
@@ -411,12 +412,8 @@ class TestConditionRoutes:
         _, model = drawn_model(kind, np.random.default_rng(seed))
         model = model._replace(domain=(start * model.domain[1], model.domain[1]))
         qs = np.linspace(*model.domain, n_samples)
-        assert qs.tolist() == [
-            model.domain[0] + i * ((model.domain[1] - model.domain[0]) / (n_samples - 1))
-            for i in range(n_samples - 1)
-        ] + [model.domain[1]]  # validate_grid_conditions' float points
         # every name, verdict and first violating Q, bit for bit
-        assert _sampled_checks(model, qs.tolist()) == _sampled_checks(model, qs)
+        assert _sampled_checks(model, linspace(*model.domain, n_samples)) == _sampled_checks(model, qs)
 
     def test_an_overflowing_state_raises_on_both_routes(self, baseline_model):
         model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
@@ -424,6 +421,33 @@ class TestConditionRoutes:
         for samples in (qs, qs.tolist()):
             with pytest.raises(CurveDomainError, match="^grid conditions: "):
                 _sampled_checks(model, samples)
+
+
+class TestLinspace:
+    """The float points of every sampled check against ``np.linspace``, bit for bit."""
+
+    @pytest.mark.parametrize("endpoint", (True, False))
+    @pytest.mark.parametrize("n", (2, 3, 8, 200, 1000))
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0.0, 7.5),  # ordinary
+            (0.3, 11.1),
+            (9.0, -2.5),  # reversed
+            (2.5, 2.5),  # equal: a step of exactly zero
+            (-0.0, 0.0),
+            # denormal: the step underflows and numpy divides first; at n = 1000 without
+            # the endpoint, i * step + lo alone misses 995 of its points
+            (0.0, 5e-322),
+            (1e-320, 3e-323),
+            (-5e-324, 5e-324),
+        ],
+    )
+    def test_points_are_numpys(self, lo, hi, n, endpoint):
+        expected = [x.hex() for x in np.linspace(lo, hi, n, endpoint=endpoint).tolist()]
+        points = linspace(lo, hi, n, endpoint)
+        assert all(type(x) is float for x in points)
+        assert [x.hex() for x in points] == expected
 
 
 class TestSerialization:

@@ -18,7 +18,7 @@ from vrpplan.errors import (
     NoSellableCreditsError,
     VrpError,
 )
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
 from vrpplan.oracles import (
     SCAN_BLOCK,
     DominanceReport,
@@ -169,7 +169,8 @@ class TestEnumerateAndCompare:
             )
             assert report._replace(worst_emissions_gap=0.0) == expected._replace(worst_emissions_gap=0.0)
             if not report.sampled:  # the float walk that verify takes without numpy
-                walk = _walk_prefix_tree(dm, model, q_init, result.capacity_limit, ecfg.action_grid_size, ecfg.horizon)
+                fractions = linspace(0.0, 1.0, ecfg.action_grid_size)
+                walk = _walk_prefix_tree(dm, model, q_init, result.capacity_limit, fractions, ecfg.horizon)
                 assert walk.pop("worst_emissions_gap") == pytest.approx(
                     expected.worst_emissions_gap, rel=1e-12, abs=1e-15
                 )
@@ -206,13 +207,14 @@ class TestEnumerationRoutes:
             return  # no limit to enumerate towards
         q_init = start * limit
         rows = np.indices((g,) * horizon).reshape(horizon, g**horizon).T
+        fractions = linspace(0.0, 1.0, g)
         try:
-            array = _expand_rows(dm, model, q_init, limit, g, rows)
+            array = _expand_rows(dm, model, q_init, limit, np.linspace(0.0, 1.0, g), rows)
         except VrpError as exc:
             with pytest.raises(type(exc)):
-                _walk_prefix_tree(dm, model, q_init, limit, g, horizon)
+                _walk_prefix_tree(dm, model, q_init, limit, fractions, horizon)
             return
-        walk = _walk_prefix_tree(dm, model, q_init, limit, g, horizon)
+        walk = _walk_prefix_tree(dm, model, q_init, limit, fractions, horizon)
         walk_gap, array_gap = walk.pop("worst_emissions_gap"), array.pop("worst_emissions_gap")
         assert walk == array  # every count and the hitting gap
         # each sum adds horizon + 1 values of e, each within ulps of np.exp's, at capacities
@@ -225,9 +227,9 @@ class TestEnumerationRoutes:
         model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
         rows = np.indices((4,) * 3).reshape(3, 64).T
         with pytest.raises(CurveDomainError, match="^policy enumeration: "):
-            _expand_rows(baseline_demand, model, 2.0, limit, 4, rows)
+            _expand_rows(baseline_demand, model, 2.0, limit, np.linspace(0.0, 1.0, 4), rows)
         with pytest.raises(CurveDomainError, match="^policy enumeration: "):
-            _walk_prefix_tree(baseline_demand, model, 2.0, limit, 4, 3)
+            _walk_prefix_tree(baseline_demand, model, 2.0, limit, linspace(0.0, 1.0, 4), 3)
 
 
 def reference_price_scan(dm, model, q, n_points):
@@ -391,6 +393,12 @@ class TestDenseScanEquilibrium:
         assert not scan.found
         assert scan.bracket is None
         assert scan.sign_changes == ()
+
+    def test_too_few_points_rejected(self, baseline_demand, baseline_model):
+        with pytest.raises(ValueError, match="n_points too small"):
+            dense_scan_equilibrium(baseline_demand, baseline_model, 9)
+        with pytest.raises(ValueError, match="n_points too small"):
+            dense_scan_price(baseline_demand, baseline_model, 3.0, 9)
 
     def test_multiple_sign_changes_on_rejected_model(self):
         scan = dense_scan_equilibrium(DM, oscillating_model(), 2000)

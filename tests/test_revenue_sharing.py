@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import flat_model, random_accepted_model
 from vrpplan.demand_pricing import DemandModel, Phase, decide_at, price_at, revenue
-from vrpplan.errors import InfeasibleSharingError
+from vrpplan.errors import InfeasibleSharingError, NoRevenueError
 from vrpplan.revenue_sharing import classify_phase, solve_separated_period
 
 # market size 2e and e/eps = 100 make the regime-1 peak revenue exactly 200
@@ -34,6 +34,12 @@ class TestOptimalShare:
         model = model_with_generator_cost(250.0)
         with pytest.raises(InfeasibleSharingError):
             solve_separated_period(DM200, model, 2.0)
+
+    def test_no_revenue_rejected(self):
+        # e/eps underflows, so the price and the revenue are 0: no share of nothing to split
+        model = flat_model(1e-320, 3.0, 0.0)
+        with pytest.raises(NoRevenueError, match="maximal revenue 0.0 at Q=2.0 is nonpositive"):
+            solve_separated_period(DemandModel(market_size=10.0, sensitivity=1e10), model, 2.0)
 
 
 class TestExpansionGivenShare:
