@@ -13,15 +13,14 @@ Commands (all take --scenario PATH):
 Exit codes: 0 success; 2 malformed input (a ``VrpError`` that is not an
 ``InfeasibleError``, a ``ValueError``, or an OS error naming its path);
 3 infeasible (an ``InfeasibleError``, or ``share`` or ``simulate`` printing an
-infeasible result); 4 verification failure.  Set VRP_LOG_LEVEL for diagnostics;
-an unknown level exits 2 before any work.
+infeasible result); 4 verification failure.  A warning prints to stderr as
+``warning: ...``, beside the ``error:`` and ``infeasible:`` lines.
 
 Only ``calibrate``, with dispatch, and subsampled policy enumeration load
 numpy: ``verify`` draws a subsample with numpy's seeded generator where
 g**horizon exceeds the cap.  The sampled checks of ``simulate`` and
 ``verify`` follow the route rule of :func:`~vrpplan.grid_model.sample_grid`,
-and the KKT summary takes floats.  ``logging`` loads with VRP_LOG_LEVEL set,
-or for a warning.
+and the KKT summary takes floats.
 ``dataclasses`` loads only with dispatch, for ``calibrate``, and ``inspect``
 only with numpy: every other record is a :func:`~vrpplan.serialize.record`,
 which generates no code.
@@ -32,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -48,18 +46,6 @@ from .tolerances import CERTIFY_TOL
 from .units import convert_price_units
 
 
-def _logger():
-    """The package logger, with logging configured as VRP_LOG_LEVEL says, WARNING
-    when unset.  ``logging`` is imported by the first line that will print."""
-    import logging
-    logging.basicConfig(level=os.environ.get("VRP_LOG_LEVEL", "WARNING"))
-    return logging.getLogger("vrpplan")
-
-
-def _info(msg: str, *args) -> None:
-    if "VRP_LOG_LEVEL" in os.environ:  # unset, the level is WARNING: the line never prints
-        _logger().info(msg, *args)
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
@@ -67,11 +53,14 @@ EXIT_VERIFICATION = 4
 
 
 def _at_least(floor: int):
-    """An argparse type: an integer of at least ``floor``, else a message naming both."""
+    """An argparse type: an integer of at least ``floor`` within the float range,
+    the range ``json_integer`` puts on a scenario's integers."""
     def integer(text: str) -> int:
         value = int(text)  # argparse words a ValueError as "invalid integer value"
         if value < floor:
             raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        if value > sys.float_info.max:
+            raise argparse.ArgumentTypeError(f"must lie in the float range, got {len(str(value))} digits")
         return value
     return integer
 
@@ -99,28 +88,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="myopic multi-period simulation")
     common(p)
     count(p, "--samples", 2, "certificate sampling resolution", default=200)
-    p.add_argument("--format", choices=("csv", "json"), help="override scenario output format")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="stdout format (default: csv)")
     count(p, "--horizon", 1, "override scenario horizon")
 
     p = sub.add_parser("verify", help="run every independent check on the scenario")
     common(p)
     count(p, "--samples", 3, "sampling resolution", default=200)
-    count(p, "--seed", 0, "override scenario seed for policy subsampling")
+    count(p, "--seed", 0, "seed for policy subsampling", default=0)
     count(p, "--horizon", 1, "enumeration horizon", default=3)
     count(p, "--q-grid", 2, "actions per period", default=4, dest="q_grid")
 
     p = sub.add_parser("calibrate", help="dispatch a fleet into grid-model JSON")
     common(p)
-    count(p, "--seed", 0, "override scenario seed for synthetic profiles")
+    count(p, "--seed", 0, "seed for synthetic profiles", default=0)
     p.add_argument("--fleet", help="fleet CSV (default: built-in synthetic fleet)")
     p.add_argument("--profiles", help="hourly profiles CSV (default: synthetic)")
     count(p, "--q-grid", 2, "capacity samples", default=20, dest="q_grid")
 
     return parser
-
-
-def _seed(args, scenario: Scenario) -> int:
-    return args.seed if args.seed is not None else scenario.seed
 
 
 def require_finite(value, where: str, path: str = "") -> None:
@@ -164,7 +149,6 @@ def _emit(doc: dict, args, filename: str) -> None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / filename).write_text(text + "\n")
-        _info("wrote %s", out_dir / filename)
     else:
         print(text)
 
@@ -230,8 +214,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     doc["equilibrium"] = trajectory.equilibrium.to_dict()
     doc["reachability_certificate"] = certificate.to_dict()
 
-    fmt = args.format or scenario.output
-    if args.out or fmt == "json":
+    if args.out or args.format == "json":
         text = _json_text(doc, "simulate result")
     else:
         require_finite(doc, "simulate result")
@@ -241,13 +224,12 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
         traj.write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
         (out_dir / "trajectory.json").write_text(text + "\n")
         _write_plot_files(out_dir, trajectory, scenario)
-        _info("wrote trajectory and plot data to %s", out_dir)
-    elif fmt == "json":
+    elif args.format == "json":
         print(text)
     else:
         print(traj.csv_text(traj.TRAJECTORY_CSV_COLUMNS, traj.trajectory_csv_rows(trajectory)), end="")
     if trajectory.termination is traj.Termination.INFEASIBLE:
-        _logger().warning("trajectory truncated: infeasible period")
+        print("warning: trajectory truncated: infeasible period", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
@@ -292,9 +274,7 @@ def _cmd_verify(args, scenario: Scenario) -> int:
         dm,
         model,
         scenario.simulation,
-        oracles.EnumerationConfig(
-            action_grid_size=args.q_grid, horizon=args.horizon, seed=_seed(args, scenario)
-        ),
+        oracles.EnumerationConfig(action_grid_size=args.q_grid, horizon=args.horizon, seed=args.seed),
         equilibrium=result,
         certificate=certificate,
     )
@@ -336,16 +316,14 @@ def _cmd_calibrate(args, scenario: Scenario) -> int:
     if args.profiles:
         profiles = dispatch.read_profiles_csv(args.profiles)
     else:
-        profiles = dispatch.default_profiles(
-            wind_cf=scenario.wind_cf, seed=_seed(args, scenario)
-        )
+        profiles = dispatch.default_profiles(wind_cf=scenario.wind_cf, seed=args.seed)
     lo, hi = scenario.grid.domain
     calibration = dispatch.calibrate_grid(fleet, profiles, gm.linspace(lo, hi, args.q_grid), scenario.wind_cf)
     if calibration.emissions_adjusted or calibration.energy_value_adjusted:
-        _logger().warning(
-            "isotonic correction applied: emissions=%s energy_value=%s",
-            calibration.emissions_adjusted,
-            calibration.energy_value_adjusted,
+        print(
+            f"warning: isotonic correction applied: emissions={calibration.emissions_adjusted}"
+            f" energy_value={calibration.energy_value_adjusted}",
+            file=sys.stderr,
         )
     model = dispatch.build_grid_model(
         calibration,
@@ -374,12 +352,6 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    if "VRP_LOG_LEVEL" in os.environ:  # an invalid level fails here, before any work
-        try:
-            _logger()
-        except ValueError as exc:
-            print(f"error: VRP_LOG_LEVEL: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)

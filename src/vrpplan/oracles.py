@@ -29,6 +29,7 @@ from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
 
 SCAN_BLOCK = 2**14  # grid points per block of the dense scans
+MAX_POLICIES = 20000  # past this many, policy enumeration draws a seeded subsample of this size
 
 
 @record
@@ -38,13 +39,12 @@ class EnumerationConfig:
     Each period offers ``action_grid_size`` choices: the fractions
     {0, 1/(g-1), ..., 1} of the maximal feasible expansion at the current
     state, so every enumerated policy is feasible by construction.  When
-    g**horizon exceeds ``max_policies`` a seeded random subsample is drawn;
+    g**horizon exceeds ``MAX_POLICIES`` a seeded random subsample is drawn;
     without a seed that situation is a configuration error.
     """
 
     action_grid_size: int
     horizon: int
-    max_policies: int = 20000
     seed: int | None = None
 
     def __post_init__(self):
@@ -52,8 +52,6 @@ class EnumerationConfig:
             raise ValueError("action_grid_size must be at least 2")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.max_policies < 1:
-            raise ValueError("max_policies must be positive")
 
 
 @record
@@ -116,16 +114,16 @@ def enumerate_and_compare(
 
     g, horizon = ecfg.action_grid_size, ecfg.horizon
     total = g**horizon
-    sampled = total > ecfg.max_policies
+    sampled = total > MAX_POLICIES
     if sampled and ecfg.seed is None:
         raise EnumerationConfigError(
-            f"{total} policies exceed the cap {ecfg.max_policies}; set a seed to subsample"
+            f"{total} policies exceed the cap {MAX_POLICIES}; set a seed to subsample"
         )
     fractions = gm.sample_grid(0.0, 1.0, g)
     if sampled or gm.is_array(fractions):
         import numpy as np
         if sampled:
-            rows = np.random.default_rng(ecfg.seed).integers(0, g, (ecfg.max_policies, horizon))
+            rows = np.random.default_rng(ecfg.seed).integers(0, g, (MAX_POLICIES, horizon))
         else:
             rows = np.indices((g,) * horizon).reshape(horizon, total).T
         comparison = _expand_rows(dm, model, cfg.q_init, limit, np.asarray(fractions), rows)
@@ -134,7 +132,7 @@ def enumerate_and_compare(
 
     return DominanceReport(
         n_policies_total=total,
-        n_policies_evaluated=ecfg.max_policies if sampled else total,
+        n_policies_evaluated=MAX_POLICIES if sampled else total,
         sampled=sampled,
         seed=ecfg.seed,
         **comparison,

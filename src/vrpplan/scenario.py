@@ -8,8 +8,6 @@ Schema (version 1):
       "demand": {"market_size": 10.0, "sensitivity": 0.0045},
       "simulation": {"q_init": 0.5, "horizon": 200, "stop_at_limit": true},
       "wind_cf": 0.35,
-      "output": "csv" | "json",
-      "seed": 0,
       "derivative_bounds": {"max_abs_emissions_slope": 0.1,
                             "max_abs_cost_slope": 150.0}   # optional
     }
@@ -23,12 +21,13 @@ reads it, and an error names its path (``grid.delivered.table[7][1]``) and the
 file it is in, a grid file given by path included.  ``json_number`` reads a
 scalar and rejects NaN, the infinities, literals that overflow a float
 (``1e999``, a 400-digit integer), strings and booleans; ``json_integer`` reads
-``seed`` and ``horizon`` in the same range; ``json_numbers`` reads coefficients,
-the domain and a table row; ``json_typed`` reads a boolean, a string, an object
-or an array.  A table is read in one pass (:class:`GridCurve`), and row by row
-only to name a bad entry.  Keys that no reader reads, such as the
-``calibration`` block ``calibrate`` writes, are ignored: nothing in them
-reaches a solver.
+``horizon`` in the same range; ``json_numbers`` reads coefficients, the domain
+and a table row; ``json_typed`` reads a boolean, a string, an object or an
+array.  A table is read in one pass (:class:`GridCurve`), and row by row only
+to name a bad entry.  Keys that no reader reads, such as the ``calibration``
+block ``calibrate`` writes, are ignored: nothing in them reaches a solver.
+So are ``output`` and ``seed``, which older files carry: the format and the
+seed are the ``--format`` and ``--seed`` flags.
 
 The baseline utility is ``scenarios/baseline.json``, its only definition:
 e = 0.40*exp(-0.06*Q), pi = 120*exp(-0.08*Q), and f tabulated at 481 evenly
@@ -44,7 +43,7 @@ from pathlib import Path
 from .demand_pricing import DemandModel
 from .errors import ScenarioError
 from .grid_model import GridModel
-from .serialize import json_integer, json_number, json_typed, read_numbers, record
+from .serialize import json_number, json_typed, read_numbers, record
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -69,18 +68,12 @@ class Scenario:
     demand: DemandModel
     simulation: SimulationConfig
     wind_cf: float
-    output: str = "csv"
-    seed: int = 0
     derivative_bounds: DerivativeBounds | None = None
 
     def __post_init__(self):
         # ValueError, as from every constructor: scenario_from_dict adds the file
         if not 0.0 < self.wind_cf <= 1.0:
             raise ValueError("wind_cf must lie in (0, 1]")
-        if self.output not in ("csv", "json"):
-            raise ValueError(f"output must be 'csv' or 'json', got {self.output!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _read_json(path: Path):
@@ -111,8 +104,6 @@ def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None
             demand=DemandModel.from_dict(doc.get("demand")),
             simulation=SimulationConfig.from_dict(doc.get("simulation")),
             wind_cf=json_number(doc.get("wind_cf"), "wind_cf"),
-            output=doc.get("output", "csv"),
-            seed=json_integer(doc.get("seed", 0), "seed"),
             derivative_bounds=None if bounds is None else read_numbers(DerivativeBounds, bounds, "derivative_bounds"),
         )
     except (LookupError, TypeError, ValueError) as exc:

@@ -1,5 +1,6 @@
 """Unit conversion, scenario files, and the command-line surface."""
 
+import argparse
 import csv
 import json
 import math
@@ -118,7 +119,7 @@ RECORDS = [  # a record, one of another class with the same field values, the da
      {"max_abs_cost_slope": math.inf}, "derivative bounds must be nonnegative and finite"),
     (SimulationConfig(0.5, 10), ConditionCheck(0.5, 10, True),
      "SimulationConfig(q_init=0.5, horizon=10, stop_at_limit=True)", {"horizon": 0}, "horizon must be at least 1"),
-    (EnumerationConfig(4, 3), None, "EnumerationConfig(action_grid_size=4, horizon=3, max_policies=20000, seed=None)",
+    (EnumerationConfig(4, 3), None, "EnumerationConfig(action_grid_size=4, horizon=3, seed=None)",
      {"action_grid_size": 1}, "action_grid_size must be at least 2"),
     (GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0)), None,
      "GridCurve(kind=<CurveKind.POLYNOMIAL: 'parametric-polynomial'>, coefficients=(21.0, 5.0), table=None)",
@@ -253,7 +254,7 @@ class TestCliCommands:
         assert (simulated["holds"], simulated["n_samples"]) == (True, n_samples)
 
     def test_verify_at_horizon_8_samples_the_policies(self, capsys):
-        # 4**8 policies exceed the 20,000 cap: the scenario seed draws a sample
+        # 4**8 policies exceed the 20,000 cap: --seed, 0 by default, draws a sample
         assert main(["verify", "--scenario", BASELINE_PATH, "--horizon", "8"]) == 0
         dominance = json.loads(capsys.readouterr().out)["dominance"]
         assert (dominance["n_policies_evaluated"], dominance["n_policies_total"]) == (20000, 65536)
@@ -508,7 +509,7 @@ class TestCliFlags:
             assert main(argv + (["--seed", seed] if seed else [])) == 0
             outputs[seed] = capsys.readouterr().out
         assert outputs["1"] != outputs["7"]
-        # without --seed the scenario's seed (0 on the baseline) is used
+        # --seed defaults to 0
         assert outputs[None] == outputs["0"]
 
     def test_simulate_solves_the_limit_once(self, tmp_path, monkeypatch, capsys):
@@ -567,13 +568,6 @@ class TestMalformedInput:
         cfg = scenario_from_dict(doc).simulation
         assert (cfg.horizon, cfg.stop_at_limit) == (3, False)
 
-    def test_seed_is_a_json_integer_or_absent(self):
-        doc = baseline_doc()
-        doc["seed"] = 7
-        assert scenario_from_dict(doc).seed == 7
-        del doc["seed"]
-        assert scenario_from_dict(doc).seed == 0
-
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -587,10 +581,6 @@ class TestMalformedInput:
             (("simulation", "q_init"), True, "simulation.q_init"),
             (("grid", "cost_system", "alpha"), False, "grid.cost_system.alpha"),
             (("derivative_bounds", "max_abs_cost_slope"), "150", "derivative_bounds.max_abs_cost_slope"),
-            (("seed",), True, "seed must be an integer"),
-            (("seed",), "7", "seed must be an integer"),
-            (("seed",), 3.9, "seed must be an integer"),
-            (("output",), 7, "output must be 'csv' or 'json'"),
             (("schema_version",), True, "unsupported schema_version True"),
             (("derivative_bounds",), {}, "derivative_bounds.max_abs_emissions_slope must be a number"),
             (("derivative_bounds",), False, "derivative_bounds must be an object"),
@@ -599,8 +589,6 @@ class TestMalformedInput:
             (("grid", "delivered", "table", 7), [0.1, 0.2, 0.3], "grid.delivered.table[7] must hold 2 numbers"),
             (("grid", "delivered", "table"), 5, "grid.delivered.table must be an array"),
             (("grid", "delivered", "table", 7, 0), 100.0, "grid.delivered.table: tabulated curve Q values"),
-            (("seed",), -1, "seed must be nonnegative"),
-            (("seed",), 10**400, "seed must be a finite number"),
             (("simulation", "horizon"), 10**400, "simulation.horizon must be a finite number"),
         ],
         ids=[
@@ -614,10 +602,6 @@ class TestMalformedInput:
             "boolean-q-init",
             "boolean-cost",
             "string-derivative-bound",
-            "boolean-seed",
-            "string-seed",
-            "fractional-seed",
-            "integer-output",
             "boolean-schema-version",
             "empty-derivative-bounds",
             "false-derivative-bounds",
@@ -626,8 +610,6 @@ class TestMalformedInput:
             "long-table-row",
             "scalar-table",
             "unsorted-table",
-            "negative-seed",
-            "huge-seed",
             "huge-horizon",
         ],
     )
@@ -712,7 +694,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'grid.json'}: grid.delivered.table[7][1] must be a finite number" in err
 
-    @pytest.mark.parametrize("key, value", [("wind_cf", 1.7), ("output", 7), ("seed", -1)])
+    @pytest.mark.parametrize("key, value", [("wind_cf", 1.7)])
     def test_scenario_field_error_names_the_file(self, tmp_path, key, value):
         doc = baseline_doc()
         doc[key] = value
@@ -735,6 +717,21 @@ class TestMalformedInput:
         doc = baseline_doc()
         doc["simulation"]["period_label"] = 7
         assert scenario_from_dict(doc) == BASELINE
+
+    def test_retired_output_and_seed_keys_are_ignored(self, tmp_path, capsys):
+        # older files carry them: --format and --seed, with their defaults, took their place
+        doc = baseline_doc()
+        doc.update(output="json", seed=7)
+        assert scenario_from_dict(doc) == BASELINE
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(",".join(trajectory.TRAJECTORY_CSV_COLUMNS) + "\n")
+        for argv in (["verify"], ["calibrate", "--q-grid", "4"]):
+            assert main([*argv, "--scenario", str(path)]) == 0
+            retired = capsys.readouterr().out
+            assert main([*argv, "--scenario", BASELINE_PATH, "--seed", "0"]) == 0
+            assert retired == capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "3"], ["verify", "--horizon", "2"]])
     def test_negative_seed_flag_exits_2(self, capsys, argv):
@@ -780,6 +777,24 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.err == f"error: --q-grid {q_grid} ** --horizon {horizon} policies: past the float range\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--samples"), ("simulate", "--horizon"),
+        ("verify", "--samples"), ("verify", "--seed"), ("verify", "--horizon"), ("verify", "--q-grid"),
+        ("calibrate", "--seed"), ("calibrate", "--q-grid"),
+    ])
+    def test_an_integer_flag_past_the_float_range_exits_2_naming_it(self, capsys, command, flag):
+        # json_integer's range: past it, --samples and --q-grid overflow a float grid
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", BASELINE_PATH, flag, "1" + "0" * 400])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must lie in the float range, got 401 digits" in capsys.readouterr().err
+
+    def test_the_float_maximum_is_the_last_integer_a_flag_takes(self):
+        largest = int(sys.float_info.max)
+        assert cli._at_least(0)(str(largest)) == largest
+        with pytest.raises(argparse.ArgumentTypeError, match="float range"):
+            cli._at_least(0)(str(largest + 1))
 
 
 def calibrate_edited_csvs(tmp_path, filename: str, edit) -> tuple[int, Path]:
@@ -950,7 +965,7 @@ paths = ({BASELINE_PATH!r}, {str(tabulated)!r})
 for path in paths:
     for argv in (["price", "3.0"], ["share", "6.5"], ["limit"]):
         run(path, *argv)
-assert "logging" not in sys.modules and "csv" not in sys.modules
+assert "csv" not in sys.modules
 # the certificate's float loop, in all three output forms; a few ulps below Q*, its trivial form
 documents = [run(path, "simulate", "--format", "json") for path in (*paths, *{near_limit!r})]
 for i, path in enumerate(paths):
@@ -965,6 +980,7 @@ for q in (0.0, 3.3, 12.0):
     curve.slope(q)
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
 assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
+assert "logging" not in sys.modules
 run({BASELINE_PATH!r}, "calibrate")
 assert "numpy" in sys.modules
 # with numpy loaded every check takes its array route, to the same documents
@@ -973,8 +989,8 @@ assert verifications() + [run(path, "verify") for path in {near_limit!r}] == ver
 for argv in (["simulate"], ["verify"]):
     run({str(overflowing)!r}, *argv, status=2)
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
-    env.pop("VRP_LOG_LEVEL", None)  # set, it configures logging before any command
+    # no value of the retired VRP_LOG_LEVEL loads logging
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]), VRP_LOG_LEVEL="DEBUG")
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
@@ -1004,7 +1020,6 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert "numpy" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
-    env.pop("VRP_LOG_LEVEL", None)
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
@@ -1012,25 +1027,31 @@ assert "numpy" in sys.modules
 
 
 def test_log_lines_with_and_without_the_level(tmp_path):
-    # logging loads only for a line that prints; the lines read as they always have
+    # the retired VRP_LOG_LEVEL changes no line, and no value of it fails
     doc = baseline_doc()
     doc["simulation"].update(q_init=7.5, stop_at_limit=False)  # past the limit: truncated at once
     path = tmp_path / "past_limit.json"
     path.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    warning = "WARNING:vrpplan:trajectory truncated: infeasible period\n"
-    info = f"INFO:vrpplan:wrote trajectory and plot data to {out}\n"
     env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
     env.pop("VRP_LOG_LEVEL", None)
-    for level, stderr in ((None, warning), ("WARNING", warning), ("INFO", info + warning), ("ERROR", "")):
+    for level in (None, "WARNING", "INFO", "ERROR", "NOISY"):
         run_env = env if level is None else dict(env, VRP_LOG_LEVEL=level)
         result = subprocess.run(
-            [sys.executable, "-m", "vrpplan.cli", "simulate", "--scenario", str(path), "--out", str(out)],
+            [sys.executable, "-m", "vrpplan.cli", "simulate", "--scenario", str(path), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=run_env, timeout=120,
         )
-        assert (result.returncode, result.stderr) == (3, stderr), level
+        assert (result.returncode, result.stderr) == (3, "warning: trajectory truncated: infeasible period\n"), level
     result = subprocess.run(
         [sys.executable, "-m", "vrpplan.cli", "limit", "--scenario", BASELINE_PATH],
         capture_output=True, text=True, env=dict(env, VRP_LOG_LEVEL="NOISY"), timeout=120,
     )
-    assert (result.returncode, result.stdout, result.stderr) == (2, "", "error: VRP_LOG_LEVEL: Unknown level: 'NOISY'\n")
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_calibrate_warns_of_an_isotonic_correction(tmp_path, capsys):
+    # full wind at the light hour and little at the peak: the energy value rises with
+    # capacity at some sampled Q, so calibrate flattens it and says so
+    profiles = tmp_path / "profiles.csv"
+    profiles.write_text("hour,load_gw,wind_cf\n0,2.0,1.0\n1,10.0,0.1\n")
+    assert main(["calibrate", "--scenario", BASELINE_PATH, "--profiles", str(profiles)]) == 0
+    assert capsys.readouterr().err == "warning: isotonic correction applied: emissions=False energy_value=True\n"

@@ -18,6 +18,7 @@ from vrpplan.errors import (
     NoSellableCreditsError,
     VrpError,
 )
+from vrpplan import oracles
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
 from vrpplan.oracles import (
     SCAN_BLOCK,
@@ -45,8 +46,8 @@ def reference_report(dm, model, cfg, ecfg, result, certificate) -> DominanceRepo
     tol = scaled(ZERO_TOL, limit)
     g, horizon = ecfg.action_grid_size, ecfg.horizon
     total = g**horizon
-    if total > ecfg.max_policies:
-        rows = np.random.default_rng(ecfg.seed).integers(0, g, size=(ecfg.max_policies, horizon))
+    if total > oracles.MAX_POLICIES:
+        rows = np.random.default_rng(ecfg.seed).integers(0, g, size=(oracles.MAX_POLICIES, horizon))
     else:
         rows = np.array([np.unravel_index(i, (g,) * horizon) for i in range(total)])
     fractions = np.linspace(0.0, 1.0, g)
@@ -80,7 +81,7 @@ def reference_report(dm, model, cfg, ecfg, result, certificate) -> DominanceRepo
     return DominanceReport(
         n_policies_total=total,
         n_policies_evaluated=len(rows),
-        sampled=total > ecfg.max_policies,
+        sampled=total > oracles.MAX_POLICIES,
         seed=ecfg.seed,
         statewise_violations=statewise,
         hitting_time_violations=hitting,
@@ -104,18 +105,18 @@ class TestEnumerationConfig:
             EnumerationConfig(action_grid_size=1, horizon=3)
         with pytest.raises(ValueError):
             EnumerationConfig(action_grid_size=4, horizon=0)
-        with pytest.raises(ValueError):
-            EnumerationConfig(action_grid_size=4, horizon=3, max_policies=0)
 
-    def test_explosion_without_seed_rejected(self, baseline_demand, baseline_model):
+    def test_explosion_without_seed_rejected(self, baseline_demand, baseline_model, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_POLICIES", 1000)
         cfg = SimulationConfig(q_init=0.5, horizon=10)
-        ecfg = EnumerationConfig(action_grid_size=6, horizon=10, max_policies=1000)
+        ecfg = EnumerationConfig(action_grid_size=6, horizon=10)
         with pytest.raises(EnumerationConfigError):
             enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
 
-    def test_explosion_with_seed_samples(self, baseline_demand, baseline_model):
+    def test_explosion_with_seed_samples(self, baseline_demand, baseline_model, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_POLICIES", 500)
         cfg = SimulationConfig(q_init=0.5, horizon=10)
-        ecfg = EnumerationConfig(action_grid_size=6, horizon=6, max_policies=500, seed=5)
+        ecfg = EnumerationConfig(action_grid_size=6, horizon=6, seed=5)
         report = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
         assert report.sampled
         assert report.n_policies_evaluated == 500
@@ -145,22 +146,25 @@ class TestEnumerateAndCompare:
         assert report.n_policies_evaluated == 4
         assert report.passed
 
-    def test_determinism_with_seed(self, baseline_demand, baseline_model):
+    def test_determinism_with_seed(self, baseline_demand, baseline_model, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_POLICIES", 300)
         cfg = SimulationConfig(q_init=0.5, horizon=6)
-        ecfg = EnumerationConfig(action_grid_size=5, horizon=6, max_policies=300, seed=11)
+        ecfg = EnumerationConfig(action_grid_size=5, horizon=6, seed=11)
         first = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
         second = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
         assert first == second
 
     @pytest.mark.parametrize("dm, model, q_init", ENUMERATION_CASES)
-    def test_counts_match_scalar_rollouts(self, dm, model, q_init):
+    def test_counts_match_scalar_rollouts(self, dm, model, q_init, monkeypatch):
         # the level-wise expansion against every policy rolled out on its own
         result = solve_long_run_limit(dm, model)
         certificate = certify_monotone_reachability(dm, model, q_init=q_init, equilibrium=result)
         cfg = SimulationConfig(q_init=q_init, horizon=10)
         configs = [EnumerationConfig(g, h) for g in (2, 3, 4, 5) for h in range(1, 6)]
-        configs.append(EnumerationConfig(5, 6, max_policies=300, seed=11))
+        configs.append(EnumerationConfig(5, 6, seed=11))  # 5**6 policies past a cap of 300: a subsample
         for ecfg in configs:
+            if ecfg.seed is not None:
+                monkeypatch.setattr(oracles, "MAX_POLICIES", 300)
             report = enumerate_and_compare(dm, model, cfg, ecfg, result, certificate)
             expected = reference_report(dm, model, cfg, ecfg, result, certificate)
             # the one float: np.exp against math.exp moves it by ulps at most
