@@ -13,24 +13,24 @@ Commands (all take --scenario PATH):
 Exit codes: 0 success; 2 malformed input (a ``VrpError`` that is not an
 ``InfeasibleError``, a ``ValueError``, or an OS error naming its path);
 3 infeasible (an ``InfeasibleError``, or ``share`` or ``simulate`` printing an
-infeasible result); 4 verification failure.  A warning prints to stderr as
+infeasible result); 4 verification failure; 141 stdout closed by its reader,
+the code of a tool that SIGPIPE ended.  A warning prints to stderr as
 ``warning: ...``, beside the ``error:`` and ``infeasible:`` lines.
 
-Only ``calibrate``, with dispatch, and subsampled policy enumeration load
-numpy: ``verify`` draws a subsample with numpy's seeded generator where
-g**horizon exceeds the cap.  The sampled checks of ``simulate`` and
-``verify`` follow the route rule of :func:`~vrpplan.grid_model.sample_grid`,
-and the KKT summary takes floats.
-``dataclasses`` loads only with dispatch, for ``calibrate``, and ``inspect``
-only with numpy: every other record is a :func:`~vrpplan.serialize.record`,
-which generates no code.
+Only ``calibrate``, with dispatch, loads numpy.  The sampled checks and the
+policy enumeration of ``simulate`` and ``verify`` follow the route rule of
+:func:`~vrpplan.grid_model.sample_grid`, and the KKT summary takes floats.
+``verify`` refuses more than ``oracles.MAX_POLICIES`` policies before any
+work.  ``dataclasses`` loads only with dispatch, for ``calibrate``, and
+``inspect`` only with numpy: every other record is a
+:func:`~vrpplan.serialize.record`, which generates no code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 from pathlib import Path
 
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
 
 def _at_least(floor: int):
@@ -94,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every independent check on the scenario")
     common(p)
     count(p, "--samples", 3, "sampling resolution", default=200)
-    count(p, "--seed", 0, "seed for policy subsampling", default=0)
     count(p, "--horizon", 1, "enumeration horizon", default=3)
     count(p, "--q-grid", 2, "actions per period", default=4, dest="q_grid")
 
@@ -256,10 +256,9 @@ def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: in
 
 def _cmd_verify(args, scenario: Scenario) -> int:
     from . import oracles
-    try:  # the report prints the policy count as a JSON number
-        math.pow(args.q_grid, args.horizon)
-    except OverflowError:
-        raise ValueError(f"--q-grid {args.q_grid} ** --horizon {args.horizon} policies: past the float range") from None
+    cap = oracles.MAX_POLICIES
+    if args.q_grid ** min(args.horizon, cap.bit_length()) > cap:  # as --q-grid >= 2, past the cap from there on
+        raise ValueError(f"--q-grid {args.q_grid} ** --horizon {args.horizon} policies: more than {cap}")
     dm, model = scenario.demand, scenario.grid
     conditions = gm.validate_grid_conditions(model, n_samples=args.samples)
     result = eqm.solve_long_run_limit(dm, model)
@@ -274,9 +273,8 @@ def _cmd_verify(args, scenario: Scenario) -> int:
         dm,
         model,
         scenario.simulation,
-        oracles.EnumerationConfig(action_grid_size=args.q_grid, horizon=args.horizon, seed=args.seed),
+        oracles.EnumerationConfig(action_grid_size=args.q_grid, horizon=args.horizon),
         equilibrium=result,
-        certificate=certificate,
     )
     kkt = _kkt_summary(scenario, result)
 
@@ -355,7 +353,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
-        return _HANDLERS[args.command](args, scenario)
+        code = _HANDLERS[args.command](args, scenario)
+        sys.stdout.flush()  # a closed pipe raises here, not at the exit flush
+        return code
+    except BrokenPipeError:  # the reader closed stdout: devnull takes the exit flush
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

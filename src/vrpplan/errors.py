@@ -58,9 +58,5 @@ class DispatchShortageError(InfeasibleError):
         )
 
 
-class EnumerationConfigError(VrpError):
-    """Policy enumeration would exceed the configured cap and no seed was given."""
-
-
 class ScenarioError(VrpError):
     """A scenario file failed to parse or validate."""

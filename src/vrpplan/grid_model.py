@@ -187,14 +187,13 @@ def linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]
 def sample_grid(lo: float, hi: float, n: int, endpoint: bool = True):
     """``np.linspace(lo, hi, n, endpoint=endpoint)`` on the route rule of
     every sampled check: the grid conditions, the reachability certificate
-    and full policy enumeration.
+    and policy enumeration.
 
-    With numpy loaded, as in calibration, the dense scans, subsampled
-    enumeration and any in-process batch, the ndarray, and each term is one
-    array call.  Without, as in ``simulate`` and ``verify`` at its defaults,
-    :func:`linspace`'s floats, and a float loop takes them through the same
-    functions, stage by stage, to the same results but for ulps of
-    ``math.exp`` and ``math.log`` against numpy's.
+    With numpy loaded, as in calibration, the dense scans and any in-process
+    batch, the ndarray, and each term is one array call.  Without, as in
+    ``simulate`` and ``verify``, :func:`linspace`'s floats, and a float loop
+    takes them through the same functions, stage by stage, to the same
+    results but for ulps of ``math.exp`` and ``math.log`` against numpy's.
     """
     if "numpy" in sys.modules:
         import numpy as np

@@ -9,10 +9,7 @@ takes ``np.linspace``'s grid points SCAN_BLOCK at a time, from the points
 through the reduction, in a few buffers allocated once per call and filled
 in place by every block, so its temporaries stay cache-sized.
 
-Numpy is imported by the dense scans and by subsampled enumeration, whose
-policies numpy's seeded generator draws.  Full enumeration takes the route
-of :func:`~vrpplan.grid_model.sample_grid`, so ``verify`` at its defaults
-runs without numpy.
+Only the dense scans import numpy.
 """
 
 from __future__ import annotations
@@ -23,13 +20,13 @@ from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import trajectory as traj
-from .errors import EnumerationConfigError, NetZeroGridError, NoSellableCreditsError
+from .errors import NetZeroGridError, NoSellableCreditsError
 from .serialize import Serializable, record
 from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
 
 SCAN_BLOCK = 2**14  # grid points per block of the dense scans
-MAX_POLICIES = 20000  # past this many, policy enumeration draws a seeded subsample of this size
+MAX_POLICIES = 20000  # the most policies ``verify`` enumerates
 
 
 @record
@@ -38,14 +35,11 @@ class EnumerationConfig:
 
     Each period offers ``action_grid_size`` choices: the fractions
     {0, 1/(g-1), ..., 1} of the maximal feasible expansion at the current
-    state, so every enumerated policy is feasible by construction.  When
-    g**horizon exceeds ``MAX_POLICIES`` a seeded random subsample is drawn;
-    without a seed that situation is a configuration error.
+    state, so every enumerated policy is feasible by construction.
     """
 
     action_grid_size: int
     horizon: int
-    seed: int | None = None
 
     def __post_init__(self):
         if self.action_grid_size < 2:
@@ -56,16 +50,12 @@ class EnumerationConfig:
 
 @record
 class DominanceReport(Serializable):
-    n_policies_total: int
     n_policies_evaluated: int
-    sampled: bool
-    seed: int | None
     statewise_violations: int
     hitting_time_violations: int
     emissions_violations: int
     worst_hitting_gap: int  # myopic hitting time minus best policy hitting time
     worst_emissions_gap: float  # myopic cumulative e minus best policy value
-    certificate_holds: bool
 
     @property
     def passed(self) -> bool:
@@ -88,100 +78,71 @@ def enumerate_and_compare(
     cfg: traj.SimulationConfig,
     ecfg: EnumerationConfig,
     equilibrium: eqm.EquilibriumResult | None = None,
-    certificate: traj.ReachabilityCertificate | None = None,
 ) -> DominanceReport:
     """Exhaustively test myopic dominance against discretized feasible policies.
 
-    Reports how many policies beat the myopic path statewise, reach the limit
-    earlier, or accumulate less emissions intensity up to the myopic hitting
-    time; on certified monotone-reachability models all three counts are
-    expected to be zero.  A caller that has already solved the long-run limit
-    or built the reachability certificate passes them in.
+    Reports how many of all g**horizon policies beat the myopic path
+    statewise, reach the limit earlier, or accumulate less emissions intensity
+    up to the myopic hitting time; on certified monotone-reachability models
+    all three counts are expected to be zero.  A caller that has already
+    solved the long-run limit passes it in.
 
-    Each distinct policy prefix is expanded once, level by level, and the
-    myopic policy is the all-ones prefix.  The action fractions are
-    :func:`~vrpplan.grid_model.sample_grid`'s, and so is the route: on the
-    array route, or for a subsample, which numpy's seeded generator draws,
-    :func:`_expand_rows` steps a level's prefixes in one array call;
-    otherwise :func:`_walk_prefix_tree` steps them in a float loop.
+    Both routes walk the prefix tree level by level, in one order: level t
+    lists the t-step prefixes, each one's actions after its parent's, so
+    prefix i's parent is i // g and the myopic prefix, all ones, is the last.
+    A child inherits from its parent whether its path has exceeded the myopic
+    one, when it first reached the limit, and its running emissions sum from
+    t = 0, so no path is walked twice; a capacity met twice in a level, as
+    after every zero action, is evaluated once.  The action fractions are
+    :func:`~vrpplan.grid_model.sample_grid`'s, and so is the route:
+    :func:`_walk_prefix_array` on arrays, :func:`_walk_prefix_tree` in a
+    float loop.
     """
-    result = equilibrium or eqm.solve_long_run_limit(dm, model)
-    limit = result.capacity_limit
-    if certificate is None:
-        certificate = traj.certify_monotone_reachability(
-            dm, model, q_init=cfg.q_init, equilibrium=result
-        )
-
+    limit = (equilibrium or eqm.solve_long_run_limit(dm, model)).capacity_limit
     g, horizon = ecfg.action_grid_size, ecfg.horizon
-    total = g**horizon
-    sampled = total > MAX_POLICIES
-    if sampled and ecfg.seed is None:
-        raise EnumerationConfigError(
-            f"{total} policies exceed the cap {MAX_POLICIES}; set a seed to subsample"
-        )
     fractions = gm.sample_grid(0.0, 1.0, g)
-    if sampled or gm.is_array(fractions):
-        import numpy as np
-        if sampled:
-            rows = np.random.default_rng(ecfg.seed).integers(0, g, (MAX_POLICIES, horizon))
-        else:
-            rows = np.indices((g,) * horizon).reshape(horizon, total).T
-        comparison = _expand_rows(dm, model, cfg.q_init, limit, np.asarray(fractions), rows)
-    else:
-        comparison = _walk_prefix_tree(dm, model, cfg.q_init, limit, fractions, horizon)
-
-    return DominanceReport(
-        n_policies_total=total,
-        n_policies_evaluated=MAX_POLICIES if sampled else total,
-        sampled=sampled,
-        seed=ecfg.seed,
-        **comparison,
-        certificate_holds=certificate.holds,
-    )
+    walk = _walk_prefix_array if gm.is_array(fractions) else _walk_prefix_tree
+    return DominanceReport(g**horizon, **walk(dm, model, cfg.q_init, limit, fractions, horizon))
 
 
-def _expand_rows(
-    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, fractions_of, index_rows
+def _walk_prefix_array(
+    dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, fractions, horizon: int
 ) -> dict:
-    """The myopic path against the policies ``index_rows``, an array of one
-    row of indices into the action fractions ``fractions_of`` per policy, as
-    :class:`DominanceReport` fields.
-
-    The distinct prefixes of length t are one array of capacities, and one
-    array call of the reach map steps them all; overflow or NaN raises a
-    CurveDomainError through :func:`~vrpplan.grid_model.array_arithmetic`.
+    """The myopic path against all g**horizon policies, g the number of
+    action ``fractions``, as :class:`DominanceReport` fields: each level of
+    the prefix tree is one array, ``np.repeat`` hands a parent's entries to
+    its g children, and one array call steps the level's distinct capacities,
+    from ``np.unique``.  Overflow or NaN raises a CurveDomainError through
+    :func:`~vrpplan.grid_model.array_arithmetic`.
     """
     import numpy as np
-    horizon, g = index_rows.shape[1], len(fractions_of)
-    # the myopic policy rides along as the last row
-    rows = np.vstack([index_rows, np.full(horizon, g - 1)])
+    g, state_tol = len(fractions), scaled(ZERO_TOL, limit)
+    reached = limit - state_tol
 
+    qs, beaten, hits = np.array([q_init]), np.zeros(1, dtype=bool), np.array([0 if q_init >= reached else horizon + 1])
+    sums = []  # each level's running emissions sums
     with gm.array_arithmetic(_ENUMERATION):
-        # level t: the capacities of the distinct t-step prefixes, and each row's prefix
-        levels, nodes = [np.array([q_init])], [np.zeros(len(rows), dtype=np.intp)]
-        for t in range(horizon):
-            q = levels[-1]
-            step = np.minimum(traj.max_feasible_expansion(dm, model, q), np.maximum(0.0, limit - q))
-            keys, node = np.unique(nodes[-1] * g + rows[:, t], return_inverse=True)
-            parent = keys // g
-            levels.append(q[parent] + fractions_of[keys % g] * step[parent])
-            nodes.append(node)
-        paths = np.stack([q[node] for q, node in zip(levels, nodes)], axis=1)
-        emissions_of = np.stack([model.emissions_at(q)[node] for q, node in zip(levels, nodes)], axis=1)
+        for t in range(horizon + 1):
+            distinct, at = np.unique(qs, return_inverse=True)
+            emissions = model.emissions_at(distinct)[at]
+            sums.append(np.repeat(sums[-1], g) + emissions if sums else emissions)
+            if t == horizon:
+                break
+            step = np.minimum(traj.max_feasible_expansion(dm, model, distinct), np.maximum(0.0, limit - distinct))
+            qs = np.repeat(qs, g) + np.tile(fractions, len(qs)) * np.repeat(step[at], g)
+            beaten = np.repeat(beaten, g) | (qs > qs[-1] + state_tol)
+            hits = np.minimum(np.repeat(hits, g), np.where(qs >= reached, t + 1, horizon + 1))
 
-        state_tol = scaled(ZERO_TOL, limit)
-        reached = paths >= limit - state_tol
-        hits = np.where(reached.any(axis=1), reached.argmax(axis=1), horizon + 1)
         myo_hit = int(hits[-1])
-        # sum over t <= the myopic hitting time, in the order of a running sum
-        sums = np.add.accumulate(emissions_of[:, : min(myo_hit, horizon) + 1], axis=1)[:, -1]
-        gaps = sums[-1] - sums[:-1]
+        last = min(myo_hit, horizon)  # sum over t <= the myopic hitting time
+        totals = sums[last]
+        gaps = totals[-1] - totals
 
     return dict(
-        statewise_violations=int((paths[:-1] > paths[-1] + state_tol).any(axis=1).sum()),
-        hitting_time_violations=int((hits[:-1] < myo_hit).sum()),
-        emissions_violations=int((gaps > scaled(ZERO_TOL, float(sums[-1]))).sum()),
-        worst_hitting_gap=max(0, myo_hit - int(hits[:-1].min())),
+        statewise_violations=int(beaten.sum()),
+        hitting_time_violations=int((hits < myo_hit).sum()),
+        emissions_violations=g ** (horizon - last) * int((gaps > scaled(ZERO_TOL, float(totals[-1]))).sum()),
+        worst_hitting_gap=max(0, myo_hit - int(hits.min())),
         worst_emissions_gap=float(gaps.max()),
     )
 
@@ -189,18 +150,11 @@ def _expand_rows(
 def _walk_prefix_tree(
     dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, fractions: list, horizon: int
 ) -> dict:
-    """The myopic path against all g**horizon policies, g the number of
-    action ``fractions``, as :class:`DominanceReport` fields, by a float walk
-    of the prefix tree.
+    """:func:`_walk_prefix_array` by a float walk of the prefix tree.
 
-    Level t lists the t-step prefixes in :func:`_expand_rows`'s order, each
-    one's actions after its parent's, so the myopic prefix is the last and
-    prefix i's parent is i // g.  A child inherits from its parent whether its
-    path has exceeded the myopic one, when it first reached the limit, and its
-    running emissions sum, in ``np.add.accumulate``'s order, so no path is
-    walked twice.  Each level's new capacities are evaluated in the stages of
-    the array call (:func:`~vrpplan.trajectory.staged_expansions`); a capacity
-    met before, as after every zero action, is not evaluated again.
+    Each level's new capacities are evaluated in the stages of the array call
+    (:func:`~vrpplan.trajectory.staged_expansions`); a capacity met before,
+    in this level or an earlier one, is not evaluated again.
     """
     g, state_tol = len(fractions), scaled(ZERO_TOL, limit)
     reached = limit - state_tol

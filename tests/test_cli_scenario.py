@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import BASELINE, BASELINE_PATH, baseline_doc
 import vrpplan
-from vrpplan import cli, equilibrium, trajectory
+from vrpplan import cli, equilibrium, grid_model, trajectory
 from vrpplan.cli import main
 from vrpplan.demand_pricing import DemandModel
 from vrpplan.dispatch import default_fleet, default_profiles, write_fleet_csv, write_profiles_csv
@@ -119,7 +119,7 @@ RECORDS = [  # a record, one of another class with the same field values, the da
      {"max_abs_cost_slope": math.inf}, "derivative bounds must be nonnegative and finite"),
     (SimulationConfig(0.5, 10), ConditionCheck(0.5, 10, True),
      "SimulationConfig(q_init=0.5, horizon=10, stop_at_limit=True)", {"horizon": 0}, "horizon must be at least 1"),
-    (EnumerationConfig(4, 3), None, "EnumerationConfig(action_grid_size=4, horizon=3, seed=None)",
+    (EnumerationConfig(4, 3), None, "EnumerationConfig(action_grid_size=4, horizon=3)",
      {"action_grid_size": 1}, "action_grid_size must be at least 2"),
     (GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0)), None,
      "GridCurve(kind=<CurveKind.POLYNOMIAL: 'parametric-polynomial'>, coefficients=(21.0, 5.0), table=None)",
@@ -253,12 +253,17 @@ class TestCliCommands:
         assert verified["passed"] and verified["reachability_certificate"] == simulated
         assert (simulated["holds"], simulated["n_samples"]) == (True, n_samples)
 
-    def test_verify_at_horizon_8_samples_the_policies(self, capsys):
-        # 4**8 policies exceed the 20,000 cap: --seed, 0 by default, draws a sample
-        assert main(["verify", "--scenario", BASELINE_PATH, "--horizon", "8"]) == 0
+    @pytest.mark.parametrize("q_grid, horizon", [("4", "7"), ("20000", "1")])
+    def test_verify_enumerates_every_policy_up_to_the_cap(self, capsys, q_grid, horizon):
+        # 4**7 = 16,384 is the largest count at --q-grid 4, and 20,000 the cap itself
+        assert main(["verify", "--scenario", BASELINE_PATH, "--q-grid", q_grid, "--horizon", horizon]) == 0
         dominance = json.loads(capsys.readouterr().out)["dominance"]
-        assert (dominance["n_policies_evaluated"], dominance["n_policies_total"]) == (20000, 65536)
-        assert dominance["sampled"] and dominance["passed"]
+        assert dominance["n_policies_evaluated"] == int(q_grid) ** int(horizon)
+        assert dominance["passed"]
+        assert list(dominance) == [
+            "n_policies_evaluated", "statewise_violations", "hitting_time_violations", "emissions_violations",
+            "worst_hitting_gap", "worst_emissions_gap", "passed",
+        ]
 
     def test_verify_fails_on_rejected_grid(self, tmp_path, capsys):
         doc = baseline_doc()
@@ -489,6 +494,7 @@ class TestCliFlags:
             ["calibrate", "--samples", "10"],
             ["calibrate", "--format", "json"],
             ["simulate", "--seed", "1"],
+            ["verify", "--seed", "1"],
         ],
     )
     def test_unused_flags_rejected(self, argv, capsys):
@@ -727,13 +733,13 @@ class TestMalformedInput:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--scenario", str(path)]) == 0
         assert capsys.readouterr().out.startswith(",".join(trajectory.TRAJECTORY_CSV_COLUMNS) + "\n")
-        for argv in (["verify"], ["calibrate", "--q-grid", "4"]):
+        for argv, flags in ((["verify"], []), (["calibrate", "--q-grid", "4"], ["--seed", "0"])):
             assert main([*argv, "--scenario", str(path)]) == 0
             retired = capsys.readouterr().out
-            assert main([*argv, "--scenario", BASELINE_PATH, "--seed", "0"]) == 0
+            assert main([*argv, "--scenario", BASELINE_PATH, *flags]) == 0
             assert retired == capsys.readouterr().out
 
-    @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "3"], ["verify", "--horizon", "2"]])
+    @pytest.mark.parametrize("argv", [["calibrate", "--q-grid", "3"], ["calibrate"]])
     def test_negative_seed_flag_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--scenario", BASELINE_PATH, *argv[1:], "--seed", "-1"])
@@ -769,18 +775,23 @@ class TestMalformedInput:
             main(["simulate", "--help"])
         assert "(at least 2)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("q_grid, horizon", [("10", "400"), ("2", "1024")])
-    def test_a_policy_count_past_the_float_range_exits_2_before_any_work(self, capsys, q_grid, horizon):
-        # the count once took seconds of enumeration, then failed the output check
-        argv = ["verify", "--scenario", BASELINE_PATH, "--q-grid", q_grid, "--horizon", horizon, "--seed", "1"]
+    @pytest.mark.parametrize(
+        "q_grid, horizon",
+        [("4", "9"), ("4", "1" + "0" * 300), ("20001", "1"), ("10", "400"), ("2", "1024")],
+        ids=["4^9", "4^1e300", "20001^1", "10^400", "2^1024"],
+    )
+    def test_more_policies_than_the_cap_exit_2_before_any_work(self, capsys, monkeypatch, q_grid, horizon):
+        # refused before the scenario's checks run, and without g**h at a horizon of 301 digits
+        monkeypatch.setattr(grid_model, "validate_grid_conditions", None)
+        argv = ["verify", "--scenario", BASELINE_PATH, "--q-grid", q_grid, "--horizon", horizon]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: --q-grid {q_grid} ** --horizon {horizon} policies: past the float range\n"
+        assert captured.err == f"error: --q-grid {q_grid} ** --horizon {horizon} policies: more than 20000\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--samples"), ("simulate", "--horizon"),
-        ("verify", "--samples"), ("verify", "--seed"), ("verify", "--horizon"), ("verify", "--q-grid"),
+        ("verify", "--samples"), ("verify", "--horizon"), ("verify", "--q-grid"),
         ("calibrate", "--seed"), ("calibrate", "--q-grid"),
     ])
     def test_an_integer_flag_past_the_float_range_exits_2_naming_it(self, capsys, command, flag):
@@ -997,33 +1008,45 @@ for argv in (["simulate"], ["verify"]):
     assert result.returncode == 0, result.stderr
 
 
-def test_only_subsampled_enumeration_loads_numpy_in_verify():
-    # a fresh interpreter: a subsample without a seed is refused before numpy loads,
-    # and a seeded subsample draws its policies with numpy's generator
+def test_verify_leaves_numpy_unloaded_at_the_cap():
+    # a fresh interpreter: the float walk enumerates the cap's largest sizes, and a count
+    # past the cap is refused
     script = f"""
-import contextlib, io, sys
+import contextlib, io, json, sys
 from vrpplan import cli
-from vrpplan.errors import EnumerationConfigError
-from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
-from vrpplan.scenario import load_scenario
 
-scenario = load_scenario({BASELINE_PATH!r})
-try:
-    enumerate_and_compare(scenario.demand, scenario.grid, scenario.simulation, EnumerationConfig(4, 9))
-except EnumerationConfigError:
-    pass
-else:
-    raise AssertionError("4**9 policies over the cap, without a seed, were enumerated")
-assert "numpy" not in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["verify", "--scenario", {BASELINE_PATH!r}, "--horizon", "9", "--seed", "3"]) == 0
-assert "numpy" in sys.modules
+for argv, policies in ((["--horizon", "7"], 4**7), (["--q-grid", "20000", "--horizon", "1"], 20000)):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--scenario", {BASELINE_PATH!r}, *argv]) == 0
+    assert json.loads(out.getvalue())["dominance"]["n_policies_evaluated"] == policies
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["verify", "--scenario", {BASELINE_PATH!r}, "--horizon", "9"]) == 2
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])  # a print writes at once, or at exit
+@pytest.mark.parametrize("argv", [["limit"], ["price", "3.0"], ["simulate"], ["verify"]], ids=lambda argv: argv[0])
+def test_a_closed_stdout_pipe_exits_141_in_silence(argv, unbuffered):
+    # the reader is gone before the command writes, as in `vrpplan limit ... | true`:
+    # the code a shell reports for a tool that SIGPIPE ended, not malformed input
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]), PYTHONUNBUFFERED=unbuffered)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "vrpplan.cli", *argv, "--scenario", BASELINE_PATH],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")
 
 
 def test_log_lines_with_and_without_the_level(tmp_path):

@@ -13,18 +13,17 @@ from vrpplan.demand_pricing import DemandModel, price_at, unconstrained_peak_rev
 from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import (
     CurveDomainError,
-    EnumerationConfigError,
     NetZeroGridError,
     NoSellableCreditsError,
     VrpError,
 )
-from vrpplan import oracles
+from vrpplan import trajectory
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
 from vrpplan.oracles import (
     SCAN_BLOCK,
     DominanceReport,
     EnumerationConfig,
-    _expand_rows,
+    _walk_prefix_array,
     _walk_prefix_tree,
     dense_scan_equilibrium,
     dense_scan_price,
@@ -40,16 +39,12 @@ from vrpplan.trajectory import (
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
 
 
-def reference_report(dm, model, cfg, ecfg, result, certificate) -> DominanceReport:
+def reference_report(dm, model, cfg, ecfg, result) -> DominanceReport:
     """Every policy rolled out from Q0 on its own, one scalar decision at a time."""
     limit = result.capacity_limit
     tol = scaled(ZERO_TOL, limit)
     g, horizon = ecfg.action_grid_size, ecfg.horizon
-    total = g**horizon
-    if total > oracles.MAX_POLICIES:
-        rows = np.random.default_rng(ecfg.seed).integers(0, g, size=(oracles.MAX_POLICIES, horizon))
-    else:
-        rows = np.array([np.unravel_index(i, (g,) * horizon) for i in range(total)])
+    rows = np.array([np.unravel_index(i, (g,) * horizon) for i in range(g**horizon)])
     fractions = np.linspace(0.0, 1.0, g)
 
     def rollout(row):
@@ -79,16 +74,12 @@ def reference_report(dm, model, cfg, ecfg, result, certificate) -> DominanceRepo
         emissions += gap > scaled(ZERO_TOL, myo_emissions)
         worst_emissions_gap = max(worst_emissions_gap, gap)
     return DominanceReport(
-        n_policies_total=total,
         n_policies_evaluated=len(rows),
-        sampled=total > oracles.MAX_POLICIES,
-        seed=ecfg.seed,
         statewise_violations=statewise,
         hitting_time_violations=hitting,
         emissions_violations=emissions,
         worst_hitting_gap=worst_hit_gap,
         worst_emissions_gap=worst_emissions_gap,
-        certificate_holds=certificate.holds,
     )
 
 
@@ -106,22 +97,6 @@ class TestEnumerationConfig:
         with pytest.raises(ValueError):
             EnumerationConfig(action_grid_size=4, horizon=0)
 
-    def test_explosion_without_seed_rejected(self, baseline_demand, baseline_model, monkeypatch):
-        monkeypatch.setattr(oracles, "MAX_POLICIES", 1000)
-        cfg = SimulationConfig(q_init=0.5, horizon=10)
-        ecfg = EnumerationConfig(action_grid_size=6, horizon=10)
-        with pytest.raises(EnumerationConfigError):
-            enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
-
-    def test_explosion_with_seed_samples(self, baseline_demand, baseline_model, monkeypatch):
-        monkeypatch.setattr(oracles, "MAX_POLICIES", 500)
-        cfg = SimulationConfig(q_init=0.5, horizon=10)
-        ecfg = EnumerationConfig(action_grid_size=6, horizon=6, seed=5)
-        report = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
-        assert report.sampled
-        assert report.n_policies_evaluated == 500
-        assert report.n_policies_total == 6**6
-
 
 class TestEnumerateAndCompare:
     def test_baseline_exhaustive(self, baseline_demand, baseline_model):
@@ -129,14 +104,12 @@ class TestEnumerateAndCompare:
         ecfg = EnumerationConfig(action_grid_size=5, horizon=3)
         report = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
         assert report.n_policies_evaluated == 125
-        assert not report.sampled
         assert report.passed
         assert report.statewise_violations == 0
         assert report.hitting_time_violations == 0
         assert report.emissions_violations == 0
         assert report.worst_hitting_gap <= 0
         assert report.worst_emissions_gap <= 1e-9
-        assert report.certificate_holds
 
     def test_single_period_is_argmax(self, baseline_demand, baseline_model):
         cfg = SimulationConfig(q_init=0.5, horizon=1)
@@ -146,54 +119,53 @@ class TestEnumerateAndCompare:
         assert report.n_policies_evaluated == 4
         assert report.passed
 
-    def test_determinism_with_seed(self, baseline_demand, baseline_model, monkeypatch):
-        monkeypatch.setattr(oracles, "MAX_POLICIES", 300)
-        cfg = SimulationConfig(q_init=0.5, horizon=6)
-        ecfg = EnumerationConfig(action_grid_size=5, horizon=6, seed=11)
-        first = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
-        second = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
-        assert first == second
-
     @pytest.mark.parametrize("dm, model, q_init", ENUMERATION_CASES)
-    def test_counts_match_scalar_rollouts(self, dm, model, q_init, monkeypatch):
-        # the level-wise expansion against every policy rolled out on its own
+    def test_counts_match_scalar_rollouts(self, dm, model, q_init):
+        # both walks of the prefix tree against every policy rolled out on its own
         result = solve_long_run_limit(dm, model)
-        certificate = certify_monotone_reachability(dm, model, q_init=q_init, equilibrium=result)
         cfg = SimulationConfig(q_init=q_init, horizon=10)
-        configs = [EnumerationConfig(g, h) for g in (2, 3, 4, 5) for h in range(1, 6)]
-        configs.append(EnumerationConfig(5, 6, seed=11))  # 5**6 policies past a cap of 300: a subsample
-        for ecfg in configs:
-            if ecfg.seed is not None:
-                monkeypatch.setattr(oracles, "MAX_POLICIES", 300)
-            report = enumerate_and_compare(dm, model, cfg, ecfg, result, certificate)
-            expected = reference_report(dm, model, cfg, ecfg, result, certificate)
-            # the one float: np.exp against math.exp moves it by ulps at most
-            assert report.worst_emissions_gap == pytest.approx(
-                expected.worst_emissions_gap, rel=1e-12, abs=1e-15
-            )
-            assert report._replace(worst_emissions_gap=0.0) == expected._replace(worst_emissions_gap=0.0)
-            if not report.sampled:  # the float walk that verify takes without numpy
-                fractions = linspace(0.0, 1.0, ecfg.action_grid_size)
-                walk = _walk_prefix_tree(dm, model, q_init, result.capacity_limit, fractions, ecfg.horizon)
-                assert walk.pop("worst_emissions_gap") == pytest.approx(
+        for ecfg in [EnumerationConfig(g, h) for g in (2, 3, 4, 5) for h in range(1, 6)]:
+            expected = reference_report(dm, model, cfg, ecfg, result)
+            g, horizon, limit = ecfg.action_grid_size, ecfg.horizon, result.capacity_limit
+            array = _walk_prefix_array(dm, model, q_init, limit, np.linspace(0.0, 1.0, g), horizon)
+            walk = _walk_prefix_tree(dm, model, q_init, limit, linspace(0.0, 1.0, g), horizon)
+            array, walk = DominanceReport(g**horizon, **array), DominanceReport(g**horizon, **walk)
+            assert enumerate_and_compare(dm, model, cfg, ecfg, result) == array  # the route with numpy loaded
+            for report in (array, walk):
+                # the one float: np.exp against math.exp moves it by ulps at most
+                assert report.worst_emissions_gap == pytest.approx(
                     expected.worst_emissions_gap, rel=1e-12, abs=1e-15
                 )
-                assert report._replace(worst_emissions_gap=0.0) == report._replace(**walk, worst_emissions_gap=0.0)
+                assert report._replace(worst_emissions_gap=0.0) == expected._replace(worst_emissions_gap=0.0)
+
+    def test_each_level_steps_its_distinct_capacities_once(self, baseline_demand, baseline_model, monkeypatch):
+        # a zero action leaves the capacity as it was, so 4**t prefixes hold (3**(t+1) - 1) / 2 capacities
+        sizes = []
+        stepped = trajectory.max_feasible_expansion
+
+        def counted(dm, model, q):
+            sizes.append(np.size(q))
+            return stepped(dm, model, q)
+
+        monkeypatch.setattr(trajectory, "max_feasible_expansion", counted)
+        report = enumerate_and_compare(baseline_demand, baseline_model, BASELINE.simulation, EnumerationConfig(4, 6))
+        assert report.n_policies_evaluated == 4096 and report.passed
+        assert sizes == [1, 4, 13, 40, 121, 364] and sum(sizes) == 543
 
     def test_adversarial_model_shows_violations(self):
-        # non-monotone reach map: some under-building policies overtake the
-        # myopic path, and the report flags the failed certificate first
+        # non-monotone reach map: the certificate fails, and some under-building
+        # policies overtake the myopic path
         dm, model = adversarial_dip_model()
         cfg = SimulationConfig(q_init=1.0, horizon=3)
+        assert not certify_monotone_reachability(dm, model, q_init=1.0).holds
         report = enumerate_and_compare(dm, model, cfg, EnumerationConfig(4, 3))
-        assert not report.certificate_holds
         assert report.statewise_violations > 0
         assert not report.passed
 
 
 class TestEnumerationRoutes:
     """The float walk of the prefix tree, which ``verify`` takes without numpy,
-    against the array route over the same policies."""
+    against the array walk over the same policies."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -210,10 +182,9 @@ class TestEnumerationRoutes:
         except VrpError:
             return  # no limit to enumerate towards
         q_init = start * limit
-        rows = np.indices((g,) * horizon).reshape(horizon, g**horizon).T
         fractions = linspace(0.0, 1.0, g)
         try:
-            array = _expand_rows(dm, model, q_init, limit, np.linspace(0.0, 1.0, g), rows)
+            array = _walk_prefix_array(dm, model, q_init, limit, np.linspace(0.0, 1.0, g), horizon)
         except VrpError as exc:
             with pytest.raises(type(exc)):
                 _walk_prefix_tree(dm, model, q_init, limit, fractions, horizon)
@@ -229,9 +200,8 @@ class TestEnumerationRoutes:
     def test_an_overflowing_state_raises_on_both_routes(self, baseline_demand, baseline_model):
         limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
         model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
-        rows = np.indices((4,) * 3).reshape(3, 64).T
         with pytest.raises(CurveDomainError, match="^policy enumeration: "):
-            _expand_rows(baseline_demand, model, 2.0, limit, np.linspace(0.0, 1.0, 4), rows)
+            _walk_prefix_array(baseline_demand, model, 2.0, limit, np.linspace(0.0, 1.0, 4), 3)
         with pytest.raises(CurveDomainError, match="^policy enumeration: "):
             _walk_prefix_tree(baseline_demand, model, 2.0, limit, linspace(0.0, 1.0, 4), 3)
 

@@ -30,7 +30,6 @@ from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     TRAJECTORY_CSV_COLUMNS,
-    ReachabilityCertificate,
     SimulationConfig,
     Termination,
     _sampled_margins,
@@ -185,12 +184,9 @@ class TestInfeasibleWindow:
         model, result = window
         with pytest.raises(InfeasiblePeriodError):
             certify_monotone_reachability(DM, model, q_init=0.5, equilibrium=result)
-        # a certificate passed in, so the error comes from the enumerated states
-        holding = ReachabilityCertificate(True, 0.0, 0.5, 1.0, 0.0, 0.0, 0)
-        with pytest.raises(InfeasiblePeriodError):
-            enumerate_and_compare(
-                DM, model, SimulationConfig(0.5, 10), EnumerationConfig(4, 3), result, holding
-            )
+        # the enumeration builds no certificate, so the error comes from the enumerated states
+        with pytest.raises(InfeasiblePeriodError, match="^revenue cannot cover cost at Q="):
+            enumerate_and_compare(DM, model, SimulationConfig(0.5, 10), EnumerationConfig(4, 3), result)
 
     def test_verify_exits_3(self, window, tmp_path, capsys):
         doc = baseline_doc()
