@@ -4,10 +4,12 @@ Nothing here is used by the solvers themselves: these are falsifiers for
 tests and the ``verify`` command.  Policy enumeration checks that the myopic
 trajectory statewise-dominates every discretized feasible policy, expanding
 each policy prefix once, level by level; the dense scans re-derive the
-optimal price and the equilibrium root by exhaustive search.  A dense scan
-takes ``np.linspace``'s grid points SCAN_BLOCK at a time, from the points
-through the reduction, in a few buffers allocated once per call and filled
-in place by every block, so its temporaries stay cache-sized.
+optimal price and the equilibrium root on a uniform grid, considering every
+point: the price scan skips a block only where a bound shows it holds no
+better feasible price.  A dense scan takes ``np.linspace``'s grid points
+SCAN_BLOCK at a time, from the points through the reduction, in a few buffers
+allocated once per call and filled in place by every block, so its
+temporaries stay cache-sized.
 
 Only the dense scans import numpy.
 """
@@ -215,7 +217,12 @@ def dense_scan_price(
     wide enough to cover both pricing regimes with margin.  Its points are
     ``np.linspace``'s, evaluated SCAN_BLOCK at a time in buffers reused across
     blocks; a point whose sales exceed f(Q) is infeasible, and the first
-    maximum wins, as in one argmax over the whole grid.  Where e(Q) <= 0, or
+    maximum wins, as in one argmax over the whole grid.  Every point is
+    considered, but a block is skipped where two scalar exps bound it: its
+    prices are nonnegative and increasing and sales fall as the price rises,
+    so if its last price's sales exceed f(Q), or its last price times its
+    first price's sales cannot beat the best so far (each by ROUNDING_TOL),
+    it holds no better feasible point.  Where e(Q) <= 0, or
     f(Q) <= 0 or so small that M/f(Q) overflows, there is no price to find,
     and the scan raises the closed form's error.
     """
@@ -246,6 +253,12 @@ def dense_scan_price(
     best, best_rev = 0.0, -np.inf
     for i0 in range(0, n_points, size):
         m = min(size, n_points - i0)
+        # the block's least and most sales, in the array's operation order; a last
+        # block of one point is p_cap, which i0 * step may pass by an ulp
+        last = p_cap if i0 + m == n_points else (i0 + m - 1) * step
+        least, most = (dm.market_size * math.exp((-dm.sensitivity * p) / e_q) for p in (last, min(i0 * step, last)))
+        if least - scaled(ROUNDING_TOL, least) > sales_cap or last * most + scaled(ROUNDING_TOL, last * most) <= best_rev:
+            continue
         prices, sales, rev, infeasible = price_buf[:m], sales_buf[:m], rev_buf[:m], infeasible_buf[:m]
         np.multiply(np.add(offsets[:m], i0, out=prices), step, out=prices)
         if i0 + m == n_points:
@@ -287,18 +300,29 @@ def dense_scan_equilibrium(
     import numpy as np
     if n_points < 10:
         raise ValueError("n_points too small to be meaningful")
-    threshold = eqm.find_deliverability_threshold(dm, model)
-    qs = np.linspace(threshold, model.domain[1], n_points)
+    # np.linspace's point i is i*step + lo, the last hi, and i/div*delta + lo where the step underflows to zero
+    lo, hi = eqm.find_deliverability_threshold(dm, model), model.domain[1]
+    div, delta = n_points - 1, hi - lo
+    step = delta / div
+
+    def point(i: int) -> float:
+        return hi if i == div else (i * step if step else i / div * delta) + lo
+
     peak_scale = math.e * dm.sensitivity
     size = min(SCAN_BLOCK, n_points)
-    gap_buf, cost_buf, sign_buf = np.empty(size), np.empty(size), np.empty(size)
+    offsets = np.arange(size, dtype=float)
+    q_buf, gap_buf, cost_buf, sign_buf = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
     zero_buf, start_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     starts, ends = [], []
     carry = 0.0  # the sign of the last point of the previous block
     for i0 in range(0, n_points, size):
         m = min(size, n_points - i0)
-        gap, cost, sign, zero, start = gap_buf[:m], cost_buf[:m], sign_buf[:m], zero_buf[:m], start_buf[:m]
-        s = model.state(qs[i0 : i0 + m])
+        q, gap, cost, sign, zero, start = q_buf[:m], gap_buf[:m], cost_buf[:m], sign_buf[:m], zero_buf[:m], start_buf[:m]
+        np.add(offsets[:m], i0, out=q)
+        np.add(np.multiply(q if step else np.divide(q, div, out=q), step or delta, out=q), lo, out=q)
+        if i0 + m == n_points:
+            q[-1] = hi
+        s = model.state(q)
         if not np.all(s.e > 0):
             raise NetZeroGridError("peak revenue undefined on a net-zero grid")
         # the operation order of unconstrained_peak_revenue and PeriodState.cost,
@@ -317,7 +341,7 @@ def dense_scan_equilibrium(
         starts.extend((at + i0).tolist())
         ends.extend((at + i0 + ~zero[at]).tolist())  # a zero ends where it starts
         carry = sign[-1]
-    brackets = tuple(zip(qs[starts].tolist(), qs[ends].tolist()))
+    brackets = tuple((point(i), point(j)) for i, j in zip(starts, ends))
 
     return EquilibriumScan(
         found=bool(brackets),

@@ -207,7 +207,8 @@ class TestEnumerationRoutes:
 
 
 def reference_price_scan(dm, model, q, n_points):
-    """The price scan with fresh arrays in every block, as it was before its buffers."""
+    """The exhaustive scan the bound is checked against: every block filled,
+    with fresh arrays, as it was before its buffers."""
     e_q = model.emissions_at(q)
     f_q = model.delivered_at(q)
     base = e_q / dm.sensitivity
@@ -247,6 +248,41 @@ class TestDenseScanPrice:
         sizes = (10, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1, 100_003, 10**6)
         for n in sizes:
             assert dense_scan_price(dm, model, q, n) == reference_price_scan(dm, model, q, n), n
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([CurveKind.EXPONENTIAL_DECAY, CurveKind.TABULATED]),
+        binding=st.booleans(),
+        at=st.floats(0.0, 1.0),  # the state, as a fraction of its regime's span of the domain
+        n=st.sampled_from([10, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1])
+        | st.integers(10, 300_000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_matches_the_reference(self, seed, kind, binding, at, n):
+        dm, model = drawn_model(kind, np.random.default_rng(seed))
+        lo, hi = model.domain
+        try:
+            threshold = find_deliverability_threshold(dm, model)
+        except VrpError:
+            threshold = hi  # the cap binds on the whole domain
+        q = lo + at * (threshold - lo) if binding else threshold + at * (hi - threshold)
+        try:
+            scan = dense_scan_price(dm, model, q, n)
+        except VrpError as exc:  # no price to find: the closed form raises alike
+            with pytest.raises(type(exc)):
+                price_at(dm, model.state(q))
+            return
+        assert scan == reference_price_scan(dm, model, q, n)
+
+    def test_fills_only_the_blocks_that_can_win(self, baseline_demand, baseline_model, monkeypatch):
+        # CI parity's states: each 1e6-point scan fills at most 6 of its 62 blocks, one np.exp each
+        exp, filled = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda *args, **kwargs: filled.append(1) or exp(*args, **kwargs))
+        for q in (0.5, 3.0, 5.132567136843136, 6.5):
+            filled.clear()
+            scan = dense_scan_price(baseline_demand, baseline_model, q)
+            assert -(-(10**6) // SCAN_BLOCK) == 62 and 1 <= len(filled) <= 6, q
+            assert scan == reference_price_scan(baseline_demand, baseline_model, q, 10**6)
 
     def test_no_credits_raises_like_the_closed_form(self, baseline_demand, baseline_model):
         # f(0) = 0 on the baseline: no price, not a best price of 0.0
