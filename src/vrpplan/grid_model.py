@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from enum import Enum
 from functools import cached_property
@@ -130,6 +130,28 @@ class GridCurve:
             raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
         i = min(max(bisect_right(xs, q) - 1, 0), len(xs) - 2)
         return (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+
+    def value_range(self, a: float, b: float) -> tuple[float, float, float]:
+        """The least and greatest value on [a, b], a <= b, and the magnitude that
+        their rounding, and :func:`eval_curve`'s, scales with.  A table's extremes
+        lie among its values at a and b and the knots between (its magnitude also
+        takes the end segments' knots); an exponential, being monotone, has them
+        at a and b; a polynomial is bounded by interval Horner arithmetic (Moore,
+        *Interval Analysis*, 1966), with magnitude sum |c_k| max(|a|, |b|)^k."""
+        if self.kind is CurveKind.POLYNOMIAL:
+            lo = hi = 0.0
+            for c in reversed(self.coefficients):
+                corners = ((lo + c) * a, (lo + c) * b, (hi + c) * a, (hi + c) * b)
+                lo, hi = min(corners), max(corners)
+            r = max(abs(a), abs(b))
+            return lo, hi, sum(abs(c) * r**k for k, c in enumerate(self.coefficients, 1))
+        ends = (eval_curve(self, a), eval_curve(self, b))
+        if self.kind is CurveKind.EXPONENTIAL_DECAY:
+            return min(ends), max(ends), max(map(abs, ends))
+        xs, ys, _, _ = self._knots
+        i, j = bisect_right(xs, a), bisect_left(xs, b)  # xs[i:j] lie strictly inside (a, b)
+        lo, hi = min(*ends, *ys[i:j]), max(*ends, *ys[i:j])
+        return lo, hi, max(-lo, hi, abs(ys[max(i - 1, 0)]), abs(ys[min(j, len(ys) - 1)]))
 
     def to_dict(self) -> dict:
         doc: dict = {"kind": self.kind.value}
@@ -272,6 +294,10 @@ class CostSpec(Serializable):
     def slope(self, q):
         return self.alpha + 2.0 * self.beta * q
 
+    def value_range(self, a: float, b: float) -> tuple[float, float, float]:
+        """:meth:`GridCurve.value_range` on [a, b], 0 <= a <= b, where the cost is nondecreasing."""
+        return self.cost(a), self.cost(b), self.cost(b)
+
     @classmethod
     def from_dict(cls, doc: dict, path: str = "cost") -> "CostSpec":
         return read_numbers(cls, doc, path)
@@ -290,7 +316,7 @@ class PeriodState(NamedTuple):
     The same holds for every per-period result (``Decision``,
     ``PeriodSolution``, ``SharingSolution``, ``PeriodRecord``).  Built from an
     array of capacities, every field is an array: the oracles' grid in one
-    state.
+    state; by :meth:`GridModel.state_range`, a value range.
     """
 
     q: float  # capacity, GW, inside the model domain
@@ -343,6 +369,8 @@ class GridModel(Serializable):
         object.__setattr__(self, "invest_cost", float(self.invest_cost))
         if not -math.inf < lo < hi < math.inf:
             raise ValueError("domain must satisfy Q_min < Q_max, both finite")
+        if lo < 0.0:
+            raise ValueError(f"domain must satisfy Q_min >= 0, got {float(lo)}: capacities are nonnegative")
         if not 0.0 < self.invest_cost < math.inf:
             raise ValueError("invest_cost must be positive and finite")
         for name in ("emissions", "delivered", "energy_value"):
@@ -378,6 +406,12 @@ class GridModel(Serializable):
             self.cost_system.cost(q),
             self.cost_renewable.cost(q),
         )
+
+    def state_range(self, a: float, b: float) -> PeriodState:
+        """:meth:`state`'s fields over [a, b], a <= b, ends clamped as there: each a ``value_range``."""
+        a, b = self._clamp(a), self._clamp(b)
+        parts = (self.emissions, self.delivered, self.energy_value, self.cost_system, self.cost_renewable)
+        return PeriodState((a, b, b), *(part.value_range(a, b) for part in parts))
 
     def emissions_at(self, q: float) -> float:
         return eval_curve(self.emissions, self._clamp(q))

@@ -4,12 +4,10 @@ Nothing here is used by the solvers themselves: these are falsifiers for
 tests and the ``verify`` command.  Policy enumeration checks that the myopic
 trajectory statewise-dominates every discretized feasible policy, expanding
 each policy prefix once, level by level; the dense scans re-derive the
-optimal price and the equilibrium root on a uniform grid, considering every
-point: the price scan skips a block only where a bound shows it holds no
-better feasible price.  A dense scan takes ``np.linspace``'s grid points
-SCAN_BLOCK at a time, from the points through the reduction, in a few buffers
-allocated once per call and filled in place by every block, so its
-temporaries stay cache-sized.
+optimal price and the equilibrium root on a uniform grid, to the bits of an
+exhaustive scan: both walk ``np.linspace``'s points as ranges, skip one that a
+bound settles and halve any other down to leaves of SCAN_LEAF points, each
+filled in a few cache-sized buffers allocated once per call.
 
 Only the dense scans import numpy.
 """
@@ -22,12 +20,12 @@ from . import demand_pricing as dp
 from . import equilibrium as eqm
 from . import grid_model as gm
 from . import trajectory as traj
-from .errors import NetZeroGridError, NoSellableCreditsError
+from .errors import CurveDomainError, NetZeroGridError, NoSellableCreditsError
 from .serialize import Serializable, record
 from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
 
-SCAN_BLOCK = 2**14  # grid points per block of the dense scans
+SCAN_LEAF = 2**11  # the most grid points a dense scan fills at once
 MAX_POLICIES = 20000  # the most policies ``verify`` enumerates
 
 
@@ -208,6 +206,25 @@ def _walk_prefix_tree(
     )
 
 
+def _walk(n_points: int, settled, fill) -> None:
+    """Visit the grid points [0, n_points) in order as ranges [i0, i1): skip
+    one that ``settled(i0, i1)`` shows needs no filling, ``fill`` one that fits
+    a leaf, and halve any other at a multiple of SCAN_LEAF, left half first.
+    By a stack: a closure that calls itself is a reference cycle, which would
+    hold the scan's buffers until the cyclic collector next runs."""
+    ranges = [(0, n_points)]
+    while ranges:
+        i0, i1 = ranges.pop()
+        if settled(i0, i1):
+            continue
+        leaves = -(-(i1 - i0) // SCAN_LEAF)
+        if leaves == 1:
+            fill(i0, i1)
+            continue
+        mid = i0 + leaves // 2 * SCAN_LEAF
+        ranges += ((mid, i1), (i0, mid))  # the left half on top
+
+
 def dense_scan_price(
     dm: dp.DemandModel, model: gm.GridModel, q: float, n_points: int = 10**6
 ) -> float:
@@ -215,16 +232,14 @@ def dense_scan_price(
 
     The grid spans [0, p_cap] with p_cap = max(10 e/eps, 2 (e/eps) ln(M/f)),
     wide enough to cover both pricing regimes with margin.  Its points are
-    ``np.linspace``'s, evaluated SCAN_BLOCK at a time in buffers reused across
-    blocks; a point whose sales exceed f(Q) is infeasible, and the first
-    maximum wins, as in one argmax over the whole grid.  Every point is
-    considered, but a block is skipped where two scalar exps bound it: its
-    prices are nonnegative and increasing and sales fall as the price rises,
-    so if its last price's sales exceed f(Q), or its last price times its
-    first price's sales cannot beat the best so far (each by ROUNDING_TOL),
-    it holds no better feasible point.  Where e(Q) <= 0, or
-    f(Q) <= 0 or so small that M/f(Q) overflows, there is no price to find,
-    and the scan raises the closed form's error.
+    ``np.linspace``'s; a point whose sales exceed f(Q) is infeasible, and the
+    first maximum wins, as in one argmax over the whole grid.  :func:`_walk`
+    skips a range where two scalar exps bound it: its prices are nonnegative
+    and rising and its sales falling, so if its last price's sales exceed
+    f(Q), or its last price times its first price's sales cannot beat the
+    best so far (each by ROUNDING_TOL), it holds no better feasible point.
+    Where e(Q) <= 0, or f(Q) <= 0 or so small that M/f(Q) overflows, there is
+    no price to find, and the scan raises the closed form's error.
     """
     import numpy as np
     if n_points < 10:
@@ -246,22 +261,25 @@ def dense_scan_price(
     # makes its + 0.0 change none; offsets below 2**53 are exact as floats
     step = p_cap / (n_points - 1)
     sales_cap = f_q + scaled(ROUNDING_TOL, f_q)
-    size = min(SCAN_BLOCK, n_points)
+    size = min(SCAN_LEAF, n_points)
     offsets = np.arange(size, dtype=float)
     price_buf, sales_buf, rev_buf = np.empty(size), np.empty(size), np.empty(size)
     infeasible_buf = np.empty(size, dtype=bool)
     best, best_rev = 0.0, -np.inf
-    for i0 in range(0, n_points, size):
-        m = min(size, n_points - i0)
-        # the block's least and most sales, in the array's operation order; a last
-        # block of one point is p_cap, which i0 * step may pass by an ulp
-        last = p_cap if i0 + m == n_points else (i0 + m - 1) * step
+
+    def settled(i0: int, i1: int) -> bool:
+        # the range's least and most sales, in the array's operation order; a last
+        # range of one point is p_cap, which i0 * step may pass by an ulp
+        last = p_cap if i1 == n_points else (i1 - 1) * step
         least, most = (dm.market_size * math.exp((-dm.sensitivity * p) / e_q) for p in (last, min(i0 * step, last)))
-        if least - scaled(ROUNDING_TOL, least) > sales_cap or last * most + scaled(ROUNDING_TOL, last * most) <= best_rev:
-            continue
+        return least - scaled(ROUNDING_TOL, least) > sales_cap or last * most + scaled(ROUNDING_TOL, last * most) <= best_rev
+
+    def fill(i0: int, i1: int) -> None:
+        nonlocal best, best_rev
+        m = i1 - i0
         prices, sales, rev, infeasible = price_buf[:m], sales_buf[:m], rev_buf[:m], infeasible_buf[:m]
         np.multiply(np.add(offsets[:m], i0, out=prices), step, out=prices)
-        if i0 + m == n_points:
+        if i1 == n_points:
             prices[-1] = p_cap
         # M * exp((-eps * p) / e), in that order
         np.divide(np.multiply(-dm.sensitivity, prices, out=sales), e_q, out=sales)
@@ -273,6 +291,8 @@ def dense_scan_price(
         i = int(np.argmax(rev))
         if rev[i] > best_rev:
             best, best_rev = float(prices[i]), rev[i]
+
+    _walk(n_points, settled, fill)
     return best
 
 
@@ -293,9 +313,10 @@ def dense_scan_equilibrium(
     Returns every sign-change bracket on the sampled grid (a well-posed model
     has exactly one), in grid order; the oracle for the bisection solver.  A
     sample with a gap of exactly zero is a bracket of width zero.  The grid is
-    ``np.linspace``'s, and the states and gaps are evaluated SCAN_BLOCK points
-    at a time, in buffers reused across blocks; the last sign of a block is
-    carried to the next, so a sign change across a block boundary is found.
+    ``np.linspace``'s, and the result an exhaustive scan's, but :func:`_walk`
+    skips a range where an interval enclosure shows one strict sign of the gap
+    and e > 0.  The last sign of a range is carried to the next, so a change
+    between two is found.
     """
     import numpy as np
     if n_points < 10:
@@ -309,18 +330,43 @@ def dense_scan_equilibrium(
         return hi if i == div else (i * step if step else i / div * delta) + lo
 
     peak_scale = math.e * dm.sensitivity
-    size = min(SCAN_BLOCK, n_points)
+    peak = dm.market_size / peak_scale  # peak revenue per unit e
+    size = min(SCAN_LEAF, n_points)
     offsets = np.arange(size, dtype=float)
     q_buf, gap_buf, cost_buf, sign_buf = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
     zero_buf, start_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    starts, ends = [], []
-    carry = 0.0  # the sign of the last point of the previous block
-    for i0 in range(0, n_points, size):
-        m = min(size, n_points - i0)
+    pairs = []  # the index pairs of the brackets
+    carry = 0.0  # the sign of the last point before the next range
+
+    def enter(i0: int, first: float, last: float) -> None:
+        nonlocal carry
+        if carry * first < 0.0:  # the change between this range and the last
+            pairs.append((i0 - 1, i0))
+        carry = last
+
+    def settled(i0: int, i1: int) -> bool:
+        # the gap's enclosure from each field's (least, greatest, magnitude) shows one sign, and e > 0, where
+        # each clears 0 by ROUNDING_TOL scaled by the largest magnitude met; nothing if it raises or is not finite
+        try:
+            _, e, f, pi, s, r = model.state_range(point(i0), point(i1 - 1))
+        except (CurveDomainError, OverflowError):
+            return False
+        corners = (f[0] * pi[0], f[0] * pi[1], f[1] * pi[0], f[1] * pi[1])  # pi may be negative
+        gap_lo = e[0] * peak - (s[1] + r[1] - min(corners))
+        gap_hi = e[1] * peak - (s[0] + r[0] - max(corners))
+        slack = scaled(ROUNDING_TOL, e[2] * peak, f[2] * pi[2], s[2] + r[2], gap_lo, gap_hi)
+        if not (all(map(math.isfinite, (gap_lo, gap_hi, slack))) and e[0] > slack and max(gap_lo, -gap_hi) > slack):
+            return False
+        sign = 1.0 if gap_lo > slack else -1.0
+        enter(i0, sign, sign)
+        return True
+
+    def fill(i0: int, i1: int) -> None:
+        m = i1 - i0
         q, gap, cost, sign, zero, start = q_buf[:m], gap_buf[:m], cost_buf[:m], sign_buf[:m], zero_buf[:m], start_buf[:m]
         np.add(offsets[:m], i0, out=q)
         np.add(np.multiply(q if step else np.divide(q, div, out=q), step or delta, out=q), lo, out=q)
-        if i0 + m == n_points:
+        if i1 == n_points:
             q[-1] = hi
         s = model.state(q)
         if not np.all(s.e > 0):
@@ -331,21 +377,13 @@ def dense_scan_equilibrium(
         np.subtract(np.divide(np.multiply(s.e, dm.market_size, out=gap), peak_scale, out=gap), cost, out=gap)
 
         np.sign(gap, out=sign)
-        if carry * sign[0] < 0.0:  # the change between this block and the last
-            starts.append(i0 - 1)
-            ends.append(i0)
+        enter(i0, sign[0], sign[-1])
         np.equal(sign, 0.0, out=zero)
         np.less(np.multiply(sign[:-1], sign[1:], out=cost[:-1]), 0.0, out=start[:-1])
         start[-1] = False
         at = np.flatnonzero(np.logical_or(start, zero, out=start))
-        starts.extend((at + i0).tolist())
-        ends.extend((at + i0 + ~zero[at]).tolist())  # a zero ends where it starts
-        carry = sign[-1]
-    brackets = tuple((point(i), point(j)) for i, j in zip(starts, ends))
+        pairs.extend(zip((at + i0).tolist(), (at + i0 + ~zero[at]).tolist()))  # a zero ends where it starts
 
-    return EquilibriumScan(
-        found=bool(brackets),
-        bracket=brackets[0] if brackets else None,
-        sign_changes=brackets,
-        n_points=n_points,
-    )
+    _walk(n_points, settled, fill)
+    brackets = tuple((point(i), point(j)) for i, j in pairs)
+    return EquilibriumScan(bool(brackets), brackets[0] if brackets else None, brackets, n_points)

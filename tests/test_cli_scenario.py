@@ -674,10 +674,11 @@ class TestMalformedInput:
             ("emissions", {"kind": "parametric-polynomial", "coefficients": []}, "grid.emissions.coefficients: polynomial"),
             (None, {"domain": [0, 1000]}, "grid.delivered curve does not cover the model domain"),
             (None, {"domain": [12, 0]}, "grid.domain must satisfy Q_min < Q_max"),
+            (None, {"domain": [-3, 12]}, "grid.domain must satisfy Q_min >= 0, got -3.0"),
             (None, {"invest_cost": 0}, "grid.invest_cost must be positive"),
         ],
         ids=["unknown-kind", "missing-kind", "three-exponential-coefficients", "no-polynomial-coefficients",
-             "domain-past-table", "reversed-domain", "zero-invest-cost"],
+             "domain-past-table", "reversed-domain", "negative-domain", "zero-invest-cost"],
     )
     def test_constructor_error_names_its_path(self, tmp_path, capsys, curve, change, message):
         # a curve's kind and count checks and the model's own checks run in constructors

@@ -22,7 +22,7 @@ from vrpplan.grid_model import (
     linspace,
     validate_grid_conditions,
 )
-from vrpplan.tolerances import DOMAIN_TOL, scaled
+from vrpplan.tolerances import DOMAIN_TOL, ROUNDING_TOL, scaled
 
 
 def central_difference(fn, q: float, h: float = 1e-6) -> float:
@@ -162,6 +162,65 @@ class TestCostSpec:
         assert spec.slope(3.0) == pytest.approx(51.0)
 
 
+def sampled_values(value, a: float, b: float, extra=()) -> list[float]:
+    """``value`` at 4,001 evenly spaced points of [a, b], both ends and ``extra`` included."""
+    return [value(float(q)) for q in (*np.linspace(a, b, 4001), *extra)]
+
+
+def assert_encloses(value_range, values) -> None:
+    # every value within the range, less or more by the rounding slack the oracles allow
+    lo, hi, magnitude = value_range
+    slack = scaled(ROUNDING_TOL, magnitude)
+    assert lo <= hi and max(map(abs, values)) <= magnitude + slack
+    assert all(lo - slack <= v <= hi + slack for v in values)
+
+
+class TestValueRange:
+    def test_table_extreme_at_an_interior_knot(self):
+        # a peak at the knot 4.0, which neither end of [2.5, 7.0] reaches
+        curve = GridCurve(CurveKind.TABULATED, table=((0.0, 0.1), (2.0, 0.3), (4.0, 0.9), (6.0, -0.2), (8.0, 0.4)))
+        a, b = 2.5, 7.0
+        values = sampled_values(partial(eval_curve, curve), a, b, extra=(4.0, 6.0))
+        assert_encloses(curve.value_range(a, b), values)
+        assert curve.value_range(a, b)[:2] == (min(values), max(values)) == (-0.2, 0.9)  # exact: knots 6 and 4
+        assert curve.value_range(2.5, 3.5)[:2] == (eval_curve(curve, 2.5), eval_curve(curve, 3.5))  # one segment
+        assert curve.value_range(4.0, 4.0)[:2] == (0.9, 0.9)
+
+    @pytest.mark.parametrize("coefficients", [(120.0, 0.08), (2.0, -0.3), (-3.0, 0.5)])
+    def test_exponential_either_direction(self, coefficients):
+        # a negative rate grows, a negative amplitude rises toward zero
+        curve = GridCurve(CurveKind.EXPONENTIAL_DECAY, coefficients)
+        values = sampled_values(partial(eval_curve, curve), 1.5, 9.0)
+        assert_encloses(curve.value_range(1.5, 9.0), values)
+        assert curve.value_range(1.5, 9.0)[:2] == (min(values), max(values))
+
+    @pytest.mark.parametrize(
+        "coefficients, a, b",
+        [((21.0, 5.0, -0.3), 0.0, 12.0), ((3.0, -4.0, 1.0), 0.5, 3.5), ((-1.0, 2.0, -1.5, 0.25), 1.0, 6.0)],
+    )
+    def test_polynomial_mixed_signs(self, coefficients, a, b):
+        curve = GridCurve(CurveKind.POLYNOMIAL, coefficients)
+        assert_encloses(curve.value_range(a, b), sampled_values(partial(eval_curve, curve), a, b))
+        r = max(abs(a), abs(b))
+        assert curve.value_range(a, b)[2] == sum(abs(c) * r**k for k, c in enumerate(coefficients, 1))
+
+    def test_cost_spec(self):
+        spec = CostSpec(21.0, 5.0)
+        values = sampled_values(spec.cost, 0.5, 12.0)
+        assert_encloses(spec.value_range(0.5, 12.0), values)
+        assert spec.value_range(0.5, 12.0) == (spec.cost(0.5), spec.cost(12.0), spec.cost(12.0))
+
+    def test_state_range_clamps_like_state(self, baseline_model):
+        hi = baseline_model.domain[1]
+        r = baseline_model.state_range(3.0, math.nextafter(hi, math.inf))
+        assert r.q == (3.0, hi, hi)
+        for name, value_range in r._asdict().items():
+            if name != "q":
+                assert_encloses(value_range, [getattr(baseline_model.state(float(q)), name) for q in np.linspace(3.0, hi, 801)])
+        with pytest.raises(CurveDomainError):
+            baseline_model.state_range(3.0, hi + 1e-9)
+
+
 class TestPeriodState:
     def test_state_matches_single_evaluations(self, baseline_model):
         m = baseline_model
@@ -185,17 +244,18 @@ class TestPeriodState:
             np.testing.assert_allclose(value, expected, rtol=rtol, atol=0.0)
 
     def test_state_clamps_rounding_overshoot_only(self):
-        lo, hi = -30.82558960047005, 21.714803926843032
+        lo, hi = 8.835448658992814, 41.624944259365925  # lo + 1.0*(hi - lo) rounds one ulp above hi
         model = flat_model(0.4, 2.0, 5.0, domain=(lo, hi))
         overshoots = [lo + 1.0 * (hi - lo), math.nextafter(lo, -math.inf)]
+        assert overshoots[0] > hi
         assert model.state(overshoots[0]).q == hi
         assert model.state(overshoots[1]).q == lo
-        assert model.state(np.array(overshoots + [0.0])).q.tolist() == [hi, lo, 0.0]
+        assert model.state(np.array(overshoots + [20.0])).q.tolist() == [hi, lo, 20.0]
         for q in (hi + 1e-9, lo - 1e-9, math.nan):
             with pytest.raises(CurveDomainError):
                 model.state(q)
             with pytest.raises(CurveDomainError):
-                model.state(np.array([0.0, q]))
+                model.state(np.array([20.0, q]))
 
 
 class TestCostAggregates:

@@ -1,5 +1,6 @@
 """Brute-force verifiers: policy enumeration and dense scans."""
 
+import gc
 import math
 import sys
 
@@ -18,11 +19,12 @@ from vrpplan.errors import (
     VrpError,
 )
 from vrpplan import trajectory
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, array_arithmetic, linspace
 from vrpplan.oracles import (
-    SCAN_BLOCK,
+    SCAN_LEAF,
     DominanceReport,
     EnumerationConfig,
+    EquilibriumScan,
     _walk_prefix_array,
     _walk_prefix_tree,
     dense_scan_equilibrium,
@@ -37,6 +39,7 @@ from vrpplan.trajectory import (
 )
 
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
+SCAN_BLOCK = 2**14  # grid points per block of the exhaustive reference scans
 
 
 def reference_report(dm, model, cfg, ecfg, result) -> DominanceReport:
@@ -206,6 +209,10 @@ class TestEnumerationRoutes:
             _walk_prefix_tree(baseline_demand, model, 2.0, limit, linspace(0.0, 1.0, 4), 3)
 
 
+# every leaf and block boundary case of the scans and their references
+SCAN_SIZES = [10, SCAN_LEAF - 1, SCAN_LEAF, SCAN_LEAF + 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1]
+
+
 def reference_price_scan(dm, model, q, n_points):
     """The exhaustive scan the bound is checked against: every block filled,
     with fresh arrays, as it was before its buffers."""
@@ -243,10 +250,9 @@ PRICE_SCAN_CASES = [
 class TestDenseScanPrice:
     @pytest.mark.parametrize("dm, model, q, binding", PRICE_SCAN_CASES)
     def test_blocks_match_the_reference(self, dm, model, q, binding):
-        # every block boundary case: below, at and past one block, two blocks and a tail
+        # every leaf and block boundary case: below, at and past one, two blocks and a tail
         assert price_at(dm, model.state(q)).deliverability_binding is binding
-        sizes = (10, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1, 100_003, 10**6)
-        for n in sizes:
+        for n in (*SCAN_SIZES, 100_003, 10**6):
             assert dense_scan_price(dm, model, q, n) == reference_price_scan(dm, model, q, n), n
 
     @given(
@@ -254,8 +260,7 @@ class TestDenseScanPrice:
         kind=st.sampled_from([CurveKind.EXPONENTIAL_DECAY, CurveKind.TABULATED]),
         binding=st.booleans(),
         at=st.floats(0.0, 1.0),  # the state, as a fraction of its regime's span of the domain
-        n=st.sampled_from([10, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK + 1])
-        | st.integers(10, 300_000),
+        n=st.sampled_from(SCAN_SIZES) | st.integers(10, 300_000),
     )
     @settings(max_examples=100, deadline=None)
     def test_bound_matches_the_reference(self, seed, kind, binding, at, n):
@@ -275,13 +280,14 @@ class TestDenseScanPrice:
         assert scan == reference_price_scan(dm, model, q, n)
 
     def test_fills_only_the_blocks_that_can_win(self, baseline_demand, baseline_model, monkeypatch):
-        # CI parity's states: each 1e6-point scan fills at most 6 of its 62 blocks, one np.exp each
+        # CI parity's states: each 1e6-point scan fills at most 20 of its 489 leaves, one np.exp
+        # each, and so fewer points than the 6 of 62 blocks the exhaustive reference's blocks allowed
         exp, filled = np.exp, []
-        monkeypatch.setattr(np, "exp", lambda *args, **kwargs: filled.append(1) or exp(*args, **kwargs))
+        monkeypatch.setattr(np, "exp", lambda x, *args, **kwargs: filled.append(np.size(x)) or exp(x, *args, **kwargs))
         for q in (0.5, 3.0, 5.132567136843136, 6.5):
             filled.clear()
             scan = dense_scan_price(baseline_demand, baseline_model, q)
-            assert -(-(10**6) // SCAN_BLOCK) == 62 and 1 <= len(filled) <= 6, q
+            assert 1 <= len(filled) <= 20 and sum(filled) <= 20 * SCAN_LEAF < 6 * SCAN_BLOCK, q
             assert scan == reference_price_scan(baseline_demand, baseline_model, q, 10**6)
 
     def test_no_credits_raises_like_the_closed_form(self, baseline_demand, baseline_model):
@@ -383,7 +389,91 @@ def scalar_sign_changes(dm, model, n_points):
     return tuple(brackets)
 
 
+def reference_equilibrium_scan(dm, model, n_points):
+    """The exhaustive scan the enclosures are checked against: every block of
+    SCAN_BLOCK points filled, the last sign of a block carried to the next."""
+    lo, hi = find_deliverability_threshold(dm, model), model.domain[1]
+    div, delta = n_points - 1, hi - lo
+    step = delta / div
+
+    def point(i):
+        return hi if i == div else (i * step if step else i / div * delta) + lo
+
+    starts, ends = [], []
+    carry = 0.0  # the sign of the last point of the previous block
+    with array_arithmetic("equilibrium scan"):
+        for i0 in range(0, n_points, SCAN_BLOCK):
+            m = min(SCAN_BLOCK, n_points - i0)
+            q = np.arange(i0, i0 + m, dtype=float)
+            q = (q * step if step else q / div * delta) + lo
+            if i0 + m == n_points:
+                q[-1] = hi
+            s = model.state(q)
+            if not np.all(s.e > 0):
+                raise NetZeroGridError("peak revenue undefined on a net-zero grid")
+            sign = np.sign(s.e * dm.market_size / (math.e * dm.sensitivity) - ((s.C_S + s.C_R) - s.f * s.pi))
+            if carry * sign[0] < 0.0:
+                starts.append(i0 - 1)
+                ends.append(i0)
+            zero = sign == 0.0
+            at = np.flatnonzero(np.append(sign[:-1] * sign[1:] < 0.0, False) | zero)
+            starts.extend((at + i0).tolist())
+            ends.extend((at + i0 + ~zero[at]).tolist())
+            carry = sign[-1]
+    brackets = tuple((point(i), point(j)) for i, j in zip(starts, ends))
+    return EquilibriumScan(bool(brackets), brackets[0] if brackets else None, brackets, n_points)
+
+
 class TestDenseScanEquilibrium:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(CurveKind),
+        n=st.sampled_from(SCAN_SIZES) | st.integers(10, 300_000),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bound_matches_the_reference(self, seed, kind, n):
+        dm, model = drawn_model(kind, np.random.default_rng(seed))
+        try:
+            expected = reference_equilibrium_scan(dm, model, n)
+        except VrpError as exc:  # no threshold, or a state the scan cannot take: the scan raises alike
+            with pytest.raises(type(exc)):
+                dense_scan_equilibrium(dm, model, n)
+            return
+        assert dense_scan_equilibrium(dm, model, n) == expected
+
+    def test_fills_only_the_leaves_that_hold_a_sign_change(self, baseline_demand, baseline_model, monkeypatch):
+        # the baseline's one root: its 1e5-point scan evaluates at most 2 of its 49 leaves
+        state, sizes = GridModel.state, []
+        monkeypatch.setattr(GridModel, "state", lambda self, q: sizes.append(np.size(q)) or state(self, q))
+        scan = dense_scan_equilibrium(baseline_demand, baseline_model)
+        assert 1 <= len(sizes) <= 2 and sum(sizes) <= 2 * SCAN_LEAF
+        monkeypatch.undo()
+        assert scan == reference_equilibrium_scan(baseline_demand, baseline_model, 10**5)
+
+    def test_a_raising_enclosure_skips_nothing(self, baseline_demand, baseline_model, monkeypatch):
+        # pi = 1e-300 Q**500 is finite on [0, 12], but the enclosure's magnitude Q**500 overflows past
+        # Q = 4.2, so on all of the scan's span above the threshold, 5.13
+        model = baseline_model._replace(energy_value=GridCurve(CurveKind.POLYNOMIAL, (0.0,) * 499 + (1e-300,)))
+        with pytest.raises(OverflowError):
+            model.state_range(4.2, 4.2)
+        state, sizes = GridModel.state, []
+        monkeypatch.setattr(GridModel, "state", lambda self, q: sizes.append(np.size(q)) or state(self, q))
+        scan = dense_scan_equilibrium(baseline_demand, model)
+        assert sum(sizes) == 10**5  # every point filled
+        monkeypatch.undo()
+        assert scan == reference_equilibrium_scan(baseline_demand, model, 10**5)
+
+    def test_scans_leave_no_cyclic_garbage(self, baseline_demand, baseline_model):
+        # each scan's buffers and closures go when it returns, not when the cyclic collector next runs
+        gc.collect()
+        gc.disable()
+        try:
+            dense_scan_equilibrium(baseline_demand, baseline_model)
+            dense_scan_price(baseline_demand, baseline_model, 3.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_baseline_bracket(self, baseline_demand, baseline_model):
         result = solve_long_run_limit(baseline_demand, baseline_model)
         scan = dense_scan_equilibrium(baseline_demand, baseline_model, 10**4)
@@ -419,12 +509,14 @@ class TestDenseScanEquilibrium:
         # the last crossing, at Q = 8.75, lies between the last point of the first
         # block and the first of the second, halfway
         straddling = round((SCAN_BLOCK - 0.5) * 10.0 / 8.75) + 1
+        straddling_leaf = round((SCAN_LEAF - 0.5) * 10.0 / 8.75) + 1  # the same between two leaves
         cases = [
             (baseline_demand, baseline_model, 10**4),
             (DM, zero_gap_model(), 1000),
             (DM, flat_model(0.45, 4.0, 0.0), 1000),
             (DM, oscillating_model(), 2000),
             (DM, oscillating_model(), straddling),
+            (DM, oscillating_model(), straddling_leaf),
             (DM, zero_gap_model(), SCAN_BLOCK + 1),  # every point a zero-width bracket
         ]
         for dm, model, n in cases:
@@ -433,5 +525,8 @@ class TestDenseScanEquilibrium:
         qs = np.linspace(0.0, 10.0, straddling)  # the oscillating model's threshold is Q = 0
         across = (float(qs[SCAN_BLOCK - 1]), float(qs[SCAN_BLOCK]))
         assert across in dense_scan_equilibrium(DM, oscillating_model(), straddling).sign_changes
+        qs = np.linspace(0.0, 10.0, straddling_leaf)
+        across = (float(qs[SCAN_LEAF - 1]), float(qs[SCAN_LEAF]))
+        assert across in dense_scan_equilibrium(DM, oscillating_model(), straddling_leaf).sign_changes
         zeros = dense_scan_equilibrium(DM, zero_gap_model(), SCAN_BLOCK + 1).sign_changes
         assert len(zeros) == SCAN_BLOCK + 1
