@@ -6,8 +6,8 @@ Commands (all take --scenario PATH):
     share Q      revenue-sharing solution at capacity Q
     limit        long-run capacity limit
     simulate     myopic multi-period run; CSV/JSON plus plot-data files
-    verify       structural conditions, reachability certificate, policy
-                 enumeration, and KKT residual summary
+    verify       structural conditions (decided exactly), reachability
+                 certificate, policy enumeration, and KKT residual summary
     calibrate    merit-order dispatch -> grid-model JSON
 
 Exit codes: 0 success; 2 malformed input (a ``VrpError`` that is not an
@@ -17,9 +17,9 @@ infeasible result); 4 verification failure; 141 stdout closed by its reader,
 the code of a tool that SIGPIPE ended.  A warning prints to stderr as
 ``warning: ...``, beside the ``error:`` and ``infeasible:`` lines.
 
-Only ``calibrate``, with dispatch, loads numpy.  The sampled checks and the
-policy enumeration of ``simulate`` and ``verify`` follow the route rule of
-:func:`~vrpplan.grid_model.sample_grid`, and the KKT summary takes floats.
+Only ``calibrate``, with dispatch, loads numpy.  ``--samples`` sets only the
+certificate's resolution; it and the policy enumeration follow the route rule
+of :func:`~vrpplan.grid_model.sample_grid`, and the KKT summary takes floats.
 ``verify`` refuses more than ``oracles.MAX_POLICIES`` policies before any
 work.  ``dataclasses`` loads only with dispatch, for ``calibrate``, and
 ``inspect`` only with numpy: every other record is a
@@ -32,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import demand_pricing as dp
@@ -66,6 +67,7 @@ def _at_least(floor: int):
     return integer
 
 
+@cache  # one parser per process: each is a web of reference cycles
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vrpplan",
@@ -94,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run every independent check on the scenario")
     common(p)
-    count(p, "--samples", 3, "sampling resolution", default=200)
+    count(p, "--samples", 2, "certificate sampling resolution", default=200)
     count(p, "--horizon", 1, "enumeration horizon", default=3)
     count(p, "--q-grid", 2, "actions per period", default=4, dest="q_grid")
 
@@ -260,14 +262,10 @@ def _cmd_verify(args, scenario: Scenario) -> int:
     if args.q_grid ** min(args.horizon, cap.bit_length()) > cap:  # as --q-grid >= 2, past the cap from there on
         raise ValueError(f"--q-grid {args.q_grid} ** --horizon {args.horizon} policies: more than {cap}")
     dm, model = scenario.demand, scenario.grid
-    conditions = gm.validate_grid_conditions(model, n_samples=args.samples)
+    conditions = gm.validate_grid_conditions(model)
     result = eqm.solve_long_run_limit(dm, model)
-    certificate = traj.certify_monotone_reachability(
-        dm,
-        model,
-        n_samples=args.samples,
-        q_init=scenario.simulation.q_init,
-        equilibrium=result,
+    certificate = traj.certify_monotone_reachability(  # the one check --samples sets
+        dm, model, n_samples=args.samples, q_init=scenario.simulation.q_init, equilibrium=result
     )
     dominance = oracles.enumerate_and_compare(
         dm,

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import CurveDomainError
 from .serialize import Serializable, json_number, json_numbers, json_typed, plain, read_numbers, record
-from .tolerances import CERTIFY_TOL, DOMAIN_TOL, ZERO_TOL, scaled
+from .tolerances import CERTIFY_TOL, DOMAIN_TOL, ROUNDING_TOL, ZERO_TOL, scaled
 
 
 class CurveKind(str, Enum):
@@ -207,16 +207,12 @@ def linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]
 
 
 def sample_grid(lo: float, hi: float, n: int, endpoint: bool = True):
-    """``np.linspace(lo, hi, n, endpoint=endpoint)`` on the route rule of
-    every sampled check: the grid conditions, the reachability certificate
-    and policy enumeration.
-
-    With numpy loaded, as in calibration, the dense scans and any in-process
-    batch, the ndarray, and each term is one array call.  Without, as in
-    ``simulate`` and ``verify``, :func:`linspace`'s floats, and a float loop
-    takes them through the same functions, stage by stage, to the same
-    results but for ulps of ``math.exp`` and ``math.log`` against numpy's.
-    """
+    """``np.linspace(lo, hi, n, endpoint=endpoint)`` on the route rule of the
+    sampled checks, the reachability certificate and policy enumeration: with
+    numpy loaded (calibration, the dense scans, any in-process batch), the
+    ndarray, each term one array call; without (``simulate``, ``verify``),
+    :func:`linspace`'s floats, which a float loop takes through the same
+    functions to the same results but for ulps of math.exp and math.log."""
     if "numpy" in sys.modules:
         import numpy as np
         return np.linspace(lo, hi, n, endpoint=endpoint)
@@ -482,7 +478,6 @@ class ConditionReport:
     """Pass/fail record of the structural conditions the theory needs."""
 
     checks: tuple[ConditionCheck, ...]
-    n_samples: int
 
     @property
     def passed(self) -> bool:
@@ -492,67 +487,73 @@ class ConditionReport:
         return {c.name: c for c in self.checks}[name]
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "n_samples": self.n_samples, "checks": plain(self.checks)}
+        return {"passed": self.passed, "checks": plain(self.checks)}
 
 
-_CONDITIONS = "grid conditions"
+def validate_grid_conditions(model: GridModel) -> ConditionReport:
+    """Decide, at no sample, what the theory needs on the domain [lo, hi]: e > 0
+    inside it and nonincreasing; |f(0)| <= CERTIFY_TOL where lo is 0; f
+    nondecreasing and concave; pi nonincreasing.  A table is decided by its
+    steps between knots, lo and hi cut in, and its knots' depths below their
+    neighbours' chords; an exponential by its coefficients' signs; a
+    polynomial by left-first bisection, each piece [a, b] bounding D, the
+    value or derivative tested, by D(m) +- (b - a) max |D'| / 2 with D' from
+    value_range (which for D itself shrinks only with the piece: millions of
+    pieces near a touch), to pieces scaled(ROUNDING_TOL, lo, hi) wide, decided
+    at m.  Tolerances: ZERO_TOL for a wrong-way step or slope, scaled(ZERO_TOL,
+    max |f|) for a chord depth or f''; none for e > 0 (lo and hi may hold
+    e = 0) or the signs.  ``first_violation_q`` is the failing knot (a step's
+    upper one), the least failing Q found, or lo; a non-finite value raises."""
+    (lo, hi), f = model.domain, model.delivered
+    return ConditionReport(tuple(ConditionCheck(name, q is None, q) for name, q in (
+        ("emissions_positive", _first_violation("e", model.emissions, lo, hi, 0, -1.0, -math.ulp(0.0))),  # -e > -ulp: e <= 0
+        ("emissions_nonincreasing", _first_violation("e'", model.emissions, lo, hi, 1, 1.0, ZERO_TOL)),
+        ("delivered_zero_at_origin", 0.0 if lo <= 0.0 and abs(eval_curve(f, 0.0)) > CERTIFY_TOL else None),
+        ("delivered_nondecreasing", _first_violation("f'", f, lo, hi, 1, -1.0, ZERO_TOL)),
+        ("delivered_concave", _first_violation("f''", f, lo, hi, 2, 1.0, scaled(ZERO_TOL, *f.value_range(lo, hi)[:2]))),
+        ("energy_value_nonincreasing", _first_violation("pi'", model.energy_value, lo, hi, 1, 1.0, ZERO_TOL)),
+    )))
 
 
-def validate_grid_conditions(model: GridModel, n_samples: int = 200) -> ConditionReport:
-    """Sample every curve and report the structural-condition checks.
+def _first_violation(what: str, curve: GridCurve, lo: float, hi: float, order: int, sign: float, tol: float):
+    """The first Q of [lo, hi] where ``sign`` times the ``order``-th derivative of ``curve`` exceeds ``tol``, or None."""
+    if curve.kind is CurveKind.EXPONENTIAL_DECAY:  # the derivative is this times exp(-rate*Q) > 0
+        return lo if sign * (-curve.coefficients[1]) ** order * curve.coefficients[0] > min(tol, 0.0) else None
+    if curve.kind is CurveKind.TABULATED:
+        xs, ys, _, _ = curve._knots
+        i, j = bisect_right(xs, lo), bisect_left(xs, hi)  # xs[i:j] lie strictly inside (lo, hi)
+        qs, vs = [lo, *xs[i:j], hi], [sign * v for v in (eval_curve(curve, lo), *ys[i:j], eval_curve(curve, hi))]
+        if order == 0:  # an end fails below 0, or at 0 where no value lies above it
+            ends = 0.0 if min(vs) < 0.0 else tol
+            gaps = zip(qs, [v - (tol if 0 < k < len(vs) - 1 else ends) for k, v in enumerate(vs)])
+        elif order == 1:  # each step, at the knot that ends it
+            gaps = zip(qs[1:], [b - a - tol for a, b in zip(vs, vs[1:])])
+        else:  # each knot's depth below its neighbours' chord
+            gaps = zip(qs[1:-1], [u + (w - u) * ((x - t) / (z - t)) - v - tol
+                                  for t, x, z, u, v, w in zip(qs, qs[1:], qs[2:], vs, vs[1:], vs[2:])])
+        q, gap = next(((q, gap) for q, gap in gaps if not -math.inf < gap <= 0.0), (None, 0.0))  # fails or not finite
+        return _finite(what, q, gap)
+    # a polynomial: its order-th derivative and the next, each a constant plus a zero-intercept polynomial (zero-padded)
+    (c0, *d0), (c1, *d1) = ([math.perm(k, n) * c for k, c in enumerate((0.0, *curve.coefficients)) if k >= n] + [0.0, 0.0]
+                            for n in (order, order + 1))
+    _finite(what, lo, c0, c1, *d0, *d1)
+    value, slope = GridCurve(CurveKind.POLYNOMIAL, d0), GridCurve(CurveKind.POLYNOMIAL, d1)
+    width, pieces = scaled(ROUNDING_TOL, lo, hi), [(lo, hi)]
+    while pieces:
+        a, b = pieces.pop()
+        m, narrow = 0.5 * (a + b), b - a <= width  # a piece too narrow to split is decided at its midpoint
+        low, high, _ = slope.value_range(a, b)  # by the mean value theorem, the derivative lies within g +- r
+        g, r = sign * (c0 + eval_curve(value, m)), 0.0 if narrow else 0.5 * (b - a) * max(abs(c1 + low), abs(c1 + high))
+        _finite(what, m, g, r, low, high)
+        if g - r > tol:  # fails on the whole piece
+            return m if narrow else a
+        if g + r > tol:
+            pieces += [(m, b), (a, m)]
+    return None
 
-    Checked on a uniform grid over the model domain, monotonicity and
-    concavity within ZERO_TOL (non-strict, since tabulated empirical curves
-    are only weakly monotone) and |f(0)| within CERTIFY_TOL: e > 0 and
-    nonincreasing; f(0) ~ 0, f nondecreasing and discretely concave; pi
-    nonincreasing.  The grid and its route are :func:`sample_grid`'s.
-    """
-    if n_samples < 3:
-        raise ValueError("n_samples must be at least 3")
-    qs = sample_grid(*model.domain, n_samples)
-    return ConditionReport(checks=_sampled_checks(model, qs), n_samples=n_samples)
 
-
-def _sampled_checks(model: GridModel, qs) -> tuple[ConditionCheck, ...]:
-    """The condition checks on the grid ``qs`` of :func:`sample_grid`.  The
-    stages are every state, then the differences; overflow or NaN in one
-    raises a CurveDomainError on either route."""
-    lo, hi = model.domain
-    at_origin = lo <= 0.0 <= hi  # no point when 0 is outside the domain
-    array = is_array(qs)
-    if array:
-        import numpy as np
-        with array_arithmetic(_CONDITIONS):
-            s = model.state(qs)
-            e, f, pi = s.e, s.f, s.pi
-            de, df, d2f, dpi = np.diff(e), np.diff(f), np.diff(f, 2), np.diff(pi)
-            origin = np.zeros(1 if at_origin else 0)
-            f0 = np.abs(eval_curve(model.delivered, origin))
-            f_max = float(np.max(np.abs(f)))
-    else:
-        _, e, f, pi, _, _ = zip(*finite_samples(_CONDITIONS, "state", [model.state(q) for q in qs], qs))
-        de, df, dpi = ([b - a for a, b in zip(v, v[1:])] for v in (e, f, pi))  # np.diff's b - a
-        d2f = [b - a for a, b in zip(df, df[1:])]
-        finite_samples(_CONDITIONS, "difference", list(zip(de, df, dpi)), qs[1:])
-        finite_samples(_CONDITIONS, "second difference", d2f, qs[1:-1])
-        origin = [0.0] if at_origin else []
-        f0 = [abs(eval_curve(model.delivered, q)) for q in origin]
-        f_max = max(map(abs, f))
-    checks = []
-
-    def check(name: str, at, values, bad) -> None:
-        if array:
-            first = (at[bad(values)][:1].tolist() or [None])[0]
-        else:
-            first = next((q for q, v in zip(at, values) if bad(v)), None)
-        checks.append(ConditionCheck(name, first is None, first))  # the first violating Q, if any
-
-    # e(Q) > 0 on the interior of the sampled grid
-    check("emissions_positive", qs[1:-1], e[1:-1], lambda v: v <= 0.0)
-    check("emissions_nonincreasing", qs[1:], de, lambda v: v > ZERO_TOL)
-    check("delivered_zero_at_origin", origin, f0, lambda v: v > CERTIFY_TOL)
-    check("delivered_nondecreasing", qs[1:], df, lambda v: v < -ZERO_TOL)
-    concavity_tol = scaled(ZERO_TOL, f_max)
-    check("delivered_concave", qs[1:-1], d2f, lambda v: v > concavity_tol)
-    check("energy_value_nonincreasing", qs[1:], dpi, lambda v: v > ZERO_TOL)
-    return tuple(checks)
+def _finite(what: str, q: float | None, *values: float) -> float | None:
+    """``q`` if every value is finite; else a CurveDomainError naming ``what`` at ``q``."""
+    if all(map(math.isfinite, values)):
+        return q
+    raise CurveDomainError(f"grid conditions: {what} not finite at Q={q}")

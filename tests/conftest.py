@@ -12,7 +12,7 @@ import pytest
 from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at
 from vrpplan.equilibrium import find_deliverability_threshold
 from vrpplan.errors import ThresholdUnreachableError
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_curve
 from vrpplan.demand_pricing import unconstrained_peak_revenue
 from vrpplan.scenario import load_scenario
 from vrpplan.trajectory import SimulationConfig
@@ -112,6 +112,15 @@ def drawn_model(kind: CurveKind, rng: np.random.Generator) -> tuple[DemandModel,
         domain=(0.0, hi),
     )
     return DemandModel(*rng.uniform((6.0, 0.003), (16.0, 0.007)).tolist()), model
+
+
+def bumped_emissions(model: GridModel) -> GridModel:
+    """``model`` with e as a 49-knot table of its own curve, plus a bump of
+    +0.01 t/MWh at Q = 6.013 that is gone 1 MW to either side."""
+    knots = {float(q): eval_curve(model.emissions, float(q)) for q in np.linspace(*model.domain, 49)}
+    knots.update({q: eval_curve(model.emissions, q) for q in (6.012, 6.014)})
+    knots[6.013] = eval_curve(model.emissions, 6.013) + 0.01
+    return model._replace(emissions=GridCurve(CurveKind.TABULATED, table=tuple(sorted(knots.items()))))
 
 
 def random_accepted_model(

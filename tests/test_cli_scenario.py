@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE, BASELINE_PATH, baseline_doc
+from conftest import BASELINE, BASELINE_PATH, baseline_doc, bumped_emissions
 import vrpplan
 from vrpplan import cli, equilibrium, grid_model, trajectory
 from vrpplan.cli import main
@@ -278,6 +279,22 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert not out["passed"]
         assert not out["conditions"]["passed"]
+
+    @pytest.mark.parametrize("samples", ["2", "200", "1000", "10000"])
+    def test_verify_fails_on_a_bump_between_samples_at_any_resolution(self, tmp_path, capsys, samples):
+        doc = baseline_doc()
+        doc["grid"]["emissions"] = bumped_emissions(BASELINE.grid).emissions.to_dict()  # +0.01 t/MWh at Q = 6.013
+        path = tmp_path / "bump.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--scenario", str(path), "--samples", samples]) == 4
+        conditions = json.loads(capsys.readouterr().out)["conditions"]
+        assert list(conditions) == ["passed", "checks"]  # no sample count: none is taken
+        failed = [(c["name"], c["first_violation_q"]) for c in conditions["checks"] if not c["passed"]]
+        assert failed == [("emissions_nonincreasing", 6.013)]
+
+    def test_verify_takes_two_samples(self, capsys):
+        assert main(["verify", "--scenario", BASELINE_PATH, "--samples", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["reachability_certificate"]["n_samples"] == 2
 
     def test_calibrate_emits_loadable_model(self, tmp_path, capsys):
         out = tmp_path / "cal"
@@ -758,7 +775,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["verify", "--samples", "2"], "argument --samples: must be at least 3, got 2"),
+            (["verify", "--samples", "1"], "argument --samples: must be at least 2, got 1"),
             (["simulate", "--samples", "1"], "argument --samples: must be at least 2, got 1"),
             (["simulate", "--samples", "0"], "argument --samples: must be at least 2, got 0"),
             (["verify", "--horizon", "0"], "argument --horizon: must be at least 1, got 0"),
@@ -1030,6 +1047,24 @@ assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_a_warm_command_leaves_no_parser_in_reference_cycles(capsys):
+    # the parser is built once per process, so a second command frees no argparse object late
+    argv = ["limit", "--scenario", BASELINE_PATH]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it finds in gc.garbage
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        parsers = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert parsers == []
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])  # a print writes at once, or at exit

@@ -224,7 +224,7 @@ class TestCalibration:
             calibration, CostSpec(21.0, 5.0), CostSpec(9.6, 1.0), 1000.0
         )
         assert model.domain == (0.0, 14.0)
-        assert validate_grid_conditions(model, 60).passed
+        assert validate_grid_conditions(model).passed
 
     def test_q_grid_validation(self):
         fleet = default_fleet()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import drawn_model, flat_curve, flat_model
+from conftest import bumped_emissions, drawn_model, flat_curve, flat_model
 from vrpplan.demand_pricing import DemandModel, price_at
 from vrpplan.errors import CurveDomainError
 from vrpplan.grid_model import (
@@ -16,13 +16,12 @@ from vrpplan.grid_model import (
     CurveKind,
     GridCurve,
     GridModel,
-    _sampled_checks,
     eval_curve,
     is_array,
     linspace,
     validate_grid_conditions,
 )
-from vrpplan.tolerances import DOMAIN_TOL, ROUNDING_TOL, scaled
+from vrpplan.tolerances import CERTIFY_TOL, DOMAIN_TOL, ROUNDING_TOL, ZERO_TOL, scaled
 
 
 def central_difference(fn, q: float, h: float = 1e-6) -> float:
@@ -392,11 +391,70 @@ class TestSlopes:
         )
 
 
+def reference_conditions(model: GridModel, n_samples: int) -> dict:
+    """The conditions as they were once checked, at ``n_samples`` points of
+    ``np.linspace`` over the domain, with the same tolerances: each check's
+    first violating sample, or None.  A reference, blind between samples."""
+    lo, hi = model.domain
+    qs = np.linspace(lo, hi, n_samples)
+    e, f, pi = (eval_curve(curve, qs) for curve in (model.emissions, model.delivered, model.energy_value))
+
+    def first(at, bad):
+        return (at[bad][:1].tolist() or [None])[0]
+
+    return {
+        "emissions_positive": first(qs[1:-1], e[1:-1] <= 0.0),
+        "emissions_nonincreasing": first(qs[1:], np.diff(e) > ZERO_TOL),
+        "delivered_zero_at_origin": 0.0 if lo <= 0.0 and abs(eval_curve(model.delivered, 0.0)) > CERTIFY_TOL else None,
+        "delivered_nondecreasing": first(qs[1:], np.diff(f) < -ZERO_TOL),
+        "delivered_concave": first(qs[1:-1], np.diff(f, 2) > scaled(ZERO_TOL, float(np.max(np.abs(f))))),
+        "energy_value_nonincreasing": first(qs[1:], np.diff(pi) > ZERO_TOL),
+    }
+
+
+# each condition's curve, derivative order and sign: it fails where sign * that derivative lies past 0
+CONDITIONS = {
+    "emissions_positive": ("emissions", 0, -1.0),
+    "emissions_nonincreasing": ("emissions", 1, 1.0),
+    "delivered_nondecreasing": ("delivered", 1, -1.0),
+    "delivered_concave": ("delivered", 2, 1.0),
+    "energy_value_nonincreasing": ("energy_value", 1, 1.0),
+}
+
+
+def truly_fails(model: GridModel, name: str, q: float) -> bool:
+    """Whether condition ``name`` fails at Q = q with no tolerance, computed
+    here with numpy: a polynomial's or exponential's derivative at q, or at a
+    table's knot q the step into it or its depth below its neighbours' chord."""
+    if name == "delivered_zero_at_origin":
+        return q == 0.0 and eval_curve(model.delivered, 0.0) != 0.0
+    field, order, sign = CONDITIONS[name]
+    curve = getattr(model, field)
+    if curve.kind is CurveKind.POLYNOMIAL:
+        value = np.polynomial.Polynomial([0.0, *curve.coefficients]).deriv(order)(q)
+    elif curve.kind is CurveKind.EXPONENTIAL_DECAY:
+        amplitude, rate = curve.coefficients
+        value = (-rate) ** order * amplitude * math.exp(-rate * q)
+    else:
+        lo, hi = model.domain
+        knots = np.array(sorted({lo, hi, *(x for x, _ in curve.table if lo < x < hi)}))
+        v = np.interp(knots, *np.array(curve.table).T)
+        k = int(np.flatnonzero(knots == q)[0])
+        if order == 1:
+            value = v[k] - v[k - 1]
+        elif order == 2:
+            value = -(v[k] - np.interp(q, knots[[k - 1, k + 1]], v[[k - 1, k + 1]]))
+        else:
+            value = v[k]
+    return sign * value >= 0.0 if order == 0 else sign * value > 0.0
+
+
 class TestValidateGridConditions:
     def test_baseline_accepted(self, baseline_model):
-        report = validate_grid_conditions(baseline_model, 300)
+        report = validate_grid_conditions(baseline_model)
         assert report.passed
         assert all(c.first_violation_q is None for c in report.checks)
+        assert report.to_dict() == {"passed": True, "checks": [c.to_dict() for c in report.checks]}
 
     def test_emissions_decay_passes(self):
         model = flat_model(0.4, 2.0, 5.0)
@@ -409,7 +467,7 @@ class TestValidateGridConditions:
             invest_cost=model.invest_cost,
             domain=model.domain,
         )
-        assert validate_grid_conditions(model, 50).check("emissions_nonincreasing").passed
+        assert validate_grid_conditions(model).check("emissions_nonincreasing").passed
 
     def test_concave_delivered_passes(self):
         model = GridModel(
@@ -423,7 +481,7 @@ class TestValidateGridConditions:
             invest_cost=1000.0,
             domain=(0.0, 2.0),
         )
-        report = validate_grid_conditions(model, 5)
+        report = validate_grid_conditions(model)
         assert report.check("delivered_concave").passed
         assert report.check("delivered_nondecreasing").passed
 
@@ -440,47 +498,116 @@ class TestValidateGridConditions:
             invest_cost=1000.0,
             domain=(0.0, 5.0),
         )
-        report = validate_grid_conditions(model, 11)
+        report = validate_grid_conditions(model)
         check = report.check("energy_value_nonincreasing")
         assert not check.passed
-        assert check.first_violation_q is not None and check.first_violation_q > 0.0
+        assert check.first_violation_q == 5.0  # the table's one step ends at the domain's top
         assert not report.passed
 
     def test_accepted_implies_emissions_monotone_on_grid(self, baseline_model):
-        assert validate_grid_conditions(baseline_model, 100).passed
+        assert validate_grid_conditions(baseline_model).passed
         qs = np.linspace(*baseline_model.domain, 100)
         values = [baseline_model.emissions_at(q) for q in qs]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_too_few_samples_rejected(self, baseline_model):
-        with pytest.raises(ValueError):
-            validate_grid_conditions(baseline_model, 2)
+    def test_a_bump_between_samples_fails_at_its_knot(self, baseline_model):
+        model = bumped_emissions(baseline_model)
+        for n_samples in (200, 1000):  # no sample falls on the 2 MW bump
+            assert reference_conditions(model, n_samples)["emissions_nonincreasing"] is None
+        report = validate_grid_conditions(model)
+        assert [c.name for c in report.checks if not c.passed] == ["emissions_nonincreasing"]
+        assert report.check("emissions_nonincreasing").first_violation_q == 6.013
 
+    def test_a_table_knot_below_its_neighbours_chord_fails_there(self, baseline_model):
+        f = baseline_model.delivered
+        table = {**dict(f.table), **{q: eval_curve(f, q) for q in (6.012, 6.014)}}
+        table[6.013] = eval_curve(f, 6.013) - 1e-4  # a dent 1 MW wide, f still nondecreasing
+        model = baseline_model._replace(delivered=GridCurve(CurveKind.TABULATED, table=tuple(sorted(table.items()))))
+        assert reference_conditions(model, 1000)["delivered_concave"] is None
+        report = validate_grid_conditions(model)
+        assert [c.name for c in report.checks if not c.passed] == ["delivered_concave"]
+        assert report.check("delivered_concave").first_violation_q == 6.013
+        assert truly_fails(model, "delivered_concave", 6.013)
 
-class TestConditionRoutes:
-    """The condition checks on a list of floats, the float loop that ``verify``
-    takes without numpy, against the same grid as an array."""
+    def test_a_polynomial_convex_on_the_last_tenth_of_a_mw_fails_there(self, baseline_model):
+        # f = 5Q - 0.3Q^2 + cQ^3: f'' = -0.6 + 6cQ turns positive at 12 - 1e-4, f' stays above 1.4
+        turn = 12.0 - 1e-4
+        model = baseline_model._replace(delivered=GridCurve(CurveKind.POLYNOMIAL, (5.0, -0.3, 0.1 / turn)))
+        assert reference_conditions(model, 10**4)["delivered_concave"] is None
+        report = validate_grid_conditions(model)
+        assert [c.name for c in report.checks if not c.passed] == ["delivered_concave"]
+        q = report.check("delivered_concave").first_violation_q
+        # f'' passes its tolerance, about 6e-8, some 1.2e-6 GW past the turn
+        assert turn < q < turn + 1e-5 and truly_fails(model, "delivered_concave", q)
+
+    def test_a_second_derivative_touching_its_tolerance_takes_few_pieces(self, baseline_model, monkeypatch):
+        # f'' = T - 0.01 (Q - 6)^2, T the concavity tolerance, touches it at Q = 6: a bound from
+        # value_range of f'' alone shrinks as fast as the piece, and took millions of pieces there
+        tolerance = 0.0
+        for _ in range(5):  # T moves the tolerance it is set to by less each time
+            f = GridCurve(CurveKind.POLYNOMIAL, (5.0, (tolerance - 0.36) / 2.0, 0.02, -0.01 / 12.0))
+            tolerance = scaled(ZERO_TOL, *f.value_range(0.0, 12.0)[:2])
+        ranges = []
+        value_range = GridCurve.value_range
+        monkeypatch.setattr(GridCurve, "value_range", lambda curve, a, b: ranges.append(a) or value_range(curve, a, b))
+        report = validate_grid_conditions(baseline_model._replace(delivered=f))
+        assert report.check("delivered_concave").passed
+        assert len(ranges) < 1000
+
+    def test_zero_emissions_at_the_domain_start_pass_and_inside_fail(self, baseline_model):
+        # 0.4Q - 0.01Q^2 is 0 only at Q = 0; 0.4Q - 0.1Q^2 also at Q = 4; -0.4Q is below 0 past Q = 0
+        for coefficients, low, high in (((0.4, -0.01), None, None), ((0.4, -0.1), 4.0, 4.0 + 1e-9), ((-0.4,), 0.0, 0.0)):
+            model = baseline_model._replace(emissions=GridCurve(CurveKind.POLYNOMIAL, coefficients))
+            q = validate_grid_conditions(model).check("emissions_positive").first_violation_q
+            assert q is None if low is None else low <= q <= high and truly_fails(model, "emissions_positive", q)
+        for table, first in (
+            (((0.0, 0.0), (6.0, 0.2), (12.0, 0.0)), None),  # 0 at both ends only
+            (((0.0, 0.2), (6.0, 0.0), (12.0, 0.1)), 6.0),  # 0 at a knot inside
+            (((0.0, -0.1), (6.0, 0.2), (12.0, 0.1)), 0.0),  # below 0 at an end
+            (((0.0, 0.0), (12.0, 0.0)), 0.0),  # 0 throughout
+        ):
+            model = baseline_model._replace(emissions=GridCurve(CurveKind.TABULATED, table=table))
+            assert validate_grid_conditions(model).check("emissions_positive").first_violation_q == first
+
+    def test_exponential_signs_decide(self, baseline_model):
+        for coefficients, failing in (
+            ((0.4, 0.06), []),
+            ((0.4, -1e-12), ["emissions_nonincreasing"]),
+            ((-0.4, 0.06), ["emissions_positive", "emissions_nonincreasing"]),
+            ((0.0, 0.06), ["emissions_positive"]),
+        ):
+            model = baseline_model._replace(emissions=GridCurve(CurveKind.EXPONENTIAL_DECAY, coefficients))
+            report = validate_grid_conditions(model)
+            assert [c.name for c in report.checks if not c.passed] == failing
+            assert all(c.first_violation_q == 0.0 for c in report.checks if not c.passed)
+
+    @pytest.mark.parametrize(
+        "field, curve",
+        [
+            ("delivered", GridCurve(CurveKind.POLYNOMIAL, (1.0, 0.0, 1e307))),  # the enclosure of f' overflows
+            ("delivered", GridCurve(CurveKind.POLYNOMIAL, (1.0, 0.0, 1e308))),  # so does a coefficient of f'
+            ("emissions", GridCurve(CurveKind.TABULATED, table=((0.0, -1.7e308), (12.0, 1.7e308)))),  # a step overflows
+        ],
+    )
+    def test_a_value_past_the_float_range_raises(self, baseline_model, field, curve):
+        with pytest.raises(CurveDomainError, match="^grid conditions: "):
+            validate_grid_conditions(baseline_model._replace(**{field: curve}))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(CurveKind),
         start=st.sampled_from((0.0, 0.25)),  # 0.25: the origin lies outside the domain
-        n_samples=st.sampled_from((3, 200, 1000)),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_float_loop_matches_array_route(self, seed, kind, start, n_samples):
+    @settings(max_examples=100, deadline=None)
+    def test_a_pass_holds_at_every_sample_and_a_failure_is_real(self, seed, kind, start):
         _, model = drawn_model(kind, np.random.default_rng(seed))
         model = model._replace(domain=(start * model.domain[1], model.domain[1]))
-        qs = np.linspace(*model.domain, n_samples)
-        # every name, verdict and first violating Q, bit for bit
-        assert _sampled_checks(model, linspace(*model.domain, n_samples)) == _sampled_checks(model, qs)
-
-    def test_an_overflowing_state_raises_on_both_routes(self, baseline_model):
-        model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))  # C_S overflows past Q = 1.35
-        qs = np.linspace(*model.domain, 200)
-        for samples in (qs, qs.tolist()):
-            with pytest.raises(CurveDomainError, match="^grid conditions: "):
-                _sampled_checks(model, samples)
+        sampled = reference_conditions(model, 10**4)
+        for check in validate_grid_conditions(model).checks:
+            if check.passed:
+                assert sampled[check.name] is None, check.name
+            else:
+                assert truly_fails(model, check.name, check.first_violation_q), check
 
 
 class TestLinspace:
