@@ -125,18 +125,7 @@ def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
         base = s.e / dm.sensitivity
         binding = dm.market_size * math.exp(-1.0) > s.f
         return PriceSolution(np.where(binding, base * np.log(dm.market_size / s.f), base), binding)
-    if s.e <= 0:
-        raise NetZeroGridError(f"e(Q)={s.e} at Q={s.q}: no emissions left to differentiate")
-    if s.f <= 0:
-        raise NoSellableCreditsError(f"f(Q)={s.f} at Q={s.q}: no credits to sell")
-    peak_sales = dm.market_size * math.exp(-1.0)
-    base = s.e / dm.sensitivity
-    if peak_sales <= s.f:
-        return PriceSolution(base, False)
-    ratio = dm.market_size / s.f
-    if ratio == math.inf:
-        raise NoSellableCreditsError(f"f(Q)={s.f} at Q={s.q}: too few credits to price, M/f(Q) overflows")
-    return PriceSolution(base * math.log(ratio), True)
+    return PriceSolution(*decide_at(dm, s, 1.0)[:2])  # the price does not depend on k
 
 
 class Decision(NamedTuple):
@@ -151,8 +140,8 @@ class Decision(NamedTuple):
 
 
 def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
-    """The integrated decision at a state: one :func:`price_at`, one demand
-    evaluation and one revenue/cost tolerance.
+    """The integrated decision at a state: the price regime, demand and one
+    revenue/cost tolerance, inlined in one float body that :func:`price_at` runs.
 
     The expansion is the binding financial constraint's (R* - C)/k, clamped
     at zero.  Status distinguishes an expanding period, the long-run
@@ -162,9 +151,10 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     at once, with the scalar rules, but for ulps of ``np.exp`` and ``np.log``.
     Decisions take a state; the solvers built on them take a capacity.
     """
-    price, binding = price_at(dm, s)
-    cost = s.cost
-    if gm.is_array(s.q):
+    q, e, f, pi, c_s, c_r = s
+    if type(q) is not float and gm.is_array(q):  # a float state skips the call
+        price, binding = price_at(dm, s)
+        cost = s.cost
         import numpy as np
         rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
         tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
@@ -172,7 +162,21 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
         status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
         status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
         return Decision(price, binding, rev, np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)
-    rev = price * demand(dm, price, s.e)
+    if e <= 0:
+        raise NetZeroGridError(f"e(Q)={e} at Q={q}: no emissions left to differentiate")
+    if f <= 0:
+        raise NoSellableCreditsError(f"f(Q)={f} at Q={q}: no credits to sell")
+    market, eps = dm.market_size, dm.sensitivity
+    price = e / eps
+    binding = not market * math.exp(-1.0) <= f  # peak sales M*exp(-1) exceed f(Q), or f(Q) is NaN
+    if binding:
+        ratio = market / f
+        if ratio == math.inf:
+            raise NoSellableCreditsError(f"f(Q)={f} at Q={q}: too few credits to price, M/f(Q) overflows")
+        price *= math.log(ratio)
+    # a price >= 0 and e > 0 pass demand()'s checks
+    rev = price * (market * math.exp(-eps * price / e))
+    cost = c_s + c_r - f * pi
     tol = BALANCE_TOL * max(abs(rev), abs(cost))  # no floor: near Q = 0 both are tiny
     if not rev >= cost - tol:  # also a NaN revenue
         expansion, status = 0.0, ExpansionStatus.INFEASIBLE

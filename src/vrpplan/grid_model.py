@@ -9,9 +9,9 @@ Canonical units throughout the package:
 * energy value      M$/GW-yr captured by renewables when producing
 
 A :class:`GridModel` is an immutable value object; every evaluation helper is
-a pure function, so models can be shared freely across threads.  Every
-evaluation takes a float or an ndarray of capacities, and every slope is
-analytic (``slope`` of a curve or a cost, :meth:`GridModel.cost_slope`).
+a pure function, so models can be shared freely across threads.  Evaluations
+take a float, on kernels bound once per curve and per model, or an ndarray;
+every slope is analytic (``slope`` of a curve or a cost, :meth:`GridModel.cost_slope`).
 
 :meth:`GridModel.state` turns a capacity into the :class:`PeriodState`, costs
 included, that decisions (``price_at``, ``decide_at``) take; solvers take the
@@ -75,19 +75,20 @@ class GridCurve:
                 raise ValueError("exponential-decay curve takes (amplitude, rate)")
             if self.kind is CurveKind.POLYNOMIAL and not self.coefficients:
                 raise ValueError("polynomial curve needs at least one coefficient")
-            return
-        if len(self.table) < 2 or not all(len(row) == 2 for row in self.table):
-            raise ValueError("tabulated curve needs at least 2 (Q, value) rows")
-        rows = tuple([(float(q), float(v)) for q, v in self.table])
-        xs, ys = map(list, zip(*rows))
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
-            raise ValueError("tabulated curve entries must be finite")
-        if not all(map(float.__lt__, xs, xs[1:])):
-            raise ValueError("tabulated curve Q values must be strictly increasing")
-        slack = scaled(DOMAIN_TOL, xs[0], xs[-1])
-        object.__setattr__(self, "table", rows)
-        # the knots as lists, plus the accepted range: the table's ends widened by DOMAIN_TOL
-        object.__setattr__(self, "_knots", (xs, ys, xs[0] - slack, xs[-1] + slack))
+        else:
+            if len(self.table) < 2 or not all(len(row) == 2 for row in self.table):
+                raise ValueError("tabulated curve needs at least 2 (Q, value) rows")
+            rows = tuple([(float(q), float(v)) for q, v in self.table])
+            xs, ys = map(list, zip(*rows))
+            if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+                raise ValueError("tabulated curve entries must be finite")
+            if not all(map(float.__lt__, xs, xs[1:])):
+                raise ValueError("tabulated curve Q values must be strictly increasing")
+            slack = scaled(DOMAIN_TOL, xs[0], xs[-1])
+            object.__setattr__(self, "table", rows)
+            # the knots as lists, plus the accepted range: the table's ends widened by DOMAIN_TOL
+            object.__setattr__(self, "_knots", (xs, ys, xs[0] - slack, xs[-1] + slack))
+        object.__setattr__(self, "_at", _float_evaluator(self))
 
     @cached_property
     def _arrays(self):
@@ -227,48 +228,67 @@ def _within(q, lo: float, hi: float, name: str, ends):
     return q
 
 
+def _float_evaluator(curve: GridCurve):
+    """:func:`eval_curve`'s scalar body for ``curve``, bound once; it holds the numbers, never the curve (a cycle)."""
+    if curve.kind is CurveKind.TABULATED:
+        xs, ys, lo, hi = curve._knots
+        last = len(xs) - 1
+
+        def at(q):
+            if not lo <= q <= hi:
+                raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
+            j = bisect_right(xs, q) - 1  # xs[j] <= q < xs[j + 1]
+            if j < 0:
+                return ys[0]
+            if j == last or xs[j] == q:
+                return ys[j]
+            # float() keeps a NumPy scalar q from making the result one
+            return float((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (q - xs[j]) + ys[j])
+    elif curve.kind is CurveKind.EXPONENTIAL_DECAY:
+        amplitude, rate = curve.coefficients
+
+        def at(q):
+            try:
+                return amplitude * math.exp(-rate * q)
+            except OverflowError:
+                raise CurveDomainError(f"exponential curve overflows at Q={q}") from None
+    else:
+        reverse = curve.coefficients[::-1]
+
+        def at(q):
+            # zero-intercept polynomial by Horner's rule, coefficients from the linear term upward
+            acc = 0.0
+            for c in reverse:
+                acc = (acc + c) * q
+            return acc
+    return at
+
+
 def eval_curve(curve: GridCurve, q):
     """Evaluate a curve at capacity ``q`` (GW), a float or an ndarray.
 
-    A tabulated curve evaluates a point within DOMAIN_TOL past an end of its
-    table, a rounding overshoot, at that end; farther out, or at NaN, it
-    raises.  So does an exponential curve whose value overflows.  An array
-    gives the scalar floats, but for an ulp of ``np.exp`` against ``math.exp``.
-    A table queried at an array goes through ``np.interp``; at a scalar, it
-    bisects the knot lists and applies ``np.interp``'s own formula, so the
-    two give the same bits: the knot's value at a knot and at either end.
+    A scalar, or an array at a polynomial, runs the kernel bound once per
+    curve.  A table evaluates a point within DOMAIN_TOL past an end at that
+    end; farther out, or at NaN, it raises, as an exponential does where it
+    overflows.  An array gives the scalar floats, but for an ulp of ``np.exp``
+    against ``math.exp``.  A table's kernel bisects the knot lists and applies
+    ``np.interp``'s formula, so both routes give ``np.interp``'s bits.
     """
-    array = is_array(q)
+    if not is_array(q):
+        return curve._at(q)
+    import numpy as np
     if curve.kind is CurveKind.TABULATED:
-        xs, ys, lo, hi = curve._knots
-        if array:
-            import numpy as np
-            qs, vs = curve._arrays
-            return np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
-        if not lo <= q <= hi:
-            raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
-        j = bisect_right(xs, q) - 1  # xs[j] <= q < xs[j + 1]
-        if j < 0:
-            return ys[0]
-        if j == len(xs) - 1 or xs[j] == q:
-            return ys[j]
-        # float() keeps a NumPy scalar q from making the result one
-        return float((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (q - xs[j]) + ys[j])
+        _, _, lo, hi = curve._knots
+        qs, vs = curve._arrays
+        return np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
     if curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients
         try:
-            if array:
-                import numpy as np
-                with np.errstate(over="raise", invalid="raise"):
-                    return amplitude * np.exp(-rate * q)
-            return amplitude * math.exp(-rate * q)
-        except (OverflowError, FloatingPointError):
+            with np.errstate(over="raise", invalid="raise"):
+                return amplitude * np.exp(-rate * q)
+        except FloatingPointError:
             raise CurveDomainError(f"exponential curve overflows at Q={q}") from None
-    # zero-intercept polynomial: coefficients from the linear term upward
-    acc = 0.0
-    for c in reversed(curve.coefficients):
-        acc = (acc + c) * q
-    return acc
+    return curve._at(q)
 
 
 @record
@@ -302,11 +322,11 @@ class CostSpec(Serializable):
 class PeriodState(NamedTuple):
     """The grid at one capacity: every number a period's decisions read.
 
-    Built by :meth:`GridModel.state`.  Price, revenue, expansion, share,
-    status and phase of the period are arithmetic on these six values:
-    a simulated period builds one state and one
-    :class:`~vrpplan.demand_pricing.Decision` from it, which serve the limit
-    test, the step and the record.
+    Built by :meth:`GridModel.state`, from a float by the model's kernel.
+    Price, revenue, expansion, share, status and phase of the period are
+    arithmetic on these six values: a simulated period builds one state and
+    one :class:`~vrpplan.demand_pricing.Decision` from it, which serve the
+    limit test, the step and the record.
     Immutable; a tuple rather than a :func:`~vrpplan.serialize.record`
     because one is built per period, and a tuple builds in a third the time.
     The same holds for every per-period result (``Decision``,
@@ -374,25 +394,23 @@ class GridModel(Serializable):
             clo, chi = curve.domain
             if clo > lo or chi < hi:
                 raise ValueError(f"{name} curve does not cover the model domain")
+        _bind_float_kernel(self)
 
     def _clamp(self, q):
         """``q``, a float or an ndarray, inside the domain; within DOMAIN_TOL
         past an end, that end; farther out, or NaN, an error."""
+        if not is_array(q):
+            return self._clamp_at(q)
+        import numpy as np
         lo, hi = self.domain
-        if is_array(q):
-            import numpy as np
-            slack = scaled(DOMAIN_TOL, lo, hi)
-            return np.clip(_within(q, lo - slack, hi + slack, "model", self.domain), lo, hi)
-        if lo <= q <= hi:
-            return q
         slack = scaled(DOMAIN_TOL, lo, hi)
-        if lo - slack <= q <= hi + slack:
-            return min(max(q, lo), hi)
-        raise CurveDomainError(f"Q={q} outside model domain [{lo}, {hi}]")
+        return np.clip(_within(q, lo - slack, hi + slack, "model", self.domain), lo, hi)
 
     def state(self, q) -> PeriodState:
         """The grid at capacity ``q``, a float or an ndarray: one domain check,
-        one evaluation of e, f and pi."""
+        one evaluation of e, f and pi.  A float takes the model's kernel."""
+        if not is_array(q):
+            return self._state_at(q)
         q = self._clamp(q)
         return PeriodState(
             q,
@@ -410,10 +428,14 @@ class GridModel(Serializable):
         return PeriodState((a, b, b), *(part.value_range(a, b) for part in parts))
 
     def emissions_at(self, q: float) -> float:
-        return eval_curve(self.emissions, self._clamp(q))
+        if is_array(q):
+            return eval_curve(self.emissions, self._clamp(q))
+        return self.emissions._at(self._clamp_at(q))
 
     def delivered_at(self, q: float) -> float:
-        return eval_curve(self.delivered, self._clamp(q))
+        if is_array(q):
+            return eval_curve(self.delivered, self._clamp(q))
+        return self.delivered._at(self._clamp_at(q))
 
     def cost_slope(self, q):
         """C'(Q) = C_S' + C_R' - f'*pi - f*pi', M$/GW-yr, at ``q`` clamped as by :meth:`state`."""
@@ -441,6 +463,30 @@ class GridModel(Serializable):
             return cls(**fields)
         except ValueError as exc:  # its message begins with the field's name
             raise ValueError(f"{path}.{exc}") from None
+
+
+def _bind_float_kernel(model: GridModel) -> None:
+    """Bind ``model``'s scalar ``_clamp`` and ``state`` once; they hold its numbers, never it (a cycle)."""
+    (lo, hi), system, renewable = model.domain, model.cost_system, model.cost_renewable
+    slack = scaled(DOMAIN_TOL, lo, hi)
+    e_at, f_at, pi_at = model.emissions._at, model.delivered._at, model.energy_value._at
+    a_s, b_s, a_r, b_r = system.alpha, system.beta, renewable.alpha, renewable.beta
+
+    def clamp(q):
+        if lo <= q <= hi:
+            return q
+        if lo - slack <= q <= hi + slack:
+            return min(max(q, lo), hi)
+        raise CurveDomainError(f"Q={q} outside model domain [{lo}, {hi}]")
+
+    def state(q):
+        if not lo <= q <= hi:
+            q = clamp(q)
+        # the costs in CostSpec.cost's operation order
+        return PeriodState(q, e_at(q), f_at(q), pi_at(q), a_s * q + b_s * q * q, a_r * q + b_r * q * q)
+
+    object.__setattr__(model, "_clamp_at", clamp)
+    object.__setattr__(model, "_state_at", state)
 
 
 @contextmanager

@@ -1,6 +1,8 @@
 """Grid primitives: curve evaluation, costs, slopes, condition checks."""
 
+import gc
 import math
+from bisect import bisect_right
 from functools import partial
 
 import numpy as np
@@ -9,19 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bumped_emissions, drawn_model, flat_curve, flat_model
-from vrpplan.demand_pricing import DemandModel, price_at
-from vrpplan.errors import CurveDomainError
+from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at, demand, price_at
+from vrpplan.errors import CurveDomainError, NetZeroGridError, NoSellableCreditsError
 from vrpplan.grid_model import (
     CostSpec,
     CurveKind,
     GridCurve,
     GridModel,
+    PeriodState,
     eval_curve,
     is_array,
     linspace,
     validate_grid_conditions,
 )
-from vrpplan.tolerances import CERTIFY_TOL, DOMAIN_TOL, ROUNDING_TOL, ZERO_TOL, scaled
+from vrpplan.tolerances import BALANCE_TOL, CERTIFY_TOL, DOMAIN_TOL, ROUNDING_TOL, ZERO_TOL, scaled
 
 
 def central_difference(fn, q: float, h: float = 1e-6) -> float:
@@ -693,6 +696,160 @@ class TestScalarRouting:
         assert array.tobytes() == np.interp(qs, *map(np.array, zip(*table))).tobytes()
         assert array.tolist() == scalar
         assert fresh.slope(qs).tobytes() == warmed.slope(qs).tobytes()
+
+
+def reference_curve(curve: GridCurve, q):
+    """A curve at a scalar ``q``, written out term by term from its table or
+    coefficients: the reference its bound kernel matches bit for bit."""
+    if curve.kind is CurveKind.TABULATED:
+        xs, ys = (list(column) for column in zip(*curve.table))
+        slack = scaled(DOMAIN_TOL, xs[0], xs[-1])
+        if not xs[0] - slack <= q <= xs[-1] + slack:
+            raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
+        j = bisect_right(xs, q) - 1
+        if j < 0:
+            return ys[0]
+        if j == len(xs) - 1 or xs[j] == q:
+            return ys[j]
+        return float((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (q - xs[j]) + ys[j])
+    if curve.kind is CurveKind.EXPONENTIAL_DECAY:
+        amplitude, rate = curve.coefficients
+        try:
+            return amplitude * math.exp(-rate * q)
+        except OverflowError:
+            raise CurveDomainError(f"exponential curve overflows at Q={q}") from None
+    acc = 0.0
+    for c in reversed(curve.coefficients):
+        acc = (acc + c) * q
+    return acc
+
+
+def reference_clamp(model: GridModel, q):
+    lo, hi = model.domain
+    if lo <= q <= hi:
+        return q
+    slack = scaled(DOMAIN_TOL, lo, hi)
+    if lo - slack <= q <= hi + slack:
+        return min(max(q, lo), hi)
+    raise CurveDomainError(f"Q={q} outside model domain [{lo}, {hi}]")
+
+
+def reference_state(model: GridModel, q) -> tuple:
+    q = reference_clamp(model, q)
+    curves = (model.emissions, model.delivered, model.energy_value)
+    return (q, *(reference_curve(curve, q) for curve in curves), model.cost_system.cost(q), model.cost_renewable.cost(q))
+
+
+def reference_decision(dm: DemandModel, s: PeriodState, k: float) -> tuple:
+    """The period decision through price regime, :func:`demand` and the status tolerance, each in its own step."""
+    if s.e <= 0:
+        raise NetZeroGridError(f"e(Q)={s.e} at Q={s.q}: no emissions left to differentiate")
+    if s.f <= 0:
+        raise NoSellableCreditsError(f"f(Q)={s.f} at Q={s.q}: no credits to sell")
+    base = s.e / dm.sensitivity
+    if dm.market_size * math.exp(-1.0) <= s.f:
+        price, binding = base, False
+    else:
+        ratio = dm.market_size / s.f
+        if ratio == math.inf:
+            raise NoSellableCreditsError(f"f(Q)={s.f} at Q={s.q}: too few credits to price, M/f(Q) overflows")
+        price, binding = base * math.log(ratio), True
+    rev = price * demand(dm, price, s.e)
+    cost = s.cost
+    tol = BALANCE_TOL * max(abs(rev), abs(cost))
+    if not rev >= cost - tol:
+        return price, binding, rev, 0.0, ExpansionStatus.INFEASIBLE
+    if abs(rev - cost) <= tol:
+        return price, binding, rev, 0.0, ExpansionStatus.EQUILIBRIUM
+    return price, binding, rev, (rev - cost) / k, ExpansionStatus.EXPANDING
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives, as the type and repr of each value (so the
+    bits), or the class and message of what it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # compared, whatever it is
+        return type(exc), str(exc)
+    values = tuple(value) if isinstance(value, tuple) else (value,)
+    return [type(v) for v in values], repr(values)
+
+
+def past(end: float, toward: float, ulps: int) -> float:
+    for _ in range(ulps):
+        end = math.nextafter(end, toward)
+    return end
+
+
+class TestFloatKernel:
+    """The kernels bound once per curve and per model give the scalar formulas' bits, types and errors."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(CurveKind), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_match_the_scalar_formulas(self, seed, kind, data):
+        dm, model = drawn_model(kind, np.random.default_rng(seed))
+        lo, hi = model.domain
+        slack = scaled(DOMAIN_TOL, lo, hi)
+        knots = [q for q, _ in model.delivered.table] if kind is CurveKind.TABULATED else []
+        q = data.draw(st.one_of(
+            st.sampled_from([lo, hi, *knots]),
+            # 1-4 ulps past each end, or in from it: subnormal capacities make M/f(Q) overflow
+            st.builds(past, st.sampled_from([lo, hi]), st.sampled_from([-math.inf, math.inf]), st.integers(1, 4)),
+            st.floats(lo, hi),
+            st.sampled_from([math.nan, lo - 2.0 * slack, hi + 2.0 * slack, 1e-310, -1e6, 1e6]),
+        ))
+        if data.draw(st.booleans()):
+            q = np.float64(q)
+        for curve in (model.emissions, model.delivered, model.energy_value):
+            assert outcome(eval_curve, curve, q) == outcome(reference_curve, curve, q)
+        assert outcome(model.emissions_at, q) == outcome(lambda q: reference_curve(model.emissions, reference_clamp(model, q)), q)
+        assert outcome(model.delivered_at, q) == outcome(lambda q: reference_curve(model.delivered, reference_clamp(model, q)), q)
+        assert outcome(model.state, q) == outcome(reference_state, model, q)
+        if kind is not CurveKind.TABULATED:  # a domain out to where an exponential overflows
+            wide = model._replace(domain=(lo, 1e6))
+            assert outcome(wide.state, 1e6) == outcome(reference_state, wide, 1e6)
+        try:
+            s = model.state(q)
+        except CurveDomainError:
+            return
+        k = model.invest_cost
+        for state in (s, s._replace(e=math.nan), s._replace(f=math.nan)):
+            assert outcome(decide_at, dm, state, k) == outcome(reference_decision, dm, state, k)
+            assert outcome(price_at, dm, state) == outcome(lambda *a: reference_decision(*a)[:2], dm, state, k)
+
+    def test_an_exponential_overflow_raises_the_same_error(self):
+        model = GridModel(
+            GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.4, 0.06)), GridCurve(CurveKind.EXPONENTIAL_DECAY, (2.0, -1.0)),
+            GridCurve(CurveKind.EXPONENTIAL_DECAY, (100.0, 0.05)), CostSpec(1.0, 1.0), CostSpec(1.0, 1.0), 100.0, (0.0, 1e3),
+        )
+        assert outcome(model.state, 800.0) == outcome(reference_state, model, 800.0)
+        with pytest.raises(CurveDomainError, match="exponential curve overflows at Q=800.0"):
+            model.state(800.0)
+
+    def test_a_model_leaves_no_cyclic_garbage(self):
+        # the kernels hold numbers and other kernels, never their curve or model
+        gc.collect()
+        gc.disable()
+        try:
+            for kind in CurveKind:
+                dm, model = drawn_model(kind, np.random.default_rng(3))
+                decide_at(dm, model.state(0.5 * model.domain[1]), model.invest_cost)
+                del model
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_replaced_model_evaluates_with_its_own_fields(self, baseline_demand, baseline_model):
+        model = baseline_model._replace(invest_cost=250.0, domain=(1.0, 6.0), cost_system=CostSpec(2.0, 3.0))
+        s = model.state(2.0)
+        assert (s.C_S, s.C_R) == (CostSpec(2.0, 3.0).cost(2.0), baseline_model.state(2.0).C_R)
+        assert model.state(math.nextafter(1.0, 0.0)).q == 1.0
+        for q in (0.5, 7.0):
+            baseline_model.state(q)
+            with pytest.raises(CurveDomainError, match=r"outside model domain \[1.0, 6.0\]"):
+                model.state(q)
+        d = decide_at(baseline_demand, s, model.invest_cost)
+        assert d.expansion == (d.revenue - s.cost) / 250.0
 
 
 class TestTableCheck:

@@ -20,7 +20,7 @@ from vrpplan.demand_pricing import (
     price_at,
     unconstrained_peak_revenue,
 )
-from vrpplan import cli, grid_model
+from vrpplan import cli
 from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCreditsError, VrpError
@@ -533,33 +533,46 @@ class TestSerialization:
 
 
 class TestEvaluationCounts:
-    """One grid state per period: e, f and pi are each evaluated once."""
+    """One grid state per period: e, f and pi are each evaluated once, by the
+    curves' scalar kernels, and one decision is made on it."""
 
     @pytest.fixture()
-    def evaluations(self, monkeypatch):
-        calls = []
-        evaluate = grid_model.eval_curve
+    def counted(self, baseline_model):
+        """The baseline model built on curves whose kernels count their calls by curve name."""
+        calls = Counter()
 
-        def counted(curve, q):
-            calls.append(q)
-            return evaluate(curve, q)
+        def counting(name, curve):
+            evaluate, curve = curve._at, GridCurve(curve.kind, curve.coefficients, curve.table)
 
-        monkeypatch.setattr(grid_model, "eval_curve", counted)
-        return calls
+            def at(q):
+                calls[name] += 1
+                return evaluate(q)
 
-    def test_myopic_run_three_per_period(self, baseline_demand, baseline_model, baseline_cfg, evaluations):
-        solve_long_run_limit(baseline_demand, baseline_model)
-        limit_evaluations = len(evaluations)
+            object.__setattr__(curve, "_at", at)  # before the model binds its kernel to it
+            return curve
+
+        model = baseline_model._replace(**{
+            field: counting(name, getattr(baseline_model, field))
+            for name, field in (("e", "emissions"), ("f", "delivered"), ("pi", "energy_value"))
+        })
+        return model, calls
+
+    def test_myopic_run_three_per_period(self, baseline_demand, baseline_cfg, counted):
+        model, evaluations = counted
+        solve_long_run_limit(baseline_demand, model)
+        limit_evaluations = Counter(evaluations)
         evaluations.clear()
-        trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
+        trajectory = simulate_myopic(baseline_demand, model, baseline_cfg)
         assert len(trajectory.records) == 157
-        assert len(evaluations) - limit_evaluations <= 3 * len(trajectory.records)
+        evaluations.subtract(limit_evaluations)
+        assert evaluations == {"e": 157, "f": 157, "pi": 157}
 
-    def test_separated_period_three_per_call(self, baseline_demand, baseline_model, evaluations):
+    def test_separated_period_three_per_call(self, baseline_demand, counted):
+        model, evaluations = counted
         for q in (1.0, 3.0, 6.5):
             evaluations.clear()
-            solve_separated_period(baseline_demand, baseline_model, q)
-            assert len(evaluations) <= 3
+            solve_separated_period(baseline_demand, model, q)
+            assert evaluations == {"e": 1, "f": 1, "pi": 1}
 
     @pytest.fixture()
     def decisions(self, monkeypatch):
@@ -574,7 +587,7 @@ class TestEvaluationCounts:
 
             return counted
 
-        for name in ("price_at", "demand"):
+        for name in ("decide_at", "price_at", "demand"):
             monkeypatch.setattr(dp, name, counting(name))
         return calls
 
@@ -585,19 +598,21 @@ class TestEvaluationCounts:
         trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
         assert len(trajectory.records) == 157
         decisions.subtract(limit_calls)
-        assert decisions == {"price_at": 157, "demand": 157}
+        # one float body per period: no price_at or demand call beside it
+        assert decisions == {"decide_at": 157}
 
     def test_separated_period_one_decision_per_call(self, baseline_demand, baseline_model, decisions):
         for q in (1.0, 3.0, 6.5):
             decisions.clear()
             solve_separated_period(baseline_demand, baseline_model, q)
-            assert decisions == {"price_at": 1, "demand": 1}
+            assert decisions == {"decide_at": 1}
 
-    def test_output_writers_evaluate_nothing(self, baseline_demand, baseline_model, baseline_cfg, evaluations, tmp_path):
+    def test_output_writers_evaluate_nothing(self, baseline_demand, baseline_cfg, counted, tmp_path):
         # e and f of each period travel on its record
-        trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
+        model, evaluations = counted
+        trajectory = simulate_myopic(baseline_demand, model, baseline_cfg)
         evaluations.clear()
         write_trajectory_csv(trajectory, tmp_path / "trajectory.csv")
-        cli._write_plot_files(tmp_path, trajectory, BASELINE)
-        assert evaluations == []
+        cli._write_plot_files(tmp_path, trajectory, BASELINE._replace(grid=model))
+        assert not evaluations
         assert trajectory.cumulative_emission_index == sum(r.state.e for r in trajectory.records)
