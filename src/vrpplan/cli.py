@@ -237,16 +237,21 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
 
 
 def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
+    """The worst KKT residual of both problems at the expanding ones of ``n_states``
+    capacities from the start to the limit, each read from one state and one decision."""
     dm, model = scenario.demand, scenario.grid
+    k = model.invest_cost
     worst = 0.0
     checked = 0
     for q in gm.linspace(scenario.simulation.q_init, result.capacity_limit, n_states, endpoint=False):
-        if dp.decide_at(dm, model.state(q), model.invest_cost).status is not dp.ExpansionStatus.EXPANDING:
+        s = model.state(q)
+        d = dp.decide_at(dm, s, k)
+        if d.status is not dp.ExpansionStatus.EXPANDING:
             continue
-        res = dp.kkt_residuals(dm, model, q, traj.solve_period(dm, model, q), problem="integrated")
+        res = dp.kkt_residuals(dm, s, k, traj._period_solution(s, k, d, d.expansion), problem="integrated")
         worst = max(worst, res.max_abs_residual)
-        separated, _ = rs.solve_separated_period(dm, model, q)
-        res = dp.kkt_residuals(dm, model, q, separated, problem="revenue-sharing")
+        separated, _ = rs._separated_solution(s, k, d)
+        res = dp.kkt_residuals(dm, s, k, separated, problem="revenue-sharing")
         worst = max(worst, res.max_abs_residual)
         checked += 1
     return {

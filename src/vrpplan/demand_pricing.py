@@ -82,14 +82,6 @@ def demand(dm: DemandModel, price: float, e_q: float) -> float:
     return dm.market_size * math.exp(-dm.sensitivity * price / e_q)
 
 
-def revenue(dm: DemandModel, price: float, e_q: float) -> float:
-    """Per-period program revenue price * D(price/e), M$/yr.
-
-    Unimodal in price with its unique peak at price = e_q / sensitivity.
-    """
-    return price * demand(dm, price, e_q)
-
-
 def unconstrained_peak_revenue(dm: DemandModel, e_q: float) -> float:
     """Maximal revenue when the deliverability cap is slack.
 
@@ -99,33 +91,6 @@ def unconstrained_peak_revenue(dm: DemandModel, e_q: float) -> float:
     if e_q <= 0:
         raise NetZeroGridError("peak revenue undefined on a net-zero grid")
     return e_q * dm.market_size / (math.e * dm.sensitivity)
-
-
-class PriceSolution(NamedTuple):
-    price: float
-    deliverability_binding: bool
-
-
-def price_at(dm: DemandModel, s: gm.PeriodState) -> PriceSolution:
-    """Revenue-maximizing premium subject to sales <= delivered output.
-
-    Two regimes: when unconstrained peak demand M/e fits under f(Q) the price
-    is e(Q)/eps; otherwise the deliverability cap binds and the price rises to
-    e(Q)/eps * ln(M/f(Q)).  The branches agree where M/e = f(Q).  Where f(Q)
-    is so small that M/f(Q) overflows, no finite price sells it, and the
-    capped branch raises as at f(Q) = 0.  An array state gives arrays, and
-    raises the scalar error of its first failing entry.
-    """
-    if gm.is_array(s.q):
-        import numpy as np
-        with np.errstate(divide="ignore", over="ignore"):  # M/f(Q) is inf only where the scalar path raises
-            bad = (s.e <= 0) | (s.f <= 0) | np.isinf(dm.market_size / s.f)
-        if bad.any():  # the scalar path raises for the first failing entry
-            price_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)))
-        base = s.e / dm.sensitivity
-        binding = dm.market_size * math.exp(-1.0) > s.f
-        return PriceSolution(np.where(binding, base * np.log(dm.market_size / s.f), base), binding)
-    return PriceSolution(*decide_at(dm, s, 1.0)[:2])  # the price does not depend on k
 
 
 class Decision(NamedTuple):
@@ -140,23 +105,33 @@ class Decision(NamedTuple):
 
 
 def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
-    """The integrated decision at a state: the price regime, demand and one
-    revenue/cost tolerance, inlined in one float body that :func:`price_at` runs.
+    """The integrated decision at a state, in one float body.
 
-    The expansion is the binding financial constraint's (R* - C)/k, clamped
-    at zero.  Status distinguishes an expanding period, the long-run
-    equilibrium (|R* - C| within BALANCE_TOL times the larger of |R*| and |C|,
-    with no absolute floor), and an infeasible period where revenue cannot
-    cover cost even without expansion.  An array state decides every entry
-    at once, with the scalar rules, but for ulps of ``np.exp`` and ``np.log``.
-    Decisions take a state; the solvers built on them take a capacity.
+    The price maximizes revenue subject to sales <= f(Q): e(Q)/eps where
+    peak demand M/e fits under f(Q), else the capped e(Q)/eps * ln(M/f(Q));
+    the branches agree where M/e = f(Q).  An f(Q) so small that M/f(Q)
+    overflows sells nothing, and raises as f(Q) = 0 does.  The expansion is
+    the binding financial constraint's (R* - C)/k, clamped at zero.  Status
+    tells an expanding period, the long-run equilibrium (|R* - C| within
+    BALANCE_TOL times the larger of |R*| and |C|, no absolute floor) and an
+    infeasible one, where revenue cannot cover cost even without expansion.
+    An array state decides every entry with the scalar rules, but for ulps of
+    ``np.exp`` and ``np.log``, and raises the scalar error of its first
+    failing entry.
     """
     q, e, f, pi, c_s, c_r = s
     if type(q) is not float and gm.is_array(q):  # a float state skips the call
-        price, binding = price_at(dm, s)
-        cost = s.cost
         import numpy as np
-        rev = price * (dm.market_size * np.exp(-dm.sensitivity * price / s.e))
+        market = dm.market_size
+        with np.errstate(divide="ignore", over="ignore"):  # M/f(Q) is inf only where the scalar path raises
+            bad = (e <= 0) | (f <= 0) | np.isinf(market / f)
+        if bad.any():  # the scalar path raises for the first failing entry
+            decide_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)), k)
+        base = e / dm.sensitivity
+        binding = market * math.exp(-1.0) > f
+        price = np.where(binding, base * np.log(market / f), base)
+        cost = s.cost
+        rev = price * (market * np.exp(-dm.sensitivity * price / e))
         tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
         infeasible, equilibrium = ~(rev >= cost - tol), np.abs(rev - cost) <= tol
         status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
@@ -225,13 +200,10 @@ class KktResiduals:
 
 
 def kkt_residuals(
-    dm: DemandModel,
-    model: gm.GridModel,
-    q: float,
-    solution: PeriodSolution,
-    problem: str = "integrated",
+    dm: DemandModel, s: gm.PeriodState, k: float, solution: PeriodSolution, problem: str = "integrated"
 ) -> KktResiduals:
-    """Check a period solution at capacity ``q`` against the stationarity/slackness system.
+    """Check a period solution at the state ``s``, with unit investment cost
+    ``k``, against the stationarity/slackness system.
 
     One system serves both problems: the integrated problem is the sharing
     problem whose operator carries the whole cost C_S + C_2, whose generators
@@ -247,7 +219,6 @@ def kkt_residuals(
     """
     if problem not in ("integrated", "revenue-sharing"):
         raise ValueError("problem must be 'integrated' or 'revenue-sharing'")
-    s, k = model.state(q), model.invest_cost
     if problem == "revenue-sharing":
         c_op, c_gen, gamma = s.C_S, s.cost_generator, solution.share
     else:

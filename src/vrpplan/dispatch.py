@@ -480,19 +480,3 @@ def read_profiles_csv(path) -> HourlyProfiles:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-
-def write_fleet_csv(fleet: FleetSpec, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(FLEET_CSV_COLUMNS)
-        for u in fleet.units:
-            writer.writerow([repr(u.capacity), repr(u.marginal_cost), repr(u.emission_rate)])
-
-
-def write_profiles_csv(profiles: HourlyProfiles, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PROFILE_CSV_COLUMNS)
-        # tolist: repr of Python floats, not of numpy scalars
-        for hour, (load, cf) in enumerate(zip(profiles.load.tolist(), profiles.wind_cf.tolist())):
-            writer.writerow([hour, repr(load), repr(cf)])

@@ -10,12 +10,12 @@ Canonical units throughout the package:
 
 A :class:`GridModel` is an immutable value object; every evaluation helper is
 a pure function, so models can be shared freely across threads.  Evaluations
-take a float, on kernels bound once per curve and per model, or an ndarray;
-every slope is analytic (``slope`` of a curve or a cost, :meth:`GridModel.cost_slope`).
+take a float, on kernels bound once per curve and per model, or an ndarray.
 
 :meth:`GridModel.state` turns a capacity into the :class:`PeriodState`, costs
-included, that decisions (``price_at``, ``decide_at``) take; solvers take the
-capacity and build the state.
+included, that decisions and checks take (``decide_at``, ``kkt_residuals``,
+:meth:`GridModel.cost_slope`); solvers take the capacity.  Every slope is
+analytic, and reads the curve's value at Q from the state.
 """
 
 from __future__ import annotations
@@ -104,17 +104,18 @@ class GridCurve:
             return self.table[0][0], self.table[-1][0]
         return -math.inf, math.inf
 
-    def slope(self, q):
-        """dv/dQ at ``q``, a float or an ndarray, in closed form.
+    def slope(self, q, v):
+        """dv/dQ at ``q``, a float or an ndarray, in closed form, from the
+        curve's value ``v`` there, as a :class:`PeriodState` holds it.
 
-        Exponential: -rate * amplitude * exp(-rate*Q); polynomial: the Horner
-        derivative; tabulated: the slope of the segment [Q_i, Q_i+1) holding Q,
-        so a knot takes its right-hand segment and the top end the last one.
-        A table queried at a scalar bisects the knot lists, as
-        :func:`eval_curve` does, for the array query's segment and bits.
+        Exponential: -rate * v; polynomial: the Horner derivative; tabulated:
+        the slope of the segment [Q_i, Q_i+1) holding Q, so a knot takes its
+        right-hand segment and the top end the last one.  A table queried at a
+        scalar bisects the knot lists, as :func:`eval_curve` does, for the
+        array query's segment and bits.
         """
         if self.kind is CurveKind.EXPONENTIAL_DECAY:
-            return -self.coefficients[1] * eval_curve(self, q)
+            return -self.coefficients[1] * v
         if self.kind is CurveKind.POLYNOMIAL:
             acc = 0.0
             for power, c in reversed(tuple(enumerate(self.coefficients, 1))):
@@ -437,14 +438,14 @@ class GridModel(Serializable):
             return eval_curve(self.delivered, self._clamp(q))
         return self.delivered._at(self._clamp_at(q))
 
-    def cost_slope(self, q):
-        """C'(Q) = C_S' + C_R' - f'*pi - f*pi', M$/GW-yr, at ``q`` clamped as by :meth:`state`."""
-        q = self._clamp(q)
+    def cost_slope(self, s: PeriodState):
+        """C'(Q) = C_S' + C_R' - f'*pi - f*pi', M$/GW-yr, at the state ``s``, from its f and pi."""
+        q, f, pi = s.q, s.f, s.pi
         return (
             self.cost_system.slope(q)
             + self.cost_renewable.slope(q)
-            - self.delivered.slope(q) * eval_curve(self.energy_value, q)
-            - eval_curve(self.delivered, q) * self.energy_value.slope(q)
+            - self.delivered.slope(q, f) * pi
+            - f * self.energy_value.slope(q, pi)
         )
 
     @classmethod
@@ -473,6 +474,7 @@ def _bind_float_kernel(model: GridModel) -> None:
     a_s, b_s, a_r, b_r = system.alpha, system.beta, renewable.alpha, renewable.beta
 
     def clamp(q):
+        q = float(q)  # a NumPy scalar would carry numpy arithmetic, which warns where floats do not, onward
         if lo <= q <= hi:
             return q
         if lo - slack <= q <= hi + slack:
@@ -480,6 +482,7 @@ def _bind_float_kernel(model: GridModel) -> None:
         raise CurveDomainError(f"Q={q} outside model domain [{lo}, {hi}]")
 
     def state(q):
+        q = float(q)  # as in clamp
         if not lo <= q <= hi:
             q = clamp(q)
         # the costs in CostSpec.cost's operation order

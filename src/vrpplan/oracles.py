@@ -111,12 +111,13 @@ def _walk_prefix_array(
     """The myopic path against all g**horizon policies, g the number of
     action ``fractions``, as :class:`DominanceReport` fields: each level of
     the prefix tree is one array, ``np.repeat`` hands a parent's entries to
-    its g children, and one array call steps the level's distinct capacities,
-    from ``np.unique``.  Overflow or NaN raises a CurveDomainError through
-    :func:`~vrpplan.grid_model.array_arithmetic`.
+    its g children, and one array state of the level's distinct capacities,
+    from ``np.unique``, gives their e and steps them; the last level, which
+    takes no step, evaluates only e.  Overflow or NaN raises a
+    CurveDomainError through :func:`~vrpplan.grid_model.array_arithmetic`.
     """
     import numpy as np
-    g, state_tol = len(fractions), scaled(ZERO_TOL, limit)
+    g, k, state_tol = len(fractions), model.invest_cost, scaled(ZERO_TOL, limit)
     reached = limit - state_tol
 
     qs, beaten, hits = np.array([q_init]), np.zeros(1, dtype=bool), np.array([0 if q_init >= reached else horizon + 1])
@@ -124,11 +125,12 @@ def _walk_prefix_array(
     with gm.array_arithmetic(_ENUMERATION):
         for t in range(horizon + 1):
             distinct, at = np.unique(qs, return_inverse=True)
-            emissions = model.emissions_at(distinct)[at]
+            s = model.state(distinct) if t < horizon else None  # the last level takes no step: e alone
+            emissions = (model.emissions_at(distinct) if s is None else s.e)[at]
             sums.append(np.repeat(sums[-1], g) + emissions if sums else emissions)
-            if t == horizon:
+            if s is None:
                 break
-            step = np.minimum(traj.max_feasible_expansion(dm, model, distinct), np.maximum(0.0, limit - distinct))
+            step = np.minimum(traj._max_feasible(dm, s, k), np.maximum(0.0, limit - distinct))
             qs = np.repeat(qs, g) + np.tile(fractions, len(qs)) * np.repeat(step[at], g)
             beaten = np.repeat(beaten, g) | (qs > qs[-1] + state_tol)
             hits = np.minimum(np.repeat(hits, g), np.where(qs >= reached, t + 1, horizon + 1))

@@ -60,7 +60,16 @@ def solve_separated_period(
     dm: dp.DemandModel, model: gm.GridModel, q: float
 ) -> tuple[dp.PeriodSolution, SharingSolution]:
     """Solve the period at capacity ``q`` under separated accounts and compare
-    with the integrated problem.
+    with the integrated problem: :func:`_separated_solution` at its state."""
+    s, k = model.state(q), model.invest_cost
+    return _separated_solution(s, k, dp.decide_at(dm, s, k))
+
+
+def _separated_solution(
+    s: gm.PeriodState, k: float, d: dp.Decision
+) -> tuple[dp.PeriodSolution, SharingSolution]:
+    """The separated-account solution at the state ``s``, from the integrated
+    decision ``d`` there, whose expansion is the integrated benchmark.
 
     Pricing is unchanged (it is a pure revenue problem).  With an interior
     share both budgets bind and their sum recovers the integrated financial
@@ -69,8 +78,6 @@ def solve_separated_period(
     and the separated expansion falls short of the integrated benchmark by
     exactly |C_2|/k.
     """
-    s, k = model.state(q), model.invest_cost
-    d = dp.decide_at(dm, s, k)  # also the integrated benchmark's expansion
     rev = d.revenue
     if rev <= 0:
         raise NoRevenueError(f"maximal revenue {rev} at Q={s.q} is nonpositive")

@@ -100,30 +100,14 @@ def _checked(d: dp.Decision, q: float) -> dp.Decision:
     return d
 
 
-def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> float:
+def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float):
+    """The maximal feasible expansion (R* - C)/k at every entry of an array
+    state, clamped at zero; an infeasible entry raises, the first one named."""
     d = dp.decide_at(dm, s, k)
-    if not gm.is_array(s.q):
-        return _checked(d, s.q).expansion
     infeasible = d.status == dp.ExpansionStatus.INFEASIBLE
     if infeasible.any():
         raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
     return d.expansion
-
-
-def max_feasible_expansion(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
-    """Maximal one-step expansion at state Q under optimal pricing.
-
-    Equals the optimal-expansion value (R* - C)/k clamped at zero; raises when
-    the period is infeasible outright (revenue below cost at q = 0).  ``q``
-    may be an array: every entry at once, raising if any entry is infeasible.
-    """
-    return _max_feasible(dm, model.state(q), model.invest_cost)
-
-
-def reach_map(dm: dp.DemandModel, model: gm.GridModel, q: float) -> float:
-    """One-step reachability S(Q) = Q + max feasible expansion, at a float or an ndarray."""
-    s = model.state(q)
-    return s.q + _max_feasible(dm, s, model.invest_cost)
 
 
 def reachability_lower_bound(
@@ -168,7 +152,8 @@ def certify_monotone_reachability(
     start up to the limit: the derivative-based margin
     1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k with the analytic slopes
     :meth:`GridCurve.slope` and :meth:`GridModel.cost_slope`, and discrete
-    slopes of S itself.  The certificate holds iff both stay above -ZERO_TOL.
+    slopes of the reach map S(Q) = Q + the maximal feasible expansion, all
+    read from one state per sample.  It holds iff both stay above -ZERO_TOL.
     Where the points do not increase strictly, as when the start is at or
     past the limit or a few ulps below it, it holds trivially, with no samples.
     The derivative check uses the unconstrained revenue form throughout, so
@@ -219,23 +204,25 @@ def _sampled_margins(
     then the largest |e'| and |C'| there.
 
     The margins are the derivative margin at each sample and the discrete
-    slope of S from each sample to the next, which lies at the left one.  The
-    float loop takes the stages in the array calls' order, so overflow or NaN
-    raises the same CurveDomainError on either route.
+    slope of S from each sample to the next, at the left one, both from the
+    samples' states.  The float loop takes the stages in the array calls'
+    order, so overflow or NaN raises the same CurveDomainError on either route.
     """
     revenue_scale = dm.market_size / (math.e * dm.sensitivity)
     k = model.invest_cost
 
-    def margin(q):  # at a float or an ndarray
-        c = model.cost_slope(q)  # first: it checks q against the domain
-        e = model.emissions.slope(q)
+    def margin(s):  # at a float or an array state
+        c = model.cost_slope(s)
+        e = model.emissions.slope(s.q, s.e)
         return 1.0 + (revenue_scale * e - c) / k, e, c
 
     if gm.is_array(qs):
         import numpy as np
         with gm.array_arithmetic(_CERTIFICATE):
-            margins, e_slopes, c_slopes = margin(qs)
-            discrete = np.diff(reach_map(dm, model, qs)) / np.diff(qs)
+            s = model.state(qs)
+            reach = s.q + _max_feasible(dm, s, k)
+            margins, e_slopes, c_slopes = margin(s)
+            discrete = np.diff(reach) / np.diff(qs)
         candidates = np.concatenate([margins, discrete])
         worst = int(np.argmin(candidates))
         return (
@@ -245,18 +232,12 @@ def _sampled_margins(
             float(np.max(np.abs(c_slopes))),
         )
 
-    terms = gm.finite_samples(_CERTIFICATE, "slopes", [margin(q) for q in qs], qs)
     states, expansions = staged_expansions(dm, model, qs, _CERTIFICATE)
     reach = [s.q + x for s, x in zip(states, expansions)]
-    discrete = gm.finite_samples(
-        _CERTIFICATE,
-        "discrete slope",
-        [
-            (b - a) / (y - x) if y != x else math.nan  # 0/0 where two samples coincide
-            for a, b, x, y in zip(reach, reach[1:], qs, qs[1:])
-        ],
-        qs,
-    )
+    terms = gm.finite_samples(_CERTIFICATE, "slopes", [margin(s) for s in states], qs)
+    discrete = [(b - a) / (y - x) if y != x else math.nan  # 0/0 where two samples coincide
+                for a, b, x, y in zip(reach, reach[1:], qs, qs[1:])]
+    gm.finite_samples(_CERTIFICATE, "discrete slope", discrete, qs)
     margins, e_slopes, c_slopes = zip(*terms)
     candidates = margins + tuple(discrete)
     worst = min(range(len(candidates)), key=candidates.__getitem__)  # the first least, as np.argmin
@@ -267,7 +248,7 @@ def staged_expansions(
     dm: dp.DemandModel, model: gm.GridModel, qs: list, what: str
 ) -> tuple[list[gm.PeriodState], list[float]]:
     """The states at the floats ``qs`` and the maximal feasible expansion at
-    each, in the stages of an array call of :func:`max_feasible_expansion`:
+    each, in the stages of the array route's state and :func:`_max_feasible`:
     every state, every decision (prices first), then each feasibility.  A
     stage left non-finite raises a CurveDomainError naming ``what``, where the
     array call's arithmetic raises one; an infeasible state raises as there.

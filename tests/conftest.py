@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at
+from vrpplan.dispatch import FLEET_CSV_COLUMNS, PROFILE_CSV_COLUMNS, FleetSpec, HourlyProfiles
 from vrpplan.equilibrium import find_deliverability_threshold
 from vrpplan.errors import ThresholdUnreachableError
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_curve
@@ -220,3 +222,22 @@ def pick_expanding_state(
         if decide_at(dm, model.state(q), model.invest_cost).status is ExpansionStatus.EXPANDING:
             return q
     raise RuntimeError("no expanding state found")
+
+
+def write_fleet_csv(fleet: FleetSpec, path) -> None:
+    """``fleet`` as the CSV that ``dispatch.read_fleet_csv`` reads, each number by ``repr``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(FLEET_CSV_COLUMNS)
+        for u in fleet.units:
+            writer.writerow([repr(u.capacity), repr(u.marginal_cost), repr(u.emission_rate)])
+
+
+def write_profiles_csv(profiles: HourlyProfiles, path) -> None:
+    """``profiles`` as the CSV that ``dispatch.read_profiles_csv`` reads, each number by ``repr``."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(PROFILE_CSV_COLUMNS)
+        # tolist: repr of Python floats, not of numpy scalars
+        for hour, (load, cf) in enumerate(zip(profiles.load.tolist(), profiles.wind_cf.tolist())):
+            writer.writerow([hour, repr(load), repr(cf)])

@@ -18,8 +18,6 @@ from vrpplan.demand_pricing import (
     ExpansionStatus,
     decide_at,
     kkt_residuals,
-    price_at,
-    revenue,
 )
 from vrpplan.dispatch import calibrate_grid, default_fleet, default_profiles, merit_order_dispatch
 from vrpplan.equilibrium import solve_long_run_limit
@@ -71,7 +69,8 @@ def test_criterion_3_closed_form_price_vs_scan():
         q = rng.uniform(lo + 0.05 * (hi - lo), hi)
         e_q = model.emissions_at(q)
         f_q = model.delivered_at(q)
-        closed, _ = price_at(dm, model.state(q))
+        d = decide_at(dm, model.state(q), model.invest_cost)
+        closed = d.price
 
         base = e_q / dm.sensitivity
         p_cap = 10.0 * base
@@ -86,7 +85,7 @@ def test_criterion_3_closed_form_price_vs_scan():
 
         step = p_cap / (n_points - 1)
         assert abs(closed - scan_price) <= step * (1.0 + 1e-9)
-        closed_revenue = revenue(dm, closed, e_q)
+        closed_revenue = d.revenue
         assert closed_revenue >= scan_best - 1e-6 * abs(closed_revenue)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -106,15 +105,16 @@ def test_criterion_4_kkt_certification():
         states += [solve_long_run_limit(dm, model).capacity_limit, pick_expanding_state(dm, model, rng)]
         for q in states:
             separated, sharing = solve_separated_period(dm, model, q)
+            s = model.state(q)
             for problem, solution in (("integrated", solve_period(dm, model, q)), ("revenue-sharing", separated)):
-                res = kkt_residuals(dm, model, q, solution, problem=problem)
+                res = kkt_residuals(dm, s, k, solution, problem=problem)
                 values = [getattr(res, name) for name in res._fields]
                 numbers = [v for v in values if type(v) is not tuple] + list(res.comp_slackness)
                 assert all(type(v) is float for v in numbers) and type(res.certified) is bool
                 if problem == "revenue-sharing":
                     violation = max(0.0, -sharing.operator_budget_residual, -sharing.generator_budget_residual)
                     assert res.certified == (violation <= CERTIFY_TOL)
-                elif decide_at(dm, model.state(q), k).status is ExpansionStatus.EXPANDING:
+                elif decide_at(dm, s, k).status is ExpansionStatus.EXPANDING:
                     assert res.certified
                     worst = max(worst, res.max_abs_residual)
     elapsed = time.perf_counter() - start
@@ -199,7 +199,7 @@ def test_criterion_7_sharing_equivalence():
             separated, sharing = solve_separated_period(dm, model, q)
             if not 0.0 < separated.share < 1.0:
                 continue
-            assert separated.price == price_at(dm, s).price
+            assert separated.price == integrated.price
             assert abs(separated.expansion - integrated.expansion) <= 1e-8 * max(
                 1.0, abs(integrated.expansion)
             )

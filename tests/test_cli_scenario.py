@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE, BASELINE_PATH, baseline_doc, bumped_emissions
+from conftest import BASELINE, BASELINE_PATH, baseline_doc, bumped_emissions, write_fleet_csv, write_profiles_csv
 import vrpplan
 from vrpplan import cli, equilibrium, grid_model, trajectory
 from vrpplan.cli import main
 from vrpplan.demand_pricing import DemandModel
-from vrpplan.dispatch import default_fleet, default_profiles, write_fleet_csv, write_profiles_csv
+from vrpplan.dispatch import default_fleet, default_profiles
 from vrpplan.errors import DispatchShortageError, InfeasibleError, ScenarioError, VrpError
 from vrpplan.grid_model import ConditionCheck, CostSpec, CurveKind, GridCurve, GridModel, eval_curve
 from vrpplan.oracles import EnumerationConfig
@@ -964,7 +964,7 @@ def test_quick_commands_never_load_numpy(tmp_path):
     # a fresh interpreter: this one has loaded numpy already
     tabulated = tabulated_baseline(tmp_path / "tabulated.json")
     near_limit = [str(near_limit_scenario(tmp_path / f"near-{n}.json", n)) for n in (1, 5)]
-    overflowing = tmp_path / "overflowing.json"  # C_S' overflows: the checks raise
+    overflowing = tmp_path / "overflowing.json"  # C_S and C_S' overflow: the checks raise
     doc = baseline_doc()
     doc["grid"]["cost_system"]["beta"] = 1e308
     overflowing.write_text(json.dumps(doc))
@@ -1006,7 +1006,7 @@ for argv in (["simulate"], ["verify"]):
     run({str(overflowing)!r}, *argv, status=2)
 curve = load_scenario({BASELINE_PATH!r}).grid.delivered  # a table, queried at a float
 for q in (0.0, 3.3, 12.0):
-    curve.slope(q)
+    curve.slope(q, None)  # a table reads no value
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
 assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 assert "logging" not in sys.modules

@@ -14,8 +14,6 @@ from vrpplan.demand_pricing import (
     decide_at,
     demand,
     kkt_residuals,
-    price_at,
-    revenue,
     unconstrained_peak_revenue,
 )
 from vrpplan.errors import NetZeroGridError, NoSellableCreditsError
@@ -58,16 +56,16 @@ class TestDemand:
 
 
 class TestRevenue:
-    def test_zero_price(self):
-        assert revenue(DM, 0.0, 0.3) == 0.0
-
     def test_value_at_stationary_point(self):
+        # an interior decision prices at the stationary point e/eps, where sales are M/e
         e_q = 0.3
         peak = e_q / DM.sensitivity
-        assert revenue(DM, peak, e_q) == pytest.approx(peak * 10.0 * math.exp(-1.0))
-        assert unconstrained_peak_revenue(DM, e_q) == pytest.approx(
-            revenue(DM, peak, e_q), rel=1e-12
-        )
+        model = flat_model(e_q, 5.0, 0.0)
+        d = decide_at(DM, model.state(1.0), model.invest_cost)
+        assert d.price == pytest.approx(peak) and not d.deliverability_binding
+        assert d.revenue == pytest.approx(peak * 10.0 * math.exp(-1.0))
+        assert d.revenue == d.price * demand(DM, d.price, e_q)
+        assert unconstrained_peak_revenue(DM, e_q) == pytest.approx(d.revenue, rel=1e-12)
 
     def test_grid_argmax_matches_stationary_point(self):
         # oracle: exhaustive grid with step 1e-3 around a unit-scale peak
@@ -81,20 +79,20 @@ class TestRevenue:
 class TestOptimalPrice:
     def test_interior_regime(self):
         model = flat_model(0.3, 5.0, 0.0)
-        price, binding = price_at(DM, model.state(1.0))
+        price, binding, *_ = decide_at(DM, model.state(1.0), model.invest_cost)
         assert price == pytest.approx(0.3 / 0.0045)
         assert not binding
 
     def test_binding_regime(self):
         model = flat_model(0.3, 2.0, 0.0)
-        price, binding = price_at(DM, model.state(1.0))
+        price, binding, *_ = decide_at(DM, model.state(1.0), model.invest_cost)
         assert price == pytest.approx((0.3 / 0.0045) * math.log(5.0))
         assert binding
 
     def test_regime_continuity_at_boundary(self):
         f_boundary = DM.market_size * math.exp(-1.0)
         model = flat_model(0.3, f_boundary, 0.0)
-        price, _ = price_at(DM, model.state(1.0))
+        price, *_ = decide_at(DM, model.state(1.0), model.invest_cost)
         base = 0.3 / 0.0045
         assert price == pytest.approx(base, rel=1e-9)
         assert base * math.log(DM.market_size / f_boundary) == pytest.approx(
@@ -104,12 +102,12 @@ class TestOptimalPrice:
     def test_no_credits_error(self):
         model = flat_model(0.3, 0.0, 0.0)
         with pytest.raises(NoSellableCreditsError):
-            price_at(DM, model.state(1.0))
+            decide_at(DM, model.state(1.0), model.invest_cost)
 
     def test_proportional_to_emissions_interior_regime(self, baseline_demand, baseline_model):
         q1, q2 = 5.5, 6.8  # both beyond the deliverability threshold
-        p1, b1 = price_at(baseline_demand, baseline_model.state(q1))
-        p2, b2 = price_at(baseline_demand, baseline_model.state(q2))
+        p1, b1, *_ = decide_at(baseline_demand, baseline_model.state(q1), baseline_model.invest_cost)
+        p2, b2, *_ = decide_at(baseline_demand, baseline_model.state(q2), baseline_model.invest_cost)
         assert not b1 and not b2
         ratio = baseline_model.emissions_at(q1) / baseline_model.emissions_at(q2)
         assert p1 / p2 == pytest.approx(ratio, rel=1e-9)
@@ -127,15 +125,15 @@ class TestOptimalPrice:
             invest_cost=1000.0,
             domain=(0.0, 10.0),
         )
-        p1, b1 = price_at(dm, model.state(1.0))
-        p2, b2 = price_at(dm, model.state(4.0))
+        p1, b1, *_ = decide_at(dm, model.state(1.0), model.invest_cost)
+        p2, b2, *_ = decide_at(dm, model.state(4.0), model.invest_cost)
         assert b1 and b2
         ratio = model.emissions_at(1.0) / model.emissions_at(4.0)
         assert p1 / p2 == pytest.approx(ratio, rel=1e-9)
 
     def test_monotone_along_capacity(self, baseline_demand, baseline_model):
         qs = np.linspace(0.5, 7.0, 50)
-        prices = [price_at(baseline_demand, baseline_model.state(q)).price for q in qs]
+        prices = [decide_at(baseline_demand, baseline_model.state(q), baseline_model.invest_cost).price for q in qs]
         assert all(a >= b for a, b in zip(prices, prices[1:]))
 
 
@@ -177,7 +175,7 @@ class TestOptimalExpansion:
             s = model.state(q)
             d = decide_at(dm, s, model.invest_cost)
             assert d.status is ExpansionStatus.EXPANDING
-            rev = revenue(dm, price_at(dm, s).price, s.e)
+            rev = d.price * demand(dm, d.price, s.e)
             assert s.cost + model.invest_cost * d.expansion == pytest.approx(rev, rel=1e-9)
 
 
@@ -192,8 +190,7 @@ class TestClosedFormAgainstScan:
             q = rng.uniform(lo + 0.05 * (hi - lo), hi)
             e_q = model.emissions_at(q)
             f_q = model.delivered_at(q)
-            price, _ = price_at(dm, model.state(q))
-            best_closed = revenue(dm, price, e_q)
+            best_closed = decide_at(dm, model.state(q), model.invest_cost).revenue
 
             base = e_q / dm.sensitivity
             p_cap = 10.0 * base
@@ -209,7 +206,7 @@ class TestKktResiduals:
     def test_interior_solution_certified(self):
         dm, model = _exact_revenue_model(100.0)
         solution = solve_period(dm, model, 1.0)
-        res = kkt_residuals(dm, model, 1.0, solution, problem="integrated")
+        res = kkt_residuals(dm, model.state(1.0), model.invest_cost, solution, problem="integrated")
         assert res.certified
         assert res.max_abs_residual <= 1e-9
         assert res.mult_deliverability == 0.0
@@ -220,7 +217,7 @@ class TestKktResiduals:
         model = flat_model(0.45, 2.0, -25.0)
         solution = solve_period(dm, model, 1.0)
         assert solution.deliverability_binding
-        res = kkt_residuals(dm, model, 1.0, solution, problem="integrated")
+        res = kkt_residuals(dm, model.state(1.0), model.invest_cost, solution, problem="integrated")
         base = 0.45 / 0.0045
         expected = (solution.price - base) / model.invest_cost
         assert res.mult_deliverability == pytest.approx(expected, rel=1e-12)
@@ -232,7 +229,7 @@ class TestKktResiduals:
         model = flat_model(0.45, 5.0, -2.0, invest_cost=10.0)
         solution = solve_period(dm, model, 1.0)
         wrong = solution._replace(price=solution.price * 1.01)
-        res = kkt_residuals(dm, model, 1.0, wrong, problem="integrated")
+        res = kkt_residuals(dm, model.state(1.0), model.invest_cost, wrong, problem="integrated")
         assert abs(res.stationarity_price) > 1e-3
         assert not res.certified
 
@@ -248,22 +245,23 @@ class TestKktResiduals:
         # a PeriodSolution is a plain tuple: nothing checks it on construction,
         # so the residuals must reject what the solvers never return
         solution = self._solved(baseline_demand, baseline_model, q, problem)
-        assert kkt_residuals(baseline_demand, baseline_model, q, solution, problem).certified
+        dm, s, k = baseline_demand, baseline_model.state(q), baseline_model.invest_cost
+        assert kkt_residuals(dm, s, k, solution, problem).certified
         with pytest.raises(ValueError):
-            kkt_residuals(baseline_demand, baseline_model, q, solution._replace(price=-1.0), problem)
+            kkt_residuals(dm, s, k, solution._replace(price=-1.0), problem)
         wrong = solution._replace(expansion=-0.1)
-        assert not kkt_residuals(baseline_demand, baseline_model, q, wrong, problem).certified
+        assert not kkt_residuals(dm, s, k, wrong, problem).certified
         if problem == "revenue-sharing":
             for share in (-0.1, 1.0, 1.5):
                 wrong = solution._replace(share=share)
-                assert not kkt_residuals(baseline_demand, baseline_model, q, wrong, problem).certified
+                assert not kkt_residuals(dm, s, k, wrong, problem).certified
 
     def test_equilibrium_solution_closed_form(self):
         # no expansion: the multipliers are those of an expanding period
         dm, model = _exact_revenue_model(200.0)
         solution = solve_period(dm, model, 1.0)
         assert solution.expansion == 0.0
-        res = kkt_residuals(dm, model, 1.0, solution, problem="integrated")
+        res = kkt_residuals(dm, model.state(1.0), model.invest_cost, solution, problem="integrated")
         assert res.certified
         assert res.mult_financial == 1.0 / model.invest_cost
         assert res.mult_expansion_nonneg == 0.0
@@ -273,7 +271,7 @@ class TestKktResiduals:
         solution, _ = solve_separated_period(baseline_demand, baseline_model, q)
         assert 0.0 < solution.share < 1.0
         res = kkt_residuals(
-            baseline_demand, baseline_model, q, solution, problem="revenue-sharing"
+            baseline_demand, baseline_model.state(q), baseline_model.invest_cost, solution, problem="revenue-sharing"
         )
         assert res.max_abs_residual <= 1e-9
         assert res.mult_generator_budget == pytest.approx(
@@ -285,7 +283,7 @@ class TestKktResiduals:
         solution, _ = solve_separated_period(baseline_demand, baseline_model, q)
         assert solution.share == 0.0
         res = kkt_residuals(
-            baseline_demand, baseline_model, q, solution, problem="revenue-sharing"
+            baseline_demand, baseline_model.state(q), baseline_model.invest_cost, solution, problem="revenue-sharing"
         )
         assert res.certified
         assert res.mult_share_lower == pytest.approx(
@@ -295,7 +293,7 @@ class TestKktResiduals:
     def test_unknown_problem_rejected(self, baseline_demand, baseline_model):
         solution = solve_period(baseline_demand, baseline_model, 2.0)
         with pytest.raises(ValueError):
-            kkt_residuals(baseline_demand, baseline_model, 2.0, solution, problem="dual")
+            kkt_residuals(baseline_demand, baseline_model.state(2.0), baseline_model.invest_cost, solution, "dual")
 
 
 @given(

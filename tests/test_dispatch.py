@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression, linprog
 
+from conftest import write_fleet_csv, write_profiles_csv
 from vrpplan.dispatch import (
     FLEET_CSV_COLUMNS,
     PROFILE_CSV_COLUMNS,
@@ -27,8 +28,6 @@ from vrpplan.dispatch import (
     merit_order_dispatch,
     read_fleet_csv,
     read_profiles_csv,
-    write_fleet_csv,
-    write_profiles_csv,
 )
 from vrpplan.errors import DispatchShortageError
 from vrpplan.grid_model import CostSpec, validate_grid_conditions

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bumped_emissions, drawn_model, flat_curve, flat_model
-from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at, demand, price_at
+from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at, demand
 from vrpplan.errors import CurveDomainError, NetZeroGridError, NoSellableCreditsError
 from vrpplan.grid_model import (
     CostSpec,
@@ -313,27 +313,32 @@ class TestCostAggregates:
             assert s.cost == pytest.approx(s.C_S + s.cost_generator, rel=1e-9, abs=1e-9)
 
 
+def slope_at(curve: GridCurve, q):
+    """``curve``'s slope at ``q``, given its value there, as a state holds it."""
+    return curve.slope(q, eval_curve(curve, q))
+
+
 class TestSlopes:
     def test_quadratic_cost_slope(self):
         curve = GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0))
-        assert curve.slope(3.0) == 51.0
-        assert curve.slope(3.0) == pytest.approx(central_difference(partial(eval_curve, curve), 3.0), abs=1e-6)
+        assert slope_at(curve, 3.0) == 51.0
+        assert slope_at(curve, 3.0) == pytest.approx(central_difference(partial(eval_curve, curve), 3.0), abs=1e-6)
 
     def test_flat_curve(self):
         curve = flat_curve(3.3)
-        assert curve.slope(5.0) == 0.0 == central_difference(partial(eval_curve, curve), 5.0, h=1e-3)
+        assert slope_at(curve, 5.0) == 0.0 == central_difference(partial(eval_curve, curve), 5.0, h=1e-3)
 
     def test_tabulated_segments(self):
         curve = GridCurve(CurveKind.TABULATED, table=((0.0, 0.0), (10.0, 10.0), (12.0, 11.0)))
         # the lower end, a knot (right-hand segment) and the top end (last segment)
-        assert curve.slope(0.0) == 1.0 == pytest.approx(
+        assert slope_at(curve, 0.0) == 1.0 == pytest.approx(
             (eval_curve(curve, 1e-3) - eval_curve(curve, 0.0)) / 1e-3, abs=1e-9
         )
-        assert curve.slope(10.0) == 0.5
-        assert curve.slope(12.0) == 0.5
-        assert curve.slope(np.array([0.0, 5.0, 10.0, 12.0])).tolist() == [1.0, 1.0, 0.5, 0.5]
+        assert slope_at(curve, 10.0) == 0.5
+        assert slope_at(curve, 12.0) == 0.5
+        assert slope_at(curve, np.array([0.0, 5.0, 10.0, 12.0])).tolist() == [1.0, 1.0, 0.5, 0.5]
         with pytest.raises(CurveDomainError):
-            curve.slope(np.array([5.0, math.nan]))
+            curve.slope(np.array([5.0, math.nan]), None)  # a table reads no value
 
     @pytest.mark.parametrize(
         "curve",
@@ -352,13 +357,13 @@ class TestSlopes:
             *(a + f * (b - a) for a, b in zip(knots, knots[1:]) for f in (0.25, 0.5, 0.75)),
             math.nextafter(lo, -math.inf), lo - slack, math.nextafter(hi, math.inf), hi + slack,
         ]
-        for q in inside:
-            assert curve.slope(q).hex() == float(curve.slope(np.array([q]))[0]).hex(), q
+        for q in inside:  # a table reads no value
+            assert curve.slope(q, None).hex() == float(curve.slope(np.array([q]), None)[0]).hex(), q
         for q in (lo - 2.0 * slack, hi + 2.0 * slack, math.nan, -math.inf, math.inf):
             with pytest.raises(CurveDomainError) as array:
-                curve.slope(np.array([q]))
+                curve.slope(np.array([q]), None)
             with pytest.raises(CurveDomainError) as scalar:
-                curve.slope(q)
+                curve.slope(q, None)
             assert str(scalar.value) == str(array.value)
 
     def test_array_slopes_match_central_differences(self):
@@ -368,11 +373,11 @@ class TestSlopes:
             GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.4, 0.06)),
         ):
             expected = [central_difference(partial(eval_curve, curve), q) for q in qs]
-            np.testing.assert_allclose(curve.slope(qs), expected, rtol=1e-7)
+            np.testing.assert_allclose(slope_at(curve, qs), expected, rtol=1e-7)
 
     def test_baseline_emissions_slope_small(self, baseline_model):
         qs = np.linspace(*baseline_model.domain, 100)
-        slopes = baseline_model.emissions.slope(qs)
+        slopes = slope_at(baseline_model.emissions, qs)
         assert np.max(np.abs(slopes)) < 0.1
         np.testing.assert_allclose(
             slopes, [central_difference(partial(eval_curve, baseline_model.emissions), q) for q in qs], rtol=1e-7
@@ -381,17 +386,16 @@ class TestSlopes:
     def test_cost_slope_by_hand(self):
         # C = (2Q + 0.5Q^2) + (10Q + Q^2) - 2*5, so C' = 12 + 3Q
         model = flat_model(0.4, 2.0, 5.0, alpha_r=10.0, beta_r=1.0, alpha_s=2.0, beta_s=0.5)
-        assert model.cost_slope(3.0) == 21.0
-        assert model.cost_slope(np.array([0.0, 3.0])).tolist() == [12.0, 21.0]
+        assert model.cost_slope(model.state(3.0)) == 21.0
+        assert model.cost_slope(model.state(np.array([0.0, 3.0]))).tolist() == [12.0, 21.0]
 
     def test_baseline_cost_slope_matches_central_differences(self, baseline_model):
         # midpoints of the 0.025 GW knot spacing of the delivered table, away from its kinks
         qs = 0.0125 + 0.025 * np.arange(3, 470, 13)
         expected = [central_difference(lambda q: baseline_model.state(q).cost, q) for q in qs]
-        np.testing.assert_allclose(baseline_model.cost_slope(qs), expected, rtol=1e-6)
-        assert baseline_model.cost_slope(float(qs[0])) == pytest.approx(
-            baseline_model.cost_slope(qs)[0], rel=1e-14
-        )
+        slopes = baseline_model.cost_slope(baseline_model.state(qs))
+        np.testing.assert_allclose(slopes, expected, rtol=1e-6)
+        assert baseline_model.cost_slope(baseline_model.state(float(qs[0]))) == pytest.approx(slopes[0], rel=1e-14)
 
 
 def reference_conditions(model: GridModel, n_samples: int) -> dict:
@@ -678,7 +682,8 @@ class TestScalarRouting:
         for name in ("e", "f", "pi", "C_S", "C_R"):
             assert self.same_float(getattr(s, name), getattr(expected, name)), name
         dm = DemandModel(market_size=10.0, sensitivity=0.0045)
-        (price, binding), (p0, b0) = price_at(dm, s), price_at(dm, expected)
+        k = baseline_model.invest_cost
+        (price, binding), (p0, b0) = decide_at(dm, s, k)[:2], decide_at(dm, expected, k)[:2]
         assert self.same_float(price, p0) and binding is b0
 
     def test_only_ndarrays_route_to_the_array_path(self):
@@ -695,7 +700,7 @@ class TestScalarRouting:
         assert array.tobytes() == eval_curve(warmed, qs).tobytes()
         assert array.tobytes() == np.interp(qs, *map(np.array, zip(*table))).tobytes()
         assert array.tolist() == scalar
-        assert fresh.slope(qs).tobytes() == warmed.slope(qs).tobytes()
+        assert fresh.slope(qs, None).tobytes() == warmed.slope(qs, None).tobytes()
 
 
 def reference_curve(curve: GridCurve, q):
@@ -725,7 +730,7 @@ def reference_curve(curve: GridCurve, q):
 
 
 def reference_clamp(model: GridModel, q):
-    lo, hi = model.domain
+    q, (lo, hi) = float(q), model.domain  # the model reads a NumPy scalar as a builtin float
     if lo <= q <= hi:
         return q
     slack = scaled(DOMAIN_TOL, lo, hi)
@@ -815,7 +820,6 @@ class TestFloatKernel:
         k = model.invest_cost
         for state in (s, s._replace(e=math.nan), s._replace(f=math.nan)):
             assert outcome(decide_at, dm, state, k) == outcome(reference_decision, dm, state, k)
-            assert outcome(price_at, dm, state) == outcome(lambda *a: reference_decision(*a)[:2], dm, state, k)
 
     def test_an_exponential_overflow_raises_the_same_error(self):
         model = GridModel(
@@ -825,6 +829,16 @@ class TestFloatKernel:
         assert outcome(model.state, 800.0) == outcome(reference_state, model, 800.0)
         with pytest.raises(CurveDomainError, match="exponential curve overflows at Q=800.0"):
             model.state(800.0)
+
+    def test_a_numpy_scalar_capacity_is_read_as_a_float(self):
+        # on a polynomial f a NumPy scalar would keep f(Q) one, and M/f(Q) would overflow in numpy
+        # arithmetic, which warns (an error under the warnings filter) before the error the float raises
+        dm, model = drawn_model(CurveKind.POLYNOMIAL, np.random.default_rng(5))
+        s = model.state(np.float64(1e-310))
+        assert [type(v) for v in s] == [float] * 6
+        with pytest.raises(NoSellableCreditsError, match=r"M/f\(Q\) overflows"):
+            decide_at(dm, s, model.invest_cost)
+        assert type(model.emissions_at(np.float64(2.0))) is float
 
     def test_a_model_leaves_no_cyclic_garbage(self):
         # the kernels hold numbers and other kernels, never their curve or model

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BASELINE, adversarial_dip_model, drawn_model, flat_model
-from vrpplan.demand_pricing import DemandModel, price_at, unconstrained_peak_revenue
+from vrpplan.demand_pricing import DemandModel, decide_at, unconstrained_peak_revenue
 from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import (
     CurveDomainError,
@@ -35,7 +35,7 @@ from vrpplan.tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     SimulationConfig,
     certify_monotone_reachability,
-    max_feasible_expansion,
+    solve_period,
 )
 
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
@@ -54,7 +54,7 @@ def reference_report(dm, model, cfg, ecfg, result) -> DominanceReport:
         path = [cfg.q_init]
         for frac in row:
             q = path[-1]
-            step = min(max_feasible_expansion(dm, model, q), max(0.0, limit - q))
+            step = min(solve_period(dm, model, q).expansion, max(0.0, limit - q))
             path.append(q + frac * step)
         return path
 
@@ -144,13 +144,13 @@ class TestEnumerateAndCompare:
     def test_each_level_steps_its_distinct_capacities_once(self, baseline_demand, baseline_model, monkeypatch):
         # a zero action leaves the capacity as it was, so 4**t prefixes hold (3**(t+1) - 1) / 2 capacities
         sizes = []
-        stepped = trajectory.max_feasible_expansion
+        stepped = trajectory._max_feasible
 
-        def counted(dm, model, q):
-            sizes.append(np.size(q))
-            return stepped(dm, model, q)
+        def counted(dm, s, k):
+            sizes.append(np.size(s.q))
+            return stepped(dm, s, k)
 
-        monkeypatch.setattr(trajectory, "max_feasible_expansion", counted)
+        monkeypatch.setattr(trajectory, "_max_feasible", counted)
         report = enumerate_and_compare(baseline_demand, baseline_model, BASELINE.simulation, EnumerationConfig(4, 6))
         assert report.n_policies_evaluated == 4096 and report.passed
         assert sizes == [1, 4, 13, 40, 121, 364] and sum(sizes) == 543
@@ -251,7 +251,7 @@ class TestDenseScanPrice:
     @pytest.mark.parametrize("dm, model, q, binding", PRICE_SCAN_CASES)
     def test_blocks_match_the_reference(self, dm, model, q, binding):
         # every leaf and block boundary case: below, at and past one, two blocks and a tail
-        assert price_at(dm, model.state(q)).deliverability_binding is binding
+        assert decide_at(dm, model.state(q), model.invest_cost).deliverability_binding is binding
         for n in (*SCAN_SIZES, 100_003, 10**6):
             assert dense_scan_price(dm, model, q, n) == reference_price_scan(dm, model, q, n), n
 
@@ -275,7 +275,7 @@ class TestDenseScanPrice:
             scan = dense_scan_price(dm, model, q, n)
         except VrpError as exc:  # no price to find: the closed form raises alike
             with pytest.raises(type(exc)):
-                price_at(dm, model.state(q))
+                decide_at(dm, model.state(q), model.invest_cost)
             return
         assert scan == reference_price_scan(dm, model, q, n)
 
@@ -293,7 +293,7 @@ class TestDenseScanPrice:
     def test_no_credits_raises_like_the_closed_form(self, baseline_demand, baseline_model):
         # f(0) = 0 on the baseline: no price, not a best price of 0.0
         with pytest.raises(NoSellableCreditsError):
-            price_at(baseline_demand, baseline_model.state(0.0))
+            decide_at(baseline_demand, baseline_model.state(0.0), baseline_model.invest_cost)
         with pytest.raises(NoSellableCreditsError):
             dense_scan_price(baseline_demand, baseline_model, 0.0)
 
@@ -301,29 +301,29 @@ class TestDenseScanPrice:
         # f(2.2e-309) = 2.1e-309 on the baseline: M/f(Q) overflows, so the price and p_cap would be inf
         q = 2.2e-309
         with pytest.raises(NoSellableCreditsError, match="M/f"):
-            price_at(baseline_demand, baseline_model.state(q))
+            decide_at(baseline_demand, baseline_model.state(q), baseline_model.invest_cost)
         states = baseline_model.state(np.array([3.0, 1e-300, q]))
         with np.errstate(all="raise"):  # no overflow on the way to the error
             with pytest.raises(NoSellableCreditsError, match="M/f"):
-                price_at(baseline_demand, states)
+                decide_at(baseline_demand, states, baseline_model.invest_cost)
             with pytest.raises(NoSellableCreditsError, match="M/f"):
                 dense_scan_price(baseline_demand, baseline_model, q)
         # 1e-300 is the smallest of these capacities whose price is finite
-        assert math.isfinite(price_at(baseline_demand, baseline_model.state(1e-300)).price)
+        assert math.isfinite(decide_at(baseline_demand, baseline_model.state(1e-300), baseline_model.invest_cost).price)
 
     def test_net_zero_grid_raises_like_the_closed_form(self):
         model = flat_model(0.3, 5.0, 0.0)._replace(
             emissions=GridCurve(CurveKind.TABULATED, table=((0.0, 0.3), (10.0, 0.0))),
         )
         with pytest.raises(NetZeroGridError):
-            price_at(DM, model.state(10.0))
+            decide_at(DM, model.state(10.0), model.invest_cost)
         with np.errstate(all="raise"):  # no 0/0 on the way to the error
             with pytest.raises(NetZeroGridError):
                 dense_scan_price(DM, model, 10.0)
 
     def test_interior_model(self):
         model = flat_model(0.3, 5.0, 0.0)
-        closed = price_at(DM, model.state(1.0)).price
+        closed = decide_at(DM, model.state(1.0), model.invest_cost).price
         n = 10**5
         scan = dense_scan_price(DM, model, 1.0, n)
         step = 10.0 * (0.3 / DM.sensitivity) / (n - 1)
@@ -331,7 +331,7 @@ class TestDenseScanPrice:
 
     def test_binding_model(self):
         model = flat_model(0.3, 2.0, 0.0)
-        closed = price_at(DM, model.state(1.0)).price
+        closed = decide_at(DM, model.state(1.0), model.invest_cost).price
         n = 10**5
         scan = dense_scan_price(DM, model, 1.0, n)
         base = 0.3 / DM.sensitivity
@@ -340,7 +340,7 @@ class TestDenseScanPrice:
 
     def test_coarse_grid_resolution_bound(self):
         model = flat_model(0.3, 5.0, 0.0)
-        closed = price_at(DM, model.state(1.0)).price
+        closed = decide_at(DM, model.state(1.0), model.invest_cost).price
         scan = dense_scan_price(DM, model, 1.0, 10)
         p_cap = 10.0 * (0.3 / DM.sensitivity)
         assert abs(scan - closed) <= p_cap / 9 + 1e-9

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_model, random_accepted_model
-from vrpplan.demand_pricing import DemandModel, Phase, decide_at, price_at, revenue
+from vrpplan.demand_pricing import DemandModel, Phase, decide_at, demand
 from vrpplan.errors import InfeasibleSharingError, NoRevenueError
 from vrpplan.revenue_sharing import classify_phase, solve_separated_period
 
@@ -47,8 +47,8 @@ class TestExpansionGivenShare:
 
     def test_zero_share(self):
         model = model_with_generator_cost(0.0)  # C_2 = 0: no share
-        price, _ = price_at(DM200, model.state(2.0))
-        rev = revenue(DM200, price, 0.45)
+        price, *_ = decide_at(DM200, model.state(2.0), model.invest_cost)
+        rev = price * demand(DM200, price, 0.45)
         expected = (rev - model.cost_system.cost(2.0)) / model.invest_cost
         solution, _ = solve_separated_period(DM200, model, 2.0)
         assert solution.share == 0.0

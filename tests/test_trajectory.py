@@ -17,25 +17,24 @@ from vrpplan.demand_pricing import (
     Phase,
     decide_at,
     demand,
-    price_at,
     unconstrained_peak_revenue,
 )
 from vrpplan import cli
 from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCreditsError, VrpError
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel
-from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
+from vrpplan import grid_model as gm
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
+from vrpplan.oracles import EnumerationConfig, _walk_prefix_array, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     TRAJECTORY_CSV_COLUMNS,
     SimulationConfig,
     Termination,
+    _max_feasible,
     _sampled_margins,
     certify_monotone_reachability,
-    max_feasible_expansion,
-    reach_map,
     reachability_lower_bound,
     simulate_myopic,
     solve_period,
@@ -87,9 +86,8 @@ class TestArrayDecisions:
         try:
             scalar = [decide_at(dm, t, k) for t in states]
         except VrpError as exc:
-            for decide in (lambda: price_at(dm, s), lambda: decide_at(dm, s, k)):
-                with pytest.raises(type(exc)):
-                    decide()
+            with pytest.raises(type(exc)):
+                decide_at(dm, s, k)
             return
         d = decide_at(dm, s, k)
         assert d.deliverability_binding.tolist() == [x.deliverability_binding for x in scalar]
@@ -103,11 +101,12 @@ class TestArrayDecisions:
         assert np.all(np.abs(d.expansion - [x.expansion for x in scalar]) <= 4e-15 * (scale / k))
         if ExpansionStatus.INFEASIBLE in d.status:
             with pytest.raises(InfeasiblePeriodError):
-                reach_map(dm, model, qs)
+                _max_feasible(dm, s, k)
         else:
-            reach = [reach_map(dm, model, float(q)) for q in qs]
-            np.testing.assert_allclose(reach_map(dm, model, qs), reach, rtol=2e-15, atol=0.0)
-            assert max_feasible_expansion(dm, model, qs).tolist() == d.expansion.tolist()
+            # the reach S(Q) = Q + the maximal feasible expansion, as the certificate builds it
+            reach, expansions = [t.q + x.expansion for t, x in zip(states, scalar)], _max_feasible(dm, s, k)
+            np.testing.assert_allclose(s.q + expansions, reach, rtol=2e-15, atol=0.0)
+            assert expansions.tolist() == d.expansion.tolist()
 
 
 class TestCertificateRoutes:
@@ -138,14 +137,15 @@ class TestCertificateRoutes:
         assert worst_capacity == array[1]
         assert (min_margin >= -ZERO_TOL) == (array[0] >= -ZERO_TOL)  # holds
         # TestArrayDecisions' rtol on S, carried through a discrete slope: two S errors over a step
-        reach = float(np.max(np.abs(reach_map(dm, model, qs))))
+        s = model.state(qs)
+        reach = float(np.max(np.abs(s.q + _max_feasible(dm, s, model.invest_cost))))
         tol = 2e-15 * (abs(array[0]) + 2.0 * reach / (qs[1] - qs[0]))
         assert abs(min_margin - array[0]) <= tol
         np.testing.assert_allclose([max_e, max_c], array[2:], rtol=2e-15, atol=0.0)
 
     def test_an_overflowing_margin_raises_on_both_routes(self, baseline_demand, baseline_model):
-        # 2 beta overflows, so every margin is -inf: the float loop raises there, the
-        # array route where beta Q^2 overflows in S
+        # beta Q^2 overflows in the states past Q = 1, which both routes build first: the
+        # float loop raises at its state stage, the array route where the product overflows
         model = baseline_model._replace(cost_system=CostSpec(0.0, 1e308))
         qs = np.linspace(0.5, 6.0, 200, endpoint=False)
         for samples in (qs, qs.tolist()):
@@ -199,20 +199,22 @@ class TestInfeasibleWindow:
 
 
 class TestMaxFeasibleExpansion:
+    """The maximal feasible expansion: ``solve_period``'s at a float, ``_max_feasible``'s at an array state."""
+
     def test_matches_optimal_expansion(self, baseline_demand, baseline_model):
         for q in (0.5, 2.0, 4.0, 6.0):
             expected = decide_at(baseline_demand, baseline_model.state(q), baseline_model.invest_cost).expansion
-            assert max_feasible_expansion(baseline_demand, baseline_model, q) == expected
+            assert solve_period(baseline_demand, baseline_model, q).expansion == expected
 
     def test_zero_at_equilibrium(self, baseline_demand, baseline_model):
         limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
-        assert max_feasible_expansion(baseline_demand, baseline_model, limit) == 0.0
+        assert solve_period(baseline_demand, baseline_model, limit).expansion == 0.0
 
     def test_infeasible_state_raises(self):
         model = bumped_cost_model(0.0, 1000.0, q_lo=0.3)
-        # revenue at the domain edge falls short of the flat 100 M$/yr cost
-        with pytest.raises(InfeasiblePeriodError):
-            max_feasible_expansion(DM, model, 0.3)
+        # revenue at the domain edge falls short of the flat 100 M$/yr cost; the array names that entry
+        with pytest.raises(InfeasiblePeriodError, match=r"^revenue cannot cover cost at Q=0\.3$"):
+            _max_feasible(DM, model.state(np.array([0.3, 1.0])), model.invest_cost)
 
     def test_against_two_dimensional_grid_oracle(self, baseline_demand, baseline_model):
         q_state = 2.0
@@ -220,7 +222,7 @@ class TestMaxFeasibleExpansion:
         f_q = baseline_model.delivered_at(q_state)
         cost = baseline_model.state(q_state).cost
         k = baseline_model.invest_cost
-        best = max_feasible_expansion(baseline_demand, baseline_model, q_state)
+        best = solve_period(baseline_demand, baseline_model, q_state).expansion
 
         base = e_q / baseline_demand.sensitivity
         p_cap = max(
@@ -243,18 +245,16 @@ class TestMaxFeasibleExpansion:
 
 
 class TestReachMap:
+    """The reach S(Q) = Q + the maximal feasible expansion."""
+
     def test_fixed_point_at_limit(self, baseline_demand, baseline_model):
         limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
-        assert reach_map(baseline_demand, baseline_model, limit) == limit
-
-    def test_substitution(self, baseline_demand, baseline_model):
-        step = max_feasible_expansion(baseline_demand, baseline_model, 1.0)
-        assert reach_map(baseline_demand, baseline_model, 1.0) == 1.0 + step
+        assert limit + solve_period(baseline_demand, baseline_model, limit).expansion == limit
 
     def test_nondecreasing_on_baseline(self, baseline_demand, baseline_model):
         result = solve_long_run_limit(baseline_demand, baseline_model)
         qs = np.linspace(0.5, result.capacity_limit * 0.9999, 500)
-        values = [reach_map(baseline_demand, baseline_model, q) for q in qs]
+        values = [q + solve_period(baseline_demand, baseline_model, q).expansion for q in qs]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         cert = certify_monotone_reachability(
             baseline_demand, baseline_model, 500, q_init=0.5, equilibrium=result
@@ -312,7 +312,8 @@ class TestSolvePeriod:
         # within a few 1e-9 above the threshold the optimal sales sit within
         # ZERO_TOL of f(Q) although the cap is slack: every solver reports the regime
         q = find_deliverability_threshold(baseline_demand, baseline_model) + offset
-        expected = price_at(baseline_demand, baseline_model.state(q)).deliverability_binding
+        s = baseline_model.state(q)
+        expected = decide_at(baseline_demand, s, baseline_model.invest_cost).deliverability_binding
         assert expected is (offset < 0.0)
         assert solve_period(baseline_demand, baseline_model, q).deliverability_binding is expected
         separated, _ = solve_separated_period(baseline_demand, baseline_model, q)
@@ -405,7 +406,7 @@ class TestSimulateMyopic:
         half_path = [cfg.q_init]
         for _ in range(cfg.horizon - 1):
             q = half_path[-1]
-            step = min(max_feasible_expansion(baseline_demand, baseline_model, q), max(0.0, limit - q))
+            step = min(solve_period(baseline_demand, baseline_model, q).expansion, max(0.0, limit - q))
             half_path.append(q + 0.5 * step)
         assert len(full_run.records) == len(half_path)
         for a, b in zip(full_run.records, half_path):
@@ -533,8 +534,9 @@ class TestSerialization:
 
 
 class TestEvaluationCounts:
-    """One grid state per period: e, f and pi are each evaluated once, by the
-    curves' scalar kernels, and one decision is made on it."""
+    """One grid state per period, and per checked capacity: e, f and pi are
+    each evaluated once, by the curves' scalar kernels or one array call, and
+    one decision is made on it."""
 
     @pytest.fixture()
     def counted(self, baseline_model):
@@ -574,6 +576,54 @@ class TestEvaluationCounts:
             solve_separated_period(baseline_demand, model, q)
             assert evaluations == {"e": 1, "f": 1, "pi": 1}
 
+    @pytest.mark.parametrize("n", [2, 50, 200, 1000])
+    def test_float_certificate_three_per_sample(self, baseline_demand, counted, n):
+        # the margins, the reach and the discrete slopes read each sample's one state
+        model, evaluations = counted
+        limit = solve_long_run_limit(baseline_demand, model).capacity_limit
+        evaluations.clear()
+        _sampled_margins(baseline_demand, model, linspace(0.5, limit, n, endpoint=False))
+        assert evaluations == {"e": n, "f": n, "pi": n}
+
+    @pytest.fixture()
+    def array_calls(self, baseline_model, monkeypatch):
+        """The entries of each array evaluation of the baseline's e, f and pi, by curve name."""
+        calls = {"e": [], "f": [], "pi": []}
+        names = {id(baseline_model.emissions): "e", id(baseline_model.delivered): "f",
+                 id(baseline_model.energy_value): "pi"}
+        evaluate = gm.eval_curve
+
+        def counted(curve, q):
+            calls[names[id(curve)]].append(np.size(q))
+            return evaluate(curve, q)
+
+        monkeypatch.setattr(gm, "eval_curve", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 200, 1000])
+    def test_array_certificate_one_call_per_curve(self, baseline_demand, baseline_model, array_calls, n):
+        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit  # on floats: no array call
+        _sampled_margins(baseline_demand, baseline_model, np.linspace(0.5, limit, n, endpoint=False))
+        assert array_calls == {"e": [n], "f": [n], "pi": [n]}
+
+    def test_array_enumeration_evaluates_e_once_per_distinct_capacity(
+        self, baseline_demand, baseline_model, array_calls
+    ):
+        # each level's distinct capacities, (3**(t+1) - 1) / 2 at g = 4, by one state; the last level by e alone
+        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit  # on floats: no array call
+        _walk_prefix_array(baseline_demand, baseline_model, 0.5, limit, np.linspace(0.0, 1.0, 4), 6)
+        assert array_calls["e"] == [1, 4, 13, 40, 121, 364, 1093] and sum(array_calls["e"]) == 1636
+        assert array_calls["f"] == array_calls["pi"] == [1, 4, 13, 40, 121, 364]
+
+    def test_kkt_summary_three_per_capacity(self, baseline_demand, counted):
+        # one state and one decision serve the skip test, both solutions and both residuals
+        model, evaluations = counted
+        result = solve_long_run_limit(baseline_demand, model)
+        evaluations.clear()
+        summary = cli._kkt_summary(BASELINE._replace(grid=model), result)
+        assert summary["states_checked"] == 8 and summary["certified"]
+        assert evaluations == {"e": 8, "f": 8, "pi": 8}
+
     @pytest.fixture()
     def decisions(self, monkeypatch):
         calls = Counter()
@@ -587,7 +637,7 @@ class TestEvaluationCounts:
 
             return counted
 
-        for name in ("decide_at", "price_at", "demand"):
+        for name in ("decide_at", "demand"):
             monkeypatch.setattr(dp, name, counting(name))
         return calls
 
@@ -598,7 +648,7 @@ class TestEvaluationCounts:
         trajectory = simulate_myopic(baseline_demand, baseline_model, baseline_cfg)
         assert len(trajectory.records) == 157
         decisions.subtract(limit_calls)
-        # one float body per period: no price_at or demand call beside it
+        # one float body per period: no demand call beside it
         assert decisions == {"decide_at": 157}
 
     def test_separated_period_one_decision_per_call(self, baseline_demand, baseline_model, decisions):
