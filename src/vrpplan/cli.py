@@ -53,6 +53,8 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
+_KKT_STATES = 8  # the capacities the KKT summary checks
+
 
 def _at_least(floor: int):
     """An argparse type: an integer of at least ``floor`` within the float range,
@@ -156,10 +158,11 @@ def _emit(doc: dict, args, filename: str) -> None:
 
 
 def _cmd_price(args, scenario: Scenario) -> int:
-    solution = traj.solve_period(scenario.demand, scenario.grid, args.capacity)
+    s = scenario.grid.state(args.capacity)  # one state: the solution and the document's e
+    solution = traj._solve_at(scenario.demand, s, scenario.grid.invest_cost)
     doc = {
         "capacity": args.capacity,
-        "emissions_intensity": scenario.grid.emissions_at(args.capacity),
+        "emissions_intensity": s.e,
         "price_energy_usd_per_mwh": convert_price_units(solution.price, scenario.wind_cf),
         **solution.to_dict(),
     }
@@ -236,14 +239,13 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     return EXIT_OK
 
 
-def _kkt_summary(scenario: Scenario, result: eqm.EquilibriumResult, n_states: int = 8) -> dict:
-    """The worst KKT residual of both problems at the expanding ones of ``n_states``
-    capacities from the start to the limit, each read from one state and one decision."""
-    dm, model = scenario.demand, scenario.grid
+def _kkt_summary(dm: dp.DemandModel, model: gm.GridModel, *, q_init: float, equilibrium: eqm.EquilibriumResult) -> dict:
+    """The worst KKT residual of both problems at the expanding ones of _KKT_STATES capacities
+    from ``q_init`` up to the ``equilibrium``'s limit, each read from one state and one decision."""
     k = model.invest_cost
     worst = 0.0
     checked = 0
-    for q in gm.linspace(scenario.simulation.q_init, result.capacity_limit, n_states, endpoint=False):
+    for q in gm.linspace(q_init, equilibrium.capacity_limit, _KKT_STATES, endpoint=False):
         s = model.state(q)
         d = dp.decide_at(dm, s, k)
         if d.status is not dp.ExpansionStatus.EXPANDING:
@@ -266,20 +268,12 @@ def _cmd_verify(args, scenario: Scenario) -> int:
     cap = oracles.MAX_POLICIES
     if args.q_grid ** min(args.horizon, cap.bit_length()) > cap:  # as --q-grid >= 2, past the cap from there on
         raise ValueError(f"--q-grid {args.q_grid} ** --horizon {args.horizon} policies: more than {cap}")
-    dm, model = scenario.demand, scenario.grid
+    dm, model, q_init = scenario.demand, scenario.grid, scenario.simulation.q_init
     conditions = gm.validate_grid_conditions(model)
     result = eqm.solve_long_run_limit(dm, model)
-    certificate = traj.certify_monotone_reachability(  # the one check --samples sets
-        dm, model, n_samples=args.samples, q_init=scenario.simulation.q_init, equilibrium=result
-    )
-    dominance = oracles.enumerate_and_compare(
-        dm,
-        model,
-        scenario.simulation,
-        oracles.EnumerationConfig(action_grid_size=args.q_grid, horizon=args.horizon),
-        equilibrium=result,
-    )
-    kkt = _kkt_summary(scenario, result)
+    certificate = traj.certify_monotone_reachability(dm, model, args.samples, q_init=q_init, equilibrium=result)
+    dominance = oracles.enumerate_and_compare(dm, model, args.q_grid, args.horizon, q_init=q_init, equilibrium=result)
+    kkt = _kkt_summary(dm, model, q_init=q_init, equilibrium=result)
 
     if scenario.derivative_bounds is not None:
         bound = traj.reachability_lower_bound(

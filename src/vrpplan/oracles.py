@@ -30,25 +30,6 @@ MAX_POLICIES = 20000  # the most policies ``verify`` enumerates
 
 
 @record
-class EnumerationConfig:
-    """Discretization of per-period actions for exhaustive policy search.
-
-    Each period offers ``action_grid_size`` choices: the fractions
-    {0, 1/(g-1), ..., 1} of the maximal feasible expansion at the current
-    state, so every enumerated policy is feasible by construction.
-    """
-
-    action_grid_size: int
-    horizon: int
-
-    def __post_init__(self):
-        if self.action_grid_size < 2:
-            raise ValueError("action_grid_size must be at least 2")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-
-
-@record
 class DominanceReport(Serializable):
     n_policies_evaluated: int
     statewise_violations: int
@@ -75,17 +56,22 @@ _ENUMERATION = "policy enumeration"
 def enumerate_and_compare(
     dm: dp.DemandModel,
     model: gm.GridModel,
-    cfg: traj.SimulationConfig,
-    ecfg: EnumerationConfig,
+    action_grid_size: int,
+    horizon: int,
+    *,
+    q_init: float,
     equilibrium: eqm.EquilibriumResult | None = None,
 ) -> DominanceReport:
-    """Exhaustively test myopic dominance against discretized feasible policies.
+    """Exhaustively test myopic dominance from ``q_init`` against feasible
+    policies: in each of ``horizon`` periods, one of g = ``action_grid_size``
+    fractions {0, 1/(g-1), ..., 1} of the maximal feasible expansion there.
 
     Reports how many of all g**horizon policies beat the myopic path
     statewise, reach the limit earlier, or accumulate less emissions intensity
     up to the myopic hitting time; on certified monotone-reachability models
     all three counts are expected to be zero.  A caller that has already
-    solved the long-run limit passes it in.
+    solved the long-run limit passes it in.  A g below 2 or a horizon below 1
+    raises ValueError before any work.
 
     Both routes walk the prefix tree level by level, in one order: level t
     lists the t-step prefixes, each one's actions after its parent's, so
@@ -98,11 +84,14 @@ def enumerate_and_compare(
     :func:`_walk_prefix_array` on arrays, :func:`_walk_prefix_tree` in a
     float loop.
     """
+    if action_grid_size < 2:
+        raise ValueError("action_grid_size must be at least 2")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     limit = (equilibrium or eqm.solve_long_run_limit(dm, model)).capacity_limit
-    g, horizon = ecfg.action_grid_size, ecfg.horizon
-    fractions = gm.sample_grid(0.0, 1.0, g)
+    fractions = gm.sample_grid(0.0, 1.0, action_grid_size)
     walk = _walk_prefix_array if gm.is_array(fractions) else _walk_prefix_tree
-    return DominanceReport(g**horizon, **walk(dm, model, cfg.q_init, limit, fractions, horizon))
+    return DominanceReport(action_grid_size**horizon, **walk(dm, model, q_init, limit, fractions, horizon))
 
 
 def _walk_prefix_array(

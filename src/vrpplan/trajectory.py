@@ -155,7 +155,8 @@ def certify_monotone_reachability(
     slopes of the reach map S(Q) = Q + the maximal feasible expansion, all
     read from one state per sample.  It holds iff both stay above -ZERO_TOL.
     Where the points do not increase strictly, as when the start is at or
-    past the limit or a few ulps below it, it holds trivially, with no samples.
+    past the limit or a few ulps below it, it holds trivially, with no samples:
+    margin and slopes 0 at the start, and a bound of 1.
     The derivative check uses the unconstrained revenue form throughout, so
     the direct S samples are the decisive check where the deliverability cap
     still binds.  The samples and their route are
@@ -170,24 +171,17 @@ def certify_monotone_reachability(
         increasing = bool((qs[:-1] < qs[1:]).all())
     else:
         increasing = all(map(float.__lt__, qs, qs[1:]))
-    if not increasing:  # the start is at or past the limit, or so close below that points coincide
-        return ReachabilityCertificate(
-            holds=True,
-            min_margin=0.0,
-            worst_capacity=q_init,
-            bound_formula_value=1.0,
-            max_abs_emissions_slope=0.0,
-            max_abs_cost_slope=0.0,
-            n_samples=0,
-        )
-    min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, qs)
+    if increasing:
+        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, qs)
+        bound = reachability_lower_bound(dm.market_size, dm.sensitivity, model.invest_cost, max_e, max_c)
+    else:  # the start is at or past the limit, or so close below that points coincide
+        # the bound is 1.0 itself: the formula at zero slopes is NaN where M/(exp(1)*eps) overflows
+        min_margin, worst_capacity, max_e, max_c, bound, n_samples = 0.0, q_init, 0.0, 0.0, 1.0, 0
     return ReachabilityCertificate(
         holds=min_margin >= -ZERO_TOL,
         min_margin=min_margin,
         worst_capacity=worst_capacity,
-        bound_formula_value=reachability_lower_bound(
-            dm.market_size, dm.sensitivity, model.invest_cost, max_e, max_c
-        ),
+        bound_formula_value=bound,
         max_abs_emissions_slope=max_e,
         max_abs_cost_slope=max_c,
         n_samples=n_samples,
@@ -279,8 +273,13 @@ def _period_solution(s: gm.PeriodState, k: float, d: dp.Decision, expansion: flo
 
 
 def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.PeriodSolution:
-    """Integrated single-period optimum at capacity ``q_state`` with full telemetry."""
-    s, k = model.state(q_state), model.invest_cost
+    """Integrated single-period optimum at capacity ``q_state`` with full
+    telemetry: :func:`_solve_at` at its state."""
+    return _solve_at(dm, model.state(q_state), model.invest_cost)
+
+
+def _solve_at(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.PeriodSolution:
+    """The integrated single-period optimum at the state ``s``; an infeasible state raises."""
     d = _checked(dp.decide_at(dm, s, k), s.q)
     return _period_solution(s, k, d, d.expansion)
 

@@ -21,7 +21,7 @@ from vrpplan.demand_pricing import (
 )
 from vrpplan.dispatch import calibrate_grid, default_fleet, default_profiles, merit_order_dispatch
 from vrpplan.equilibrium import solve_long_run_limit
-from vrpplan.oracles import EnumerationConfig, enumerate_and_compare
+from vrpplan.oracles import enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.tolerances import CERTIFY_TOL
 from vrpplan.trajectory import (
@@ -164,12 +164,7 @@ def test_criterion_6_myopic_dominance():
         if not certificate.holds:
             continue
         horizon, grid = settings[certified % len(settings)]
-        report = enumerate_and_compare(
-            dm,
-            model,
-            SimulationConfig(q_init=q_init, horizon=horizon),
-            EnumerationConfig(action_grid_size=grid, horizon=horizon),
-        )
+        report = enumerate_and_compare(dm, model, grid, horizon, q_init=q_init)
         assert report.statewise_violations == 0
         assert report.hitting_time_violations == 0
         assert report.emissions_violations == 0

@@ -23,7 +23,6 @@ from vrpplan.demand_pricing import DemandModel
 from vrpplan.dispatch import default_fleet, default_profiles
 from vrpplan.errors import DispatchShortageError, InfeasibleError, ScenarioError, VrpError
 from vrpplan.grid_model import ConditionCheck, CostSpec, CurveKind, GridCurve, GridModel, eval_curve
-from vrpplan.oracles import EnumerationConfig
 from vrpplan.scenario import DerivativeBounds, load_scenario, scenario_from_dict
 from vrpplan.serialize import record_dict
 from vrpplan.trajectory import SimulationConfig
@@ -120,8 +119,6 @@ RECORDS = [  # a record, one of another class with the same field values, the da
      {"max_abs_cost_slope": math.inf}, "derivative bounds must be nonnegative and finite"),
     (SimulationConfig(0.5, 10), ConditionCheck(0.5, 10, True),
      "SimulationConfig(q_init=0.5, horizon=10, stop_at_limit=True)", {"horizon": 0}, "horizon must be at least 1"),
-    (EnumerationConfig(4, 3), None, "EnumerationConfig(action_grid_size=4, horizon=3)",
-     {"action_grid_size": 1}, "action_grid_size must be at least 2"),
     (GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0)), None,
      "GridCurve(kind=<CurveKind.POLYNOMIAL: 'parametric-polynomial'>, coefficients=(21.0, 5.0), table=None)",
      {"coefficients": ()}, "polynomial curve needs at least one coefficient"),
@@ -239,7 +236,9 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is True and out["kkt"]["certified"] is True
         scenario = load_scenario(path)
-        kkt = cli._kkt_summary(scenario, equilibrium.solve_long_run_limit(scenario.demand, scenario.grid))
+        dm, model = scenario.demand, scenario.grid
+        result = equilibrium.solve_long_run_limit(dm, model)
+        kkt = cli._kkt_summary(dm, model, q_init=scenario.simulation.q_init, equilibrium=result)
         assert type(kkt["certified"]) is bool and type(kkt["max_abs_residual"]) is float
 
     @pytest.mark.parametrize("ulps, n_samples", [(1, 0), (5, 0), (300, 200)])

@@ -18,12 +18,11 @@ from vrpplan.errors import (
     NoSellableCreditsError,
     VrpError,
 )
-from vrpplan import trajectory
+from vrpplan import oracles, trajectory
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, array_arithmetic, linspace
 from vrpplan.oracles import (
     SCAN_LEAF,
     DominanceReport,
-    EnumerationConfig,
     EquilibriumScan,
     _walk_prefix_array,
     _walk_prefix_tree,
@@ -32,26 +31,21 @@ from vrpplan.oracles import (
     enumerate_and_compare,
 )
 from vrpplan.tolerances import ROUNDING_TOL, ZERO_TOL, scaled
-from vrpplan.trajectory import (
-    SimulationConfig,
-    certify_monotone_reachability,
-    solve_period,
-)
+from vrpplan.trajectory import certify_monotone_reachability, solve_period
 
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
 SCAN_BLOCK = 2**14  # grid points per block of the exhaustive reference scans
 
 
-def reference_report(dm, model, cfg, ecfg, result) -> DominanceReport:
-    """Every policy rolled out from Q0 on its own, one scalar decision at a time."""
+def reference_report(dm, model, g, horizon, q_init, result) -> DominanceReport:
+    """Every policy rolled out from ``q_init`` on its own, one scalar decision at a time."""
     limit = result.capacity_limit
     tol = scaled(ZERO_TOL, limit)
-    g, horizon = ecfg.action_grid_size, ecfg.horizon
     rows = np.array([np.unravel_index(i, (g,) * horizon) for i in range(g**horizon)])
     fractions = np.linspace(0.0, 1.0, g)
 
     def rollout(row):
-        path = [cfg.q_init]
+        path = [q_init]
         for frac in row:
             q = path[-1]
             step = min(solve_period(dm, model, q).expansion, max(0.0, limit - q))
@@ -93,19 +87,20 @@ ENUMERATION_CASES = [
 ]
 
 
-class TestEnumerationConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EnumerationConfig(action_grid_size=1, horizon=3)
-        with pytest.raises(ValueError):
-            EnumerationConfig(action_grid_size=4, horizon=0)
-
-
 class TestEnumerateAndCompare:
+    @pytest.mark.parametrize("g, horizon, message", [
+        (1, 3, "action_grid_size must be at least 2"), (4, 0, "horizon must be at least 1"),
+    ])
+    def test_validation_before_any_work(self, baseline_demand, baseline_model, monkeypatch, g, horizon, message):
+        def unsolved(*args):
+            raise AssertionError("the limit was solved")
+
+        monkeypatch.setattr(oracles.eqm, "solve_long_run_limit", unsolved)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_and_compare(baseline_demand, baseline_model, g, horizon, q_init=0.5)
+
     def test_baseline_exhaustive(self, baseline_demand, baseline_model):
-        cfg = SimulationConfig(q_init=0.5, horizon=3)
-        ecfg = EnumerationConfig(action_grid_size=5, horizon=3)
-        report = enumerate_and_compare(baseline_demand, baseline_model, cfg, ecfg)
+        report = enumerate_and_compare(baseline_demand, baseline_model, 5, 3, q_init=0.5)
         assert report.n_policies_evaluated == 125
         assert report.passed
         assert report.statewise_violations == 0
@@ -115,10 +110,7 @@ class TestEnumerateAndCompare:
         assert report.worst_emissions_gap <= 1e-9
 
     def test_single_period_is_argmax(self, baseline_demand, baseline_model):
-        cfg = SimulationConfig(q_init=0.5, horizon=1)
-        report = enumerate_and_compare(
-            baseline_demand, baseline_model, cfg, EnumerationConfig(4, 1)
-        )
+        report = enumerate_and_compare(baseline_demand, baseline_model, 4, 1, q_init=0.5)
         assert report.n_policies_evaluated == 4
         assert report.passed
 
@@ -126,14 +118,14 @@ class TestEnumerateAndCompare:
     def test_counts_match_scalar_rollouts(self, dm, model, q_init):
         # both walks of the prefix tree against every policy rolled out on its own
         result = solve_long_run_limit(dm, model)
-        cfg = SimulationConfig(q_init=q_init, horizon=10)
-        for ecfg in [EnumerationConfig(g, h) for g in (2, 3, 4, 5) for h in range(1, 6)]:
-            expected = reference_report(dm, model, cfg, ecfg, result)
-            g, horizon, limit = ecfg.action_grid_size, ecfg.horizon, result.capacity_limit
+        limit = result.capacity_limit
+        for g, horizon in [(g, h) for g in (2, 3, 4, 5) for h in range(1, 6)]:
+            expected = reference_report(dm, model, g, horizon, q_init, result)
             array = _walk_prefix_array(dm, model, q_init, limit, np.linspace(0.0, 1.0, g), horizon)
             walk = _walk_prefix_tree(dm, model, q_init, limit, linspace(0.0, 1.0, g), horizon)
             array, walk = DominanceReport(g**horizon, **array), DominanceReport(g**horizon, **walk)
-            assert enumerate_and_compare(dm, model, cfg, ecfg, result) == array  # the route with numpy loaded
+            # the route with numpy loaded
+            assert enumerate_and_compare(dm, model, g, horizon, q_init=q_init, equilibrium=result) == array
             for report in (array, walk):
                 # the one float: np.exp against math.exp moves it by ulps at most
                 assert report.worst_emissions_gap == pytest.approx(
@@ -151,7 +143,7 @@ class TestEnumerateAndCompare:
             return stepped(dm, s, k)
 
         monkeypatch.setattr(trajectory, "_max_feasible", counted)
-        report = enumerate_and_compare(baseline_demand, baseline_model, BASELINE.simulation, EnumerationConfig(4, 6))
+        report = enumerate_and_compare(baseline_demand, baseline_model, 4, 6, q_init=BASELINE.simulation.q_init)
         assert report.n_policies_evaluated == 4096 and report.passed
         assert sizes == [1, 4, 13, 40, 121, 364] and sum(sizes) == 543
 
@@ -159,9 +151,8 @@ class TestEnumerateAndCompare:
         # non-monotone reach map: the certificate fails, and some under-building
         # policies overtake the myopic path
         dm, model = adversarial_dip_model()
-        cfg = SimulationConfig(q_init=1.0, horizon=3)
         assert not certify_monotone_reachability(dm, model, q_init=1.0).holds
-        report = enumerate_and_compare(dm, model, cfg, EnumerationConfig(4, 3))
+        report = enumerate_and_compare(dm, model, 4, 3, q_init=1.0)
         assert report.statewise_violations > 0
         assert not report.passed
 

@@ -25,11 +25,12 @@ from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_li
 from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCreditsError, VrpError
 from vrpplan import grid_model as gm
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
-from vrpplan.oracles import EnumerationConfig, _walk_prefix_array, enumerate_and_compare
+from vrpplan.oracles import _walk_prefix_array, enumerate_and_compare
 from vrpplan.revenue_sharing import solve_separated_period
 from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     TRAJECTORY_CSV_COLUMNS,
+    ReachabilityCertificate,
     SimulationConfig,
     Termination,
     _max_feasible,
@@ -186,7 +187,7 @@ class TestInfeasibleWindow:
             certify_monotone_reachability(DM, model, q_init=0.5, equilibrium=result)
         # the enumeration builds no certificate, so the error comes from the enumerated states
         with pytest.raises(InfeasiblePeriodError, match="^revenue cannot cover cost at Q="):
-            enumerate_and_compare(DM, model, SimulationConfig(0.5, 10), EnumerationConfig(4, 3), result)
+            enumerate_and_compare(DM, model, 4, 3, q_init=0.5, equilibrium=result)
 
     def test_verify_exits_3(self, window, tmp_path, capsys):
         doc = baseline_doc()
@@ -286,6 +287,17 @@ class TestReachabilityCertificate:
         assert not cert.holds
         assert cert.min_margin < -1e-9
         assert cert.bound_formula_value < 0.0
+
+    @pytest.mark.parametrize("dm", [BASELINE.demand, DemandModel(10.0, 1e-308)], ids=["baseline", "overflowing-scale"])
+    @pytest.mark.parametrize("offset", ["limit", "an-ulp-below", "past"])
+    def test_no_samples_at_the_limit(self, baseline_model, dm, offset):
+        # no two sample points differ: it holds with no samples, and its bound is 1.0 even
+        # where M/(exp(1)*eps) overflows and the formula at zero slopes would give NaN
+        result = solve_long_run_limit(dm, baseline_model)
+        limit = result.capacity_limit
+        start = {"limit": limit, "an-ulp-below": math.nextafter(limit, 0.0), "past": limit + 1.0}[offset]
+        cert = certify_monotone_reachability(dm, baseline_model, q_init=start, equilibrium=result)
+        assert repr(cert) == repr(ReachabilityCertificate(True, 0.0, start, 1.0, 0.0, 0.0, 0))
 
     def test_start_is_a_required_keyword(self, baseline_demand, baseline_model):
         # the domain's lower end, the old default start, sells no credits on the baseline
@@ -620,9 +632,18 @@ class TestEvaluationCounts:
         model, evaluations = counted
         result = solve_long_run_limit(baseline_demand, model)
         evaluations.clear()
-        summary = cli._kkt_summary(BASELINE._replace(grid=model), result)
+        summary = cli._kkt_summary(baseline_demand, model, q_init=BASELINE.simulation.q_init, equilibrium=result)
         assert summary["states_checked"] == 8 and summary["certified"]
         assert evaluations == {"e": 8, "f": 8, "pi": 8}
+
+    @pytest.mark.parametrize("command", ["price", "share"])
+    def test_capacity_commands_three_per_call(self, counted, monkeypatch, capsys, command):
+        # the solution and the printed e come from one state
+        model, evaluations = counted
+        monkeypatch.setattr(cli, "load_scenario", lambda path: BASELINE._replace(grid=model))
+        assert cli.main([command, "--scenario", "baseline.json", "3.0"]) == 0
+        assert json.loads(capsys.readouterr().out)["capacity"] == 3.0
+        assert evaluations == {"e": 1, "f": 1, "pi": 1}
 
     @pytest.fixture()
     def decisions(self, monkeypatch):
