@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache
@@ -283,6 +284,8 @@ def _cmd_verify(args, scenario: Scenario) -> int:
             scenario.derivative_bounds.max_abs_emissions_slope,
             scenario.derivative_bounds.max_abs_cost_slope,
         )
+        if not -math.inf < bound < math.inf:  # as where M/(exp(1)*eps) overflows at a tiny sensitivity
+            raise ValueError(f"demand.sensitivity {dm.sensitivity!r}: the derivative_bounds' reachability bound is {bound}")
         bound_source = "scenario derivative_bounds"
     else:
         bound = certificate.bound_formula_value

@@ -104,6 +104,10 @@ class Decision(NamedTuple):
     status: ExpansionStatus
 
 
+_PEAK_SHARE = math.exp(-1.0)  # peak sales M*exp(-1) as a share of M
+_EXPANDING, _EQUILIBRIUM, _INFEASIBLE = ExpansionStatus  # bound once, in definition order
+
+
 def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     """The integrated decision at a state, in one float body.
 
@@ -115,6 +119,9 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     tells an expanding period, the long-run equilibrium (|R* - C| within
     BALANCE_TOL times the larger of |R*| and |C|, no absolute floor) and an
     infeasible one, where revenue cannot cover cost even without expansion.
+    A float state's fields are unpacked once; exp(-1) and the statuses are
+    module constants, and ``tuple.__new__`` builds the Decision, which skips
+    the NamedTuple's Python-level ``__new__``.
     An array state decides every entry with the scalar rules, but for ulps of
     ``np.exp`` and ``np.log``, and raises the scalar error of its first
     failing entry.
@@ -143,7 +150,7 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
         raise NoSellableCreditsError(f"f(Q)={f} at Q={q}: no credits to sell")
     market, eps = dm.market_size, dm.sensitivity
     price = e / eps
-    binding = not market * math.exp(-1.0) <= f  # peak sales M*exp(-1) exceed f(Q), or f(Q) is NaN
+    binding = not market * _PEAK_SHARE <= f  # peak sales M*exp(-1) exceed f(Q), or f(Q) is NaN
     if binding:
         ratio = market / f
         if ratio == math.inf:
@@ -154,12 +161,10 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     cost = c_s + c_r - f * pi
     tol = BALANCE_TOL * max(abs(rev), abs(cost))  # no floor: near Q = 0 both are tiny
     if not rev >= cost - tol:  # also a NaN revenue
-        expansion, status = 0.0, ExpansionStatus.INFEASIBLE
-    elif abs(rev - cost) <= tol:
-        expansion, status = 0.0, ExpansionStatus.EQUILIBRIUM
-    else:
-        expansion, status = (rev - cost) / k, ExpansionStatus.EXPANDING
-    return Decision(price, binding, rev, expansion, status)
+        return tuple.__new__(Decision, (price, binding, rev, 0.0, _INFEASIBLE))
+    if abs(rev - cost) <= tol:
+        return tuple.__new__(Decision, (price, binding, rev, 0.0, _EQUILIBRIUM))
+    return tuple.__new__(Decision, (price, binding, rev, (rev - cost) / k, _EXPANDING))
 
 
 # ---------------------------------------------------------------------------

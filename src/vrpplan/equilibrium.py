@@ -14,7 +14,7 @@ import math
 
 from . import demand_pricing as dp
 from . import grid_model as gm
-from .errors import InfeasibleAtThresholdError, ThresholdUnreachableError
+from .errors import InfeasibleAtThresholdError, NetZeroGridError, ThresholdUnreachableError
 from .serialize import Serializable, record
 from .tolerances import BALANCE_TOL, ROUNDING_TOL, scaled
 
@@ -52,19 +52,26 @@ def find_deliverability_threshold(dm: dp.DemandModel, model: gm.GridModel) -> fl
             f"{target:.6g} GW"
         )
     width_tol = scaled(ROUNDING_TOL, hi)
+    # the curve's kernel: a midpoint lies in the domain, so no clamp acts, unless lo + hi overflows
+    delivered = model.delivered._at if 2.0 * hi < math.inf else model.delivered_at
     for _ in range(MAX_ITERATIONS):
         if hi - lo <= width_tol:
             break
         mid = 0.5 * (lo + hi)
-        if model.delivered_at(mid) >= target:
+        if delivered(mid) >= target:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def _gap(dm: dp.DemandModel, s: gm.PeriodState) -> float:
-    return dp.unconstrained_peak_revenue(dm, s.e) - s.cost
+def _gap(s: gm.PeriodState, market: float, divisor: float) -> tuple[float, float]:
+    """The gap e*M/``divisor`` - C at the state ``s``, with ``divisor`` = exp(1)*eps, and C; each field read once."""
+    q, e, f, pi, c_s, c_r = s
+    if e <= 0:
+        raise NetZeroGridError("peak revenue undefined on a net-zero grid")
+    cost = c_s + c_r - f * pi  # PeriodState.cost, in its operation order
+    return e * market / divisor - cost, cost  # unconstrained_peak_revenue's operation order
 
 
 def solve_long_run_limit(dm: dp.DemandModel, model: gm.GridModel) -> EquilibriumResult:
@@ -75,38 +82,40 @@ def solve_long_run_limit(dm: dp.DemandModel, model: gm.GridModel) -> Equilibrium
     exit is a safety net that sits far below the residual criterion.  If the
     gap never turns negative inside the domain, the result is capped at the
     domain edge and flagged instead of raising, since the limit then lies
-    beyond the calibrated data.
+    beyond the calibrated data.  Each state comes from the model's float
+    kernel, and exp(1)*eps is computed once per solve.
     """
     threshold = find_deliverability_threshold(dm, model)
     domain_hi = model.domain[1]
+    state, market, divisor = model._state_at, dm.market_size, math.e * dm.sensitivity
 
     def finish(s: gm.PeriodState, bracket: tuple[float, float], iterations: int, capped: bool):
         return EquilibriumResult(
             capacity_limit=s.q,
             deliverability_threshold=threshold,
             emissions_at_limit=s.e,
-            residual=abs(_gap(dm, s)),
+            residual=abs(_gap(s, market, divisor)[0]),
             bracket=bracket,
             iterations=iterations,
             domain_capped=capped,
         )
 
-    s = model.state(threshold)
-    gap = _gap(dm, s)
-    if gap < -scaled(BALANCE_TOL, s.cost):
+    s = state(threshold)
+    gap, cost = _gap(s, market, divisor)
+    if gap < -scaled(BALANCE_TOL, cost):
         raise InfeasibleAtThresholdError(
             f"cost already exceeds maximal revenue by {-gap:.6g} M$/yr "
             f"at the deliverability threshold Q={threshold:.6g}"
         )
-    if abs(gap) <= scaled(BALANCE_TOL, s.cost):
+    if abs(gap) <= scaled(BALANCE_TOL, cost):
         return finish(s, (threshold, threshold), 0, False)
 
     hi = min(threshold * BRACKET_GROWTH + 1.0, domain_hi)
-    s = model.state(hi)
-    while _gap(dm, s) > 0.0 and hi < domain_hi:
+    s = state(hi)
+    while _gap(s, market, divisor)[0] > 0.0 and hi < domain_hi:
         hi = min(hi * BRACKET_GROWTH, domain_hi)
-        s = model.state(hi)
-    if _gap(dm, s) > 0.0:
+        s = state(hi)
+    if _gap(s, market, divisor)[0] > 0.0:
         # no sign change inside the domain
         return finish(s, (threshold, domain_hi), 0, True)
 
@@ -114,9 +123,9 @@ def solve_long_run_limit(dm: dp.DemandModel, model: gm.GridModel) -> Equilibrium
     bracket = (lo, hi)
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        s = model.state(0.5 * (lo + hi))
-        gap = _gap(dm, s)
-        if abs(gap) <= scaled(BALANCE_TOL, s.cost) or hi - lo <= scaled(ROUNDING_TOL, hi):
+        s = state(0.5 * (lo + hi))
+        gap, cost = _gap(s, market, divisor)
+        if abs(gap) <= scaled(BALANCE_TOL, cost) or hi - lo <= scaled(ROUNDING_TOL, hi):
             break
         if gap > 0.0:
             lo = s.q

@@ -29,14 +29,20 @@ class SharingSolution(NamedTuple):
     to_dict = record_dict
 
 
+_SPONTANEOUS, _SUPPORTED, _EQUILIBRIUM, _INFEASIBLE = dp.Phase  # bound once, in definition order
+
+
 def required_share(s: gm.PeriodState, rev: float) -> float:
     """Share of revenue ``rev`` that keeps generators viable: max{0, C_2/rev}.
 
     Zero when there is no revenue to share.  A share of 1 or more would leave
     the operator nothing for its own strictly positive cost, so that case is
-    an error rather than a clamp.
+    an error rather than a clamp.  C_2 is read from the state's fields, and
+    the clamp gives ``max``'s 0.0 at NaN and -0.0.
     """
-    share = max(0.0, s.cost_generator / rev) if rev > 0 else 0.0
+    share = (s.C_R - s.f * s.pi) / rev if rev > 0 else 0.0
+    if not share > 0.0:
+        share = 0.0
     if share >= 1.0:
         raise InfeasibleSharingError(
             f"required share {share:.6f} at Q={s.q} leaves the operator nothing"
@@ -50,10 +56,10 @@ def classify_phase(share: float, expansion: float, feasible: bool) -> dp.Phase:
     Zero comparisons use the absolute tolerance ZERO_TOL.
     """
     if not feasible:
-        return dp.Phase.INFEASIBLE
+        return _INFEASIBLE
     if expansion > ZERO_TOL:
-        return dp.Phase.SPONTANEOUS if share <= ZERO_TOL else dp.Phase.SUPPORTED
-    return dp.Phase.EQUILIBRIUM
+        return _SPONTANEOUS if share <= ZERO_TOL else _SUPPORTED
+    return _EQUILIBRIUM
 
 
 def solve_separated_period(
@@ -61,7 +67,7 @@ def solve_separated_period(
 ) -> tuple[dp.PeriodSolution, SharingSolution]:
     """Solve the period at capacity ``q`` under separated accounts and compare
     with the integrated problem: :func:`_separated_solution` at its state."""
-    s, k = model.state(q), model.invest_cost
+    s, k = model._state_at(q) if type(q) is float else model.state(q), model.invest_cost
     return _separated_solution(s, k, dp.decide_at(dm, s, k))
 
 
@@ -82,16 +88,17 @@ def _separated_solution(
     if rev <= 0:
         raise NoRevenueError(f"maximal revenue {rev} at Q={s.q} is nonpositive")
     share = required_share(s, rev)
-    expansion = max(0.0, ((1.0 - share) * rev - s.C_S) / k)
-    if expansion <= ZERO_TOL:  # equilibrium periods carry an exact zero
+    c_s, c_r, fpi = s.C_S, s.C_R, s.f * s.pi
+    expansion = ((1.0 - share) * rev - c_s) / k
+    if not expansion > ZERO_TOL:  # max(0, .) and then the exact zero of equilibrium periods
         expansion = 0.0
 
-    c_gen = s.cost_generator
-    operator_cost = s.C_S + k * expansion
+    c_gen = c_r - fpi
+    operator_cost = c_s + k * expansion
     operator_residual = (1.0 - share) * rev - operator_cost
     generator_residual = share * rev - c_gen
 
-    tol = scaled(BALANCE_TOL, rev, s.cost)
+    tol = scaled(BALANCE_TOL, rev, c_s + c_r - fpi)  # C in PeriodState.cost's operation order
     feasible = operator_residual >= -tol and generator_residual >= -tol
     financial_binding = abs(operator_residual) <= tol
 
@@ -100,8 +107,8 @@ def _separated_solution(
         aggregation_gap = operator_cost + c_gen - rev
         equivalent = equivalent and abs(aggregation_gap) <= tol
 
-    solution = dp.PeriodSolution(
+    solution = tuple.__new__(dp.PeriodSolution, (  # as decide_at builds its Decision
         d.price, expansion, share, rev, d.deliverability_binding, financial_binding,
         classify_phase(share, expansion, feasible),
-    )
-    return solution, SharingSolution(share, operator_residual, generator_residual, equivalent)
+    ))
+    return solution, tuple.__new__(SharingSolution, (share, operator_residual, generator_residual, equivalent))

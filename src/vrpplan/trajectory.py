@@ -263,13 +263,13 @@ def staged_expansions(
 
 def _period_solution(s: gm.PeriodState, k: float, d: dp.Decision, expansion: float) -> dp.PeriodSolution:
     """Full per-period telemetry for the decision ``d`` at a state, expanding by ``expansion``."""
-    rev, cost = d.revenue, s.cost
+    rev, cost = d.revenue, s.C_S + s.C_R - s.f * s.pi  # PeriodState.cost, in its operation order
     share = rs.required_share(s, rev)
     financial_binding = abs(cost + k * expansion - rev) <= scaled(BALANCE_TOL, rev, cost)
-    return dp.PeriodSolution(
+    return tuple.__new__(dp.PeriodSolution, (  # as decide_at builds its Decision
         d.price, expansion, share, rev, d.deliverability_binding, financial_binding,
         rs.classify_phase(share, expansion, True),
-    )
+    ))
 
 
 def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.PeriodSolution:
@@ -289,7 +289,8 @@ def simulate_myopic(
 ) -> Trajectory:
     """Run the myopic policy from the configured state.
 
-    Each period builds one grid state and makes one decision on it
+    Each period builds one grid state, by the model's float kernel bound
+    once per run, and makes one decision on it
     (:func:`~vrpplan.demand_pricing.decide_at`).  With ``stop_at_limit`` a
     state at the long-run limit (by capacity, or by its equilibrium status)
     is recorded without expansion and ends the run.  An infeasible state ends
@@ -305,20 +306,24 @@ def simulate_myopic(
     records: list[PeriodRecord] = []
     termination = Termination.HORIZON_END
     q_state = cfg.q_init
+    # bound once per run; decide_at is looked up on its module, so a replaced dp.decide_at is the one called
+    state, decide, stop = model._state_at, dp.decide_at, cfg.stop_at_limit
+    equilibrium_status, infeasible_status = dp.ExpansionStatus.EQUILIBRIUM, dp.ExpansionStatus.INFEASIBLE
 
     for t in range(cfg.horizon):
-        s = model.state(q_state)
-        d = dp.decide_at(dm, s, k)
-        if cfg.stop_at_limit and (s.q >= near_limit or d.status is dp.ExpansionStatus.EQUILIBRIUM):
+        s = state(q_state)
+        d = decide(dm, s, k)
+        q = s.q
+        if stop and (q >= near_limit or d.status is equilibrium_status):
             records.append(PeriodRecord(t, s, _period_solution(s, k, d, 0.0)))
             termination = Termination.REACHED_LIMIT
             break
-        if d.status is dp.ExpansionStatus.INFEASIBLE:
+        if d.status is infeasible_status:
             termination = Termination.INFEASIBLE
             break
-        solution = _period_solution(s, k, d, min(d.expansion, max(0.0, limit - s.q)))
-        records.append(PeriodRecord(t, s, solution))
-        q_state = s.q + solution.expansion  # the exact recorded transition
+        expansion = min(d.expansion, max(0.0, limit - q))  # max writes 0.0 where limit - q is -0.0 or NaN
+        records.append(tuple.__new__(PeriodRecord, (t, s, _period_solution(s, k, d, expansion))))
+        q_state = q + expansion  # the exact recorded transition
 
     return Trajectory(
         records=tuple(records),

@@ -10,14 +10,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vrpplan import demand_pricing as dp
+from vrpplan import equilibrium as eqm
+from vrpplan import grid_model as gm
+from vrpplan import revenue_sharing as rs
 from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at
 from vrpplan.dispatch import FLEET_CSV_COLUMNS, PROFILE_CSV_COLUMNS, FleetSpec, HourlyProfiles
 from vrpplan.equilibrium import find_deliverability_threshold
-from vrpplan.errors import ThresholdUnreachableError
+from vrpplan.errors import (
+    InfeasibleAtThresholdError, InfeasibleSharingError, NetZeroGridError,
+    NoRevenueError, NoSellableCreditsError, ThresholdUnreachableError,
+)
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_curve
 from vrpplan.demand_pricing import unconstrained_peak_revenue
 from vrpplan.scenario import load_scenario
-from vrpplan.trajectory import SimulationConfig
+from vrpplan.tolerances import BALANCE_TOL, ROUNDING_TOL, ZERO_TOL, scaled
+from vrpplan.trajectory import PeriodRecord, SimulationConfig, Termination, Trajectory
 
 # the shipped baseline, the one definition of it, found from this file wherever the tests start
 BASELINE_PATH = str(Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json")
@@ -241,3 +249,209 @@ def write_profiles_csv(profiles: HourlyProfiles, path) -> None:
         # tolist: repr of Python floats, not of numpy scalars
         for hour, (load, cf) in enumerate(zip(profiles.load.tolist(), profiles.wind_cf.tolist())):
             writer.writerow([hour, repr(load), repr(cf)])
+
+
+# ---------------------------------------------------------------------------
+# The scalar period path as it was written before its per-period constants
+# were bound: each body verbatim, but for its name and the references it
+# calls.  The float path must give these bodies' bits, types and errors.
+# ---------------------------------------------------------------------------
+
+
+def reference_decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> dp.Decision:
+    """``decide_at``'s float body: states and constants read on every call."""
+    q, e, f, pi, c_s, c_r = s
+    if e <= 0:
+        raise NetZeroGridError(f"e(Q)={e} at Q={q}: no emissions left to differentiate")
+    if f <= 0:
+        raise NoSellableCreditsError(f"f(Q)={f} at Q={q}: no credits to sell")
+    market, eps = dm.market_size, dm.sensitivity
+    price = e / eps
+    binding = not market * math.exp(-1.0) <= f  # peak sales M*exp(-1) exceed f(Q), or f(Q) is NaN
+    if binding:
+        ratio = market / f
+        if ratio == math.inf:
+            raise NoSellableCreditsError(f"f(Q)={f} at Q={q}: too few credits to price, M/f(Q) overflows")
+        price *= math.log(ratio)
+    # a price >= 0 and e > 0 pass demand()'s checks
+    rev = price * (market * math.exp(-eps * price / e))
+    cost = c_s + c_r - f * pi
+    tol = BALANCE_TOL * max(abs(rev), abs(cost))  # no floor: near Q = 0 both are tiny
+    if not rev >= cost - tol:  # also a NaN revenue
+        expansion, status = 0.0, ExpansionStatus.INFEASIBLE
+    elif abs(rev - cost) <= tol:
+        expansion, status = 0.0, ExpansionStatus.EQUILIBRIUM
+    else:
+        expansion, status = (rev - cost) / k, ExpansionStatus.EXPANDING
+    return dp.Decision(price, binding, rev, expansion, status)
+
+
+def reference_required_share(s: gm.PeriodState, rev: float) -> float:
+    share = max(0.0, s.cost_generator / rev) if rev > 0 else 0.0
+    if share >= 1.0:
+        raise InfeasibleSharingError(
+            f"required share {share:.6f} at Q={s.q} leaves the operator nothing"
+        )
+    return share
+
+
+def reference_classify_phase(share: float, expansion: float, feasible: bool) -> dp.Phase:
+    if not feasible:
+        return dp.Phase.INFEASIBLE
+    if expansion > ZERO_TOL:
+        return dp.Phase.SPONTANEOUS if share <= ZERO_TOL else dp.Phase.SUPPORTED
+    return dp.Phase.EQUILIBRIUM
+
+
+def reference_period_solution(s: gm.PeriodState, k: float, d: dp.Decision, expansion: float) -> dp.PeriodSolution:
+    rev, cost = d.revenue, s.cost
+    share = reference_required_share(s, rev)
+    financial_binding = abs(cost + k * expansion - rev) <= scaled(BALANCE_TOL, rev, cost)
+    return dp.PeriodSolution(
+        d.price, expansion, share, rev, d.deliverability_binding, financial_binding,
+        reference_classify_phase(share, expansion, True),
+    )
+
+
+def reference_separated_solution(s: gm.PeriodState, k: float, d: dp.Decision):
+    rev = d.revenue
+    if rev <= 0:
+        raise NoRevenueError(f"maximal revenue {rev} at Q={s.q} is nonpositive")
+    share = reference_required_share(s, rev)
+    expansion = max(0.0, ((1.0 - share) * rev - s.C_S) / k)
+    if expansion <= ZERO_TOL:  # equilibrium periods carry an exact zero
+        expansion = 0.0
+
+    c_gen = s.cost_generator
+    operator_cost = s.C_S + k * expansion
+    operator_residual = (1.0 - share) * rev - operator_cost
+    generator_residual = share * rev - c_gen
+
+    tol = scaled(BALANCE_TOL, rev, s.cost)
+    feasible = operator_residual >= -tol and generator_residual >= -tol
+    financial_binding = abs(operator_residual) <= tol
+
+    equivalent = abs(expansion - d.expansion) <= scaled(ZERO_TOL, d.expansion)
+    if 0.0 < share and expansion > ZERO_TOL:
+        aggregation_gap = operator_cost + c_gen - rev
+        equivalent = equivalent and abs(aggregation_gap) <= tol
+
+    solution = dp.PeriodSolution(
+        d.price, expansion, share, rev, d.deliverability_binding, financial_binding,
+        reference_classify_phase(share, expansion, feasible),
+    )
+    return solution, rs.SharingSolution(share, operator_residual, generator_residual, equivalent)
+
+
+def reference_solve_separated_period(dm: DemandModel, model: GridModel, q: float):
+    s, k = model.state(q), model.invest_cost
+    return reference_separated_solution(s, k, reference_decide_at(dm, s, k))
+
+
+def reference_find_deliverability_threshold(dm: DemandModel, model: GridModel) -> float:
+    target = dm.market_size * math.exp(-1.0)
+    lo, hi = model.domain
+    if model.delivered_at(lo) >= target:
+        return lo
+    if model.delivered_at(hi) < target:
+        raise ThresholdUnreachableError(
+            f"f(Q_max)={model.delivered_at(hi):.6g} GW never reaches peak sales "
+            f"{target:.6g} GW"
+        )
+    width_tol = scaled(ROUNDING_TOL, hi)
+    for _ in range(eqm.MAX_ITERATIONS):
+        if hi - lo <= width_tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if model.delivered_at(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def reference_gap(dm: DemandModel, s: gm.PeriodState) -> float:
+    return dp.unconstrained_peak_revenue(dm, s.e) - s.cost
+
+
+def reference_solve_long_run_limit(dm: DemandModel, model: GridModel) -> eqm.EquilibriumResult:
+    threshold = reference_find_deliverability_threshold(dm, model)
+    domain_hi = model.domain[1]
+
+    def finish(s: gm.PeriodState, bracket: tuple[float, float], iterations: int, capped: bool):
+        return eqm.EquilibriumResult(
+            capacity_limit=s.q,
+            deliverability_threshold=threshold,
+            emissions_at_limit=s.e,
+            residual=abs(reference_gap(dm, s)),
+            bracket=bracket,
+            iterations=iterations,
+            domain_capped=capped,
+        )
+
+    s = model.state(threshold)
+    gap = reference_gap(dm, s)
+    if gap < -scaled(BALANCE_TOL, s.cost):
+        raise InfeasibleAtThresholdError(
+            f"cost already exceeds maximal revenue by {-gap:.6g} M$/yr "
+            f"at the deliverability threshold Q={threshold:.6g}"
+        )
+    if abs(gap) <= scaled(BALANCE_TOL, s.cost):
+        return finish(s, (threshold, threshold), 0, False)
+
+    hi = min(threshold * eqm.BRACKET_GROWTH + 1.0, domain_hi)
+    s = model.state(hi)
+    while reference_gap(dm, s) > 0.0 and hi < domain_hi:
+        hi = min(hi * eqm.BRACKET_GROWTH, domain_hi)
+        s = model.state(hi)
+    if reference_gap(dm, s) > 0.0:
+        # no sign change inside the domain
+        return finish(s, (threshold, domain_hi), 0, True)
+
+    lo = threshold
+    bracket = (lo, hi)
+    iterations = 0
+    for iterations in range(1, eqm.MAX_ITERATIONS + 1):
+        s = model.state(0.5 * (lo + hi))
+        gap = reference_gap(dm, s)
+        if abs(gap) <= scaled(BALANCE_TOL, s.cost) or hi - lo <= scaled(ROUNDING_TOL, hi):
+            break
+        if gap > 0.0:
+            lo = s.q
+        else:
+            hi = s.q
+    return finish(s, bracket, iterations, False)
+
+
+def reference_simulate_myopic(dm: DemandModel, model: GridModel, cfg: SimulationConfig) -> Trajectory:
+    equilibrium = reference_solve_long_run_limit(dm, model)
+    limit = equilibrium.capacity_limit
+    k = model.invest_cost
+    # both the capacity gap and the revenue/cost gap carry their own tolerance,
+    # and near the limit the financial one is the wider
+    near_limit = limit - scaled(ZERO_TOL, limit)
+    records: list[PeriodRecord] = []
+    termination = Termination.HORIZON_END
+    q_state = cfg.q_init
+
+    for t in range(cfg.horizon):
+        s = model.state(q_state)
+        d = reference_decide_at(dm, s, k)
+        if cfg.stop_at_limit and (s.q >= near_limit or d.status is dp.ExpansionStatus.EQUILIBRIUM):
+            records.append(PeriodRecord(t, s, reference_period_solution(s, k, d, 0.0)))
+            termination = Termination.REACHED_LIMIT
+            break
+        if d.status is dp.ExpansionStatus.INFEASIBLE:
+            termination = Termination.INFEASIBLE
+            break
+        solution = reference_period_solution(s, k, d, min(d.expansion, max(0.0, limit - s.q)))
+        records.append(PeriodRecord(t, s, solution))
+        q_state = s.q + solution.expansion  # the exact recorded transition
+
+    return Trajectory(
+        records=tuple(records),
+        termination=termination,
+        cumulative_expansion=sum(r.solution.expansion for r in records),
+        cumulative_emission_index=sum(r.state.e for r in records),
+        equilibrium=equilibrium,
+    )

@@ -653,6 +653,19 @@ class TestMalformedInput:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_a_tiny_sensitivity_under_pinned_bounds_names_the_input(self, tmp_path, capsys):
+        # M/(exp(1)*eps) overflows in the pinned bound; verify once named its output field, reachability_bound
+        doc = baseline_doc()
+        doc["demand"]["sensitivity"], doc["simulation"]["q_init"] = 1e-308, 12.0
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        for argv in (["limit"], ["price", "3.0"], ["simulate"]):  # the input itself stays accepted
+            assert main([argv[0], "--scenario", str(scenario), *argv[1:]]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--scenario", str(scenario)]) == 2
+        message = "error: demand.sensitivity 1e-308: the derivative_bounds' reachability bound is -inf\n"
+        assert capsys.readouterr() == ("", message)
+
     @pytest.mark.parametrize(
         "path, field",
         [

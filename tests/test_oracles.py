@@ -368,7 +368,7 @@ def zero_gap_model() -> GridModel:
 def scalar_sign_changes(dm, model, n_points):
     # one model.state per grid point, in a plain loop
     qs = np.linspace(find_deliverability_threshold(dm, model), model.domain[1], n_points)
-    gaps = [_gap(dm, model.state(float(q))) for q in qs]
+    gaps = [_gap(model.state(float(q)), dm.market_size, math.e * dm.sensitivity)[0] for q in qs]
     brackets = []
     for i in range(n_points - 1):
         if gaps[i] == 0.0:

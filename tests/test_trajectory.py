@@ -10,7 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASELINE, adversarial_dip_model, baseline_doc, drawn_model, flat_model, random_accepted_model
+from conftest import (
+    BASELINE,
+    adversarial_dip_model,
+    baseline_doc,
+    drawn_model,
+    flat_model,
+    random_accepted_model,
+    reference_decide_at,
+    reference_find_deliverability_threshold,
+    reference_period_solution,
+    reference_separated_solution,
+    reference_simulate_myopic,
+    reference_solve_long_run_limit,
+    reference_solve_separated_period,
+)
 from vrpplan.demand_pricing import (
     DemandModel,
     ExpansionStatus,
@@ -26,7 +40,7 @@ from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCr
 from vrpplan import grid_model as gm
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
 from vrpplan.oracles import _walk_prefix_array, enumerate_and_compare
-from vrpplan.revenue_sharing import solve_separated_period
+from vrpplan.revenue_sharing import _separated_solution, solve_separated_period
 from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     TRAJECTORY_CSV_COLUMNS,
@@ -34,6 +48,7 @@ from vrpplan.trajectory import (
     SimulationConfig,
     Termination,
     _max_feasible,
+    _period_solution,
     _sampled_margins,
     certify_monotone_reachability,
     reachability_lower_bound,
@@ -545,6 +560,85 @@ class TestSerialization:
             SimulationConfig(q_init=1.0, horizon=0)
 
 
+def outcome(fn, *args):
+    """The repr of what ``fn(*args)`` returns (so its bits and -0.0), or the class and message it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # compared, whatever it is
+        return type(exc), str(exc)
+
+
+class TestScalarPathBits:
+    """The float path of a period (decision, telemetry, separated accounts,
+    both bisections and the myopic loop) gives the bits and errors of the
+    bodies it was written from, kept in conftest as ``reference_*``."""
+
+    @given(
+        family=st.sampled_from([*CurveKind, "accepted", "dip"]),
+        seed=st.integers(0, 2**32 - 1),
+        drawn=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_outputs_match_the_reference_bodies(self, family, seed, drawn):
+        rng = np.random.default_rng(seed)
+        if family == "dip":
+            dm, model = adversarial_dip_model()
+        elif family == "accepted":
+            dm, model = random_accepted_model(rng)
+        else:
+            dm, model = drawn_model(family, rng)
+        (lo, hi), k = model.domain, model.invest_cost
+        threshold = outcome(find_deliverability_threshold, dm, model)
+        assert threshold == outcome(reference_find_deliverability_threshold, dm, model)
+        assert outcome(solve_long_run_limit, dm, model) == outcome(reference_solve_long_run_limit, dm, model)
+        qs = [lo, hi, min(lo + drawn * (hi - lo), hi), 0.0]  # 0.0 lies below the dip model's domain
+        try:
+            limit = solve_long_run_limit(dm, model).capacity_limit
+        except VrpError:
+            pass
+        else:
+            qs += [limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)]
+        for q in qs:
+            assert outcome(solve_separated_period, dm, model, q) == outcome(reference_solve_separated_period, dm, model, q)
+            for stop in (True, False):  # from Q* without the stop, limit - Q is 0.0 in the first period
+                cfg = SimulationConfig(q, 200, stop)
+                assert outcome(simulate_myopic, dm, model, cfg) == outcome(reference_simulate_myopic, dm, model, cfg)
+            try:
+                s = model.state(q)
+            except CurveDomainError:
+                continue
+            assert outcome(decide_at, dm, s, k) == outcome(reference_decide_at, dm, s, k)
+            try:
+                d = decide_at(dm, s, k)
+            except VrpError:
+                continue
+            # and states where C_2 = C_R - f*pi is NaN or -0.0, or the separated expansion NaN: clamps write 0.0
+            for state in (s, s._replace(pi=math.nan), s._replace(C_R=-0.0, pi=0.0), s._replace(C_S=math.nan)):
+                for x in (d.expansion, 0.0, -0.0):
+                    assert outcome(_period_solution, state, k, d, x) == outcome(reference_period_solution, state, k, d, x)
+                assert outcome(_separated_solution, state, k, d) == outcome(reference_separated_solution, state, k, d)
+
+    def test_a_midpoint_past_the_float_range_still_meets_the_clamp(self):
+        # on a domain past DBL_MAX/2, lo + hi overflows: the midpoint is inf, which the model's clamp refuses
+        model = GridModel(
+            GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.4, 0.0)), GridCurve(CurveKind.POLYNOMIAL, (3e-308,)),
+            GridCurve(CurveKind.EXPONENTIAL_DECAY, (100.0, 0.0)), CostSpec(0.0, 0.0), CostSpec(0.0, 0.0),
+            1000.0, (0.0, 1.7e308),
+        )
+        result = outcome(find_deliverability_threshold, DM, model)
+        assert result == outcome(reference_find_deliverability_threshold, DM, model)
+        assert result == (CurveDomainError, "Q=inf outside model domain [0.0, 1.7e+308]")
+
+    def test_a_run_held_at_the_limit_records_positive_zeros(self, baseline_demand, baseline_model):
+        # without the stop, each period at Q* caps its expansion at max(0.0, Q* - Q) = 0.0, never -0.0
+        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
+        cfg = SimulationConfig(limit, 5, stop_at_limit=False)
+        trajectory = simulate_myopic(baseline_demand, baseline_model, cfg)
+        assert repr(trajectory) == repr(reference_simulate_myopic(baseline_demand, baseline_model, cfg))
+        assert [r.capacity for r in trajectory.records] == [limit] * 5
+        assert all(math.copysign(1.0, r.solution.expansion) == 1.0 for r in trajectory.records)
+
+
 class TestEvaluationCounts:
     """One grid state per period, and per checked capacity: e, f and pi are
     each evaluated once, by the curves' scalar kernels or one array call, and
@@ -580,6 +674,13 @@ class TestEvaluationCounts:
         assert len(trajectory.records) == 157
         evaluations.subtract(limit_evaluations)
         assert evaluations == {"e": 157, "f": 157, "pi": 157}
+
+    def test_limit_solve_evaluations(self, baseline_demand, counted):
+        # the threshold bisection evaluates f alone; the gap bisection one state per iterate
+        model, evaluations = counted
+        result = solve_long_run_limit(baseline_demand, model)
+        assert result.iterations == 28
+        assert evaluations == {"f": 72, "e": 30, "pi": 30}
 
     def test_separated_period_three_per_call(self, baseline_demand, counted):
         model, evaluations = counted
