@@ -19,7 +19,7 @@ the code of a tool that SIGPIPE ended.  A warning prints to stderr as
 
 Only ``calibrate``, with dispatch, loads numpy.  ``--samples`` sets only the
 certificate's resolution; it and the policy enumeration follow the route rule
-of :func:`~vrpplan.grid_model.sample_grid`, and the KKT summary takes floats.
+of :func:`~vrpplan.grid_model.routed`, and the KKT summary takes floats.
 ``verify`` refuses more than ``oracles.MAX_POLICIES`` policies before any
 work.  ``dataclasses`` loads only with dispatch, for ``calibrate``, and
 ``inspect`` only with numpy: every other record is a

@@ -94,8 +94,7 @@ def unconstrained_peak_revenue(dm: DemandModel, e_q: float) -> float:
 
 
 class Decision(NamedTuple):
-    """A period's integrated decision at a :class:`~vrpplan.grid_model.PeriodState`:
-    scalars at a scalar state, arrays (``status`` of objects) at an array state."""
+    """A period's integrated decision at a float :class:`~vrpplan.grid_model.PeriodState`."""
 
     price: float  # revenue-maximizing premium, M$/GW-yr
     deliverability_binding: bool  # the price regime: sales capped at f(Q)
@@ -119,31 +118,12 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     tells an expanding period, the long-run equilibrium (|R* - C| within
     BALANCE_TOL times the larger of |R*| and |C|, no absolute floor) and an
     infeasible one, where revenue cannot cover cost even without expansion.
-    A float state's fields are unpacked once; exp(-1) and the statuses are
+    The state's float fields are unpacked once; exp(-1) and the statuses are
     module constants, and ``tuple.__new__`` builds the Decision, which skips
-    the NamedTuple's Python-level ``__new__``.
-    An array state decides every entry with the scalar rules, but for ulps of
-    ``np.exp`` and ``np.log``, and raises the scalar error of its first
-    failing entry.
+    the NamedTuple's Python-level ``__new__``.  An array state's entries are
+    decided by :func:`~vrpplan.trajectory._max_feasible`, on these rules.
     """
     q, e, f, pi, c_s, c_r = s
-    if type(q) is not float and gm.is_array(q):  # a float state skips the call
-        import numpy as np
-        market = dm.market_size
-        with np.errstate(divide="ignore", over="ignore"):  # M/f(Q) is inf only where the scalar path raises
-            bad = (e <= 0) | (f <= 0) | np.isinf(market / f)
-        if bad.any():  # the scalar path raises for the first failing entry
-            decide_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)), k)
-        base = e / dm.sensitivity
-        binding = market * math.exp(-1.0) > f
-        price = np.where(binding, base * np.log(market / f), base)
-        cost = s.cost
-        rev = price * (market * np.exp(-dm.sensitivity * price / e))
-        tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
-        infeasible, equilibrium = ~(rev >= cost - tol), np.abs(rev - cost) <= tol
-        status = np.where(equilibrium, ExpansionStatus.EQUILIBRIUM, ExpansionStatus.EXPANDING)
-        status = np.where(infeasible, ExpansionStatus.INFEASIBLE, status)
-        return Decision(price, binding, rev, np.where(infeasible | equilibrium, 0.0, (rev - cost) / k), status)
     if e <= 0:
         raise NetZeroGridError(f"e(Q)={e} at Q={q}: no emissions left to differentiate")
     if f <= 0:

@@ -52,12 +52,12 @@ def find_deliverability_threshold(dm: dp.DemandModel, model: gm.GridModel) -> fl
             f"{target:.6g} GW"
         )
     width_tol = scaled(ROUNDING_TOL, hi)
-    # the curve's kernel: a midpoint lies in the domain, so no clamp acts, unless lo + hi overflows
-    delivered = model.delivered._at if 2.0 * hi < math.inf else model.delivered_at
+    # the curve's kernel: a midpoint, halves summed so that none overflows, lies in the domain, so no clamp acts
+    delivered = model.delivered._at
     for _ in range(MAX_ITERATIONS):
         if hi - lo <= width_tol:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if delivered(mid) >= target:
             hi = mid
         else:
@@ -123,7 +123,7 @@ def solve_long_run_limit(dm: dp.DemandModel, model: gm.GridModel) -> Equilibrium
     bracket = (lo, hi)
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        s = state(0.5 * (lo + hi))
+        s = state(0.5 * lo + 0.5 * hi)
         gap, cost = _gap(s, market, divisor)
         if abs(gap) <= scaled(BALANCE_TOL, cost) or hi - lo <= scaled(ROUNDING_TOL, hi):
             break

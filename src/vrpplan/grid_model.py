@@ -208,17 +208,14 @@ def linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]
     return points
 
 
-def sample_grid(lo: float, hi: float, n: int, endpoint: bool = True):
-    """``np.linspace(lo, hi, n, endpoint=endpoint)`` on the route rule of the
-    sampled checks, the reachability certificate and policy enumeration: with
-    numpy loaded (calibration, the dense scans, any in-process batch), the
-    ndarray, each term one array call; without (``simulate``, ``verify``),
-    :func:`linspace`'s floats, which a float loop takes through the same
-    functions to the same results but for ulps of math.exp and math.log."""
-    if "numpy" in sys.modules:
-        import numpy as np
-        return np.linspace(lo, hi, n, endpoint=endpoint)
-    return linspace(lo, hi, n, endpoint)
+def routed(points: list[float]):
+    """The float ``points`` of a sampled check, the reachability certificate
+    or policy enumeration, on its route: with numpy loaded (calibration, the
+    dense scans, any in-process batch), one ndarray, each term one array
+    call; without (``simulate``, ``verify``), the list itself, which a float
+    loop takes through the same functions to the same results but for ulps
+    of math.exp and math.log."""
+    return points if (np := sys.modules.get("numpy")) is None else np.array(points)
 
 
 def _within(q, lo: float, hi: float, name: str, ends):
@@ -434,8 +431,6 @@ class GridModel(Serializable):
         return self.emissions._at(self._clamp_at(q))
 
     def delivered_at(self, q: float) -> float:
-        if is_array(q):
-            return eval_curve(self.delivered, self._clamp(q))
         return self.delivered._at(self._clamp_at(q))
 
     def cost_slope(self, s: PeriodState):
@@ -590,7 +585,7 @@ def _first_violation(what: str, curve: GridCurve, lo: float, hi: float, order: i
     width, pieces = scaled(ROUNDING_TOL, lo, hi), [(lo, hi)]
     while pieces:
         a, b = pieces.pop()
-        m, narrow = 0.5 * (a + b), b - a <= width  # a piece too narrow to split is decided at its midpoint
+        m, narrow = 0.5 * a + 0.5 * b, b - a <= width  # a piece too narrow to split is decided at its midpoint
         low, high, _ = slope.value_range(a, b)  # by the mean value theorem, the derivative lies within g +- r
         g, r = sign * (c0 + eval_curve(value, m)), 0.0 if narrow else 0.5 * (b - a) * max(abs(c1 + low), abs(c1 + high))
         _finite(what, m, g, r, low, high)

@@ -80,16 +80,17 @@ def enumerate_and_compare(
     one, when it first reached the limit, and its running emissions sum from
     t = 0, so no path is walked twice; a capacity met twice in a level, as
     after every zero action, is evaluated once.  The action fractions are
-    :func:`~vrpplan.grid_model.sample_grid`'s, and so is the route:
-    :func:`_walk_prefix_array` on arrays, :func:`_walk_prefix_tree` in a
-    float loop.
+    :func:`~vrpplan.grid_model.linspace`'s floats, on
+    :func:`~vrpplan.grid_model.routed`'s route: :func:`_walk_prefix_array`
+    on an array, :func:`_walk_prefix_tree`, its mirror on lists, without
+    numpy.
     """
     if action_grid_size < 2:
         raise ValueError("action_grid_size must be at least 2")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     limit = (equilibrium or eqm.solve_long_run_limit(dm, model)).capacity_limit
-    fractions = gm.sample_grid(0.0, 1.0, action_grid_size)
+    fractions = gm.routed(gm.linspace(0.0, 1.0, action_grid_size))
     walk = _walk_prefix_array if gm.is_array(fractions) else _walk_prefix_tree
     return DominanceReport(action_grid_size**horizon, **walk(dm, model, q_init, limit, fractions, horizon))
 
@@ -141,57 +142,46 @@ def _walk_prefix_array(
 def _walk_prefix_tree(
     dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, fractions: list, horizon: int
 ) -> dict:
-    """:func:`_walk_prefix_array` by a float walk of the prefix tree.
-
-    Each level's new capacities are evaluated in the stages of the array call
-    (:func:`~vrpplan.trajectory.staged_expansions`); a capacity met before,
-    in this level or an earlier one, is not evaluated again.
+    """:func:`_walk_prefix_array` on lists, line for line: a parent's
+    entries go to its g children by ``i // g``, and each level's capacities
+    not met before, in it or an earlier level, are evaluated in the stages of
+    the array call (:func:`~vrpplan.trajectory.staged_expansions`).  A stage
+    left non-finite raises a CurveDomainError, where the array route's
+    arithmetic raises one.
     """
     g, state_tol = len(fractions), scaled(ZERO_TOL, limit)
     reached = limit - state_tol
 
     qs, beaten, hits = [q_init], [False], [0 if q_init >= reached else horizon + 1]
-    levels, sums = [qs], []  # each level's capacities and running emissions sums
-    e_at, expansion_at = {}, {}  # e and the maximal feasible expansion at each capacity met
-
-    def unmet(qs: list) -> list:
-        return [q for q in dict.fromkeys(qs) if q not in e_at]
-
-    def accumulate(qs: list) -> None:
-        emissions = [e_at[q] for q in qs]
-        sums.append([sums[-1][i // g] + e for i, e in enumerate(emissions)] if sums else emissions)
-
-    for t in range(horizon):
-        fresh = unmet(qs)
-        states, expansions = traj.staged_expansions(dm, model, fresh, _ENUMERATION)
-        e_at.update(zip(fresh, (s.e for s in states)))
-        expansion_at.update(zip(fresh, expansions))
-        accumulate(qs)
-        qs = [
-            q + fraction * step
-            for q in qs
-            for step in (min(expansion_at[q], max(0.0, limit - q)),)
-            for fraction in fractions
-        ]
+    levels, sums = [], []  # each level's capacities and running emissions sums
+    e_at, step_at = {}, {}  # e and the capped step at each capacity met
+    for t in range(horizon + 1):
+        distinct = [q for q in dict.fromkeys(qs) if q not in e_at]
+        if t < horizon:
+            states, expansions = traj.staged_expansions(dm, model, distinct, _ENUMERATION)
+            e_at.update(zip(distinct, (s.e for s in states)))
+            step_at.update((q, min(x, max(0.0, limit - q))) for q, x in zip(distinct, expansions))
+        else:  # the last level takes no step: e alone
+            emissions = gm.finite_samples(_ENUMERATION, "emissions", [model.emissions_at(q) for q in distinct], distinct)
+            e_at.update(zip(distinct, emissions))
+        levels.append(qs)
+        sums.append([sums[-1][i // g] + e_at[q] for i, q in enumerate(qs)] if sums else [e_at[q] for q in qs])
+        if t == horizon:
+            break
+        qs = [q + fraction * step for q in qs for step in (step_at[q],) for fraction in fractions]
         myopic = qs[-1] + state_tol
         beaten = [beaten[i // g] or q > myopic for i, q in enumerate(qs)]
         hits = [min(hits[i // g], t + 1 if q >= reached else horizon + 1) for i, q in enumerate(qs)]
-        levels.append(qs)
-    fresh = unmet(qs)
-    emissions = [model.emissions_at(q) for q in fresh]
-    e_at.update(zip(fresh, gm.finite_samples(_ENUMERATION, "emissions", emissions, fresh)))
-    accumulate(qs)
 
     myo_hit = hits[-1]
     last = min(myo_hit, horizon)  # sum over t <= the myopic hitting time
     totals = sums[last]
     gaps = gm.finite_samples(_ENUMERATION, "emissions sum", [totals[-1] - s for s in totals], levels[last])
-    leaves_per_prefix = g ** (horizon - last)
     emissions_tol = scaled(ZERO_TOL, totals[-1])
     return dict(
         statewise_violations=sum(beaten),
         hitting_time_violations=sum(h < myo_hit for h in hits),
-        emissions_violations=leaves_per_prefix * sum(gap > emissions_tol for gap in gaps),
+        emissions_violations=g ** (horizon - last) * sum(gap > emissions_tol for gap in gaps),
         worst_hitting_gap=max(0, myo_hit - min(hits)),
         worst_emissions_gap=max(gaps),
     )

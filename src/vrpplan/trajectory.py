@@ -101,13 +101,28 @@ def _checked(d: dp.Decision, q: float) -> dp.Decision:
 
 
 def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float):
-    """The maximal feasible expansion (R* - C)/k at every entry of an array
-    state, clamped at zero; an infeasible entry raises, the first one named."""
-    d = dp.decide_at(dm, s, k)
-    infeasible = d.status == dp.ExpansionStatus.INFEASIBLE
+    """The maximal feasible expansion at every entry of an array state:
+    :func:`~vrpplan.demand_pricing.decide_at`'s rules on boolean masks, but
+    for ulps of ``np.exp`` and ``np.log``.  An entry the scalar rules refuse
+    raises their error, the first one's; an infeasible entry raises, the
+    first one named; an entry at the long-run equilibrium takes 0."""
+    import numpy as np
+    q, e, f, pi, c_s, c_r = s
+    market, eps = dm.market_size, dm.sensitivity
+    with np.errstate(divide="ignore", over="ignore"):  # M/f(Q) is inf only where the scalar rules raise
+        ratio = market / f
+        bad = (e <= 0) | (f <= 0) | np.isinf(ratio)
+    if bad.any():
+        dp.decide_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)), k)
+    base = e / eps
+    price = np.where(market * math.exp(-1.0) > f, base * np.log(ratio), base)
+    rev = price * (market * np.exp(-eps * price / e))
+    cost = c_s + c_r - f * pi  # PeriodState.cost, in its operation order
+    tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
+    infeasible = ~(rev >= cost - tol)  # also a NaN revenue
     if infeasible.any():
-        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={s.q[infeasible][0]}")
-    return d.expansion
+        raise InfeasiblePeriodError(f"revenue cannot cover cost at Q={q[infeasible][0]}")
+    return np.where(np.abs(rev - cost) <= tol, 0.0, (rev - cost) / k)
 
 
 def reachability_lower_bound(
@@ -148,31 +163,32 @@ def certify_monotone_reachability(
     """Check that the reach map is nondecreasing between the start ``q_init``
     and the limit.
 
-    Two checks, both sampled at ``n_samples`` points spaced evenly from the
-    start up to the limit: the derivative-based margin
-    1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k with the analytic slopes
+    Two checks, both at the points: ``n_samples`` spaced evenly from the
+    start up to the limit, merged in order with every table knot of e, f and
+    pi in [q_init, Q*), a point met twice taken once.  The derivative-based
+    margin 1 + (M/(exp(1)*eps) e'(Q) - C'(Q))/k with the analytic slopes
     :meth:`GridCurve.slope` and :meth:`GridModel.cost_slope`, and discrete
     slopes of the reach map S(Q) = Q + the maximal feasible expansion, all
-    read from one state per sample.  It holds iff both stay above -ZERO_TOL.
-    Where the points do not increase strictly, as when the start is at or
-    past the limit or a few ulps below it, it holds trivially, with no samples:
-    margin and slopes 0 at the start, and a bound of 1.
+    read from one state per point.  It holds iff both stay above -ZERO_TOL.
+    A table's slope is constant between knots and read at a knot from its
+    right-hand segment, so the margin meets every segment's slope.  Where the
+    even samples do not increase strictly, as when the start is at or past
+    the limit or a few ulps below it, it holds trivially, with no points:
+    margin and slopes 0 at the start, and a bound of 1.  A revenue scale
+    M/(exp(1)*eps) past the float range raises a ValueError naming
+    ``demand.sensitivity`` before any point is evaluated.
     The derivative check uses the unconstrained revenue form throughout, so
     the direct S samples are the decisive check where the deliverability cap
-    still binds.  The samples and their route are
-    :func:`~vrpplan.grid_model.sample_grid`'s; a float route's ulps of
-    ``math.log`` are divided by the step in a discrete slope.
+    still binds.  The points are floats, on :func:`~vrpplan.grid_model.routed`'s
+    route; a float route's ulps of ``math.log`` are divided by the step in a
+    discrete slope.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    result = equilibrium or eqm.solve_long_run_limit(dm, model)
-    qs = gm.sample_grid(q_init, result.capacity_limit, n_samples, endpoint=False)
-    if gm.is_array(qs):
-        increasing = bool((qs[:-1] < qs[1:]).all())
-    else:
-        increasing = all(map(float.__lt__, qs, qs[1:]))
-    if increasing:
-        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, qs)
+    limit = (equilibrium or eqm.solve_long_run_limit(dm, model)).capacity_limit
+    samples = gm.linspace(q_init, limit, n_samples, endpoint=False)
+    if all(map(float.__lt__, samples, samples[1:])):
+        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, gm.routed(samples))
         bound = reachability_lower_bound(dm.market_size, dm.sensitivity, model.invest_cost, max_e, max_c)
     else:  # the start is at or past the limit, or so close below that points coincide
         # the bound is 1.0 itself: the formula at zero slopes is NaN where M/(exp(1)*eps) overflows

@@ -22,6 +22,7 @@ from vrpplan.grid_model import (
     eval_curve,
     is_array,
     linspace,
+    routed,
     validate_grid_conditions,
 )
 from vrpplan.tolerances import BALANCE_TOL, CERTIFY_TOL, DOMAIN_TOL, ROUNDING_TOL, ZERO_TOL, scaled
@@ -642,6 +643,9 @@ class TestLinspace:
         points = linspace(lo, hi, n, endpoint)
         assert all(type(x) is float for x in points)
         assert [x.hex() for x in points] == expected
+        # with numpy loaded, the sampled checks take the same points as one array
+        array = routed(points)
+        assert is_array(array) and [x.hex() for x in array.tolist()] == expected
 
 
 class TestSerialization:

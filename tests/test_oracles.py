@@ -296,7 +296,7 @@ class TestDenseScanPrice:
         states = baseline_model.state(np.array([3.0, 1e-300, q]))
         with np.errstate(all="raise"):  # no overflow on the way to the error
             with pytest.raises(NoSellableCreditsError, match="M/f"):
-                decide_at(baseline_demand, states, baseline_model.invest_cost)
+                trajectory._max_feasible(baseline_demand, states, baseline_model.invest_cost)
             with pytest.raises(NoSellableCreditsError, match="M/f"):
                 dense_scan_price(baseline_demand, baseline_model, q)
         # 1e-300 is the smallest of these capacities whose price is finite

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -88,8 +89,9 @@ def bumped_cost_model(bump: float, invest_cost: float, q_lo: float = 0.5):
 
 
 class TestArrayDecisions:
-    """An array state gives the scalar decisions, but for ulps of np.exp and
-    np.log against math.exp and math.log, and fails as the scalar path does."""
+    """An array state's maximal feasible expansions are the scalar decisions',
+    but for ulps of np.exp and np.log against math.exp and math.log, and fail
+    as the scalar path does."""
 
     @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(CurveKind))
     @settings(max_examples=60, deadline=None)
@@ -103,26 +105,25 @@ class TestArrayDecisions:
             scalar = [decide_at(dm, t, k) for t in states]
         except VrpError as exc:
             with pytest.raises(type(exc)):
-                decide_at(dm, s, k)
+                _max_feasible(dm, s, k)
             return
-        d = decide_at(dm, s, k)
-        assert d.deliverability_binding.tolist() == [x.deliverability_binding for x in scalar]
-        assert d.status.tolist() == [x.status for x in scalar]
-        np.testing.assert_allclose(d.price, [x.price for x in scalar], rtol=2e-15, atol=0.0)
-        # R* and (R* - C)/k, to a few ulps of the largest term in R* - C
+        infeasible = [t.q for t, x in zip(states, scalar) if x.status is ExpansionStatus.INFEASIBLE]
+        if infeasible:  # the first one named
+            with pytest.raises(InfeasiblePeriodError, match=f"^revenue cannot cover cost at Q={re.escape(repr(infeasible[0]))}$"):
+                _max_feasible(dm, s, k)
+            return
+        expansions = _max_feasible(dm, s, k)
+        # an entry expands, by a positive step, where the scalar decision does; the others take 0.0
+        assert (expansions > 0.0).tolist() == [x.status is ExpansionStatus.EXPANDING for x in scalar]
+        assert all(x.expansion == 0.0 for x, y in zip(scalar, expansions.tolist()) if y == 0.0)
+        # (R* - C)/k, to a few ulps of the largest term in R* - C
         scale = np.array([
             max(1.0, x.revenue, t.C_S + t.C_R, abs(t.f * t.pi)) for x, t in zip(scalar, states)
         ])
-        assert np.all(np.abs(d.revenue - [x.revenue for x in scalar]) <= 4e-15 * scale)
-        assert np.all(np.abs(d.expansion - [x.expansion for x in scalar]) <= 4e-15 * (scale / k))
-        if ExpansionStatus.INFEASIBLE in d.status:
-            with pytest.raises(InfeasiblePeriodError):
-                _max_feasible(dm, s, k)
-        else:
-            # the reach S(Q) = Q + the maximal feasible expansion, as the certificate builds it
-            reach, expansions = [t.q + x.expansion for t, x in zip(states, scalar)], _max_feasible(dm, s, k)
-            np.testing.assert_allclose(s.q + expansions, reach, rtol=2e-15, atol=0.0)
-            assert expansions.tolist() == d.expansion.tolist()
+        assert np.all(np.abs(expansions - [x.expansion for x in scalar]) <= 4e-15 * (scale / k))
+        # the reach S(Q) = Q + the maximal feasible expansion, as the certificate builds it
+        reach = [t.q + x.expansion for t, x in zip(states, scalar)]
+        np.testing.assert_allclose(s.q + expansions, reach, rtol=2e-15, atol=0.0)
 
 
 class TestCertificateRoutes:
@@ -192,8 +193,8 @@ class TestInfeasibleWindow:
         model = bumped_cost_model(100.0, 30.0)
         result = solve_long_run_limit(DM, model)
         qs = np.linspace(0.5, result.capacity_limit, 400, endpoint=False)
-        status = decide_at(DM, model.state(qs), model.invest_cost).status
-        assert ExpansionStatus.INFEASIBLE in status
+        with pytest.raises(InfeasiblePeriodError):
+            _max_feasible(DM, model.state(qs), model.invest_cost)
         return model, result
 
     def test_certificate_and_enumeration_raise(self, window):
@@ -487,10 +488,10 @@ class TestNearZeroCapacity:
         assert d.status is ExpansionStatus.EXPANDING and d.expansion > 0.0
         assert solve_period(baseline_demand, baseline_model, 1e-12).expansion == d.expansion
         qs = np.array([1e-12, 1e-10, 1e-8])
-        array = decide_at(baseline_demand, baseline_model.state(qs), k)
-        assert array.status.tolist() == [ExpansionStatus.EXPANDING] * 3
+        expansions = _max_feasible(baseline_demand, baseline_model.state(qs), k)
+        assert np.all(expansions > 0.0)  # each expands
         scalar = [decide_at(baseline_demand, baseline_model.state(float(q)), k).expansion for q in qs]
-        np.testing.assert_allclose(array.expansion, scalar, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(expansions, scalar, rtol=1e-14, atol=0.0)
 
     def test_a_run_from_1e_12_reaches_the_limit(self, baseline_demand, baseline_model):
         run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=1e-12, horizon=400))
@@ -618,16 +619,15 @@ class TestScalarPathBits:
                     assert outcome(_period_solution, state, k, d, x) == outcome(reference_period_solution, state, k, d, x)
                 assert outcome(_separated_solution, state, k, d) == outcome(reference_separated_solution, state, k, d)
 
-    def test_a_midpoint_past_the_float_range_still_meets_the_clamp(self):
-        # on a domain past DBL_MAX/2, lo + hi overflows: the midpoint is inf, which the model's clamp refuses
+    def test_a_domain_past_half_the_float_range_bisects_to_a_finite_threshold(self):
+        # on a domain past DBL_MAX/2, lo + hi overflows; the midpoint sums the halves, so it stays in the domain
         model = GridModel(
             GridCurve(CurveKind.EXPONENTIAL_DECAY, (0.4, 0.0)), GridCurve(CurveKind.POLYNOMIAL, (3e-308,)),
             GridCurve(CurveKind.EXPONENTIAL_DECAY, (100.0, 0.0)), CostSpec(0.0, 0.0), CostSpec(0.0, 0.0),
             1000.0, (0.0, 1.7e308),
         )
-        result = outcome(find_deliverability_threshold, DM, model)
-        assert result == outcome(reference_find_deliverability_threshold, DM, model)
-        assert result == (CurveDomainError, "Q=inf outside model domain [0.0, 1.7e+308]")
+        assert repr(find_deliverability_threshold(DM, model)) == "1.2262648039062695e+308"
+
 
     def test_a_run_held_at_the_limit_records_positive_zeros(self, baseline_demand, baseline_model):
         # without the stop, each period at Q* caps its expansion at max(0.0, Q* - Q) = 0.0, never -0.0
