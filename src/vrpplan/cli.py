@@ -17,9 +17,10 @@ infeasible result); 4 verification failure; 141 stdout closed by its reader,
 the code of a tool that SIGPIPE ended.  A warning prints to stderr as
 ``warning: ...``, beside the ``error:`` and ``infeasible:`` lines.
 
-Only ``calibrate``, with dispatch, loads numpy.  ``--samples`` sets only the
-certificate's resolution; it and the policy enumeration follow the route rule
-of :func:`~vrpplan.grid_model.routed`, and the KKT summary takes floats.
+Only ``calibrate``, with dispatch, loads numpy.  ``--samples`` sets the
+certificate's even samples, to which it adds every table knot below the
+limit; it and the policy enumeration follow the route rule of
+:func:`~vrpplan.grid_model.routed`, and the KKT summary takes floats.
 ``verify`` refuses more than ``oracles.MAX_POLICIES`` policies before any
 work.  ``dataclasses`` loads only with dispatch, for ``calibrate``, and
 ``inspect`` only with numpy: every other record is a

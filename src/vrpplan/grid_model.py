@@ -209,12 +209,10 @@ def linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]
 
 
 def routed(points: list[float]):
-    """The float ``points`` of a sampled check, the reachability certificate
-    or policy enumeration, on its route: with numpy loaded (calibration, the
-    dense scans, any in-process batch), one ndarray, each term one array
-    call; without (``simulate``, ``verify``), the list itself, which a float
-    loop takes through the same functions to the same results but for ulps
-    of math.exp and math.log."""
+    """The float ``points`` of the certificate or the enumeration on their
+    route: with numpy loaded (calibration, the dense scans, any in-process
+    batch), one ndarray; without (``simulate``, ``verify``), the list, which a
+    float loop takes to the same results but for ulps of math.exp and math.log."""
     return points if (np := sys.modules.get("numpy")) is None else np.array(points)
 
 

@@ -142,13 +142,10 @@ def _walk_prefix_array(
 def _walk_prefix_tree(
     dm: dp.DemandModel, model: gm.GridModel, q_init: float, limit: float, fractions: list, horizon: int
 ) -> dict:
-    """:func:`_walk_prefix_array` on lists, line for line: a parent's
-    entries go to its g children by ``i // g``, and each level's capacities
-    not met before, in it or an earlier level, are evaluated in the stages of
-    the array call (:func:`~vrpplan.trajectory.staged_expansions`).  A stage
-    left non-finite raises a CurveDomainError, where the array route's
-    arithmetic raises one.
-    """
+    """:func:`_walk_prefix_array` on lists, line for line: entry i's parent
+    is entry i // g, and a level's capacities not met before, in it or an
+    earlier level, are evaluated in the stages of the array call
+    (:func:`~vrpplan.trajectory.staged_expansions`), each checked finite."""
     g, state_tol = len(fractions), scaled(ZERO_TOL, limit)
     reached = limit - state_tol
 

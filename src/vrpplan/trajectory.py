@@ -110,8 +110,7 @@ def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float):
     q, e, f, pi, c_s, c_r = s
     market, eps = dm.market_size, dm.sensitivity
     with np.errstate(divide="ignore", over="ignore"):  # M/f(Q) is inf only where the scalar rules raise
-        ratio = market / f
-        bad = (e <= 0) | (f <= 0) | np.isinf(ratio)
+        bad = (e <= 0) | (f <= 0) | np.isinf(ratio := market / f)
     if bad.any():
         dp.decide_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)), k)
     base = e / eps
@@ -149,7 +148,8 @@ class ReachabilityCertificate(Serializable):
     bound_formula_value: float  # conservative bound from sampled derivative maxima
     max_abs_emissions_slope: float
     max_abs_cost_slope: float
-    n_samples: int
+    n_samples: int  # the even samples
+    n_knots: int  # the table knots in [q_init, Q*), which join the samples
 
 
 def certify_monotone_reachability(
@@ -174,25 +174,26 @@ def certify_monotone_reachability(
     right-hand segment, so the margin meets every segment's slope.  Where the
     even samples do not increase strictly, as when the start is at or past
     the limit or a few ulps below it, it holds trivially, with no points:
-    margin and slopes 0 at the start, and a bound of 1.  A revenue scale
-    M/(exp(1)*eps) past the float range raises a ValueError naming
-    ``demand.sensitivity`` before any point is evaluated.
-    The derivative check uses the unconstrained revenue form throughout, so
-    the direct S samples are the decisive check where the deliverability cap
-    still binds.  The points are floats, on :func:`~vrpplan.grid_model.routed`'s
-    route; a float route's ulps of ``math.log`` are divided by the step in a
-    discrete slope.
+    margin and slopes 0 at the start, and a bound of 1.  The derivative
+    check uses the unconstrained revenue form throughout, so the direct S
+    checks are the decisive ones where the deliverability cap still binds.
+    The points are floats, on :func:`~vrpplan.grid_model.routed`'s route; a
+    float route's ulps of ``math.log`` are divided by the step in a discrete
+    slope.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     limit = (equilibrium or eqm.solve_long_run_limit(dm, model)).capacity_limit
     samples = gm.linspace(q_init, limit, n_samples, endpoint=False)
     if all(map(float.__lt__, samples, samples[1:])):
-        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, gm.routed(samples))
+        knots = {q for curve in (model.emissions, model.delivered, model.energy_value)
+                 if curve.kind is gm.CurveKind.TABULATED for q, _ in curve.table if q_init <= q < limit}
+        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, gm.routed(sorted({*samples, *knots})))
         bound = reachability_lower_bound(dm.market_size, dm.sensitivity, model.invest_cost, max_e, max_c)
+        n_knots = len(knots)
     else:  # the start is at or past the limit, or so close below that points coincide
         # the bound is 1.0 itself: the formula at zero slopes is NaN where M/(exp(1)*eps) overflows
-        min_margin, worst_capacity, max_e, max_c, bound, n_samples = 0.0, q_init, 0.0, 0.0, 1.0, 0
+        min_margin, worst_capacity, max_e, max_c, bound, n_samples, n_knots = 0.0, q_init, 0.0, 0.0, 1.0, 0, 0
     return ReachabilityCertificate(
         holds=min_margin >= -ZERO_TOL,
         min_margin=min_margin,
@@ -201,6 +202,7 @@ def certify_monotone_reachability(
         max_abs_emissions_slope=max_e,
         max_abs_cost_slope=max_c,
         n_samples=n_samples,
+        n_knots=n_knots,
     )
 
 
@@ -210,15 +212,19 @@ _CERTIFICATE = "reachability certificate"
 def _sampled_margins(
     dm: dp.DemandModel, model: gm.GridModel, qs
 ) -> tuple[float, float, float, float]:
-    """The least margin at the samples ``qs`` and the capacity where it lies,
+    """The least margin at the points ``qs`` and the capacity where it lies,
     then the largest |e'| and |C'| there.
 
-    The margins are the derivative margin at each sample and the discrete
-    slope of S from each sample to the next, at the left one, both from the
-    samples' states.  The float loop takes the stages in the array calls'
+    The margins are the derivative margin at each point and the discrete
+    slope of S from each point to the next, at the left one, both from the
+    points' states.  The float loop takes the stages in the array calls'
     order, so overflow or NaN raises the same CurveDomainError on either route.
+    A revenue scale M/(exp(1)*eps) past the float range raises a ValueError
+    naming ``demand.sensitivity`` first, on either route.
     """
     revenue_scale = dm.market_size / (math.e * dm.sensitivity)
+    if revenue_scale == math.inf:
+        raise ValueError(f"demand.sensitivity {dm.sensitivity!r}: the certificate's revenue scale M/(exp(1)*eps) overflows")
     k = model.invest_cost
 
     def margin(s):  # at a float or an array state

@@ -25,7 +25,7 @@ from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_c
 from vrpplan.demand_pricing import unconstrained_peak_revenue
 from vrpplan.scenario import load_scenario
 from vrpplan.tolerances import BALANCE_TOL, ROUNDING_TOL, ZERO_TOL, scaled
-from vrpplan.trajectory import PeriodRecord, SimulationConfig, Termination, Trajectory
+from vrpplan.trajectory import PeriodRecord, SimulationConfig, Termination, Trajectory, simulate_myopic
 
 # the shipped baseline, the one definition of it, found from this file wherever the tests start
 BASELINE_PATH = str(Path(__file__).resolve().parents[1] / "scenarios" / "baseline.json")
@@ -131,6 +131,20 @@ def bumped_emissions(model: GridModel) -> GridModel:
     knots.update({q: eval_curve(model.emissions, q) for q in (6.012, 6.014)})
     knots[6.013] = eval_curve(model.emissions, 6.013) + 0.01
     return model._replace(emissions=GridCurve(CurveKind.TABULATED, table=tuple(sorted(knots.items()))))
+
+
+def cliff_emissions(dm: DemandModel, model: GridModel, q_init: float, t: int = 10, drop: float = 0.005) -> GridModel:
+    """``model`` with e as a 49-knot table of its own curve, lowered by
+    ``drop`` t/MWh from Q_t up, Q_t the capacity of period ``t`` of the
+    model's own myopic run from ``q_init``.  Knots at Q_t -+ 1 MW, the right
+    one lowered, put a 2 MW cliff of slope about -drop/0.002 between two
+    knots, at a period of the path.  e stays nonincreasing, so the grid
+    conditions pass, but the reach map falls on the cliff, and a policy that
+    stops short of it beats the myopic one."""
+    q_t = simulate_myopic(dm, model, SimulationConfig(q_init, t + 1)).records[t].capacity
+    knots = {q: eval_curve(model.emissions, q) for q in (*gm.linspace(*model.domain, 49), q_t - 0.001, q_t + 0.001)}
+    table = tuple((q, v - drop if q > q_t else v) for q, v in sorted(knots.items()))
+    return model._replace(emissions=GridCurve(CurveKind.TABULATED, table=table))
 
 
 def random_accepted_model(

@@ -666,6 +666,20 @@ class TestMalformedInput:
         message = "error: demand.sensitivity 1e-308: the derivative_bounds' reachability bound is -inf\n"
         assert capsys.readouterr() == ("", message)
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("route", ["array", "float"])
+    def test_a_tiny_sensitivity_names_the_input_before_the_certificate_samples(self, tmp_path, capsys, monkeypatch, command, route):
+        # from q_init 0.5 the certificate's M/(exp(1)*eps) overflows; its slopes once raised, naming no input
+        if route == "float":
+            monkeypatch.setattr(grid_model, "routed", lambda points: points)
+        doc = baseline_doc()
+        doc["demand"]["sensitivity"] = 1e-308
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main([command, "--scenario", str(scenario)]) == 2
+        message = "error: demand.sensitivity 1e-308: the certificate's revenue scale M/(exp(1)*eps) overflows\n"
+        assert capsys.readouterr() == ("", message)
+
     @pytest.mark.parametrize(
         "path, field",
         [

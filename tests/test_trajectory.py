@@ -15,6 +15,7 @@ from conftest import (
     BASELINE,
     adversarial_dip_model,
     baseline_doc,
+    cliff_emissions,
     drawn_model,
     flat_model,
     random_accepted_model,
@@ -34,7 +35,7 @@ from vrpplan.demand_pricing import (
     demand,
     unconstrained_peak_revenue,
 )
-from vrpplan import cli
+from vrpplan import cli, trajectory
 from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCreditsError, VrpError
@@ -313,7 +314,41 @@ class TestReachabilityCertificate:
         limit = result.capacity_limit
         start = {"limit": limit, "an-ulp-below": math.nextafter(limit, 0.0), "past": limit + 1.0}[offset]
         cert = certify_monotone_reachability(dm, baseline_model, q_init=start, equilibrium=result)
-        assert repr(cert) == repr(ReachabilityCertificate(True, 0.0, start, 1.0, 0.0, 0.0, 0))
+        assert repr(cert) == repr(ReachabilityCertificate(True, 0.0, start, 1.0, 0.0, 0.0, 0, 0))
+
+    def test_the_points_are_the_samples_and_the_knots_below_the_limit(self, baseline_demand, baseline_model, monkeypatch):
+        seen = []
+        margins = trajectory._sampled_margins
+        monkeypatch.setattr(trajectory, "_sampled_margins", lambda dm, model, qs: seen.append(list(qs)) or margins(dm, model, qs))
+        result = solve_long_run_limit(baseline_demand, baseline_model)
+        limit = result.capacity_limit
+        cert = certify_monotone_reachability(baseline_demand, baseline_model, q_init=0.5, equilibrium=result)
+        # the baseline tabulates f alone; e and pi are exponentials, which add no knot
+        knots = [q for q, _ in baseline_model.delivered.table if 0.5 <= q < limit]
+        samples = linspace(0.5, limit, 200, endpoint=False)
+        assert (cert.n_samples, cert.n_knots) == (200, len(knots)) == (200, 266)
+        assert seen == [sorted({*samples, *knots})]
+        assert len(seen[0]) == 200 + 266 - 1  # Q = 0.5 is the first sample and a knot: taken once
+        # the least margin lies at a knot, on the segment it starts
+        assert (round(cert.min_margin, 6), cert.worst_capacity) == (0.873809, 7.125)
+
+    @pytest.mark.parametrize("samples", ["2", "200", "1000"])
+    @pytest.mark.parametrize("route", ["array", "float"])
+    def test_a_cliff_between_samples_fails_verify(self, tmp_path, capsys, monkeypatch, samples, route):
+        # e falls 0.005 t/MWh over 2 MW at Q_10 of the myopic path, where no even sample lies: the
+        # reach map falls there and a policy that stops short beats the myopic one; the knots see it
+        if route == "float":
+            monkeypatch.setattr(gm, "routed", lambda points: points)
+        doc = baseline_doc()
+        doc["grid"] = cliff_emissions(BASELINE.demand, BASELINE.grid, BASELINE.simulation.q_init).to_dict()
+        path = tmp_path / "cliff.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--samples", samples, "--scenario", str(path), "--out", str(tmp_path)]) == 4
+        report = json.loads((tmp_path / "verification.json").read_text())
+        assert report["conditions"]["passed"] and not report["passed"]
+        cert = report["reachability_certificate"]
+        assert not cert["holds"] and (cert["n_samples"], cert["n_knots"]) == (int(samples), 267)
+        assert (round(cert["min_margin"], 6), round(cert["worst_capacity"], 6)) == (-1.088749, 3.258242)
 
     def test_start_is_a_required_keyword(self, baseline_demand, baseline_model):
         # the domain's lower end, the old default start, sells no credits on the baseline
