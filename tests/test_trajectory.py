@@ -334,7 +334,7 @@ class TestReachabilityCertificate:
 
     @pytest.mark.parametrize("samples", ["2", "200", "1000"])
     @pytest.mark.parametrize("route", ["array", "float"])
-    def test_a_cliff_between_samples_fails_verify(self, tmp_path, capsys, monkeypatch, samples, route):
+    def test_a_cliff_between_samples_fails_verify(self, tmp_path, monkeypatch, samples, route):
         # e falls 0.005 t/MWh over 2 MW at Q_10 of the myopic path, where no even sample lies: the
         # reach map falls there and a policy that stops short beats the myopic one; the knots see it
         if route == "float":
@@ -662,7 +662,6 @@ class TestScalarPathBits:
             1000.0, (0.0, 1.7e308),
         )
         assert repr(find_deliverability_threshold(DM, model)) == "1.2262648039062695e+308"
-
 
     def test_a_run_held_at_the_limit_records_positive_zeros(self, baseline_demand, baseline_model):
         # without the stop, each period at Q* caps its expansion at max(0.0, Q* - Q) = 0.0, never -0.0
