@@ -20,7 +20,8 @@ the code of a tool that SIGPIPE ended.  A warning prints to stderr as
 Only ``calibrate``, with dispatch, loads numpy.  ``--samples`` sets the
 certificate's even samples, to which it adds every table knot below the
 limit; it and the policy enumeration follow the route rule of
-:func:`~vrpplan.grid_model.routed`, and the KKT summary takes floats.
+:func:`~vrpplan.grid_model.numpy_route`, so a command builds their points as
+floats, and the KKT summary takes floats.
 ``verify`` refuses more than ``oracles.MAX_POLICIES`` policies before any
 work.  ``dataclasses`` loads only with dispatch, for ``calibrate``, and
 ``inspect`` only with numpy: every other record is a

@@ -14,7 +14,7 @@ import math
 
 from . import demand_pricing as dp
 from . import grid_model as gm
-from .errors import InfeasibleAtThresholdError, NetZeroGridError, ThresholdUnreachableError
+from .errors import CurveDomainError, InfeasibleAtThresholdError, NetZeroGridError, ThresholdUnreachableError
 from .serialize import Serializable, record
 from .tolerances import BALANCE_TOL, ROUNDING_TOL, scaled
 
@@ -83,18 +83,26 @@ def solve_long_run_limit(dm: dp.DemandModel, model: gm.GridModel) -> Equilibrium
     gap never turns negative inside the domain, the result is capped at the
     domain edge and flagged instead of raising, since the limit then lies
     beyond the calibrated data.  Each state comes from the model's float
-    kernel, and exp(1)*eps is computed once per solve.
+    kernel, and exp(1)*eps is computed once per solve.  A gap left non-finite
+    at the result, as where the costs overflow, raises a CurveDomainError
+    naming them.
     """
     threshold = find_deliverability_threshold(dm, model)
     domain_hi = model.domain[1]
     state, market, divisor = model._state_at, dm.market_size, math.e * dm.sensitivity
 
     def finish(s: gm.PeriodState, bracket: tuple[float, float], iterations: int, capped: bool):
+        gap = _gap(s, market, divisor)[0]
+        if not math.isfinite(gap):  # an infinite cost passes every balance test: it scales the tolerance too
+            raise CurveDomainError(
+                f"long-run limit: revenue - cost not finite at Q={s.q}: "
+                f"C_S={s.C_S}, C_R={s.C_R}, f*pi={s.f * s.pi}"
+            )
         return EquilibriumResult(
             capacity_limit=s.q,
             deliverability_threshold=threshold,
             emissions_at_limit=s.e,
-            residual=abs(_gap(s, market, divisor)[0]),
+            residual=abs(gap),
             bracket=bracket,
             iterations=iterations,
             domain_capped=capped,

@@ -92,10 +92,18 @@ class GridCurve:
 
     @cached_property
     def _arrays(self):
-        """The knots as two contiguous float arrays, which ``np.interp`` copies neither of."""
+        """The knots as two contiguous float arrays, which ``np.interp`` copies
+        neither of, and each segment's slope, in :meth:`slope`'s scalar
+        operations; None for the slopes where one overflows, so that a query
+        divides at its own segments, under its caller's ``np.errstate``."""
         import numpy as np
         xs, ys, _, _ = self._knots
-        return np.array(xs), np.array(ys)
+        qs, vs = np.array(xs), np.array(ys)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return qs, vs, np.diff(vs) / np.diff(qs)
+        except FloatingPointError:
+            return qs, vs, None
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -111,8 +119,9 @@ class GridCurve:
         Exponential: -rate * v; polynomial: the Horner derivative; tabulated:
         the slope of the segment [Q_i, Q_i+1) holding Q, so a knot takes its
         right-hand segment and the top end the last one.  A table queried at a
-        scalar bisects the knot lists, as :func:`eval_curve` does, for the
-        array query's segment and bits.
+        scalar bisects the knot lists, as :func:`eval_curve` does; at an array,
+        each entry gathers its segment's slope, cached with the knot arrays
+        from the same operations, so both routes give the same bits.
         """
         if self.kind is CurveKind.EXPONENTIAL_DECAY:
             return -self.coefficients[1] * v
@@ -124,10 +133,10 @@ class GridCurve:
         xs, ys, lo, hi = self._knots
         if is_array(q):
             import numpy as np
-            qs, vs = self._arrays
+            qs, vs, slopes = self._arrays
             at = _within(np.asarray(q, dtype=float), lo, hi, "tabulated", qs)
             i = np.clip(np.searchsorted(qs, at, side="right") - 1, 0, len(qs) - 2)
-            return (vs[i + 1] - vs[i]) / (qs[i + 1] - qs[i])
+            return (vs[i + 1] - vs[i]) / (qs[i + 1] - qs[i]) if slopes is None else slopes[i]
         if not lo <= q <= hi:
             raise CurveDomainError(f"Q={q} outside tabulated domain [{xs[0]}, {xs[-1]}]")
         i = min(max(bisect_right(xs, q) - 1, 0), len(xs) - 2)
@@ -208,12 +217,62 @@ def linspace(lo: float, hi: float, n: int, endpoint: bool = True) -> list[float]
     return points
 
 
-def routed(points: list[float]):
-    """The float ``points`` of the certificate or the enumeration on their
-    route: with numpy loaded (calibration, the dense scans, any in-process
-    batch), one ndarray; without (``simulate``, ``verify``), the list, which a
-    float loop takes to the same results but for ulps of math.exp and math.log."""
-    return points if (np := sys.modules.get("numpy")) is None else np.array(points)
+def numpy_route():
+    """The route of the sampled checks, the certificate and the enumeration,
+    in one place that tests can replace: numpy where it is loaded
+    (calibration, the dense scans, any in-process batch), which builds their
+    points as one ndarray; else None (``simulate``, ``verify``), whose points
+    are a list of floats, which a float loop takes to the same results but
+    for ulps of math.exp and math.log."""
+    return sys.modules.get("numpy")
+
+
+def certificate_points(model: GridModel, lo: float, hi: float, n: int):
+    """The points of the reachability certificate on [lo, hi), and how many
+    distinct table knots they hold; or None where its even samples do not
+    increase strictly.
+
+    ``n`` samples, :func:`linspace`'s without the endpoint, merged in order
+    with every knot in [lo, hi) of the tables among e, f and pi, a point met
+    twice taken once: the sample's float where one equals it, else the first
+    table's, in that order (a 0.0 and a -0.0 are one point).  On
+    :func:`numpy_route`'s route: a list, or an ndarray built from
+    ``np.linspace`` and slices of the knot arrays, merged in order by
+    :func:`_union`, with the same floats.
+    """
+    tables = [c for c in (model.emissions, model.delivered, model.energy_value) if c.kind is CurveKind.TABULATED]
+    if (np := numpy_route()) is None:
+        samples = linspace(lo, hi, n, endpoint=False)
+        if not all(map(float.__lt__, samples, samples[1:])):
+            return None
+        knots = {q for xs in (c._knots[0] for c in tables) for q in xs[bisect_left(xs, lo):bisect_left(xs, hi)]}
+        return sorted({*samples, *knots}), len(knots)
+    samples = np.linspace(lo, hi, n, endpoint=False)
+    if not (samples[:-1] < samples[1:]).all():
+        return None
+    knots = samples[:0]
+    for qs in (c._arrays[0] for c in tables):
+        knots = _union(knots, qs[np.searchsorted(qs, lo):np.searchsorted(qs, hi)])
+    return _union(samples, knots), len(knots)
+
+
+def _union(a, b):
+    """The increasing arrays ``a`` and ``b`` merged in order, a value in both
+    taken once, as ``a``'s float.  No sort: each new value of ``b`` goes
+    where ``searchsorted`` places it among ``a``'s.  numpy's sorting code,
+    paged in on its first use, would add 0.1-0.3 MB to the resident memory
+    of a process that sorts nothing else."""
+    import numpy as np
+    if not len(a):
+        return b
+    at = np.searchsorted(a, b)
+    new = a.take(at, mode="clip") != b
+    at = at[new] + np.arange(np.count_nonzero(new))  # b's new values and how many of them precede each
+    merged = np.empty(len(a) + len(at))
+    kept = np.ones(len(merged), dtype=bool)
+    kept[at] = False
+    merged[at], merged[kept] = b[new], a
+    return merged
 
 
 def _within(q, lo: float, hi: float, name: str, ends):
@@ -275,7 +334,7 @@ def eval_curve(curve: GridCurve, q):
     import numpy as np
     if curve.kind is CurveKind.TABULATED:
         _, _, lo, hi = curve._knots
-        qs, vs = curve._arrays
+        qs, vs, _ = curve._arrays
         return np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
     if curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients

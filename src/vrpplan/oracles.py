@@ -81,17 +81,19 @@ def enumerate_and_compare(
     t = 0, so no path is walked twice; a capacity met twice in a level, as
     after every zero action, is evaluated once.  The action fractions are
     :func:`~vrpplan.grid_model.linspace`'s floats, on
-    :func:`~vrpplan.grid_model.routed`'s route: :func:`_walk_prefix_array`
-    on an array, :func:`_walk_prefix_tree`, its mirror on lists, without
-    numpy.
+    :func:`~vrpplan.grid_model.numpy_route`'s route: :func:`_walk_prefix_array`
+    on ``np.linspace``'s array, :func:`_walk_prefix_tree`, its mirror on
+    lists, without numpy.
     """
     if action_grid_size < 2:
         raise ValueError("action_grid_size must be at least 2")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     limit = (equilibrium or eqm.solve_long_run_limit(dm, model)).capacity_limit
-    fractions = gm.routed(gm.linspace(0.0, 1.0, action_grid_size))
-    walk = _walk_prefix_array if gm.is_array(fractions) else _walk_prefix_tree
+    if (np := gm.numpy_route()) is None:
+        fractions, walk = gm.linspace(0.0, 1.0, action_grid_size), _walk_prefix_tree
+    else:
+        fractions, walk = np.linspace(0.0, 1.0, action_grid_size), _walk_prefix_array
     return DominanceReport(action_grid_size**horizon, **walk(dm, model, q_init, limit, fractions, horizon))
 
 

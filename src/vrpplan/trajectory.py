@@ -177,20 +177,18 @@ def certify_monotone_reachability(
     margin and slopes 0 at the start, and a bound of 1.  The derivative
     check uses the unconstrained revenue form throughout, so the direct S
     checks are the decisive ones where the deliverability cap still binds.
-    The points are floats, on :func:`~vrpplan.grid_model.routed`'s route; a
-    float route's ulps of ``math.log`` are divided by the step in a discrete
-    slope.
+    :func:`~vrpplan.grid_model.certificate_points` builds the points on
+    :func:`~vrpplan.grid_model.numpy_route`'s route, the same floats as a list
+    or as one ndarray; a float route's ulps of ``math.log`` are divided by the
+    step in a discrete slope.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     limit = (equilibrium or eqm.solve_long_run_limit(dm, model)).capacity_limit
-    samples = gm.linspace(q_init, limit, n_samples, endpoint=False)
-    if all(map(float.__lt__, samples, samples[1:])):
-        knots = {q for curve in (model.emissions, model.delivered, model.energy_value)
-                 if curve.kind is gm.CurveKind.TABULATED for q, _ in curve.table if q_init <= q < limit}
-        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, gm.routed(sorted({*samples, *knots})))
+    if (points := gm.certificate_points(model, q_init, limit, n_samples)) is not None:
+        qs, n_knots = points
+        min_margin, worst_capacity, max_e, max_c = _sampled_margins(dm, model, qs)
         bound = reachability_lower_bound(dm.market_size, dm.sensitivity, model.invest_cost, max_e, max_c)
-        n_knots = len(knots)
     else:  # the start is at or past the limit, or so close below that points coincide
         # the bound is 1.0 itself: the formula at zero slopes is NaN where M/(exp(1)*eps) overflows
         min_margin, worst_capacity, max_e, max_c, bound, n_samples, n_knots = 0.0, q_init, 0.0, 0.0, 1.0, 0, 0
@@ -217,8 +215,11 @@ def _sampled_margins(
 
     The margins are the derivative margin at each point and the discrete
     slope of S from each point to the next, at the left one, both from the
-    points' states.  The float loop takes the stages in the array calls'
-    order, so overflow or NaN raises the same CurveDomainError on either route.
+    points' states.  ``qs`` is a list of floats, which a float loop takes, or
+    an ndarray, which one array call per curve takes, a table's slopes one
+    gather from its cached segment slopes.  The float loop takes the stages
+    in the array calls' order, so overflow or NaN raises the same
+    CurveDomainError on either route.
     A revenue scale M/(exp(1)*eps) past the float range raises a ValueError
     naming ``demand.sensitivity`` first, on either route.
     """

@@ -671,7 +671,9 @@ class TestMalformedInput:
     def test_a_tiny_sensitivity_names_the_input_before_the_certificate_samples(self, tmp_path, capsys, monkeypatch, command, route):
         # from q_init 0.5 the certificate's M/(exp(1)*eps) overflows; its slopes once raised, naming no input
         if route == "float":
-            monkeypatch.setattr(grid_model, "routed", lambda points: points)
+            monkeypatch.setattr(grid_model, "numpy_route", lambda: None)
+        routes, margins = [], trajectory._sampled_margins
+        monkeypatch.setattr(trajectory, "_sampled_margins", lambda dm, model, qs: routes.append(type(qs).__name__) or margins(dm, model, qs))
         doc = baseline_doc()
         doc["demand"]["sensitivity"] = 1e-308
         scenario = tmp_path / "scenario.json"
@@ -679,6 +681,29 @@ class TestMalformedInput:
         assert main([command, "--scenario", str(scenario)]) == 2
         message = "error: demand.sensitivity 1e-308: the certificate's revenue scale M/(exp(1)*eps) overflows\n"
         assert capsys.readouterr() == ("", message)
+        assert routes == [{"array": "ndarray", "float": "list"}[route]]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"cost_system": {"alpha": 9.6, "beta": 1e308}},
+             "Q=5.132567136843136: C_S=inf, C_R=239.5001369447166, f*pi=292.7946367558958"),
+            # lo + hi overflows on this domain; the threshold is finite, but C_S and C_R are inf there
+            ({"domain": [0.0, 1.7e308], "delivered": {"kind": "parametric-polynomial", "coefficients": [3e-308]},
+              "emissions": {"kind": "parametric-exponential-decay", "coefficients": [0.4, 0.0]},
+              "energy_value": {"kind": "parametric-exponential-decay", "coefficients": [100.0, 0.0]}},
+             "Q=1.2262648039062695e+308: C_S=inf, C_R=inf, f*pi=367.8794411718809"),
+        ],
+        ids=["overflowing-beta", "wide-domain"],
+    )
+    def test_an_overflowing_cost_at_the_limit_names_the_costs(self, tmp_path, capsys, grid, message):
+        # an inf cost scales the balance tolerance to inf, so the limit once "solved" and named its residual
+        doc = baseline_doc()
+        doc["grid"].update(grid)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["limit", "--scenario", str(scenario)]) == 2
+        assert capsys.readouterr() == ("", f"error: long-run limit: revenue - cost not finite at {message}\n")
 
     @pytest.mark.parametrize(
         "path, field",
@@ -1050,6 +1075,31 @@ for argv in (["simulate"], ["verify"]):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_the_array_certificate_loads_no_numpy_submodule(tmp_path):
+    # a fresh interpreter: numpy 2.4 loads numpy.ma on the first plain np.unique, which
+    # would grow every in-process run's peak memory by about a megabyte
+    tabulated = tabulated_baseline(tmp_path / "tabulated.json")  # e and pi share f's knots
+    script = f"""
+import sys
+import numpy
+from vrpplan.scenario import load_scenario
+from vrpplan.trajectory import certify_monotone_reachability
+loaded = set(sys.modules)
+for path in ({BASELINE_PATH!r}, {str(tabulated)!r}):
+    s = load_scenario(path)
+    cert = certify_monotone_reachability(s.demand, s.grid, q_init=s.simulation.q_init)
+    assert cert.holds and cert.n_knots > 0, cert
+assert "numpy.ma" not in sys.modules
+print(sorted(m for m in set(sys.modules) - loaded if m.startswith("numpy")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(vrpplan.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_verify_leaves_numpy_unloaded_at_the_cap():

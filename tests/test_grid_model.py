@@ -22,7 +22,7 @@ from vrpplan.grid_model import (
     eval_curve,
     is_array,
     linspace,
-    routed,
+    numpy_route,
     validate_grid_conditions,
 )
 from vrpplan.tolerances import BALANCE_TOL, CERTIFY_TOL, DOMAIN_TOL, ROUNDING_TOL, ZERO_TOL, scaled
@@ -360,12 +360,25 @@ class TestSlopes:
         ]
         for q in inside:  # a table reads no value
             assert curve.slope(q, None).hex() == float(curve.slope(np.array([q]), None)[0]).hex(), q
+        # all at once: each entry gathers its segment's cached slope
+        assert [float(v).hex() for v in curve.slope(np.array(inside), None)] == [curve.slope(q, None).hex() for q in inside]
         for q in (lo - 2.0 * slack, hi + 2.0 * slack, math.nan, -math.inf, math.inf):
             with pytest.raises(CurveDomainError) as array:
                 curve.slope(np.array([q]), None)
             with pytest.raises(CurveDomainError) as scalar:
                 curve.slope(q, None)
             assert str(scalar.value) == str(array.value)
+
+    def test_an_overflowing_segment_slope_raises_only_where_queried(self):
+        # 2/1e-308 overflows: no slope is cached, and an array query divides at its own segments
+        curve = GridCurve(CurveKind.TABULATED, table=((0.0, 0.0), (1e-308, 2.0), (12.0, 3.0)))
+        assert eval_curve(curve, np.array([6.0])).tolist() == [eval_curve(curve, 6.0)]
+        assert curve._arrays[2] is None
+        qs = [1e-308, 6.0, 12.0]
+        assert [float(v).hex() for v in curve.slope(np.array(qs), None)] == [curve.slope(q, None).hex() for q in qs]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            curve.slope(np.array([0.0, 6.0]), None)
+        assert curve.slope(0.0, None) == math.inf
 
     def test_array_slopes_match_central_differences(self):
         qs = np.linspace(0.5, 11.5, 23)
@@ -643,9 +656,8 @@ class TestLinspace:
         points = linspace(lo, hi, n, endpoint)
         assert all(type(x) is float for x in points)
         assert [x.hex() for x in points] == expected
-        # with numpy loaded, the sampled checks take the same points as one array
-        array = routed(points)
-        assert is_array(array) and [x.hex() for x in array.tolist()] == expected
+        # with numpy loaded, the sampled checks take np.linspace's array itself
+        assert numpy_route() is np
 
 
 class TestSerialization:

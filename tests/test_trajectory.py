@@ -40,7 +40,7 @@ from vrpplan import demand_pricing as dp
 from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCreditsError, VrpError
 from vrpplan import grid_model as gm
-from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, linspace
+from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_curve, linspace
 from vrpplan.oracles import _walk_prefix_array, enumerate_and_compare
 from vrpplan.revenue_sharing import _separated_solution, solve_separated_period
 from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
@@ -61,6 +61,29 @@ from vrpplan.trajectory import (
 )
 
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
+
+
+def received_points(monkeypatch) -> list:
+    """The points each call of ``_sampled_margins`` receives, in call order."""
+    seen, margins = [], trajectory._sampled_margins
+    monkeypatch.setattr(trajectory, "_sampled_margins", lambda dm, model, qs: seen.append(qs) or margins(dm, model, qs))
+    return seen
+
+
+def reference_points(model: GridModel, q_init: float, limit: float, n: int) -> tuple[list[float], int]:
+    """The certificate's points as one set of floats built them, the samples
+    first, then e's, f's and pi's knots in [q_init, limit), and how many
+    distinct knots there are."""
+    knots = {q for curve in (model.emissions, model.delivered, model.energy_value)
+             if curve.kind is CurveKind.TABULATED for q, _ in curve.table if q_init <= q < limit}
+    return sorted({*linspace(q_init, limit, n, endpoint=False), *knots}), len(knots)
+
+
+def hexes(points) -> list[str]:
+    return [float(q).hex() for q in points]
+
+
+ROUTE_TYPES = {"array": np.ndarray, "float": list}
 
 
 def bumped_cost_model(bump: float, invest_cost: float, q_lo: float = 0.5):
@@ -169,7 +192,8 @@ class TestCertificateRoutes:
         for samples in (qs, qs.tolist()):
             with pytest.raises(CurveDomainError, match="^reachability certificate: "):
                 _sampled_margins(baseline_demand, model, samples)
-        with pytest.raises(CurveDomainError, match="^reachability certificate: "):
+        # solving its own limit, the certificate stops first where the cost is inf at Q*
+        with pytest.raises(CurveDomainError, match=r"^long-run limit: revenue - cost not finite at Q=5\.13.*: C_S=inf, "):
             certify_monotone_reachability(baseline_demand, model, q_init=0.5)
 
     def test_numpy_scalar_fields_fail_alike_on_both_routes(self, baseline_model):
@@ -305,16 +329,97 @@ class TestReachabilityCertificate:
         assert cert.min_margin < -1e-9
         assert cert.bound_formula_value < 0.0
 
+    @pytest.mark.parametrize("route", ["array", "float"])
     @pytest.mark.parametrize("dm", [BASELINE.demand, DemandModel(10.0, 1e-308)], ids=["baseline", "overflowing-scale"])
     @pytest.mark.parametrize("offset", ["limit", "an-ulp-below", "past"])
-    def test_no_samples_at_the_limit(self, baseline_model, dm, offset):
+    def test_no_samples_at_the_limit(self, baseline_model, monkeypatch, dm, offset, route):
         # no two sample points differ: it holds with no samples, and its bound is 1.0 even
         # where M/(exp(1)*eps) overflows and the formula at zero slopes would give NaN
+        if route == "float":
+            monkeypatch.setattr(gm, "numpy_route", lambda: None)
+        seen = received_points(monkeypatch)
         result = solve_long_run_limit(dm, baseline_model)
         limit = result.capacity_limit
         start = {"limit": limit, "an-ulp-below": math.nextafter(limit, 0.0), "past": limit + 1.0}[offset]
+        assert gm.certificate_points(baseline_model, start, limit, 200) is None
         cert = certify_monotone_reachability(dm, baseline_model, q_init=start, equilibrium=result)
         assert repr(cert) == repr(ReachabilityCertificate(True, 0.0, start, 1.0, 0.0, 0.0, 0, 0))
+        assert seen == []
+
+    @pytest.mark.parametrize("route", ["array", "float"])
+    def test_the_point_builder_keeps_each_point_once(self, baseline_demand, baseline_model, monkeypatch, route):
+        # q_init = 0.5 is a knot and the first sample; knots added at the 8th sample and one ulp
+        # below Q* are kept, one at Q* is dropped
+        if route == "float":
+            monkeypatch.setattr(gm, "numpy_route", lambda: None)
+        limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
+        f = baseline_model.delivered
+        samples = linspace(0.5, limit, 200, endpoint=False)
+        added = (samples[7], math.nextafter(limit, 0.0), limit)
+        assert 0.5 in dict(f.table) and not set(added) & set(dict(f.table))
+        table = sorted({**dict(f.table), **{q: eval_curve(f, q) for q in added}}.items())
+        model = baseline_model._replace(delivered=GridCurve(CurveKind.TABULATED, table=table))
+        points, n_knots = gm.certificate_points(model, 0.5, limit, 200)
+        expected, knots = reference_points(model, 0.5, limit, 200)
+        assert type(points) is ROUTE_TYPES[route]
+        assert hexes(points) == hexes(expected) and n_knots == knots == 266 + 2
+        assert len(points) == 200 + 268 - 2 and points[-1] == math.nextafter(limit, 0.0)
+        # a -0.0 knot of e and a 0.0 knot of pi are the first sample's 0.0, kept as it; from 6.5,
+        # e has no knot below Q* and f's and pi's follow
+        coarse = model._replace(
+            emissions=GridCurve(CurveKind.TABULATED, table=((-0.0, 0.4), (6.0, 0.3), (12.0, 0.2))),
+            energy_value=GridCurve(CurveKind.TABULATED, table=((0.0, 100.0), (6.0, 80.0), (7.0, 70.0), (12.0, 60.0))),
+        )
+        for start in (-0.0, 6.5):
+            points, n_knots = gm.certificate_points(coarse, start, limit, 200)
+            expected, knots = reference_points(coarse, start, limit, 200)
+            assert hexes(points) == hexes(expected) and n_knots == knots
+        assert hexes(gm.certificate_points(coarse, -0.0, limit, 200)[0][:1]) == [(0.0).hex()]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([*CurveKind, "thinned"]),
+        start=st.one_of(st.floats(0.0, 1.0), st.integers(0, 96)),
+        n_samples=st.sampled_from((2, 200, 1000)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_both_routes_take_the_same_points(self, seed, kind, start, n_samples):
+        # thinned: e and pi tabulated on every second and every third of f's knots, so the
+        # tables share some knots and not others; start: a fraction of Q* or one of f's knots
+        dm, model = drawn_model(CurveKind.TABULATED if kind == "thinned" else kind, np.random.default_rng(seed))
+        if kind == "thinned":
+            model = model._replace(**{name: GridCurve(CurveKind.TABULATED, table=getattr(model, name).table[::step])
+                                      for name, step in (("emissions", 2), ("energy_value", 3))})
+        try:
+            result = solve_long_run_limit(dm, model)
+        except VrpError:
+            return
+        limit = result.capacity_limit
+        q_init = start * limit if isinstance(start, float) else float(np.linspace(0.0, model.domain[1], 97)[start])
+        samples = linspace(q_init, limit, n_samples, endpoint=False)
+        rising = all(map(float.__lt__, samples, samples[1:]))
+        expected = reference_points(model, q_init, limit, n_samples) if rising else None
+        certificates = {}
+        for route in ("array", "float"):
+            with pytest.MonkeyPatch.context() as patch:
+                if route == "float":
+                    patch.setattr(gm, "numpy_route", lambda: None)
+                seen = received_points(patch)
+                try:
+                    certificates[route] = certify_monotone_reachability(
+                        dm, model, n_samples, q_init=q_init, equilibrium=result)
+                except VrpError as exc:
+                    certificates[route] = type(exc)
+            # the points reach the margins whatever these raise
+            assert [type(qs) for qs in seen] == ([ROUTE_TYPES[route]] if expected else [])
+            assert [hexes(qs) for qs in seen] == ([hexes(expected[0])] if expected else [])
+        array, floats = certificates["array"], certificates["float"]
+        if isinstance(array, type):
+            assert floats is array
+            return
+        assert (array.n_samples, array.n_knots) == ((n_samples, expected[1]) if expected else (0, 0))
+        assert (floats.n_samples, floats.n_knots, floats.holds, floats.worst_capacity) == (
+            array.n_samples, array.n_knots, array.holds, array.worst_capacity)
 
     def test_the_points_are_the_samples_and_the_knots_below_the_limit(self, baseline_demand, baseline_model, monkeypatch):
         seen = []
@@ -338,7 +443,8 @@ class TestReachabilityCertificate:
         # e falls 0.005 t/MWh over 2 MW at Q_10 of the myopic path, where no even sample lies: the
         # reach map falls there and a policy that stops short beats the myopic one; the knots see it
         if route == "float":
-            monkeypatch.setattr(gm, "routed", lambda points: points)
+            monkeypatch.setattr(gm, "numpy_route", lambda: None)
+        seen = received_points(monkeypatch)
         doc = baseline_doc()
         doc["grid"] = cliff_emissions(BASELINE.demand, BASELINE.grid, BASELINE.simulation.q_init).to_dict()
         path = tmp_path / "cliff.json"
@@ -349,6 +455,7 @@ class TestReachabilityCertificate:
         cert = report["reachability_certificate"]
         assert not cert["holds"] and (cert["n_samples"], cert["n_knots"]) == (int(samples), 267)
         assert (round(cert["min_margin"], 6), round(cert["worst_capacity"], 6)) == (-1.088749, 3.258242)
+        assert [type(qs) for qs in seen] == [ROUTE_TYPES[route]]
 
     def test_start_is_a_required_keyword(self, baseline_demand, baseline_model):
         # the domain's lower end, the old default start, sells no credits on the baseline
@@ -724,13 +831,19 @@ class TestEvaluationCounts:
             assert evaluations == {"e": 1, "f": 1, "pi": 1}
 
     @pytest.mark.parametrize("n", [2, 50, 200, 1000])
-    def test_float_certificate_three_per_sample(self, baseline_demand, counted, n):
+    def test_float_certificate_three_per_sample(self, baseline_demand, counted, monkeypatch, n):
         # the margins, the reach and the discrete slopes read each sample's one state
         model, evaluations = counted
         limit = solve_long_run_limit(baseline_demand, model).capacity_limit
         evaluations.clear()
         _sampled_margins(baseline_demand, model, linspace(0.5, limit, n, endpoint=False))
         assert evaluations == {"e": n, "f": n, "pi": n}
+        # the whole certificate on its float route: the same, once per point, samples and knots
+        monkeypatch.setattr(gm, "numpy_route", lambda: None)
+        result, points = solve_long_run_limit(baseline_demand, model), reference_points(model, 0.5, limit, n)[0]
+        evaluations.clear()
+        certify_monotone_reachability(baseline_demand, model, n, q_init=0.5, equilibrium=result)
+        assert evaluations == {"e": len(points), "f": len(points), "pi": len(points)}
 
     @pytest.fixture()
     def array_calls(self, baseline_model, monkeypatch):
@@ -752,6 +865,11 @@ class TestEvaluationCounts:
         limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit  # on floats: no array call
         _sampled_margins(baseline_demand, baseline_model, np.linspace(0.5, limit, n, endpoint=False))
         assert array_calls == {"e": [n], "f": [n], "pi": [n]}
+        # the whole certificate: one call per curve still, with one entry per point, samples and knots
+        result, points = solve_long_run_limit(baseline_demand, baseline_model), reference_points(baseline_model, 0.5, limit, n)[0]
+        array_calls.update(e=[], f=[], pi=[])
+        certify_monotone_reachability(baseline_demand, baseline_model, n, q_init=0.5, equilibrium=result)
+        assert array_calls == {"e": [len(points)], "f": [len(points)], "pi": [len(points)]}
 
     def test_array_enumeration_evaluates_e_once_per_distinct_capacity(
         self, baseline_demand, baseline_model, array_calls
