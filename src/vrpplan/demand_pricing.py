@@ -123,7 +123,7 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
     the NamedTuple's Python-level ``__new__``.  An array state's entries are
     decided by :func:`~vrpplan.trajectory._max_feasible`, on these rules.
     """
-    q, e, f, pi, c_s, c_r = s
+    q, e, f, _, _, _, cost, _ = s
     if e <= 0:
         raise NetZeroGridError(f"e(Q)={e} at Q={q}: no emissions left to differentiate")
     if f <= 0:
@@ -138,7 +138,6 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
         price *= math.log(ratio)
     # a price >= 0 and e > 0 pass demand()'s checks
     rev = price * (market * math.exp(-eps * price / e))
-    cost = c_s + c_r - f * pi
     tol = BALANCE_TOL * max(abs(rev), abs(cost))  # no floor: near Q = 0 both are tiny
     if not rev >= cost - tol:  # also a NaN revenue
         return tuple.__new__(Decision, (price, binding, rev, 0.0, _INFEASIBLE))

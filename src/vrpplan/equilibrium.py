@@ -67,10 +67,9 @@ def find_deliverability_threshold(dm: dp.DemandModel, model: gm.GridModel) -> fl
 
 def _gap(s: gm.PeriodState, market: float, divisor: float) -> tuple[float, float]:
     """The gap e*M/``divisor`` - C at the state ``s``, with ``divisor`` = exp(1)*eps, and C; each field read once."""
-    q, e, f, pi, c_s, c_r = s
+    e, cost = s.e, s.cost
     if e <= 0:
         raise NetZeroGridError("peak revenue undefined on a net-zero grid")
-    cost = c_s + c_r - f * pi  # PeriodState.cost, in its operation order
     return e * market / divisor - cost, cost  # unconstrained_peak_revenue's operation order
 
 

@@ -379,9 +379,11 @@ class PeriodState(NamedTuple):
 
     Built by :meth:`GridModel.state`, from a float by the model's kernel.
     Price, revenue, expansion, share, status and phase of the period are
-    arithmetic on these six values: a simulated period builds one state and
-    one :class:`~vrpplan.demand_pricing.Decision` from it, which serve the
-    limit test, the step and the record.
+    arithmetic on these eight numbers, the net costs C = (C_S + C_R) - f*pi
+    and C_2 = C_R - f*pi formed here once, in that operation order: a
+    simulated period builds one state and one
+    :class:`~vrpplan.demand_pricing.Decision` from it, which serve the limit
+    test, the step and the record.
     Immutable; a tuple rather than a :func:`~vrpplan.serialize.record`
     because one is built per period, and a tuple builds in a third the time.
     The same holds for every per-period result (``Decision``,
@@ -396,18 +398,8 @@ class PeriodState(NamedTuple):
     pi: float  # energy value pi(Q), M$/GW-yr
     C_S: float  # system cost C_S(Q), M$/yr
     C_R: float  # renewable operating cost C_R(Q), M$/yr
-
-    @property
-    def cost(self) -> float:
-        """Non-investment cost C = C_S + C_R - f*pi, M$/yr; negative while the
-        generators' wholesale surplus exceeds system cost, as at low penetration."""
-        return self.C_S + self.C_R - self.f * self.pi
-
-    @property
-    def cost_generator(self) -> float:
-        """Generator-side net cost C_2 = C_R - f*pi, M$/yr; its sign decides
-        whether generators need a share of program revenue."""
-        return self.C_R - self.f * self.pi
+    cost: float  # non-investment cost C, M$/yr; negative while f*pi exceeds C_S + C_R, as at low penetration
+    cost_generator: float  # generator net cost C_2, M$/yr; where positive, generators need a share of revenue
 
 
 @record
@@ -467,20 +459,23 @@ class GridModel(Serializable):
         if not is_array(q):
             return self._state_at(q)
         q = self._clamp(q)
-        return PeriodState(
-            q,
-            eval_curve(self.emissions, q),
-            eval_curve(self.delivered, q),
-            eval_curve(self.energy_value, q),
-            self.cost_system.cost(q),
-            self.cost_renewable.cost(q),
-        )
+        e, f, pi = (eval_curve(curve, q) for curve in (self.emissions, self.delivered, self.energy_value))
+        c_s, c_r = self.cost_system.cost(q), self.cost_renewable.cost(q)
+        return PeriodState(q, e, f, pi, c_s, c_r, c_s + c_r - (fpi := f * pi), c_r - fpi)
 
     def state_range(self, a: float, b: float) -> PeriodState:
-        """:meth:`state`'s fields over [a, b], a <= b, ends clamped as there: each a ``value_range``."""
+        """:meth:`state`'s fields over [a, b], a <= b, ends clamped as there: each
+        a ``value_range``.  C and C_2 take f*pi's least and greatest corner (pi
+        may be negative) in the state's operation order, and magnitudes
+        max(|C_S| + |C_R|, |f| |pi|) and max(|C_R|, |f| |pi|), which leave out
+        a NaN product, as :func:`scaled` does."""
         a, b = self._clamp(a), self._clamp(b)
         parts = (self.emissions, self.delivered, self.energy_value, self.cost_system, self.cost_renewable)
-        return PeriodState((a, b, b), *(part.value_range(a, b) for part in parts))
+        e, f, pi, c_s, c_r = (part.value_range(a, b) for part in parts)
+        corners = (f[0] * pi[0], f[0] * pi[1], f[1] * pi[0], f[1] * pi[1])
+        low, high, size = min(corners), max(corners), f[2] * pi[2]
+        cost = (c_s[0] + c_r[0] - high, c_s[1] + c_r[1] - low, max(c_s[2] + c_r[2], size))
+        return PeriodState((a, b, b), e, f, pi, c_s, c_r, cost, (c_r[0] - high, c_r[1] - low, max(c_r[2], size)))
 
     def emissions_at(self, q: float) -> float:
         if is_array(q):
@@ -524,6 +519,7 @@ def _bind_float_kernel(model: GridModel) -> None:
     slack = scaled(DOMAIN_TOL, lo, hi)
     e_at, f_at, pi_at = model.emissions._at, model.delivered._at, model.energy_value._at
     a_s, b_s, a_r, b_r = system.alpha, system.beta, renewable.alpha, renewable.beta
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
 
     def clamp(q):
         q = float(q)  # a NumPy scalar would carry numpy arithmetic, which warns where floats do not, onward
@@ -537,8 +533,9 @@ def _bind_float_kernel(model: GridModel) -> None:
         q = float(q)  # as in clamp
         if not lo <= q <= hi:
             q = clamp(q)
-        # the costs in CostSpec.cost's operation order
-        return PeriodState(q, e_at(q), f_at(q), pi_at(q), a_s * q + b_s * q * q, a_r * q + b_r * q * q)
+        e, f, pi = e_at(q), f_at(q), pi_at(q)
+        c_s, c_r = a_s * q + b_s * q * q, a_r * q + b_r * q * q  # CostSpec.cost's operation order
+        return new(PeriodState, (q, e, f, pi, c_s, c_r, c_s + c_r - (fpi := f * pi), c_r - fpi))
 
     object.__setattr__(model, "_clamp_at", clamp)
     object.__setattr__(model, "_state_at", state)

@@ -313,7 +313,7 @@ def dense_scan_equilibrium(
     peak = dm.market_size / peak_scale  # peak revenue per unit e
     size = min(SCAN_LEAF, n_points)
     offsets = np.arange(size, dtype=float)
-    q_buf, gap_buf, cost_buf, sign_buf = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
+    q_buf, gap_buf, sign_buf = np.empty(size), np.empty(size), np.empty(size)
     zero_buf, start_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     pairs = []  # the index pairs of the brackets
     carry = 0.0  # the sign of the last point before the next range
@@ -325,16 +325,15 @@ def dense_scan_equilibrium(
         carry = last
 
     def settled(i0: int, i1: int) -> bool:
-        # the gap's enclosure from each field's (least, greatest, magnitude) shows one sign, and e > 0, where
+        # the gap's enclosure from e's and C's (least, greatest, magnitude) shows one sign, and e > 0, where
         # each clears 0 by ROUNDING_TOL scaled by the largest magnitude met; nothing if it raises or is not finite
         try:
-            _, e, f, pi, s, r = model.state_range(point(i0), point(i1 - 1))
+            r = model.state_range(point(i0), point(i1 - 1))
         except (CurveDomainError, OverflowError):
             return False
-        corners = (f[0] * pi[0], f[0] * pi[1], f[1] * pi[0], f[1] * pi[1])  # pi may be negative
-        gap_lo = e[0] * peak - (s[1] + r[1] - min(corners))
-        gap_hi = e[1] * peak - (s[0] + r[0] - max(corners))
-        slack = scaled(ROUNDING_TOL, e[2] * peak, f[2] * pi[2], s[2] + r[2], gap_lo, gap_hi)
+        e, cost = r.e, r.cost
+        gap_lo, gap_hi = e[0] * peak - cost[1], e[1] * peak - cost[0]
+        slack = scaled(ROUNDING_TOL, e[2] * peak, cost[2], gap_lo, gap_hi)
         if not (all(map(math.isfinite, (gap_lo, gap_hi, slack))) and e[0] > slack and max(gap_lo, -gap_hi) > slack):
             return False
         sign = 1.0 if gap_lo > slack else -1.0
@@ -343,7 +342,7 @@ def dense_scan_equilibrium(
 
     def fill(i0: int, i1: int) -> None:
         m = i1 - i0
-        q, gap, cost, sign, zero, start = q_buf[:m], gap_buf[:m], cost_buf[:m], sign_buf[:m], zero_buf[:m], start_buf[:m]
+        q, gap, sign, zero, start = q_buf[:m], gap_buf[:m], sign_buf[:m], zero_buf[:m], start_buf[:m]
         np.add(offsets[:m], i0, out=q)
         np.add(np.multiply(q if step else np.divide(q, div, out=q), step or delta, out=q), lo, out=q)
         if i1 == n_points:
@@ -351,15 +350,13 @@ def dense_scan_equilibrium(
         s = model.state(q)
         if not np.all(s.e > 0):
             raise NetZeroGridError("peak revenue undefined on a net-zero grid")
-        # the operation order of unconstrained_peak_revenue and PeriodState.cost,
-        # so each gap is the scalar one: e*M/(e*eps) - ((C_S + C_R) - f*pi)
-        np.subtract(np.add(s.C_S, s.C_R, out=cost), np.multiply(s.f, s.pi, out=gap), out=cost)
-        np.subtract(np.divide(np.multiply(s.e, dm.market_size, out=gap), peak_scale, out=gap), cost, out=gap)
+        # unconstrained_peak_revenue's operation order, so each gap is the scalar one: e*M/(e*eps) - C
+        np.subtract(np.divide(np.multiply(s.e, dm.market_size, out=gap), peak_scale, out=gap), s.cost, out=gap)
 
         np.sign(gap, out=sign)
         enter(i0, sign[0], sign[-1])
         np.equal(sign, 0.0, out=zero)
-        np.less(np.multiply(sign[:-1], sign[1:], out=cost[:-1]), 0.0, out=start[:-1])
+        np.less(np.multiply(sign[:-1], sign[1:], out=gap[:-1]), 0.0, out=start[:-1])  # gap is spent: it takes the products
         start[-1] = False
         at = np.flatnonzero(np.logical_or(start, zero, out=start))
         pairs.extend(zip((at + i0).tolist(), (at + i0 + ~zero[at]).tolist()))  # a zero ends where it starts

@@ -37,10 +37,10 @@ def required_share(s: gm.PeriodState, rev: float) -> float:
 
     Zero when there is no revenue to share.  A share of 1 or more would leave
     the operator nothing for its own strictly positive cost, so that case is
-    an error rather than a clamp.  C_2 is read from the state's fields, and
-    the clamp gives ``max``'s 0.0 at NaN and -0.0.
+    an error rather than a clamp.  C_2 is the state's, and the clamp gives
+    ``max``'s 0.0 at NaN and -0.0.
     """
-    share = (s.C_R - s.f * s.pi) / rev if rev > 0 else 0.0
+    share = s.cost_generator / rev if rev > 0 else 0.0
     if not share > 0.0:
         share = 0.0
     if share >= 1.0:
@@ -88,17 +88,16 @@ def _separated_solution(
     if rev <= 0:
         raise NoRevenueError(f"maximal revenue {rev} at Q={s.q} is nonpositive")
     share = required_share(s, rev)
-    c_s, c_r, fpi = s.C_S, s.C_R, s.f * s.pi
+    c_s, c_gen = s.C_S, s.cost_generator
     expansion = ((1.0 - share) * rev - c_s) / k
     if not expansion > ZERO_TOL:  # max(0, .) and then the exact zero of equilibrium periods
         expansion = 0.0
 
-    c_gen = c_r - fpi
     operator_cost = c_s + k * expansion
     operator_residual = (1.0 - share) * rev - operator_cost
     generator_residual = share * rev - c_gen
 
-    tol = scaled(BALANCE_TOL, rev, c_s + c_r - fpi)  # C in PeriodState.cost's operation order
+    tol = scaled(BALANCE_TOL, rev, s.cost)
     feasible = operator_residual >= -tol and generator_residual >= -tol
     financial_binding = abs(operator_residual) <= tol
 

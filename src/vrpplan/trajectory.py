@@ -107,7 +107,7 @@ def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float):
     raises their error, the first one's; an infeasible entry raises, the
     first one named; an entry at the long-run equilibrium takes 0."""
     import numpy as np
-    q, e, f, pi, c_s, c_r = s
+    q, e, f, _, _, _, cost, _ = s
     market, eps = dm.market_size, dm.sensitivity
     with np.errstate(divide="ignore", over="ignore"):  # M/f(Q) is inf only where the scalar rules raise
         bad = (e <= 0) | (f <= 0) | np.isinf(ratio := market / f)
@@ -116,7 +116,6 @@ def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float):
     base = e / eps
     price = np.where(market * math.exp(-1.0) > f, base * np.log(ratio), base)
     rev = price * (market * np.exp(-eps * price / e))
-    cost = c_s + c_r - f * pi  # PeriodState.cost, in its operation order
     tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
     infeasible = ~(rev >= cost - tol)  # also a NaN revenue
     if infeasible.any():
@@ -273,9 +272,7 @@ def staged_expansions(
     k = model.invest_cost
     states = gm.finite_samples(what, "state", [model.state(q) for q in qs], qs)
     decisions = [dp.decide_at(dm, s, k) for s in states]
-    gm.finite_samples(
-        what, "decision", [(d.price, d.revenue, s.cost, d.expansion) for s, d in zip(states, decisions)], qs
-    )
+    gm.finite_samples(what, "decision", [(d.price, d.revenue, d.expansion) for d in decisions], qs)
     return states, [_checked(d, s.q).expansion for s, d in zip(states, decisions)]
 
 
@@ -286,7 +283,7 @@ def staged_expansions(
 
 def _period_solution(s: gm.PeriodState, k: float, d: dp.Decision, expansion: float) -> dp.PeriodSolution:
     """Full per-period telemetry for the decision ``d`` at a state, expanding by ``expansion``."""
-    rev, cost = d.revenue, s.C_S + s.C_R - s.f * s.pi  # PeriodState.cost, in its operation order
+    rev, cost = d.revenue, s.cost
     share = rs.required_share(s, rev)
     financial_binding = abs(cost + k * expansion - rev) <= scaled(BALANCE_TOL, rev, cost)
     return tuple.__new__(dp.PeriodSolution, (  # as decide_at builds its Decision

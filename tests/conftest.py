@@ -265,6 +265,21 @@ def write_profiles_csv(profiles: HourlyProfiles, path) -> None:
             writer.writerow([hour, repr(load), repr(cf)])
 
 
+def negated(curve: GridCurve) -> GridCurve:
+    """``curve`` times -1, of the same kind."""
+    if curve.kind is CurveKind.TABULATED:
+        return GridCurve(curve.kind, table=tuple((q, -v) for q, v in curve.table))
+    if curve.kind is CurveKind.EXPONENTIAL_DECAY:
+        return GridCurve(curve.kind, (-curve.coefficients[0], curve.coefficients[1]))
+    return GridCurve(curve.kind, tuple(-c for c in curve.coefficients))
+
+
+def formed_state(q, e, f, pi, c_s, c_r) -> gm.PeriodState:
+    """The state of these six numbers, C and C_2 formed from them by the
+    formula, in :class:`~vrpplan.grid_model.PeriodState`'s operation order."""
+    return gm.PeriodState(q, e, f, pi, c_s, c_r, c_s + c_r - f * pi, c_r - f * pi)
+
+
 # ---------------------------------------------------------------------------
 # The scalar period path as it was written before its per-period constants
 # were bound: each body verbatim, but for its name and the references it
@@ -274,7 +289,7 @@ def write_profiles_csv(profiles: HourlyProfiles, path) -> None:
 
 def reference_decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> dp.Decision:
     """``decide_at``'s float body: states and constants read on every call."""
-    q, e, f, pi, c_s, c_r = s
+    q, e, f, pi, c_s, c_r = s[:6]
     if e <= 0:
         raise NetZeroGridError(f"e(Q)={e} at Q={q}: no emissions left to differentiate")
     if f <= 0:

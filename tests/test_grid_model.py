@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bumped_emissions, drawn_model, flat_curve, flat_model
+from conftest import bumped_emissions, drawn_model, flat_curve, flat_model, formed_state
 from vrpplan.demand_pricing import DemandModel, ExpansionStatus, decide_at, demand
 from vrpplan.errors import CurveDomainError, NetZeroGridError, NoSellableCreditsError
 from vrpplan.grid_model import (
@@ -238,13 +238,17 @@ class TestPeriodState:
         assert s.cost == s.C_S + s.C_R - s.f * s.pi
         assert s.cost_generator == s.C_R - s.f * s.pi
         # an array state: e and pi are exponential curves, where np.exp and
-        # math.exp may differ in the last ulp; f and the costs are the same floats
+        # math.exp may differ in the last ulp; f and the costs are the same floats,
+        # and C and C_2 carry pi's ulps, an ulp of |C_S| + |C_R| + |f*pi|
         qs = np.linspace(*m.domain, 257)
         states = [m.state(float(q)) for q in qs]
-        for name, value in m.state(qs)._asdict().items():
+        array = m.state(qs)
+        ulp = np.spacing(np.abs(array.C_S) + np.abs(array.C_R) + np.abs(array.f * array.pi))
+        for name, value in array._asdict().items():
             rtol = 1e-15 if name in ("e", "pi") else 0.0
             expected = [getattr(x, name) for x in states]
-            np.testing.assert_allclose(value, expected, rtol=rtol, atol=0.0)
+            atol = ulp if name in ("cost", "cost_generator") else 0.0
+            assert np.all(np.abs(value - expected) <= rtol * np.abs(expected) + atol), name
 
     def test_state_clamps_rounding_overshoot_only(self):
         lo, hi = 8.835448658992814, 41.624944259365925  # lo + 1.0*(hi - lo) rounds one ulp above hi
@@ -758,7 +762,8 @@ def reference_clamp(model: GridModel, q):
 def reference_state(model: GridModel, q) -> tuple:
     q = reference_clamp(model, q)
     curves = (model.emissions, model.delivered, model.energy_value)
-    return (q, *(reference_curve(curve, q) for curve in curves), model.cost_system.cost(q), model.cost_renewable.cost(q))
+    costs = (model.cost_system.cost(q), model.cost_renewable.cost(q))
+    return tuple(formed_state(q, *(reference_curve(curve, q) for curve in curves), *costs))
 
 
 def reference_decision(dm: DemandModel, s: PeriodState, k: float) -> tuple:
@@ -851,7 +856,7 @@ class TestFloatKernel:
         # arithmetic, which warns (an error under the warnings filter) before the error the float raises
         dm, model = drawn_model(CurveKind.POLYNOMIAL, np.random.default_rng(5))
         s = model.state(np.float64(1e-310))
-        assert [type(v) for v in s] == [float] * 6
+        assert [type(v) for v in s] == [float] * 8
         with pytest.raises(NoSellableCreditsError, match=r"M/f\(Q\) overflows"):
             decide_at(dm, s, model.invest_cost)
         assert type(model.emissions_at(np.float64(2.0))) is float

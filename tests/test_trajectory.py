@@ -18,6 +18,8 @@ from conftest import (
     cliff_emissions,
     drawn_model,
     flat_model,
+    formed_state,
+    negated,
     random_accepted_model,
     reference_decide_at,
     reference_find_deliverability_threshold,
@@ -37,13 +39,13 @@ from vrpplan.demand_pricing import (
 )
 from vrpplan import cli, trajectory
 from vrpplan import demand_pricing as dp
-from vrpplan.equilibrium import find_deliverability_threshold, solve_long_run_limit
+from vrpplan.equilibrium import _gap, find_deliverability_threshold, solve_long_run_limit
 from vrpplan.errors import CurveDomainError, InfeasiblePeriodError, NoSellableCreditsError, VrpError
 from vrpplan import grid_model as gm
 from vrpplan.grid_model import CostSpec, CurveKind, GridCurve, GridModel, eval_curve, linspace
 from vrpplan.oracles import _walk_prefix_array, enumerate_and_compare
-from vrpplan.revenue_sharing import _separated_solution, solve_separated_period
-from vrpplan.tolerances import BALANCE_TOL, ZERO_TOL, scaled
+from vrpplan.revenue_sharing import _separated_solution, required_share, solve_separated_period
+from vrpplan.tolerances import BALANCE_TOL, ROUNDING_TOL, ZERO_TOL, scaled
 from vrpplan.trajectory import (
     TRAJECTORY_CSV_COLUMNS,
     ReachabilityCertificate,
@@ -491,6 +493,67 @@ class TestSolvePeriod:
         run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=q, horizon=1))
         assert run.records[0].solution.deliverability_binding is expected
 
+class TestNetCostsFromTheState:
+    """C and C_2 are the state's fields: no decision forms them again from C_S, C_R, f and pi."""
+
+    def test_every_decision_follows_the_fields(self, baseline_demand, baseline_model):
+        dm, model, k = baseline_demand, baseline_model, baseline_model.invest_cost
+        s = model.state(3.0)
+        rev = decide_at(dm, s, k).revenue
+        # C halfway to the revenue, and C_2 a quarter of it: neither is the formula's
+        moved = s._replace(cost=0.5 * (s.cost + rev), cost_generator=0.25 * rev)
+        assert moved.cost != s.C_S + s.C_R - s.f * s.pi and moved.cost_generator != s.C_R - s.f * s.pi
+
+        d = decide_at(dm, moved, k)
+        assert (d.revenue, d.status) == (rev, ExpansionStatus.EXPANDING)
+        assert d.expansion == (rev - moved.cost) / k
+        assert required_share(moved, rev) == 0.25
+        solution = _period_solution(moved, k, d, d.expansion)
+        assert (solution.share, solution.financial_binding, solution.phase) == (0.25, True, Phase.SUPPORTED)
+        separated, sharing = _separated_solution(moved, k, d)
+        assert sharing.share == 0.25 and sharing.generator_budget_residual == 0.0
+        assert separated.expansion == (0.75 * rev - s.C_S) / k
+        divisor = math.e * dm.sensitivity
+        assert _gap(moved, dm.market_size, divisor) == (s.e * dm.market_size / divisor - moved.cost, moved.cost)
+
+    def test_the_array_decision_follows_the_fields(self, baseline_demand, baseline_model):
+        dm, model, k = baseline_demand, baseline_model, baseline_model.invest_cost
+        qs = np.array([2.0, 3.0])
+        s = model.state(qs)
+        rev = np.array([decide_at(dm, model.state(q), k).revenue for q in qs.tolist()])
+        # the first entry expands by a quarter of its revenue, the second sits at the equilibrium
+        moved = s._replace(cost=np.array([0.75 * rev[0], rev[1] * (1.0 + 1e-10)]))
+        expansion = _max_feasible(dm, moved, k)
+        assert expansion[0] == pytest.approx(0.25 * rev[0] / k, rel=1e-12) and expansion[1] == 0.0
+        with pytest.raises(InfeasiblePeriodError, match=r"at Q=3\.0$"):
+            _max_feasible(dm, s._replace(cost=np.array([0.0, 2.0 * rev[1]])), k)
+
+    @given(kind=st.sampled_from(CurveKind), seed=st.integers(0, 2**32 - 1), negative=st.booleans(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_states_form_the_net_costs_once(self, kind, seed, negative, data):
+        # float and array states give C and C_2 with the formula's bits, and the value range encloses them,
+        # also where pi < 0 (and, on a polynomial f, f < 0)
+        _, model = drawn_model(kind, np.random.default_rng(seed))
+        if negative:
+            model = model._replace(energy_value=negated(model.energy_value))
+        lo, hi = model.domain
+        a, b = sorted(data.draw(st.floats(lo, hi)) for _ in range(2))
+        qs = np.linspace(a, b, 65)
+        states = [model.state(q) for q in qs.tolist()]
+        for s in states:
+            assert repr((s.cost, s.cost_generator)) == repr((s.C_S + s.C_R - s.f * s.pi, s.C_R - s.f * s.pi))
+        array = model.state(qs)
+        assert np.array_equal(array.cost, array.C_S + array.C_R - array.f * array.pi)
+        assert np.array_equal(array.cost_generator, array.C_R - array.f * array.pi)
+        r = model.state_range(a, b)
+        assert r.cost[2] == max(r.C_S[2] + r.C_R[2], r.f[2] * r.pi[2])
+        assert r.cost_generator[2] == max(r.C_R[2], r.f[2] * r.pi[2])
+        for name in ("cost", "cost_generator"):
+            least, greatest, magnitude = getattr(r, name)
+            slack = scaled(ROUNDING_TOL, magnitude)
+            assert all(least - slack <= getattr(s, name) <= greatest + slack for s in states), name
+
+
 class TestSimulateMyopic:
     def test_start_at_limit_single_record(self, baseline_demand, baseline_model):
         limit = solve_long_run_limit(baseline_demand, baseline_model).capacity_limit
@@ -756,7 +819,8 @@ class TestScalarPathBits:
             except VrpError:
                 continue
             # and states where C_2 = C_R - f*pi is NaN or -0.0, or the separated expansion NaN: clamps write 0.0
-            for state in (s, s._replace(pi=math.nan), s._replace(C_R=-0.0, pi=0.0), s._replace(C_S=math.nan)):
+            changes = ({}, {"pi": math.nan}, {"C_R": -0.0, "pi": 0.0}, {"C_S": math.nan})
+            for state in (formed_state(*s._replace(**change)[:6]) for change in changes):
                 for x in (d.expansion, 0.0, -0.0):
                     assert outcome(_period_solution, state, k, d, x) == outcome(reference_period_solution, state, k, d, x)
                 assert outcome(_separated_solution, state, k, d) == outcome(reference_separated_solution, state, k, d)
