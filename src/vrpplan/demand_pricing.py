@@ -103,7 +103,7 @@ class Decision(NamedTuple):
     status: ExpansionStatus
 
 
-_PEAK_SHARE = math.exp(-1.0)  # peak sales M*exp(-1) as a share of M
+PEAK_SHARE = math.exp(-1.0)  # peak sales M*exp(-1) as a share of M: the deliverability boundary
 _EXPANDING, _EQUILIBRIUM, _INFEASIBLE = ExpansionStatus  # bound once, in definition order
 
 
@@ -130,7 +130,7 @@ def decide_at(dm: DemandModel, s: gm.PeriodState, k: float) -> Decision:
         raise NoSellableCreditsError(f"f(Q)={f} at Q={q}: no credits to sell")
     market, eps = dm.market_size, dm.sensitivity
     price = e / eps
-    binding = not market * _PEAK_SHARE <= f  # peak sales M*exp(-1) exceed f(Q), or f(Q) is NaN
+    binding = not market * PEAK_SHARE <= f  # peak sales M*exp(-1) exceed f(Q), or f(Q) is NaN
     if binding:
         ratio = market / f
         if ratio == math.inf:

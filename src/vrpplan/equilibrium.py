@@ -42,7 +42,7 @@ def find_deliverability_threshold(dm: dp.DemandModel, model: gm.GridModel) -> fl
     ROUNDING_TOL scaled by Q_max; returns the domain minimum when it is already
     satisfied there.
     """
-    target = dm.market_size * math.exp(-1.0)
+    target = dm.market_size * dp.PEAK_SHARE
     lo, hi = model.domain
     if model.delivered_at(lo) >= target:
         return lo

@@ -65,9 +65,9 @@ def classify_phase(share: float, expansion: float, feasible: bool) -> dp.Phase:
 def solve_separated_period(
     dm: dp.DemandModel, model: gm.GridModel, q: float
 ) -> tuple[dp.PeriodSolution, SharingSolution]:
-    """Solve the period at capacity ``q`` under separated accounts and compare
-    with the integrated problem: :func:`_separated_solution` at its state."""
-    s, k = model._state_at(q) if type(q) is float else model.state(q), model.invest_cost
+    """Solve the period at capacity ``q``, any real number, under separated accounts and
+    compare with the integrated problem: :func:`_separated_solution` at its float state."""
+    s, k = model._state_at(q), model.invest_cost
     return _separated_solution(s, k, dp.decide_at(dm, s, k))
 
 

@@ -114,7 +114,7 @@ def _max_feasible(dm: dp.DemandModel, s: gm.PeriodState, k: float):
     if bad.any():
         dp.decide_at(dm, gm.PeriodState(*(float(v[bad][0]) for v in s)), k)
     base = e / eps
-    price = np.where(market * math.exp(-1.0) > f, base * np.log(ratio), base)
+    price = np.where(market * dp.PEAK_SHARE > f, base * np.log(ratio), base)
     rev = price * (market * np.exp(-eps * price / e))
     tol = BALANCE_TOL * np.maximum(np.abs(rev), np.abs(cost))
     infeasible = ~(rev >= cost - tol)  # also a NaN revenue
@@ -293,9 +293,9 @@ def _period_solution(s: gm.PeriodState, k: float, d: dp.Decision, expansion: flo
 
 
 def solve_period(dm: dp.DemandModel, model: gm.GridModel, q_state: float) -> dp.PeriodSolution:
-    """Integrated single-period optimum at capacity ``q_state`` with full
-    telemetry: :func:`_solve_at` at its state."""
-    return _solve_at(dm, model.state(q_state), model.invest_cost)
+    """Integrated single-period optimum at capacity ``q_state``, any real
+    number, with full telemetry: :func:`_solve_at` at its float state."""
+    return _solve_at(dm, model._state_at(q_state), model.invest_cost)
 
 
 def _solve_at(dm: dp.DemandModel, s: gm.PeriodState, k: float) -> dp.PeriodSolution:

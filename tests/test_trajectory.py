@@ -493,6 +493,20 @@ class TestSolvePeriod:
         run = simulate_myopic(baseline_demand, baseline_model, SimulationConfig(q_init=q, horizon=1))
         assert run.records[0].solution.deliverability_binding is expected
 
+    @pytest.mark.parametrize("solve", [solve_period, solve_separated_period])
+    def test_any_real_capacity_takes_the_float_kernel(self, baseline_demand, baseline_model, solve):
+        # an int, a NumPy scalar and a 0-d array are read as the float, and every number is a builtin float
+        def types(result):  # of every field, of both records of a separated solution
+            return [type(v) for part in (result if solve is solve_separated_period else (result,)) for v in part]
+
+        expected = solve(baseline_demand, baseline_model, 3.0)
+        assert float in types(expected)
+        for q in (3, np.float64(3.0), np.array(3.0)):
+            result = solve(baseline_demand, baseline_model, q)
+            assert repr(result) == repr(expected)
+            assert types(result) == types(expected)
+
+
 class TestNetCostsFromTheState:
     """C and C_2 are the state's fields: no decision forms them again from C_S, C_R, f and pi."""
 
