@@ -298,7 +298,11 @@ def _float_evaluator(curve: GridCurve):
             if j == last or xs[j] == q:
                 return ys[j]
             # float() keeps a NumPy scalar q from making the result one
-            return float((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (q - xs[j]) + ys[j])
+            value = float((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (q - xs[j]) + ys[j])
+            if math.isfinite(value):
+                return value
+            w = (q - xs[j]) / (xs[j + 1] - xs[j])  # the slope overflows: the segment's weight
+            return float(ys[j] * (1.0 - w) + ys[j + 1] * w)
     elif curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients
 
@@ -327,15 +331,22 @@ def eval_curve(curve: GridCurve, q):
     end; farther out, or at NaN, it raises, as an exponential does where it
     overflows.  An array gives the scalar floats, but for an ulp of ``np.exp``
     against ``math.exp``.  A table's kernel bisects the knot lists and applies
-    ``np.interp``'s formula, so both routes give ``np.interp``'s bits.
+    ``np.interp``'s formula, so both routes give ``np.interp``'s bits; where
+    that is not finite, as a slope overflows, they take the segment's weight
+    w = (Q - Q_i)/(Q_i+1 - Q_i): v_i (1 - w) + v_i+1 w, inside its values.
     """
     if not is_array(q):
         return curve._at(q)
     import numpy as np
     if curve.kind is CurveKind.TABULATED:
         _, _, lo, hi = curve._knots
-        qs, vs, _ = curve._arrays
-        return np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
+        qs, vs, slopes = curve._arrays
+        values = np.interp(_within(q, lo, hi, "tabulated", qs), qs, vs)
+        if slopes is None and not (finite := np.isfinite(values)).all():  # as the kernel: by its weight
+            j = np.clip(np.searchsorted(qs, q, side="right") - 1, 0, len(qs) - 2)
+            w = (q - qs[j]) / (qs[j + 1] - qs[j])
+            values = np.where(finite, values, vs[j] * (1.0 - w) + vs[j + 1] * w)
+        return values
     if curve.kind is CurveKind.EXPONENTIAL_DECAY:
         amplitude, rate = curve.coefficients
         try:

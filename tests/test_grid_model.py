@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bumped_emissions, drawn_model, flat_curve, flat_model, formed_state
@@ -92,6 +92,20 @@ class TestEvalCurve:
         else:
             assert np.array_equal(values, scalar)
 
+    def test_an_overflowing_segment_slope_evaluates_inside_its_values(self):
+        # the first segment's slope 2/1.1e-308 overflows: it is evaluated by its weight, on both routes;
+        # the second segment keeps np.interp's bits
+        top, q = 1.1125369292536007e-308, 5.562684646268003e-309
+        table = ((0.0, 0.0), (top, 2.0), (1.0, 3.0))
+        curve = GridCurve(CurveKind.TABULATED, table=table)
+        assert (2.0 / top, q / top) == (math.inf, 0.5)
+        points = [0.0, q, top, 0.3, 1.0]
+        expected = [0.0, 1.0, 2.0, float(np.interp(0.3, *zip(*table))), 3.0]
+        assert [eval_curve(curve, p) for p in points] == expected
+        assert eval_curve(curve, np.array(points)).tolist() == expected
+        assert (eval_curve(curve, np.array(q)), eval_curve(curve, np.float64(q))) == (1.0, 1.0)
+        assert type(eval_curve(curve, np.float64(q))) is float
+
     def test_exponential_overflow_raises_for_a_point_or_an_array(self):
         curve = GridCurve(CurveKind.EXPONENTIAL_DECAY, (1e308, -700.0))
         for q in (3.0, np.array([0.0, 3.0])):
@@ -120,7 +134,12 @@ class TestEvalCurve:
         for q in points:
             value = eval_curve(curve, q)
             assert type(value) is float
-            assert value.hex() == float(np.interp(q, knots_q, knots_v)).hex(), q
+            expected = float(np.interp(q, knots_q, knots_v))
+            if not math.isfinite(expected):  # a segment whose slope overflows: by its weight
+                j = bisect_right(xs, q) - 1
+                w = (q - xs[j]) / (xs[j + 1] - xs[j])
+                expected = vs[j] * (1.0 - w) + vs[j + 1] * w
+            assert value.hex() == expected.hex(), q
 
     @given(
         knots=st.lists(
@@ -134,6 +153,7 @@ class TestEvalCurve:
         ),
         fraction=st.floats(min_value=0.0, max_value=1.0),
     )
+    @example(knots=[(0.0, 0.0), (1.1125369292536007e-308, 2.0)], fraction=1.0)  # the slope 2/1.1e-308 overflows
     @settings(max_examples=80, deadline=None)
     def test_exact_at_knots_and_monotone_between(self, knots, fraction):
         knots = sorted(knots)
