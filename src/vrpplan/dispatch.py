@@ -11,12 +11,12 @@ order, and the clearing price is the cost of the last unit running (zero in
 hours wind covers everything).
 
 :func:`merit_order_dispatch` is the hourly reference.  :func:`calibrate_grid`
-sums emissions and prices by each hour's marginal unit instead, with no
-units x hours array: it keeps that unit's terms in per-hour arrays and, as
-the sweep's wind lowers the residual load, rewrites them only at the hours
-whose unit changes.  The CSV readers parse the body with numpy's C reader and
-read a file row by row only to name a fault, or to take what ``float`` takes
-and that reader does not.
+sums emissions and prices by each hour's marginal state instead, with no
+units x hours array, the merit order split at ``ROUNDING_TOL`` where wind
+turns marginal; as the sweep's wind lowers the residual load, it rewrites the
+terms only at the hours whose state changes.  The CSV readers parse the body
+with numpy's C reader and read a file row by row only to name a fault, or to
+take what ``float`` takes and that reader does not.
 """
 
 from __future__ import annotations
@@ -224,15 +224,17 @@ def calibrate_grid(
     :func:`~vrpplan.units.invert_price_units`.  With no wind on line the weights
     fall back to the wind profile itself (the value of the first marginal MW).
 
-    Each hour's marginal unit is located at the first capacity, and its five
-    terms (the capacity under it, twice: as the floor of its residual range
-    and as the base of its output; the emissions under it; its emission rate;
-    its marginal cost) are gathered into per-hour arrays once.  At each
-    capacity the unit steps down, and the terms are rewritten, only at the
-    hours whose residual load fell to their unit's floor, until none does.
-    Emissions and prices are then computed in buffers allocated once per
-    call.  f and pi equal the sums over :func:`merit_order_dispatch` exactly,
-    e within rounding.
+    The merit order is split at ``ROUNDING_TOL`` into states, one per unit and
+    two for the unit that holds the split.  Each keeps its unit's emission
+    terms; those at or under the split are priced zero, as wind is marginal
+    there.  Each hour's state is located at the first capacity and its five
+    terms (its floor; the capacity and the emissions under its unit; that
+    unit's emission rate; its price) taken into one array per term.  At each
+    capacity the state steps down, and the terms are rewritten, only at the
+    hours whose residual fell to their state's floor, until none does.  The
+    residual is clipped to the fleet only if it passes the fleet at the first
+    capacity, by the rounding step :func:`_serve_wind` admits.  f and pi equal
+    the sums over :func:`merit_order_dispatch` exactly, e within rounding.
 
     Tiny monotonicity violations in e and pi (sampling noise in the weighted
     price) are smoothed by decreasing isotonic regression and flagged.
@@ -240,56 +242,54 @@ def calibrate_grid(
     qs = [float(q) for q in q_grid]
     if len(qs) < 2:
         raise ValueError("q_grid needs at least 2 capacities")
-    if any(b <= a for a, b in zip(qs, qs[1:])):
-        raise ValueError("q_grid must be strictly increasing")
+    if not (all(map(math.isfinite, qs)) and all(a < b for a, b in zip(qs, qs[1:]))):  # false for NaN
+        raise ValueError("q_grid must be finite and strictly increasing")
     if not 0.0 < wind_cf <= 1.0:
         raise ValueError("wind_cf must lie in (0, 1]")
 
     load, profile_cf = profiles.load, profiles.wind_cf
     caps, mcs, ers, cumcap = fleet._arrays
-    total_load = float(np.sum(load))
+    total_load = float(np.add.reduce(load))
     top = cumcap[-1]
-    # per unit: the capacity under it (-inf under unit 0, so no hour steps past
-    # it), that capacity again, the emissions under it at full output, its
-    # emission rate and its marginal cost
-    unit_terms = np.array([
-        np.concatenate([[-np.inf], cumcap[:-1]]),
-        np.concatenate([[0.0], cumcap[:-1]]),
-        np.concatenate([[0.0], np.cumsum(ers * caps)[:-1]]),
-        ers,
-        mcs,
-    ])
+    # the state ceilings: cumcap[:-1] with the split put in its place
+    split = int(np.searchsorted(cumcap[:-1], ROUNDING_TOL))
+    ceilings = np.insert(cumcap[:-1], split, ROUNDING_TOL)
+    unit = np.insert(np.arange(len(caps)), split, split)
+    # per state, its five terms; -inf under state 0, so no hour steps past it
+    states = (
+        np.concatenate([[-np.inf], ceilings]),
+        np.concatenate([[0.0], cumcap[:-1]]).take(unit),
+        np.concatenate([[0.0], np.cumsum(ers * caps)[:-1]]).take(unit),
+        ers.take(unit),
+        np.where(np.arange(len(unit)) > split, mcs.take(unit), 0.0),
+    )
     # residuals only fall as Q grows: check the fleet at the first capacity and
-    # locate each hour's marginal unit there; its buffers serve the whole sweep
+    # locate each hour's state there; its buffers serve the whole sweep
     wind_served, residual = _serve_wind(fleet, profiles, qs[0])[1:]
-    marginal = np.minimum(np.searchsorted(cumcap, residual, side="left"), len(caps) - 1)
-    hourly = unit_terms[:, marginal]  # each hour's marginal-unit terms, rows as above
-    floor, below, full_below, marginal_er, marginal_mc = hourly
-    work = np.empty_like(residual)
-    mask = np.empty(residual.shape, dtype=bool)
-    cf_total = np.sum(profile_cf)
+    clip = residual.max() > top
+    state = np.searchsorted(ceilings, residual, side="left")
+    floor, below, full_below, marginal_er, marginal_mc = hourly = [terms.take(state) for terms in states]
+    work, mask = np.empty_like(residual), np.empty(residual.shape, dtype=bool)
+    cf_total = np.add.reduce(profile_cf)
     e_vals, f_vals, pi_vals = [], [], []
     for q in qs:
         np.minimum(np.multiply(q, profile_cf, out=wind_served), load, out=wind_served)
         np.subtract(load, wind_served, out=residual)
-        # step down only the hours whose residual fell to their unit's floor
-        steps = np.flatnonzero(np.less_equal(residual, floor, out=mask))
+        # step down only the hours whose residual fell to their state's floor
+        steps = np.less_equal(residual, floor, out=mask).nonzero()[0]
         while steps.size:
-            marginal[steps] -= 1
-            hourly[:, steps] = unit_terms[:, marginal[steps]]
+            state[steps] = down = state[steps] - 1
+            for terms, table in zip(hourly, states):
+                terms[steps] = table.take(down)
             steps = steps[residual[steps] <= floor[steps]]
         # the units under the marginal one at full output, plus its own share
-        np.subtract(np.minimum(residual, top, out=work), below, out=work)
+        np.subtract(np.minimum(residual, top, out=work) if clip else residual, below, out=work)
         np.add(full_below, np.multiply(marginal_er, work, out=work), out=work)
-        e_vals.append(float(np.sum(work)) / total_load)
-        served = np.sum(wind_served)
+        e_vals.append(float(np.add.reduce(work)) / total_load)
+        served = np.add.reduce(wind_served)
         f_vals.append(float(served) / (profiles.hours * wind_cf))
-        # the marginal unit's cost, zero where wind is marginal (the residual
-        # load is rounding-size), times the weights
-        np.copyto(work, marginal_mc)
-        np.copyto(work, 0.0, where=np.less_equal(residual, ROUNDING_TOL, out=mask))
         weights, total = (wind_served, served) if served > 0 else (profile_cf, cf_total)
-        price_energy = float(np.sum(np.multiply(work, weights, out=work)) / total)
+        price_energy = float(np.add.reduce(np.multiply(marginal_mc, weights, out=work)) / total)
         pi_vals.append(invert_price_units(price_energy, wind_cf))
 
     e_iso = _decreasing_isotonic(np.asarray(e_vals)).tolist()

@@ -235,6 +235,13 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_grid(fleet, profiles, [0.0, 1.0], 0.0)
 
+    @pytest.mark.parametrize("q_grid", [[0.0, math.nan, 1.0], [math.nan, 1.0], [0.0, 1.0, math.inf], [0.0, 2.0, 1.0]])
+    def test_bad_q_grid_named_before_the_sweep(self, q_grid):
+        # every comparison with NaN is false, and inf times the zero-wind hour is NaN
+        profiles = HourlyProfiles(load=(1.0, 2.0), wind_cf=(0.0, 0.5))
+        with pytest.raises(ValueError, match="^q_grid must be finite and strictly increasing$"):
+            calibrate_grid(default_fleet(), profiles, q_grid, 0.35)
+
 
 @st.composite
 def sweeps(draw):
@@ -250,17 +257,25 @@ def sweeps(draw):
 
     capacity = number(0.25, 5.0, 0.25)
     pool = draw(st.lists(capacity, min_size=1, max_size=3))
-    units = tuple(
+    # units under, at and across ROUNDING_TOL, where wind turns marginal, come
+    # first in merit order: over a GW unit the sweep's marginal output r - below
+    # can pass a tiny unit's capacity by an ulp of the GW sum, which the hourly
+    # dispatch clips, and e's relative check would read that on an e of 1e-14
+    tiny = st.one_of(st.sampled_from([1e-13, ROUNDING_TOL / 2, ROUNDING_TOL]), st.floats(1e-14, 2e-12))
+    small = draw(st.lists(tiny, max_size=draw(st.sampled_from([0, 4]))))
+    units = tuple(FleetUnit(c, 0.0, draw(number(0.0, 1.2, 0.125))) for c in small) + tuple(
         FleetUnit(draw(st.one_of(st.sampled_from(pool), capacity)), draw(number(0.0, 200.0, 1.0)),
                   draw(number(0.0, 1.2, 0.125)))
-        for _ in range(draw(st.integers(1, 12)))
+        for _ in range(draw(st.integers(0 if small else 1, 12)))
     )
     fleet = FleetSpec(units=units)
     cumcap = np.cumsum([u.capacity for u in fleet.units]).tolist()
     hours = draw(st.integers(1, 48))
-    # a load on a cumulative capacity, or a rounding step past the whole fleet
-    edges = st.sampled_from([*cumcap, cumcap[-1] * (1 + 5e-13)])
-    load = draw(st.lists(st.one_of(number(0.25, cumcap[-1], 0.25), edges), min_size=hours, max_size=hours))
+    # a load on a cumulative capacity, a rounding step past the whole fleet, or
+    # at or under ROUNDING_TOL (within a rounding step of any fleet)
+    edges = st.sampled_from([*cumcap, cumcap[-1] * (1 + 5e-13), ROUNDING_TOL, ROUNDING_TOL / 2])
+    sized = [number(0.25, cumcap[-1], 0.25)] if cumcap[-1] >= 0.25 else []
+    load = draw(st.lists(st.one_of(*sized, edges), min_size=hours, max_size=hours))
     cf = draw(st.lists(st.one_of(st.just(0.0), number(0.0, 1.0, 0.125)), min_size=hours, max_size=hours))
     assume(any(cf))
     steps = draw(st.lists(st.one_of(number(1e-3, 3.0, 0.5), number(1e-6, 1e-2, 2.0**-10)), min_size=1, max_size=40))
@@ -335,6 +350,14 @@ class TestSweepMatchesHourlyDispatch:
         np.testing.assert_allclose([s[1] for s in calibration.samples], e_iso, rtol=1e-13, atol=0)
 
     @given(sweeps())
+    @example((FleetSpec(units=(FleetUnit(2.0, 30.0, 0.5),)),  # one unit: no ceiling but the split
+              HourlyProfiles(load=(1.0, ROUNDING_TOL, 2.0), wind_cf=(0.5, 0.0, 1.0)), [0.0, 1.0, 2.0, 4.0]))
+    @example((FleetSpec(units=(FleetUnit(1e-13, 1.0, 0.9), FleetUnit(2.0, 30.0, 0.5))),  # a unit under the split
+              HourlyProfiles(load=(ROUNDING_TOL, 1e-13, 1.0), wind_cf=(0.0, 0.5, 1.0)), [0.0, 1e-13, 0.5, 1.0]))
+    @example((FleetSpec(units=(FleetUnit(ROUNDING_TOL / 2, 1.0, 0.2), FleetUnit(ROUNDING_TOL / 2, 2.0, 0.4),
+                               FleetUnit(1.0, 50.0, 0.8))),  # a cumulative capacity on the split
+              HourlyProfiles(load=(ROUNDING_TOL, ROUNDING_TOL / 2, 0.5, 1.0), wind_cf=(0.0, 0.25, 0.5, 1.0)),
+              [0.0, 1e-12, 0.5, 1.0, 2.0]))
     @settings(max_examples=120, deadline=None)
     def test_matches_the_reference_sweep_bit_for_bit(self, sweep):
         fleet, profiles, q_grid = sweep
