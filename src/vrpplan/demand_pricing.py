@@ -14,12 +14,12 @@ from typing import NamedTuple
 
 from . import grid_model as gm
 from .errors import NetZeroGridError, NoSellableCreditsError
-from .serialize import Serializable, read_numbers, record, record_dict
+from .serialize import read_record, record, record_dict
 from .tolerances import BALANCE_TOL, CERTIFY_TOL, ZERO_TOL
 
 
 @record
-class DemandModel(Serializable):
+class DemandModel:
     """Voluntary-program demand.
 
     ``market_size`` is the demand at zero premium (GW); ``sensitivity`` is the
@@ -35,13 +35,13 @@ class DemandModel(Serializable):
         object.__setattr__(self, "market_size", float(self.market_size))
         object.__setattr__(self, "sensitivity", float(self.sensitivity))
         if not 0.0 < self.market_size < math.inf:
-            raise ValueError("demand.market_size must be positive and finite")
+            raise ValueError("market_size must be positive and finite")
         if not (0.0 < self.sensitivity < math.inf and 1.0 / self.sensitivity < math.inf):
-            raise ValueError("demand.sensitivity and its reciprocal must be positive and finite")
+            raise ValueError("sensitivity and its reciprocal must be positive and finite")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "DemandModel":
-        return read_numbers(cls, doc, "demand")
+    def from_dict(cls, doc: dict, path: str = "demand") -> "DemandModel":
+        return read_record(cls, doc, path)
 
 
 class Phase(Enum):

@@ -15,7 +15,7 @@ import math
 from . import demand_pricing as dp
 from . import grid_model as gm
 from .errors import CurveDomainError, InfeasibleAtThresholdError, NetZeroGridError, ThresholdUnreachableError
-from .serialize import Serializable, record
+from .serialize import record
 from .tolerances import BALANCE_TOL, ROUNDING_TOL, scaled
 
 MAX_ITERATIONS = 200
@@ -23,7 +23,7 @@ BRACKET_GROWTH = 2.0
 
 
 @record
-class EquilibriumResult(Serializable):
+class EquilibriumResult:
     """Solved long-run limit with the bracket and convergence diagnostics."""
 
     capacity_limit: float  # Q where expansion stops, GW

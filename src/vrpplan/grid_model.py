@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import CurveDomainError
-from .serialize import Serializable, json_number, json_numbers, json_typed, plain, read_numbers, record
+from .serialize import json_numbers, json_typed, plain, read_record, record
 from .tolerances import CERTIFY_TOL, DOMAIN_TOL, ROUNDING_TOL, ZERO_TOL, scaled
 
 
@@ -358,17 +358,17 @@ def eval_curve(curve: GridCurve, q):
 
 
 @record
-class CostSpec(Serializable):
+class CostSpec:
     """Quadratic per-period cost, cost(Q) = alpha*Q + beta*Q**2 in M$/yr."""
 
     alpha: float  # M$/GW-yr
     beta: float  # M$/GW^2-yr
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
-            raise ValueError("cost coefficients must be nonnegative and finite")
+        for name in self._fields:
+            object.__setattr__(self, name, value := float(getattr(self, name)))
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
     def cost(self, q):
         return self.alpha * q + self.beta * q * q
@@ -382,7 +382,7 @@ class CostSpec(Serializable):
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "cost") -> "CostSpec":
-        return read_numbers(cls, doc, path)
+        return read_record(cls, doc, path)
 
 
 class PeriodState(NamedTuple):
@@ -414,7 +414,7 @@ class PeriodState(NamedTuple):
 
 
 @record
-class GridModel(Serializable):
+class GridModel:
     """All grid primitives needed to price and expand a renewable program.
 
     Fields
@@ -437,7 +437,7 @@ class GridModel(Serializable):
     domain: tuple[float, float]
 
     def __post_init__(self):
-        # each message begins with its field's name, which from_dict prefixes with the path
+        # each message begins with its field's name, which read_record prefixes with the path
         lo, hi = self.domain
         object.__setattr__(self, "domain", (float(lo), float(hi)))
         object.__setattr__(self, "invest_cost", float(self.invest_cost))
@@ -508,20 +508,11 @@ class GridModel(Serializable):
 
     @classmethod
     def from_dict(cls, doc: dict, path: str = "grid") -> "GridModel":
-        json_typed(doc, dict, path)
-        fields = dict(
-            emissions=GridCurve.from_dict(doc.get("emissions"), f"{path}.emissions"),
-            delivered=GridCurve.from_dict(doc.get("delivered"), f"{path}.delivered"),
-            energy_value=GridCurve.from_dict(doc.get("energy_value"), f"{path}.energy_value"),
-            cost_renewable=CostSpec.from_dict(doc.get("cost_renewable"), f"{path}.cost_renewable"),
-            cost_system=CostSpec.from_dict(doc.get("cost_system"), f"{path}.cost_system"),
-            invest_cost=json_number(doc.get("invest_cost"), f"{path}.invest_cost"),
-            domain=json_numbers(doc.get("domain"), f"{path}.domain", 2),
+        curve, cost = GridCurve.from_dict, CostSpec.from_dict
+        return read_record(
+            cls, doc, path, emissions=curve, delivered=curve, energy_value=curve,
+            cost_renewable=cost, cost_system=cost, domain=lambda value, at: json_numbers(value, at, 2),
         )
-        try:
-            return cls(**fields)
-        except ValueError as exc:  # its message begins with the field's name
-            raise ValueError(f"{path}.{exc}") from None
 
 
 def _bind_float_kernel(model: GridModel) -> None:
@@ -576,7 +567,7 @@ def finite_samples(what: str, stage: str, values, qs):
 
 
 @record
-class ConditionCheck(Serializable):
+class ConditionCheck:
     name: str
     passed: bool
     first_violation_q: float | None = None

@@ -21,7 +21,7 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import trajectory as traj
 from .errors import CurveDomainError, NetZeroGridError, NoSellableCreditsError
-from .serialize import Serializable, record
+from .serialize import record, record_dict
 from .tolerances import ROUNDING_TOL, ZERO_TOL, scaled
 
 
@@ -30,7 +30,7 @@ MAX_POLICIES = 20000  # the most policies ``verify`` enumerates
 
 
 @record
-class DominanceReport(Serializable):
+class DominanceReport:
     n_policies_evaluated: int
     statewise_violations: int
     hitting_time_violations: int
@@ -47,7 +47,7 @@ class DominanceReport(Serializable):
         )
 
     def to_dict(self) -> dict:
-        return {**super().to_dict(), "passed": self.passed}
+        return {**record_dict(self), "passed": self.passed}
 
 
 _ENUMERATION = "policy enumeration"
@@ -277,7 +277,7 @@ def dense_scan_price(
 
 
 @record
-class EquilibriumScan(Serializable):
+class EquilibriumScan:
     found: bool
     bracket: tuple[float, float] | None  # first sign-change interval
     sign_changes: tuple[tuple[float, float], ...]

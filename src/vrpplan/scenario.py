@@ -16,8 +16,9 @@ Schema (version 1):
 reachability bound reported by ``verify``; without it (absent or null) the
 sampled maxima from the certificate are used.
 
-Each value is checked once, by the reader of :mod:`vrpplan.serialize` that
-reads it, and an error names its path (``grid.delivered.table[7][1]``) and the
+Every record is read by :func:`vrpplan.serialize.read_record`, each value
+is checked once, and a type error and a range error alike name the field's
+path (``grid.delivered.table[7][1]``, ``grid.cost_system.alpha``) and the
 file it is in, a grid file given by path included.  ``json_number`` reads a
 scalar and rejects NaN, the infinities, literals that overflow a float
 (``1e999``, a 400-digit integer), strings and booleans; ``json_integer`` reads
@@ -41,9 +42,9 @@ import math
 from pathlib import Path
 
 from .demand_pricing import DemandModel
-from .errors import ScenarioError
+from .errors import CurveDomainError, ScenarioError
 from .grid_model import GridModel
-from .serialize import json_number, json_typed, read_numbers, record
+from .serialize import json_typed, read_record, record
 from .trajectory import SimulationConfig
 
 SCHEMA_VERSION = 1
@@ -55,11 +56,9 @@ class DerivativeBounds:
     max_abs_cost_slope: float
 
     def __post_init__(self):
-        if not (
-            0.0 <= self.max_abs_emissions_slope < math.inf
-            and 0.0 <= self.max_abs_cost_slope < math.inf
-        ):
-            raise ValueError("derivative bounds must be nonnegative and finite")
+        for name in self._fields:
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @record
@@ -74,6 +73,11 @@ class Scenario:
         # ValueError, as from every constructor: scenario_from_dict adds the file
         if not 0.0 < self.wind_cf <= 1.0:
             raise ValueError("wind_cf must lie in (0, 1]")
+        q, (lo, hi) = self.simulation.q_init, self.grid.domain
+        try:  # accepted exactly where the model's clamp accepts it, DOMAIN_TOL past either end
+            self.grid._clamp_at(q)
+        except CurveDomainError:
+            raise ValueError(f"simulation.q_init {q} outside grid.domain [{lo}, {hi}]") from None
 
 
 def _read_json(path: Path):
@@ -88,26 +92,26 @@ def _read_json(path: Path):
 
 
 def scenario_from_dict(doc: dict, where: str = "scenario", base_dir: Path | None = None) -> Scenario:
-    at = where  # the document an error is in: a grid file given by path names itself
+    def read_grid(value, path):
+        if not isinstance(value, str):
+            return GridModel.from_dict(value, path)
+        grid_file = (base_dir or Path(".")) / value
+        try:
+            return GridModel.from_dict(_read_json(grid_file), path)
+        except (LookupError, TypeError, ValueError) as exc:  # an error in a grid file names that file
+            raise ScenarioError(f"{grid_file}: {exc}") from exc
+
     try:
         version = json_typed(doc, dict, "scenario").get("schema_version")
         if type(version) is not int or version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
-        grid_doc = doc.get("grid")
-        if isinstance(grid_doc, str):
-            at = (base_dir or Path(".")) / grid_doc
-            grid_doc = _read_json(at)
-        grid, at = GridModel.from_dict(grid_doc), where
-        bounds = doc.get("derivative_bounds")  # absent or null: no pinned bounds
-        return Scenario(
-            grid=grid,
-            demand=DemandModel.from_dict(doc.get("demand")),
-            simulation=SimulationConfig.from_dict(doc.get("simulation")),
-            wind_cf=json_number(doc.get("wind_cf"), "wind_cf"),
-            derivative_bounds=None if bounds is None else read_numbers(DerivativeBounds, bounds, "derivative_bounds"),
+        return read_record(
+            Scenario, doc, "", grid=read_grid, demand=DemandModel.from_dict, simulation=SimulationConfig.from_dict,
+            # absent or null: no pinned bounds
+            derivative_bounds=lambda value, path: None if value is None else read_record(DerivativeBounds, value, path),
         )
     except (LookupError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{at}: {exc}") from exc
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:

@@ -1,6 +1,7 @@
 """Immutable records, one JSON form for records that list their fields in
 declaration order, and the readers of parsed JSON: each checks one value's
-JSON type once and names the value's path when it is wrong."""
+JSON type once and names the value's path when it is wrong, as
+:func:`read_record` makes a record's own checks do."""
 
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ def record(cls):
     ``__post_init__``, which may set a field with ``object.__setattr__``.
     Equality holds between records of one class with equal fields, the hash
     is the field tuple's, and the repr is ``Name(field=value, ...)``, all as a
-    frozen dataclass has them; ``_fields`` and ``_replace`` are named as a
-    ``NamedTuple``'s.  No code is generated, so decorating costs microseconds.
-    Instances keep a ``__dict__``, which a ``cached_property`` needs.
+    frozen dataclass has them; ``_fields``, ``_field_defaults`` and
+    ``_replace`` are named as a ``NamedTuple``'s, and ``to_dict`` is
+    :func:`record_dict` unless the class defines one.  No code is generated,
+    so decorating costs microseconds.  Instances keep a ``__dict__``, which a
+    ``cached_property`` needs.
     """
     names = tuple(cls.__annotations__)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -69,7 +72,9 @@ def record(cls):
 
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__, _replace):
         setattr(cls, method.__name__, method)
-    cls._fields = names
+    cls._fields, cls._field_defaults = names, defaults
+    if not hasattr(cls, "to_dict"):
+        cls.to_dict = record_dict
     return cls
 
 
@@ -88,12 +93,6 @@ def record_dict(record) -> dict:
     """Each name in ``_fields`` of a :func:`record` or a ``NamedTuple`` mapped to its
     plain value, in declaration order; a ``NamedTuple`` record takes it as ``to_dict``."""
     return {name: plain(getattr(record, name)) for name in record._fields}
-
-
-class Serializable:
-    """Mixin of a :func:`record`: ``to_dict`` is :func:`record_dict`."""
-
-    to_dict = record_dict
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "true or false", int: "an integer"}
@@ -131,7 +130,17 @@ def json_numbers(values, path: str, length: int | None = None) -> tuple[float, .
     return tuple(json_number(v, f"{path}[{i}]") for i, v in enumerate(values))
 
 
-def read_numbers(cls, doc: dict, path: str):
-    """A :func:`record` whose fields are all numbers, from its ``to_dict`` form at ``path``."""
+def read_record(cls, doc: dict, path: str, **readers):
+    """A :func:`record` ``cls`` from its JSON object ``doc`` at ``path``: each
+    field read at ``path.name`` (``name`` at an empty ``path``) by
+    ``readers[name](value, path)`` or :func:`json_number`, a field absent from
+    ``doc`` at its default.  The constructor's ``ValueError`` begins with a
+    field's name and gains the same prefix: a range error names its path."""
     json_typed(doc, dict, path)
-    return cls(**{name: json_number(doc.get(name), f"{path}.{name}") for name in cls._fields})
+    prefix, defaults = path and f"{path}.", cls._field_defaults
+    read = (name for name in cls._fields if name in doc or name not in defaults)
+    fields = {name: readers.get(name, json_number)(doc.get(name), prefix + name) for name in read}
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None

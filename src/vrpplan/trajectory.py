@@ -21,14 +21,14 @@ from . import equilibrium as eqm
 from . import grid_model as gm
 from . import revenue_sharing as rs
 from .errors import InfeasiblePeriodError
-from .serialize import Serializable, json_integer, json_number, json_typed, record
+from .serialize import json_integer, json_typed, read_record, record
 from .tolerances import BALANCE_TOL, ZERO_TOL, scaled
 
 TRAJECTORY_CSV_COLUMNS = ("t", "Q", "p", "q", "gamma", "R", "phase", "e")
 
 
 @record
-class SimulationConfig(Serializable):
+class SimulationConfig:
     """Initial state and horizon for a run; periods are abstract (default years)."""
 
     q_init: float
@@ -42,14 +42,9 @@ class SimulationConfig(Serializable):
             raise ValueError("horizon must be at least 1")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "SimulationConfig":
+    def from_dict(cls, doc: dict, path: str = "simulation") -> "SimulationConfig":
         # JSON types, not coercions: int(3.7) would run 3 periods, bool("no") is true
-        json_typed(doc, dict, "simulation")
-        return cls(
-            q_init=json_number(doc.get("q_init"), "simulation.q_init"),
-            horizon=json_integer(doc.get("horizon"), "simulation.horizon"),
-            stop_at_limit=json_typed(doc.get("stop_at_limit", True), bool, "simulation.stop_at_limit"),
-        )
+        return read_record(cls, doc, path, horizon=json_integer, stop_at_limit=lambda value, at: json_typed(value, bool, at))
 
 
 class Termination(Enum):
@@ -140,7 +135,7 @@ def reachability_lower_bound(
 
 
 @record
-class ReachabilityCertificate(Serializable):
+class ReachabilityCertificate:
     holds: bool
     min_margin: float  # worst sampled slope-like margin (primitive or discrete)
     worst_capacity: float

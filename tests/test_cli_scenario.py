@@ -25,6 +25,7 @@ from vrpplan.errors import DispatchShortageError, InfeasibleError, ScenarioError
 from vrpplan.grid_model import ConditionCheck, CostSpec, CurveKind, GridCurve, GridModel, eval_curve
 from vrpplan.scenario import DerivativeBounds, load_scenario, scenario_from_dict
 from vrpplan.serialize import record_dict
+from vrpplan.tolerances import DOMAIN_TOL, scaled
 from vrpplan.trajectory import SimulationConfig
 from vrpplan.units import convert_price_units, invert_price_units
 
@@ -113,10 +114,10 @@ class TestScenarioFiles:
 
 RECORDS = [  # a record, one of another class with the same field values, the dataclass repr, a change it refuses
     (CostSpec(1.0, 2.0), DerivativeBounds(1.0, 2.0), "CostSpec(alpha=1.0, beta=2.0)",
-     {"beta": -1.0}, "cost coefficients must be nonnegative and finite"),
+     {"beta": -1.0}, "beta must be nonnegative and finite"),
     (DerivativeBounds(1.0, 2.0), CostSpec(1.0, 2.0),
      "DerivativeBounds(max_abs_emissions_slope=1.0, max_abs_cost_slope=2.0)",
-     {"max_abs_cost_slope": math.inf}, "derivative bounds must be nonnegative and finite"),
+     {"max_abs_cost_slope": math.inf}, "max_abs_cost_slope must be nonnegative and finite"),
     (SimulationConfig(0.5, 10), ConditionCheck(0.5, 10, True),
      "SimulationConfig(q_init=0.5, horizon=10, stop_at_limit=True)", {"horizon": 0}, "horizon must be at least 1"),
     (GridCurve(CurveKind.POLYNOMIAL, (21.0, 5.0)), None,
@@ -590,6 +591,26 @@ class TestMalformedInput:
         cfg = scenario_from_dict(doc).simulation
         assert (cfg.horizon, cfg.stop_at_limit) == (3, False)
 
+    def test_q_init_outside_the_domain_is_refused_at_load(self, tmp_path, capsys):
+        # once limit ran it (exit 0), and simulate and verify failed naming Q, not the input
+        doc = baseline_doc()
+        doc["simulation"]["q_init"] = 50
+        message = "simulation.q_init 50.0 outside grid.domain [0.0, 12.0]"
+        with pytest.raises(ScenarioError, match=f"^scenario: {re.escape(message)}$"):
+            scenario_from_dict(doc)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        for command in ("limit", "simulate", "verify"):
+            assert main([command, "--scenario", str(scenario)]) == 2
+            assert capsys.readouterr() == ("", f"error: {scenario}: {message}\n")
+        # the bound is the model's clamp: DOMAIN_TOL past the end is inside, one float more is not
+        edge = 12.0 + scaled(DOMAIN_TOL, 0.0, 12.0)
+        doc["simulation"]["q_init"] = edge
+        assert scenario_from_dict(doc).simulation.q_init == edge
+        doc["simulation"]["q_init"] = past = math.nextafter(edge, math.inf)
+        with pytest.raises(ScenarioError, match=re.escape(f"simulation.q_init {past} outside grid.domain")):
+            scenario_from_dict(doc)
+
     @pytest.mark.parametrize(
         "path, value, message",
         [
@@ -612,6 +633,12 @@ class TestMalformedInput:
             (("grid", "delivered", "table"), 5, "grid.delivered.table must be an array"),
             (("grid", "delivered", "table", 7, 0), 100.0, "grid.delivered.table: tabulated curve Q values"),
             (("simulation", "horizon"), 10**400, "simulation.horizon must be a finite number"),
+            (("simulation", "q_init"), -1, "simulation.q_init must be nonnegative and finite"),
+            (("simulation", "horizon"), 0, "simulation.horizon must be at least 1"),
+            (("grid", "cost_system", "alpha"), -1, "grid.cost_system.alpha must be nonnegative and finite"),
+            (("grid", "cost_renewable", "beta"), -1, "grid.cost_renewable.beta must be nonnegative and finite"),
+            (("derivative_bounds", "max_abs_cost_slope"), -1,
+             "derivative_bounds.max_abs_cost_slope must be nonnegative and finite"),
         ],
         ids=[
             "huge-integer",
@@ -633,6 +660,11 @@ class TestMalformedInput:
             "scalar-table",
             "unsorted-table",
             "huge-horizon",
+            "negative-q-init",
+            "zero-horizon",
+            "negative-system-alpha",
+            "negative-renewable-beta",
+            "negative-derivative-bound",
         ],
     )
     def test_out_of_range_input_exits_2(self, tmp_path, capsys, path, value, message):
