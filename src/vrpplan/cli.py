@@ -17,14 +17,21 @@ infeasible result); 4 verification failure; 141 stdout closed by its reader,
 the code of a tool that SIGPIPE ended.  A warning prints to stderr as
 ``warning: ...``, beside the ``error:`` and ``infeasible:`` lines.
 
+Every result leaves through :func:`_emit`.  One :func:`require_finite` walk
+exits 2 naming a NaN, an infinity or an integer past the float range before
+any byte is written.  Then the JSON, or ``simulate``'s CSV at ``--format csv``,
+goes to stdout, or under ``--out`` to the command's JSON file, and for
+``simulate`` to ``trajectory.csv``, in CRLF, and six plot files beside it.
+
 Only ``calibrate``, with dispatch, loads numpy.  ``--samples`` sets the
 certificate's even samples, to which it adds every table knot below the
 limit; it and the policy enumeration follow the route rule of
 :func:`~vrpplan.grid_model.numpy_route`, so a command builds their points as
 floats, and the KKT summary takes floats.
 ``verify`` refuses more than ``oracles.MAX_POLICIES`` policies before any
-work.  ``dataclasses`` loads only with dispatch, for ``calibrate``, and
-``inspect`` only with numpy: every other record is a
+work, as each command refuses ``--samples`` or ``calibrate``'s ``--q-grid``
+past ``MAX_POINTS``.  ``dataclasses`` loads only with dispatch, for ``calibrate``,
+and ``inspect`` only with numpy: every other record is a
 :func:`~vrpplan.serialize.record`, which generates no code.
 """
 
@@ -57,17 +64,20 @@ EXIT_VERIFICATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool that SIGPIPE ended
 
 _KKT_STATES = 8  # the capacities the KKT summary checks
+MAX_POINTS = 10**6  # the most points --samples or calibrate's --q-grid may ask a run to build
 
 
-def _at_least(floor: int):
+def _at_least(floor: int, most: float = sys.float_info.max):
     """An argparse type: an integer of at least ``floor`` within the float range,
-    the range ``json_integer`` puts on a scenario's integers."""
+    the range ``json_integer`` puts on a scenario's integers, and at most ``most``."""
     def integer(text: str) -> int:
         value = int(text)  # argparse words a ValueError as "invalid integer value"
         if value < floor:
             raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
         if value > sys.float_info.max:
             raise argparse.ArgumentTypeError(f"must lie in the float range, got {len(str(value))} digits")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
     return integer
 
@@ -86,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if capacity:
             p.add_argument("capacity", type=float, help="capacity state Q in GW")
 
-    def count(p: argparse.ArgumentParser, flag: str, floor: int, help: str, **kwargs):
-        p.add_argument(flag, type=_at_least(floor), help=f"{help} (at least {floor})", **kwargs)
+    def count(p: argparse.ArgumentParser, flag: str, floor: int, help: str, most=sys.float_info.max, **kwargs):
+        p.add_argument(flag, type=_at_least(floor, most), help=f"{help} (at least {floor})", **kwargs)
 
     common(sub.add_parser("price", help="single-period optimal price and expansion"), True)
     common(sub.add_parser("share", help="revenue-sharing solution at a state"), True)
@@ -95,13 +105,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="myopic multi-period simulation")
     common(p)
-    count(p, "--samples", 2, "certificate sampling resolution", default=200)
+    count(p, "--samples", 2, "certificate sampling resolution", MAX_POINTS, default=200)
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="stdout format (default: csv)")
     count(p, "--horizon", 1, "override scenario horizon")
 
     p = sub.add_parser("verify", help="run every independent check on the scenario")
     common(p)
-    count(p, "--samples", 2, "certificate sampling resolution", default=200)
+    count(p, "--samples", 2, "certificate sampling resolution", MAX_POINTS, default=200)
     count(p, "--horizon", 1, "enumeration horizon", default=3)
     count(p, "--q-grid", 2, "actions per period", default=4, dest="q_grid")
 
@@ -110,54 +120,45 @@ def _build_parser() -> argparse.ArgumentParser:
     count(p, "--seed", 0, "seed for synthetic profiles", default=0)
     p.add_argument("--fleet", help="fleet CSV (default: built-in synthetic fleet)")
     p.add_argument("--profiles", help="hourly profiles CSV (default: synthetic)")
-    count(p, "--q-grid", 2, "capacity samples", default=20, dest="q_grid")
+    count(p, "--q-grid", 2, "capacity samples", MAX_POINTS, default=20, dest="q_grid")
 
     return parser
 
 
-def require_finite(value, where: str, path: str = "") -> None:
+def require_finite(doc: dict, where: str) -> None:
     """Name the first NaN, infinity or integer past the float range in a result
     document, by ``json_number``: no command prints a non-finite number."""
+    _require_finite(doc, where, "")
+
+
+def _require_finite(value, where: str, path: str) -> None:
+    # recurses by its private name: a tracer that wraps public functions sees one call per document
     if isinstance(value, dict):
         for key, item in value.items():
-            require_finite(item, where, f"{path}.{key}" if path else str(key))
+            _require_finite(item, where, f"{path}.{key}" if path else str(key))
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            require_finite(item, where, f"{path}[{i}]")
+            _require_finite(item, where, f"{path}[{i}]")
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         json_number(value, f"{where}: {path}")
 
 
-# an integer past the float range has at least as many digits as the float maximum
-_FLOAT_MAX_DIGITS = len(str(int(sys.float_info.max)))
-
-
-def _json_text(doc: dict, where: str) -> str:
-    """``doc`` as indented JSON, checked as :func:`require_finite` checks it.
-
-    The encoder rejects NaN and the infinities.  It writes each number on a
-    line of its own, so an integer past the float range makes a line at least
-    as long as its digits.  Only a document that fails the encoder or holds
-    so long a line takes the walk, which names the field.
-    """
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
-    except ValueError:
-        require_finite(doc, where)
-        raise
-    if max(map(len, text.splitlines())) >= _FLOAT_MAX_DIGITS:
-        require_finite(doc, where)
-    return text
-
-
-def _emit(doc: dict, args, filename: str) -> None:
-    text = _json_text(doc, f"{args.command} result")
+def _emit(doc: dict, args, filename: str, tables: dict | None = None) -> None:
+    """Check ``doc`` and write it as the module docstring says.  ``tables``,
+    simulate's, maps CSV file names to (columns, rows, line end); the first is
+    the CSV printed at ``--format csv``."""
+    require_finite(doc, f"{args.command} result")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text + "\n")
+        (out_dir / filename).write_text(json.dumps(doc, indent=2) + "\n")
+        for name, (columns, rows, newline) in (tables or {}).items():
+            (out_dir / name).write_text(traj.csv_text(columns, rows), newline=newline)
+    elif tables and args.format == "csv":
+        columns, rows, _ = next(iter(tables.values()))
+        print(traj.csv_text(columns, rows), end="")
     else:
-        print(text)
+        print(json.dumps(doc, indent=2))
 
 
 def _cmd_price(args, scenario: Scenario) -> int:
@@ -192,18 +193,22 @@ def _cmd_limit(args, scenario: Scenario) -> int:
     return EXIT_OK
 
 
-def _write_plot_files(out_dir: Path, trajectory: traj.Trajectory, scenario: Scenario) -> None:
-    market = scenario.demand.market_size
+def _simulate_tables(trajectory: traj.Trajectory, market_size: float) -> dict:
+    """``simulate``'s CSV files for :func:`_emit`: the trajectory, whose lines
+    end in CRLF, then one plot file per panel, in the platform's line end."""
+    ts = [r.t for r in trajectory.records]
     panels = {
         "plot_capacity.csv": ("Q", lambda r: r.capacity),
-        "plot_renewable_share.csv": ("renewable_pct", lambda r: 100.0 * r.state.f / market),
+        "plot_renewable_share.csv": ("renewable_pct", lambda r: 100.0 * r.state.f / market_size),
         "plot_emissions_intensity.csv": ("e", lambda r: r.state.e),
         "plot_price.csv": ("p", lambda r: r.solution.price),
         "plot_expansion.csv": ("q", lambda r: r.solution.expansion),
         "plot_revenue_share.csv": ("gamma", lambda r: r.solution.share),
     }
+    tables = {"trajectory.csv": (traj.TRAJECTORY_CSV_COLUMNS, traj.trajectory_csv_rows(trajectory), "\r\n")}
     for name, (column, extract) in panels.items():
-        (out_dir / name).write_text(traj.csv_text(("t", column), ((r.t, extract(r)) for r in trajectory.records)))
+        tables[name] = (("t", column), zip(ts, map(extract, trajectory.records)), None)
+    return tables
 
 
 def _cmd_simulate(args, scenario: Scenario) -> int:
@@ -221,21 +226,7 @@ def _cmd_simulate(args, scenario: Scenario) -> int:
     doc = trajectory.to_dict()
     doc["equilibrium"] = trajectory.equilibrium.to_dict()
     doc["reachability_certificate"] = certificate.to_dict()
-
-    if args.out or args.format == "json":
-        text = _json_text(doc, "simulate result")
-    else:
-        require_finite(doc, "simulate result")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        traj.write_trajectory_csv(trajectory, out_dir / "trajectory.csv")
-        (out_dir / "trajectory.json").write_text(text + "\n")
-        _write_plot_files(out_dir, trajectory, scenario)
-    elif args.format == "json":
-        print(text)
-    else:
-        print(traj.csv_text(traj.TRAJECTORY_CSV_COLUMNS, traj.trajectory_csv_rows(trajectory)), end="")
+    _emit(doc, args, "trajectory.json", _simulate_tables(trajectory, scenario.demand.market_size))
     if trajectory.termination is traj.Termination.INFEASIBLE:
         print("warning: trajectory truncated: infeasible period", file=sys.stderr)
         return EXIT_INFEASIBLE

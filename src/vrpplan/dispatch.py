@@ -166,9 +166,6 @@ class CalibrationOutput:
     """Empirical grid curves sampled over a wind-capacity sweep."""
 
     samples: tuple[tuple[float, float, float, float], ...]  # (Q, e, f, pi)
-    emissions_curve: gm.GridCurve
-    delivered_curve: gm.GridCurve
-    energy_value_curve: gm.GridCurve
     emissions_adjusted: bool  # isotonic correction applied to e
     energy_value_adjusted: bool  # isotonic correction applied to pi
 
@@ -294,15 +291,8 @@ def calibrate_grid(
 
     e_iso = _decreasing_isotonic(np.asarray(e_vals)).tolist()
     pi_iso = _decreasing_isotonic(np.asarray(pi_vals)).tolist()
-
-    def curve(values: list[float]) -> gm.GridCurve:
-        return gm.GridCurve(gm.CurveKind.TABULATED, table=tuple(zip(qs, values)))
-
     return CalibrationOutput(
         samples=tuple(zip(qs, e_iso, f_vals, pi_iso)),
-        emissions_curve=curve(e_iso),
-        delivered_curve=curve(f_vals),
-        energy_value_curve=curve(pi_iso),
         emissions_adjusted=e_iso != e_vals,
         energy_value_adjusted=pi_iso != pi_vals,
     )
@@ -314,17 +304,11 @@ def build_grid_model(
     cost_system: gm.CostSpec,
     invest_cost: float,
 ) -> gm.GridModel:
-    """Assemble a GridModel from calibrated curves plus cost parameters."""
-    qs = [q for q, _, _, _ in calibration.samples]
-    return gm.GridModel(
-        emissions=calibration.emissions_curve,
-        delivered=calibration.delivered_curve,
-        energy_value=calibration.energy_value_curve,
-        cost_renewable=cost_renewable,
-        cost_system=cost_system,
-        invest_cost=invest_cost,
-        domain=(qs[0], qs[-1]),
-    )
+    """Assemble a GridModel from the calibration's samples, e, f and pi each
+    tabulated over its capacities, plus cost parameters."""
+    qs, *columns = zip(*calibration.samples)
+    curves = [gm.GridCurve(gm.CurveKind.TABULATED, table=tuple(zip(qs, values))) for values in columns]
+    return gm.GridModel(*curves, cost_renewable, cost_system, invest_cost, domain=(qs[0], qs[-1]))
 
 
 # ---------------------------------------------------------------------------

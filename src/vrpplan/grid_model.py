@@ -438,20 +438,20 @@ class GridModel:
 
     def __post_init__(self):
         # each message begins with its field's name, which read_record prefixes with the path
-        lo, hi = self.domain
-        object.__setattr__(self, "domain", (float(lo), float(hi)))
+        lo, hi = map(float, self.domain)
+        object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "invest_cost", float(self.invest_cost))
         if not -math.inf < lo < hi < math.inf:
             raise ValueError("domain must satisfy Q_min < Q_max, both finite")
         if lo < 0.0:
-            raise ValueError(f"domain must satisfy Q_min >= 0, got {float(lo)}: capacities are nonnegative")
+            raise ValueError(f"domain must satisfy Q_min >= 0, got {lo}: capacities are nonnegative")
         if not 0.0 < self.invest_cost < math.inf:
             raise ValueError("invest_cost must be positive and finite")
         for name in ("emissions", "delivered", "energy_value"):
             curve: GridCurve = getattr(self, name)
             clo, chi = curve.domain
             if clo > lo or chi < hi:
-                raise ValueError(f"{name} curve does not cover the model domain")
+                raise ValueError(f"{name} curve covers [{clo}, {chi}], not the model domain [{lo}, {hi}]")
         _bind_float_kernel(self)
 
     def _clamp(self, q):

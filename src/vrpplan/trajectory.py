@@ -363,12 +363,7 @@ def trajectory_csv_rows(trajectory: Trajectory) -> list[tuple]:
     ]
 
 
-def csv_text(columns, rows, newline: str = "\n") -> str:
-    """A header of ``columns``, then each row's values by ``repr``, whose read back is exact."""
-    return newline.join([",".join(columns), *(",".join(map(repr, row)) for row in rows)]) + newline
-
-
-def write_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Fixed column order: t, Q, p, q, gamma, R, phase, e; lines end in CRLF."""
-    with open(path, "w", newline="") as handle:
-        handle.write(csv_text(TRAJECTORY_CSV_COLUMNS, trajectory_csv_rows(trajectory), "\r\n"))
+def csv_text(columns, rows) -> str:
+    """A header of ``columns``, then each row's values by ``repr``, whose read
+    back is exact; lines end in LF, which a file's ``newline`` may translate."""
+    return "\n".join([",".join(columns), *(",".join(map(repr, row)) for row in rows)]) + "\n"

@@ -404,13 +404,17 @@ class TestCliCommands:
             (["simulate"], "simulate result: equilibrium."),
             (["simulate", "--format", "json"], "simulate result: equilibrium."),
             (["simulate", "--out", "OUT"], "simulate result: equilibrium."),
+            (["simulate", "--format", "json", "--out", "OUT"], "simulate result: equilibrium."),
+            (["verify"], "verify result: equilibrium."),
+            (["verify", "--out", "OUT"], "verify result: equilibrium."),
         ],
-        ids=["limit", "limit-out", "simulate-csv", "simulate-json", "simulate-out"],
+        ids=["limit", "limit-out", "simulate-csv", "simulate-json", "simulate-out", "simulate-json-out",
+             "verify", "verify-out"],
     )
     def test_a_non_finite_result_names_its_field(
         self, monkeypatch, tmp_path, capsys, field, value, shown, argv, where
     ):
-        # the encoder finds NaN and infinities, a long line an integer past the float range
+        # require_finite names the field before any byte is written
         solve = equilibrium.solve_long_run_limit
         monkeypatch.setattr(
             equilibrium, "solve_long_run_limit", lambda dm, model: solve(dm, model)._replace(**{field: value})
@@ -772,7 +776,7 @@ class TestMalformedInput:
             ("delivered", {"kind": None}, "grid.delivered.kind must be one of"),
             ("emissions", {"coefficients": [0.5, 0.1, 0.2]}, "grid.emissions.coefficients: exponential-decay"),
             ("emissions", {"kind": "parametric-polynomial", "coefficients": []}, "grid.emissions.coefficients: polynomial"),
-            (None, {"domain": [0, 1000]}, "grid.delivered curve does not cover the model domain"),
+            (None, {"domain": [0, 1000]}, "grid.delivered curve covers [0.0, 12.0], not the model domain [0.0, 1000.0]"),
             (None, {"domain": [12, 0]}, "grid.domain must satisfy Q_min < Q_max"),
             (None, {"domain": [-3, 12]}, "grid.domain must satisfy Q_min >= 0, got -3.0"),
             (None, {"invest_cost": 0}, "grid.invest_cost must be positive"),
@@ -863,6 +867,10 @@ class TestMalformedInput:
             (["simulate", "--samples", "0"], "argument --samples: must be at least 2, got 0"),
             (["verify", "--horizon", "0"], "argument --horizon: must be at least 1, got 0"),
             (["verify", "--samples", "1.5"], "argument --samples: invalid integer value: '1.5'"),
+            # MAX_POINTS: more points than a run can hold are refused before any is built
+            (["simulate", "--samples", "100000000"], "argument --samples: must be at most 1000000, got 100000000"),
+            (["verify", "--samples", "1000001"], "argument --samples: must be at most 1000000, got 1000001"),
+            (["calibrate", "--q-grid", "100000000"], "argument --q-grid: must be at most 1000000, got 100000000"),
         ],
     )
     def test_a_flag_below_its_floor_exits_2_naming_both(self, capsys, argv, message):
@@ -907,6 +915,12 @@ class TestMalformedInput:
         assert cli._at_least(0)(str(largest)) == largest
         with pytest.raises(argparse.ArgumentTypeError, match="float range"):
             cli._at_least(0)(str(largest + 1))
+        # a capped count keeps the float range's message past that range
+        assert cli._at_least(2, cli.MAX_POINTS)(str(cli.MAX_POINTS)) == cli.MAX_POINTS
+        with pytest.raises(argparse.ArgumentTypeError, match="must be at most 1000000"):
+            cli._at_least(2, cli.MAX_POINTS)(str(cli.MAX_POINTS + 1))
+        with pytest.raises(argparse.ArgumentTypeError, match="float range"):
+            cli._at_least(2, cli.MAX_POINTS)(str(largest + 1))
 
 
 def calibrate_edited_csvs(tmp_path, filename: str, edit) -> tuple[int, Path]:

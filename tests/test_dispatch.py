@@ -223,6 +223,9 @@ class TestCalibration:
             calibration, CostSpec(21.0, 5.0), CostSpec(9.6, 1.0), 1000.0
         )
         assert model.domain == (0.0, 14.0)
+        # each curve tabulates one column of the samples over their capacities
+        for column, curve in enumerate((model.emissions, model.delivered, model.energy_value), 1):
+            assert curve.table == tuple((s[0], s[column]) for s in calibration.samples)
         assert validate_grid_conditions(model).passed
 
     def test_q_grid_validation(self):
@@ -435,7 +438,8 @@ class TestDecreasingIsotonic:
         scale = 8.76 * 0.35
         raw = [30.0 * scale, 30.0 * 0.1 / 1.1 * scale, 30.0 * 0.2 / 1.2 * scale]
         assert pi == pytest.approx([raw[0], (raw[1] + raw[2]) / 2, (raw[1] + raw[2]) / 2])
-        assert [v for _, v in calibration.energy_value_curve.table] == pi
+        model = build_grid_model(calibration, CostSpec(21.0, 5.0), CostSpec(9.6, 1.0), 1000.0)
+        assert [v for _, v in model.energy_value.table] == pi
 
 
 def reference_read_csv(path, columns, kind):

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -59,10 +60,15 @@ from vrpplan.trajectory import (
     simulate_myopic,
     solve_period,
     trajectory_csv_rows,
-    write_trajectory_csv,
 )
 
 DM = DemandModel(market_size=10.0, sensitivity=0.0045)
+
+
+def write_simulate_out(trajectory, market_size: float, out_dir) -> None:
+    """The files of ``simulate --out`` for ``trajectory``, by the command's own writer."""
+    tables = cli._simulate_tables(trajectory, market_size)
+    cli._emit(trajectory.to_dict(), SimpleNamespace(command="simulate", out=str(out_dir)), "trajectory.json", tables)
 
 
 def received_points(monkeypatch) -> list:
@@ -723,8 +729,8 @@ class TestSerialization:
     def test_csv_round_trip(self, baseline_demand, baseline_model, tmp_path):
         cfg = SimulationConfig(q_init=0.5, horizon=25, stop_at_limit=False)
         trajectory = simulate_myopic(baseline_demand, baseline_model, cfg)
+        write_simulate_out(trajectory, baseline_demand.market_size, tmp_path)
         path = tmp_path / "trajectory.csv"
-        write_trajectory_csv(trajectory, path)
         with open(path, newline="") as handle:
             header, *body = csv.reader(handle)
         assert tuple(header) == TRAJECTORY_CSV_COLUMNS
@@ -1014,7 +1020,6 @@ class TestEvaluationCounts:
         model, evaluations = counted
         trajectory = simulate_myopic(baseline_demand, model, baseline_cfg)
         evaluations.clear()
-        write_trajectory_csv(trajectory, tmp_path / "trajectory.csv")
-        cli._write_plot_files(tmp_path, trajectory, BASELINE._replace(grid=model))
+        write_simulate_out(trajectory, baseline_demand.market_size, tmp_path)
         assert not evaluations
         assert trajectory.cumulative_emission_index == sum(r.state.e for r in trajectory.records)
